@@ -4,100 +4,51 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dat_chord::{ChordConfig, IdPolicy, IdSpace, StaticRing};
 use dat_sim::harness::prestabilized_chord;
-use dat_sim::{EventQueue, SchedulerKind, SimNet};
+use dat_sim::EventQueue;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
 fn bench_event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue");
-    // Timer wheel vs binary heap, same workload: short-horizon delays
-    // (the common case — protocol timers and network latencies), and a
-    // mixed workload with a far-future tail that exercises the wheel's
-    // overflow heap.
-    for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-        g.bench_with_input(
-            BenchmarkId::new("push_pop_1k", format!("{kind:?}")),
-            &kind,
-            |b, &kind| {
-                b.iter(|| {
-                    let mut q: EventQueue<u64> = EventQueue::with_scheduler(kind);
-                    for i in 0..1_000u64 {
-                        q.push_after(black_box(i % 97), i);
-                    }
-                    let mut sum = 0u64;
-                    while let Some(e) = q.pop() {
-                        sum = sum.wrapping_add(e.event);
-                    }
-                    sum
-                });
-            },
-        );
-        g.bench_with_input(
-            BenchmarkId::new("interleaved_16k", format!("{kind:?}")),
-            &kind,
-            |b, &kind| {
-                // Steady-state schedule: every pop pushes a successor a
-                // short hop ahead, plus a 1% far-future tail.
-                b.iter(|| {
-                    let mut q: EventQueue<u64> = EventQueue::with_scheduler(kind);
-                    for i in 0..1_024u64 {
-                        q.push_after(i % 127, i);
-                    }
-                    let mut sum = 0u64;
-                    for step in 0..16_384u64 {
-                        let Some(e) = q.pop() else { break };
-                        sum = sum.wrapping_add(e.event);
-                        let delay = if step % 100 == 0 {
-                            1 << 38 // far future: overflow territory
-                        } else {
-                            1 + (e.event % 97)
-                        };
-                        q.push_after(black_box(delay), e.event);
-                    }
-                    sum
-                });
-            },
-        );
-    }
-    g.finish();
-}
-
-fn bench_maintenance_by_scheduler(c: &mut Criterion) {
-    // One virtual second of n=512 ring maintenance through the whole
-    // engine (arena delivery + scheduler), per backend.
-    let space = IdSpace::new(32);
-    let mut g = c.benchmark_group("maintenance_1s_n512_by_scheduler");
-    g.sample_size(10);
-    for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-        let mut rng = SmallRng::seed_from_u64(2);
-        let ring = StaticRing::build(space, 512, IdPolicy::Probed, &mut rng);
-        let cfg = ChordConfig {
-            space,
-            ..ChordConfig::default()
-        };
-        g.bench_with_input(
-            BenchmarkId::from_parameter(format!("{kind:?}")),
-            &kind,
-            |b, &kind| {
-                let book = dat_sim::harness::addr_book(&ring);
-                let mut net = SimNet::with_scheduler(2, kind);
-                for &id in ring.ids() {
-                    let mut node = dat_chord::ChordNode::new(cfg, id, book[&id]);
-                    let table = ring.table_of_with(id, cfg.succ_list_len, &|id| book[&id]);
-                    let outs = node.start_with_table(table);
-                    let addr = node.me().addr;
-                    net.add_node(node);
-                    net.apply(addr, outs);
-                }
-                net.set_record_upcalls(false);
-                b.iter(|| {
-                    net.run_for(black_box(1_000));
-                    net.events_processed()
-                });
-            },
-        );
-    }
+    // Short-horizon delays (the common case — protocol timers and
+    // network latencies), and a mixed workload with a far-future tail
+    // that exercises the wheel's overflow heap.
+    g.bench_function("push_pop_1k", |b| {
+        b.iter(|| {
+            let mut q: EventQueue<u64> = EventQueue::new();
+            for i in 0..1_000u64 {
+                q.push_after(black_box(i % 97), i);
+            }
+            let mut sum = 0u64;
+            while let Some(e) = q.pop() {
+                sum = sum.wrapping_add(e.event);
+            }
+            sum
+        });
+    });
+    g.bench_function("interleaved_16k", |b| {
+        // Steady-state schedule: every pop pushes a successor a short
+        // hop ahead, plus a 1% far-future tail.
+        b.iter(|| {
+            let mut q: EventQueue<u64> = EventQueue::new();
+            for i in 0..1_024u64 {
+                q.push_after(i % 127, i);
+            }
+            let mut sum = 0u64;
+            for step in 0..16_384u64 {
+                let Some(e) = q.pop() else { break };
+                sum = sum.wrapping_add(e.event);
+                let delay = if step % 100 == 0 {
+                    1 << 38 // far future: overflow territory
+                } else {
+                    1 + (e.event % 97)
+                };
+                q.push_after(black_box(delay), e.event);
+            }
+            sum
+        });
+    });
     g.finish();
 }
 
@@ -142,7 +93,6 @@ criterion_group!(
     benches,
     bench_event_queue,
     bench_prestabilized_build,
-    bench_maintenance_second,
-    bench_maintenance_by_scheduler
+    bench_maintenance_second
 );
 criterion_main!(benches);

@@ -3,12 +3,13 @@
 //!
 //! ```text
 //! simbench [--sizes 8192,65536,262144] [--virtual-ms 10000]
-//!          [--scheduler wheel|heap|both] [--shards 1,2,4,8]
+//!          [--shards 1,2,4,8]
 //!          [--budget-s N] [--out BENCH_sim.json] [--quiet]
 //! ```
 //!
-//! Runs one maintenance epoch per (size, scheduler) pair, ascending by
-//! size so the process's peak RSS reflects each size's own footprint, and
+//! Runs one maintenance epoch per size on the single-core `SimNet`
+//! engine (`"shards": 0` in the report), ascending by size so the
+//! process's peak RSS reflects each size's own footprint, and
 //! writes a machine-readable JSON report. `--budget-s` stops the sweep
 //! once total wall time exceeds the budget (remaining sizes are recorded
 //! as skipped, never silently dropped) — this is what keeps the CI smoke
@@ -28,13 +29,11 @@
 
 use std::time::Instant;
 
-use dat_sim::queue::SchedulerKind;
 use dat_sim::scale::{run_scale, ScaleConfig, ScaleReport};
 
 struct Opts {
     sizes: Vec<usize>,
     virtual_ms: u64,
-    schedulers: Vec<SchedulerKind>,
     shards: Vec<usize>,
     budget_s: u64,
     out: String,
@@ -45,7 +44,6 @@ fn parse_opts() -> Opts {
     let mut o = Opts {
         sizes: vec![8_192, 65_536, 262_144],
         virtual_ms: 10_000,
-        schedulers: vec![SchedulerKind::Wheel],
         shards: Vec::new(),
         budget_s: 0, // 0 = unbounded
         out: "BENCH_sim.json".into(),
@@ -81,17 +79,6 @@ fn parse_opts() -> Opts {
                     eprintln!("bad --virtual-ms");
                     std::process::exit(2);
                 });
-            }
-            "--scheduler" => {
-                o.schedulers = match val(&mut i).as_str() {
-                    "wheel" => vec![SchedulerKind::Wheel],
-                    "heap" => vec![SchedulerKind::Heap],
-                    "both" => vec![SchedulerKind::Wheel, SchedulerKind::Heap],
-                    other => {
-                        eprintln!("unknown scheduler `{other}` (wheel|heap|both)");
-                        std::process::exit(2);
-                    }
-                };
             }
             "--shards" => {
                 o.shards = val(&mut i)
@@ -130,17 +117,9 @@ fn parse_opts() -> Opts {
     o
 }
 
-fn sched_name(k: SchedulerKind) -> &'static str {
-    match k {
-        SchedulerKind::Wheel => "wheel",
-        SchedulerKind::Heap => "heap",
-        SchedulerKind::Sharded { .. } => "sharded",
-    }
-}
-
 fn json_entry(r: &ScaleReport, speedup_vs_1shard: Option<f64>) -> String {
     format!(
-        "    {{\"n\": {}, \"scheduler\": \"{}\", \"shards\": {}, \
+        "    {{\"n\": {}, \"shards\": {}, \
          \"virtual_ms\": {}, \
          \"build_wall_ms\": {}, \"run_wall_ms\": {}, \"events\": {}, \
          \"events_per_sec\": {:.0}, \"ns_per_event\": {:.1}, \
@@ -148,11 +127,6 @@ fn json_entry(r: &ScaleReport, speedup_vs_1shard: Option<f64>) -> String {
          \"peak_rss_mib\": {}, \"digest\": \"{:016x}\", \
          \"speedup_vs_1shard\": {}}}",
         r.n,
-        if r.shards > 0 {
-            "sharded"
-        } else {
-            sched_name(r.scheduler)
-        },
         r.shards,
         r.virtual_ms,
         r.build_wall_ms,
@@ -181,24 +155,18 @@ fn main() {
     let mut entries: Vec<String> = Vec::new();
     let mut skipped: Vec<String> = Vec::new();
     for &n in &o.sizes {
-        for &sched in &o.schedulers {
-            if o.budget_s > 0 && started.elapsed().as_secs() >= o.budget_s {
-                skipped.push(format!(
-                    "{{\"n\": {n}, \"scheduler\": \"{}\"}}",
-                    sched_name(sched)
-                ));
-                if !o.quiet {
-                    eprintln!("[simbench] budget exhausted; skipping n={n} {sched:?}");
-                }
-                continue;
-            }
+        if o.budget_s > 0 && started.elapsed().as_secs() >= o.budget_s {
+            skipped.push(format!("{{\"n\": {n}, \"shards\": 0}}"));
             if !o.quiet {
-                eprintln!("[simbench] n={n} scheduler={} ...", sched_name(sched));
+                eprintln!("[simbench] budget exhausted; skipping n={n}");
+            }
+        } else {
+            if !o.quiet {
+                eprintln!("[simbench] n={n} ...");
             }
             let r = run_scale(ScaleConfig {
                 n,
                 virtual_ms: o.virtual_ms,
-                scheduler: sched,
                 ..ScaleConfig::default()
             });
             if !o.quiet {

@@ -19,7 +19,8 @@
 //! [`msg::Input`]s and emits [`msg::Output`]s and never touches a socket or
 //! a clock, so the identical code runs under the discrete-event simulator
 //! (`dat-sim`) and the UDP RPC transport (`dat-rpc`) — mirroring the
-//! paper's prototype architecture.
+//! paper's prototype architecture. What every real-socket host of an
+//! [`Actor`] needs besides a way to wait lives in [`host`].
 //!
 //! For analysis there is also a global-view [`ring::StaticRing`] that
 //! materialises the finger tables a converged overlay would hold, letting
@@ -49,6 +50,7 @@ pub mod actor;
 pub mod codec;
 pub mod finger;
 pub mod health;
+pub mod host;
 pub mod id;
 pub mod metrics;
 pub mod msg;

@@ -208,7 +208,7 @@ impl ChordMsg {
 
 /// Timers a node may arm. Hosts must deliver [`Input::Timer`] with the same
 /// kind after the requested delay (timers are one-shot; the node re-arms).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TimerKind {
     /// Periodic successor-list stabilization.
     Stabilize,

@@ -22,6 +22,7 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
+use dat_chord::host::TransportStats;
 use dat_chord::{ChordConfig, Id, IdPolicy, IdSpace, NodeAddr, RoutingScheme, StaticRing};
 use dat_core::{AggFunc, AggregationMode, DatConfig, DatEvent, DatProtocol, StackNode};
 use dat_maan::{MaanEvent, MaanProtocol, MaanStack, Resource};
@@ -30,7 +31,7 @@ use dat_obs::Registry;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::host::{ClusterHost, HostConfig, HostStats};
+use crate::host::{ClusterHost, HostConfig};
 
 /// How the overlay comes up.
 #[derive(Clone, Copy, Debug)]
@@ -80,8 +81,6 @@ impl Default for HarnessConfig {
             host: HostConfig {
                 inbox_capacity: 256,
                 outbox_capacity: 256,
-                timer_granularity: Duration::from_millis(200),
-                ..HostConfig::default()
             },
             machines: 16,
         }
@@ -112,7 +111,7 @@ pub struct HarnessReport {
     /// Resource URIs the MAAN range query returned, sorted.
     pub maan_hits: Vec<String>,
     /// Transport counters at the end of the run.
-    pub stats: HostStats,
+    pub stats: TransportStats,
     /// Total Prometheus samples scraped across every node exposition.
     pub scrape_samples: usize,
     /// `engine_shed_total` over all layers, fleet plus transport.

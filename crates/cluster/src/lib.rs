@@ -15,9 +15,11 @@
 //! `try_send` and counts every refused frame as a shed in the
 //! `engine_shed_total{layer}` vocabulary (`transport_rx`/`transport_tx`);
 //! the control plane (`call`/`cast`/shutdown) uses waiting sends and is
-//! never shed. The sans-io engine is hosted untouched — the same codec,
-//! `BadFrame` attribution and quarantine pipeline as the other two hosts,
-//! which is what makes three-way transport parity testable.
+//! never shed. The sans-io engine is hosted untouched, and everything
+//! below it that does not depend on how a node waits — socket book,
+//! decode classification and `BadFrame` attribution, counters, timer
+//! heap, output step — is [`dat_chord::host`], shared with the threads
+//! host, which is what makes three-way transport parity testable.
 //!
 //! * [`host::ClusterHost`] — the transport: launch, drive, scrape,
 //!   drain/shutdown;
@@ -32,5 +34,6 @@
 pub mod harness;
 pub mod host;
 
+pub use dat_chord::host::TransportStats;
 pub use harness::{run_harness, BootMode, HarnessConfig, HarnessReport};
-pub use host::{ClusterHost, HostConfig, HostStats};
+pub use host::{ClusterHost, HostConfig};

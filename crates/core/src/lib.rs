@@ -67,6 +67,7 @@ pub use explicit::{ExpMsg, ExplicitConfig, ExplicitProtocol, EXPLICIT_PROTO};
 pub use gossip::{GossipConfig, GossipProtocol, GOSSIP_PROTO};
 pub use proto::{
     AggregationEntry, AggregationMode, Completeness, DatConfig, DatEvent, DatProtocol,
+    COMPLETED_QUERIES_KEPT,
 };
 pub use sketch::Hll;
 pub use tree::DatTree;

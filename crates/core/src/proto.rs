@@ -22,7 +22,8 @@
 //! register/set-local/query keep the same shape they had when DAT owned
 //! the node, but now compose with any other stacked protocol.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use dat_chord::{
     estimate_d0, hash_to_id, parent_for, ring_size_for_d0, FingerTable, Id, Metrics, NodeAddr,
@@ -318,6 +319,7 @@ impl AggregationEntry {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum DatTimer {
     EpochTick,
+    /// The lost-branch deadline (engine-clock ms) this timer was armed for.
     QueryWindow(u64),
     /// Flush the continuous partial of one aggregation for the current
     /// epoch (armed at each tick; may be preempted by an early flush when
@@ -325,17 +327,35 @@ enum DatTimer {
     HoldFlush(Id),
 }
 
+/// One on-demand query as this node remembers it.
+#[derive(Debug)]
+struct QuerySlot {
+    /// Who awaits our response (`None`: we are the fan-out origin). Kept
+    /// after the answer, so a second copy of this parent's `Query` can be
+    /// told from another parent's.
+    parent: Option<NodeRef>,
+    /// `Some` while responses are outstanding; dropped with its partial
+    /// once answered.
+    open: Option<Box<QueryState>>,
+}
+
 #[derive(Debug)]
 struct QueryState {
     key: Id,
-    /// Who awaits our response (`None`: we are the fan-out origin).
-    parent: Option<NodeRef>,
     /// (Origin only) who gets the final result.
     requester: Option<NodeRef>,
-    awaiting: usize,
+    /// The children still to answer. Each is merged once: a second copy
+    /// of a response finds its sender gone from here.
+    awaiting: Vec<Id>,
     acc: AggPartial,
-    done: bool,
 }
+
+/// How many answered queries a node remembers, oldest retired first. A
+/// remembered `reqid` is what keeps a late copy of a `Query` from fanning
+/// out (and being counted) a second time, so the memory has to outlast
+/// duplicate delivery: 256 spans the default `query_window_ms` up to
+/// ~500 queries/s through one node, for ~20 KiB.
+pub const COMPLETED_QUERIES_KEPT: usize = 256;
 
 /// The DAT handler: aggregation table + both aggregate modes, hosted on
 /// the shared Chord substrate by a [`StackNode`].
@@ -343,7 +363,19 @@ pub struct DatProtocol {
     cfg: DatConfig,
     aggs: HashMap<Id, AggregationEntry>,
     epoch: u64,
-    queries: HashMap<u64, QueryState>,
+    /// Every query this node remembers, by `reqid`: the open ones and,
+    /// for duplicate suppression, the answered ones until `completed`
+    /// retires them.
+    queries: HashMap<u64, QuerySlot>,
+    /// Answered `reqid`s, oldest first; at most
+    /// [`COMPLETED_QUERIES_KEPT`].
+    completed: VecDeque<u64>,
+    /// Lost-branch deadlines of the queries opened here, `(engine-clock
+    /// ms, reqid)`, earliest first. One host timer at a time serves them
+    /// all (see `ensure_window_timer`).
+    windows: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Deadline of the earliest `QueryWindow` timer still pending.
+    window_armed_ms: Option<u64>,
     timers: HashMap<u64, DatTimer>,
     next_token: u64,
     next_reqid: u64,
@@ -365,6 +397,9 @@ impl DatProtocol {
             aggs: HashMap::new(),
             epoch: 0,
             queries: HashMap::new(),
+            completed: VecDeque::new(),
+            windows: BinaryHeap::new(),
+            window_armed_ms: None,
             timers: HashMap::new(),
             next_token: 1,
             next_reqid: 0,
@@ -395,6 +430,12 @@ impl DatProtocol {
     /// Current epoch index.
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// On-demand queries this node still remembers: the ones awaiting
+    /// responses plus at most [`COMPLETED_QUERIES_KEPT`] answered ones.
+    pub fn remembered_queries(&self) -> usize {
+        self.queries.len()
     }
 
     /// Registered aggregations.
@@ -480,7 +521,7 @@ impl DatProtocol {
         let reqid = self.next_reqid;
         if cx.owns(key) {
             // We are the root: fan out directly.
-            self.begin_fanout(cx, reqid, key, None, Some(me));
+            self.begin_fanout(cx, reqid, key, me);
         } else {
             let req = DatMsg::Request {
                 reqid,
@@ -514,7 +555,14 @@ impl DatProtocol {
         let epoch = self.epoch;
         let ttl = self.cfg.child_ttl_epochs;
         let me = cx.me();
-        let keys: Vec<Id> = self.aggs.keys().copied().collect();
+        // Sorted, so a seed fixes the flush order (a `HashMap` walk would
+        // follow the process's hash seed); rotated by the epoch, so the
+        // once-per-epoch parent ping — sent with the first flush — takes
+        // turns over the trees instead of loading the smallest key's.
+        let mut keys: Vec<Id> = self.aggs.keys().copied().collect();
+        keys.sort_unstable();
+        let turn = (epoch % keys.len().max(1) as u64) as usize;
+        keys.rotate_left(turn);
         for key in keys {
             // Every epoch of every aggregation gets a causal trace id
             // (identical on every node in a lockstep ring), anchoring the
@@ -971,7 +1019,7 @@ impl DatProtocol {
                 key,
                 requester,
             } => {
-                self.begin_fanout(cx, reqid, key, None, Some(requester));
+                self.begin_fanout(cx, reqid, key, requester);
             }
             DatMsg::Query {
                 reqid,
@@ -986,16 +1034,17 @@ impl DatProtocol {
                 reqid,
                 key: _,
                 partial,
-                sender: _,
+                sender,
             } => {
-                let complete = match self.queries.get_mut(&reqid) {
-                    Some(q) if !q.done => {
-                        q.acc.merge(&partial);
-                        q.awaiting = q.awaiting.saturating_sub(1);
-                        q.awaiting == 0
-                    }
-                    _ => false,
-                };
+                let open = self.queries.get_mut(&reqid).and_then(|s| s.open.as_mut());
+                let complete = open.is_some_and(|q| {
+                    let Some(i) = q.awaiting.iter().position(|c| *c == sender.id) else {
+                        return false;
+                    };
+                    q.awaiting.swap_remove(i);
+                    q.acc.merge(&partial);
+                    q.awaiting.is_empty()
+                });
                 if complete {
                     self.complete_query(cx, reqid);
                 }
@@ -1052,32 +1101,13 @@ impl DatProtocol {
     }
 
     /// Root-side start of an on-demand aggregation: fan out over the whole
-    /// ring.
-    fn begin_fanout(
-        &mut self,
-        cx: &mut Ctx<'_>,
-        reqid: u64,
-        key: Id,
-        parent: Option<NodeRef>,
-        requester: Option<NodeRef>,
-    ) {
-        let me = cx.me();
-        let acc = self.local_partial(key);
-        let sent = self.fan_out_query(cx, reqid, key, me.id, 0);
-        let st = QueryState {
-            key,
-            parent,
-            requester,
-            awaiting: sent,
-            acc,
-            done: false,
-        };
-        self.queries.insert(reqid, st);
-        if sent == 0 {
-            self.complete_query(cx, reqid);
-        } else {
-            self.arm_query_window(cx, reqid, 0);
+    /// ring, the result goes to `requester`.
+    fn begin_fanout(&mut self, cx: &mut Ctx<'_>, reqid: u64, key: Id, requester: NodeRef) {
+        if self.queries.contains_key(&reqid) {
+            return; // a second copy of the request
         }
+        let me = cx.me();
+        self.open_query(cx, reqid, key, me.id, None, Some(requester), 0);
     }
 
     /// Handle an incoming fan-out query for range `(me, limit)`.
@@ -1090,35 +1120,54 @@ impl DatProtocol {
         parent: NodeRef,
         depth: u32,
     ) {
-        if self.queries.contains_key(&reqid) {
-            // Duplicate delivery during churn: answer with identity so the
-            // parent's counter still drains.
-            let msg = DatMsg::Response {
-                reqid,
-                key,
-                partial: AggPartial::identity(),
-                sender: cx.me(),
-            };
-            self.metrics
-                .on_send(cx.now_ms(), reqid, msg.kind(), parent.id.0);
-            cx.send(parent, msg.encode());
+        if let Some(slot) = self.queries.get(&reqid) {
+            // We already hold this query, open or answered. A second
+            // parent reaching us during churn is owed one answer, and the
+            // identity keeps it from counting our range twice. A second
+            // copy of the same parent's query is owed nothing: its one
+            // response is on the way or sent.
+            if slot.parent.map(|p| p.id) != Some(parent.id) {
+                let msg = DatMsg::Response {
+                    reqid,
+                    key,
+                    partial: AggPartial::identity(),
+                    sender: cx.me(),
+                };
+                self.metrics
+                    .on_send(cx.now_ms(), reqid, msg.kind(), parent.id.0);
+                cx.send(parent, msg.encode());
+            }
             return;
         }
+        self.open_query(cx, reqid, key, limit, Some(parent), None, depth + 1);
+    }
+
+    /// Fan `reqid` out over `(me, limit)` and start gathering.
+    #[allow(clippy::too_many_arguments)]
+    fn open_query(
+        &mut self,
+        cx: &mut Ctx<'_>,
+        reqid: u64,
+        key: Id,
+        limit: Id,
+        parent: Option<NodeRef>,
+        requester: Option<NodeRef>,
+        depth: u32,
+    ) {
         let acc = self.local_partial(key);
-        let sent = self.fan_out_query(cx, reqid, key, limit, depth + 1);
-        let st = QueryState {
+        let awaiting = self.fan_out_query(cx, reqid, key, limit, depth);
+        let leaf = awaiting.is_empty();
+        let open = Some(Box::new(QueryState {
             key,
-            parent: Some(parent),
-            requester: None,
-            awaiting: sent,
+            requester,
+            awaiting,
             acc,
-            done: false,
-        };
-        self.queries.insert(reqid, st);
-        if sent == 0 {
+        }));
+        self.queries.insert(reqid, QuerySlot { parent, open });
+        if leaf {
             self.complete_query(cx, reqid);
         } else {
-            self.arm_query_window(cx, reqid, depth + 1);
+            self.arm_query_window(cx, reqid, depth);
         }
     }
 
@@ -1137,7 +1186,7 @@ impl DatProtocol {
     }
 
     /// Send `Query` messages covering the disjoint finger sub-ranges of
-    /// `(me, limit)`. Returns the number of children queried.
+    /// `(me, limit)`. Returns the children queried.
     fn fan_out_query(
         &mut self,
         cx: &mut Ctx<'_>,
@@ -1145,7 +1194,7 @@ impl DatProtocol {
         key: Id,
         limit: Id,
         depth: u32,
-    ) -> usize {
+    ) -> Vec<Id> {
         let space = cx.space();
         let me = cx.me();
         let mut targets: Vec<NodeRef> = Vec::new();
@@ -1183,42 +1232,79 @@ impl DatProtocol {
             // Fan-out width per level of the on-demand broadcast tree.
             self.metrics.observe("fanout", count as u64);
         }
-        count
+        targets.iter().map(|t| t.id).collect()
     }
 
-    /// Arm the lost-branch timeout for a query. Windows halve with fan-out
+    /// Set the lost-branch deadline of a query. Windows halve with fan-out
     /// depth so that a deep subtree's timeout still fits inside every
     /// ancestor's window — otherwise one lost message below would make the
     /// root close before the (late but complete) deep responses arrive.
     fn arm_query_window(&mut self, cx: &mut Ctx<'_>, reqid: u64, depth: u32) {
-        self.next_token += 1;
-        let token = self.next_token;
-        self.timers.insert(token, DatTimer::QueryWindow(reqid));
         let window = (self.cfg.query_window_ms >> depth.min(6)).max(40);
-        cx.set_timer(token, window);
+        self.windows.push(Reverse((cx.now_ms() + window, reqid)));
+        self.ensure_window_timer(cx);
     }
 
-    fn on_query_window(&mut self, cx: &mut Ctx<'_>, reqid: u64) {
-        let timed_out = matches!(self.queries.get(&reqid), Some(q) if !q.done);
-        if timed_out {
-            // Lost branches: answer with what we have.
+    /// Keep a host timer pending for the earliest deadline of a query
+    /// that is still open. A query answered before its window closes —
+    /// every one, on a healthy ring — is skipped here and never costs a
+    /// timer of its own; an open one still closes at exactly its deadline.
+    fn ensure_window_timer(&mut self, cx: &mut Ctx<'_>) {
+        let deadline = loop {
+            let Some(&Reverse((deadline, reqid))) = self.windows.peek() else {
+                return;
+            };
+            if self.queries.get(&reqid).is_some_and(|s| s.open.is_some()) {
+                break deadline;
+            }
+            self.windows.pop();
+        };
+        if self.window_armed_ms.is_some_and(|armed| armed <= deadline) {
+            return;
+        }
+        self.window_armed_ms = Some(deadline);
+        self.next_token += 1;
+        let token = self.next_token;
+        self.timers.insert(token, DatTimer::QueryWindow(deadline));
+        cx.set_timer(token, deadline.saturating_sub(cx.now_ms()));
+    }
+
+    fn on_query_window(&mut self, cx: &mut Ctx<'_>, armed_for: u64) {
+        if self.window_armed_ms == Some(armed_for) {
+            self.window_armed_ms = None;
+        }
+        while let Some(&Reverse((deadline, reqid))) = self.windows.peek() {
+            if deadline > cx.now_ms() {
+                break;
+            }
+            self.windows.pop();
+            // Lost branches: answer with what we have (no-op once answered).
             self.complete_query(cx, reqid);
         }
+        self.ensure_window_timer(cx);
     }
 
     fn complete_query(&mut self, cx: &mut Ctx<'_>, reqid: u64) {
         let me = cx.me();
-        let Some(q) = self.queries.get_mut(&reqid) else {
+        let Some(slot) = self.queries.get_mut(&reqid) else {
             return;
         };
-        if q.done {
+        let Some(q) = slot.open.take() else {
             return;
+        };
+        let parent = slot.parent;
+        self.completed.push_back(reqid);
+        if self.completed.len() > COMPLETED_QUERIES_KEPT {
+            if let Some(oldest) = self.completed.pop_front() {
+                self.queries.remove(&oldest);
+            }
         }
-        q.done = true;
-        let key = q.key;
-        let partial = q.acc.clone();
-        let parent = q.parent;
-        let requester = q.requester;
+        let QueryState {
+            key,
+            requester,
+            acc: partial,
+            ..
+        } = *q;
         match parent {
             Some(p) => {
                 let msg = DatMsg::Response {
@@ -1293,7 +1379,7 @@ impl AppProtocol for DatProtocol {
                 self.on_epoch(cx);
                 self.ensure_epoch_timer(cx);
             }
-            DatTimer::QueryWindow(reqid) => self.on_query_window(cx, reqid),
+            DatTimer::QueryWindow(armed_for) => self.on_query_window(cx, armed_for),
             DatTimer::HoldFlush(key) => self.flush_continuous(cx, key),
         }
     }

@@ -1,354 +1,110 @@
-//! Multi-node UDP runtime hosting sans-io protocol nodes.
+//! Multi-node UDP runtime hosting sans-io protocol nodes, one blocking
+//! thread pair per node.
 //!
-//! Each node gets a real `UdpSocket` on the loopback interface, a worker
-//! thread that drives its state machine, and a receiver thread that decodes
-//! inbound datagrams; one shared timer thread services every node's timer
-//! requests. This is the Rust analogue of the paper's RPC manager (§4) —
-//! the prototype ran "up to 64 DAT instances on each machine to create a
-//! network of 512 nodes"; we run the instances in one process with one
-//! socket each, which exercises the identical code path (real datagrams,
-//! real loss possible, real wall-clock timers).
+//! Each node gets a real `UdpSocket` on the loopback interface, a
+//! receiver thread that classifies inbound datagrams into the node's
+//! inbox, and a worker thread that runs the [`dat_chord::host`] loop on a
+//! blocking channel: fire due timers, wait on the inbox until the next
+//! deadline, step. This is the Rust analogue of the paper's RPC manager
+//! (§4) — the prototype ran "up to 64 DAT instances on each machine to
+//! create a network of 512 nodes"; we run the instances in one process
+//! with one socket each, which exercises the identical code path (real
+//! datagrams, real loss possible, real wall-clock timers).
 
-use std::collections::{BinaryHeap, HashMap};
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use crossbeam::channel::{bounded, unbounded, Sender};
-use dat_chord::wire::ERROR_KINDS;
-use dat_chord::{Actor, Input, NodeAddr, Output, TimerKind, Upcall};
-use parking_lot::Mutex;
+use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
+use dat_chord::host::{Control, Core, Node, TransportStats, CALL_TIMEOUT, SOCKET_POLL};
+use dat_chord::{Actor, NodeAddr, Output, Upcall};
 
 use crate::codec;
 
-/// Number of distinct decode-failure kinds the transport classifies
-/// (one counter slot per [`dat_chord::wire::ERROR_KINDS`] label).
-const KINDS: usize = ERROR_KINDS.len();
-
-/// Runtime knobs for [`RpcCluster`] — everything that used to be a magic
-/// constant in the transport loops.
-#[derive(Clone, Copy, Debug)]
-pub struct ClusterConfig {
-    /// How long one [`RpcCluster::call`] wait round lasts before the next
-    /// retry round (the control channel is reliable, so a round only
-    /// expires when the worker is genuinely backed up).
-    pub call_timeout: Duration,
-    /// Extra wait rounds `call` spends after the first before giving up.
-    pub call_retries: u32,
-    /// Receive-loop poll interval: how often a receiver thread wakes to
-    /// check for shutdown when no datagrams arrive.
-    pub socket_poll: Duration,
-    /// Upper bound on how long the shared timer thread sleeps, which caps
-    /// how late a timer can fire.
-    pub timer_granularity: Duration,
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig {
-            call_timeout: Duration::from_secs(10),
-            call_retries: 0,
-            socket_poll: Duration::from_millis(100),
-            timer_granularity: Duration::from_millis(50),
-        }
-    }
-}
-
-type WithFn<A> = Box<dyn FnOnce(&mut A) -> Vec<Output> + Send>;
-
-enum Control<A> {
-    Input(Input),
-    With(WithFn<A>),
-    Stop,
-}
-
-struct TimerReq {
-    deadline: Instant,
-    node: NodeAddr,
-    kind: TimerKind,
-    seq: u64,
-}
-
-impl PartialEq for TimerReq {
-    fn eq(&self, other: &Self) -> bool {
-        self.deadline == other.deadline && self.seq == other.seq
-    }
-}
-impl Eq for TimerReq {}
-impl PartialOrd for TimerReq {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerReq {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by deadline.
-        (other.deadline, other.seq).cmp(&(self.deadline, self.seq))
-    }
-}
-
-/// Transport counters for the whole cluster.
+/// [`RpcCluster`] has nothing to configure. The type and
+/// [`RpcCluster::launch_with`] remain only because
+/// `benchmark/src/udp_query.rs` names them.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct ClusterStats {
-    /// Datagrams sent.
-    pub sent: u64,
-    /// Datagrams received and decoded.
-    pub received: u64,
-    /// Datagrams that failed to decode.
-    pub decode_errors: u64,
-    /// `decode_errors` broken down by failure kind, indexed like
-    /// [`dat_chord::wire::ERROR_KINDS`].
-    pub decode_errors_by_kind: [u64; KINDS],
-    /// `recv_from` socket errors (other than the poll timeout).
-    pub socket_recv_errors: u64,
-    /// `send_to` socket errors.
-    pub socket_send_errors: u64,
-}
-
-impl ClusterStats {
-    /// The per-kind decode-error tallies paired with their wire labels,
-    /// ready for logging or metric export.
-    pub fn decode_error_kinds(&self) -> [(&'static str, u64); KINDS] {
-        let mut out = [("", 0u64); KINDS];
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = (ERROR_KINDS[i], self.decode_errors_by_kind[i]);
-        }
-        out
-    }
-}
+pub struct ClusterConfig;
 
 /// A running cluster of UDP-backed protocol nodes.
 pub struct RpcCluster<A: Actor> {
-    inboxes: HashMap<NodeAddr, Sender<Control<A>>>,
+    core: Arc<Core>,
+    sockets: Vec<UdpSocket>,
+    inboxes: Vec<Sender<Control<A>>>,
     workers: Vec<JoinHandle<A>>,
     receivers: Vec<JoinHandle<()>>,
-    timer_thread: Option<JoinHandle<()>>,
-    // `Some` while running; taken (and thereby disconnected, once the
-    // workers' clones are gone) during teardown so the timer thread's
-    // channel wait ends immediately instead of at the next poll tick.
-    timer_tx: Option<Sender<TimerReq>>,
-    upcalls: Arc<Mutex<Vec<(NodeAddr, Upcall)>>>,
-    shutdown: Arc<AtomicBool>,
-    sent: Arc<AtomicU64>,
-    received: Arc<AtomicU64>,
-    decode_errors: Arc<AtomicU64>,
-    decode_errors_by_kind: Arc<[AtomicU64; KINDS]>,
-    socket_recv_errors: Arc<AtomicU64>,
-    socket_send_errors: Arc<AtomicU64>,
-    addr_book: Arc<HashMap<NodeAddr, SocketAddr>>,
-    sockets: Vec<UdpSocket>,
-    cfg: ClusterConfig,
 }
 
 impl<A: Actor> RpcCluster<A> {
-    /// Bind sockets and spawn the runtime for `actors` with default
-    /// [`ClusterConfig`]. Actor `i` must have logical address `NodeAddr(i)`.
+    /// Bind sockets and spawn the runtime for `actors`. Actor `i` must
+    /// have logical address `NodeAddr(i)`.
     pub fn launch(actors: Vec<A>) -> std::io::Result<Self> {
-        Self::launch_with(actors, ClusterConfig::default())
-    }
-
-    /// Like [`RpcCluster::launch`] with explicit runtime knobs.
-    pub fn launch_with(actors: Vec<A>, cfg: ClusterConfig) -> std::io::Result<Self> {
-        let n = actors.len();
-        let mut sockets = Vec::with_capacity(n);
-        let mut book = HashMap::with_capacity(n);
-        for (i, a) in actors.iter().enumerate() {
-            assert_eq!(
-                a.addr(),
-                NodeAddr(i as u64),
-                "actor {i} must use NodeAddr({i})"
-            );
-            let sock = UdpSocket::bind(("127.0.0.1", 0))?;
-            sock.set_read_timeout(Some(cfg.socket_poll))?;
-            book.insert(NodeAddr(i as u64), sock.local_addr()?);
-            sockets.push(sock);
-        }
-        // Reverse book: source socket -> logical address, so a damaged
-        // frame can still be attributed to the peer that sent it (the
-        // payload is untrustworthy by definition, the UDP source is the
-        // best evidence available).
-        let rev_book: Arc<HashMap<SocketAddr, NodeAddr>> =
-            Arc::new(book.iter().map(|(&n, &s)| (s, n)).collect());
-        let addr_book = Arc::new(book);
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let upcalls = Arc::new(Mutex::new(Vec::new()));
-        let sent = Arc::new(AtomicU64::new(0));
-        let received = Arc::new(AtomicU64::new(0));
-        let decode_errors = Arc::new(AtomicU64::new(0));
-        let decode_errors_by_kind: Arc<[AtomicU64; KINDS]> =
-            Arc::new(std::array::from_fn(|_| AtomicU64::new(0)));
-        let socket_recv_errors = Arc::new(AtomicU64::new(0));
-        let socket_send_errors = Arc::new(AtomicU64::new(0));
-
-        let (timer_tx, timer_rx) = unbounded::<TimerReq>();
-        let mut inboxes = HashMap::with_capacity(n);
-        let mut workers = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        // One epoch for the whole cluster: every worker reports the same
-        // monotonic clock to its actor, so cross-node RTT math is coherent.
-        let epoch = Instant::now();
-
-        for (i, actor) in actors.into_iter().enumerate() {
-            let addr = NodeAddr(i as u64);
+        let (core, sockets) = Core::bind(&actors)?;
+        let mut inboxes = Vec::with_capacity(actors.len());
+        let mut workers = Vec::with_capacity(actors.len());
+        let mut receivers = Vec::with_capacity(actors.len());
+        for (actor, sock) in actors.into_iter().zip(&sockets) {
             let (tx, rx) = unbounded::<Control<A>>();
-            inboxes.insert(addr, tx.clone());
+            inboxes.push(tx.clone());
 
-            // Receiver thread: datagrams -> inbox. Every inbound frame
-            // passes the full decode (magic, version, structure, CRC32C
-            // trailer); a failure is classified by kind and handed to the
-            // actor as `Input::BadFrame` so the engine's per-peer scoring
-            // and quarantine pipeline runs over real UDP exactly as it
-            // does in the simulator.
-            let sock_recv = sockets[i].try_clone()?;
-            let inbox = tx.clone();
-            let stop = Arc::clone(&shutdown);
-            let rx_count = Arc::clone(&received);
-            let err_count = Arc::clone(&decode_errors);
-            let err_kinds = Arc::clone(&decode_errors_by_kind);
-            let recv_errs = Arc::clone(&socket_recv_errors);
-            let sources = Arc::clone(&rev_book);
+            sock.set_read_timeout(Some(SOCKET_POLL))?;
+            let sock_recv = sock.try_clone()?;
+            let shared = Arc::clone(&core);
             receivers.push(std::thread::spawn(move || {
                 let mut buf = vec![0u8; codec::MAX_FRAME];
-                while !stop.load(Ordering::Relaxed) {
-                    match sock_recv.recv_from(&mut buf) {
-                        Ok((len, peer)) => match codec::decode(&buf[..len]) {
-                            Ok(msg) => {
-                                rx_count.fetch_add(1, Ordering::Relaxed);
-                                // `from` is carried inside the message where
-                                // needed; the transport-level from is the
-                                // logical unknown here, pass a sentinel.
-                                let _ = inbox.send(Control::Input(Input::Message {
-                                    from: NodeAddr(u64::MAX),
-                                    msg,
-                                }));
-                            }
-                            Err(error) => {
-                                err_count.fetch_add(1, Ordering::Relaxed);
-                                err_kinds[error.kind_index()].fetch_add(1, Ordering::Relaxed);
-                                let _ = inbox.send(Control::Input(Input::BadFrame {
-                                    from: sources.get(&peer).copied(),
-                                    error,
-                                }));
-                            }
-                        },
-                        Err(e)
-                            if e.kind() == std::io::ErrorKind::WouldBlock
-                                || e.kind() == std::io::ErrorKind::TimedOut => {}
-                        Err(_) => {
-                            recv_errs.fetch_add(1, Ordering::Relaxed);
-                            break;
-                        }
+                while !shared.stopped() {
+                    let outcome = sock_recv.recv_from(&mut buf);
+                    if let Some(input) = shared.on_recv(outcome, &buf) {
+                        let _ = tx.send(Control::Input(input));
                     }
                 }
             }));
 
-            // Worker thread: drives the actor.
-            let sock_send = sockets[i].try_clone()?;
-            let book = Arc::clone(&addr_book);
-            let tt = timer_tx.clone();
-            let ups = Arc::clone(&upcalls);
-            let tx_count = Arc::clone(&sent);
-            let send_errs = Arc::clone(&socket_send_errors);
-            let seq = Arc::new(AtomicU64::new(0));
+            let sock_send = sock.try_clone()?;
+            let shared = Arc::clone(&core);
+            let mut node = Node::new(actor, Arc::clone(&core));
             workers.push(std::thread::spawn(move || {
-                let mut actor = actor;
-                while let Ok(ctl) = rx.recv() {
-                    actor.set_now(epoch.elapsed().as_millis() as u64);
-                    let outs = match ctl {
-                        Control::Input(input) => actor.on_input(input),
-                        Control::With(f) => f(&mut actor),
-                        Control::Stop => break,
-                    };
-                    for o in outs {
-                        match o {
-                            Output::Send { to, msg } => {
-                                if let Some(peer) = book.get(&to.addr) {
-                                    let frame = codec::encode(&msg);
-                                    if sock_send.send_to(&frame, peer).is_ok() {
-                                        tx_count.fetch_add(1, Ordering::Relaxed);
-                                    } else {
-                                        send_errs.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
+                let mut sink = |frame: Vec<u8>, peer: SocketAddr| {
+                    shared.on_send(sock_send.send_to(&frame, peer));
+                };
+                loop {
+                    let ctl = match node.fire_due(&mut sink) {
+                        None => rx.recv().ok(),
+                        Some(deadline) => {
+                            match rx
+                                .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                            {
+                                Ok(ctl) => Some(ctl),
+                                Err(RecvTimeoutError::Timeout) => continue,
+                                Err(RecvTimeoutError::Disconnected) => None,
                             }
-                            Output::SetTimer { kind, delay_ms } => {
-                                let _ = tt.send(TimerReq {
-                                    deadline: Instant::now() + Duration::from_millis(delay_ms),
-                                    node: addr,
-                                    kind,
-                                    seq: seq.fetch_add(1, Ordering::Relaxed),
-                                });
-                            }
-                            Output::Upcall(u) => ups.lock().push((addr, u)),
                         }
+                    };
+                    if !ctl.is_some_and(|ctl| node.step(ctl, &mut sink)) {
+                        break node.into_actor();
                     }
                 }
-                actor
             }));
         }
-
-        // Timer thread: one heap services every node.
-        let stop = Arc::clone(&shutdown);
-        let timer_inboxes: HashMap<NodeAddr, Sender<Control<A>>> = inboxes.clone();
-        let granularity = cfg.timer_granularity;
-        let timer_thread = std::thread::spawn(move || {
-            let mut heap: BinaryHeap<TimerReq> = BinaryHeap::new();
-            while !stop.load(Ordering::Relaxed) {
-                let wait = heap
-                    .peek()
-                    .map(|t| t.deadline.saturating_duration_since(Instant::now()))
-                    .unwrap_or(granularity)
-                    .min(granularity);
-                match timer_rx.recv_timeout(wait) {
-                    Ok(req) => heap.push(req),
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
-                }
-                let now = Instant::now();
-                while heap.peek().is_some_and(|t| t.deadline <= now) {
-                    let t = heap.pop().unwrap();
-                    if let Some(inbox) = timer_inboxes.get(&t.node) {
-                        let _ = inbox.send(Control::Input(Input::Timer(t.kind)));
-                    }
-                }
-            }
-        });
-
         Ok(RpcCluster {
+            core,
+            sockets,
             inboxes,
             workers,
             receivers,
-            timer_thread: Some(timer_thread),
-            timer_tx: Some(timer_tx),
-            upcalls,
-            shutdown,
-            sent,
-            received,
-            decode_errors,
-            decode_errors_by_kind,
-            socket_recv_errors,
-            socket_send_errors,
-            addr_book,
-            sockets,
-            cfg,
         })
     }
 
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// `true` when the cluster hosts no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.workers.is_empty()
+    /// [`RpcCluster::launch`]; see [`ClusterConfig`].
+    pub fn launch_with(actors: Vec<A>, _cfg: ClusterConfig) -> std::io::Result<Self> {
+        Self::launch(actors)
     }
 
     /// The UDP socket address of a logical node.
     pub fn socket_addr(&self, addr: NodeAddr) -> Option<SocketAddr> {
-        self.addr_book.get(&addr).copied()
+        self.core.socket_addr(addr)
     }
 
     /// Send raw bytes from `from`'s socket to `to`'s socket, bypassing the
@@ -356,15 +112,8 @@ impl<A: Actor> RpcCluster<A> {
     /// tests. The receiver attributes whatever arrives to `from` via the
     /// source address, exactly as it would a genuinely corrupted datagram.
     pub fn send_raw(&self, from: NodeAddr, to: NodeAddr, bytes: &[u8]) -> std::io::Result<()> {
-        let sock = self
-            .sockets
-            .get(from.0 as usize)
-            .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::NotFound, "unknown sender"))?;
-        let peer = self
-            .addr_book
-            .get(&to)
-            .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::NotFound, "unknown target"))?;
-        sock.send_to(bytes, peer).map(|_| ())
+        let (i, peer) = self.core.raw_route(from, to)?;
+        self.sockets[i].send_to(bytes, peer).map(|_| ())
     }
 
     /// Run `f` against the actor at `addr` asynchronously; its outputs are
@@ -373,8 +122,8 @@ impl<A: Actor> RpcCluster<A> {
     where
         F: FnOnce(&mut A) -> Vec<Output> + Send + 'static,
     {
-        if let Some(tx) = self.inboxes.get(&addr) {
-            let _ = tx.send(Control::With(Box::new(f)));
+        if let Some(tx) = self.inboxes.get(addr.0 as usize) {
+            let _ = tx.send(Control::cast(f));
         }
     }
 
@@ -384,96 +133,51 @@ impl<A: Actor> RpcCluster<A> {
         R: Send + 'static,
         F: FnOnce(&mut A) -> (R, Vec<Output>) + Send + 'static,
     {
-        let tx = self.inboxes.get(&addr)?;
-        let (rtx, rrx) = bounded::<R>(1);
-        let _ = tx.send(Control::With(Box::new(move |a| {
-            let (r, outs) = f(a);
-            let _ = rtx.send(r);
-            outs
-        })));
-        // The control channel is reliable; a round only expires when the
-        // worker is backed up, so extra rounds just extend the wait.
-        for _ in 0..=self.cfg.call_retries {
-            if let Ok(r) = rrx.recv_timeout(self.cfg.call_timeout) {
-                return Some(r);
-            }
-        }
-        None
+        let (ctl, reply) = Control::call(f);
+        let _ = self.inboxes.get(addr.0 as usize)?.send(ctl);
+        reply.recv_timeout(CALL_TIMEOUT).ok()
     }
 
     /// Drain the recorded upcalls of every node.
     pub fn drain_upcalls(&self) -> Vec<(NodeAddr, Upcall)> {
-        std::mem::take(&mut *self.upcalls.lock())
+        self.core.drain_upcalls()
     }
 
-    /// Transport counters.
-    pub fn stats(&self) -> ClusterStats {
-        let mut by_kind = [0u64; KINDS];
-        for (slot, counter) in by_kind.iter_mut().zip(self.decode_errors_by_kind.iter()) {
-            *slot = counter.load(Ordering::Relaxed);
-        }
-        ClusterStats {
-            sent: self.sent.load(Ordering::Relaxed),
-            received: self.received.load(Ordering::Relaxed),
-            decode_errors: self.decode_errors.load(Ordering::Relaxed),
-            decode_errors_by_kind: by_kind,
-            socket_recv_errors: self.socket_recv_errors.load(Ordering::Relaxed),
-            socket_send_errors: self.socket_send_errors.load(Ordering::Relaxed),
-        }
+    /// Transport counters. The shed fields are zero: this host's channels
+    /// are unbounded, so nothing sheds here.
+    pub fn stats(&self) -> TransportStats {
+        self.core.stats()
     }
 
     /// Transport-level metrics as an obs registry, in the shared
-    /// [`dat_obs::transport`] vocabulary (`transport="threads"`). The
-    /// shed layers exist at zero: this host's channels are unbounded, so
-    /// nothing sheds here — but the series stay comparable with the
-    /// bounded tokio host's.
+    /// [`dat_obs::transport`] vocabulary (`transport="threads"`).
     pub fn transport_registry(&self) -> dat_obs::Registry {
-        let stats = self.stats();
-        dat_obs::transport_registry(&dat_obs::TransportCounters {
-            transport: "threads",
-            sent: stats.sent,
-            received: stats.received,
-            decode_errors_by_kind: stats.decode_error_kinds().to_vec(),
-            shed_rx: 0,
-            shed_tx: 0,
-            socket_recv_errors: stats.socket_recv_errors,
-            socket_send_errors: stats.socket_send_errors,
-        })
+        self.stats().registry("threads")
     }
 
     /// Teardown shared by `shutdown` and `Drop`: stop markers on the
     /// control plane, raise the flag, join workers (collecting actors),
-    /// then receivers, then disconnect and join the timer thread.
-    /// Idempotent — the second run finds nothing left to stop.
+    /// then receivers (each within one [`SOCKET_POLL`]). Idempotent —
+    /// the second run finds nothing left to stop.
     fn stop_all(&mut self) -> Vec<A> {
-        for tx in self.inboxes.values() {
+        for tx in &self.inboxes {
             let _ = tx.send(Control::Stop);
         }
-        self.shutdown.store(true, Ordering::Relaxed);
-        let mut actors = Vec::with_capacity(self.workers.len());
-        for w in self.workers.drain(..) {
-            if let Ok(a) = w.join() {
-                actors.push(a);
-            }
-        }
+        self.core.stop();
+        let actors = self
+            .workers
+            .drain(..)
+            .filter_map(|w| w.join().ok())
+            .collect();
         for r in self.receivers.drain(..) {
             let _ = r.join();
-        }
-        // The workers' timer senders died with their threads; dropping
-        // ours disconnects the channel, so the timer thread wakes from
-        // its wait immediately rather than at the next granularity tick.
-        drop(self.timer_tx.take());
-        if let Some(t) = self.timer_thread.take() {
-            let _ = t.join();
         }
         actors
     }
 
-    /// Stop every thread and return the actors for inspection.
+    /// Stop every thread and return the actors, in address order.
     pub fn shutdown(mut self) -> Vec<A> {
-        let mut actors = self.stop_all();
-        actors.sort_by_key(|a| a.addr());
-        actors
+        self.stop_all()
     }
 }
 
@@ -488,7 +192,8 @@ impl<A: Actor> Drop for RpcCluster<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dat_chord::{ChordConfig, ChordNode, Id, IdSpace};
+    use dat_chord::{ChordConfig, ChordNode, Id, IdSpace, Input};
+    use std::time::Duration;
 
     fn fast_cfg() -> ChordConfig {
         ChordConfig {
@@ -513,115 +218,38 @@ mod tests {
         // Wait for convergence (real time).
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut ok = false;
-        while Instant::now() < deadline {
+        while Instant::now() < deadline && !ok {
             std::thread::sleep(Duration::from_millis(100));
-            let succ_a = cluster
-                .call(NodeAddr(0), |n| {
-                    (n.table().successor().map(|s| s.id), vec![])
+            let links = |addr| {
+                cluster.call(addr, |n: &mut ChordNode| {
+                    let t = n.table();
+                    let ids = (t.successor().map(|s| s.id), t.predecessor().map(|s| s.id));
+                    (ids, vec![])
                 })
-                .unwrap();
-            let succ_b = cluster
-                .call(NodeAddr(1), |n| {
-                    (n.table().successor().map(|s| s.id), vec![])
-                })
-                .unwrap();
-            let pred_a = cluster
-                .call(NodeAddr(0), |n| {
-                    (n.table().predecessor().map(|s| s.id), vec![])
-                })
-                .unwrap();
-            if succ_a == Some(Id(2_000_000))
-                && succ_b == Some(Id(1_000))
-                && pred_a == Some(Id(2_000_000))
-            {
-                ok = true;
-                break;
-            }
+            };
+            ok = links(NodeAddr(0)) == Some((Some(Id(2_000_000)), Some(Id(2_000_000))))
+                && links(NodeAddr(1)).is_some_and(|(succ, _)| succ == Some(Id(1_000)));
         }
+        let ups = cluster.drain_upcalls();
         let stats = cluster.stats();
+        let text = cluster.transport_registry().render_prometheus();
         let actors = cluster.shutdown();
         assert!(ok, "ring did not converge over UDP");
         assert_eq!(actors.len(), 2);
-        assert!(stats.sent > 0 && stats.received > 0);
-        assert_eq!(stats.decode_errors, 0);
-    }
-
-    #[test]
-    fn join_succeeds_only_with_datagram_retransmission() {
-        // The bootstrap activates ~250 ms late: the joiner's first
-        // FindSuccessor lands while it is still `Created` and is
-        // protocol-dropped. With a single protocol-level join attempt
-        // (max_join_retries: 1), only RTO-driven datagram retransmission
-        // can complete the join — the no-retry config must surface
-        // JoinFailed instead.
-        let run = |max_retries: u32| {
-            let cfg = ChordConfig {
-                max_retries,
-                max_join_retries: 1,
-                ..fast_cfg()
-            };
-            let a = ChordNode::new(cfg, Id(1_000), NodeAddr(0));
-            let b = ChordNode::new(cfg, Id(2_000_000), NodeAddr(1));
-            let cluster = RpcCluster::launch_with(vec![a, b], ClusterConfig::default()).unwrap();
-            let bootstrap = dat_chord::NodeRef::new(Id(1_000), NodeAddr(0));
-            cluster.cast(NodeAddr(1), move |n| n.start_join(bootstrap));
-            std::thread::sleep(Duration::from_millis(250));
-            cluster.cast(NodeAddr(0), |n| n.start_create());
-            let deadline = Instant::now() + Duration::from_secs(8);
-            let (mut joined, mut failed) = (false, false);
-            while Instant::now() < deadline && !joined && !failed {
-                std::thread::sleep(Duration::from_millis(50));
-                for (addr, u) in cluster.drain_upcalls() {
-                    if addr == NodeAddr(1) {
-                        match u {
-                            Upcall::Joined { .. } => joined = true,
-                            Upcall::JoinFailed => failed = true,
-                            _ => {}
-                        }
-                    }
-                }
-            }
-            cluster.shutdown();
-            (joined, failed)
-        };
-        let (joined, _) = run(2);
-        assert!(
-            joined,
-            "retransmission should recover the dropped join request"
-        );
-        let (joined, failed) = run(0);
-        assert!(
-            !joined && failed,
-            "single-shot join through a sleeping bootstrap must fail (joined={joined}, failed={failed})"
-        );
-    }
-
-    #[test]
-    fn upcalls_are_recorded() {
-        let a = ChordNode::new(fast_cfg(), Id(5), NodeAddr(0));
-        let cluster = RpcCluster::launch(vec![a]).unwrap();
-        cluster.cast(NodeAddr(0), |n| n.start_create());
-        std::thread::sleep(Duration::from_millis(200));
-        let ups = cluster.drain_upcalls();
         assert!(ups
             .iter()
-            .any(|(_, u)| matches!(u, Upcall::Joined { id } if *id == Id(5))));
-        cluster.shutdown();
+            .any(|(at, u)| *at == NodeAddr(0)
+                && matches!(u, Upcall::Joined { id } if *id == Id(1_000))));
+        assert!(stats.sent > 0 && stats.received > 0);
+        assert_eq!(stats.decode_errors, 0);
+        assert_eq!(stats.shed_rx + stats.shed_tx, 0);
+        assert!(text.contains("transport=\"threads\""));
     }
 
-    #[test]
-    #[should_panic(expected = "must use NodeAddr")]
-    fn launch_validates_addresses() {
-        let a = ChordNode::new(fast_cfg(), Id(5), NodeAddr(7));
-        let _ = RpcCluster::launch(vec![a]);
-    }
-
-    /// A minimal actor that records every `BadFrame` it is handed, so the
-    /// test can see exactly what the receiver thread forwarded.
+    /// Records every `BadFrame` it is handed.
     struct Recorder {
         addr: NodeAddr,
         bad: Vec<(Option<NodeAddr>, &'static str)>,
-        messages: u64,
     }
 
     impl Actor for Recorder {
@@ -629,100 +257,37 @@ mod tests {
             self.addr
         }
         fn on_input(&mut self, input: Input) -> Vec<Output> {
-            match input {
-                Input::BadFrame { from, error } => self.bad.push((from, error.kind_label())),
-                Input::Message { .. } => self.messages += 1,
-                _ => {}
+            if let Input::BadFrame { from, error } = input {
+                self.bad.push((from, error.kind_label()));
             }
             vec![]
         }
     }
 
     #[test]
-    fn damaged_datagrams_are_classified_attributed_and_forwarded() {
-        let recorder = |i: u64| Recorder {
+    fn raw_garbage_reaches_the_actor_as_an_attributed_bad_frame() {
+        let recorder = |i| Recorder {
             addr: NodeAddr(i),
             bad: Vec::new(),
-            messages: 0,
         };
         let cluster = RpcCluster::launch(vec![recorder(0), recorder(1)]).unwrap();
-
-        let valid = codec::encode(&dat_chord::ChordMsg::Ping {
-            req: 7,
-            sender: dat_chord::NodeRef::new(Id(42), NodeAddr(1)),
-        });
-        // One intact control: a clean frame must still arrive as a Message.
-        cluster.send_raw(NodeAddr(1), NodeAddr(0), &valid).unwrap();
-        // Four damaged frames from node 1, one per failure class the
-        // decode pipeline distinguishes at these offsets.
-        cluster
-            .send_raw(NodeAddr(1), NodeAddr(0), &valid[..1])
-            .unwrap(); // truncated
         cluster
             .send_raw(NodeAddr(1), NodeAddr(0), b"not a chord frame")
-            .unwrap(); // bad_magic
-        let mut wrong_version = valid.clone();
-        wrong_version[1] = 0x7F;
-        cluster
-            .send_raw(NodeAddr(1), NodeAddr(0), &wrong_version)
-            .unwrap(); // bad_version
-        let mut flipped = valid.clone();
-        let body_end = flipped.len() - dat_chord::codec::CRC_TRAILER;
-        flipped[body_end - 1] ^= 0x01;
-        cluster
-            .send_raw(NodeAddr(1), NodeAddr(0), &flipped)
-            .unwrap(); // bad_checksum
-                       // And one from a socket the cluster has never heard of: the frame
-                       // must still be counted and forwarded, but with no attribution.
-        let outsider = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-        let target = cluster.socket_addr(NodeAddr(0)).unwrap();
-        outsider.send_to(b"zzzz", target).unwrap();
-
+            .unwrap();
+        assert!(cluster.send_raw(NodeAddr(9), NodeAddr(0), b"x").is_err());
+        assert!(cluster.send_raw(NodeAddr(1), NodeAddr(9), b"x").is_err());
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut seen = Vec::new();
-        let mut messages = 0;
-        while Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(50));
-            let (bad, msgs) = cluster
-                .call(NodeAddr(0), |a| ((a.bad.clone(), a.messages), vec![]))
+        while Instant::now() < deadline && seen.is_empty() {
+            std::thread::sleep(Duration::from_millis(20));
+            seen = cluster
+                .call(NodeAddr(0), |a| (a.bad.clone(), vec![]))
                 .unwrap();
-            if bad.len() >= 5 && msgs >= 1 {
-                seen = bad;
-                messages = msgs;
-                break;
-            }
         }
         let stats = cluster.stats();
         cluster.shutdown();
-
-        assert_eq!(messages, 1, "the intact frame should decode and deliver");
-        assert_eq!(seen.len(), 5, "all five damaged frames should forward");
-        let from_peer = |kind: &str| {
-            seen.iter()
-                .filter(|(f, k)| *f == Some(NodeAddr(1)) && *k == kind)
-                .count()
-        };
-        assert_eq!(from_peer("truncated"), 1);
-        assert_eq!(from_peer("bad_magic"), 1);
-        assert_eq!(from_peer("bad_version"), 1);
-        assert_eq!(from_peer("bad_checksum"), 1);
-        assert_eq!(
-            seen.iter()
-                .filter(|(f, k)| f.is_none() && *k == "bad_magic")
-                .count(),
-            1,
-            "the outsider's frame should arrive unattributed"
-        );
-
-        assert_eq!(stats.received, 1);
-        assert_eq!(stats.decode_errors, 5);
-        let kinds: HashMap<&str, u64> = stats.decode_error_kinds().into_iter().collect();
-        assert_eq!(kinds["truncated"], 1);
-        assert_eq!(kinds["bad_magic"], 2);
-        assert_eq!(kinds["bad_version"], 1);
-        assert_eq!(kinds["bad_checksum"], 1);
-        assert_eq!(kinds["bad_tag"], 0);
-        assert_eq!(stats.decode_errors_by_kind.iter().sum::<u64>(), 5);
+        assert_eq!(seen, vec![(Some(NodeAddr(1)), "bad_magic")]);
+        assert_eq!((stats.received, stats.decode_errors), (0, 1));
     }
 
     #[test]
@@ -732,40 +297,13 @@ mod tests {
         let cluster = RpcCluster::launch(vec![a, b]).unwrap();
         cluster.cast(NodeAddr(0), |n| n.start_create());
         std::thread::sleep(Duration::from_millis(100));
-        // The shutdown flag is cloned into every receiver thread; once
+        // The core is cloned into every worker and receiver thread; once
         // Drop has joined them all, ours is the last strong reference.
-        let weak = Arc::downgrade(&cluster.shutdown);
+        let weak = Arc::downgrade(&cluster.core);
         drop(cluster);
         assert!(
             weak.upgrade().is_none(),
-            "Drop must join the worker/receiver/timer threads, not leak them"
+            "Drop must join the worker and receiver threads, not leak them"
         );
-    }
-
-    #[test]
-    fn registry_speaks_the_shared_transport_vocabulary() {
-        let a = ChordNode::new(fast_cfg(), Id(1_000), NodeAddr(0));
-        let b = ChordNode::new(fast_cfg(), Id(2_000_000), NodeAddr(1));
-        let cluster = RpcCluster::launch(vec![a, b]).unwrap();
-        let bootstrap = cluster
-            .call(NodeAddr(0), |n| (n.me(), n.start_create()))
-            .unwrap();
-        cluster.cast(NodeAddr(1), move |n| n.start_join(bootstrap));
-        std::thread::sleep(Duration::from_millis(300));
-        let reg = cluster.transport_registry();
-        cluster.shutdown();
-
-        let text = reg.render_prometheus();
-        let samples = dat_obs::validate_prometheus(&text).expect("well-formed exposition");
-        // 2 dirs + 8 decode kinds + 2 socket ops + 2 shed layers.
-        assert_eq!(
-            samples, 14,
-            "full vocabulary must exist even at zero:\n{text}"
-        );
-        assert!(reg.counter_with("transport_datagrams_total", "sent") > 0);
-        assert!(reg.counter_with("transport_datagrams_total", "received") > 0);
-        assert_eq!(reg.counter_sum("engine_shed_total"), 0);
-        assert_eq!(reg.counter_sum("transport_socket_errors_total"), 0);
-        assert!(text.contains("transport=\"threads\""));
     }
 }

@@ -9,9 +9,9 @@
 //! * [`codec`] — one datagram per [`dat_chord::ChordMsg`]; versioned,
 //!   bounds-checked, fuzz-tolerant binary frames on the shared
 //!   [`dat_chord::wire`] primitives;
-//! * [`cluster::RpcCluster`] — binds one socket per node, spawns worker +
-//!   receiver threads per node and a shared timer thread, interprets the
-//!   outputs of any hosted [`dat_chord::Actor`] (a bare `ChordNode` or a
+//! * [`cluster::RpcCluster`] — the [`dat_chord::host`] core on blocking
+//!   threads: one socket, one receiver thread and one worker thread per
+//!   node, hosting any [`dat_chord::Actor`] (a bare `ChordNode` or a
 //!   `dat_core::StackNode` protocol stack) against the real network.
 //!
 //! ```no_run
@@ -34,5 +34,6 @@
 pub mod cluster;
 pub mod codec;
 
-pub use cluster::{ClusterConfig, ClusterStats, RpcCluster};
+pub use cluster::{ClusterConfig, RpcCluster};
 pub use codec::{decode, encode, CodecError, MAX_FRAME};
+pub use dat_chord::host::TransportStats;

@@ -63,7 +63,7 @@ pub use harness::{
 pub use latency::{LatencyModel, LossModel};
 pub use net::{Actor, LinkStats, SimNet, UpcallRecord};
 pub use obs::{fleet_events, fleet_prometheus, fleet_registry};
-pub use queue::{EventQueue, SchedulerKind};
+pub use queue::EventQueue;
 pub use scale::{run_scale, ScaleConfig, ScaleReport};
 pub use shard::ShardedNet;
 pub use soak::{run_soak, SoakConfig, SoakOutcome, SoakReport};

@@ -36,7 +36,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::fault::{CorruptMode, FaultAction, FaultController, FaultPlan};
 use crate::latency::{LatencyModel, LossModel};
-use crate::queue::{EventQueue, SchedulerKind};
+use crate::queue::EventQueue;
 use crate::time::SimTime;
 
 pub use dat_chord::Actor;
@@ -174,18 +174,10 @@ pub struct CorruptionStats {
 }
 
 impl<A: Actor> SimNet<A> {
-    /// A fresh engine with the given determinism seed (timer-wheel
-    /// scheduler).
+    /// A fresh engine with the given determinism seed.
     pub fn new(seed: u64) -> Self {
-        Self::with_scheduler(seed, SchedulerKind::Wheel)
-    }
-
-    /// A fresh engine with an explicit event-scheduler backend. Both
-    /// backends produce byte-identical schedules; the heap exists for
-    /// parity tests and benchmarks.
-    pub fn with_scheduler(seed: u64, kind: SchedulerKind) -> Self {
         SimNet {
-            queue: EventQueue::with_scheduler(kind),
+            queue: EventQueue::new(),
             slots: Vec::new(),
             free: Vec::new(),
             addr_map: HashMap::new(),
@@ -204,11 +196,6 @@ impl<A: Actor> SimNet<A> {
             corruption: CorruptionStats::default(),
             events_processed: 0,
         }
-    }
-
-    /// Which scheduler backs the event queue.
-    pub fn scheduler(&self) -> SchedulerKind {
-        self.queue.scheduler()
     }
 
     /// Install a fault schedule. Each event becomes a queue event at its
@@ -1411,17 +1398,9 @@ mod tests {
     fn heap_and_wheel_schedulers_produce_identical_runs() {
         // Same seed, same workload, both scheduler backends: every
         // externally observable counter must match exactly.
+        use crate::queue::tests::{on_scheduler, SchedulerKind};
         let run = |kind: SchedulerKind| {
-            let mut net = SimNet::with_scheduler(7, kind);
-            let mut a = ChordNode::new(cfg(), Id(100), NodeAddr(1));
-            let out = a.start_create();
-            net.add_node(a);
-            net.apply(NodeAddr(1), out);
-            let mut b = ChordNode::new(cfg(), Id(40_000), NodeAddr(2));
-            let bootstrap = net.node(NodeAddr(1)).unwrap().me();
-            let out = b.start_join(bootstrap);
-            net.add_node(b);
-            net.apply(NodeAddr(2), out);
+            let mut net = on_scheduler(kind, two_node_net);
             net.run_for(60_000);
             let s1 = net.link_stats(NodeAddr(1));
             let s2 = net.link_stats(NodeAddr(2));

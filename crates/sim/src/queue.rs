@@ -7,15 +7,15 @@
 //! fire in insertion order.
 //!
 //! At 10^5–10^6 simulated nodes the `O(log n)` sift per heap operation
-//! dominates the engine, so the default scheduler is now a hierarchical
-//! timer wheel ([`SchedulerKind::Wheel`]): six levels of 64 slots at 1 ms
-//! granularity, spanning 2^36 ms (~2.2 years of virtual time) with `O(1)`
-//! insertion. Events beyond the wheel span overflow into the old binary
-//! heap and migrate in when the clock reaches their epoch. The original
-//! heap scheduler is retained ([`SchedulerKind::Heap`]) so parity tests can
-//! prove both produce byte-identical pop sequences: **both schedulers obey
-//! the exact same strict `(at, seq)` order**, which is what the digest
-//! tests in `tests/determinism.rs` rely on.
+//! dominates the engine, so the scheduler is a hierarchical timer wheel:
+//! six levels of 64 slots at 1 ms granularity, spanning 2^36 ms (~2.2
+//! years of virtual time) with `O(1)` insertion. Events beyond the wheel
+//! span overflow into a binary heap and migrate in when the clock reaches
+//! their epoch. The wheel obeys the exact strict `(at, seq)` order of the
+//! original heap scheduler, which is what every recorded digest relies
+//! on; the heap survives as a test-only reference that the lockstep
+//! property harness at the bottom of this file drives pop for pop against
+//! the wheel.
 //!
 //! ## Why the wheel preserves `(at, seq)` order
 //!
@@ -30,21 +30,15 @@
 //!   order (auto-assigned sequence numbers are monotone, so the common
 //!   case is a plain FIFO append; keyed pushes binary-search their slot).
 //!
-//! ## The sharded backend
+//! ## The lane-merge reference
 //!
-//! [`SchedulerKind::Sharded`] partitions events across `n` private wheels
+//! The multi-core engine in [`crate::shard`] gives every shard a private
+//! wheel and merges across them by `(at, seq)`. That merge rule has a
+//! single-threaded, test-only reference here too: `n` private wheels
 //! (event → lane by `seq % n`, mirroring the engine's node → shard
-//! assignment) and merges pops deterministically: the next event is the
-//! `(at, seq)` minimum across lanes. Because every lane is itself a wheel
-//! obeying the `(at, seq)` contract, the merge only has to compare lane
-//! heads — `at` from the cached `next_at`, and, among lanes tied at the
-//! minimal `at`, the head `seq` exposed by [`Wheel::peek_key`]. Each lane
-//! keeps a private cursor that is only ever advanced to the merge winner's
-//! firing time, so no lane runs ahead of the queue's public clock and a
-//! later push can never land in a lane's past. This is the single-threaded
-//! reference for the multi-core engine in [`crate::shard`]: it proves the
-//! merge rule preserves the exact global schedule, byte for byte, for any
-//! shard count.
+//! assignment) whose pops are the `(at, seq)` minimum across lane heads.
+//! The lockstep harness proves it preserves the exact global schedule,
+//! byte for byte, for any lane count.
 
 #![deny(clippy::unwrap_used)]
 
@@ -82,26 +76,6 @@ impl<E> Ord for Scheduled<E> {
         // Reversed: BinaryHeap is a max-heap, we want the earliest first.
         (other.at, other.seq).cmp(&(self.at, self.seq))
     }
-}
-
-/// Which scheduler backs an [`EventQueue`].
-///
-/// Both produce the exact same pop order; the heap exists so determinism
-/// parity can be proven against the original implementation and as a
-/// reference for benchmarks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// Hierarchical timer wheel with far-future overflow heap (default).
-    Wheel,
-    /// The original binary min-heap.
-    Heap,
-    /// `shards` private timer wheels with a deterministic `(at, seq)`
-    /// K-way merge — the single-threaded reference for the multi-core
-    /// engine's cross-shard merge rule. `shards = 0` behaves as `1`.
-    Sharded {
-        /// Number of lanes to partition events across.
-        shards: u8,
-    },
 }
 
 /// Bits consumed per wheel level (64 slots).
@@ -192,16 +166,6 @@ impl<E> Wheel<E> {
         });
         self.len += 1;
         self.place(now, ev);
-    }
-
-    /// `(at, seq)` of the earliest pending event without removing it,
-    /// advancing the cursor no further than that event's firing time
-    /// (exactly what a pop would do). `None` when empty.
-    fn peek_key(&mut self, now: &mut u64) -> Option<(SimTime, u64)> {
-        if !self.refill_ready(now) {
-            return None;
-        }
-        self.ready.front().map(|e| (e.at, e.seq))
     }
 
     /// Make the ready queue non-empty if any event is pending, advancing
@@ -344,6 +308,50 @@ impl<E> Wheel<E> {
         self.next_at = best.map(SimTime);
     }
 
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Exact firing time of the earliest pending event.
+    fn next_at(&self) -> Option<SimTime> {
+        self.next_at
+    }
+
+    /// Pop the earliest event given the queue's clock `now`.
+    fn pop(&mut self, now: u64) -> Option<Scheduled<E>> {
+        let mut cursor = now;
+        if !self.refill_ready(&mut cursor) {
+            return None;
+        }
+        let ev = self.ready.pop_front()?;
+        self.len -= 1;
+        debug_assert!(ev.at.0 >= cursor);
+        self.recompute_next(cursor.max(ev.at.0));
+        Some(ev)
+    }
+
+    /// Pop the head if `pred` accepts it. The caller has checked that
+    /// `next_at == now`, so the head fires at exactly `now`.
+    fn pop_if(&mut self, now: u64, pred: impl FnOnce(&E) -> bool) -> Option<Scheduled<E>> {
+        let mut cursor = now;
+        if !self.refill_ready(&mut cursor) {
+            return None;
+        }
+        // next_at == now, so the refill cannot have moved the cursor:
+        // every cascade/migration target is >= cursor and the front
+        // event fires at exactly `now`.
+        debug_assert!(cursor == now);
+        let front = self.ready.front()?;
+        debug_assert!(front.at.0 == now);
+        if !pred(&front.event) {
+            return None;
+        }
+        let ev = self.ready.pop_front()?;
+        self.len -= 1;
+        self.recompute_next(cursor);
+        Some(ev)
+    }
+
     fn clear(&mut self) {
         for v in &mut self.slots {
             v.clear();
@@ -356,109 +364,18 @@ impl<E> Wheel<E> {
     }
 }
 
-/// One lane of the sharded backend: a private wheel plus its cursor. The
-/// cursor lags the queue's public clock (it is only advanced to the firing
-/// time of an event this lane is about to surface), so pushes relative to
-/// it are never in the lane's past.
-#[derive(Debug)]
-struct Lane<E> {
-    cursor: u64,
-    wheel: Wheel<E>,
-}
-
-/// The sharded backend: `n` wheels merged by `(at, seq)`.
-#[derive(Debug)]
-struct Lanes<E> {
-    lanes: Vec<Lane<E>>,
-}
-
-impl<E> Lanes<E> {
-    fn new(shards: usize) -> Self {
-        Lanes {
-            lanes: std::iter::repeat_with(|| Lane {
-                cursor: 0,
-                wheel: Wheel::new(),
-            })
-            .take(shards.max(1))
-            .collect(),
-        }
-    }
-
-    /// Route an event to its lane by `seq` — the analogue of the engine's
-    /// `node index % shards` assignment.
-    fn push(&mut self, ev: Scheduled<E>) {
-        let lane = (ev.seq % self.lanes.len() as u64) as usize;
-        let ln = &mut self.lanes[lane];
-        debug_assert!(ev.at.0 >= ln.cursor, "push into a lane's past");
-        ln.wheel.push(ln.cursor, ev);
-    }
-
-    fn len(&self) -> usize {
-        self.lanes.iter().map(|l| l.wheel.len).sum()
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        self.lanes.iter().filter_map(|l| l.wheel.next_at).min()
-    }
-
-    /// The lane holding the globally minimal `(at, seq)` head, with the
-    /// tied lanes' cursors advanced to that firing time. `None` when empty.
-    ///
-    /// `at` alone comes from the exact cached `next_at`; only lanes tied
-    /// at the minimal `at` need their head's `seq` materialized, which
-    /// advances their cursor to exactly that `at` — a time the queue's
-    /// public clock is about to reach anyway (pop) or already holds
-    /// (pop_if), so the lane-cursor ≤ public-clock invariant is kept.
-    fn min_lane(&mut self) -> Option<usize> {
-        let min_at = self.peek_time()?;
-        let mut best: Option<(usize, u64)> = None;
-        for (i, ln) in self.lanes.iter_mut().enumerate() {
-            if ln.wheel.next_at != Some(min_at) {
-                continue;
-            }
-            let mut cur = ln.cursor;
-            let Some((at, seq)) = ln.wheel.peek_key(&mut cur) else {
-                continue;
-            };
-            ln.cursor = cur;
-            debug_assert_eq!(at, min_at, "cached next_at disagrees with head");
-            if best.is_none_or(|(_, s)| seq < s) {
-                best = Some((i, seq));
-            }
-        }
-        best.map(|(i, _)| i)
-    }
-
-    /// Pop the head of lane `i` (must have been refilled by
-    /// [`Lanes::min_lane`]).
-    fn pop_lane(&mut self, i: usize) -> Option<Scheduled<E>> {
-        let ln = &mut self.lanes[i];
-        let ev = ln.wheel.ready.pop_front()?;
-        ln.wheel.len -= 1;
-        ln.cursor = ln.cursor.max(ev.at.0);
-        let cur = ln.cursor;
-        ln.wheel.recompute_next(cur);
-        Some(ev)
-    }
-
-    fn clear(&mut self) {
-        for ln in &mut self.lanes {
-            ln.wheel.clear();
-        }
-    }
-}
-
-#[derive(Debug)]
-enum Inner<E> {
-    Wheel(Wheel<E>),
-    Heap(BinaryHeap<Scheduled<E>>),
-    Sharded(Lanes<E>),
-}
+/// What backs an [`EventQueue`]: the wheel. Unit tests of this crate
+/// swap in a switch over the wheel and its two references, so whole
+/// simulations can run on a reference for the parity tests.
+#[cfg(not(test))]
+type Backend<E> = Wheel<E>;
+#[cfg(test)]
+type Backend<E> = tests::Reference<E>;
 
 /// A deterministic queue of timestamped events: earliest `(at, seq)` first.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    inner: Inner<E>,
+    inner: Backend<E>,
     next_seq: u64,
     now: SimTime,
     clamped: u64,
@@ -471,33 +388,13 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue at time zero, backed by the timer wheel.
+    /// An empty queue at time zero.
     pub fn new() -> Self {
-        Self::with_scheduler(SchedulerKind::Wheel)
-    }
-
-    /// An empty queue at time zero with an explicit scheduler backend.
-    pub fn with_scheduler(kind: SchedulerKind) -> Self {
         EventQueue {
-            inner: match kind {
-                SchedulerKind::Wheel => Inner::Wheel(Wheel::new()),
-                SchedulerKind::Heap => Inner::Heap(BinaryHeap::new()),
-                SchedulerKind::Sharded { shards } => Inner::Sharded(Lanes::new(shards as usize)),
-            },
+            inner: Backend::new(),
             next_seq: 0,
             now: SimTime::ZERO,
             clamped: 0,
-        }
-    }
-
-    /// Which scheduler backs this queue.
-    pub fn scheduler(&self) -> SchedulerKind {
-        match &self.inner {
-            Inner::Wheel(_) => SchedulerKind::Wheel,
-            Inner::Heap(_) => SchedulerKind::Heap,
-            Inner::Sharded(l) => SchedulerKind::Sharded {
-                shards: l.lanes.len() as u8,
-            },
         }
     }
 
@@ -508,11 +405,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.inner {
-            Inner::Wheel(w) => w.len,
-            Inner::Heap(h) => h.len(),
-            Inner::Sharded(l) => l.len(),
-        }
+        self.inner.len()
     }
 
     /// `true` when nothing is scheduled.
@@ -559,40 +452,19 @@ impl<E> EventQueue<E> {
         }
         let at = at.max(self.now);
         self.next_seq = self.next_seq.max(key.wrapping_add(1));
-        let ev = Scheduled {
-            at,
-            seq: key,
-            event,
-        };
-        match &mut self.inner {
-            Inner::Wheel(w) => w.push(self.now.0, ev),
-            Inner::Heap(h) => h.push(ev),
-            Inner::Sharded(l) => l.push(ev),
-        }
+        self.inner.push(
+            self.now.0,
+            Scheduled {
+                at,
+                seq: key,
+                event,
+            },
+        );
     }
 
     /// Pop the earliest event, advancing virtual time to its firing time.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        let ev = match &mut self.inner {
-            Inner::Wheel(w) => {
-                let mut cursor = self.now.0;
-                if !w.refill_ready(&mut cursor) {
-                    return None;
-                }
-                let ev = w.ready.pop_front()?;
-                w.len -= 1;
-                debug_assert!(ev.at.0 >= cursor);
-                let cursor = cursor.max(ev.at.0);
-                w.recompute_next(cursor);
-                self.now = SimTime(cursor);
-                ev
-            }
-            Inner::Heap(h) => h.pop()?,
-            Inner::Sharded(l) => {
-                let i = l.min_lane()?;
-                l.pop_lane(i)?
-            }
-        };
+        let ev = self.inner.pop(self.now.0)?;
         debug_assert!(ev.at >= self.now, "time went backwards");
         self.now = ev.at;
         Some(ev)
@@ -606,56 +478,12 @@ impl<E> EventQueue<E> {
         if self.peek_time() != Some(self.now) {
             return None;
         }
-        match &mut self.inner {
-            Inner::Wheel(w) => {
-                let mut cursor = self.now.0;
-                if !w.refill_ready(&mut cursor) {
-                    return None;
-                }
-                // next_at == now, so the refill cannot have moved the
-                // cursor: every cascade/migration target is >= cursor and
-                // the front event fires at exactly `now`.
-                debug_assert!(cursor == self.now.0);
-                let front = w.ready.front()?;
-                debug_assert!(front.at == self.now);
-                if !pred(&front.event) {
-                    return None;
-                }
-                let ev = w.ready.pop_front()?;
-                w.len -= 1;
-                w.recompute_next(cursor);
-                Some(ev)
-            }
-            Inner::Heap(h) => {
-                let front = h.peek()?;
-                if front.at != self.now || !pred(&front.event) {
-                    return None;
-                }
-                h.pop()
-            }
-            Inner::Sharded(l) => {
-                // peek_time == now (checked above), so the tied lanes'
-                // cursors advance exactly to `now` — the invariant holds
-                // even on a None return, and the clock never moves.
-                let i = l.min_lane()?;
-                let ln = &mut l.lanes[i];
-                let front = ln.wheel.ready.front()?;
-                debug_assert!(front.at == self.now);
-                if !pred(&front.event) {
-                    return None;
-                }
-                l.pop_lane(i)
-            }
-        }
+        self.inner.pop_if(self.now.0, pred)
     }
 
     /// Firing time of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.inner {
-            Inner::Wheel(w) => w.next_at,
-            Inner::Heap(h) => h.peek().map(|e| e.at),
-            Inner::Sharded(l) => l.peek_time(),
-        }
+        self.inner.next_at()
     }
 
     /// Advance the clock to `t` without firing anything (used by
@@ -671,18 +499,246 @@ impl<E> EventQueue<E> {
 
     /// Drop every pending event (used on teardown).
     pub fn clear(&mut self) {
-        match &mut self.inner {
-            Inner::Wheel(w) => w.clear(),
-            Inner::Heap(h) => h.clear(),
-            Inner::Sharded(l) => l.clear(),
-        }
+        self.inner.clear();
     }
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Which scheduler backs a test's [`EventQueue`]. All produce the exact
+    /// same pop order; the wheel is what ships, the other two are the
+    /// references it is proven against.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(crate) enum SchedulerKind {
+        /// Hierarchical timer wheel with far-future overflow heap.
+        Wheel,
+        /// The original binary min-heap.
+        Heap,
+        /// `shards` private timer wheels with a deterministic `(at, seq)`
+        /// K-way merge — the single-threaded reference for the multi-core
+        /// engine's cross-shard merge rule. `shards = 0` behaves as `1`.
+        Sharded {
+            /// Number of lanes to partition events across.
+            shards: u8,
+        },
+    }
+
+    /// One lane of the sharded backend: a private wheel plus its cursor. The
+    /// cursor lags the queue's public clock (it is only advanced to the firing
+    /// time of an event this lane is about to surface), so pushes relative to
+    /// it are never in the lane's past.
+    #[derive(Debug)]
+    pub(super) struct Lane<E> {
+        cursor: u64,
+        wheel: Wheel<E>,
+    }
+
+    /// The sharded backend: `n` wheels merged by `(at, seq)`.
+    #[derive(Debug)]
+    pub(super) struct Lanes<E> {
+        lanes: Vec<Lane<E>>,
+    }
+
+    impl<E> Lanes<E> {
+        fn new(shards: usize) -> Self {
+            Lanes {
+                lanes: std::iter::repeat_with(|| Lane {
+                    cursor: 0,
+                    wheel: Wheel::new(),
+                })
+                .take(shards.max(1))
+                .collect(),
+            }
+        }
+
+        /// Route an event to its lane by `seq` — the analogue of the engine's
+        /// `node index % shards` assignment.
+        fn push(&mut self, ev: Scheduled<E>) {
+            let lane = (ev.seq % self.lanes.len() as u64) as usize;
+            let ln = &mut self.lanes[lane];
+            debug_assert!(ev.at.0 >= ln.cursor, "push into a lane's past");
+            ln.wheel.push(ln.cursor, ev);
+        }
+
+        fn len(&self) -> usize {
+            self.lanes.iter().map(|l| l.wheel.len).sum()
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.lanes.iter().filter_map(|l| l.wheel.next_at).min()
+        }
+
+        /// The lane holding the globally minimal `(at, seq)` head, with the
+        /// tied lanes' cursors advanced to that firing time. `None` when empty.
+        ///
+        /// `at` alone comes from the exact cached `next_at`; only lanes tied
+        /// at the minimal `at` need their head's `seq` materialized, which
+        /// advances their cursor to exactly that `at` — a time the queue's
+        /// public clock is about to reach anyway (pop) or already holds
+        /// (pop_if), so the lane-cursor ≤ public-clock invariant is kept.
+        fn min_lane(&mut self) -> Option<usize> {
+            let min_at = self.peek_time()?;
+            let mut best: Option<(usize, u64)> = None;
+            for (i, ln) in self.lanes.iter_mut().enumerate() {
+                if ln.wheel.next_at != Some(min_at) {
+                    continue;
+                }
+                let mut cur = ln.cursor;
+                let Some((at, seq)) = ln.wheel.peek_key(&mut cur) else {
+                    continue;
+                };
+                ln.cursor = cur;
+                debug_assert_eq!(at, min_at, "cached next_at disagrees with head");
+                if best.is_none_or(|(_, s)| seq < s) {
+                    best = Some((i, seq));
+                }
+            }
+            best.map(|(i, _)| i)
+        }
+
+        /// Pop the head of lane `i` (must have been refilled by
+        /// [`Lanes::min_lane`]).
+        fn pop_lane(&mut self, i: usize) -> Option<Scheduled<E>> {
+            let ln = &mut self.lanes[i];
+            let ev = ln.wheel.ready.pop_front()?;
+            ln.wheel.len -= 1;
+            ln.cursor = ln.cursor.max(ev.at.0);
+            let cur = ln.cursor;
+            ln.wheel.recompute_next(cur);
+            Some(ev)
+        }
+
+        fn clear(&mut self) {
+            for ln in &mut self.lanes {
+                ln.wheel.clear();
+            }
+        }
+    }
+
+    /// The wheel or one of its references behind the wheel's own interface.
+    #[derive(Debug)]
+    pub(super) enum Reference<E> {
+        Wheel(Wheel<E>),
+        Heap(BinaryHeap<Scheduled<E>>),
+        Lanes(Lanes<E>),
+    }
+
+    impl<E> Reference<E> {
+        pub(super) fn new() -> Self {
+            match KIND.get() {
+                SchedulerKind::Wheel => Reference::Wheel(Wheel::new()),
+                SchedulerKind::Heap => Reference::Heap(BinaryHeap::new()),
+                SchedulerKind::Sharded { shards } => Reference::Lanes(Lanes::new(shards as usize)),
+            }
+        }
+
+        pub(super) fn push(&mut self, now: u64, ev: Scheduled<E>) {
+            match self {
+                Reference::Wheel(w) => w.push(now, ev),
+                Reference::Heap(h) => h.push(ev),
+                Reference::Lanes(l) => l.push(ev),
+            }
+        }
+
+        pub(super) fn pop(&mut self, now: u64) -> Option<Scheduled<E>> {
+            match self {
+                Reference::Wheel(w) => w.pop(now),
+                Reference::Heap(h) => h.pop(),
+                Reference::Lanes(l) => {
+                    let i = l.min_lane()?;
+                    l.pop_lane(i)
+                }
+            }
+        }
+
+        pub(super) fn pop_if(
+            &mut self,
+            now: u64,
+            pred: impl FnOnce(&E) -> bool,
+        ) -> Option<Scheduled<E>> {
+            match self {
+                Reference::Wheel(w) => w.pop_if(now, pred),
+                Reference::Heap(h) => {
+                    let front = h.peek()?;
+                    if front.at.0 != now || !pred(&front.event) {
+                        return None;
+                    }
+                    h.pop()
+                }
+                Reference::Lanes(l) => {
+                    // next_at == now (checked by the queue), so the tied
+                    // lanes' cursors advance exactly to `now` — the invariant
+                    // holds even on a None return, and the clock never moves.
+                    let i = l.min_lane()?;
+                    let front = l.lanes[i].wheel.ready.front()?;
+                    debug_assert!(front.at.0 == now);
+                    if !pred(&front.event) {
+                        return None;
+                    }
+                    l.pop_lane(i)
+                }
+            }
+        }
+
+        pub(super) fn len(&self) -> usize {
+            match self {
+                Reference::Wheel(w) => w.len(),
+                Reference::Heap(h) => h.len(),
+                Reference::Lanes(l) => l.len(),
+            }
+        }
+
+        pub(super) fn next_at(&self) -> Option<SimTime> {
+            match self {
+                Reference::Wheel(w) => w.next_at(),
+                Reference::Heap(h) => h.peek().map(|e| e.at),
+                Reference::Lanes(l) => l.peek_time(),
+            }
+        }
+
+        pub(super) fn clear(&mut self) {
+            match self {
+                Reference::Wheel(w) => w.clear(),
+                Reference::Heap(h) => h.clear(),
+                Reference::Lanes(l) => l.clear(),
+            }
+        }
+    }
+
+    thread_local! {
+        /// What `EventQueue::new` builds on this thread.
+        static KIND: std::cell::Cell<SchedulerKind> =
+            const { std::cell::Cell::new(SchedulerKind::Wheel) };
+    }
+
+    /// Run `f` with every [`EventQueue`] it creates on this thread backed
+    /// by `kind` — whole simulations included, however deep inside a
+    /// harness the queue is constructed.
+    pub(crate) fn on_scheduler<R>(kind: SchedulerKind, f: impl FnOnce() -> R) -> R {
+        let prev = KIND.replace(kind);
+        let out = f();
+        KIND.set(prev);
+        out
+    }
+
+    fn with_scheduler<E>(kind: SchedulerKind) -> EventQueue<E> {
+        on_scheduler(kind, EventQueue::new)
+    }
+
+    impl<E> Wheel<E> {
+        /// `(at, seq)` of the earliest pending event without removing it,
+        /// advancing the cursor no further than that event's firing time
+        /// (exactly what a pop would do). `None` when empty.
+        fn peek_key(&mut self, now: &mut u64) -> Option<(SimTime, u64)> {
+            if !self.refill_ready(now) {
+                return None;
+            }
+            self.ready.front().map(|e| (e.at, e.seq))
+        }
+    }
 
     const KINDS: [SchedulerKind; 4] = [
         SchedulerKind::Wheel,
@@ -692,7 +748,7 @@ mod tests {
     ];
 
     fn both() -> [EventQueue<&'static str>; 4] {
-        KINDS.map(EventQueue::with_scheduler)
+        KINDS.map(with_scheduler)
     }
 
     #[test]
@@ -713,7 +769,7 @@ mod tests {
     #[test]
     fn ties_fire_in_insertion_order() {
         for kind in KINDS {
-            let mut q = EventQueue::with_scheduler(kind);
+            let mut q = with_scheduler(kind);
             for i in 0..100 {
                 q.push_at(SimTime(5), i);
             }
@@ -765,7 +821,7 @@ mod tests {
     fn far_future_overflow_and_migration() {
         // Beyond the 2^36 ms wheel span: must overflow to the heap and
         // still fire in exact order.
-        let mut q = EventQueue::with_scheduler(SchedulerKind::Wheel);
+        let mut q = with_scheduler(SchedulerKind::Wheel);
         let span = 1u64 << 36;
         q.push_at(SimTime(span + 5), "far-b");
         q.push_at(SimTime(span + 2), "far-a");
@@ -784,7 +840,7 @@ mod tests {
         // Push an event far enough to land on level >= 1, then another at
         // the same instant after time has advanced so it lands on level 0
         // directly; the cascade must not reorder them.
-        let mut q = EventQueue::with_scheduler(SchedulerKind::Wheel);
+        let mut q = with_scheduler(SchedulerKind::Wheel);
         q.push_at(SimTime(200), "early-seq");
         q.push_at(SimTime(64), "mover");
         q.pop(); // now = 64; 200 still parked on level 1
@@ -813,7 +869,7 @@ mod tests {
         // Advance the clock into an occupied higher-level slot's period,
         // then make sure both the pre-existing and a newly pushed earlier
         // event fire in order.
-        let mut q = EventQueue::with_scheduler(SchedulerKind::Wheel);
+        let mut q = with_scheduler(SchedulerKind::Wheel);
         q.push_at(SimTime(140), "parked"); // level 1 relative to t=0
         q.advance_to(SimTime(130));
         q.push_at(SimTime(135), "nearer");
@@ -841,11 +897,11 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(0x9e3779b97f4a7c15 ^ seed);
         let mut qs: Vec<EventQueue<u64>> = vec![
-            EventQueue::with_scheduler(SchedulerKind::Wheel),
-            EventQueue::with_scheduler(SchedulerKind::Heap),
-            EventQueue::with_scheduler(SchedulerKind::Sharded { shards: 1 }),
-            EventQueue::with_scheduler(SchedulerKind::Sharded { shards: 3 }),
-            EventQueue::with_scheduler(SchedulerKind::Sharded { shards: 7 }),
+            with_scheduler(SchedulerKind::Wheel),
+            with_scheduler(SchedulerKind::Heap),
+            with_scheduler(SchedulerKind::Sharded { shards: 1 }),
+            with_scheduler(SchedulerKind::Sharded { shards: 3 }),
+            with_scheduler(SchedulerKind::Sharded { shards: 7 }),
         ];
         let mut tag = 0u64;
         // Keyed-push streams: 4 "senders", each with its own monotone
@@ -980,7 +1036,7 @@ mod tests {
         // different backends; the pop order must be the (at, key) order
         // everywhere, including keys pushed below the current ready head.
         for kind in KINDS {
-            let mut q: EventQueue<&'static str> = EventQueue::with_scheduler(kind);
+            let mut q: EventQueue<&'static str> = with_scheduler(kind);
             q.push_at_keyed(SimTime(5), 300, "third");
             q.push_at_keyed(SimTime(5), 100, "first");
             q.push_at_keyed(SimTime(2), 900, "earliest");
@@ -1003,8 +1059,7 @@ mod tests {
         // Regression shape: a pop surfaces lane A's head, lane B (tied at
         // a later time) must not have advanced past the popped time —
         // otherwise a subsequent push routed to B would land in B's past.
-        let mut q: EventQueue<u64> =
-            EventQueue::with_scheduler(SchedulerKind::Sharded { shards: 2 });
+        let mut q: EventQueue<u64> = with_scheduler(SchedulerKind::Sharded { shards: 2 });
         // Keys chosen so lane 0 (even keys) holds t=10 and t=1000, lane 1
         // (odd keys) holds t=1000 only.
         q.push_at_keyed(SimTime(10), 2, 0);
@@ -1018,5 +1073,95 @@ mod tests {
         q.push_at_keyed(SimTime(20), 5, 4);
         let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
         assert_eq!(order, vec![4, 3, 2, 1]);
+    }
+
+    type Fingerprint = (u64, u64, Vec<(u64, u64)>, Vec<(u64, u64)>);
+
+    /// Everything observable about a lossy, jittery 96-node aggregation
+    /// run on `kind`: events processed, drops, per-node traffic, root
+    /// reports. The whole protocol stack above the queue, so a reference
+    /// is held to the wheel under the workload the digests are taken on.
+    fn full_stack_fingerprint(kind: SchedulerKind) -> Fingerprint {
+        use crate::harness::{addr_book, prestabilized_dat};
+        use crate::{LatencyModel, LossModel};
+        use dat_chord::{ChordConfig, IdPolicy, IdSpace, RoutingScheme, StaticRing};
+        use dat_core::{AggregationMode, DatConfig, DatEvent};
+        use rand::SeedableRng;
+
+        let seed = 0xBEEF;
+        let space = IdSpace::new(32);
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let ring = StaticRing::build(space, 96, IdPolicy::Probed, &mut rng);
+        let ccfg = ChordConfig {
+            space,
+            stabilize_ms: 2_000,
+            fix_fingers_ms: 1_000,
+            check_pred_ms: 2_000,
+            ..ChordConfig::default()
+        };
+        let dcfg = DatConfig {
+            scheme: RoutingScheme::Balanced,
+            epoch_ms: 1_000,
+            d0_hint: Some(ring.d0()),
+            ..DatConfig::default()
+        };
+        let mut net = on_scheduler(kind, || prestabilized_dat(&ring, ccfg, dcfg, seed));
+        net.set_latency(LatencyModel::Uniform { lo: 2, hi: 40 });
+        net.set_loss(LossModel::new(0.02));
+        net.set_record_upcalls(false);
+        let book = addr_book(&ring);
+        let mut key = dat_chord::Id(0);
+        for (i, &id) in ring.ids().iter().enumerate() {
+            let node = net.node_mut(book[&id]).unwrap();
+            key = node.register("cpu-usage", AggregationMode::Continuous);
+            node.set_local(key, (i * 3) as f64);
+        }
+        net.run_for(20_000);
+        let traffic = net
+            .addrs()
+            .iter()
+            .map(|&a| {
+                let s = net.link_stats(a);
+                (s.sent, s.delivered)
+            })
+            .collect();
+        let reports = net
+            .node_mut(book[&ring.successor(key)])
+            .unwrap()
+            .take_events()
+            .into_iter()
+            .filter_map(|e| match e {
+                DatEvent::Report { epoch, partial, .. } => Some((epoch, partial.count)),
+                _ => None,
+            })
+            .collect();
+        (net.events_processed(), net.dropped, traffic, reports)
+    }
+
+    #[test]
+    fn wheel_and_heap_schedulers_are_schedule_identical() {
+        // The timer wheel is a drop-in for the heap: the same seed must
+        // produce the exact same fingerprint — event counts, every node's
+        // traffic, every root report — on both. This is the guarantee
+        // that let the wheel replace the heap without invalidating any
+        // recorded digest.
+        let w = full_stack_fingerprint(SchedulerKind::Wheel);
+        assert!(w.0 > 0 && !w.3.is_empty(), "the workload must do something");
+        assert_eq!(w, full_stack_fingerprint(SchedulerKind::Heap));
+    }
+
+    #[test]
+    fn lane_merge_is_schedule_identical_to_wheel() {
+        // The K-way `(at, seq)` merge must be a drop-in for the wheel
+        // under the full protocol stack — same fingerprint for any lane
+        // count, including lane counts that don't divide the workload
+        // evenly. This is the merge-rule half of the multi-core
+        // determinism contract, proven pop-for-pop without any threading
+        // in play.
+        let w = full_stack_fingerprint(SchedulerKind::Wheel);
+        for shards in [1u8, 2, 4, 8] {
+            let s = full_stack_fingerprint(SchedulerKind::Sharded { shards });
+            assert_eq!(w, s, "{shards}-lane merge diverged from the wheel");
+        }
     }
 }

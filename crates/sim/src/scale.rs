@@ -11,8 +11,8 @@
 //! (clamped events, drops, backlog) and process memory.
 //!
 //! Determinism is preserved: a [`ScaleConfig`] with a fixed seed produces
-//! the same virtual schedule on every run and on both scheduler
-//! backends; only the wall-clock numbers vary by machine.
+//! the same virtual schedule on every run; only the wall-clock numbers
+//! vary by machine.
 
 #![deny(clippy::unwrap_used)]
 
@@ -23,7 +23,6 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::net::SimNet;
-use crate::queue::SchedulerKind;
 use crate::shard::ShardedNet;
 
 /// Parameters of one scale run.
@@ -37,10 +36,8 @@ pub struct ScaleConfig {
     pub seed: u64,
     /// Identifier-space width in bits.
     pub bits: u8,
-    /// Scheduler backend to drive.
-    pub scheduler: SchedulerKind,
     /// Worker shards. `0` (the default) drives the single-core
-    /// [`SimNet`] engine on `scheduler`; `1..` drives the multi-core
+    /// [`SimNet`] engine; `1..` drives the multi-core
     /// [`ShardedNet`] engine with that many shards, whose seeded digest
     /// is invariant in this value (`1` and `8` fingerprint identically).
     pub shards: usize,
@@ -53,7 +50,6 @@ impl Default for ScaleConfig {
             virtual_ms: 10_000,
             seed: 0x5ca1e,
             bits: 40,
-            scheduler: SchedulerKind::Wheel,
             shards: 0,
         }
     }
@@ -66,8 +62,6 @@ pub struct ScaleReport {
     pub n: usize,
     /// Virtual window simulated, in milliseconds.
     pub virtual_ms: u64,
-    /// Scheduler backend driven.
-    pub scheduler: SchedulerKind,
     /// Worker shards driven (0 = single-core [`SimNet`] engine).
     pub shards: usize,
     /// Wall-clock cost of building the overlay, in milliseconds.
@@ -107,10 +101,9 @@ impl ScaleReport {
     /// One-line human rendering.
     pub fn summary(&self) -> String {
         format!(
-            "n={} sched={:?} shards={} build={}ms run={}ms events={} ({:.0}/s, {:.0} ns/event) \
+            "n={} shards={} build={}ms run={}ms events={} ({:.0}/s, {:.0} ns/event) \
              dropped={} clamped={} backlog={} peak_rss={} digest={:016x}",
             self.n,
-            self.scheduler,
             self.shards,
             self.build_wall_ms,
             self.run_wall_ms,
@@ -179,22 +172,7 @@ fn run_scale_simnet(cfg: ScaleConfig) -> ScaleReport {
     let build_start = Instant::now();
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let ring = StaticRing::build(space, cfg.n, IdPolicy::Random, &mut rng);
-    let mut net: SimNet<ChordNode> = {
-        // Same construction as `prestabilized_chord`, but on the requested
-        // scheduler backend.
-        let book = crate::harness::addr_book(&ring);
-        let addr_of = |id| book[&id];
-        let mut net = SimNet::with_scheduler(cfg.seed, cfg.scheduler);
-        for &id in ring.ids() {
-            let mut node = ChordNode::new(ccfg, id, addr_of(id));
-            let table = ring.table_of_with(id, ccfg.succ_list_len, &addr_of);
-            let outs = node.start_with_table(table);
-            let addr = node.me().addr;
-            net.add_node(node);
-            net.apply(addr, outs);
-        }
-        net
-    };
+    let mut net: SimNet<ChordNode> = crate::harness::prestabilized_chord(&ring, ccfg, cfg.seed);
     let build_wall_ms = build_start.elapsed().as_millis() as u64;
     // Upcall records would grow without bound over a long window.
     net.set_record_upcalls(false);
@@ -302,7 +280,6 @@ fn finish_report(
     ScaleReport {
         n: cfg.n,
         virtual_ms: cfg.virtual_ms,
-        scheduler: cfg.scheduler,
         shards: cfg.shards,
         build_wall_ms,
         run_wall_ms: run_wall.as_millis() as u64,
@@ -325,20 +302,6 @@ fn finish_report(
     }
 }
 
-/// Sanity check used by doctests/smokes: the same config must process the
-/// same number of events on both scheduler backends.
-pub fn schedulers_agree(cfg: ScaleConfig) -> bool {
-    let w = run_scale(ScaleConfig {
-        scheduler: SchedulerKind::Wheel,
-        ..cfg
-    });
-    let h = run_scale(ScaleConfig {
-        scheduler: SchedulerKind::Heap,
-        ..cfg
-    });
-    w.events == h.events && w.dropped == h.dropped && w.backlog == h.backlog
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -356,15 +319,6 @@ mod tests {
         assert!(r.ns_per_event > 0.0);
         assert_eq!(r.clamped, 0, "maintenance never schedules in the past");
         assert!(!r.summary().is_empty());
-    }
-
-    #[test]
-    fn wheel_and_heap_process_identical_event_counts() {
-        assert!(schedulers_agree(ScaleConfig {
-            n: 48,
-            virtual_ms: 3_000,
-            ..ScaleConfig::default()
-        }));
     }
 
     #[cfg(target_os = "linux")]
@@ -398,6 +352,7 @@ mod tests {
 
     #[test]
     fn simnet_digest_is_stable_across_runs_and_backends() {
+        use crate::queue::tests::{on_scheduler, SchedulerKind};
         let cfg = ScaleConfig {
             n: 48,
             virtual_ms: 2_000,
@@ -409,10 +364,11 @@ mod tests {
             a.digest, b.digest,
             "same config must fingerprint identically"
         );
-        let h = run_scale(ScaleConfig {
-            scheduler: SchedulerKind::Heap,
-            ..cfg
-        });
+        let h = on_scheduler(SchedulerKind::Heap, || run_scale(cfg));
         assert_eq!(a.digest, h.digest, "wheel and heap digests diverged");
+        assert_eq!(
+            (a.events, a.dropped, a.backlog),
+            (h.events, h.dropped, h.backlog)
+        );
     }
 }

@@ -38,9 +38,10 @@
 //!    Timers are shard-local and need no lookahead.
 //!
 //! The merge rule itself — next event is the `(at, key)` minimum across
-//! shards — is proven single-threaded by `SchedulerKind::Sharded` in
-//! [`crate::queue`], which runs the identical K-way merge under the full
-//! existing stack and fingerprints byte-identical to the wheel.
+//! shards — is proven single-threaded by the test-only lane-merge
+//! reference in [`crate::queue`], which runs the identical K-way merge
+//! under the full existing stack and fingerprints byte-identical to the
+//! wheel.
 //!
 //! ## The barrier protocol
 //!

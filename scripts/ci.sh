@@ -19,7 +19,8 @@ echo "==> clippy: unwrap_used denied in self-healing + observability + health mo
 # hostile input, and the async cluster host + its bins (PR 9) must never
 # panic a 1k-node fleet, and the multi-core engine (PR 10) must never
 # panic a worker thread mid-barrier (a poisoned barrier deadlocks the
-# other shards); the modules opt in via
+# other shards), and the real-socket host core (PR 12) must never panic
+# a node's only thread or task; the modules opt in via
 # #![deny(clippy::unwrap_used)] and this check keeps the attribute from
 # being dropped silently.
 for f in crates/sim/src/soak.rs crates/bench/src/experiments/degradation.rs \
@@ -28,7 +29,8 @@ for f in crates/sim/src/soak.rs crates/bench/src/experiments/degradation.rs \
          crates/sim/src/scale.rs crates/chord/src/wire.rs \
          crates/sim/src/fuzz.rs crates/sim/src/corrupt.rs \
          crates/cluster/src/lib.rs crates/cluster/src/bin/clusterd.rs \
-         crates/cluster/src/bin/clusterbench.rs crates/sim/src/shard.rs; do
+         crates/cluster/src/bin/clusterbench.rs crates/sim/src/shard.rs \
+         crates/chord/src/host.rs; do
   grep -q '#!\[deny(clippy::unwrap_used)\]' "$f" \
     || { echo "missing #![deny(clippy::unwrap_used)] in $f"; exit 1; }
 done
@@ -38,6 +40,13 @@ cargo build --release
 
 echo "==> tier-1: cargo test -q"
 cargo test -q
+
+echo "==> member crates: cargo test --workspace -q"
+# Tier-1 runs the root package only. The member crates' own tests — the
+# scheduler lockstep harness and full-stack parity in dat-sim, the host
+# core in dat-chord, both real hosts, the runtime shim's smoke tests —
+# run here.
+cargo test --workspace -q
 
 echo "==> repro smoke: fig8a with tracing on; the fleet Prometheus dump must parse"
 # --metrics merges every node's registry and validates the exposition
@@ -83,7 +92,7 @@ echo "==> event-engine bench smoke: simbench at small sizes emits BENCH_sim.json
 # file so the committed trajectory is not clobbered by smoke numbers.
 simbench_out="$(mktemp)"
 cargo run --release -p dat-bench --bin simbench -- \
-  --sizes 512,2048 --virtual-ms 2000 --scheduler both --quiet \
+  --sizes 512,2048 --virtual-ms 2000 --quiet \
   --out "$simbench_out"
 grep -q '"events_per_sec"' "$simbench_out" \
   || { echo "simbench smoke produced no throughput figures"; exit 1; }
@@ -101,7 +110,7 @@ cargo run --release -p dat-bench --bin simbench -- \
   || { echo "multi-shard smoke: digest divergence or engine failure"; exit 1; }
 grep -q '"shards": 1' "$shard_out" && grep -q '"shards": 4' "$shard_out" \
   || { echo "multi-shard smoke: missing a shard-count entry"; exit 1; }
-shard_digests="$(grep '"scheduler": "sharded"' "$shard_out" \
+shard_digests="$(grep '"shards": [1-9]' "$shard_out" \
   | grep -o '"digest": "[0-9a-f]*"' | sort -u | wc -l)"
 [ "$shard_digests" -eq 1 ] \
   || { echo "multi-shard smoke: shard counts disagree on the run digest"; exit 1; }

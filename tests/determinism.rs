@@ -3,9 +3,9 @@
 //! on), and different seeds genuinely differ.
 
 use libdat::chord::{ChordConfig, IdPolicy, IdSpace, RoutingScheme, StaticRing};
-use libdat::core::{AggregationMode, DatConfig, DatEvent, DatProtocol, StackNode};
-use libdat::sim::harness::addr_book;
-use libdat::sim::{LatencyModel, LossModel, SchedulerKind, SimNet};
+use libdat::core::{AggregationMode, DatConfig, DatEvent};
+use libdat::sim::harness::{addr_book, prestabilized_dat};
+use libdat::sim::{LatencyModel, LossModel};
 use rand::SeedableRng;
 
 /// Run a lossy, jittery aggregation network and produce a fingerprint of
@@ -13,10 +13,6 @@ use rand::SeedableRng;
 type Fingerprint = (u64, u64, Vec<(u64, u64)>, Vec<(u64, u64)>);
 
 fn fingerprint(seed: u64) -> Fingerprint {
-    fingerprint_on(seed, SchedulerKind::Wheel)
-}
-
-fn fingerprint_on(seed: u64, scheduler: SchedulerKind) -> Fingerprint {
     let space = IdSpace::new(32);
     let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
     let ring = StaticRing::build(space, 96, IdPolicy::Probed, &mut rng);
@@ -33,21 +29,7 @@ fn fingerprint_on(seed: u64, scheduler: SchedulerKind) -> Fingerprint {
         d0_hint: Some(ring.d0()),
         ..DatConfig::default()
     };
-    // Same construction as `prestabilized_dat`, but on an explicit
-    // scheduler backend so the wheel/heap parity test below can drive the
-    // identical workload through both.
-    let mut net: SimNet<StackNode> = SimNet::with_scheduler(seed, scheduler);
-    {
-        let book = addr_book(&ring);
-        for &id in ring.ids() {
-            let addr = book[&id];
-            let mut node = StackNode::new(ccfg, id, addr).with_app(DatProtocol::new(dcfg));
-            let table = ring.table_of_with(id, ccfg.succ_list_len, &|id| book[&id]);
-            let outs = node.start_with_table(table);
-            net.add_node(node);
-            net.apply(addr, outs);
-        }
-    }
+    let mut net = prestabilized_dat(&ring, ccfg, dcfg, seed);
     net.set_latency(LatencyModel::Uniform { lo: 2, hi: 40 });
     net.set_loss(LossModel::new(0.02));
     net.set_record_upcalls(false);
@@ -100,32 +82,56 @@ fn different_seeds_diverge() {
 }
 
 #[test]
-fn wheel_and_heap_schedulers_are_schedule_identical() {
-    // The timer wheel is a drop-in for the heap: the same seed must
-    // produce the exact same fingerprint — event counts, every node's
-    // traffic, every root report — on both backends. This is the
-    // guarantee that lets the wheel be the default without invalidating
-    // any recorded digest.
-    let w = fingerprint_on(0xBEEF, SchedulerKind::Wheel);
-    let h = fingerprint_on(0xBEEF, SchedulerKind::Heap);
-    assert_eq!(w.0, h.0, "events processed");
-    assert_eq!(w.1, h.1, "messages dropped");
-    assert_eq!(w.2, h.2, "per-node traffic");
-    assert_eq!(w.3, h.3, "root reports");
-}
-
-#[test]
-fn sharded_merge_is_schedule_identical_to_wheel() {
-    // The sharded backend's K-way `(at, seq)` merge must be a drop-in for
-    // the wheel under the full protocol stack — same fingerprint for any
-    // lane count, including lane counts that don't divide the workload
-    // evenly. This is the merge-rule half of the multi-core determinism
-    // contract, proven pop-for-pop without any threading in play.
-    let w = fingerprint_on(0xBEEF, SchedulerKind::Wheel);
-    for shards in [1u8, 2, 4, 8] {
-        let s = fingerprint_on(0xBEEF, SchedulerKind::Sharded { shards });
-        assert_eq!(w, s, "{shards}-lane merge diverged from the wheel");
-    }
+fn same_seed_reproduces_every_byte_with_several_keys_per_node() {
+    // With more than one aggregation per node the order in which an epoch
+    // tick walks them decides which tree's parent gets the once-per-epoch
+    // liveness ping. Two fleets built from one seed in one process hold
+    // differently seeded `HashMap`s, so any order taken from a map walk
+    // shows up here as diverging per-node traffic and traces.
+    let run = || {
+        let seed = 0xD47;
+        let space = IdSpace::new(32);
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let ring = StaticRing::build(space, 64, IdPolicy::Probed, &mut rng);
+        let ccfg = ChordConfig {
+            space,
+            ..ChordConfig::default()
+        };
+        let dcfg = DatConfig {
+            scheme: RoutingScheme::Balanced,
+            epoch_ms: 1_000,
+            d0_hint: Some(ring.d0()),
+            ..DatConfig::default()
+        };
+        let mut net = prestabilized_dat(&ring, ccfg, dcfg, seed);
+        net.set_record_upcalls(false);
+        for (i, addr) in net.addrs().into_iter().enumerate() {
+            let node = net.node_mut(addr).unwrap();
+            for name in ["cpu-usage", "mem-free", "disk-io", "net-rx"] {
+                let key = node.register(name, AggregationMode::Continuous);
+                node.set_local(key, i as f64);
+            }
+        }
+        net.run_for(20_000);
+        let traffic: Vec<_> = net
+            .addrs()
+            .into_iter()
+            .map(|a| {
+                let s = net.link_stats(a);
+                (a, s.sent, s.delivered)
+            })
+            .collect();
+        let events = libdat::sim::fleet_events(&net);
+        assert!(events.len() > 64 * 4 * 20, "the fleet traced its epochs");
+        (
+            traffic,
+            libdat::obs::fnv1a(format!("{events:?}").as_bytes()),
+        )
+    };
+    let (traffic_a, digest_a) = run();
+    let (traffic_b, digest_b) = run();
+    assert_eq!(traffic_a, traffic_b, "per-node traffic");
+    assert_eq!(digest_a, digest_b, "fleet trace digest");
 }
 
 #[test]

@@ -4,14 +4,24 @@
 use libdat::chord::{
     hash_to_id, ChordConfig, IdPolicy, IdSpace, NodeAddr, RoutingScheme, StaticRing,
 };
-use libdat::core::{AggFunc, AggregationMode, DatConfig, DatEvent, StackNode};
+use libdat::core::{
+    AggFunc, AggregationMode, DatConfig, DatEvent, StackNode, COMPLETED_QUERIES_KEPT,
+};
 use libdat::sim::harness::{addr_book, prestabilized_dat};
-use libdat::sim::{LossModel, SimNet};
+use libdat::sim::{FaultPlan, LossModel, SimNet};
 use rand::SeedableRng;
 
 const BITS: u8 = 32;
 
 fn build(n: usize, seed: u64) -> (SimNet<StackNode>, StaticRing, libdat::chord::Id) {
+    build_with_window(n, seed, 800)
+}
+
+fn build_with_window(
+    n: usize,
+    seed: u64,
+    query_window_ms: u64,
+) -> (SimNet<StackNode>, StaticRing, libdat::chord::Id) {
     let space = IdSpace::new(BITS);
     let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
     let ring = StaticRing::build(space, n, IdPolicy::Probed, &mut rng);
@@ -26,7 +36,7 @@ fn build(n: usize, seed: u64) -> (SimNet<StackNode>, StaticRing, libdat::chord::
     let dcfg = DatConfig {
         scheme: RoutingScheme::Balanced,
         epoch_ms: 1_000,
-        query_window_ms: 800,
+        query_window_ms,
         d0_hint: Some(ring.d0()),
         ..DatConfig::default()
     };
@@ -229,4 +239,85 @@ fn unregistered_nodes_contribute_identity() {
     let p = query_result(&mut net, asker, key, 6_000).expect("query completes");
     assert_eq!(p.count as usize, registered);
     assert_eq!(p.finalize(AggFunc::Avg), 5.0);
+}
+
+#[test]
+fn duplicated_queries_are_counted_once() {
+    // Three deliveries in four arrive twice. A second copy of a `Query`
+    // finds its `reqid` remembered — still open or already answered — and
+    // is answered with the identity, so no subtree is fanned out, summed
+    // or counted twice; a second copy of a `Response` finds the query
+    // closed or is absorbed by the idempotent merge.
+    let n = 48;
+    let (mut net, ring, key) = build(n, 46);
+    let book = addr_book(&ring);
+    net.set_fault_plan(FaultPlan::new().duplication_at(0, 0.75));
+    net.run_for(3_000);
+    for i in [2usize, 17, 33, 40] {
+        let p = query_result(&mut net, book[&ring.ids()[i]], key, 6_000)
+            .expect("query completes under duplication");
+        assert_eq!(p.contributors as usize, n, "every node exactly once");
+        assert_eq!(p.count as usize, n);
+        assert_eq!(p.finalize(AggFunc::Sum), 2.0 * n as f64);
+    }
+}
+
+#[test]
+fn two_thousand_queries_leave_a_bounded_memory() {
+    let n = 32;
+    let (mut net, ring, key) = build(n, 47);
+    let book = addr_book(&ring);
+    net.run_for(2_000);
+    for q in 0..2_000usize {
+        let asker = book[&ring.ids()[q * 7 % n]];
+        let p = query_result(&mut net, asker, key, 200).expect("query completes");
+        assert_eq!(p.count as usize, n, "query {q}");
+        assert_eq!(p.finalize(AggFunc::Sum), 2.0 * n as f64, "query {q}");
+    }
+    for addr in net.addrs() {
+        let kept = net.node(addr).unwrap().dat().remembered_queries();
+        assert!(
+            kept <= COMPLETED_QUERIES_KEPT,
+            "{addr:?} remembers {kept} queries after 2,000"
+        );
+        assert!(
+            kept > 0,
+            "recent queries stay known for duplicate suppression"
+        );
+    }
+}
+
+#[test]
+fn answered_queries_cost_no_timer_of_their_own() {
+    // Two fleets from one seed, one idle, one answering 200 queries that
+    // all finish long before their 60 s windows. Everything that is not a
+    // delivery is a timer, and the maintenance timers are the same in
+    // both, so the difference is what the queries armed: one pending
+    // window timer per inner node at a time, not one per query.
+    let n = 32;
+    let queries = 200;
+    let timers = |net: &SimNet<StackNode>| {
+        let delivered: u64 = net
+            .addrs()
+            .into_iter()
+            .map(|a| net.link_stats(a).delivered)
+            .sum();
+        net.events_processed() + net.pending_events() as u64 - delivered
+    };
+    let (mut idle, _, _) = build_with_window(n, 48, 60_000);
+    let (mut busy, ring, key) = build_with_window(n, 48, 60_000);
+    let book = addr_book(&ring);
+    busy.run_for(2_000);
+    for q in 0..queries {
+        let asker = book[&ring.ids()[q * 5 % n]];
+        let p = query_result(&mut busy, asker, key, 50).expect("query completes");
+        assert_eq!(p.count as usize, n, "query {q}");
+    }
+    idle.run_for(2_000 + 50 * queries as u64);
+    assert_eq!(idle.now(), busy.now());
+    let armed = timers(&busy) - timers(&idle);
+    assert!(
+        armed <= 2 * n as u64,
+        "{armed} window timers for {queries} answered queries on {n} nodes"
+    );
 }

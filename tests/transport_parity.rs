@@ -20,7 +20,7 @@ use libdat::core::{
 use libdat::maan::{MaanEvent, MaanProtocol, MaanStack, Resource};
 use libdat::monitor::grid_schemas;
 use libdat::obs::{fnv1a, Event, EventKind};
-use libdat::rpc::RpcCluster;
+use libdat::rpc::{RpcCluster, TransportStats};
 use libdat::sim::{CorruptMode, FaultPlan, SimNet};
 use rand::{Rng, SeedableRng};
 
@@ -42,8 +42,15 @@ trait UdpHost: Sized {
     where
         F: FnOnce(&mut StackNode) -> Vec<Output> + Send + 'static;
     fn send_raw(&self, from: NodeAddr, to: NodeAddr, bytes: &[u8]) -> std::io::Result<()>;
+    fn transport_stats(&self) -> TransportStats;
     /// `(decode_errors, sum over per-kind counters)` — the two must agree.
-    fn decode_error_counts(&self) -> (u64, u64);
+    fn decode_error_counts(&self) -> (u64, u64) {
+        let stats = self.transport_stats();
+        (
+            stats.decode_errors,
+            stats.decode_errors_by_kind.iter().sum(),
+        )
+    }
     fn stop(self);
 }
 
@@ -68,12 +75,8 @@ impl UdpHost for RpcCluster<StackNode> {
     fn send_raw(&self, from: NodeAddr, to: NodeAddr, bytes: &[u8]) -> std::io::Result<()> {
         RpcCluster::send_raw(self, from, to, bytes)
     }
-    fn decode_error_counts(&self) -> (u64, u64) {
-        let stats = self.stats();
-        (
-            stats.decode_errors,
-            stats.decode_errors_by_kind.iter().sum(),
-        )
+    fn transport_stats(&self) -> TransportStats {
+        self.stats()
     }
     fn stop(self) {
         self.shutdown();
@@ -101,12 +104,8 @@ impl UdpHost for ClusterHost<StackNode> {
     fn send_raw(&self, from: NodeAddr, to: NodeAddr, bytes: &[u8]) -> std::io::Result<()> {
         ClusterHost::send_raw(self, from, to, bytes)
     }
-    fn decode_error_counts(&self) -> (u64, u64) {
-        let stats = self.stats();
-        (
-            stats.decode_errors,
-            stats.decode_error_kinds().iter().map(|(_, c)| c).sum(),
-        )
+    fn transport_stats(&self) -> TransportStats {
+        self.stats()
     }
     fn stop(self) {
         self.shutdown();
