@@ -2,14 +2,21 @@
 //!
 //! The paper's evaluation is largely message-count based: the distribution
 //! of aggregation messages across nodes (Fig. 8a), imbalance factors
-//! (Fig. 8b) and maintenance overhead during churn. [`Metrics`] is the
-//! compat shim every layer keeps one of — the counting API predates the
-//! `dat-obs` registry, but all counts now land in an embedded
-//! [`Registry`], every kind-label increment flows through one helper
-//! ([`Dir`] + `count_kind`), and a bounded [`Tracer`] records typed events
-//! with causal trace ids alongside the tallies.
+//! (Fig. 8b) and maintenance overhead during churn. Every layer keeps one
+//! [`Metrics`] and bumps it on every message, so a bump has to cost less
+//! than the message: tallies live in small contiguous rows — one
+//! `(kind, sent, received)` row per message kind, one slot per named
+//! counter, one per named [`LogHist`] — found by comparing the
+//! `&'static str`'s pointer and length (same literal, same row), with a
+//! contents comparison only for a name not seen at that address before.
+//! The sorted, mergeable, renderable [`Registry`] is a *snapshot* built
+//! from those rows by [`Metrics::export_into`] at scrape / merge time; a
+//! bounded [`Tracer`] records typed events with causal trace ids alongside
+//! the tallies.
 
-use dat_obs::{EventKind, Key, Registry, Tracer};
+#![deny(clippy::unwrap_used)]
+
+use dat_obs::{EventKind, Key, LogHist, Registry, Tracer};
 
 use crate::msg::ChordMsg;
 
@@ -22,12 +29,36 @@ pub enum Dir {
     Received,
 }
 
-/// Observability state kept by every protocol node: a metric registry
-/// (counters + histograms), an event tracer, and the three loose counters
-/// the transports bump directly.
+/// Traffic of one message kind: `(sent, received)`.
+type Traffic = (u64, u64);
+
+/// Index of `name`'s row, appending `T::default()` for a new name. A name
+/// already seen at this address hits on pointer + length alone; only a
+/// first sighting (or a second copy of the same text) compares contents,
+/// so equal strings always share one row.
+fn row<'a, T: Default>(rows: &'a mut Vec<(&'static str, T)>, name: &'static str) -> &'a mut T {
+    let same_literal = |r: &(&'static str, T)| {
+        std::ptr::eq(r.0.as_ptr(), name.as_ptr()) && r.0.len() == name.len()
+    };
+    let i = rows
+        .iter()
+        .position(same_literal)
+        .or_else(|| rows.iter().position(|r| r.0 == name))
+        .unwrap_or_else(|| {
+            rows.push((name, T::default()));
+            rows.len() - 1
+        });
+    &mut rows[i].1
+}
+
+/// Observability state kept by every protocol node: dense tally rows
+/// (per-kind traffic, named counters, named histograms), an event tracer,
+/// and the three loose counters the transports bump directly.
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
-    reg: Registry,
+    kinds: Vec<(&'static str, Traffic)>,
+    counters: Vec<(&'static str, u64)>,
+    hists: Vec<(&'static str, LogHist)>,
     tracer: Tracer,
     /// Requests that expired in the pending table.
     pub timeouts: u64,
@@ -41,11 +72,11 @@ impl Metrics {
     /// The single kind-label counting helper: every sent/received tally —
     /// whole messages or bare kind labels — funnels through here.
     fn count_kind(&mut self, dir: Dir, kind: &'static str) {
-        let name = match dir {
-            Dir::Sent => "sent_total",
-            Dir::Received => "received_total",
-        };
-        self.reg.counter_inc(Key::new(name).label("kind", kind));
+        let traffic = row(&mut self.kinds, kind);
+        match dir {
+            Dir::Sent => traffic.0 += 1,
+            Dir::Received => traffic.1 += 1,
+        }
     }
 
     /// Record an outgoing message.
@@ -91,7 +122,7 @@ impl Metrics {
 
     /// Record a histogram sample (e.g. `route_hops`, `rtt_ms`).
     pub fn observe(&mut self, name: &'static str, v: u64) {
-        self.reg.observe(Key::new(name), v);
+        row(&mut self.hists, name).observe(v);
     }
 
     /// Bump an arbitrary unlabeled counter — for layers above Chord that
@@ -99,17 +130,24 @@ impl Metrics {
     /// with the layer stamp by [`Metrics::export_into`] like every other
     /// series.
     pub fn inc(&mut self, name: &'static str) {
-        self.reg.counter_inc(Key::new(name));
+        *row(&mut self.counters, name) += 1;
     }
 
-    /// Read back a counter bumped with [`Metrics::inc`].
+    /// Sum of every counter series named `name`: a counter bumped with
+    /// [`Metrics::inc`], or all kinds of `sent_total` / `received_total`.
     pub fn get(&self, name: &str) -> u64 {
-        self.reg.counter_sum(name)
-    }
-
-    /// The embedded metric registry (read-only view).
-    pub fn registry(&self) -> &Registry {
-        &self.reg
+        let named: u64 = self
+            .counters
+            .iter()
+            .filter(|(n, _)| *n == name)
+            .map(|(_, v)| v)
+            .sum();
+        let traffic: u64 = match name {
+            "sent_total" => self.kinds.iter().map(|(_, t)| t.0).sum(),
+            "received_total" => self.kinds.iter().map(|(_, t)| t.1).sum(),
+            _ => 0,
+        };
+        named + traffic
     }
 
     /// The embedded event tracer.
@@ -124,22 +162,29 @@ impl Metrics {
 
     /// Total messages sent.
     pub fn sent_total(&self) -> u64 {
-        self.reg.counter_sum("sent_total")
+        self.get("sent_total")
     }
 
     /// Total messages received.
     pub fn received_total(&self) -> u64 {
-        self.reg.counter_sum("received_total")
+        self.get("received_total")
+    }
+
+    fn traffic_of(&self, kind: &str) -> Traffic {
+        self.kinds
+            .iter()
+            .find(|(k, _)| *k == kind)
+            .map_or((0, 0), |(_, t)| *t)
     }
 
     /// Messages sent of a given kind.
     pub fn sent_of(&self, kind: &str) -> u64 {
-        self.reg.counter_with("sent_total", kind)
+        self.traffic_of(kind).0
     }
 
     /// Messages received of a given kind.
     pub fn received_of(&self, kind: &str) -> u64 {
-        self.reg.counter_with("received_total", kind)
+        self.traffic_of(kind).1
     }
 
     /// Sum of sent counts over `kinds`.
@@ -154,23 +199,26 @@ impl Metrics {
 
     /// Iterate `(kind, sent, received)` over every kind seen, sorted.
     pub fn by_kind(&self) -> Vec<(&'static str, u64, u64)> {
-        let mut rows: std::collections::BTreeMap<&'static str, (u64, u64)> =
-            std::collections::BTreeMap::new();
-        for (key, v) in self.reg.counters() {
-            let kind = key.labels[0].1;
-            match key.name {
-                "sent_total" => rows.entry(kind).or_default().0 += v,
-                "received_total" => rows.entry(kind).or_default().1 += v,
-                _ => {}
-            }
-        }
-        rows.into_iter().map(|(k, (s, r))| (k, s, r)).collect()
+        let mut rows: Vec<_> = self.kinds.iter().map(|&(k, (s, r))| (k, s, r)).collect();
+        rows.sort_unstable_by_key(|r| r.0);
+        rows
     }
 
-    /// Merge another metrics snapshot into this one (registries merge;
-    /// the other's trace buffer is left alone — traces are per-node).
+    /// Merge another metrics snapshot into this one (tallies add,
+    /// histograms merge; the other's trace buffer is left alone — traces
+    /// are per-node).
     pub fn merge(&mut self, other: &Metrics) {
-        self.reg.merge(&other.reg);
+        for &(kind, (sent, received)) in &other.kinds {
+            let traffic = row(&mut self.kinds, kind);
+            traffic.0 += sent;
+            traffic.1 += received;
+        }
+        for &(name, n) in &other.counters {
+            *row(&mut self.counters, name) += n;
+        }
+        for (name, h) in &other.hists {
+            row(&mut self.hists, name).merge(h);
+        }
         self.timeouts += other.timeouts;
         self.retransmits += other.retransmits;
         self.dropped += other.dropped;
@@ -178,30 +226,37 @@ impl Metrics {
 
     /// Reset every counter, histogram and the trace buffer.
     pub fn reset(&mut self) {
-        self.reg.reset();
+        self.kinds.clear();
+        self.counters.clear();
+        self.hists.clear();
         self.tracer.clear();
         self.timeouts = 0;
         self.retransmits = 0;
         self.dropped = 0;
     }
 
-    /// Fold this node's metrics into a wider registry, stamping every
-    /// series with `layer` (e.g. `chord`, `dat`) and materializing the
-    /// three loose counters as proper series.
+    /// Build this node's series into a wider registry, stamping every one
+    /// with `layer` (e.g. `chord`, `dat`) and materializing the three
+    /// loose counters as proper series. A kind that was only ever sent
+    /// (or only received) exports only that side.
     pub fn export_into(&self, out: &mut Registry, layer: &'static str) {
-        out.merge_labeled(&self.reg, "layer", layer);
-        out.counter_add(
-            Key::new("timeouts_total").label("layer", layer),
-            self.timeouts,
-        );
-        out.counter_add(
-            Key::new("retransmits_total").label("layer", layer),
-            self.retransmits,
-        );
-        out.counter_add(
-            Key::new("dropped_total").label("layer", layer),
-            self.dropped,
-        );
+        let stamped = |name: &'static str| Key::new(name).label("layer", layer);
+        for &(kind, (sent, received)) in &self.kinds {
+            for (name, n) in [("sent_total", sent), ("received_total", received)] {
+                if n > 0 {
+                    out.counter_add(Key::new(name).label("kind", kind).label("layer", layer), n);
+                }
+            }
+        }
+        for &(name, n) in &self.counters {
+            out.counter_add(stamped(name), n);
+        }
+        for (name, h) in &self.hists {
+            out.hist_merge(stamped(name), h);
+        }
+        out.counter_add(stamped("timeouts_total"), self.timeouts);
+        out.counter_add(stamped("retransmits_total"), self.retransmits);
+        out.counter_add(stamped("dropped_total"), self.dropped);
     }
 }
 
@@ -210,6 +265,8 @@ mod tests {
     use super::*;
     use crate::finger::{NodeAddr, NodeRef};
     use crate::id::Id;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn ping() -> ChordMsg {
         ChordMsg::Ping {
@@ -298,5 +355,118 @@ mod tests {
         assert_eq!(reg.counter_with("timeouts_total", "chord"), 2);
         assert_eq!(reg.hist_sum("rtt_ms").count(), 1);
         dat_obs::validate_prometheus(&reg.render_prometheus()).expect("valid dump");
+    }
+
+    /// Two copies of one literal need not share an address (another
+    /// crate, another codegen unit); contents decide, the pointer is only
+    /// the fast path.
+    #[test]
+    fn equal_names_at_different_addresses_share_one_row() {
+        let leaked: &'static str = Box::leak(String::from("dat_update").into_boxed_str());
+        assert!(!std::ptr::eq(leaked.as_ptr(), "dat_update".as_ptr()));
+        let mut m = Metrics::default();
+        for kind in ["dat_update", leaked, "dat_update", leaked] {
+            m.count_sent_kind(kind);
+            m.inc(kind);
+            m.observe(kind, 3);
+        }
+        m.count_received_kind(leaked);
+        assert_eq!(m.by_kind(), vec![("dat_update", 4, 1)]);
+        assert_eq!(m.get("dat_update"), 4);
+        let mut reg = Registry::new();
+        m.export_into(&mut reg, "dat");
+        let sent: Vec<_> = reg
+            .counters()
+            .filter(|(k, _)| k.name == "sent_total")
+            .collect();
+        assert_eq!(sent.len(), 1, "one exported series: {sent:?}");
+        assert_eq!(sent[0].1, 4);
+        assert_eq!(reg.hists().count(), 1);
+        assert_eq!(reg.hist_sum("dat_update").count(), 4);
+    }
+
+    const KINDS: [&str; 7] = [
+        "ping",
+        "pong",
+        "app",
+        "dat_update",
+        "notify",
+        "find_successor",
+        "route",
+    ];
+    const COUNTERS: [&str; 3] = ["proactive_reparents_total", "fenced_total", "sent_total"];
+    const HISTS: [&str; 2] = ["rtt_ms", "route_hops"];
+
+    /// A seeded random bump sequence over every kind of tally.
+    fn bumped(rng: &mut SmallRng) -> Metrics {
+        let mut m = Metrics::default();
+        for _ in 0..rng.random_range(0..200usize) {
+            let kind = KINDS[rng.random_range(0..KINDS.len())];
+            match rng.random_range(0..8u32) {
+                0 | 1 => m.count_sent_kind(kind),
+                2 => m.count_received_kind(kind),
+                3 => m.on_send(1, 9, kind, 2),
+                4 => m.on_recv(1, 9, kind, 2),
+                5 => m.inc(COUNTERS[rng.random_range(0..COUNTERS.len())]),
+                6 => m.observe(
+                    HISTS[rng.random_range(0..HISTS.len())],
+                    rng.random::<u64>() >> 40,
+                ),
+                _ => match rng.random_range(0..3u32) {
+                    0 => m.timeouts += 1,
+                    1 => m.retransmits += 1,
+                    _ => m.dropped += 1,
+                },
+            }
+        }
+        m
+    }
+
+    fn export(m: &Metrics) -> Registry {
+        let mut reg = Registry::new();
+        m.export_into(&mut reg, "chord");
+        reg
+    }
+
+    fn merged(a: &Metrics, b: &Metrics) -> Metrics {
+        let mut out = a.clone();
+        out.merge(b);
+        out
+    }
+
+    #[test]
+    fn merge_obeys_the_registry_laws() {
+        for seed in 0..64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (a, b, c) = (bumped(&mut rng), bumped(&mut rng), bumped(&mut rng));
+            let identity = Metrics::default();
+
+            assert_eq!(export(&merged(&a, &b)), export(&merged(&b, &a)), "commutes");
+            assert_eq!(
+                export(&merged(&merged(&a, &b), &c)),
+                export(&merged(&a, &merged(&b, &c))),
+                "associates"
+            );
+            assert_eq!(export(&merged(&a, &identity)), export(&a), "right identity");
+            assert_eq!(export(&merged(&identity, &a)), export(&a), "left identity");
+
+            // Exporting is a homomorphism: merge then export, or export
+            // then merge, is the same registry — and the same answers.
+            let mut regs = export(&a);
+            regs.merge(&export(&b));
+            let ab = merged(&a, &b);
+            assert_eq!(export(&ab), regs);
+            assert_eq!(ab.sent_total(), a.sent_total() + b.sent_total());
+            assert_eq!(ab.sent_total(), regs.counter_sum("sent_total"));
+            assert_eq!(
+                ab.received_of("ping"),
+                regs.counter_with("received_total", "ping")
+            );
+
+            let mut r = ab;
+            r.reset();
+            assert_eq!(export(&r), export(&identity), "reset is the identity");
+            assert!(r.by_kind().is_empty() && r.tracer().is_empty());
+        }
     }
 }

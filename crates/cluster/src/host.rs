@@ -99,7 +99,13 @@ impl<A: Actor> ClusterHost<A> {
             let (in_tx, in_rx) = mpsc::channel::<Control<A>>(cfg.inbox_capacity);
             let (out_tx, out_rx) = mpsc::channel::<(Vec<u8>, SocketAddr)>(cfg.outbox_capacity);
             inboxes.push(in_tx.clone());
-            io_tasks.push(runtime.spawn(reader_task(Arc::clone(sock), in_tx, Arc::clone(&core))));
+            // Allocated here, not inside the task: whichever worker polls
+            // a reader first would otherwise own its 64 KiB, and how a
+            // fleet's buffers split between the workers' malloc arenas
+            // differs from launch to launch.
+            let buf = vec![0u8; codec::MAX_FRAME];
+            let reader = reader_task(Arc::clone(sock), buf, in_tx, Arc::clone(&core));
+            io_tasks.push(runtime.spawn(reader));
             io_tasks.push(runtime.spawn(writer_task(Arc::clone(sock), out_rx, Arc::clone(&core))));
             let node = Node::new(actor, Arc::clone(&core));
             actor_tasks.push(runtime.spawn(actor_task(node, in_rx, out_tx, Arc::clone(&core))));
@@ -202,10 +208,10 @@ impl<A: Actor> ClusterHost<A> {
 /// Reader task: socket → classify → bounded inbox (shed on full).
 async fn reader_task<A: Actor>(
     sock: Arc<UdpSocket>,
+    mut buf: Vec<u8>,
     inbox: mpsc::Sender<Control<A>>,
     core: Arc<Core>,
 ) {
-    let mut buf = vec![0u8; codec::MAX_FRAME];
     while !core.stopped() {
         let Ok(outcome) = tokio::time::timeout(SOCKET_POLL, sock.recv_from(&mut buf)).await else {
             continue;

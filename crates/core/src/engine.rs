@@ -160,7 +160,7 @@ fn inbox_admit(policy: &InboxPolicy, busy_until_ms: &mut u64, now_ms: u64, capac
 pub struct Ctx<'a> {
     chord: &'a mut ChordNode,
     queue: &'a mut VecDeque<Output>,
-    sent: &'a mut HashMap<u8, u64>,
+    sent: &'a mut u64,
     proto: u8,
     now_ms: u64,
 }
@@ -206,7 +206,7 @@ impl Ctx<'_> {
     /// Send an application payload directly to `to`, tagged with this
     /// handler's proto byte.
     pub fn send(&mut self, to: NodeRef, payload: Vec<u8>) {
-        *self.sent.entry(self.proto).or_insert(0) += 1;
+        *self.sent += 1;
         let out = self.chord.send_app(to, self.proto, payload);
         self.queue.push_back(out);
     }
@@ -215,7 +215,7 @@ impl Ctx<'_> {
     /// prepends this handler's proto byte so the owner's engine can
     /// dispatch the payload back to the same protocol.
     pub fn route(&mut self, key: Id, payload: Vec<u8>) {
-        *self.sent.entry(self.proto).or_insert(0) += 1;
+        *self.sent += 1;
         let mut tagged = Vec::with_capacity(payload.len() + 1);
         tagged.push(self.proto);
         tagged.extend_from_slice(&payload);
@@ -321,6 +321,15 @@ pub trait AppProtocol: Send + 'static {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
+/// What the engine counts per registered handler: application payloads
+/// sent, dispatched and shed under its proto byte.
+#[derive(Clone, Copy, Debug, Default)]
+struct ProtoTally {
+    sent: u64,
+    received: u64,
+    shed: u64,
+}
+
 /// A protocol-stack node: one shared [`ChordNode`] plus any number of
 /// [`AppProtocol`] handlers, multiplexed by proto byte.
 ///
@@ -330,16 +339,14 @@ pub trait AppProtocol: Send + 'static {
 pub struct StackNode {
     chord: ChordNode,
     handlers: Vec<Box<dyn AppProtocol>>,
+    /// Per-handler payload tallies, parallel to `handlers`.
+    tallies: Vec<ProtoTally>,
     now_ms: u64,
-    sent_by_proto: HashMap<u8, u64>,
-    recv_by_proto: HashMap<u8, u64>,
     /// Backpressure model for application payloads (default: unbounded).
     inbox: InboxPolicy,
     /// Virtual-time horizon up to which the inbox is busy serving
     /// already-admitted payloads.
     inbox_busy_until_ms: u64,
-    /// Aggregation-class payloads shed per proto byte.
-    shed_by_proto: HashMap<u8, u64>,
     /// Stats requests shed (lowest priority class).
     stats_shed: u64,
     /// Poisoned-peer scoring policy for undecodable frames.
@@ -364,12 +371,10 @@ impl StackNode {
         StackNode {
             chord,
             handlers: Vec::new(),
+            tallies: Vec::new(),
             now_ms: 0,
-            sent_by_proto: HashMap::new(),
-            recv_by_proto: HashMap::new(),
             inbox: InboxPolicy::default(),
             inbox_busy_until_ms: 0,
-            shed_by_proto: HashMap::new(),
             stats_shed: 0,
             bad_frame_cfg: BadFrameConfig::default(),
             bad_frames_by_kind: [0; dat_chord::wire::ERROR_KINDS.len()],
@@ -431,9 +436,14 @@ impl StackNode {
         self.inbox
     }
 
+    /// The tally of `proto`'s handler (all zero when none is registered).
+    fn tally(&self, proto: u8) -> ProtoTally {
+        slot_of(&self.handlers, proto).map_or_else(ProtoTally::default, |i| self.tallies[i])
+    }
+
     /// Aggregation-class payloads shed so far for `proto`.
     pub fn shed_count(&self, proto: u8) -> u64 {
-        self.shed_by_proto.get(&proto).copied().unwrap_or(0)
+        self.tally(proto).shed
     }
 
     /// Stats requests shed so far.
@@ -450,6 +460,7 @@ impl StackNode {
             "proto byte {p} already registered on this StackNode"
         );
         self.handlers.push(Box::new(handler));
+        self.tallies.push(ProtoTally::default());
         self
     }
 
@@ -504,13 +515,13 @@ impl StackNode {
     /// `ChordMsg::App` sends; engine-tagged routed payloads are counted at
     /// the receiver instead, since routing hops are Chord traffic).
     pub fn proto_sent(&self, proto: u8) -> u64 {
-        self.sent_by_proto.get(&proto).copied().unwrap_or(0)
+        self.tally(proto).sent
     }
 
     /// Application payloads received and dispatched to `proto`'s handler
     /// (direct messages and engine-tagged routed payloads).
     pub fn proto_received(&self, proto: u8) -> u64 {
-        self.recv_by_proto.get(&proto).copied().unwrap_or(0)
+        self.tally(proto).received
     }
 
     /// Reset every counter on this node: the Chord-layer metrics, the
@@ -518,9 +529,7 @@ impl StackNode {
     /// experiment's warm-up phase, so steady state is measured alone).
     pub fn reset_metrics(&mut self) {
         self.chord.metrics_mut().reset();
-        self.sent_by_proto.clear();
-        self.recv_by_proto.clear();
-        self.shed_by_proto.clear();
+        self.tallies.fill(ProtoTally::default());
         self.stats_shed = 0;
         self.bad_frames_by_kind = [0; dat_chord::wire::ERROR_KINDS.len()];
         self.bad_peer_window.clear();
@@ -554,26 +563,19 @@ impl StackNode {
                 m.export_into(&mut reg, proto_label(h.proto()));
             }
         }
-        for (&p, &n) in &self.sent_by_proto {
-            reg.counter_add(
-                Key::new("engine_sent_total").label("layer", proto_label(p)),
-                n,
-            );
-        }
-        for (&p, &n) in &self.recv_by_proto {
-            reg.counter_add(
-                Key::new("engine_received_total").label("layer", proto_label(p)),
-                n,
-            );
-        }
-        // Shed counters exist (at zero) for every registered handler and
-        // for the stats class, so the series are visible before the first
+        // Sent / received series appear with their first payload; shed
+        // counters exist (at zero) for every registered handler and for
+        // the stats class, so the series are visible before the first
         // shed; health-plane counters come from the shared detector.
-        for h in &self.handlers {
-            reg.counter_add(
-                Key::new("engine_shed_total").label("layer", proto_label(h.proto())),
-                self.shed_count(h.proto()),
-            );
+        for (h, t) in self.handlers.iter().zip(&self.tallies) {
+            let stamped = |name| Key::new(name).label("layer", proto_label(h.proto()));
+            if t.sent > 0 {
+                reg.counter_add(stamped("engine_sent_total"), t.sent);
+            }
+            if t.received > 0 {
+                reg.counter_add(stamped("engine_received_total"), t.received);
+            }
+            reg.counter_add(stamped("engine_shed_total"), t.shed);
         }
         reg.counter_add(
             Key::new("engine_shed_total").label("layer", "stats"),
@@ -676,21 +678,21 @@ impl StackNode {
         let StackNode {
             chord,
             handlers,
+            tallies,
             now_ms,
-            sent_by_proto,
             ..
         } = self;
         let now = *now_ms;
         let mut queue = VecDeque::new();
         let mut result = None;
         let mut f = Some(f);
-        for h in handlers.iter_mut() {
+        for (h, t) in handlers.iter_mut().zip(tallies.iter_mut()) {
             let proto = h.proto();
             if let Some(p) = h.as_any_mut().downcast_mut::<P>() {
                 let mut cx = Ctx {
                     chord: &mut *chord,
                     queue: &mut queue,
-                    sent: &mut *sent_by_proto,
+                    sent: &mut t.sent,
                     proto,
                     now_ms: now,
                 };
@@ -736,17 +738,17 @@ impl StackNode {
         let StackNode {
             chord,
             handlers,
+            tallies,
             now_ms,
-            sent_by_proto,
             ..
         } = self;
         let mut queue = VecDeque::new();
-        for h in handlers.iter_mut() {
+        for (h, t) in handlers.iter_mut().zip(tallies.iter_mut()) {
             let proto = h.proto();
             let mut cx = Ctx {
                 chord: &mut *chord,
                 queue: &mut queue,
-                sent: &mut *sent_by_proto,
+                sent: &mut t.sent,
                 proto,
                 now_ms: *now_ms,
             };
@@ -879,12 +881,10 @@ impl StackNode {
         let StackNode {
             chord,
             handlers,
+            tallies,
             now_ms,
-            sent_by_proto,
-            recv_by_proto,
             inbox,
             inbox_busy_until_ms,
-            shed_by_proto,
             ..
         } = self;
         let now = *now_ms;
@@ -895,84 +895,79 @@ impl StackNode {
                 send @ Output::Send { .. } => pass.push(send),
                 Output::Upcall(up) => match up {
                     Upcall::Joined { id } => {
-                        fire(
-                            chord,
-                            handlers,
-                            now,
-                            &mut scan,
-                            sent_by_proto,
-                            None,
-                            |h, cx| h.on_start(cx),
-                        );
+                        fire(chord, handlers, tallies, now, &mut scan, None, |h, cx| {
+                            h.on_start(cx)
+                        });
                         pass.push(Output::Upcall(Upcall::Joined { id }));
                     }
                     Upcall::AppTimer(token) => {
                         let proto = (token >> PROTO_SHIFT) as u8;
                         let sub = token & SUB_MASK;
-                        let hit = fire(
-                            chord,
-                            handlers,
-                            now,
-                            &mut scan,
-                            sent_by_proto,
-                            Some(proto),
-                            |h, cx| h.on_timer(cx, sub),
-                        );
-                        if !hit {
-                            pass.push(Output::Upcall(Upcall::AppTimer(token)));
+                        match slot_of(handlers, proto) {
+                            Some(i) => {
+                                fire(
+                                    chord,
+                                    handlers,
+                                    tallies,
+                                    now,
+                                    &mut scan,
+                                    Some(i),
+                                    |h, cx| h.on_timer(cx, sub),
+                                );
+                            }
+                            None => pass.push(Output::Upcall(Upcall::AppTimer(token))),
                         }
                     }
                     Upcall::AppMessage {
                         proto,
                         from,
                         payload,
-                    } => {
-                        if handlers.iter().any(|h| h.proto() == proto) {
+                    } => match slot_of(handlers, proto) {
+                        Some(i) => {
                             if !inbox_admit(inbox, inbox_busy_until_ms, now, inbox.agg_capacity) {
-                                *shed_by_proto.entry(proto).or_insert(0) += 1;
+                                tallies[i].shed += 1;
                                 continue;
                             }
-                            *recv_by_proto.entry(proto).or_insert(0) += 1;
+                            tallies[i].received += 1;
                             fire(
                                 chord,
                                 handlers,
+                                tallies,
                                 now,
                                 &mut scan,
-                                sent_by_proto,
-                                Some(proto),
+                                Some(i),
                                 |h, cx| h.on_message(cx, from, &payload),
                             );
-                        } else {
-                            pass.push(Output::Upcall(Upcall::AppMessage {
-                                proto,
-                                from,
-                                payload,
-                            }));
                         }
-                    }
+                        None => pass.push(Output::Upcall(Upcall::AppMessage {
+                            proto,
+                            from,
+                            payload,
+                        })),
+                    },
                     Upcall::Routed {
                         key,
                         payload,
                         origin,
                         hops,
-                    } => match payload.split_first() {
-                        Some((&p, rest)) if handlers.iter().any(|h| h.proto() == p) => {
+                    } => match payload.first().and_then(|&p| slot_of(handlers, p)) {
+                        Some(i) => {
                             if !inbox_admit(inbox, inbox_busy_until_ms, now, inbox.agg_capacity) {
-                                *shed_by_proto.entry(p).or_insert(0) += 1;
+                                tallies[i].shed += 1;
                                 continue;
                             }
-                            *recv_by_proto.entry(p).or_insert(0) += 1;
+                            tallies[i].received += 1;
                             fire(
                                 chord,
                                 handlers,
+                                tallies,
                                 now,
                                 &mut scan,
-                                sent_by_proto,
-                                Some(p),
-                                |h, cx| h.on_routed(cx, key, origin, rest),
+                                Some(i),
+                                |h, cx| h.on_routed(cx, key, origin, &payload[1..]),
                             );
                         }
-                        _ => pass.push(Output::Upcall(Upcall::Routed {
+                        None => pass.push(Output::Upcall(Upcall::Routed {
                             key,
                             payload,
                             origin,
@@ -980,15 +975,9 @@ impl StackNode {
                         })),
                     },
                     Upcall::NeighborhoodChanged => {
-                        fire(
-                            chord,
-                            handlers,
-                            now,
-                            &mut scan,
-                            sent_by_proto,
-                            None,
-                            |h, cx| h.on_neighborhood_changed(cx),
-                        );
+                        fire(chord, handlers, tallies, now, &mut scan, None, |h, cx| {
+                            h.on_neighborhood_changed(cx)
+                        });
                         pass.push(Output::Upcall(Upcall::NeighborhoodChanged));
                     }
                     other => pass.push(Output::Upcall(other)),
@@ -1014,41 +1003,39 @@ impl Actor for StackNode {
     }
 }
 
-/// Invoke `f` on every handler (or only the one matching `proto`), each
-/// under a fresh [`Ctx`] feeding the shared scan queue. Returns whether any
-/// handler matched.
+/// Index of `proto`'s handler — and of its tally.
+fn slot_of(handlers: &[Box<dyn AppProtocol>], proto: u8) -> Option<usize> {
+    handlers.iter().position(|h| h.proto() == proto)
+}
+
+/// Invoke `f` on every handler (or only the one in slot `only`), each
+/// under a fresh [`Ctx`] feeding the shared scan queue and that handler's
+/// sent tally.
 fn fire<F>(
     chord: &mut ChordNode,
     handlers: &mut [Box<dyn AppProtocol>],
+    tallies: &mut [ProtoTally],
     now_ms: u64,
     scan: &mut VecDeque<Output>,
-    sent: &mut HashMap<u8, u64>,
-    proto: Option<u8>,
+    only: Option<usize>,
     mut f: F,
-) -> bool
-where
+) where
     F: FnMut(&mut dyn AppProtocol, &mut Ctx<'_>),
 {
-    let mut hit = false;
-    for h in handlers.iter_mut() {
-        let hp = h.proto();
-        if proto.is_some_and(|p| p != hp) {
-            continue;
-        }
+    let slots = match only {
+        Some(i) => i..i + 1,
+        None => 0..handlers.len(),
+    };
+    for (h, t) in handlers[slots.clone()].iter_mut().zip(&mut tallies[slots]) {
         let mut cx = Ctx {
             chord: &mut *chord,
             queue: &mut *scan,
-            sent: &mut *sent,
-            proto: hp,
+            sent: &mut t.sent,
+            proto: h.proto(),
             now_ms,
         };
         f(h.as_mut(), &mut cx);
-        hit = true;
-        if proto.is_some() {
-            break;
-        }
     }
-    hit
 }
 
 #[cfg(test)]

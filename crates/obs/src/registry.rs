@@ -9,10 +9,13 @@ use crate::hist::LogHist;
 /// Identity of one metric series: a static name plus up to two static
 /// `(label, value)` pairs. Unused label slots stay `("", "")`.
 ///
-/// Keeping everything `&'static str` makes the hot path (one `BTreeMap`
-/// probe, no allocation) cheap enough for per-message counting in
-/// 8192-node sim runs, and `Ord` on string contents makes every render
-/// and merge deterministic.
+/// Keeping everything `&'static str` means building a key allocates
+/// nothing, and `Ord` on string contents makes every render and merge
+/// deterministic. It also makes a bump one `BTreeMap` probe over 80-byte
+/// keys compared by contents — ~220 ns once the map is cold, several
+/// times what delivering a simulated message costs — so the registry is
+/// the scrape-time format: per-message counting happens in
+/// `dat_chord::Metrics`' dense rows and lands here via `export_into`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Key {
     /// Metric name, e.g. `sent_total`.
@@ -30,8 +33,10 @@ impl Key {
         }
     }
 
-    /// Attach a label pair in the first free slot (silently ignored when
-    /// both slots are taken — two labels are all the stack ever needs).
+    /// Attach a label pair in the first free slot. Two labels are all the
+    /// stack ever needs; a third is a bug — it would fold series that
+    /// differ only in that label into one — so debug builds panic (release
+    /// builds drop the pair).
     pub fn label(mut self, k: &'static str, v: &'static str) -> Self {
         for slot in self.labels.iter_mut() {
             if slot.0.is_empty() {
@@ -39,6 +44,7 @@ impl Key {
                 return self;
             }
         }
+        debug_assert!(false, "no free label slot for {k}={v:?} on {self:?}");
         self
     }
 
@@ -77,9 +83,8 @@ impl Key {
 ///
 /// Per-node registries are merged into fleet registries with
 /// [`Registry::merge`] (counters add, gauges take the max, histograms
-/// merge element-wise), and layered stacks fold per-layer registries in
-/// with [`Registry::merge_labeled`], which stamps a `layer` label on every
-/// incoming series so `chord` and `dat` traffic stay distinguishable.
+/// merge element-wise); layered stacks export each layer's tallies under
+/// a `layer` label so `chord` and `dat` traffic stay distinguishable.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Registry {
     counters: BTreeMap<Key, u64>,
@@ -142,6 +147,11 @@ impl Registry {
         self.hists.entry(key).or_default().observe(v);
     }
 
+    /// Fold a whole histogram into a series (creating it empty).
+    pub fn hist_merge(&mut self, key: Key, h: &LogHist) {
+        self.hists.entry(key).or_default().merge(h);
+    }
+
     /// One histogram series, if present.
     pub fn hist(&self, key: &Key) -> Option<&LogHist> {
         self.hists.get(key)
@@ -182,36 +192,14 @@ impl Registry {
     /// [`Registry::new`].
     pub fn merge(&mut self, other: &Registry) {
         for (k, v) in &other.counters {
-            *self.counters.entry(*k).or_insert(0) += v;
+            self.counter_add(*k, *v);
         }
         for (k, v) in &other.gauges {
             let g = self.gauges.entry(*k).or_insert(f64::NEG_INFINITY);
             *g = g.max(*v);
         }
         for (k, h) in &other.hists {
-            self.hists.entry(*k).or_default().merge(h);
-        }
-    }
-
-    /// Like [`Registry::merge`], but stamp `(label, value)` on every
-    /// incoming series first (used to tag a layer's metrics when folding a
-    /// protocol stack into one registry).
-    pub fn merge_labeled(&mut self, other: &Registry, label: &'static str, value: &'static str) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.label(label, value)).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            let g = self
-                .gauges
-                .entry(k.label(label, value))
-                .or_insert(f64::NEG_INFINITY);
-            *g = g.max(*v);
-        }
-        for (k, h) in &other.hists {
-            self.hists
-                .entry(k.label(label, value))
-                .or_default()
-                .merge(h);
+            self.hist_merge(*k, h);
         }
     }
 
@@ -369,11 +357,18 @@ mod tests {
     }
 
     #[test]
-    fn merge_labeled_stamps_layer() {
-        let mut fleet = Registry::new();
-        fleet.merge_labeled(&filled(), "layer", "chord");
-        assert_eq!(fleet.counter_with("sent_total", "chord"), 5);
-        assert_eq!(fleet.counter_with("sent_total", "ping"), 3);
+    fn third_label_is_a_bug() {
+        let full = Key::new("sent_total")
+            .label("kind", "ping")
+            .label("layer", "chord");
+        let third = std::panic::catch_unwind(|| full.label("shard", "3"));
+        if cfg!(debug_assertions) {
+            let msg = third.expect_err("a third label must panic in debug builds");
+            let msg = msg.downcast_ref::<String>().expect("formatted message");
+            assert!(msg.contains("sent_total") && msg.contains("shard"), "{msg}");
+        } else {
+            assert_eq!(third.ok(), Some(full), "release: the pair is dropped");
+        }
     }
 
     #[test]

@@ -207,6 +207,9 @@ pub fn digest_events<'a>(events: impl Iterator<Item = &'a Event>) -> u64 {
 ///
 /// Recording is O(1); when the ring is full the oldest event is evicted
 /// and counted in [`Tracer::dropped`]. Disabled tracers record nothing.
+/// The ring starts without heap and grows with what is recorded: every
+/// layer of every node owns a tracer, and many of them (quiet handlers,
+/// fleets run with tracing off) record little or nothing.
 #[derive(Clone, Debug)]
 pub struct Tracer {
     ring: VecDeque<Event>,
@@ -227,10 +230,10 @@ impl Default for Tracer {
 }
 
 impl Tracer {
-    /// A tracer holding at most `cap` events.
+    /// A tracer holding at most `cap` events (no heap until the first).
     pub fn new(cap: usize) -> Self {
         Tracer {
-            ring: VecDeque::with_capacity(cap.min(1024)),
+            ring: VecDeque::new(),
             cap: cap.max(1),
             lts: 0,
             dropped: 0,
@@ -351,5 +354,26 @@ mod tests {
         t.set_enabled(false);
         t.record(9, 0, EventKind::Timer { token: 9 });
         assert_eq!(t.len(), 3, "disabled tracer records nothing");
+    }
+
+    #[test]
+    fn ring_holds_no_heap_until_it_records() {
+        let mut t = Tracer::default();
+        assert_eq!(t.ring.capacity(), 0, "a fresh tracer holds no heap");
+        t.set_enabled(false);
+        t.record(1, 0, EventKind::Timer { token: 1 });
+        assert_eq!(t.ring.capacity(), 0, "nor does a disabled one");
+        t.set_enabled(true);
+        for i in 0..DEFAULT_TRACE_CAP as u64 {
+            t.record(i, 0, EventKind::Timer { token: i });
+        }
+        assert_eq!((t.len(), t.dropped()), (DEFAULT_TRACE_CAP, 0));
+        let room = t.ring.capacity();
+        assert!(room >= DEFAULT_TRACE_CAP);
+        // The 257th event evicts the first; the ring never grows past cap.
+        t.record(999, 0, EventKind::Timer { token: 999 });
+        assert_eq!((t.len(), t.dropped()), (DEFAULT_TRACE_CAP, 1));
+        assert_eq!(t.events().next().map(|e| e.lts), Some(2));
+        assert_eq!(t.ring.capacity(), room);
     }
 }

@@ -20,7 +20,9 @@ echo "==> clippy: unwrap_used denied in self-healing + observability + health mo
 # panic a 1k-node fleet, and the multi-core engine (PR 10) must never
 # panic a worker thread mid-barrier (a poisoned barrier deadlocks the
 # other shards), and the real-socket host core (PR 12) must never panic
-# a node's only thread or task; the modules opt in via
+# a node's only thread or task, and the per-message tallies (PR 13:
+# chord::Metrics, bumped on every send and receive of every layer) must
+# never panic the message path; the modules opt in via
 # #![deny(clippy::unwrap_used)] and this check keeps the attribute from
 # being dropped silently.
 for f in crates/sim/src/soak.rs crates/bench/src/experiments/degradation.rs \
@@ -30,7 +32,7 @@ for f in crates/sim/src/soak.rs crates/bench/src/experiments/degradation.rs \
          crates/sim/src/fuzz.rs crates/sim/src/corrupt.rs \
          crates/cluster/src/lib.rs crates/cluster/src/bin/clusterd.rs \
          crates/cluster/src/bin/clusterbench.rs crates/sim/src/shard.rs \
-         crates/chord/src/host.rs; do
+         crates/chord/src/host.rs crates/chord/src/metrics.rs; do
   grep -q '#!\[deny(clippy::unwrap_used)\]' "$f" \
     || { echo "missing #![deny(clippy::unwrap_used)] in $f"; exit 1; }
 done
@@ -147,6 +149,16 @@ echo "==> cluster smoke: 64 real UDP nodes through the tokio host"
 # committed BENCH_cluster.json (see clusterbench).
 cargo run --release -p dat-cluster --bin clusterd -- \
   --nodes "${CLUSTER_SMOKE_NODES:-64}" --epochs 6 --epoch-ms 500 --quiet
+
+echo "==> benchmark build: benchmark/ compiles against the workspace, lock and spec exact"
+# benchmark/ is its own workspace with a committed Cargo.lock and path
+# deps on crates/*; the driver builds it --offline from a clean checkout.
+# `spec` builds the package and prints BENCHMARK.json's source; a crate
+# that grew a dependency or renamed something the benchmark calls fails
+# the build, one that moved the lock fails the diff.
+bash benchmark/run.sh spec >/dev/null
+git diff --exit-code -- benchmark/Cargo.lock BENCHMARK.json \
+  || { echo "building the benchmark changed its lock file or BENCHMARK.json"; exit 1; }
 
 echo "==> examples build"
 cargo build --release --examples

@@ -269,3 +269,115 @@ fn stats_are_served_over_udp() {
     assert!(samples > 10);
     assert!(text.contains("layer=\"dat\""));
 }
+
+/// The exposition is pinned, not just parseable: a seeded 64-node DAT +
+/// MAAN run (two continuous keys, one discovery, ten epochs, default Chord
+/// maintenance timers) must render byte-for-byte the dump — and fold to
+/// the per-kind rows — that the registry-backed `Metrics` of PR 12
+/// produced. Catches a `sent_total{kind="x"} 0` line for a kind that was
+/// only ever received, a lost `layer` stamp, or an empty histogram.
+#[test]
+fn fleet_exposition_is_pinned() {
+    use libdat::chord::Metrics;
+    use libdat::maan::{MaanProtocol, MaanStack, Resource};
+
+    const N: usize = 64;
+    let space = IdSpace::new(32);
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(0xE4B0);
+    let ring = StaticRing::build(space, N, IdPolicy::Probed, &mut rng);
+    let ccfg = ChordConfig {
+        space,
+        ..ChordConfig::default()
+    };
+    let dcfg = DatConfig {
+        scheme: RoutingScheme::Balanced,
+        epoch_ms: 1_000,
+        d0_hint: Some(ring.d0()),
+        ..DatConfig::default()
+    };
+    let mut net = libdat::sim::harness::prestabilized_stack(&ring, ccfg, 0xE4B0, |_, id, addr| {
+        StackNode::new(ccfg, id, addr)
+            .with_app(DatProtocol::new(dcfg))
+            .with_app(MaanProtocol::new(libdat::monitor::grid_schemas()))
+    });
+    net.set_record_upcalls(false);
+    let book = addr_book(&ring);
+    for (i, &id) in ring.ids().iter().enumerate() {
+        let node = net.node_mut(book[&id]).unwrap();
+        let cpu = node.register("cpu-usage", AggregationMode::Continuous);
+        node.set_local(cpu, i as f64);
+        let mem = node.register("mem-free", AggregationMode::Continuous);
+        node.set_local(mem, (N - i) as f64);
+    }
+    for j in 0..8usize {
+        let res = Resource::new(&format!("grid://host-{j:02}")).with("cpu-speed", j as f64 * 0.5);
+        let origin = book[&ring.ids()[(j * 8) % N]];
+        net.with_node(origin, |n| ((), n.maan_register(&res)))
+            .unwrap();
+    }
+    net.run_for(5_000);
+    net.with_node(book[&ring.ids()[N / 2]], |n| {
+        n.maan_range_query("cpu-speed", 1.0, 3.0)
+    })
+    .unwrap();
+    net.run_for(5_500);
+
+    // Peak RSS is the one host-dependent series in the fleet dump.
+    let text: String = libdat::sim::fleet_prometheus(&net)
+        .lines()
+        .filter(|l| !l.contains("sim_peak_rss_mib"))
+        .flat_map(|l| [l, "\n"])
+        .collect();
+    validate_prometheus(&text).expect("fleet dump parses");
+
+    let mut chord = Metrics::default();
+    let mut dat = Metrics::default();
+    let mut maan = Metrics::default();
+    for (_, node) in net.iter_nodes() {
+        chord.merge(node.chord_metrics());
+        dat.merge(node.app::<DatProtocol>().metrics());
+        maan.merge(node.app::<MaanProtocol>().metrics());
+    }
+    assert_eq!(
+        chord.by_kind(),
+        vec![
+            ("app", 1323, 1323),
+            ("find_successor", 2128, 2064),
+            ("found_successor", 1984, 1984),
+            ("get_neighbors", 1984, 1920),
+            ("neighbors", 1920, 1920),
+            ("notify", 1280, 1280),
+            ("ping", 1792, 1792),
+            ("pong", 1792, 1792),
+            ("route", 36, 36),
+        ]
+    );
+    // `dat_parent_ping` is one-sided on purpose: the DAT layer counts the
+    // send, the Chord layer answers the ping.
+    assert_eq!(
+        dat.by_kind(),
+        vec![
+            ("dat_parent_ping", 640, 0),
+            ("dat_root_state", 40, 40),
+            ("dat_update", 1260, 1260),
+        ]
+    );
+    assert_eq!(
+        maan.by_kind(),
+        vec![
+            ("maan_done", 1, 1),
+            ("maan_hits", 5, 5),
+            ("maan_range_query", 18, 18),
+            ("maan_register", 7, 7),
+        ]
+    );
+    assert_eq!(text.lines().count(), 108, "exposition line count:\n{text}");
+    assert!(text.contains("sent_total{kind=\"dat_parent_ping\",layer=\"dat\"} 640"));
+    assert!(!text.contains("kind=\"dat_parent_ping\",layer=\"dat\"} 0"));
+    assert!(text.contains("rtt_ms_count{layer=\"chord\"} 5696"));
+    assert_eq!(
+        libdat::obs::fnv1a(text.as_bytes()),
+        0x5100_d56f_638a_76ff,
+        "fleet exposition bytes changed:\n{text}"
+    );
+}
