@@ -7,8 +7,7 @@
 //!          [--budget-s N] [--out BENCH_sim.json] [--quiet]
 //! ```
 //!
-//! Runs one maintenance epoch per size on the single-core `SimNet`
-//! engine (`"shards": 0` in the report), ascending by size so the
+//! Runs one maintenance epoch per size, ascending by size so the
 //! process's peak RSS reflects each size's own footprint, and
 //! writes a machine-readable JSON report. `--budget-s` stops the sweep
 //! once total wall time exceeds the budget (remaining sizes are recorded
@@ -17,8 +16,8 @@
 //! `--sizes 1048576 --budget-s 0`; it is documented offline rather than
 //! run in CI.
 //!
-//! `--shards` adds a multi-core sweep per size: each listed shard count
-//! drives the `ShardedNet` engine over the same seeded workload. The
+//! `--shards` sweeps the engine's shard count per size (default: `1`,
+//! the calling thread; `0` means `1`) over the same seeded workload. The
 //! 1-shard run (inserted automatically if absent) is the baseline: every
 //! other shard count must reproduce its digest bit for bit — any
 //! divergence is a determinism bug and exits non-zero — and its wall
@@ -44,7 +43,7 @@ fn parse_opts() -> Opts {
     let mut o = Opts {
         sizes: vec![8_192, 65_536, 262_144],
         virtual_ms: 10_000,
-        shards: Vec::new(),
+        shards: vec![1],
         budget_s: 0, // 0 = unbounded
         out: "BENCH_sim.json".into(),
         quiet: false,
@@ -84,10 +83,11 @@ fn parse_opts() -> Opts {
                 o.shards = val(&mut i)
                     .split(',')
                     .map(|s| {
-                        s.trim().parse().unwrap_or_else(|_| {
+                        let count: usize = s.trim().parse().unwrap_or_else(|_| {
                             eprintln!("bad shard count `{s}`");
                             std::process::exit(2);
-                        })
+                        });
+                        count.max(1)
                     })
                     .collect();
             }
@@ -109,7 +109,7 @@ fn parse_opts() -> Opts {
     o.sizes.sort_unstable();
     o.shards.sort_unstable();
     o.shards.dedup();
-    if o.shards.first().is_some_and(|&s| s != 1) {
+    if o.shards.first() != Some(&1) {
         // The 1-shard run is both the digest baseline and the speedup
         // denominator; a sweep without it cannot be checked.
         o.shards.insert(0, 1);
@@ -117,7 +117,7 @@ fn parse_opts() -> Opts {
     o
 }
 
-fn json_entry(r: &ScaleReport, speedup_vs_1shard: Option<f64>) -> String {
+fn json_entry(r: &ScaleReport, speedup_vs_1shard: f64) -> String {
     format!(
         "    {{\"n\": {}, \"shards\": {}, \
          \"virtual_ms\": {}, \
@@ -125,7 +125,7 @@ fn json_entry(r: &ScaleReport, speedup_vs_1shard: Option<f64>) -> String {
          \"events_per_sec\": {:.0}, \"ns_per_event\": {:.1}, \
          \"dropped\": {}, \"clamped\": {}, \"backlog\": {}, \
          \"peak_rss_mib\": {}, \"digest\": \"{:016x}\", \
-         \"speedup_vs_1shard\": {}}}",
+         \"speedup_vs_1shard\": {speedup_vs_1shard:.2}}}",
         r.n,
         r.shards,
         r.virtual_ms,
@@ -142,10 +142,6 @@ fn json_entry(r: &ScaleReport, speedup_vs_1shard: Option<f64>) -> String {
             None => "null".into(),
         },
         r.digest,
-        match speedup_vs_1shard {
-            Some(s) => format!("{s:.2}"),
-            None => "null".into(),
-        }
     )
 }
 
@@ -155,31 +151,6 @@ fn main() {
     let mut entries: Vec<String> = Vec::new();
     let mut skipped: Vec<String> = Vec::new();
     for &n in &o.sizes {
-        if o.budget_s > 0 && started.elapsed().as_secs() >= o.budget_s {
-            skipped.push(format!("{{\"n\": {n}, \"shards\": 0}}"));
-            if !o.quiet {
-                eprintln!("[simbench] budget exhausted; skipping n={n}");
-            }
-        } else {
-            if !o.quiet {
-                eprintln!("[simbench] n={n} ...");
-            }
-            let r = run_scale(ScaleConfig {
-                n,
-                virtual_ms: o.virtual_ms,
-                ..ScaleConfig::default()
-            });
-            if !o.quiet {
-                eprintln!("[simbench]   {}", r.summary());
-            }
-            if r.clamped > 0 {
-                eprintln!(
-                    "[simbench] WARNING: {} past-scheduled events clamped at n={n}",
-                    r.clamped
-                );
-            }
-            entries.push(json_entry(&r, None));
-        }
         let mut base: Option<ScaleReport> = None;
         for &s in &o.shards {
             if o.budget_s > 0 && started.elapsed().as_secs() >= o.budget_s {
@@ -223,7 +194,7 @@ fn main() {
                 }
                 None => 1.0,
             };
-            entries.push(json_entry(&r, Some(speedup)));
+            entries.push(json_entry(&r, speedup));
             if base.is_none() {
                 base = Some(r);
             }

@@ -18,7 +18,7 @@
 //!   payload traffic, so experiments can compare *maintenance* overhead
 //!   against the implicit DAT's zero.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use dat_chord::{Id, Metrics, NodeRef, NodeStatus};
 
@@ -221,7 +221,9 @@ pub struct ExplicitProtocol {
     parent: Option<NodeRef>,
     /// Parent heartbeats missed (from the child's perspective).
     parent_missed: u32,
-    children: HashMap<Id, ChildState>,
+    /// Ordered by id: the merge order of float partials and the fan-out
+    /// order of `LeaveTree` are part of the node's observable output.
+    children: BTreeMap<Id, ChildState>,
     local: Option<f64>,
     epoch: u64,
     timers: HashMap<u64, ExpTimer>,
@@ -240,7 +242,7 @@ impl ExplicitProtocol {
             key,
             parent: None,
             parent_missed: 0,
-            children: HashMap::new(),
+            children: BTreeMap::new(),
             local: None,
             epoch: 0,
             timers: HashMap::new(),
@@ -343,8 +345,8 @@ impl ExplicitProtocol {
                     let target = self
                         .children
                         .values()
+                        .next()
                         .map(|c| c.node)
-                        .min_by_key(|n| n.id)
                         .expect("full node has children");
                     let fwd = ExpMsg::JoinTree { key, joiner };
                     self.metrics.count_sent_kind(fwd.kind());

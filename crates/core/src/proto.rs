@@ -23,7 +23,7 @@
 //! the node, but now compose with any other stacked protocol.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 
 use dat_chord::{
     estimate_d0, hash_to_id, parent_for, ring_size_for_d0, FingerTable, Id, Metrics, NodeAddr,
@@ -154,7 +154,9 @@ pub struct AggregationEntry {
     /// (e.g. its site name).
     local_items: Vec<Vec<u8>>,
     /// Freshest partial per child id, with the *local* epoch it arrived in.
-    children: HashMap<Id, (AggPartial, u64)>,
+    /// Ordered: walks of this map decide float merge order, which children
+    /// the failure detector is consulted about, and replica byte order.
+    children: BTreeMap<Id, (AggPartial, u64)>,
     /// Last epoch whose partial has been pushed up / reported.
     flushed_epoch: u64,
     /// Root stickiness: we keep acting as the root through this epoch while
@@ -169,7 +171,7 @@ pub struct AggregationEntry {
     /// prunes travel over the same lossy links as everything else).
     prune_old: Option<(NodeRef, u8)>,
     /// (Root, centralized mode) freshest raw sample per node id.
-    raw: HashMap<Id, (f64, u64)>,
+    raw: BTreeMap<Id, (f64, u64)>,
     /// Highest report-fence sequence observed for this key, either emitted
     /// by this node as root or carried by a replicated
     /// [`DatMsg::RootState`].
@@ -470,12 +472,12 @@ impl DatProtocol {
             histogram,
             distinct_p: None,
             local_items: Vec::new(),
-            children: HashMap::new(),
+            children: BTreeMap::new(),
             flushed_epoch: 0,
             root_until: 0,
             last_parent: None,
             prune_old: None,
-            raw: HashMap::new(),
+            raw: BTreeMap::new(),
             fence_seq: 0,
             fence_root: None,
             replica: None,

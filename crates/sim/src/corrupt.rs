@@ -14,8 +14,8 @@
 //!   the codec (surfacing as a `BadFrame` and counted in
 //!   `bad_frames_total`) or decodes to a valid frame; nothing panics.
 //! * **Degradation is visible and heals.** Completeness dips below 1.0
-//!   while a tree link is being jammed, and returns to full coverage in
-//!   the quiesce tail.
+//!   (or the root publishes nothing for a whole epoch) while a tree link
+//!   is being jammed, and returns to full coverage in the quiesce tail.
 //! * **Poisoned peers are quarantined — and released.** A sustained
 //!   corruption burst on one link must walk the victim through bad-frame
 //!   scoring → suspicion → flap-damping quarantine, and the quarantined
@@ -124,7 +124,8 @@ pub struct CorruptOutcome {
     pub rejected: u64,
     /// Mutated frames that still decoded.
     pub passed: u64,
-    /// Lowest coverage ratio while faults were live.
+    /// Lowest coverage ratio while faults were live; an epoch that passed
+    /// with no root report at all counts as zero.
     pub min_ratio_during_faults: f64,
     /// Coverage ratio of the final report.
     pub final_ratio: f64,
@@ -138,10 +139,31 @@ pub struct CorruptOutcome {
     pub fleet_rejoins: u64,
 }
 
+/// Lowest coverage a reader of the root's feed (`(drain ms, ratio)` per
+/// report) saw over the epoch slots of `[from_ms, to_ms)`: zero for a slot
+/// nobody published in. A root that loses its predecessor to quarantine
+/// stands down; that silence is the deepest dip, not an unscored one.
+fn min_slot_ratio(feed: &[(u64, f64)], epoch_ms: u64, from_ms: u64, to_ms: u64) -> f64 {
+    let epoch_ms = epoch_ms.max(1);
+    let ratio_in = |slot: u64| {
+        let published = feed.iter().filter(|(t_ms, _)| t_ms / epoch_ms == slot);
+        published.map(|(_, ratio)| *ratio).reduce(f64::min)
+    };
+    (from_ms / epoch_ms..to_ms / epoch_ms)
+        .map(|slot| ratio_in(slot).unwrap_or(0.0))
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Run one corruption soak: pre-stabilized ring, deterministic victim
 /// selection from the implicit DAT, noise + jam + poison episodes,
 /// scored tail.
 pub fn run_corrupt(cfg: &CorruptConfig) -> CorruptOutcome {
+    run_corrupt_on(cfg, 1)
+}
+
+/// [`run_corrupt`] on `shards` engine shards; the outcome does not depend
+/// on the count.
+fn run_corrupt_on(cfg: &CorruptConfig, shards: usize) -> CorruptOutcome {
     let space = IdSpace::new(cfg.space_bits);
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let ring = StaticRing::build(space, cfg.nodes, IdPolicy::Probed, &mut rng);
@@ -163,6 +185,7 @@ pub fn run_corrupt(cfg: &CorruptConfig) -> CorruptOutcome {
         ..DatConfig::default()
     };
     let mut net: SimNet<StackNode> = prestabilized_dat(&ring, ccfg, dcfg, cfg.seed);
+    net.set_shards(shards);
     net.set_record_upcalls(false);
     let book = addr_book(&ring);
     let key = dat_chord::hash_to_id(space, CORRUPT_ATTR.as_bytes());
@@ -261,7 +284,6 @@ pub fn run_corrupt(cfg: &CorruptConfig) -> CorruptOutcome {
     let total = cfg.total_ms();
     let step = (cfg.epoch_ms / 2).max(1);
     let mut log: Vec<SoakReport> = Vec::new();
-    let mut exact = 0u64;
     let mut wrong: Vec<String> = Vec::new();
     let cached_addrs = net.addrs();
     while net.now().as_millis() < total {
@@ -290,9 +312,7 @@ pub fn run_corrupt(cfg: &CorruptConfig) -> CorruptOutcome {
                     let sum_ok = (partial.sum - want).abs() < 1e-9;
                     let range_ok = partial.count == 0
                         || (partial.min == CORRUPT_VALUE && partial.max == CORRUPT_VALUE);
-                    if sum_ok && range_ok {
-                        exact += 1;
-                    } else if wrong.len() < 8 {
+                    if !(sum_ok && range_ok) && wrong.len() < 8 {
                         wrong.push(format!(
                             "seed {}: SILENTLY WRONG report at {t} ms (epoch {epoch}): \
                              sum {} for {} contributors (want {want}), min {} max {}",
@@ -369,12 +389,9 @@ pub fn run_corrupt(cfg: &CorruptConfig) -> CorruptOutcome {
         violations.push(format!("seed {seed}: too few reports after warmup"));
     }
 
-    // Degradation visible while the jam was live…
-    let min_ratio_during_faults = log
-        .iter()
-        .filter(|r| r.t_ms >= jam_at && r.t_ms < faults_end)
-        .map(|r| r.completeness.ratio)
-        .fold(f64::INFINITY, f64::min);
+    // Degradation visible while the faults were live…
+    let feed: Vec<(u64, f64)> = log.iter().map(|r| (r.t_ms, r.completeness.ratio)).collect();
+    let min_ratio_during_faults = min_slot_ratio(&feed, cfg.epoch_ms, jam_at, faults_end);
     if min_ratio_during_faults >= 1.0 {
         violations.push(format!(
             "seed {seed}: completeness never dipped below 1.0 — jamming the biggest \
@@ -411,7 +428,6 @@ pub fn run_corrupt(cfg: &CorruptConfig) -> CorruptOutcome {
         None => violations.push(format!("seed {seed}: poison victim vanished")),
     }
 
-    let _ = exact;
     CorruptOutcome {
         seed,
         digest,
@@ -445,6 +461,19 @@ mod tests {
         assert_eq!(cfg.total_ms(), end + cfg.quiesce_ms);
     }
 
+    #[test]
+    fn a_slot_with_no_report_scores_zero() {
+        let score = |feed: &[(u64, f64)]| min_slot_ratio(feed, 5_000, 10_000, 30_000);
+        // One report per slot, drained on time or a half-epoch step late;
+        // reports outside the window do not score.
+        let full = [(10_000, 1.0), (17_500, 1.0), (22_500, 1.0), (25_000, 1.0)];
+        assert_eq!(score(&full), 1.0);
+        assert_eq!(score(&[&full[..], &[(32_500, 0.5)]].concat()), 1.0);
+        assert_eq!(score(&[&full[..], &[(27_500, 0.75)]].concat()), 0.75);
+        // Slot 4 (20-25 s) passes with nothing published.
+        assert_eq!(score(&[(10_000, 1.0), (17_500, 1.0), (25_000, 1.0)]), 0.0);
+    }
+
     /// Two identically-seeded runs must inject the identical schedule,
     /// mutate the identical frames, and observe the identical report log.
     /// (Full invariant runs live in tests/corruption_soak.rs.)
@@ -472,5 +501,23 @@ mod tests {
             assert_eq!(x.completeness.contributors, y.completeness.contributors);
         }
         assert!(a.injected > 0, "short run still injects corruption");
+    }
+
+    /// Every mutation coin and damaged byte comes from the receiving
+    /// node's stream, so four worker threads corrupt the same frames the
+    /// same way as one, for the seeds CI scores.
+    #[test]
+    fn corrupt_run_is_shard_count_invariant() {
+        for seed in [1, 2, 3] {
+            let cfg = CorruptConfig {
+                seed,
+                ..CorruptConfig::default()
+            };
+            assert_eq!(
+                format!("{:?}", run_corrupt_on(&cfg, 4)),
+                format!("{:?}", run_corrupt_on(&cfg, 1)),
+                "seed {seed}: the shard count changed the corruption soak"
+            );
+        }
     }
 }

@@ -3,17 +3,23 @@
 //! A [`FaultPlan`] is a declarative schedule of fault events in virtual
 //! time: network partitions and their heals, per-link loss/latency
 //! overrides, bounded flaky-link episodes, message duplication, node
-//! crashes and restarts. [`crate::SimNet::set_fault_plan`] turns the plan
-//! into ordinary queue events, so the schedule replays identically for a
-//! given seed — the *only* randomness consumed (per-link drop coins,
-//! duplication coins) comes from the engine's seeded generator, and none
-//! at all is drawn when no plan is installed. [`FaultPlan::digest`] hashes
+//! crashes and restarts. The engine cuts every run at the plan's event
+//! times and applies each event on the calling thread *between* two run
+//! segments, so a fault at `T` fires before every protocol event at `T`
+//! for any shard count, and the worker threads only ever read the
+//! controller. The schedule replays identically for a given seed — the
+//! *only* randomness consumed (per-link drop coins, duplication coins,
+//! corruption draws) comes from the private stream of the node being
+//! processed, and none at all is drawn when no plan is installed.
+//! [`FaultPlan::digest`] hashes
 //! a canonical byte encoding of the schedule, which is what the
 //! reproducibility tests compare across runs.
 
 use std::collections::{HashMap, HashSet};
 
 use dat_chord::NodeAddr;
+use rand::rngs::SmallRng;
+use rand::Rng;
 
 use crate::time::SimTime;
 
@@ -54,6 +60,44 @@ impl CorruptMode {
             CorruptMode::Truncate => 1,
             CorruptMode::Garbage => 2,
             CorruptMode::TagRewrite => 3,
+        }
+    }
+
+    /// Damage an encoded frame in place. All randomness comes from `rng`
+    /// (the receiving node's seeded stream), so a corruption episode
+    /// replays byte-identically for a given seed.
+    pub(crate) fn damage(self, bytes: &mut Vec<u8>, rng: &mut SmallRng) {
+        if bytes.is_empty() {
+            return;
+        }
+        match self {
+            CorruptMode::BitFlip => {
+                let bit = rng.random_range(0..bytes.len() * 8);
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            CorruptMode::Truncate => {
+                let keep = rng.random_range(0..bytes.len());
+                bytes.truncate(keep);
+            }
+            CorruptMode::Garbage => {
+                let start = rng.random_range(0..bytes.len());
+                let len = rng.random_range(1..=bytes.len() - start);
+                for b in &mut bytes[start..start + len] {
+                    *b = rng.random();
+                }
+            }
+            CorruptMode::TagRewrite => {
+                // A hostile *writer*, not line noise: rewrite the message tag
+                // and recompute a valid checksum, so the decoder's own tag and
+                // structure validation — not the CRC — must catch the frame.
+                let trailer = dat_chord::codec::CRC_TRAILER;
+                if bytes.len() > 2 + trailer {
+                    bytes[2] = rng.random();
+                    let body_end = bytes.len() - trailer;
+                    let crc = dat_chord::wire::crc32c(&bytes[..body_end]);
+                    bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
+                }
+            }
         }
     }
 
@@ -326,8 +370,8 @@ impl FaultEvent {
 /// A deterministic schedule of fault events in virtual time.
 ///
 /// Built with the fluent `*_at` methods; install it with
-/// [`crate::SimNet::set_fault_plan`] *before* running the engine past the
-/// first event time (events scheduled in the past fire immediately).
+/// [`crate::SimNet::set_fault_plan`]; events already in the past at
+/// install time fire at the start of the next run.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     events: Vec<(u64, FaultEvent)>,
@@ -520,9 +564,18 @@ pub(crate) enum FaultAction {
 }
 
 /// Live fault state derived from a [`FaultPlan`] as its events fire.
+/// Only [`FaultController::fire_next`] mutates it, on the engine's calling
+/// thread between run segments; every query is `&self`, so worker threads
+/// share one controller. Episodes expire by comparison against the
+/// caller's clock, never by removal.
 #[derive(Debug)]
 pub(crate) struct FaultController {
     plan: FaultPlan,
+    /// Plan indices in firing order: by time, declaration order within a
+    /// millisecond.
+    order: Vec<usize>,
+    /// How many entries of `order` have fired.
+    fired: usize,
     /// Addresses on the minority side of the active partition, if any.
     partition: Option<HashSet<NodeAddr>>,
     /// Directed link overrides, with an optional expiry for flaky links.
@@ -539,8 +592,12 @@ pub(crate) struct FaultController {
 
 impl FaultController {
     pub(crate) fn new(plan: FaultPlan) -> Self {
+        let mut order: Vec<usize> = (0..plan.events.len()).collect();
+        order.sort_by_key(|&i| plan.events[i].0);
         FaultController {
             plan,
+            order,
+            fired: 0,
             partition: None,
             links: HashMap::new(),
             degraded: HashMap::new(),
@@ -553,11 +610,18 @@ impl FaultController {
         &self.plan
     }
 
-    /// Apply the `idx`-th scheduled event; node-level events are returned
-    /// for the engine to execute.
-    pub(crate) fn apply(&mut self, idx: usize, now: SimTime) -> Option<FaultAction> {
-        let (_, event) = self.plan.events.get(idx)?.clone();
-        match event {
+    /// Scheduled time (ms) of the next un-fired event.
+    pub(crate) fn next_at(&self) -> Option<u64> {
+        self.order.get(self.fired).map(|&i| self.plan.events[i].0)
+    }
+
+    /// Fire the next scheduled event at engine time `now` (its scheduled
+    /// time, or later when the plan was installed late); node-level events
+    /// are returned for the engine to execute.
+    pub(crate) fn fire_next(&mut self, now: SimTime) -> Option<FaultAction> {
+        let &idx = self.order.get(self.fired)?;
+        self.fired += 1;
+        match self.plan.events[idx].1.clone() {
             FaultEvent::Partition { group } => {
                 self.partition = Some(group.into_iter().collect());
                 None
@@ -631,60 +695,43 @@ impl FaultController {
         }
     }
 
-    /// The override on `from → to`, expiring flaky episodes lazily.
-    pub(crate) fn link(&mut self, from: NodeAddr, to: NodeAddr, now: SimTime) -> Option<LinkFault> {
+    /// The override on `from → to`, unless its flaky episode is over.
+    pub(crate) fn link(&self, from: NodeAddr, to: NodeAddr, now: SimTime) -> Option<LinkFault> {
         match self.links.get(&(from, to)) {
-            Some((_, Some(expiry))) if *expiry <= now => {
-                self.links.remove(&(from, to));
-                None
-            }
+            Some((_, Some(expiry))) if *expiry <= now => None,
             Some((fault, _)) => Some(*fault),
             None => None,
         }
     }
 
-    /// The gray degradation on `from → to` as `(fault, jitter_ms)`,
-    /// expiring episodes lazily.
+    /// The gray degradation on `from → to` as `(fault, jitter_ms)`, unless
+    /// its episode is over.
     pub(crate) fn degrade(
-        &mut self,
+        &self,
         from: NodeAddr,
         to: NodeAddr,
         now: SimTime,
     ) -> Option<(LinkFault, u64)> {
         match self.degraded.get(&(from, to)) {
-            Some((_, _, expiry)) if *expiry <= now => {
-                self.degraded.remove(&(from, to));
-                None
-            }
-            Some((fault, jitter, _)) => Some((*fault, *jitter)),
-            None => None,
+            Some((fault, jitter, expiry)) if *expiry > now => Some((*fault, *jitter)),
+            _ => None,
         }
     }
 
-    /// The corruption episode on `from → to` as `(prob, mode)`, expiring
-    /// lazily. Returns `None` — without consuming any randomness — when no
+    /// The corruption episode on `from → to` as `(prob, mode)`, unless it
+    /// is over. Returns `None` — without consuming any randomness — when no
     /// episode is active, so runs without corruption events keep their
     /// seeded digests byte-identical.
     pub(crate) fn corrupt(
-        &mut self,
+        &self,
         from: NodeAddr,
         to: NodeAddr,
         now: SimTime,
     ) -> Option<(f64, CorruptMode)> {
         match self.corrupt.get(&(from, to)) {
-            Some((_, _, expiry)) if *expiry <= now => {
-                self.corrupt.remove(&(from, to));
-                None
-            }
-            Some((prob, mode, _)) => Some((*prob, *mode)),
-            None => None,
+            Some((prob, mode, expiry)) if *expiry > now => Some((*prob, *mode)),
+            _ => None,
         }
-    }
-
-    /// `true` while any corruption episode is installed (cheap gate so the
-    /// hot delivery path skips the per-link lookup entirely in clean runs).
-    pub(crate) fn any_corrupt(&self) -> bool {
-        !self.corrupt.is_empty()
     }
 
     pub(crate) fn dup_prob(&self) -> f64 {
@@ -726,13 +773,32 @@ mod tests {
     fn partition_blocks_both_directions_until_heal() {
         let plan = FaultPlan::new().partition_at(0, vec![a(1)]).heal_at(10);
         let mut fc = FaultController::new(plan);
-        fc.apply(0, SimTime(0));
+        fc.fire_next(SimTime(0));
         assert!(fc.blocked(a(1), a(2)));
         assert!(fc.blocked(a(2), a(1)));
         assert!(!fc.blocked(a(2), a(3)), "same side unaffected");
         assert!(!fc.blocked(a(1), a(1)));
-        fc.apply(1, SimTime(10));
+        fc.fire_next(SimTime(10));
         assert!(!fc.blocked(a(1), a(2)));
+    }
+
+    #[test]
+    fn events_fire_by_time_then_declaration_order() {
+        let plan = FaultPlan::new()
+            .heal_at(20)
+            .partition_at(10, vec![a(1)])
+            .duplication_at(10, 0.5);
+        let mut fc = FaultController::new(plan);
+        assert_eq!(fc.next_at(), Some(10));
+        fc.fire_next(SimTime(10));
+        assert!(fc.blocked(a(1), a(2)) && fc.dup_prob() == 0.0);
+        assert_eq!(fc.next_at(), Some(10));
+        fc.fire_next(SimTime(10));
+        assert_eq!(fc.dup_prob(), 0.5);
+        assert_eq!(fc.next_at(), Some(20));
+        fc.fire_next(SimTime(20));
+        assert!(!fc.blocked(a(1), a(2)));
+        assert_eq!(fc.next_at(), None);
     }
 
     #[test]
@@ -745,11 +811,10 @@ mod tests {
             .flaky_link_at(0, a(1), a(2), fault, 50)
             .link_fault_at(0, a(3), a(4), fault);
         let mut fc = FaultController::new(plan);
-        fc.apply(0, SimTime(0));
-        fc.apply(1, SimTime(0));
+        fc.fire_next(SimTime(0));
+        fc.fire_next(SimTime(0));
         assert_eq!(fc.link(a(1), a(2), SimTime(49)), Some(fault));
         assert_eq!(fc.link(a(1), a(2), SimTime(50)), None, "episode over");
-        assert_eq!(fc.link(a(1), a(2), SimTime(10)), None, "removed for good");
         assert_eq!(fc.link(a(3), a(4), SimTime(1_000_000)), Some(fault));
         assert_eq!(fc.link(a(2), a(1), SimTime(0)), None, "directed");
     }
@@ -811,17 +876,17 @@ mod tests {
 
         let mut fc = FaultController::new(build());
         assert!(matches!(
-            fc.apply(0, SimTime(10)),
+            fc.fire_next(SimTime(10)),
             Some(FaultAction::Slow(n, 500, 5_000)) if n == a(1)
         ));
-        assert!(fc.apply(1, SimTime(20)).is_none());
+        assert!(fc.fire_next(SimTime(20)).is_none());
         // Degradation is asymmetric, composes with `links`, and expires.
         assert_eq!(fc.degrade(a(1), a(2), SimTime(100)), Some((fault, 40)));
         assert_eq!(fc.degrade(a(2), a(1), SimTime(100)), None, "directed");
         assert_eq!(fc.link(a(1), a(2), SimTime(100)), None, "separate maps");
         assert_eq!(fc.degrade(a(1), a(2), SimTime(5_020)), None, "expired");
         assert!(matches!(
-            fc.apply(2, SimTime(30)),
+            fc.fire_next(SimTime(30)),
             Some(FaultAction::Overload(n, 64, 1_000)) if n == a(3)
         ));
     }
@@ -844,21 +909,13 @@ mod tests {
         assert_ne!(build().digest(), other_prob.digest(), "prob is content");
 
         let mut fc = FaultController::new(build());
-        assert!(!fc.any_corrupt());
-        assert!(fc.apply(0, SimTime(100)).is_none());
-        assert!(fc.any_corrupt());
+        assert!(fc.fire_next(SimTime(100)).is_none());
         assert_eq!(
             fc.corrupt(a(1), a(2), SimTime(5_099)),
             Some((0.05, CorruptMode::BitFlip))
         );
         assert_eq!(fc.corrupt(a(2), a(1), SimTime(200)), None, "directed");
         assert_eq!(fc.corrupt(a(1), a(2), SimTime(5_100)), None, "episode over");
-        assert_eq!(
-            fc.corrupt(a(1), a(2), SimTime(300)),
-            None,
-            "removed for good"
-        );
-        assert!(!fc.any_corrupt(), "lazy expiry empties the map");
     }
 
     #[test]
@@ -903,16 +960,19 @@ mod tests {
             .crash_at(1, a(9))
             .restart_at(2, a(9));
         let mut fc = FaultController::new(plan);
-        assert!(fc.apply(0, SimTime(0)).is_none());
+        assert!(fc.fire_next(SimTime(0)).is_none());
         assert_eq!(fc.dup_prob(), 1.0);
         assert!(matches!(
-            fc.apply(1, SimTime(1)),
+            fc.fire_next(SimTime(1)),
             Some(FaultAction::Crash(n)) if n == a(9)
         ));
         assert!(matches!(
-            fc.apply(2, SimTime(2)),
+            fc.fire_next(SimTime(2)),
             Some(FaultAction::Restart(n)) if n == a(9)
         ));
-        assert!(fc.apply(99, SimTime(3)).is_none(), "out of range is inert");
+        assert!(
+            fc.fire_next(SimTime(3)).is_none(),
+            "an exhausted plan is inert"
+        );
     }
 }

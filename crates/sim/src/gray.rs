@@ -130,6 +130,12 @@ pub struct GrayOutcome {
 /// Run one gray-failure soak: pre-stabilized ring, deterministic victim
 /// selection from the implicit DAT, four failure episodes, scored tail.
 pub fn run_gray(cfg: &GrayConfig) -> GrayOutcome {
+    run_gray_on(cfg, 1)
+}
+
+/// [`run_gray`] on `shards` engine shards; the outcome does not depend on
+/// the count.
+fn run_gray_on(cfg: &GrayConfig, shards: usize) -> GrayOutcome {
     let space = IdSpace::new(cfg.space_bits);
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let ring = StaticRing::build(space, cfg.nodes, IdPolicy::Probed, &mut rng);
@@ -151,6 +157,7 @@ pub fn run_gray(cfg: &GrayConfig) -> GrayOutcome {
         ..DatConfig::default()
     };
     let mut net: SimNet<StackNode> = prestabilized_dat(&ring, ccfg, dcfg, cfg.seed);
+    net.set_shards(shards);
     net.set_record_upcalls(false);
     let book = addr_book(&ring);
     let key = dat_chord::hash_to_id(space, GRAY_ATTR.as_bytes());
@@ -434,6 +441,24 @@ mod tests {
         for (x, y) in a.log.iter().zip(&b.log) {
             assert_eq!((x.t_ms, x.addr, x.epoch), (y.t_ms, y.addr, y.epoch));
             assert_eq!(x.completeness.contributors, y.completeness.contributors);
+        }
+    }
+
+    /// Slowdown requeues, link degradation, an overload burst and a
+    /// flapping link on four worker threads: the same log, scores and
+    /// counters as on one, for the seeds CI scores.
+    #[test]
+    fn gray_run_is_shard_count_invariant() {
+        for seed in [1, 2] {
+            let cfg = GrayConfig {
+                seed,
+                ..GrayConfig::default()
+            };
+            assert_eq!(
+                format!("{:?}", run_gray_on(&cfg, 4)),
+                format!("{:?}", run_gray_on(&cfg, 1)),
+                "seed {seed}: the shard count changed the gray soak"
+            );
         }
     }
 }

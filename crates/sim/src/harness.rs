@@ -87,14 +87,19 @@ where
     let book = addr_book(ring);
     let addr_of = |id: Id| book[&id];
     let mut net = SimNet::new(seed);
+    // Host everyone before anyone speaks: a protocol may send from its
+    // start hook, and a send to an address nobody holds yet is dropped.
+    let mut started = Vec::with_capacity(ring.ids().len());
     for (i, &id) in ring.ids().iter().enumerate() {
         let addr = addr_of(id);
         let mut node = make(i, id, addr);
         assert_eq!(node.me().id, id, "make() must honor the assigned id");
         assert_eq!(node.me().addr, addr, "make() must honor the assigned addr");
         let table = ring.table_of_with(id, ccfg.succ_list_len, &addr_of);
-        let outs = node.start_with_table(table);
+        started.push((addr, node.start_with_table(table)));
         net.add_node(node);
+    }
+    for (addr, outs) in started {
         net.apply(addr, outs);
     }
     net

@@ -61,7 +61,7 @@ impl LatencyModel {
     }
 
     /// The smallest latency [`LatencyModel::sample`] can ever return — the
-    /// conservative lookahead bound of the sharded engine: no send issued
+    /// conservative lookahead bound of multi-shard runs: no send issued
     /// at or after time `t` can be delivered before `t + min_ms()`, so a
     /// shard may safely execute the window `[t, t + min_ms())` without
     /// seeing its peers' sends from that window. Always ≥ 1 because

@@ -3,19 +3,23 @@
 //! The paper's prototype evaluates at scale by running the unmodified
 //! Chord/DAT layers over "a discrete event simulation engine \[with\] a
 //! heap-based event queue … to insert and fire those events in a
-//! chronological order" (§4). This crate is that engine:
+//! chronological order" (§4). This crate is that engine, and there is one of it:
 //!
-//! * [`queue::EventQueue`] — deterministic heap-based scheduler (ties fire
-//!   in insertion order, so a seed fully determines a run);
+//! * [`net::SimNet`] — the engine: hosts any sans-io [`net::Actor`] (a
+//!   bare [`dat_chord::ChordNode`], or a [`dat_core::StackNode`] protocol
+//!   stack hosting any mix of DAT / explicit-tree / gossip / MAAN
+//!   handlers), interprets their outputs, counts transport traffic, and
+//!   applies [`fault::FaultPlan`]s between run segments. Events run in
+//!   `(time, key)` order with keys assigned by the sender and randomness
+//!   drawn from per-node streams ([`shard`]), so a seed fully determines a
+//!   run for any [`net::SimNet::set_shards`] count;
+//! * [`queue::EventQueue`] — the scheduler under each shard: a
+//!   hierarchical timer wheel obeying strict `(at, seq)` order;
 //! * [`time::SimTime`] — virtual milliseconds, the same unit the sans-io
 //!   protocol uses for timer delays;
 //! * [`latency::LatencyModel`] / [`latency::LossModel`] — constant (LAN),
 //!   uniform-jitter and log-normal (WAN) one-way delays, plus i.i.d. loss
 //!   for fault injection;
-//! * [`net::SimNet`] — hosts any sans-io [`net::Actor`] (a bare
-//!   [`dat_chord::ChordNode`], or a [`dat_core::StackNode`] protocol stack
-//!   hosting any mix of DAT / explicit-tree / gossip / MAAN handlers),
-//!   interprets their outputs, counts transport traffic;
 //! * [`harness`] — builds whole overlays: live protocol joins, or
 //!   pre-stabilized 8192-node rings materialised from a global view;
 //! * [`scale`] — 10⁴–10⁶-node throughput epochs (events/sec, ns/event,

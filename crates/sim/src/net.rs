@@ -1,79 +1,49 @@
 //! The simulated network: hosts sans-io actors, delivers messages with
 //! modeled latency/loss, and fires timers — all in deterministic virtual
-//! time.
+//! time. This file is the engine's control plane — membership, faults, the
+//! public surface — all of it on the calling thread. [`crate::shard`] is
+//! the data plane that executes events, one worker thread per shard, and
+//! documents the ordering rules that make a seed fix every byte at any
+//! shard count.
 //!
-//! ## Storage layout (the million-node hot path)
+//! ## Membership
 //!
-//! Nodes live in an arena (`Vec<Slot>`) addressed by dense indices, with a
-//! generation counter per slot so crash/restart can reuse both slots and
-//! transport addresses without aliasing. Every internally scheduled event
-//! carries a `(slot, generation)` hint captured at schedule time: on the
-//! fast path a delivery resolves its target with a single `Vec` index and
-//! a generation compare instead of the five `HashMap` probes (`nodes`,
-//! `stats`, `slow`, `busy_until`, plus the delivered-counter update) the
-//! old layout paid. Per-link counters, slowdown state and busy horizons
-//! are fields of the same slot, so one cache line serves the whole
-//! delivery. A stale hint (the target crashed, and possibly a new node
-//! took its address) falls back to the address map, which preserves the
-//! original semantics exactly: in-flight traffic to a re-used address
-//! reaches the *new* incarnation, and traffic to a dead address is
-//! counted in [`SimNet::dropped`].
+//! Nodes live in an arena of slots addressed by dense indices and dealt
+//! across the shards (slot `g` on shard `g % S`). Per-link counters,
+//! slowdown state, RNG stream and key counter are fields of the slot, so
+//! a delivery costs one `Vec` index and one address compare. A crash
+//! frees the slot; [`SimNet::add_node`] reuses it under a bumped
+//! generation, and hands a restarted address its own slot back while that
+//! is still free. A message is delivered iff its destination address is
+//! live in the targeted slot when it lands: traffic in flight to a
+//! crashed node reaches a restarted incarnation of the address and is
+//! counted in [`SimNet::dropped`] otherwise; a message sent while nobody
+//! holds the address is dropped on the spot. Timers die with the
+//! incarnation that armed them.
 //!
-//! Messages pass between co-hosted actors zero-copy: the decoded
-//! [`ChordMsg`] moves through the queue by value and payload bytes are
-//! shared `Arc` buffers ([`dat_chord::Payload`]). The optional codec
-//! parity mode ([`SimNet::set_codec_parity`]) re-encodes and decodes every
-//! delivered message through the real wire codec and asserts equality,
-//! proving in-memory delivery and wire delivery agree byte for byte.
+//! ## Faults
+//!
+//! [`SimNet::run_until`] cuts the run at each pending [`FaultPlan`] time,
+//! runs the segment before it, and applies the event here with
+//! `&mut self`: a fault at `T` fires before every protocol event at `T`,
+//! and the parallel section never sees fault state change.
+//!
+//! Messages pass between co-hosted actors zero-copy (payload bytes are
+//! shared `Arc` buffers); [`SimNet::set_codec_parity`] proves that agrees
+//! with wire delivery byte for byte.
 
 #![deny(clippy::unwrap_used)]
 
 use std::collections::HashMap;
 
-use dat_chord::{ChordMsg, Id, Input, NodeAddr, NodeRef, Output, TimerKind, Upcall};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use dat_chord::{ChordMsg, Id, NodeAddr, NodeRef, Output, Upcall};
 
-use crate::fault::{CorruptMode, FaultAction, FaultController, FaultPlan};
+use crate::fault::{FaultAction, FaultController, FaultPlan};
 use crate::latency::{LatencyModel, LossModel};
-use crate::queue::EventQueue;
+use crate::shard::{key, run_segment, Env, Event, Shard, Slot, ENGINE_IDX};
 use crate::time::SimTime;
 
 pub use dat_chord::Actor;
-
-/// A `(slot index, generation)` pair captured when an event is scheduled.
-/// Resolving it is one bounds check + one compare; a mismatch (slot reused
-/// after a crash) falls back to the address map.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct SlotHint {
-    idx: u32,
-    gen: u32,
-}
-
-impl SlotHint {
-    const NONE: SlotHint = SlotHint {
-        idx: u32::MAX,
-        gen: u32::MAX,
-    };
-}
-
-/// Events the engine schedules internally.
-#[derive(Clone, Debug)]
-enum SimEvent {
-    Deliver {
-        to: NodeAddr,
-        hint: SlotHint,
-        from: NodeAddr,
-        msg: ChordMsg,
-    },
-    Timer {
-        node: NodeAddr,
-        hint: SlotHint,
-        kind: TimerKind,
-    },
-    /// The `i`-th event of the installed [`FaultPlan`] comes due.
-    Fault(usize),
-}
 
 /// An upcall surfaced by some node, timestamped.
 #[derive(Clone, Debug)]
@@ -95,44 +65,29 @@ pub struct LinkStats {
     pub delivered: u64,
 }
 
-/// One arena cell: the hosted actor plus all per-node engine state that
-/// the delivery hot path touches.
-struct Slot<A> {
-    /// Transport address of the current (or last) occupant.
-    addr: NodeAddr,
-    /// Bumped every time the slot is re-occupied; stale hints miss on it.
-    gen: u32,
-    /// The hosted actor; `None` after a crash until the slot is reused.
-    actor: Option<A>,
-    /// Live transport counters of the occupant.
-    stats: LinkStats,
-    /// Active processing slowdown: `(process_ms, episode end)`.
-    slow: Option<(u64, SimTime)>,
-    /// Virtual-time busy horizon of a slowed node: deliveries landing
-    /// before it are requeued, so a slow node answers *late*, not never.
-    busy_until: SimTime,
-}
-
 /// The discrete-event network engine.
 ///
 /// Generic over the hosted [`Actor`] so the same engine runs bare Chord
 /// overlays, DAT stacks, and the monitoring application — exactly the
 /// layering of the paper's prototype simulator (§4).
 pub struct SimNet<A: Actor> {
-    queue: EventQueue<SimEvent>,
-    /// Arena of node slots; crashed slots are reused via `free`.
-    slots: Vec<Slot<A>>,
-    free: Vec<u32>,
-    /// Address → slot index for the cold paths (API lookups, stale hints).
+    shards: Vec<Shard<A>>,
+    /// Address → global slot index of every live node.
     addr_map: HashMap<NodeAddr, u32>,
-    live: usize,
+    /// Slots dealt so far, live and free.
+    slots: u32,
+    /// Crashed slots awaiting reuse.
+    free: Vec<u32>,
     /// Bumped on every add/crash so hosts can cache membership-derived
     /// structures (address lists, id maps) and rebuild only on change.
     membership_epoch: u64,
-    rng: SmallRng,
+    seed: u64,
+    now: SimTime,
     latency: LatencyModel,
     loss: LossModel,
-    upcalls: Vec<UpcallRecord>,
+    /// Recorded upcalls with their emission keys; `(at, key)` is the
+    /// shard-count-invariant order [`SimNet::take_upcalls`] returns.
+    upcalls: Vec<(u64, UpcallRecord)>,
     record_upcalls: bool,
     /// Counters of nodes that crashed, frozen at crash time (accumulated
     /// across repeated crashes of the same address).
@@ -146,6 +101,8 @@ pub struct SimNet<A: Actor> {
     /// assert equality (zero-copy parity proof; costs an encode+decode
     /// per delivery, so it is opt-in).
     codec_parity: bool,
+    /// Counter behind the keys of engine-originated events.
+    engine_ctr: u64,
     /// Messages dropped by the loss model, an active partition/link fault,
     /// or addressed to dead nodes.
     pub dropped: u64,
@@ -153,6 +110,9 @@ pub struct SimNet<A: Actor> {
     /// [`crate::FaultEvent::CorruptLink`] episode fired).
     pub corruption: CorruptionStats,
     events_processed: u64,
+    /// Clamps no live queue counts: fault events already overdue when
+    /// their plan was installed, and queues retired by `set_shards`.
+    clamped: u64,
 }
 
 /// Counters for byte-level wire corruption injected by
@@ -163,7 +123,8 @@ pub struct CorruptionStats {
     /// landed inside an active episode).
     pub injected: u64,
     /// Mutated frames the decoder rejected — delivered to the victim as
-    /// [`Input::BadFrame`] so its containment layer sees the attack.
+    /// [`dat_chord::Input::BadFrame`] so its containment layer sees the
+    /// attack.
     pub rejected: u64,
     /// Mutated frames that still decoded — either the mutation was a
     /// no-op (random bytes matched the originals) or a hostile rewrite
@@ -174,16 +135,17 @@ pub struct CorruptionStats {
 }
 
 impl<A: Actor> SimNet<A> {
-    /// A fresh engine with the given determinism seed.
+    /// A fresh engine with the given determinism seed: one shard, run on
+    /// the calling thread.
     pub fn new(seed: u64) -> Self {
         SimNet {
-            queue: EventQueue::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
+            shards: vec![Shard::new(0, SimTime::ZERO)],
             addr_map: HashMap::new(),
-            live: 0,
+            slots: 0,
+            free: Vec::new(),
             membership_epoch: 0,
-            rng: SmallRng::seed_from_u64(seed),
+            seed,
+            now: SimTime::ZERO,
             latency: LatencyModel::default(),
             loss: LossModel::NONE,
             upcalls: Vec::new(),
@@ -192,22 +154,55 @@ impl<A: Actor> SimNet<A> {
             faults: None,
             restart_fn: None,
             codec_parity: false,
+            engine_ctr: 0,
             dropped: 0,
             corruption: CorruptionStats::default(),
             events_processed: 0,
+            clamped: 0,
         }
     }
 
-    /// Install a fault schedule. Each event becomes a queue event at its
-    /// `at_ms`, so the whole schedule replays identically for a given seed.
-    /// Must be installed before the engine runs past the first event time;
-    /// a second call replaces the previous plan (its un-fired events keep
-    /// firing but hit the new controller's indices — don't do that; install
-    /// one plan per run).
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        for (i, (at_ms, _)) in plan.events().iter().enumerate() {
-            self.queue.push_at(SimTime(*at_ms), SimEvent::Fault(i));
+    /// Spread the arena over `shards` worker shards (`0` behaves as `1`);
+    /// runs spawn one thread per shard when there is more than one. Call
+    /// between runs, any number of times: slots are re-dealt by index and
+    /// pending events re-filed under their existing `(at, key)`, so the
+    /// schedule — and every byte a seeded run produces — cannot move.
+    pub fn set_shards(&mut self, shards: usize) {
+        let s = shards.max(1);
+        let old = self.shards.len();
+        if s == old {
+            return;
         }
+        self.fold();
+        let mut fresh: Vec<Shard<A>> = (0..s).map(|id| Shard::new(id, self.now)).collect();
+        let mut dealt: Vec<_> = self
+            .shards
+            .iter_mut()
+            .map(|sh| std::mem::take(&mut sh.nodes).into_iter())
+            .collect();
+        for g in 0..self.slots as usize {
+            fresh[g % s].nodes.extend(dealt[g % old].next());
+        }
+        for sh in &mut self.shards {
+            self.clamped += sh.queue.clamped_events();
+            while let Some(mut ev) = sh.queue.pop() {
+                let target = ev.event.target_mut();
+                let g = *target as usize * old + sh.id;
+                *target = (g / s) as u32;
+                fresh[g % s].queue.push_at_keyed(ev.at, ev.seq, ev.event);
+            }
+        }
+        self.shards = fresh;
+    }
+
+    /// Install a fault schedule, replacing any previous one: un-fired
+    /// events of the old plan never fire, and the link, partition and
+    /// duplication state it built up is gone. Events whose time has
+    /// already passed fire at the start of the next run, in schedule
+    /// order, and count as [`SimNet::clamped_events`].
+    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+        let overdue = plan.events().iter().filter(|(at, _)| *at < self.now.0);
+        self.clamped += overdue.count() as u64;
         self.faults = Some(FaultController::new(plan));
     }
 
@@ -226,7 +221,8 @@ impl<A: Actor> SimNet<A> {
         self.restart_fn = Some(Box::new(f));
     }
 
-    /// Replace the latency model.
+    /// Replace the latency model (its [`LatencyModel::min_ms`] is also the
+    /// lookahead window of multi-shard runs).
     pub fn set_latency(&mut self, model: LatencyModel) {
         self.latency = model;
     }
@@ -237,7 +233,8 @@ impl<A: Actor> SimNet<A> {
     }
 
     /// Stop/start recording upcalls (recording is on by default; long churn
-    /// runs may want it off to bound memory).
+    /// runs may want it off to bound memory). A recorded upcall draws a key
+    /// from its node's stream, so flip this before the run, not during.
     pub fn set_record_upcalls(&mut self, on: bool) {
         self.record_upcalls = on;
     }
@@ -251,17 +248,17 @@ impl<A: Actor> SimNet<A> {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.queue.now()
+        self.now
     }
 
     /// Number of hosted (live) nodes.
     pub fn len(&self) -> usize {
-        self.live
+        self.addr_map.len()
     }
 
     /// `true` when no nodes are hosted.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.addr_map.is_empty()
     }
 
     /// Total events processed so far.
@@ -271,14 +268,16 @@ impl<A: Actor> SimNet<A> {
 
     /// Pending events (messages in flight + armed timers).
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.shards.iter().map(|sh| sh.queue.len()).sum()
     }
 
-    /// Events that were scheduled in the past and clamped to "now" by the
-    /// queue. Persistently growing values point at stale-deadline bugs in
-    /// hosts; surfaced here so scale runs can assert on it.
+    /// Events that were scheduled in the past and clamped to "now".
+    /// Persistently growing values point at stale-deadline bugs in hosts
+    /// (or a violated lookahead window); surfaced here so scale runs can
+    /// assert on it.
     pub fn clamped_events(&self) -> u64 {
-        self.queue.clamped_events()
+        let queued: u64 = self.shards.iter().map(|sh| sh.queue.clamped_events()).sum();
+        self.clamped + queued
     }
 
     /// Bumped on every membership change (add or crash). Hosts that
@@ -288,6 +287,44 @@ impl<A: Actor> SimNet<A> {
         self.membership_epoch
     }
 
+    fn slot(&self, g: u32) -> &Slot<A> {
+        let s = self.shards.len();
+        &self.shards[g as usize % s].nodes[g as usize / s]
+    }
+
+    fn slot_mut(&mut self, g: u32) -> &mut Slot<A> {
+        let s = self.shards.len();
+        &mut self.shards[g as usize % s].nodes[g as usize / s]
+    }
+
+    /// The shards plus the read-only view of everything else that the
+    /// data plane runs against.
+    fn split(&mut self) -> (&mut [Shard<A>], Env<'_>) {
+        let env = Env {
+            latency: self.latency,
+            loss: self.loss,
+            shards: self.shards.len(),
+            record_upcalls: self.record_upcalls,
+            codec_parity: self.codec_parity,
+            addr_map: &self.addr_map,
+            faults: self.faults.as_ref(),
+        };
+        (&mut self.shards, env)
+    }
+
+    /// Move the shards' run tallies into the engine's totals.
+    fn fold(&mut self) {
+        for sh in &mut self.shards {
+            self.events_processed += std::mem::take(&mut sh.events);
+            self.dropped += std::mem::take(&mut sh.dropped);
+            let c = std::mem::take(&mut sh.corruption);
+            self.corruption.injected += c.injected;
+            self.corruption.rejected += c.rejected;
+            self.corruption.passed += c.passed;
+            self.upcalls.append(&mut sh.upcalls);
+        }
+    }
+
     /// Add a node. Panics if the address is taken.
     pub fn add_node(&mut self, actor: A) {
         let addr = actor.addr();
@@ -295,98 +332,63 @@ impl<A: Actor> SimNet<A> {
             !self.addr_map.contains_key(&addr),
             "duplicate node address {addr:?}"
         );
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                let slot = &mut self.slots[idx as usize];
+        // A restarted address takes its old slot back while that is still
+        // free, so traffic in flight to the old incarnation reaches it.
+        let reuse = self
+            .free
+            .iter()
+            .rposition(|&g| self.slot(g).addr == addr)
+            .or(self.free.len().checked_sub(1));
+        let g = match reuse {
+            Some(i) => {
+                let g = self.free.remove(i);
+                let slot = self.slot_mut(g);
                 slot.addr = addr;
                 slot.gen = slot.gen.wrapping_add(1);
                 slot.actor = Some(actor);
-                slot.stats = LinkStats::default();
-                slot.slow = None;
-                slot.busy_until = SimTime::ZERO;
-                idx
+                g
             }
             None => {
-                let idx = self.slots.len() as u32;
-                self.slots.push(Slot {
-                    addr,
-                    gen: 0,
-                    actor: Some(actor),
-                    stats: LinkStats::default(),
-                    slow: None,
-                    busy_until: SimTime::ZERO,
-                });
-                idx
+                let g = self.slots;
+                assert!(g < ENGINE_IDX, "slot index overflows the event key");
+                self.slots += 1;
+                let s = self.shards.len();
+                self.shards[g as usize % s]
+                    .nodes
+                    .push(Slot::new(self.seed, g, addr, actor));
+                g
             }
         };
-        self.addr_map.insert(addr, idx);
-        self.live += 1;
+        self.addr_map.insert(addr, g);
         self.membership_epoch += 1;
-    }
-
-    /// Slot index of a live node.
-    fn idx_of(&self, addr: NodeAddr) -> Option<usize> {
-        let idx = *self.addr_map.get(&addr)? as usize;
-        self.slots[idx].actor.as_ref()?;
-        Some(idx)
-    }
-
-    /// Resolve a delivery target: generation-checked arena hit first,
-    /// address-map fallback second (slot reused, or event scheduled before
-    /// the target existed).
-    fn resolve(&self, to: NodeAddr, hint: SlotHint) -> Option<usize> {
-        let idx = hint.idx as usize;
-        if idx < self.slots.len() {
-            let s = &self.slots[idx];
-            if s.gen == hint.gen && s.actor.is_some() {
-                debug_assert_eq!(s.addr, to, "hint generation matched a different address");
-                return Some(idx);
-            }
-        }
-        self.idx_of(to)
-    }
-
-    /// The hint to stamp on an event targeting `addr` right now.
-    fn hint_for(&self, addr: NodeAddr) -> SlotHint {
-        match self.addr_map.get(&addr) {
-            Some(&idx) => SlotHint {
-                idx,
-                gen: self.slots[idx as usize].gen,
-            },
-            None => SlotHint::NONE,
-        }
     }
 
     /// Immutable access to a node.
     pub fn node(&self, addr: NodeAddr) -> Option<&A> {
-        self.slots[self.idx_of(addr)?].actor.as_ref()
+        self.slot(*self.addr_map.get(&addr)?).actor.as_ref()
     }
 
     /// Mutable access to a node (does not process outputs — use
     /// [`Self::with_node`] to run protocol actions).
     pub fn node_mut(&mut self, addr: NodeAddr) -> Option<&mut A> {
-        let idx = self.idx_of(addr)?;
-        self.slots[idx].actor.as_mut()
+        let g = *self.addr_map.get(&addr)?;
+        self.slot_mut(g).actor.as_mut()
     }
 
     /// All live node addresses (sorted).
     pub fn addrs(&self) -> Vec<NodeAddr> {
-        let mut a: Vec<NodeAddr> = self
-            .slots
-            .iter()
-            .filter(|s| s.actor.is_some())
-            .map(|s| s.addr)
-            .collect();
+        let mut a: Vec<NodeAddr> = self.addr_map.keys().copied().collect();
         a.sort_unstable();
         a
     }
 
-    /// Iterate over live nodes (arena order: insertion order with slot
-    /// reuse after crashes — deterministic, unlike the old map order).
+    /// Iterate over live nodes in arena order (insertion order with slot
+    /// reuse after crashes): deterministic, the same for any shard count.
     pub fn iter_nodes(&self) -> impl Iterator<Item = (&NodeAddr, &A)> {
-        self.slots
-            .iter()
-            .filter_map(|s| s.actor.as_ref().map(|a| (&s.addr, a)))
+        (0..self.slots).filter_map(|g| {
+            let slot = self.slot(g);
+            slot.actor.as_ref().map(|a| (&slot.addr, a))
+        })
     }
 
     /// Run `f` against node `addr` and process the outputs it returns.
@@ -395,397 +397,165 @@ impl<A: Actor> SimNet<A> {
     where
         F: FnOnce(&mut A) -> (R, Vec<Output>),
     {
-        let now = self.queue.now().as_millis();
-        let idx = self.idx_of(addr)?;
-        let actor = self.slots[idx].actor.as_mut()?;
+        let now = self.now.as_millis();
+        let actor = self.node_mut(addr)?;
         actor.set_now(now);
         let (r, out) = f(actor);
-        self.apply_from(Some(idx), addr, out);
+        self.apply(addr, out);
         Some(r)
     }
 
     /// Crash a node: remove it abruptly. In-flight traffic to it is lost
-    /// (counted in [`SimNet::dropped`]), its pending timers die silently,
+    /// (counted in [`SimNet::dropped`]) unless the address is back in the
+    /// slot by the time it lands, its pending timers die silently,
     /// and its transport counters are retired into
     /// [`SimNet::retired_link_stats`] rather than left to go stale; peers
     /// discover the failure via timeouts (ungraceful churn).
     pub fn crash(&mut self, addr: NodeAddr) -> Option<A> {
-        let idx = *self.addr_map.get(&addr)?;
-        let slot = &mut self.slots[idx as usize];
-        let actor = slot.actor.take()?;
-        let s = slot.stats;
-        slot.stats = LinkStats::default();
+        let g = self.addr_map.remove(&addr)?;
+        let slot = self.slot_mut(g);
+        let actor = slot.actor.take();
+        let s = std::mem::take(&mut slot.stats);
         slot.slow = None;
         slot.busy_until = SimTime::ZERO;
         let r = self.retired_stats.entry(addr).or_default();
         r.sent += s.sent;
         r.delivered += s.delivered;
-        self.addr_map.remove(&addr);
-        self.free.push(idx);
-        self.live -= 1;
+        self.free.push(g);
         self.membership_epoch += 1;
-        Some(actor)
+        actor
     }
 
-    /// Process the outputs `from` produced.
+    /// Process the outputs `from` produced, at the current time (setup
+    /// traffic: initial timers, joins, seed messages). Outputs of an
+    /// address that is not hosted are discarded.
     pub fn apply(&mut self, from: NodeAddr, outputs: Vec<Output>) {
-        let idx = self.idx_of(from);
-        self.apply_from(idx, from, outputs);
-    }
-
-    /// Output processing with the sender's slot already resolved (the hot
-    /// path hands it down so sends don't re-probe the address map).
-    fn apply_from(&mut self, from_idx: Option<usize>, from: NodeAddr, outputs: Vec<Output>) {
-        for o in outputs {
-            match o {
-                Output::Send { to, msg } => {
-                    if let Some(i) = from_idx {
-                        self.slots[i].stats.sent += 1;
-                    }
-                    // Consult the fault controller first; when no plan is
-                    // installed this consumes no randomness, preserving
-                    // traces of fault-free runs byte for byte.
-                    let now = self.queue.now();
-                    let (blocked, link, degrade, dup_prob) = match self.faults.as_mut() {
-                        Some(fc) => (
-                            fc.blocked(from, to.addr),
-                            fc.link(from, to.addr, now),
-                            fc.degrade(from, to.addr, now),
-                            fc.dup_prob(),
-                        ),
-                        None => (false, None, None, 0.0),
-                    };
-                    if blocked || self.loss.drops(&mut self.rng) {
-                        self.dropped += 1;
-                        continue;
-                    }
-                    if let Some(lf) = link {
-                        if lf.loss > 0.0 && self.rng.random::<f64>() < lf.loss {
-                            self.dropped += 1;
-                            continue;
-                        }
-                    }
-                    // Gray degradation composes on top of any plain link
-                    // override: its own loss coin, then extra latency plus
-                    // uniform per-message jitter.
-                    if let Some((lf, _)) = degrade {
-                        if lf.loss > 0.0 && self.rng.random::<f64>() < lf.loss {
-                            self.dropped += 1;
-                            continue;
-                        }
-                    }
-                    let mut extra = link.map_or(0, |l| l.extra_latency_ms);
-                    if let Some((lf, jitter)) = degrade {
-                        extra += lf.extra_latency_ms;
-                        if jitter > 0 {
-                            extra += self.rng.random_range(0..=jitter);
-                        }
-                    }
-                    let hint = self.hint_for(to.addr);
-                    if dup_prob > 0.0 && self.rng.random::<f64>() < dup_prob {
-                        let delay = self.latency.sample(&mut self.rng) + extra;
-                        self.queue.push_after(
-                            delay,
-                            SimEvent::Deliver {
-                                to: to.addr,
-                                hint,
-                                from,
-                                // Shared payload buffers make this clone a
-                                // refcount bump, not a byte copy.
-                                msg: msg.clone(),
-                            },
-                        );
-                    }
-                    let delay = self.latency.sample(&mut self.rng) + extra;
-                    self.queue.push_after(
-                        delay,
-                        SimEvent::Deliver {
-                            to: to.addr,
-                            hint,
-                            from,
-                            msg,
-                        },
-                    );
-                }
-                Output::SetTimer { kind, delay_ms } => {
-                    let hint = match from_idx {
-                        Some(i) => SlotHint {
-                            idx: i as u32,
-                            gen: self.slots[i].gen,
-                        },
-                        None => SlotHint::NONE,
-                    };
-                    self.queue.push_after(
-                        delay_ms,
-                        SimEvent::Timer {
-                            node: from,
-                            hint,
-                            kind,
-                        },
-                    );
-                }
-                Output::Upcall(upcall) => {
-                    if self.record_upcalls {
-                        self.upcalls.push(UpcallRecord {
-                            at: self.queue.now(),
-                            node: from,
-                            upcall,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    /// Deliver one admitted message to the resolved slot: wire corruption
-    /// (if an episode covers the link), parity check, counters, actor
-    /// input, output processing.
-    fn deliver_one(&mut self, idx: usize, from: NodeAddr, msg: ChordMsg) {
-        let to_addr = self.slots[idx].addr;
-        // Byte-level corruption rides the real codec path: the message is
-        // encoded, its bytes damaged, and the damaged frame decoded —
-        // whatever the decoder makes of it is what the victim receives.
-        // The `any_corrupt` gate plus per-link lookup mean clean runs draw
-        // zero randomness here, keeping their seeded digests byte-identical.
-        let mut input = None;
-        if let Some(fc) = self.faults.as_mut() {
-            if fc.any_corrupt() {
-                let now = self.queue.now();
-                if let Some((prob, mode)) = fc.corrupt(from, to_addr, now) {
-                    if prob > 0.0 && self.rng.random::<f64>() < prob {
-                        self.corruption.injected += 1;
-                        let mut bytes = dat_chord::codec::encode(&msg);
-                        corrupt_frame(&mut bytes, mode, &mut self.rng);
-                        input = Some(match dat_chord::codec::decode(&bytes) {
-                            Ok(survived) => {
-                                self.corruption.passed += 1;
-                                Input::Message {
-                                    from,
-                                    msg: survived,
-                                }
-                            }
-                            Err(error) => {
-                                self.corruption.rejected += 1;
-                                Input::BadFrame {
-                                    from: Some(from),
-                                    error,
-                                }
-                            }
-                        });
-                    }
-                }
-            }
-        }
-        let input = match input {
-            Some(i) => i,
-            None => {
-                if self.codec_parity {
-                    let bytes = dat_chord::codec::encode(&msg);
-                    match dat_chord::codec::decode(&bytes) {
-                        Ok(rt) => {
-                            assert_eq!(rt, msg, "codec parity: wire round-trip changed the message")
-                        }
-                        Err(e) => panic!("codec parity: {e} while round-tripping {:?}", msg.kind()),
-                    }
-                }
-                Input::Message { from, msg }
-            }
-        };
-        let now_ms = self.queue.now().as_millis();
-        let slot = &mut self.slots[idx];
-        slot.stats.delivered += 1;
-        let Some(actor) = slot.actor.as_mut() else {
+        let Some(&g) = self.addr_map.get(&from) else {
             return;
         };
-        actor.set_now(now_ms);
-        let out = actor.on_input(input);
-        self.apply_from(Some(idx), to_addr, out);
-    }
-
-    /// Pop and process a single queue entry. Returns `false` when the
-    /// queue is empty. A delivery additionally batch-drains the target's
-    /// same-instant inbox (consecutive due deliveries to the same slot)
-    /// without re-entering the pop machinery per message.
-    pub fn step(&mut self) -> bool {
-        let Some(ev) = self.queue.pop() else {
-            return false;
-        };
-        self.events_processed += 1;
-        let now_ms = self.queue.now().as_millis();
-        match ev.event {
-            SimEvent::Deliver {
-                to,
-                hint,
-                from,
-                msg,
-            } => {
-                let Some(idx) = self.resolve(to, hint) else {
-                    self.dropped += 1; // destination crashed
-                    return true;
-                };
-                // Gray slowdown: a slowed node serializes processing in
-                // virtual time. A delivery landing while the node is busy
-                // is requeued at the busy horizon (never dropped — the
-                // node answers late, which is the whole point); an
-                // admitted delivery pushes the horizon out by the per-
-                // message processing cost. Episodes expire lazily.
-                let slot = &mut self.slots[idx];
-                if let Some((process_ms, until)) = slot.slow {
-                    let now = self.queue.now();
-                    if now >= until {
-                        slot.slow = None;
-                        slot.busy_until = SimTime::ZERO;
-                    } else {
-                        let busy = slot.busy_until;
-                        if busy > now {
-                            let hint = SlotHint {
-                                idx: idx as u32,
-                                gen: slot.gen,
-                            };
-                            self.queue.push_at(
-                                busy,
-                                SimEvent::Deliver {
-                                    to,
-                                    hint,
-                                    from,
-                                    msg,
-                                },
-                            );
-                            return true;
-                        }
-                        slot.busy_until = now + process_ms;
-                    }
-                }
-                self.deliver_one(idx, from, msg);
-                // Batch drain: take the rest of this node's due inbox —
-                // consecutive head-of-queue deliveries at the same instant
-                // whose hints match this slot's current generation. Taking
-                // only head events preserves the exact sequential order,
-                // and outputs pushed mid-batch carry later sequence
-                // numbers, so the schedule is byte-identical to stepping.
-                // Slowed nodes are excluded (each admission must move the
-                // busy horizon through the requeue path above).
-                let gen = self.slots[idx].gen;
-                let want = SlotHint {
-                    idx: idx as u32,
-                    gen,
-                };
-                while self.slots[idx].slow.is_none() {
-                    let next = self
-                        .queue
-                        .pop_if(|e| matches!(e, SimEvent::Deliver { hint, .. } if *hint == want));
-                    let Some(next) = next else {
-                        break;
-                    };
-                    self.events_processed += 1;
-                    let SimEvent::Deliver { from, msg, .. } = next.event else {
-                        break;
-                    };
-                    self.deliver_one(idx, from, msg);
-                }
-            }
-            SimEvent::Timer {
-                node: addr,
-                hint,
-                kind,
-            } => {
-                let Some(idx) = self.resolve(addr, hint) else {
-                    return true; // node gone; timer dies silently
-                };
-                let Some(node) = self.slots[idx].actor.as_mut() else {
-                    return true;
-                };
-                node.set_now(now_ms);
-                let out = node.on_input(Input::Timer(kind));
-                self.apply_from(Some(idx), addr, out);
-            }
-            SimEvent::Fault(i) => {
-                let now = self.queue.now();
-                let action = self.faults.as_mut().and_then(|fc| fc.apply(i, now));
-                match action {
-                    Some(FaultAction::Crash(node)) => {
-                        let _ = self.crash(node);
-                    }
-                    Some(FaultAction::Restart(node)) if self.idx_of(node).is_none() => {
-                        let spawned = self.restart_fn.as_mut().and_then(|f| f(node));
-                        if let Some((actor, out)) = spawned {
-                            let addr = actor.addr();
-                            self.add_node(actor);
-                            self.apply(addr, out);
-                        }
-                    }
-                    Some(FaultAction::Slow(node, process_ms, for_ms)) => {
-                        if let Some(idx) = self.idx_of(node) {
-                            self.slots[idx].slow = Some((process_ms, now + for_ms));
-                        }
-                    }
-                    Some(FaultAction::Overload(node, msgs, spread_ms)) => {
-                        // Junk DAT-proto messages from a sentinel sender:
-                        // they burn inbox slots on delivery and fail to
-                        // decode at the protocol layer (counted dropped).
-                        // Scheduled deterministically — no RNG consumed.
-                        // One shared payload buffer for the whole burst.
-                        let junk = NodeRef::new(Id(u64::MAX), NodeAddr(u64::MAX));
-                        let junk_payload = dat_chord::Payload::from(vec![0xFF]);
-                        let hint = self.hint_for(node);
-                        for i in 0..msgs {
-                            let delay = if msgs > 1 {
-                                i * spread_ms / (msgs - 1)
-                            } else {
-                                0
-                            };
-                            self.queue.push_after(
-                                delay,
-                                SimEvent::Deliver {
-                                    to: node,
-                                    hint,
-                                    from: NodeAddr(u64::MAX),
-                                    msg: ChordMsg::App {
-                                        proto: 1,
-                                        from: junk,
-                                        payload: junk_payload.clone(),
-                                    },
-                                },
-                            );
-                        }
-                    }
-                    // Restart of a still-live node, or no action due.
-                    _ => {}
-                }
+        let now = self.now;
+        let (shards, env) = self.split();
+        let s = shards.len();
+        let mut cross: Vec<Vec<_>> = (0..s).map(|_| Vec::new()).collect();
+        shards[g as usize % s].apply_outputs(g / s as u32, now, outputs, &env, &mut cross);
+        for (dst, buf) in cross.into_iter().enumerate() {
+            for m in buf {
+                shards[dst].queue.push_at_keyed(m.at, m.seq, m.event);
             }
         }
-        true
+        self.fold();
+    }
+
+    /// Apply the next due event of the installed plan.
+    fn fire_fault(&mut self) {
+        let now = self.now;
+        let action = self.faults.as_mut().and_then(|fc| fc.fire_next(now));
+        match action {
+            Some(FaultAction::Crash(node)) => drop(self.crash(node)),
+            Some(FaultAction::Restart(node)) if !self.addr_map.contains_key(&node) => {
+                let spawned = self.restart_fn.as_mut().and_then(|f| f(node));
+                if let Some((actor, out)) = spawned {
+                    let addr = actor.addr();
+                    self.add_node(actor);
+                    self.apply(addr, out);
+                }
+            }
+            Some(FaultAction::Slow(node, process_ms, for_ms)) => {
+                if let Some(&g) = self.addr_map.get(&node) {
+                    self.slot_mut(g).slow = Some((process_ms, now + for_ms));
+                }
+            }
+            Some(FaultAction::Overload(node, msgs, spread_ms)) => {
+                // Junk DAT-proto messages from a sentinel sender: they
+                // burn inbox slots on delivery and fail to decode at the
+                // protocol layer (counted dropped). Scheduled
+                // deterministically — no RNG consumed, keys from the
+                // engine's own counter. One shared payload buffer for the
+                // whole burst.
+                let Some(&g) = self.addr_map.get(&node) else {
+                    self.dropped += msgs;
+                    return;
+                };
+                let s = self.shards.len();
+                let junk = NodeRef::new(Id(u64::MAX), NodeAddr(u64::MAX));
+                let junk_payload = dat_chord::Payload::from(vec![0xFF]);
+                for i in 0..msgs {
+                    let delay = if msgs > 1 {
+                        i * spread_ms / (msgs - 1)
+                    } else {
+                        0
+                    };
+                    let seq = key(self.engine_ctr, ENGINE_IDX);
+                    self.engine_ctr += 1;
+                    self.shards[g as usize % s].queue.push_at_keyed(
+                        now + delay,
+                        seq,
+                        Event::Deliver {
+                            to: g / s as u32,
+                            to_addr: node,
+                            from: junk.addr,
+                            msg: ChordMsg::App {
+                                proto: 1,
+                                from: junk,
+                                payload: junk_payload.clone(),
+                            },
+                        },
+                    );
+                }
+            }
+            // Restart of a still-live node, or a link-level event the
+            // controller absorbed.
+            _ => {}
+        }
+    }
+
+    /// Execute every event with `at <= t` and land the clock exactly on
+    /// `t`, so that back-to-back bounded runs cover contiguous, exact
+    /// windows.
+    fn run_events_until(&mut self, t: SimTime) {
+        let (shards, env) = self.split();
+        run_segment(shards, t.0, &env);
+        for sh in shards {
+            sh.queue.advance_to(t);
+        }
+        self.now = self.now.max(t);
+        self.fold();
     }
 
     /// Run until virtual time reaches `t` (events at exactly `t` included)
-    /// or the queue drains.
+    /// or the queue drains. Each fault of the installed plan due by `t`
+    /// fires between two segments of the run, before any protocol event
+    /// of its own millisecond.
     pub fn run_until(&mut self, t: SimTime) {
-        while let Some(next) = self.queue.peek_time() {
-            if next > t {
-                break;
+        let due = |net: &Self| net.faults.as_ref()?.next_at().filter(|&at| at <= t.0);
+        while let Some(at) = due(self) {
+            if at > self.now.0 {
+                self.run_events_until(SimTime(at - 1));
+                self.now = SimTime(at);
             }
-            self.step();
+            self.fire_fault();
         }
-        // Land exactly on the deadline so that back-to-back bounded runs
-        // cover contiguous, exact windows.
-        self.queue.advance_to(t);
+        self.run_events_until(t);
     }
 
     /// Run for `ms` more virtual milliseconds.
     pub fn run_for(&mut self, ms: u64) {
-        let deadline = self.now() + ms;
+        let deadline = self.now + ms;
         self.run_until(deadline);
     }
 
-    /// Drain the recorded upcalls.
+    /// Drain the recorded upcalls, in `(at, key)` order — identical for
+    /// any shard count.
     pub fn take_upcalls(&mut self) -> Vec<UpcallRecord> {
-        std::mem::take(&mut self.upcalls)
+        let mut all = std::mem::take(&mut self.upcalls);
+        all.sort_by_key(|(key, rec)| (rec.at, *key));
+        all.into_iter().map(|(_, rec)| rec).collect()
     }
 
     /// Transport counters for one node.
     pub fn link_stats(&self, addr: NodeAddr) -> LinkStats {
-        match self.idx_of(addr) {
-            Some(idx) => self.slots[idx].stats,
+        match self.addr_map.get(&addr) {
+            Some(&g) => self.slot(g).stats,
             None => LinkStats::default(),
         }
     }
@@ -799,49 +569,13 @@ impl<A: Actor> SimNet<A> {
 
     /// Reset all transport counters (e.g. after warm-up).
     pub fn reset_link_stats(&mut self) {
-        for s in &mut self.slots {
-            s.stats = LinkStats::default();
+        for sh in &mut self.shards {
+            for slot in &mut sh.nodes {
+                slot.stats = LinkStats::default();
+            }
         }
         self.dropped = 0;
         self.corruption = CorruptionStats::default();
-    }
-}
-
-/// Damage an encoded frame in place according to `mode`. All randomness
-/// comes from the engine's seeded generator, so a corruption episode
-/// replays byte-identically for a given seed.
-fn corrupt_frame(bytes: &mut Vec<u8>, mode: CorruptMode, rng: &mut SmallRng) {
-    if bytes.is_empty() {
-        return;
-    }
-    match mode {
-        CorruptMode::BitFlip => {
-            let bit = rng.random_range(0..bytes.len() * 8);
-            bytes[bit / 8] ^= 1 << (bit % 8);
-        }
-        CorruptMode::Truncate => {
-            let keep = rng.random_range(0..bytes.len());
-            bytes.truncate(keep);
-        }
-        CorruptMode::Garbage => {
-            let start = rng.random_range(0..bytes.len());
-            let len = rng.random_range(1..=bytes.len() - start);
-            for b in &mut bytes[start..start + len] {
-                *b = rng.random();
-            }
-        }
-        CorruptMode::TagRewrite => {
-            // A hostile *writer*, not line noise: rewrite the message tag
-            // and recompute a valid checksum, so the decoder's own tag and
-            // structure validation — not the CRC — must catch the frame.
-            let trailer = dat_chord::codec::CRC_TRAILER;
-            if bytes.len() > 2 + trailer {
-                bytes[2] = rng.random();
-                let body_end = bytes.len() - trailer;
-                let crc = dat_chord::wire::crc32c(&bytes[..body_end]);
-                bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
-            }
-        }
     }
 }
 
@@ -849,6 +583,7 @@ fn corrupt_frame(bytes: &mut Vec<u8>, mode: CorruptMode, rng: &mut SmallRng) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::CorruptMode;
     use dat_chord::{ChordConfig, ChordNode, Id, IdSpace};
 
     fn cfg() -> ChordConfig {
@@ -1345,13 +1080,194 @@ mod tests {
         let mut net = two_node_net();
         assert_eq!(net.clamped_events(), 0);
         net.run_for(10_000);
-        // A fault plan whose event time is already in the past gets
-        // clamped to "now" by the queue — and counted.
+        // A fault event whose time is already in the past fires at the
+        // start of the next run — and is counted as clamped.
         let plan = FaultPlan::new().crash_at(5_000, NodeAddr(2));
         net.set_fault_plan(plan);
         assert_eq!(net.clamped_events(), 1);
         net.run_for(1_000);
         assert!(net.node(NodeAddr(2)).is_none(), "clamped crash still fires");
+    }
+
+    #[test]
+    fn a_second_fault_plan_replaces_the_first() {
+        let mut net = two_node_net();
+        net.run_for(30_000);
+        net.set_fault_plan(FaultPlan::new().crash_at(40_000, NodeAddr(2)));
+        net.set_fault_plan(FaultPlan::new().duplication_at(35_000, 0.05));
+        net.run_for(30_000);
+        assert!(
+            net.node(NodeAddr(2)).is_some(),
+            "an un-fired event of a replaced plan never fires"
+        );
+        // Overdue events fire at the next run in schedule order, whatever
+        // order they were declared in: the partition (due 20 s ago), then
+        // the heal (due 10 s ago) — so nothing is ever blocked.
+        let plan = FaultPlan::new()
+            .heal_at(50_000)
+            .partition_at(40_000, vec![NodeAddr(2)]);
+        net.set_fault_plan(plan);
+        assert_eq!(net.clamped_events(), 2);
+        let dropped = net.dropped;
+        net.run_for(20_000);
+        assert_eq!(net.dropped, dropped, "partition, then heal, in one instant");
+    }
+
+    #[test]
+    fn a_restarted_address_takes_its_slot_back() {
+        let mut net = two_node_net();
+        net.run_for(30_000);
+        let g = net.addr_map[&NodeAddr(2)];
+        let ctr = net.slot(g).ctr;
+        assert!(ctr > 0 && net.pending_events() > 0);
+        // Node 1 pings node 2; node 2 crashes and restarts before the
+        // ping lands. A third address crashing in between must not take
+        // the slot away from the address that owned it.
+        let extra = ChordNode::new(cfg(), Id(50_000), NodeAddr(3));
+        net.add_node(extra);
+        let target = net.node(NodeAddr(2)).unwrap().me();
+        let delivered = |net: &SimNet<ChordNode>| net.link_stats(NodeAddr(2)).delivered;
+        net.with_node(NodeAddr(1), |_| {
+            let msg = ChordMsg::Notify { sender: target };
+            ((), vec![Output::Send { to: target, msg }])
+        });
+        net.crash(NodeAddr(2));
+        net.crash(NodeAddr(3));
+        let reborn = ChordNode::new(cfg(), Id(40_000), NodeAddr(2));
+        net.add_node(reborn);
+        assert_eq!(net.addr_map[&NodeAddr(2)], g, "same address, same slot");
+        assert_eq!(net.slot(g).gen, 1);
+        assert_eq!(
+            net.slot(g).ctr,
+            ctr,
+            "the key counter carries over, so no new key can collide with \
+             a pending key of the old incarnation"
+        );
+        let dropped = net.dropped;
+        net.run_for(1);
+        assert!(
+            delivered(&net) >= 1,
+            "in-flight traffic reaches the new one"
+        );
+        assert_eq!(net.dropped, dropped);
+        // The old incarnation's timers died with it instead of re-arming
+        // on the new one: with its peer gone too, the queue drains.
+        net.crash(NodeAddr(1));
+        net.run_for(10_000);
+        assert_eq!((net.len(), net.pending_events()), (1, 0));
+    }
+
+    /// One seeded full-stack fleet driven through a plan holding every
+    /// [`FaultEvent`](crate::FaultEvent) variant; everything observable,
+    /// as one string.
+    fn every_fault_digest(shards: usize) -> String {
+        use crate::fault::LinkFault;
+        use dat_core::{AggregationMode, DatConfig, DatEvent, DatProtocol, StackNode};
+        let space = IdSpace::new(32);
+        let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(0xFA17);
+        let ring = dat_chord::StaticRing::build(space, 24, dat_chord::IdPolicy::Probed, &mut rng);
+        let ccfg = ChordConfig {
+            space,
+            stabilize_ms: 1_000,
+            fix_fingers_ms: 500,
+            check_pred_ms: 1_000,
+            ..ChordConfig::default()
+        };
+        let dcfg = DatConfig {
+            epoch_ms: 1_000,
+            d0_hint: Some(ring.d0()),
+            ..DatConfig::default()
+        };
+        let mut net = crate::harness::prestabilized_dat(&ring, ccfg, dcfg, 0xFA17);
+        net.set_shards(shards);
+        net.set_latency(LatencyModel::Uniform { lo: 2, hi: 20 });
+        net.set_loss(LossModel::new(0.01));
+        let feed = |node: &mut StackNode| {
+            let k = node.register("cpu", AggregationMode::Continuous);
+            node.set_local(k, 1.0);
+        };
+        for a in net.addrs() {
+            feed(net.node_mut(a).unwrap());
+        }
+        let ids = ring.ids().to_vec();
+        let bootstrap = net.node(NodeAddr(0)).unwrap().me();
+        net.set_restart_fn(move |addr| {
+            let id = space.add(ids[addr.0 as usize], 1);
+            let mut node = StackNode::new(ccfg, id, addr).with_app(DatProtocol::new(dcfg));
+            feed(&mut node);
+            let outs = node.start_join(bootstrap);
+            Some((node, outs))
+        });
+        // Every link below joins ring neighbours, so stabilization keeps
+        // traffic on it.
+        let a = NodeAddr;
+        let lossy = |loss, extra_latency_ms| LinkFault {
+            loss,
+            extra_latency_ms,
+        };
+        let plan = FaultPlan::new()
+            .partition_at(3_000, (18..24).map(a).collect())
+            .heal_at(6_000)
+            .link_fault_at(3_500, a(2), a(3), lossy(0.5, 30))
+            .clear_link_at(9_000, a(2), a(3))
+            .flaky_link_at(4_000, a(4), a(5), lossy(0.3, 10), 4_000)
+            .duplication_at(5_000, 0.05)
+            .duplication_at(11_000, 0.0)
+            .crash_at(7_000, a(7))
+            .restart_at(10_000, a(7))
+            .slowdown_at(8_000, a(9), 40, 5_000)
+            .degrade_link_at(8_500, a(11), a(12), lossy(0.2, 15), 25, 5_000)
+            .overload_at(9_500, a(13), 200, 1_000)
+            .corrupt_link_at(12_000, a(14), a(15), 0.8, CorruptMode::BitFlip, 3_000)
+            .corrupt_link_at(12_000, a(15), a(14), 0.8, CorruptMode::Truncate, 3_000)
+            .corrupt_link_at(12_000, a(16), a(17), 0.8, CorruptMode::Garbage, 3_000)
+            .corrupt_link_at(12_000, a(17), a(16), 0.8, CorruptMode::TagRewrite, 3_000);
+        net.set_fault_plan(plan);
+        let mut reports = Vec::new();
+        for _ in 0..40 {
+            net.run_for(500);
+            for addr in net.addrs() {
+                for ev in net.node_mut(addr).unwrap().take_events() {
+                    if let DatEvent::Report {
+                        epoch,
+                        completeness,
+                        ..
+                    } = ev
+                    {
+                        reports.push((net.now().0, addr.0, epoch, completeness.contributors));
+                    }
+                }
+            }
+        }
+        assert_eq!(net.clamped_events(), 0, "conservative window violated");
+        let stats: Vec<_> = (0..24)
+            .map(|i| (net.link_stats(a(i)), net.retired_link_stats(a(i))))
+            .collect();
+        let upcalls = net.take_upcalls();
+        assert!(net.retired_link_stats(a(7)).sent > 0 && net.link_stats(a(7)).sent > 0);
+        assert!(
+            net.corruption.rejected > 40,
+            "all four corrupted links carry traffic"
+        );
+        assert!(upcalls.len() > 24 && reports.len() > 10 && net.dropped > 200);
+        format!(
+            "{} {} {} {:?}\n{stats:?}\n{reports:?}\n{upcalls:?}",
+            net.events_processed(),
+            net.pending_events(),
+            net.dropped,
+            net.corruption,
+        )
+    }
+
+    #[test]
+    fn every_fault_is_shard_count_invariant() {
+        let base = every_fault_digest(1);
+        for shards in [2, 4, 8] {
+            assert!(
+                every_fault_digest(shards) == base,
+                "{shards}-shard run diverged from the 1-shard run"
+            );
+        }
     }
 
     #[test]

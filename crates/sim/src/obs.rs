@@ -23,8 +23,8 @@ use crate::net::SimNet;
 ///
 /// Counters and histogram buckets add, gauges take the max — the merge is
 /// associative and commutative, so the result is independent of node
-/// order. The simulator's own engine counters ride along: the timer-wheel
-/// clamp count ([`SimNet::clamped_events`]) is exported zero-initialized
+/// order. The simulator's own engine counters ride along: the clamp
+/// count ([`SimNet::clamped_events`]) is exported zero-initialized
 /// as `sim_clamped_events_total`, so a run whose horizon never clamped
 /// still exposes the series; the scheduler backlog
 /// ([`SimNet::pending_events`]) and process peak RSS
@@ -73,8 +73,7 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    #[test]
-    fn fleet_snapshot_merges_and_renders() {
+    fn three_second_fleet(shards: usize) -> SimNet<StackNode> {
         let space = IdSpace::new(24);
         let mut rng = SmallRng::seed_from_u64(3);
         let ring = StaticRing::build(space, 16, IdPolicy::Probed, &mut rng);
@@ -88,6 +87,7 @@ mod tests {
             ..Default::default()
         };
         let mut net = crate::harness::prestabilized_dat(&ring, ccfg, dcfg, 3);
+        net.set_shards(shards);
         for addr in net.addrs() {
             net.with_node(addr, |n| {
                 let k = n.register("cpu", AggregationMode::Continuous);
@@ -96,6 +96,12 @@ mod tests {
             });
         }
         net.run_for(3_000);
+        net
+    }
+
+    #[test]
+    fn fleet_snapshot_merges_and_renders() {
+        let net = three_second_fleet(1);
         let reg = fleet_registry(&net);
         assert!(reg.counter_sum("sent_total") > 0);
         let text = fleet_prometheus(&net);
@@ -116,6 +122,16 @@ mod tests {
         assert!(text.contains("sim_peak_rss_mib"));
         #[cfg(target_os = "linux")]
         assert!(reg.gauge(&Key::new("sim_peak_rss_mib")) > 0.0);
+        // Observability follows the engine: four shards expose the same
+        // lines and the same trace as one (peak RSS is the host's).
+        let sharded = three_second_fleet(4);
+        let lines = |net| {
+            let text = fleet_prometheus(net);
+            let keep = text.lines().filter(|l| !l.contains("sim_peak_rss_mib"));
+            keep.map(String::from).collect::<Vec<_>>()
+        };
+        assert_eq!(lines(&sharded), lines(&net));
+        assert_eq!(fleet_events(&sharded), fleet_events(&net));
     }
 
     #[test]
@@ -129,8 +145,8 @@ mod tests {
         };
         let mut net = crate::harness::prestabilized_dat(&ring, ccfg, DatConfig::default(), 2);
         net.run_for(10_000);
-        // A fault whose event time is already in the past is clamped to
-        // "now" by the queue — the fleet registry must report it.
+        // A fault whose event time is already in the past counts as
+        // clamped — the fleet registry must report it.
         let plan = crate::fault::FaultPlan::new().crash_at(5_000, net.addrs()[0]);
         net.set_fault_plan(plan);
         assert!(net.clamped_events() > 0);

@@ -23,7 +23,6 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::net::SimNet;
-use crate::shard::ShardedNet;
 
 /// Parameters of one scale run.
 #[derive(Clone, Copy, Debug)]
@@ -36,10 +35,9 @@ pub struct ScaleConfig {
     pub seed: u64,
     /// Identifier-space width in bits.
     pub bits: u8,
-    /// Worker shards. `0` (the default) drives the single-core
-    /// [`SimNet`] engine; `1..` drives the multi-core
-    /// [`ShardedNet`] engine with that many shards, whose seeded digest
-    /// is invariant in this value (`1` and `8` fingerprint identically).
+    /// Worker shards ([`SimNet::set_shards`]; `0` behaves as `1`). The
+    /// seeded digest is invariant in this value: `1` and `8` fingerprint
+    /// identically.
     pub shards: usize,
 }
 
@@ -50,7 +48,7 @@ impl Default for ScaleConfig {
             virtual_ms: 10_000,
             seed: 0x5ca1e,
             bits: 40,
-            shards: 0,
+            shards: 1,
         }
     }
 }
@@ -62,7 +60,7 @@ pub struct ScaleReport {
     pub n: usize,
     /// Virtual window simulated, in milliseconds.
     pub virtual_ms: u64,
-    /// Worker shards driven (0 = single-core [`SimNet`] engine).
+    /// Worker shards driven.
     pub shards: usize,
     /// Wall-clock cost of building the overlay, in milliseconds.
     pub build_wall_ms: u64,
@@ -90,10 +88,8 @@ pub struct ScaleReport {
     /// FNV-1a fingerprint of the run's observable outcome: event/drop
     /// counts, backlog, and every node's transport counters in global
     /// index order. A pure function of `(seed, n, virtual_ms, bits)` —
-    /// never of shard count or wall-clock — so any two sharded runs of
-    /// the same config must match bit for bit. (The single-core and
-    /// sharded engines consume randomness differently, so digests are
-    /// comparable only within one engine.)
+    /// never of shard count or wall-clock — so any two runs of the same
+    /// config must match bit for bit.
     pub digest: u64,
 }
 
@@ -135,35 +131,9 @@ pub fn peak_rss_mib() -> Option<u64> {
     None
 }
 
-/// Incremental FNV-1a over little-endian `u64` words — the run digest.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
 /// Run one scale epoch: build an `n`-node pre-stabilized overlay, simulate
-/// `virtual_ms` of maintenance, measure. `cfg.shards == 0` drives the
-/// single-core [`SimNet`]; `cfg.shards >= 1` drives the multi-core
-/// [`ShardedNet`].
+/// `virtual_ms` of maintenance on `cfg.shards` shards, measure.
 pub fn run_scale(cfg: ScaleConfig) -> ScaleReport {
-    if cfg.shards > 0 {
-        run_scale_sharded(cfg)
-    } else {
-        run_scale_simnet(cfg)
-    }
-}
-
-fn run_scale_simnet(cfg: ScaleConfig) -> ScaleReport {
     let space = IdSpace::new(cfg.bits);
     let ccfg = ChordConfig {
         space,
@@ -174,6 +144,8 @@ fn run_scale_simnet(cfg: ScaleConfig) -> ScaleReport {
     let ring = StaticRing::build(space, cfg.n, IdPolicy::Random, &mut rng);
     let mut net: SimNet<ChordNode> = crate::harness::prestabilized_chord(&ring, ccfg, cfg.seed);
     let build_wall_ms = build_start.elapsed().as_millis() as u64;
+    // Re-dealing slots and timers is neither build nor run: on no clock.
+    net.set_shards(cfg.shards);
     // Upcall records would grow without bound over a long window.
     net.set_record_upcalls(false);
 
@@ -182,105 +154,17 @@ fn run_scale_simnet(cfg: ScaleConfig) -> ScaleReport {
     net.run_for(cfg.virtual_ms);
     let run_wall = run_start.elapsed();
     let events = net.events_processed() - before;
-    let mut fnv = Fnv::new();
-    fnv.word(events);
-    fnv.word(net.dropped);
-    fnv.word(net.pending_events() as u64);
+    let mut words = vec![events, net.dropped, net.pending_events() as u64];
     for a in net.addrs() {
         let s = net.link_stats(a);
-        fnv.word(a.0);
-        fnv.word(s.sent);
-        fnv.word(s.delivered);
+        words.extend([a.0, s.sent, s.delivered]);
     }
-    finish_report(
-        cfg,
-        build_wall_ms,
-        run_wall,
-        events,
-        ReportTail {
-            dropped: net.dropped,
-            clamped: net.clamped_events(),
-            backlog: net.pending_events(),
-            digest: fnv.0,
-        },
-    )
-}
-
-/// The same workload as [`run_scale_simnet`] on the multi-core engine:
-/// identical ring build, identical per-node protocol stack, executed by
-/// `cfg.shards` worker threads under the conservative window protocol.
-fn run_scale_sharded(cfg: ScaleConfig) -> ScaleReport {
-    let space = IdSpace::new(cfg.bits);
-    let ccfg = ChordConfig {
-        space,
-        ..ChordConfig::default()
-    };
-    let build_start = Instant::now();
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let ring = StaticRing::build(space, cfg.n, IdPolicy::Random, &mut rng);
-    let book = crate::harness::addr_book(&ring);
-    let addr_of = |id| book[&id];
-    let mut net: ShardedNet<ChordNode> = ShardedNet::new(cfg.seed, cfg.shards);
-    for &id in ring.ids() {
-        let mut node = ChordNode::new(ccfg, id, addr_of(id));
-        let table = ring.table_of_with(id, ccfg.succ_list_len, &addr_of);
-        let outs = node.start_with_table(table);
-        let addr = node.me().addr;
-        net.add_node(node);
-        net.apply(addr, outs);
-    }
-    let build_wall_ms = build_start.elapsed().as_millis() as u64;
-
-    let run_start = Instant::now();
-    let before = net.events_processed();
-    net.run_for(cfg.virtual_ms);
-    let run_wall = run_start.elapsed();
-    let events = net.events_processed() - before;
-    let mut fnv = Fnv::new();
-    fnv.word(events);
-    fnv.word(net.dropped());
-    fnv.word(net.pending_events() as u64);
-    for a in net.addrs() {
-        let s = net.link_stats(a);
-        fnv.word(a.0);
-        fnv.word(s.sent);
-        fnv.word(s.delivered);
-    }
-    finish_report(
-        cfg,
-        build_wall_ms,
-        run_wall,
-        events,
-        ReportTail {
-            dropped: net.dropped(),
-            clamped: net.clamped_events(),
-            backlog: net.pending_events(),
-            digest: fnv.0,
-        },
-    )
-}
-
-/// Engine-health fields that differ per engine, bundled so the two run
-/// paths share one report constructor.
-struct ReportTail {
-    dropped: u64,
-    clamped: u64,
-    backlog: usize,
-    digest: u64,
-}
-
-fn finish_report(
-    cfg: ScaleConfig,
-    build_wall_ms: u64,
-    run_wall: std::time::Duration,
-    events: u64,
-    tail: ReportTail,
-) -> ScaleReport {
+    let bytes: Vec<u8> = words.into_iter().flat_map(u64::to_le_bytes).collect();
     let secs = run_wall.as_secs_f64();
     ScaleReport {
         n: cfg.n,
         virtual_ms: cfg.virtual_ms,
-        shards: cfg.shards,
+        shards: cfg.shards.max(1),
         build_wall_ms,
         run_wall_ms: run_wall.as_millis() as u64,
         events,
@@ -294,11 +178,11 @@ fn finish_report(
         } else {
             0.0
         },
-        dropped: tail.dropped,
-        clamped: tail.clamped,
-        backlog: tail.backlog,
+        dropped: net.dropped,
+        clamped: net.clamped_events(),
+        backlog: net.pending_events(),
         peak_rss_mib: peak_rss_mib(),
-        digest: tail.digest,
+        digest: dat_obs::fnv1a(&bytes),
     }
 }
 

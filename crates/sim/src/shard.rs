@@ -1,33 +1,31 @@
-//! The multi-core simulation engine: conservative parallel discrete-event
-//! execution with a deterministic cross-shard merge.
+//! The engine's data plane: what one shard — one worker thread — owns and
+//! runs. [`crate::net::SimNet`] is the control plane around it (membership,
+//! faults, the public surface); everything in this file executes inside a
+//! run segment and touches only the shard it is called on.
 //!
-//! [`ShardedNet`] partitions the node arena across `S` shards (node →
-//! shard by `global index % S`, the same dense-index assignment the
-//! single-core engine's `SlotHint`s rely on). Each shard owns a private
-//! [`EventQueue`] (timer wheel) and runs its nodes' deliveries and timers
-//! on its own worker thread; cross-shard sends become time-stamped
-//! messages drained at a barrier.
+//! The node arena is dealt across `S` shards (slot `g` lives on shard
+//! `g % S` at local index `g / S`). Each shard owns a private
+//! [`EventQueue`] (timer wheel) and runs its nodes' deliveries and timers;
+//! cross-shard sends become time-stamped messages drained at a barrier.
 //!
 //! ## The determinism contract
 //!
-//! Every seeded run must produce the same digest **regardless of shard
+//! Every seeded run produces the same bytes **regardless of shard
 //! count**. Three rules make that hold:
 //!
 //! 1. **Keys are assigned at push time, never at arrival time.** Each
-//!    event carries `global_seq = (ctr << IDX_BITS) | sender_idx`, where
-//!    `ctr` is the sending node's private monotone counter. Which shard's
-//!    mailbox a message lands in first — or which thread happens to run
-//!    ahead — can never influence the key, so the total order
-//!    `(at, global_seq)` is a pure function of the seed.
-//! 2. **Randomness is per node, not per engine.** Every node owns a
-//!    `SmallRng` stream seeded from `(engine seed, node index)`. A node's
+//!    event carries `(ctr << IDX_BITS) | sender_slot`, where `ctr` is the
+//!    sending slot's private monotone counter (it survives a crash, so a
+//!    new incarnation can never collide with its predecessor's pending
+//!    keys). Which shard's mailbox a message lands in first — or which
+//!    thread happens to run ahead — can never influence the key, so the
+//!    total order `(at, key)` is a pure function of the seed.
+//! 2. **Randomness is per node, not per engine.** Every slot owns a
+//!    `SmallRng` stream seeded from `(engine seed, slot index)`. A node's
 //!    events are processed in `(at, key)` order by whichever single shard
 //!    owns it, so its stream is consumed in the same order for any `S` —
-//!    which in turn makes every latency sample, loss coin and key
-//!    identical for any `S`. (This is the one place the sharded engine
-//!    deliberately differs from [`crate::net::SimNet`], whose single
-//!    global RNG cannot survive parallel execution; the two engines'
-//!    digests are therefore self-consistent but not mutually comparable.)
+//!    which in turn makes every latency sample, loss coin, corruption draw
+//!    and key identical for any `S`.
 //! 3. **Conservative lookahead.** The minimum link latency
 //!    ([`LatencyModel::min_ms`], always ≥ 1 ms) bounds how far any shard
 //!    may run ahead: in each round the shards agree on the global minimum
@@ -35,13 +33,14 @@
 //!    `[gmin, gmin + lookahead)`. Any message sent inside the window is
 //!    delivered no earlier than `gmin + lookahead`, i.e. strictly after
 //!    the window, so no shard can ever receive a message "from the past".
-//!    Timers are shard-local and need no lookahead.
+//!    Timers and slowdown requeues are shard-local and need no lookahead.
+//!
+//! Faults never enter this file as events: the control plane applies them
+//! between segments, and workers only *read* the fault controller.
 //!
 //! The merge rule itself — next event is the `(at, key)` minimum across
 //! shards — is proven single-threaded by the test-only lane-merge
-//! reference in [`crate::queue`], which runs the identical K-way merge
-//! under the full existing stack and fingerprints byte-identical to the
-//! wheel.
+//! reference in [`crate::queue`].
 //!
 //! ## The barrier protocol
 //!
@@ -51,34 +50,42 @@
 //! read the same `gmin`, execute the window, flush outbound mailboxes and
 //! cross barrier B (shard 0 resets the *other* parity slot between the
 //! barriers). `gmin > deadline` is observed by every thread in the same
-//! round, so the loop exits uniformly with all mailboxes empty.
-//!
-//! Faults, crashes and wire corruption are not modeled here — the
-//! single-core engine remains the reference for those planes; this engine
-//! exists to scale the fault-free hot path (`sim::scale`) across cores.
+//! round, so the loop exits uniformly with all mailboxes empty. With one
+//! shard there are no threads, barriers or mailboxes: the window is
+//! "everything due".
 
 #![deny(clippy::unwrap_used)]
 
 use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
-use dat_chord::{ChordMsg, Input, NodeAddr, Output, TimerKind};
+use dat_chord::{Actor, ChordMsg, Input, NodeAddr, Output, TimerKind};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
+use crate::fault::FaultController;
 use crate::latency::{LatencyModel, LossModel};
-use crate::net::{LinkStats, UpcallRecord};
-use crate::queue::EventQueue;
+use crate::net::{CorruptionStats, LinkStats, SimNet, UpcallRecord};
+use crate::queue::{EventQueue, Scheduled};
 use crate::time::SimTime;
 
-pub use dat_chord::Actor;
-
-/// Low bits of a key reserved for the sender's global node index; the
-/// counter occupies the remaining 40 bits. 16.7M nodes × 1.1T events per
-/// node before either field saturates.
+/// Low bits of a key reserved for the sender's slot index; the counter
+/// occupies the remaining 40 bits. 16.7M nodes × 1.1T events per node
+/// before either field saturates.
 const IDX_BITS: u32 = 24;
+
+/// The slot index engine-originated events (overload bursts) are keyed
+/// from; no node is ever dealt it.
+pub(crate) const ENGINE_IDX: u32 = (1 << IDX_BITS) - 1;
+
+/// The push-time key of the `ctr`-th event originated by slot `idx`.
+pub(crate) fn key(ctr: u64, idx: u32) -> u64 {
+    (ctr << IDX_BITS) | u64::from(idx)
+}
 
 /// splitmix64 finalizer — decorrelates per-node RNG seeds.
 fn mix64(mut z: u64) -> u64 {
@@ -88,80 +95,138 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Events a shard schedules on its private queue.
-enum ShardEvent {
-    /// Deliver `msg` to the local node at arena index `to`.
+/// Everything the engine schedules. Targets are *local* slot indices of
+/// the shard whose queue holds the event.
+pub(crate) enum Event {
+    /// Deliver `msg` to local slot `to`, provided `to_addr` still lives
+    /// there: traffic in flight to a crashed node reaches a restarted
+    /// incarnation of the same address and is dropped otherwise.
     Deliver {
         to: u32,
+        to_addr: NodeAddr,
         from: NodeAddr,
         msg: ChordMsg,
     },
-    /// Fire a protocol timer on the local node at arena index `node`.
-    Timer { node: u32, kind: TimerKind },
+    /// Fire a protocol timer on incarnation `gen` of local slot `node`;
+    /// timers never outlive the incarnation that armed them.
+    Timer {
+        node: u32,
+        gen: u32,
+        kind: TimerKind,
+    },
 }
 
-/// A cross-shard send in flight: everything the destination shard needs
-/// to schedule the delivery, with the key already assigned by the sender.
-struct CrossMsg {
-    at: SimTime,
-    key: u64,
-    to_local: u32,
-    from: NodeAddr,
-    msg: ChordMsg,
+impl Event {
+    /// The local slot index this event targets.
+    pub(crate) fn target_mut(&mut self) -> &mut u32 {
+        match self {
+            Event::Deliver { to, .. } => to,
+            Event::Timer { node, .. } => node,
+        }
+    }
 }
 
-/// One hosted node: the actor plus the per-node determinism state.
-struct ShardNode<A> {
-    addr: NodeAddr,
-    actor: A,
-    stats: LinkStats,
-    /// Private RNG stream — every latency sample and loss coin this node's
-    /// sends consume comes from here, in event order.
+/// One arena cell: the hosted actor plus all per-node engine state the
+/// delivery hot path touches. The key counter and RNG stream belong to the
+/// slot, not the occupant, so they stay monotone across incarnations.
+pub(crate) struct Slot<A> {
+    /// Transport address of the current (or last) occupant.
+    pub(crate) addr: NodeAddr,
+    /// Bumped every time the slot is re-occupied.
+    pub(crate) gen: u32,
+    /// The hosted actor; `None` after a crash until the slot is reused.
+    pub(crate) actor: Option<A>,
+    /// Live transport counters of the occupant.
+    pub(crate) stats: LinkStats,
+    /// Active processing slowdown: `(process_ms, episode end)`.
+    pub(crate) slow: Option<(u64, SimTime)>,
+    /// Virtual-time busy horizon of a slowed node: deliveries landing
+    /// before it are requeued, so a slow node answers *late*, not never.
+    pub(crate) busy_until: SimTime,
+    /// Private RNG stream — every coin and sample drawn while this node is
+    /// being processed comes from here, in event order.
     rng: SmallRng,
-    /// Private monotone counter — the high bits of every key this node
+    /// Private monotone counter — the high bits of every key this slot
     /// assigns.
-    ctr: u64,
-    /// Dense global index (the low bits of every key).
-    gidx: u32,
+    pub(crate) ctr: u64,
+    /// Global slot index (the low bits of every key).
+    idx: u32,
 }
 
-impl<A> ShardNode<A> {
+impl<A> Slot<A> {
+    pub(crate) fn new(seed: u64, idx: u32, addr: NodeAddr, actor: A) -> Self {
+        Slot {
+            addr,
+            gen: 0,
+            actor: Some(actor),
+            stats: LinkStats::default(),
+            slow: None,
+            busy_until: SimTime::ZERO,
+            rng: SmallRng::seed_from_u64(mix64(seed ^ mix64(u64::from(idx)))),
+            ctr: 0,
+            idx,
+        }
+    }
+
     fn next_key(&mut self) -> u64 {
-        let key = (self.ctr << IDX_BITS) | u64::from(self.gidx);
+        let k = key(self.ctr, self.idx);
         self.ctr += 1;
-        key
+        k
     }
 }
 
 /// Read-only engine parameters shared by every worker thread.
 #[derive(Clone, Copy)]
-struct Env<'a> {
-    latency: LatencyModel,
-    loss: LossModel,
-    shards: usize,
-    record_upcalls: bool,
-    addr_to_gidx: &'a HashMap<NodeAddr, u32>,
+pub(crate) struct Env<'a> {
+    pub(crate) latency: LatencyModel,
+    pub(crate) loss: LossModel,
+    pub(crate) shards: usize,
+    pub(crate) record_upcalls: bool,
+    pub(crate) codec_parity: bool,
+    /// Address → global slot index of every live node.
+    pub(crate) addr_map: &'a HashMap<NodeAddr, u32>,
+    pub(crate) faults: Option<&'a FaultController>,
 }
 
-/// One shard: a private event queue plus the nodes it owns. All mutation
+/// Outbound cross-shard sends of one window, one buffer per destination.
+pub(crate) type Outbox = [Vec<Scheduled<Event>>];
+
+/// One shard: a private event queue plus the slots it owns. All mutation
 /// during a run happens from exactly one worker thread.
-struct Shard<A> {
-    id: usize,
-    queue: EventQueue<ShardEvent>,
-    nodes: Vec<ShardNode<A>>,
-    events: u64,
-    dropped: u64,
+pub(crate) struct Shard<A> {
+    pub(crate) id: usize,
+    pub(crate) queue: EventQueue<Event>,
+    pub(crate) nodes: Vec<Slot<A>>,
+    // Tallies of the current run; the control plane folds them into the
+    // engine's totals when the run returns.
+    pub(crate) events: u64,
+    pub(crate) dropped: u64,
+    pub(crate) corruption: CorruptionStats,
     /// Upcalls tagged with the key drawn at emission time, so the merged
     /// fleet-wide order is `(at, key)` — deterministic for any shard count.
-    upcalls: Vec<(u64, UpcallRecord)>,
+    pub(crate) upcalls: Vec<(u64, UpcallRecord)>,
 }
 
 impl<A: Actor> Shard<A> {
+    pub(crate) fn new(id: usize, now: SimTime) -> Self {
+        let mut queue = EventQueue::new();
+        queue.advance_to(now);
+        Shard {
+            id,
+            queue,
+            nodes: Vec::new(),
+            events: 0,
+            dropped: 0,
+            corruption: CorruptionStats::default(),
+            upcalls: Vec::new(),
+        }
+    }
+
     /// Execute every pending event with `at < wend`. Local sends and
     /// timers go straight onto the private queue (and may fire within
     /// this same window); cross-shard sends accumulate in `cross` for the
     /// caller to flush after the window.
-    fn run_window(&mut self, wend: u64, env: &Env<'_>, cross: &mut [Vec<CrossMsg>]) {
+    fn run_window(&mut self, wend: u64, env: &Env<'_>, cross: &mut Outbox) {
         while self.queue.peek_time().is_some_and(|t| t.0 < wend) {
             let Some(ev) = self.queue.pop() else {
                 break;
@@ -169,428 +234,376 @@ impl<A: Actor> Shard<A> {
             self.events += 1;
             let at = ev.at;
             match ev.event {
-                ShardEvent::Deliver { to, from, msg } => {
-                    self.deliver(to, at, from, msg, env, cross);
+                Event::Deliver {
+                    to,
+                    to_addr,
+                    from,
+                    msg,
+                } => {
+                    self.deliver(to, to_addr, at, from, msg, env, cross);
                     // Batch drain: take the rest of this node's due inbox
                     // (consecutive head-of-queue deliveries at the same
                     // instant) without re-entering the pop machinery per
                     // message. Order-preserving: only exact head events
                     // are taken, and mid-batch outputs carry later keys.
                     loop {
-                        let next = self.queue.pop_if(
-                            |e| matches!(e, ShardEvent::Deliver { to: t2, .. } if *t2 == to),
-                        );
-                        let Some(next) = next else {
+                        let next = self
+                            .queue
+                            .pop_if(|e| matches!(e, Event::Deliver { to: t2, .. } if *t2 == to));
+                        let Some(Scheduled {
+                            event:
+                                Event::Deliver {
+                                    to_addr, from, msg, ..
+                                },
+                            ..
+                        }) = next
+                        else {
                             break;
                         };
                         self.events += 1;
-                        let ShardEvent::Deliver { from, msg, .. } = next.event else {
-                            break;
-                        };
-                        self.deliver(to, at, from, msg, env, cross);
+                        self.deliver(to, to_addr, at, from, msg, env, cross);
                     }
                 }
-                ShardEvent::Timer { node, kind } => {
+                Event::Timer { node, gen, kind } => {
                     let n = &mut self.nodes[node as usize];
-                    n.actor.set_now(at.as_millis());
-                    let out = n.actor.on_input(Input::Timer(kind));
+                    if n.gen != gen {
+                        continue; // armed by an earlier incarnation
+                    }
+                    let Some(actor) = n.actor.as_mut() else {
+                        continue; // node gone; timer dies silently
+                    };
+                    actor.set_now(at.as_millis());
+                    let out = actor.on_input(Input::Timer(kind));
                     self.apply_outputs(node, at, out, env, cross);
                 }
             }
         }
     }
 
+    /// Deliver one message to local slot `to`: liveness, gray slowdown,
+    /// wire corruption (if an episode covers the link), parity check,
+    /// counters, actor input, output processing.
+    #[allow(clippy::too_many_arguments)]
     fn deliver(
         &mut self,
         to: u32,
+        to_addr: NodeAddr,
         at: SimTime,
         from: NodeAddr,
         msg: ChordMsg,
         env: &Env<'_>,
-        cross: &mut [Vec<CrossMsg>],
+        cross: &mut Outbox,
     ) {
         let n = &mut self.nodes[to as usize];
+        if n.addr != to_addr || n.actor.is_none() {
+            self.dropped += 1; // destination crashed
+            return;
+        }
+        // Gray slowdown: a slowed node serializes processing in virtual
+        // time. A delivery landing while the node is busy is requeued at
+        // the busy horizon under a fresh key of the receiver (never
+        // dropped — the node answers late, which is the whole point); an
+        // admitted delivery pushes the horizon out by the per-message
+        // processing cost. Episodes expire lazily.
+        if let Some((process_ms, until)) = n.slow {
+            if at >= until {
+                n.slow = None;
+                n.busy_until = SimTime::ZERO;
+            } else if n.busy_until > at {
+                let (busy, key) = (n.busy_until, n.next_key());
+                self.queue.push_at_keyed(
+                    busy,
+                    key,
+                    Event::Deliver {
+                        to,
+                        to_addr,
+                        from,
+                        msg,
+                    },
+                );
+                return;
+            } else {
+                n.busy_until = at + process_ms;
+            }
+        }
+        // Byte-level corruption rides the real codec path: the message is
+        // encoded, its bytes damaged, and the damaged frame decoded —
+        // whatever the decoder makes of it is what the victim receives.
+        // No episode on the link, no randomness drawn.
+        let damage = env.faults.and_then(|fc| fc.corrupt(from, to_addr, at));
+        let input = match damage {
+            Some((prob, mode)) if prob > 0.0 && n.rng.random::<f64>() < prob => {
+                self.corruption.injected += 1;
+                let mut bytes = dat_chord::codec::encode(&msg);
+                mode.damage(&mut bytes, &mut n.rng);
+                match dat_chord::codec::decode(&bytes) {
+                    Ok(msg) => {
+                        self.corruption.passed += 1;
+                        Input::Message { from, msg }
+                    }
+                    Err(error) => {
+                        self.corruption.rejected += 1;
+                        let from = Some(from);
+                        Input::BadFrame { from, error }
+                    }
+                }
+            }
+            _ => {
+                if env.codec_parity {
+                    let bytes = dat_chord::codec::encode(&msg);
+                    match dat_chord::codec::decode(&bytes) {
+                        Ok(rt) => {
+                            assert_eq!(rt, msg, "codec parity: wire round-trip changed the message")
+                        }
+                        Err(e) => panic!("codec parity: {e} while round-tripping {:?}", msg.kind()),
+                    }
+                }
+                Input::Message { from, msg }
+            }
+        };
         n.stats.delivered += 1;
-        n.actor.set_now(at.as_millis());
-        let out = n.actor.on_input(Input::Message { from, msg });
+        let Some(actor) = n.actor.as_mut() else {
+            return;
+        };
+        actor.set_now(at.as_millis());
+        let out = actor.on_input(input);
         self.apply_outputs(to, at, out, env, cross);
     }
 
-    /// Process one node's outputs. Every RNG draw and key assignment
-    /// comes from the *sender's* private streams, in output order — the
-    /// whole determinism contract reduces to this function being a pure
-    /// function of (node state, outputs).
-    fn apply_outputs(
+    /// Process the outputs of local slot `sender`. Every RNG draw and key
+    /// assignment comes from the *sender's* private streams, in output
+    /// order — the whole determinism contract reduces to this function
+    /// being a pure function of (slot state, outputs, fault state), and
+    /// fault state only changes between segments. With no plan installed
+    /// the draws per send are exactly: loss coin, latency sample, key.
+    pub(crate) fn apply_outputs(
         &mut self,
         sender: u32,
         at: SimTime,
         outputs: Vec<Output>,
         env: &Env<'_>,
-        cross: &mut [Vec<CrossMsg>],
+        cross: &mut Outbox,
     ) {
         for o in outputs {
+            let n = &mut self.nodes[sender as usize];
             match o {
                 Output::Send { to, msg } => {
-                    let n = &mut self.nodes[sender as usize];
                     n.stats.sent += 1;
-                    if env.loss.drops(&mut n.rng) {
-                        self.dropped += 1;
-                        continue;
-                    }
-                    let delay = env.latency.sample(&mut n.rng);
-                    let key = n.next_key();
                     let from = n.addr;
-                    let Some(&gidx) = env.addr_to_gidx.get(&to.addr) else {
-                        // Unknown destination (membership is static here);
-                        // the coin, sample and key above are still drawn so
-                        // the sender's streams do not depend on the lookup.
+                    let blocked = env.faults.is_some_and(|fc| fc.blocked(from, to.addr));
+                    if blocked || env.loss.drops(&mut n.rng) {
                         self.dropped += 1;
                         continue;
-                    };
-                    let deliver_at = at + delay;
-                    let to_local = gidx / env.shards as u32;
-                    let dst = (gidx as usize) % env.shards;
-                    if dst == self.id {
-                        self.queue.push_at_keyed(
-                            deliver_at,
-                            key,
-                            ShardEvent::Deliver {
-                                to: to_local,
-                                from,
-                                msg,
-                            },
-                        );
-                    } else {
-                        cross[dst].push(CrossMsg {
-                            at: deliver_at,
-                            key,
-                            to_local,
-                            from,
-                            msg,
-                        });
                     }
+                    let mut extra = 0;
+                    let mut duplicate = false;
+                    if let Some(fc) = env.faults {
+                        // A plain link override and a gray degradation
+                        // compose: each flips its own loss coin, then adds
+                        // its latency (plus uniform per-message jitter).
+                        let link = fc.link(from, to.addr, at).map(|lf| (lf, 0));
+                        let mut lost = false;
+                        for (lf, jitter) in link.into_iter().chain(fc.degrade(from, to.addr, at)) {
+                            lost = lf.loss > 0.0 && n.rng.random::<f64>() < lf.loss;
+                            if lost {
+                                break;
+                            }
+                            extra += lf.extra_latency_ms;
+                            if jitter > 0 {
+                                extra += n.rng.random_range(0..=jitter);
+                            }
+                        }
+                        if lost {
+                            self.dropped += 1;
+                            continue;
+                        }
+                        let dup = fc.dup_prob();
+                        duplicate = dup > 0.0 && n.rng.random::<f64>() < dup;
+                    }
+                    if duplicate {
+                        // Shared payload buffers make this clone a
+                        // refcount bump, not a byte copy.
+                        self.send(sender, at, extra, to.addr, msg.clone(), env, cross);
+                    }
+                    self.send(sender, at, extra, to.addr, msg, env, cross);
                 }
                 Output::SetTimer { kind, delay_ms } => {
-                    let n = &mut self.nodes[sender as usize];
-                    let key = n.next_key();
-                    self.queue.push_at_keyed(
-                        at + delay_ms,
-                        key,
-                        ShardEvent::Timer { node: sender, kind },
-                    );
+                    let (key, gen) = (n.next_key(), n.gen);
+                    let node = sender;
+                    self.queue
+                        .push_at_keyed(at + delay_ms, key, Event::Timer { node, gen, kind });
                 }
                 Output::Upcall(upcall) => {
                     if env.record_upcalls {
-                        let n = &mut self.nodes[sender as usize];
-                        let key = n.next_key();
-                        let node = n.addr;
+                        let (key, node) = (n.next_key(), n.addr);
                         self.upcalls.push((key, UpcallRecord { at, node, upcall }));
                     }
                 }
             }
         }
     }
+
+    /// Put one admitted copy of a message on the wire: latency sample and
+    /// key from the sender's streams, then the destination's queue (ours)
+    /// or mailbox (another shard's).
+    #[allow(clippy::too_many_arguments)]
+    fn send(
+        &mut self,
+        sender: u32,
+        at: SimTime,
+        extra_ms: u64,
+        to_addr: NodeAddr,
+        msg: ChordMsg,
+        env: &Env<'_>,
+        cross: &mut Outbox,
+    ) {
+        let n = &mut self.nodes[sender as usize];
+        let at = at + env.latency.sample(&mut n.rng) + extra_ms;
+        let seq = n.next_key();
+        let from = n.addr;
+        // The sample and key above are drawn before the lookup, so the
+        // sender's streams do not depend on it.
+        let Some(&g) = env.addr_map.get(&to_addr) else {
+            self.dropped += 1; // nobody at that address
+            return;
+        };
+        let (dst, to) = (g as usize % env.shards, g / env.shards as u32);
+        let event = Event::Deliver {
+            to,
+            to_addr,
+            from,
+            msg,
+        };
+        if dst == self.id {
+            self.queue.push_at_keyed(at, seq, event);
+        } else {
+            cross[dst].push(Scheduled { at, seq, event });
+        }
+    }
 }
 
-/// The multi-core discrete-event engine. Same hosting surface as
-/// [`crate::net::SimNet`] (minus fault injection): add actors, inject
-/// outputs, run bounded windows of virtual time, read stats and upcalls.
-pub struct ShardedNet<A: Actor> {
-    shards: Vec<Shard<A>>,
-    /// `S × S` mailboxes, indexed `src * S + dst`. Only the worker threads
-    /// touch these, between the barriers of the round protocol.
-    grid: Vec<Mutex<Vec<CrossMsg>>>,
-    addr_to_gidx: HashMap<NodeAddr, u32>,
-    /// Insertion order — node `i` here has global index `i`.
-    addr_order: Vec<NodeAddr>,
-    seed: u64,
-    latency: LatencyModel,
-    loss: LossModel,
-    record_upcalls: bool,
-    now: SimTime,
+/// Execute every event with `at <= deadline` on all shards: on the
+/// calling thread when there is one shard, otherwise one worker thread
+/// per shard under the window protocol of the module docs.
+pub(crate) fn run_segment<A: Actor>(shards: &mut [Shard<A>], deadline: u64, env: &Env<'_>) {
+    let s = shards.len();
+    let past_deadline = deadline.saturating_add(1);
+    if s == 1 {
+        let mut cross = [Vec::new()];
+        shards[0].run_window(past_deadline, env, &mut cross);
+        debug_assert!(cross[0].is_empty(), "self-send routed cross-shard");
+        return;
+    }
+    if shards
+        .iter()
+        .all(|sh| sh.queue.peek_time().is_none_or(|t| t.0 > deadline))
+    {
+        return; // nothing due: not worth S threads
+    }
+    let lookahead = env.latency.min_ms();
+    // `S × S` mailboxes, indexed `src * S + dst`, touched only between
+    // the barriers of the round protocol.
+    let grid: Vec<Mutex<Vec<Scheduled<Event>>>> =
+        (0..s * s).map(|_| Mutex::new(Vec::new())).collect();
+    let barrier = Barrier::new(s);
+    let mins = [AtomicU64::new(u64::MAX), AtomicU64::new(u64::MAX)];
+    // A panic inside a window (an actor's, the codec-parity assert) must
+    // not strand the other workers at a barrier, which does not poison:
+    // the worker keeps the payload and all leave after that round's B.
+    let panicked = Mutex::new(None);
+    std::thread::scope(|scope| {
+        for shard in shards.iter_mut() {
+            let (grid, barrier, mins, panicked) = (&grid, &barrier, &mins, &panicked);
+            scope.spawn(move || {
+                let mut cross: Vec<Vec<Scheduled<Event>>> = (0..s).map(|_| Vec::new()).collect();
+                let mut round = 0usize;
+                loop {
+                    // Drain inbound mailboxes. Barrier B of the previous
+                    // round guarantees every message sent in that round
+                    // is already here, so the local minimum below is
+                    // exact.
+                    for src in 0..s {
+                        for m in grid[src * s + shard.id].lock().drain(..) {
+                            shard.queue.push_at_keyed(m.at, m.seq, m.event);
+                        }
+                    }
+                    let local_min = shard.queue.peek_time().map_or(u64::MAX, |t| t.0);
+                    let p = round & 1;
+                    mins[p].fetch_min(local_min, Ordering::AcqRel);
+                    barrier.wait(); // A: all minima published
+                    let gmin = mins[p].load(Ordering::Acquire);
+                    if gmin > deadline {
+                        // Uniform exit: every thread reads the same gmin
+                        // in the same round, after draining, having
+                        // flushed nothing since — so all mailboxes are
+                        // empty and every event ≤ deadline has been
+                        // executed.
+                        break;
+                    }
+                    let wend = gmin.saturating_add(lookahead).min(past_deadline);
+                    let window = AssertUnwindSafe(|| shard.run_window(wend, env, &mut cross));
+                    if let Err(payload) = catch_unwind(window) {
+                        panicked.lock().get_or_insert(payload);
+                    }
+                    for (dst, buf) in cross.iter_mut().enumerate() {
+                        if !buf.is_empty() {
+                            grid[shard.id * s + dst].lock().append(buf);
+                        }
+                    }
+                    if shard.id == 0 {
+                        // Reset the *other* parity slot for the round
+                        // after next; everyone is past its last read
+                        // (barrier A) and before its next write
+                        // (barrier B).
+                        mins[1 - p].store(u64::MAX, Ordering::Release);
+                    }
+                    barrier.wait(); // B: all sends flushed
+                    if panicked.lock().is_some() {
+                        break; // only written between A and B: same for all
+                    }
+                    round += 1;
+                }
+            });
+        }
+    });
+    if let Some(payload) = panicked.into_inner() {
+        resume_unwind(payload);
+    }
+    debug_assert!(
+        grid.iter().all(|c| c.lock().is_empty()),
+        "cross-shard mailboxes not drained at exit"
+    );
 }
+
+/// [`SimNet`] at a shard count fixed at construction, upcall recording
+/// off — the spelling multi-core callers use. No engine logic lives here.
+pub struct ShardedNet<A: Actor>(SimNet<A>);
 
 impl<A: Actor> ShardedNet<A> {
     /// A fresh engine with `shards` worker shards (`0` behaves as `1`).
     pub fn new(seed: u64, shards: usize) -> Self {
-        let s = shards.max(1);
-        ShardedNet {
-            shards: (0..s)
-                .map(|id| Shard {
-                    id,
-                    queue: EventQueue::new(),
-                    nodes: Vec::new(),
-                    events: 0,
-                    dropped: 0,
-                    upcalls: Vec::new(),
-                })
-                .collect(),
-            grid: (0..s * s).map(|_| Mutex::new(Vec::new())).collect(),
-            addr_to_gidx: HashMap::new(),
-            addr_order: Vec::new(),
-            seed,
-            latency: LatencyModel::default(),
-            loss: LossModel::NONE,
-            record_upcalls: false,
-            now: SimTime::ZERO,
-        }
+        let mut net = SimNet::new(seed);
+        net.set_shards(shards);
+        net.set_record_upcalls(false);
+        ShardedNet(net)
     }
 
-    /// Number of shards (== worker threads during a run).
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Replace the latency model (also sets the lookahead bound via
-    /// [`LatencyModel::min_ms`]).
-    pub fn set_latency(&mut self, model: LatencyModel) {
-        self.latency = model;
-    }
-
-    /// Replace the loss model.
-    pub fn set_loss(&mut self, model: LossModel) {
-        self.loss = model;
-    }
-
-    /// Record upcalls for [`ShardedNet::take_upcalls`].
-    pub fn set_record_upcalls(&mut self, on: bool) {
-        self.record_upcalls = on;
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Host an actor. Nodes are assigned dense global indices in insertion
-    /// order and distributed round-robin across shards (`gidx % S`), so
-    /// identical insertion sequences give identical per-node RNG streams
-    /// for any shard count.
-    pub fn add_node(&mut self, actor: A) {
-        let gidx = self.addr_order.len() as u32;
-        assert!(u64::from(gidx) < 1 << IDX_BITS, "node index overflows key");
-        let addr = actor.addr();
-        let prev = self.addr_to_gidx.insert(addr, gidx);
-        assert!(prev.is_none(), "duplicate node address {addr:?}");
-        self.addr_order.push(addr);
-        let s = self.shards.len();
-        self.shards[gidx as usize % s].nodes.push(ShardNode {
-            addr,
-            actor,
-            stats: LinkStats::default(),
-            rng: SmallRng::seed_from_u64(mix64(self.seed ^ mix64(u64::from(gidx)))),
-            ctr: 0,
-            gidx,
-        });
-    }
-
-    /// Inject outputs on behalf of `from` (setup traffic: initial timers,
-    /// seed messages). Runs on the caller's thread; cross-shard sends are
-    /// routed immediately.
-    pub fn apply(&mut self, from: NodeAddr, outputs: Vec<Output>) {
-        let Some(&gidx) = self.addr_to_gidx.get(&from) else {
-            return;
-        };
-        let s = self.shards.len();
-        let env = Env {
-            latency: self.latency,
-            loss: self.loss,
-            shards: s,
-            record_upcalls: self.record_upcalls,
-            addr_to_gidx: &self.addr_to_gidx,
-        };
-        let mut cross: Vec<Vec<CrossMsg>> = (0..s).map(|_| Vec::new()).collect();
-        let now = self.now;
-        let local = gidx / s as u32;
-        self.shards[gidx as usize % s].apply_outputs(local, now, outputs, &env, &mut cross);
-        for (dst, buf) in cross.into_iter().enumerate() {
-            for m in buf {
-                self.shards[dst].queue.push_at_keyed(
-                    m.at,
-                    m.key,
-                    ShardEvent::Deliver {
-                        to: m.to_local,
-                        from: m.from,
-                        msg: m.msg,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Borrow a node's actor.
-    pub fn node(&self, addr: NodeAddr) -> Option<&A> {
-        let &gidx = self.addr_to_gidx.get(&addr)?;
-        let s = self.shards.len();
-        Some(&self.shards[gidx as usize % s].nodes[(gidx / s as u32) as usize].actor)
-    }
-
-    /// Mutably borrow a node's actor. Outputs produced while holding the
-    /// borrow are not routed — prefer [`ShardedNet::with_node`].
-    pub fn node_mut(&mut self, addr: NodeAddr) -> Option<&mut A> {
-        let &gidx = self.addr_to_gidx.get(&addr)?;
-        let s = self.shards.len();
-        Some(&mut self.shards[gidx as usize % s].nodes[(gidx / s as u32) as usize].actor)
-    }
-
-    /// Run `f` against a node and route the outputs it returns.
-    pub fn with_node<F, R>(&mut self, addr: NodeAddr, f: F) -> Option<R>
-    where
-        F: FnOnce(&mut A) -> (R, Vec<Output>),
-    {
-        let actor = self.node_mut(addr)?;
-        let (r, out) = f(actor);
-        self.apply(addr, out);
-        Some(r)
-    }
-
-    /// All hosted addresses, in insertion (global index) order.
-    pub fn addrs(&self) -> Vec<NodeAddr> {
-        self.addr_order.clone()
-    }
-
-    /// Transport counters for one node.
-    pub fn link_stats(&self, addr: NodeAddr) -> LinkStats {
-        let s = self.shards.len();
-        match self.addr_to_gidx.get(&addr) {
-            Some(&gidx) => self.shards[gidx as usize % s].nodes[(gidx / s as u32) as usize].stats,
-            None => LinkStats::default(),
-        }
-    }
-
-    /// Total events executed across all shards.
-    pub fn events_processed(&self) -> u64 {
-        self.shards.iter().map(|s| s.events).sum()
-    }
-
-    /// Messages dropped (loss model or unknown destination).
+    /// Messages dropped so far ([`SimNet::dropped`]).
     pub fn dropped(&self) -> u64 {
-        self.shards.iter().map(|s| s.dropped).sum()
+        self.0.dropped
     }
+}
 
-    /// Events still pending across all shard queues.
-    pub fn pending_events(&self) -> usize {
-        self.shards.iter().map(|s| s.queue.len()).sum()
+impl<A: Actor> Deref for ShardedNet<A> {
+    type Target = SimNet<A>;
+    fn deref(&self) -> &SimNet<A> {
+        &self.0
     }
+}
 
-    /// Events scheduled in the past and clamped (always 0 under the
-    /// conservative window protocol; exported so a violation is visible).
-    pub fn clamped_events(&self) -> u64 {
-        self.shards.iter().map(|s| s.queue.clamped_events()).sum()
-    }
-
-    /// Drain recorded upcalls, merged into the deterministic `(at, key)`
-    /// order — identical for any shard count.
-    pub fn take_upcalls(&mut self) -> Vec<UpcallRecord> {
-        let mut all: Vec<(u64, UpcallRecord)> = Vec::new();
-        for sh in &mut self.shards {
-            all.append(&mut sh.upcalls);
-        }
-        all.sort_by_key(|(key, rec)| (rec.at, *key));
-        all.into_iter().map(|(_, rec)| rec).collect()
-    }
-
-    /// Run for `ms` more virtual milliseconds.
-    pub fn run_for(&mut self, ms: u64) {
-        let deadline = self.now + ms;
-        self.run_until(deadline);
-    }
-
-    /// Run until virtual time reaches `t` (events at exactly `t`
-    /// included), spawning one worker thread per shard when `S > 1`.
-    pub fn run_until(&mut self, t: SimTime) {
-        let deadline = t.0;
-        let lookahead = self.latency.min_ms();
-        let s = self.shards.len();
-        let env = Env {
-            latency: self.latency,
-            loss: self.loss,
-            shards: s,
-            record_upcalls: self.record_upcalls,
-            addr_to_gidx: &self.addr_to_gidx,
-        };
-        if s == 1 {
-            // Single shard: the window protocol degenerates to "run
-            // everything due" — no threads, no barriers, no mailboxes.
-            let mut cross: Vec<Vec<CrossMsg>> = vec![Vec::new()];
-            self.shards[0].run_window(deadline.saturating_add(1), &env, &mut cross);
-            debug_assert!(cross[0].is_empty(), "self-send routed cross-shard");
-        } else {
-            let grid = &self.grid;
-            let barrier = Barrier::new(s);
-            let mins = [AtomicU64::new(u64::MAX), AtomicU64::new(u64::MAX)];
-            std::thread::scope(|scope| {
-                for shard in self.shards.iter_mut() {
-                    let barrier = &barrier;
-                    let mins = &mins;
-                    scope.spawn(move || {
-                        let mut cross: Vec<Vec<CrossMsg>> = (0..s).map(|_| Vec::new()).collect();
-                        let mut round = 0usize;
-                        loop {
-                            // Drain inbound mailboxes. Barrier B of the
-                            // previous round guarantees every message sent
-                            // in that round is already here, so the local
-                            // minimum below is exact.
-                            for src in 0..s {
-                                let mut cell = grid[src * s + shard.id].lock();
-                                for m in cell.drain(..) {
-                                    shard.queue.push_at_keyed(
-                                        m.at,
-                                        m.key,
-                                        ShardEvent::Deliver {
-                                            to: m.to_local,
-                                            from: m.from,
-                                            msg: m.msg,
-                                        },
-                                    );
-                                }
-                            }
-                            let local_min = shard.queue.peek_time().map_or(u64::MAX, |t| t.0);
-                            let p = round & 1;
-                            mins[p].fetch_min(local_min, Ordering::AcqRel);
-                            barrier.wait(); // A: all minima published
-                            let gmin = mins[p].load(Ordering::Acquire);
-                            if gmin > deadline {
-                                // Uniform exit: every thread reads the same
-                                // gmin in the same round, after draining,
-                                // having flushed nothing since — so all
-                                // mailboxes are empty and every event
-                                // ≤ deadline has been executed.
-                                break;
-                            }
-                            let wend = gmin
-                                .saturating_add(lookahead)
-                                .min(deadline.saturating_add(1));
-                            shard.run_window(wend, &env, &mut cross);
-                            for (dst, buf) in cross.iter_mut().enumerate() {
-                                if !buf.is_empty() {
-                                    grid[shard.id * s + dst].lock().append(buf);
-                                }
-                            }
-                            if shard.id == 0 {
-                                // Reset the *other* parity slot for the
-                                // round after next; everyone is past its
-                                // last read (barrier A) and before its next
-                                // write (barrier B).
-                                mins[1 - p].store(u64::MAX, Ordering::Release);
-                            }
-                            barrier.wait(); // B: all sends flushed
-                            round += 1;
-                        }
-                    });
-                }
-            });
-            debug_assert!(
-                self.grid.iter().all(|c| c.lock().is_empty()),
-                "cross-shard mailboxes not drained at exit"
-            );
-        }
-        // Land exactly on the deadline so that back-to-back bounded runs
-        // cover contiguous, exact windows.
-        for shard in &mut self.shards {
-            shard.queue.advance_to(t);
-        }
-        self.now = t;
+impl<A: Actor> DerefMut for ShardedNet<A> {
+    fn deref_mut(&mut self) -> &mut SimNet<A> {
+        &mut self.0
     }
 }
 
@@ -794,6 +807,29 @@ mod tests {
             ups.windows(2).all(|w| w[0].at <= w[1].at),
             "merged upcalls out of time order"
         );
+    }
+
+    /// Panics on any input.
+    struct Bomb(NodeAddr);
+
+    impl Actor for Bomb {
+        fn addr(&self) -> NodeAddr {
+            self.0
+        }
+        fn on_input(&mut self, _: Input) -> Vec<Output> {
+            panic!("boom")
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn a_panicking_actor_fails_the_run_instead_of_hanging_it() {
+        // Three workers only cross barriers; the fourth panics in its window.
+        let mut net: ShardedNet<Bomb> = ShardedNet::new(3, 4);
+        (0..4).for_each(|i| net.add_node(Bomb(NodeAddr(i))));
+        let (kind, delay_ms) = (TimerKind::App(0), 5);
+        net.apply(NodeAddr(2), vec![Output::SetTimer { kind, delay_ms }]);
+        net.run_for(50);
     }
 
     #[test]

@@ -174,6 +174,12 @@ pub struct SoakOutcome {
 /// Run one soak: build a pre-stabilized ring, inject the seeded fault
 /// schedule, drain reports every half epoch, then score the run.
 pub fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
+    run_soak_on(cfg, 1)
+}
+
+/// [`run_soak`] on `shards` engine shards; the outcome does not depend on
+/// the count.
+fn run_soak_on(cfg: &SoakConfig, shards: usize) -> SoakOutcome {
     let space = IdSpace::new(cfg.space_bits);
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let ring = StaticRing::build(space, cfg.nodes, IdPolicy::Probed, &mut rng);
@@ -201,6 +207,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
         ..DatConfig::default()
     };
     let mut net: SimNet<StackNode> = prestabilized_dat(&ring, ccfg, dcfg, cfg.seed);
+    net.set_shards(shards);
     net.set_record_upcalls(false);
     let book = addr_book(&ring);
     let key = dat_chord::hash_to_id(space, SOAK_ATTR.as_bytes());
@@ -697,5 +704,15 @@ mod tests {
         assert!(out
             .recovery_epochs
             .is_some_and(|e| e <= out.recovery_bound_epochs));
+        // Crashes, restarts, partitions, flaky links and duplication on
+        // four worker threads: the same log, scores and counters.
+        for seed in [1, 2, 3] {
+            let cfg = SoakConfig { seed, ..cfg };
+            assert_eq!(
+                format!("{:?}", run_soak_on(&cfg, 4)),
+                format!("{:?}", run_soak_on(&cfg, 1)),
+                "seed {seed}: the shard count changed the soak"
+            );
+        }
     }
 }

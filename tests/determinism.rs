@@ -12,7 +12,7 @@ use rand::SeedableRng;
 /// everything observable: events processed, per-node traffic, root reports.
 type Fingerprint = (u64, u64, Vec<(u64, u64)>, Vec<(u64, u64)>);
 
-fn fingerprint(seed: u64) -> Fingerprint {
+fn fingerprint(seed: u64, shards: usize) -> Fingerprint {
     let space = IdSpace::new(32);
     let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
     let ring = StaticRing::build(space, 96, IdPolicy::Probed, &mut rng);
@@ -30,6 +30,7 @@ fn fingerprint(seed: u64) -> Fingerprint {
         ..DatConfig::default()
     };
     let mut net = prestabilized_dat(&ring, ccfg, dcfg, seed);
+    net.set_shards(shards);
     net.set_latency(LatencyModel::Uniform { lo: 2, hi: 40 });
     net.set_loss(LossModel::new(0.02));
     net.set_record_upcalls(false);
@@ -65,18 +66,22 @@ fn fingerprint(seed: u64) -> Fingerprint {
 
 #[test]
 fn same_seed_reproduces_everything() {
-    let a = fingerprint(0xDEAD);
-    let b = fingerprint(0xDEAD);
-    assert_eq!(a.0, b.0, "events processed");
-    assert_eq!(a.1, b.1, "messages dropped");
-    assert_eq!(a.2, b.2, "per-node traffic");
-    assert_eq!(a.3, b.3, "root reports");
+    let a = fingerprint(0xDEAD, 1);
+    // Same seed, any shard count: one worker thread or eight, a 2 ms
+    // lookahead window under jitter and loss, every byte the same.
+    for shards in [1, 2, 4, 8] {
+        let b = fingerprint(0xDEAD, shards);
+        assert_eq!(a.0, b.0, "events processed at {shards} shards");
+        assert_eq!(a.1, b.1, "messages dropped at {shards} shards");
+        assert_eq!(a.2, b.2, "per-node traffic at {shards} shards");
+        assert_eq!(a.3, b.3, "root reports at {shards} shards");
+    }
 }
 
 #[test]
 fn different_seeds_diverge() {
-    let a = fingerprint(1);
-    let b = fingerprint(2);
+    let a = fingerprint(1, 1);
+    let b = fingerprint(2, 1);
     // Different rings, latencies and losses: traffic cannot coincide.
     assert_ne!(a.2, b.2, "distinct seeds must produce distinct traffic");
 }
@@ -135,10 +140,10 @@ fn same_seed_reproduces_every_byte_with_several_keys_per_node() {
 }
 
 #[test]
-fn sharded_engine_digest_is_shard_count_invariant() {
-    // The threaded engine half of the contract: the same seeded scale
-    // workload (real ChordNode maintenance) must produce a byte-identical
-    // digest whether it runs on 1 worker thread or 8.
+fn scale_digest_is_shard_count_invariant() {
+    // The same seeded scale workload (real ChordNode maintenance) must
+    // produce a byte-identical digest whether it runs on 1 worker thread
+    // or 8.
     use libdat::sim::{run_scale, ScaleConfig};
     let cfg = |shards| ScaleConfig {
         n: 192,

@@ -278,6 +278,13 @@ fn stats_are_served_over_udp() {
 /// only ever received, a lost `layer` stamp, or an empty histogram.
 #[test]
 fn fleet_exposition_is_pinned() {
+    // The same bytes from one shard on this thread and from four worker
+    // threads: observability follows the engine.
+    pinned_fleet_exposition(1);
+    pinned_fleet_exposition(4);
+}
+
+fn pinned_fleet_exposition(shards: usize) {
     use libdat::chord::Metrics;
     use libdat::maan::{MaanProtocol, MaanStack, Resource};
 
@@ -300,6 +307,7 @@ fn fleet_exposition_is_pinned() {
             .with_app(DatProtocol::new(dcfg))
             .with_app(MaanProtocol::new(libdat::monitor::grid_schemas()))
     });
+    net.set_shards(shards);
     net.set_record_upcalls(false);
     let book = addr_book(&ring);
     for (i, &id) in ring.ids().iter().enumerate() {
