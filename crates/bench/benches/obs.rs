@@ -25,15 +25,20 @@ const MIX: [&str; 6] = [
 const ROUNDS: usize = 200;
 const FLEET: usize = 4096;
 
+/// A causal id, as an epoch or a query stamps on its messages; id 0 is
+/// Chord maintenance, which `Metrics` counts without ringing.
+const TRACED: u64 = 9;
+const UNTRACED: u64 = 0;
+
 /// A node's worth of series in steady state: every kind of the mix both
 /// ways, two named counters, three histograms, and an event ring that has
-/// long since filled (every record evicts).
+/// long since filled (every traced record evicts).
 fn node_metrics() -> Metrics {
     let mut m = Metrics::default();
     for i in 0..dat_obs::trace::DEFAULT_TRACE_CAP {
         let kind = MIX[i % MIX.len()];
-        m.on_send(0, 0, kind, 1);
-        m.on_recv(0, 0, kind, 1);
+        m.on_send(0, TRACED, kind, 1);
+        m.on_recv(0, TRACED, kind, 1);
         m.observe(["rtt_ms", "rto_ms", "route_hops"][i % 3], i as u64);
     }
     m.inc("proactive_reparents_total");
@@ -41,37 +46,28 @@ fn node_metrics() -> Metrics {
     m
 }
 
-/// One counted message.
-type Bump = fn(&mut Metrics, &'static str);
-
 fn bench_message_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("metrics");
+    // One counted message, warm: the tally alone (untraced), and the tally
+    // plus a record into a full, evicting ring (traced).
     g.throughput(Throughput::Elements((2 * ROUNDS * MIX.len()) as u64));
-    g.bench_function("on_send_on_recv_mix", |b| {
-        let mut m = node_metrics();
-        b.iter(|| {
-            for _ in 0..ROUNDS {
-                for kind in MIX {
-                    m.on_send(1, 0, black_box(kind), 7);
-                    m.on_recv(1, 0, black_box(kind), 7);
+    for (name, id) in [
+        ("on_send_on_recv_untraced", UNTRACED),
+        ("on_send_on_recv_traced", TRACED),
+    ] {
+        g.bench_function(name, |b| {
+            let mut m = node_metrics();
+            b.iter(|| {
+                for _ in 0..ROUNDS {
+                    for kind in MIX {
+                        m.on_send(1, black_box(id), black_box(kind), 7);
+                        m.on_recv(1, black_box(id), black_box(kind), 7);
+                    }
                 }
-            }
-            m.sent_total()
+                m.sent_total()
+            });
         });
-    });
-    // The same bumps without the event ring: the tally alone.
-    g.bench_function("count_kind_mix", |b| {
-        let mut m = node_metrics();
-        b.iter(|| {
-            for _ in 0..ROUNDS {
-                for kind in MIX {
-                    m.count_sent_kind(black_box(kind));
-                    m.count_received_kind(black_box(kind));
-                }
-            }
-            m.sent_total()
-        });
-    });
+    }
     g.throughput(Throughput::Elements((ROUNDS * MIX.len()) as u64));
     g.bench_function("observe", |b| {
         let mut m = node_metrics();
@@ -84,19 +80,19 @@ fn bench_message_path(c: &mut Criterion) {
             }
         });
     });
+    // The same two, cold: one bump per node of a 4096-node fleet.
     g.throughput(Throughput::Elements(FLEET as u64));
-    let cold: [(&str, Bump); 2] = [
-        ("on_recv_fleet_4096", |m, kind| m.on_recv(1, 0, kind, 7)),
-        ("count_kind_fleet_4096", Metrics::count_received_kind),
-    ];
-    for (name, bump) in cold {
+    for (name, id) in [
+        ("on_recv_untraced_fleet_4096", UNTRACED),
+        ("on_recv_traced_fleet_4096", TRACED),
+    ] {
         g.bench_function(name, |b| {
             let mut fleet = vec![node_metrics(); FLEET];
             let mut round = 0usize;
             b.iter(|| {
                 round += 1;
                 for (i, m) in fleet.iter_mut().enumerate() {
-                    bump(m, MIX[(i + round) % MIX.len()]);
+                    m.on_recv(1, black_box(id), MIX[(i + round) % MIX.len()], 7);
                 }
             });
         });

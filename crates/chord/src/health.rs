@@ -41,15 +41,15 @@ pub struct HealthConfig {
     /// this. 8 ≈ "this silence had a 10⁻⁸ chance under the learned
     /// cadence".
     pub phi_threshold: f64,
-    /// Sliding window of inter-arrival samples kept per peer.
+    /// Sliding window of inter-arrival samples kept per peer (at least 1).
     pub window: usize,
     /// Floor on the inter-arrival standard deviation (ms). Simulated
     /// heartbeats can be metronome-regular; without a floor the
     /// distribution collapses and one millisecond of jitter reads as
     /// certain death.
     pub min_std_ms: f64,
-    /// Inter-arrival samples required before phi is trusted; below this
-    /// the peer reads Healthy (phi 0).
+    /// Inter-arrival samples required before phi is trusted (at least 1);
+    /// below this the peer reads Healthy (phi 0).
     pub min_samples: usize,
     /// Sliding window (ms) over which Suspect→Healthy recoveries count as
     /// flapping.
@@ -92,6 +92,11 @@ pub enum SuspicionLevel {
     /// a fixed period regardless of its acks.
     Quarantined,
 }
+
+/// The most phi can be at zero silence: a 0 ms silence is below every
+/// window's mean (samples are ≥ 1 ms), so `p_later ≥ ½` and
+/// `phi ≤ log10 2 = 0.30103`; the margin absorbs `log10` rounding.
+const ZERO_SILENCE_PHI_MAX: f64 = 0.3011;
 
 /// Per-peer detector state.
 #[derive(Clone, Debug)]
@@ -163,6 +168,21 @@ impl HealthDetector {
     /// Record a heartbeat: any ack, reply or message that proves `peer`
     /// was alive at `now_ms`.
     pub fn heartbeat(&mut self, peer: Id, now_ms: u64) {
+        let level = self.record_beat(peer, now_ms);
+        // The silence scored right after a beat is 0 ms, so phi is at most
+        // `ZERO_SILENCE_PHI_MAX`: under a threshold above that, a Healthy
+        // peer stays Healthy and the recovery arms' `phi < threshold`
+        // holds, without fitting the window.
+        let phi = match (self.cfg.phi_threshold > ZERO_SILENCE_PHI_MAX, level) {
+            (true, SuspicionLevel::Healthy) => return,
+            (true, _) => ZERO_SILENCE_PHI_MAX,
+            (false, _) => self.phi(peer, now_ms),
+        };
+        self.transition(peer, now_ms, phi);
+    }
+
+    /// Learn one beat's inter-arrival sample; returns the level it found.
+    fn record_beat(&mut self, peer: Id, now_ms: u64) -> SuspicionLevel {
         let window = self.cfg.window;
         let e = self
             .peers
@@ -175,14 +195,15 @@ impl HealthDetector {
             // detector to accept ever-worse degradation (and let flappers
             // walk the threshold out from under the flap damper).
             if e.level == SuspicionLevel::Healthy {
-                e.intervals.push_back(now_ms - e.last_heard_ms);
-                if e.intervals.len() > window {
+                // Pop first: `window + 1` samples would double the buffer.
+                if e.intervals.len() >= window {
                     e.intervals.pop_front();
                 }
+                e.intervals.push_back(now_ms - e.last_heard_ms);
             }
             e.last_heard_ms = now_ms;
         }
-        self.transition(peer, now_ms);
+        e.level
     }
 
     /// Record hard evidence of failure: a tracked exchange to `peer`
@@ -206,7 +227,7 @@ impl HealthDetector {
         let Some(e) = self.peers.get(&peer) else {
             return 0.0;
         };
-        if e.intervals.len() < self.cfg.min_samples {
+        if e.intervals.len() < self.cfg.min_samples.max(1) {
             return 0.0;
         }
         let n = e.intervals.len() as f64;
@@ -241,7 +262,7 @@ impl HealthDetector {
         if !self.peers.contains_key(&peer) {
             return SuspicionLevel::Healthy;
         }
-        self.transition(peer, now_ms);
+        self.transition(peer, now_ms, self.phi(peer, now_ms));
         self.peek(peer)
     }
 
@@ -291,9 +312,9 @@ impl HealthDetector {
         self.peers.iter().map(|(id, e)| (*id, e.level))
     }
 
-    /// Advance the state machine for one peer at `now_ms`.
-    fn transition(&mut self, peer: Id, now_ms: u64) {
-        let phi = self.phi(peer, now_ms);
+    /// Advance one peer's state machine at `now_ms`, given its phi (or an
+    /// upper bound on it that is below the threshold).
+    fn transition(&mut self, peer: Id, now_ms: u64, phi: f64) {
         let threshold = self.cfg.phi_threshold;
         let (flap_window, flap_threshold, quarantine) = (
             self.cfg.flap_window_ms,
@@ -346,8 +367,21 @@ impl HealthDetector {
 }
 
 #[cfg(test)]
+impl HealthDetector {
+    /// [`HealthDetector::heartbeat`] without the zero-silence shortcut:
+    /// fit the window and run the state machine on every beat. The
+    /// reference the property test below holds the shortcut to.
+    fn heartbeat_reference(&mut self, peer: Id, now_ms: u64) {
+        self.record_beat(peer, now_ms);
+        self.transition(peer, now_ms, self.phi(peer, now_ms));
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn id(x: u64) -> Id {
         Id(x)
@@ -468,6 +502,116 @@ mod tests {
         d.forget(id(5));
         assert_eq!(d.peek(id(5)), SuspicionLevel::Healthy);
         assert_eq!(d.tracked(), 0);
+    }
+
+    #[test]
+    fn full_window_never_grows_its_buffer() {
+        let mut d = HealthDetector::new(cfg());
+        let window = d.config().window;
+        warmed(&mut d, id(7), 500, 1_000);
+        let intervals = &d.peers[&id(7)].intervals;
+        assert_eq!(intervals.len(), window);
+        assert!(
+            intervals.capacity() <= window.next_power_of_two(),
+            "{} slots for a {window}-sample window",
+            intervals.capacity()
+        );
+    }
+
+    #[test]
+    fn phi_at_zero_silence_never_exceeds_the_constant() {
+        assert!(ZERO_SILENCE_PHI_MAX > 2f64.log10());
+        let mut closest = 0.0f64;
+        for seed in 0..64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut d = HealthDetector::new(HealthConfig {
+                phi_threshold: f64::INFINITY,
+                window: rng.random_range(1..=64usize),
+                min_samples: rng.random_range(0..5usize),
+                // From "no floor" to a deviation that dwarfs every mean
+                // (y → 0, the case that approaches log10 2).
+                min_std_ms: [0.0, 1.0, 100.0, 1e15][rng.random_range(0..4usize)],
+                ..HealthConfig::default()
+            });
+            let mut t = 0u64;
+            for _ in 0..200 {
+                t += 1 << rng.random_range(0..24u32);
+                d.heartbeat(id(1), t);
+                let phi = d.phi(id(1), t);
+                assert!(phi <= ZERO_SILENCE_PHI_MAX, "seed {seed}: phi {phi}");
+                closest = closest.max(phi);
+            }
+        }
+        assert!(closest > 0.301, "the bound is tight: saw {closest}");
+    }
+
+    /// The zero-silence shortcut is exact: against a detector that fits
+    /// the window on every beat, every observable agrees after every call
+    /// — under thresholds above the constant (shortcut taken) and below it
+    /// (shortcut must be off: a beat alone can then raise suspicion).
+    #[test]
+    fn heartbeat_shortcut_matches_the_always_fit_reference() {
+        let (mut suspects, mut quarantines, mut rejoins) = (0, 0, 0);
+        for seed in 0..64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let threshold = [0.2, 4.0, 8.0][seed as usize % 3];
+            let cfg = HealthConfig {
+                phi_threshold: threshold,
+                ..cfg()
+            };
+            let mut fast = HealthDetector::new(cfg);
+            let mut slow = HealthDetector::new(cfg);
+            let mut t = 0u64;
+            for step in 0..2_000 {
+                // Mostly a steady cadence; now and then a silence long
+                // enough to cross phi (and, repeated, to flap into
+                // quarantine and serve it out).
+                t += match rng.random_range(0..20u32) {
+                    0 => rng.random_range(3_000..9_000u64),
+                    _ => rng.random_range(50..600u64),
+                };
+                let peer = id(rng.random_range(1..=3u64));
+                match rng.random_range(0..20u32) {
+                    0 => {
+                        fast.forget(peer);
+                        slow.forget(peer);
+                    }
+                    1 | 2 => {
+                        fast.miss(peer, t);
+                        slow.miss(peer, t);
+                    }
+                    3..=8 => assert_eq!(fast.level(peer, t), slow.level(peer, t)),
+                    // A beat stamped in the past scores a zero silence too.
+                    9 => {
+                        let past = t - rng.random_range(0..50u64);
+                        fast.heartbeat(peer, past);
+                        slow.heartbeat_reference(peer, past);
+                    }
+                    _ => {
+                        fast.heartbeat(peer, t);
+                        slow.heartbeat_reference(peer, t);
+                    }
+                }
+                assert!(
+                    fast.peers().eq(slow.peers()),
+                    "seed {seed} step {step} threshold {threshold}: levels diverged"
+                );
+                assert_eq!(
+                    (fast.suspects, fast.quarantines, fast.rejoins),
+                    (slow.suspects, slow.quarantines, slow.rejoins),
+                    "seed {seed} step {step} threshold {threshold}"
+                );
+            }
+            if threshold > ZERO_SILENCE_PHI_MAX {
+                suspects += fast.suspects;
+                quarantines += fast.quarantines;
+                rejoins += fast.rejoins;
+            }
+        }
+        assert!(
+            suspects > 0 && quarantines > 0 && rejoins > 0,
+            "streams never left Healthy: {suspects} / {quarantines} / {rejoins}"
+        );
     }
 
     #[test]

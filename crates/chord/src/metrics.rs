@@ -99,23 +99,29 @@ impl Metrics {
         self.count_kind(Dir::Received, kind);
     }
 
-    /// Count an outgoing message *and* trace it under `trace_id`
-    /// (`peer` is the destination node id, or the routing key for routed
-    /// sends).
+    /// Count an outgoing message and, under a non-zero causal `trace_id`,
+    /// trace it (`peer` is the destination node id, or the routing key for
+    /// routed sends). Id 0 means untraced: counted only, never ringed —
+    /// no reader asks for it, and it would evict the events one does.
     pub fn on_send(&mut self, at_ms: u64, trace_id: u64, kind: &'static str, peer: u64) {
         self.count_kind(Dir::Sent, kind);
-        self.tracer
-            .record(at_ms, trace_id, EventKind::Send { kind, to: peer });
+        if trace_id != 0 {
+            self.tracer
+                .record(at_ms, trace_id, EventKind::Send { kind, to: peer });
+        }
     }
 
-    /// Count an incoming message *and* trace it under `trace_id`.
+    /// Count an incoming message and, under a non-zero `trace_id`, trace
+    /// it; id 0 is counted only, as in [`Metrics::on_send`].
     pub fn on_recv(&mut self, at_ms: u64, trace_id: u64, kind: &'static str, peer: u64) {
         self.count_kind(Dir::Received, kind);
-        self.tracer
-            .record(at_ms, trace_id, EventKind::Recv { kind, from: peer });
+        if trace_id != 0 {
+            self.tracer
+                .record(at_ms, trace_id, EventKind::Recv { kind, from: peer });
+        }
     }
 
-    /// Record an arbitrary traced event (timers, epoch starts, reports…).
+    /// Record a state event (epoch starts, reports…), whatever its id.
     pub fn trace(&mut self, at_ms: u64, trace_id: u64, kind: EventKind) {
         self.tracer.record(at_ms, trace_id, kind);
     }
@@ -340,6 +346,11 @@ mod tests {
             }
         ));
         m.reset();
+        assert!(m.tracer().is_empty());
+        // Trace id 0 is "untraced": counted, never ringed.
+        m.on_send(12, 0, "ping", 7);
+        m.on_recv(13, 0, "ping", 3);
+        assert_eq!((m.sent_of("ping"), m.received_of("ping")), (1, 1));
         assert!(m.tracer().is_empty());
     }
 

@@ -132,9 +132,12 @@ enum Pending {
     Unify,
 }
 
-/// An in-flight request kept for retransmission and RTT sampling.
+/// An in-flight request: its purpose, plus retransmission and RTT state.
 #[derive(Clone, Debug)]
 struct Outstanding {
+    kind: Pending,
+    /// Is `to` suspected (failure detector, strikes) on final timeout?
+    suspect: bool,
     /// First hop the request was (and will again be) sent to.
     to: NodeRef,
     /// The exact datagram to re-send.
@@ -157,10 +160,6 @@ pub struct ChordNode {
     next_finger: u8,
     fix_round: u32,
     join_attempts: u32,
-    pending: HashMap<ReqId, Pending>,
-    /// The node each outstanding request was sent to — evicted from the
-    /// table if the request times out (failure suspicion).
-    pending_targets: HashMap<ReqId, Id>,
     /// Consecutive timeout strikes per suspected node; eviction needs two,
     /// so one lost datagram on a lossy network does not tear down a live
     /// neighbor. Any reply from the node clears its strikes.
@@ -171,7 +170,7 @@ pub struct ChordNode {
     srtt_ms: Option<f64>,
     /// RTT mean deviation (ms), per Jacobson.
     rttvar_ms: f64,
-    /// Retransmission state per outstanding request.
+    /// In-flight requests by id: `send_tracked` in, reply or final timeout out.
     outstanding: HashMap<ReqId, Outstanding>,
     /// Timeout-evicted peers remembered for ring unification, each with a
     /// remaining probe budget (FIFO, capped at `FALLEN_CAP`).
@@ -198,8 +197,6 @@ impl ChordNode {
             next_finger: 2,
             fix_round: 0,
             join_attempts: 0,
-            pending: HashMap::new(),
-            pending_targets: HashMap::new(),
             strikes: HashMap::new(),
             now_ms: 0,
             srtt_ms: None,
@@ -382,15 +379,13 @@ impl ChordNode {
         kind: Pending,
         suspect: bool,
     ) {
-        if suspect {
-            self.pending_targets.insert(req, to.id);
-        }
-        self.pending.insert(req, kind);
         let rto = self.current_rto();
         self.metrics.observe("rto_ms", rto);
         self.outstanding.insert(
             req,
             Outstanding {
+                kind,
+                suspect,
                 to,
                 msg: msg.clone(),
                 first_sent_ms: self.now_ms,
@@ -403,15 +398,13 @@ impl ChordNode {
     }
 
     fn untrack(&mut self, req: ReqId) -> Option<Pending> {
-        if let Some(o) = self.outstanding.remove(&req) {
-            // Karn's rule: only exchanges that were never retransmitted
-            // yield RTT samples (a retransmitted reply is ambiguous).
-            if o.attempts == 1 {
-                self.observe_rtt(self.now_ms.saturating_sub(o.first_sent_ms));
-            }
+        let o = self.outstanding.remove(&req)?;
+        // Karn's rule: only exchanges that were never retransmitted
+        // yield RTT samples (a retransmitted reply is ambiguous).
+        if o.attempts == 1 {
+            self.observe_rtt(self.now_ms.saturating_sub(o.first_sent_ms));
         }
-        self.pending_targets.remove(&req);
-        self.pending.remove(&req)
+        Some(o.kind)
     }
 
     /// Start as the first node of a new ring.
@@ -637,8 +630,6 @@ impl ChordNode {
             self.send(&mut out, s, msg);
         }
         self.status = NodeStatus::Departed;
-        self.pending.clear();
-        self.pending_targets.clear();
         self.outstanding.clear();
         self.fallen.clear();
         out
@@ -851,35 +842,29 @@ impl ChordNode {
     }
 
     fn on_req_timeout(&mut self, req: ReqId, out: &mut Vec<Output>) {
-        if !self.pending.contains_key(&req) {
+        let Some(o) = self.outstanding.get_mut(&req) else {
             return; // answered in time
-        }
+        };
         // Retransmit the identical datagram to the identical first hop
         // while the retry budget lasts, doubling the timeout each round.
-        if let Some(o) = self.outstanding.get_mut(&req) {
-            if o.attempts <= self.cfg.max_retries {
-                o.attempts += 1;
-                o.rto_ms = (o.rto_ms * 2).min(self.cfg.rto_max_ms);
-                let (to, msg, rto) = (o.to, o.msg.clone(), o.rto_ms);
-                self.metrics.retransmits += 1;
-                self.send(out, to, msg);
-                self.arm(out, TimerKind::ReqTimeout(req), rto);
-                return;
-            }
-        }
-        // Retries exhausted. Drop the retransmission entry *before*
-        // untracking so the failed exchange cannot feed the RTT estimate,
-        // but keep the target's NodeRef for the fallen list.
-        let target_ref = self.outstanding.remove(&req).map(|o| o.to);
-        let suspect = self.pending_targets.get(&req).copied();
-        let Some(kind) = self.untrack(req) else {
+        if o.attempts <= self.cfg.max_retries {
+            o.attempts += 1;
+            o.rto_ms = (o.rto_ms * 2).min(self.cfg.rto_max_ms);
+            let (to, msg, rto) = (o.to, o.msg.clone(), o.rto_ms);
+            self.metrics.retransmits += 1;
+            self.send(out, to, msg);
+            self.arm(out, TimerKind::ReqTimeout(req), rto);
             return;
-        };
+        }
+        // Retries exhausted. Not `untrack`: no RTT sample from a failure.
+        let (kind, suspect, to) = (o.kind, o.suspect, o.to);
+        self.outstanding.remove(&req);
         // Suspect the node that failed to answer. Two consecutive strikes
         // are required before eviction so a single lost datagram on a lossy
         // network cannot tear down a live neighbor; finger fixing relearns
         // genuinely-alive nodes either way.
-        if let Some(dead) = suspect {
+        if suspect {
+            let dead = to.id;
             // Hard evidence for the failure detector: the full retry
             // budget burned with no reply.
             self.health.miss(dead, self.now_ms);
@@ -888,9 +873,7 @@ impl ChordNode {
             if *s >= 2 {
                 self.strikes.remove(&dead);
                 if self.table.evict(dead) {
-                    if let Some(r) = target_ref.filter(|r| r.id == dead) {
-                        self.remember_fallen(r);
-                    }
+                    self.remember_fallen(to);
                     out.push(Output::Upcall(Upcall::NeighborhoodChanged));
                 }
             }
@@ -1850,13 +1833,15 @@ mod tests {
     #[test]
     fn collision_on_join_redraws() {
         let mut b = node(2);
-        b.status = NodeStatus::Joining;
-        b.bootstrap = Some(NodeRef::new(Id(9), NodeAddr(9)));
-        b.pending.insert(42, Pending::JoinFindSuccessor);
+        let out = b.start_join(NodeRef::new(Id(9), NodeAddr(9)));
+        let req = match sends(&out)[0].1 {
+            ChordMsg::FindSuccessor { req, .. } => *req,
+            other => panic!("unexpected {other:?}"),
+        };
         let out = b.handle(Input::Message {
             from: NodeAddr(9),
             msg: ChordMsg::FoundSuccessor {
-                req: 42,
+                req,
                 owner: NodeRef::new(Id(2), NodeAddr(7)), // same id, other node
                 owner_pred: None,
                 owner_succ: None,

@@ -1373,8 +1373,6 @@ impl AppProtocol for DatProtocol {
         let Some(t) = self.timers.remove(&sub) else {
             return;
         };
-        self.metrics
-            .trace(cx.now_ms(), 0, EventKind::Timer { token: sub });
         match t {
             DatTimer::EpochTick => {
                 self.epoch_timer_armed = false;

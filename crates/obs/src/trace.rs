@@ -58,11 +58,6 @@ pub enum EventKind {
         /// Hops traversed.
         hops: u32,
     },
-    /// A protocol timer fired.
-    Timer {
-        /// The layer's timer token/sub-kind.
-        token: u64,
-    },
     /// A new aggregation epoch began for `key`.
     EpochStart {
         /// Aggregation key.
@@ -152,10 +147,7 @@ impl Event {
                 push(&key.to_le_bytes(), &mut n);
                 push(&(*hops as u64).to_le_bytes(), &mut n);
             }
-            EventKind::Timer { token } => {
-                push(&[4], &mut n);
-                push(&token.to_le_bytes(), &mut n);
-            }
+            // Tag 4 is retired: pinned digests hash these tags, never renumber.
             EventKind::EpochStart { key, epoch } => {
                 push(&[5], &mut n);
                 push(&key.to_le_bytes(), &mut n);
@@ -220,7 +212,7 @@ pub struct Tracer {
 }
 
 /// Default ring capacity — enough for tens of epochs of one protocol's
-/// events without mattering at 8192-node sim scale.
+/// events; a full ring measures 16 KiB (one per layer of every node).
 pub const DEFAULT_TRACE_CAP: usize = 256;
 
 impl Default for Tracer {
@@ -318,6 +310,10 @@ impl Tracer {
 mod tests {
     use super::*;
 
+    fn hop(key: u64) -> EventKind {
+        EventKind::RouteHop { key, hops: 1 }
+    }
+
     #[test]
     fn trace_ids_are_stable_and_nonzero() {
         assert_eq!(trace_id_for(7, 3), trace_id_for(7, 3));
@@ -345,14 +341,14 @@ mod tests {
     fn ring_bounds_and_eviction() {
         let mut t = Tracer::new(3);
         for i in 0..5 {
-            t.record(i, 0, EventKind::Timer { token: i });
+            t.record(i, 0, hop(i));
         }
         assert_eq!(t.len(), 3);
         assert_eq!(t.dropped(), 2);
         let lts: Vec<u64> = t.events().map(|e| e.lts).collect();
         assert_eq!(lts, vec![3, 4, 5], "oldest evicted, lts monotone");
         t.set_enabled(false);
-        t.record(9, 0, EventKind::Timer { token: 9 });
+        t.record(9, 0, hop(9));
         assert_eq!(t.len(), 3, "disabled tracer records nothing");
     }
 
@@ -361,17 +357,17 @@ mod tests {
         let mut t = Tracer::default();
         assert_eq!(t.ring.capacity(), 0, "a fresh tracer holds no heap");
         t.set_enabled(false);
-        t.record(1, 0, EventKind::Timer { token: 1 });
+        t.record(1, 0, hop(1));
         assert_eq!(t.ring.capacity(), 0, "nor does a disabled one");
         t.set_enabled(true);
         for i in 0..DEFAULT_TRACE_CAP as u64 {
-            t.record(i, 0, EventKind::Timer { token: i });
+            t.record(i, 0, hop(i));
         }
         assert_eq!((t.len(), t.dropped()), (DEFAULT_TRACE_CAP, 0));
         let room = t.ring.capacity();
         assert!(room >= DEFAULT_TRACE_CAP);
         // The 257th event evicts the first; the ring never grows past cap.
-        t.record(999, 0, EventKind::Timer { token: 999 });
+        t.record(999, 0, hop(999));
         assert_eq!((t.len(), t.dropped()), (DEFAULT_TRACE_CAP, 1));
         assert_eq!(t.events().next().map(|e| e.lts), Some(2));
         assert_eq!(t.ring.capacity(), room);

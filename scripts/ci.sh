@@ -113,11 +113,15 @@ grep -q '"events_per_sec"' "$simbench_out" \
   || { echo "simbench smoke produced no throughput figures"; exit 1; }
 rm -f "$simbench_out"
 
-echo "==> multi-shard smoke: 4-shard scale run must reproduce the 1-shard digest"
-# A ~100k-event seeded maintenance run (4096 nodes, 2 s virtual) at 1
+echo "==> multi-shard smoke: 4-shard scale run must reproduce the 1-shard digest, and the pinned one"
+# A 200,704-event seeded maintenance run (4096 nodes, 2 s virtual) at 1
 # and 4 shards. simbench itself exits non-zero on any digest divergence;
-# the greps below double-check that both shard counts actually ran and
-# that the conservative window never clamped.
+# the greps below double-check that both shard counts actually ran, that
+# the conservative window never clamped, and that the digest is the one
+# pinned here: a change that claims "no protocol byte moved" passes with
+# this line unedited, one that does move bytes (message order, timer
+# schedule, RNG draws) re-pins it in the same diff.
+SHARD_SMOKE_DIGEST=b00c9d9c805797ae
 shard_out="$(mktemp)"
 cargo run --release -p dat-bench --bin simbench -- \
   --sizes 4096 --virtual-ms 2000 --shards 1,4 --quiet \
@@ -128,6 +132,8 @@ grep -q '"shards": 1' "$shard_out" && grep -q '"shards": 4' "$shard_out" \
 shard_digests="$(grep -o '"digest": "[0-9a-f]*"' "$shard_out" | sort -u | wc -l)"
 [ "$shard_digests" -eq 1 ] \
   || { echo "multi-shard smoke: shard counts disagree on the run digest"; exit 1; }
+grep -q "\"digest\": \"$SHARD_SMOKE_DIGEST\"" "$shard_out" \
+  || { echo "multi-shard smoke: run digest moved off $SHARD_SMOKE_DIGEST (protocol bytes changed: re-pin it here, knowingly)"; exit 1; }
 grep -q '"clamped": 0' "$shard_out" \
   || { echo "multi-shard smoke: conservative window clamped an event"; exit 1; }
 rm -f "$shard_out"

@@ -4,6 +4,7 @@
 
 use libdat::chord::{ChordConfig, IdPolicy, IdSpace, RoutingScheme, StaticRing};
 use libdat::core::{AggregationMode, DatConfig, DatEvent};
+use libdat::obs::EventKind;
 use libdat::sim::harness::{addr_book, prestabilized_dat};
 use libdat::sim::{LatencyModel, LossModel};
 use rand::SeedableRng;
@@ -128,6 +129,13 @@ fn same_seed_reproduces_every_byte_with_several_keys_per_node() {
             .collect();
         let events = libdat::sim::fleet_events(&net);
         assert!(events.len() > 64 * 4 * 20, "the fleet traced its epochs");
+        // ...and only those: a message without a causal id is counted,
+        // not ringed, so maintenance cannot evict an epoch's events.
+        assert!(
+            !events.iter().any(|(_, e)| e.trace_id == 0
+                && matches!(e.kind, EventKind::Send { .. } | EventKind::Recv { .. })),
+            "an untraced message reached a trace ring"
+        );
         (
             traffic,
             libdat::obs::fnv1a(format!("{events:?}").as_bytes()),

@@ -16,7 +16,7 @@ use libdat::chord::{
 use libdat::core::{AggregationMode, DatConfig, DatEvent, DatProtocol, StackNode};
 use libdat::obs::{digest_events, mix64, trace_id_for, validate_prometheus, EpochTrace};
 use libdat::rpc::RpcCluster;
-use libdat::sim::harness::{addr_book, prestabilized_dat};
+use libdat::sim::harness::{addr_book, prestabilized_chord, prestabilized_dat};
 use libdat::sim::{fleet_events, SimNet};
 use rand::SeedableRng;
 
@@ -166,6 +166,33 @@ fn trace_digests_are_deterministic_across_runs() {
     // A different seed produces a different stream.
     let (_, digest_c, _, _) = run(0xD16);
     assert_ne!(digest_a, digest_c, "digest distinguishes different runs");
+}
+
+#[test]
+fn untraced_maintenance_is_counted_but_never_ringed() {
+    // Chord maintenance carries no causal id, so it is tallied per kind
+    // and stays out of the event ring: ten seconds of default-timer
+    // stabilization leave every node's tracer as it was built. (A tracer
+    // that never recorded owns no heap — see `dat_obs::Tracer`.)
+    let space = IdSpace::new(32);
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(0xC0);
+    let ring = StaticRing::build(space, 64, IdPolicy::Probed, &mut rng);
+    let cfg = ChordConfig {
+        space,
+        ..ChordConfig::default()
+    };
+    let mut net = prestabilized_chord(&ring, cfg, 0xC0);
+    net.set_record_upcalls(false);
+    net.run_for(10_000);
+    for (addr, node) in net.iter_nodes() {
+        let m = node.metrics();
+        assert!(m.sent_total() > 0 && m.received_total() > 0, "{addr:?}");
+        assert!(
+            m.tracer().is_empty() && m.tracer().dropped() == 0,
+            "{addr:?} ringed {} untraced events",
+            m.tracer().len() as u64 + m.tracer().dropped()
+        );
+    }
 }
 
 #[test]
