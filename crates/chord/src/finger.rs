@@ -77,6 +77,8 @@ pub struct FingerTable {
     /// Maximum successor-list length.
     succ_list_len: usize,
     predecessor: Option<NodeRef>,
+    /// Change counter, see [`FingerTable::version`].
+    version: u64,
 }
 
 impl FingerTable {
@@ -90,7 +92,24 @@ impl FingerTable {
             successors: Vec::new(),
             succ_list_len: succ_list_len.max(1),
             predecessor: None,
+            version: 0,
         }
+    }
+
+    /// A counter that moves whenever the predecessor, the successor list
+    /// or the node a finger points at changes. Anything derived from those
+    /// alone — a DAT parent, a `d0` estimate — is still valid while the
+    /// counter it was computed under stands. FOF detail (a finger's own
+    /// neighbours) refreshes without moving it; a mutator call that leaves
+    /// the table as it was may or may not.
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// Make this table — about to replace one whose counter read `old` —
+    /// read as changed to whoever derived something from the old one.
+    pub(crate) fn supersede(&mut self, old: u64) {
+        self.version = self.version.max(old) + 1;
     }
 
     /// The identifier space this table lives in.
@@ -110,6 +129,7 @@ impl FingerTable {
 
     /// Set/replace the predecessor unconditionally.
     pub fn set_predecessor(&mut self, p: Option<NodeRef>) {
+        self.version += u64::from(self.predecessor != p);
         self.predecessor = p;
     }
 
@@ -125,6 +145,7 @@ impl FingerTable {
         };
         if adopt {
             self.predecessor = Some(candidate);
+            self.version += 1;
         }
         adopt
     }
@@ -158,11 +179,13 @@ impl FingerTable {
         if let Some(&head) = list.first() {
             self.set_finger(1, FingerInfo::bare(head));
         }
+        self.version += u64::from(self.successors != list);
         self.successors = list;
     }
 
     /// Set the immediate successor, pushing the old list down.
     pub fn set_successor(&mut self, s: NodeRef) {
+        self.version += 1;
         if s.id == self.me.id {
             self.successors.clear();
             self.fingers[0] = None;
@@ -201,8 +224,10 @@ impl FingerTable {
         if let Some(&head) = self.successors.first() {
             if self.fingers[0].map(|f| f.node.id) != Some(head.id) {
                 self.fingers[0] = Some(FingerInfo::bare(head));
+                self.version += 1;
             }
         }
+        self.version += u64::from(changed);
         changed
     }
 
@@ -215,14 +240,19 @@ impl FingerTable {
     /// Install finger `j`.
     pub fn set_finger(&mut self, j: u8, info: FingerInfo) {
         assert!((1..=self.space.bits()).contains(&j));
-        if info.node.id == self.me.id {
-            self.fingers[(j - 1) as usize] = None;
+        let slot = &mut self.fingers[(j - 1) as usize];
+        let new = (info.node.id != self.me.id).then_some(info);
+        // Finger fixing re-installs the node it found last round, with
+        // fresh FOF detail: only a different node counts as a change.
+        self.version += u64::from(slot.map(|f| f.node) != new.map(|f| f.node));
+        *slot = new;
+        if new.is_none() {
             return;
         }
-        self.fingers[(j - 1) as usize] = Some(info);
         if j == 1 {
             // Mirror into the successor list head.
             if self.successors.first().map(|s| s.id) != Some(info.node.id) {
+                self.version += 1;
                 let mut list = vec![info.node];
                 list.extend(
                     self.successors

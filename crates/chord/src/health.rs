@@ -110,6 +110,22 @@ struct PeerHealth {
     recoveries: VecDeque<u64>,
     /// When a quarantine ends (meaningful only while Quarantined).
     quarantined_until_ms: u64,
+    /// `(mean, variance)` of `intervals` while `fitted`: taken by the
+    /// first `level()` that needs it, stale from where `record_beat`
+    /// changes the window. Between two beats, silence moves phi but not
+    /// the fit.
+    fit: (f64, f64),
+    /// A flag, not an `Option` around the pair: it packs beside `level`,
+    /// and every tracked peer of every node carries these bytes whether
+    /// or not anyone ever evaluates it.
+    fitted: bool,
+}
+
+/// What one evaluation did to a peer's level (each is a detector counter).
+enum Moved {
+    Suspected,
+    Quarantined,
+    Rejoined,
 }
 
 impl PeerHealth {
@@ -120,7 +136,86 @@ impl PeerHealth {
             level: SuspicionLevel::Healthy,
             recoveries: VecDeque::new(),
             quarantined_until_ms: 0,
+            fit: (0.0, 0.0),
+            fitted: false,
         }
+    }
+
+    /// Mean and (population) variance of the window, in two passes.
+    fn fit_window(&self) -> (f64, f64) {
+        let n = self.intervals.len() as f64;
+        let mean = self.intervals.iter().map(|&x| x as f64).sum::<f64>() / n;
+        let var = self
+            .intervals
+            .iter()
+            .map(|&x| {
+                let d = x as f64 - mean;
+                d * d
+            })
+            .sum::<f64>()
+            / n;
+        (mean, var)
+    }
+
+    /// Phi of the silence since the last beat under a fitted window.
+    fn phi_under(&self, cfg: &HealthConfig, (mean, var): (f64, f64), now_ms: u64) -> f64 {
+        let std = var.sqrt().max(cfg.min_std_ms);
+        let t = now_ms.saturating_sub(self.last_heard_ms) as f64;
+        // Logistic approximation of the normal tail (as used by Akka's
+        // accrual detector): cheap, monotone, and good to a few percent.
+        let y = (t - mean) / std;
+        let ex = (-y * (1.5976 + 0.070566 * y * y)).exp();
+        let p_later = if t > mean {
+            ex / (1.0 + ex)
+        } else {
+            1.0 - 1.0 / (1.0 + ex)
+        };
+        -p_later.max(1e-30).log10()
+    }
+
+    /// Advance the Healthy↔Suspect↔Quarantined state machine at `now_ms`,
+    /// given phi (or an upper bound on it that is below the threshold).
+    fn advance(&mut self, cfg: &HealthConfig, now_ms: u64, phi: f64) -> Option<Moved> {
+        let threshold = cfg.phi_threshold;
+        match self.level {
+            SuspicionLevel::Quarantined => {
+                if now_ms >= self.quarantined_until_ms && phi < threshold {
+                    // Quarantine served AND the peer is currently talking:
+                    // it has stabilized, let it back in with a clean slate.
+                    self.level = SuspicionLevel::Healthy;
+                    self.recoveries.clear();
+                    return Some(Moved::Rejoined);
+                }
+            }
+            SuspicionLevel::Suspect => {
+                if phi < threshold {
+                    // Recovery. Count it as flap evidence; too many inside
+                    // the window and the peer is quarantined instead.
+                    self.recoveries.push_back(now_ms);
+                    while self
+                        .recoveries
+                        .front()
+                        .is_some_and(|&t| now_ms.saturating_sub(t) > cfg.flap_window_ms)
+                    {
+                        self.recoveries.pop_front();
+                    }
+                    if self.recoveries.len() as u32 >= cfg.flap_threshold {
+                        self.level = SuspicionLevel::Quarantined;
+                        self.quarantined_until_ms = now_ms + cfg.quarantine_ms;
+                        self.recoveries.clear();
+                        return Some(Moved::Quarantined);
+                    }
+                    self.level = SuspicionLevel::Healthy;
+                }
+            }
+            SuspicionLevel::Healthy => {
+                if phi >= threshold {
+                    self.level = SuspicionLevel::Suspect;
+                    return Some(Moved::Suspected);
+                }
+            }
+        }
+        None
     }
 }
 
@@ -200,6 +295,7 @@ impl HealthDetector {
                     e.intervals.pop_front();
                 }
                 e.intervals.push_back(now_ms - e.last_heard_ms);
+                e.fitted = false;
             }
             e.last_heard_ms = now_ms;
         }
@@ -230,40 +326,30 @@ impl HealthDetector {
         if e.intervals.len() < self.cfg.min_samples.max(1) {
             return 0.0;
         }
-        let n = e.intervals.len() as f64;
-        let mean = e.intervals.iter().map(|&x| x as f64).sum::<f64>() / n;
-        let var = e
-            .intervals
-            .iter()
-            .map(|&x| {
-                let d = x as f64 - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / n;
-        let std = var.sqrt().max(self.cfg.min_std_ms);
-        let t = now_ms.saturating_sub(e.last_heard_ms) as f64;
-        // Logistic approximation of the normal tail (as used by Akka's
-        // accrual detector): cheap, monotone, and good to a few percent.
-        let y = (t - mean) / std;
-        let ex = (-y * (1.5976 + 0.070566 * y * y)).exp();
-        let p_later = if t > mean {
-            ex / (1.0 + ex)
-        } else {
-            1.0 - 1.0 / (1.0 + ex)
-        };
-        -p_later.max(1e-30).log10()
+        let fit = if e.fitted { e.fit } else { e.fit_window() };
+        e.phi_under(&self.cfg, fit, now_ms)
     }
 
     /// Evaluate and return `peer`'s suspicion level at `now_ms`,
     /// advancing the Healthy↔Suspect↔Quarantined state machine (silence
     /// alone can raise suspicion, so evaluation mutates).
     pub fn level(&mut self, peer: Id, now_ms: u64) -> SuspicionLevel {
-        if !self.peers.contains_key(&peer) {
+        let Some(e) = self.peers.get_mut(&peer) else {
             return SuspicionLevel::Healthy;
-        }
-        self.transition(peer, now_ms, self.phi(peer, now_ms));
-        self.peek(peer)
+        };
+        let phi = if e.intervals.len() < self.cfg.min_samples.max(1) {
+            0.0
+        } else {
+            if !e.fitted {
+                e.fit = e.fit_window();
+                e.fitted = true;
+            }
+            e.phi_under(&self.cfg, e.fit, now_ms)
+        };
+        let moved = e.advance(&self.cfg, now_ms, phi);
+        let level = e.level;
+        self.count(moved);
+        level
     }
 
     /// The last evaluated level, without re-evaluating (pure read — used
@@ -315,65 +401,69 @@ impl HealthDetector {
     /// Advance one peer's state machine at `now_ms`, given its phi (or an
     /// upper bound on it that is below the threshold).
     fn transition(&mut self, peer: Id, now_ms: u64, phi: f64) {
-        let threshold = self.cfg.phi_threshold;
-        let (flap_window, flap_threshold, quarantine) = (
-            self.cfg.flap_window_ms,
-            self.cfg.flap_threshold,
-            self.cfg.quarantine_ms,
-        );
         let Some(e) = self.peers.get_mut(&peer) else {
             return;
         };
-        match e.level {
-            SuspicionLevel::Quarantined => {
-                if now_ms >= e.quarantined_until_ms && phi < threshold {
-                    // Quarantine served AND the peer is currently talking:
-                    // it has stabilized, let it back in with a clean slate.
-                    e.level = SuspicionLevel::Healthy;
-                    e.recoveries.clear();
-                    self.rejoins += 1;
-                }
-            }
-            SuspicionLevel::Suspect => {
-                if phi < threshold {
-                    // Recovery. Count it as flap evidence; too many inside
-                    // the window and the peer is quarantined instead.
-                    e.recoveries.push_back(now_ms);
-                    while e
-                        .recoveries
-                        .front()
-                        .is_some_and(|&t| now_ms.saturating_sub(t) > flap_window)
-                    {
-                        e.recoveries.pop_front();
-                    }
-                    if e.recoveries.len() as u32 >= flap_threshold {
-                        e.level = SuspicionLevel::Quarantined;
-                        e.quarantined_until_ms = now_ms + quarantine;
-                        e.recoveries.clear();
-                        self.quarantines += 1;
-                    } else {
-                        e.level = SuspicionLevel::Healthy;
-                    }
-                }
-            }
-            SuspicionLevel::Healthy => {
-                if phi >= threshold {
-                    e.level = SuspicionLevel::Suspect;
-                    self.suspects += 1;
-                }
-            }
+        let moved = e.advance(&self.cfg, now_ms, phi);
+        self.count(moved);
+    }
+
+    fn count(&mut self, moved: Option<Moved>) {
+        match moved {
+            Some(Moved::Suspected) => self.suspects += 1,
+            Some(Moved::Quarantined) => self.quarantines += 1,
+            Some(Moved::Rejoined) => self.rejoins += 1,
+            None => {}
         }
     }
 }
 
 #[cfg(test)]
 impl HealthDetector {
+    /// [`HealthDetector::phi`] as it was before the fit was kept: both
+    /// passes over the window on every call, no stored state read.
+    fn phi_reference(&self, peer: Id, now_ms: u64) -> f64 {
+        let Some(e) = self.peers.get(&peer) else {
+            return 0.0;
+        };
+        if e.intervals.len() < self.cfg.min_samples.max(1) {
+            return 0.0;
+        }
+        let n = e.intervals.len() as f64;
+        let mean = e.intervals.iter().map(|&x| x as f64).sum::<f64>() / n;
+        let var = e
+            .intervals
+            .iter()
+            .map(|&x| {
+                let d = x as f64 - mean;
+                d * d
+            })
+            .sum::<f64>()
+            / n;
+        let std = var.sqrt().max(self.cfg.min_std_ms);
+        let t = now_ms.saturating_sub(e.last_heard_ms) as f64;
+        let y = (t - mean) / std;
+        let ex = (-y * (1.5976 + 0.070566 * y * y)).exp();
+        let p_later = if t > mean {
+            ex / (1.0 + ex)
+        } else {
+            1.0 - 1.0 / (1.0 + ex)
+        };
+        -p_later.max(1e-30).log10()
+    }
+
     /// [`HealthDetector::heartbeat`] without the zero-silence shortcut:
     /// fit the window and run the state machine on every beat. The
     /// reference the property test below holds the shortcut to.
     fn heartbeat_reference(&mut self, peer: Id, now_ms: u64) {
         self.record_beat(peer, now_ms);
-        self.transition(peer, now_ms, self.phi(peer, now_ms));
+        self.transition(peer, now_ms, self.phi_reference(peer, now_ms));
+    }
+
+    /// [`HealthDetector::level`] on a fit taken afresh.
+    fn level_reference(&mut self, peer: Id, now_ms: u64) -> SuspicionLevel {
+        self.transition(peer, now_ms, self.phi_reference(peer, now_ms));
+        self.peek(peer)
     }
 }
 
@@ -545,10 +635,12 @@ mod tests {
         assert!(closest > 0.301, "the bound is tight: saw {closest}");
     }
 
-    /// The zero-silence shortcut is exact: against a detector that fits
-    /// the window on every beat, every observable agrees after every call
-    /// — under thresholds above the constant (shortcut taken) and below it
-    /// (shortcut must be off: a beat alone can then raise suspicion).
+    /// The zero-silence shortcut and the kept fit are exact: against a
+    /// detector that fits the window on every beat and every evaluation,
+    /// every observable agrees after every call — phi to the bit — under
+    /// thresholds above the constant (shortcut taken) and below it
+    /// (shortcut must be off: a beat alone can then raise suspicion),
+    /// across `forget` and a window resized under a standing fit.
     #[test]
     fn heartbeat_shortcut_matches_the_always_fit_reference() {
         let (mut suspects, mut quarantines, mut rejoins) = (0, 0, 0);
@@ -580,12 +672,19 @@ mod tests {
                         fast.miss(peer, t);
                         slow.miss(peer, t);
                     }
-                    3..=8 => assert_eq!(fast.level(peer, t), slow.level(peer, t)),
+                    3..=8 => assert_eq!(fast.level(peer, t), slow.level_reference(peer, t)),
                     // A beat stamped in the past scores a zero silence too.
                     9 => {
                         let past = t - rng.random_range(0..50u64);
                         fast.heartbeat(peer, past);
                         slow.heartbeat_reference(peer, past);
+                    }
+                    // A resized window: the buffer only follows at the next
+                    // beat, so a standing fit stays the fit of what is there.
+                    10 => {
+                        let window = rng.random_range(1..=32usize);
+                        fast.config_mut().window = window;
+                        slow.config_mut().window = window;
                     }
                     _ => {
                         fast.heartbeat(peer, t);
@@ -596,6 +695,15 @@ mod tests {
                     fast.peers().eq(slow.peers()),
                     "seed {seed} step {step} threshold {threshold}: levels diverged"
                 );
+                for p in (1..=3u64).map(id) {
+                    for at in [t, t + 700] {
+                        assert_eq!(
+                            fast.phi(p, at).to_bits(),
+                            slow.phi_reference(p, at).to_bits(),
+                            "seed {seed} step {step}: phi of {p:?} at {at}"
+                        );
+                    }
+                }
                 assert_eq!(
                     (fast.suspects, fast.quarantines, fast.rejoins),
                     (slow.suspects, slow.quarantines, slow.rejoins),

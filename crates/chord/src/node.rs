@@ -132,12 +132,26 @@ enum Pending {
     Unify,
 }
 
+impl Pending {
+    /// Is the request's target suspected (failure detector, strikes) when
+    /// the retry budget runs out? Not a bootstrap node, which is no table
+    /// member yet, nor a fallen peer, whose silence is the expected outcome.
+    fn suspects_target(self) -> bool {
+        !matches!(
+            self,
+            Pending::JoinFindAnchor
+                | Pending::ProbeJoin
+                | Pending::JoinFindSuccessor
+                | Pending::FallenProbe
+                | Pending::Unify
+        )
+    }
+}
+
 /// An in-flight request: its purpose, plus retransmission and RTT state.
 #[derive(Clone, Debug)]
 struct Outstanding {
     kind: Pending,
-    /// Is `to` suspected (failure detector, strikes) on final timeout?
-    suspect: bool,
     /// First hop the request was (and will again be) sent to.
     to: NodeRef,
     /// The exact datagram to re-send.
@@ -368,8 +382,9 @@ impl ChordNode {
     }
 
     /// Send a request and register it for timeout tracking and (when the
-    /// retry budget allows) retransmission. With `suspect` the target is
-    /// additionally marked for failure suspicion on final timeout.
+    /// retry budget allows) retransmission. Whether the target is marked
+    /// for failure suspicion on final timeout follows from `kind`
+    /// ([`Pending::suspects_target`]).
     fn send_tracked(
         &mut self,
         out: &mut Vec<Output>,
@@ -377,7 +392,6 @@ impl ChordNode {
         msg: ChordMsg,
         req: ReqId,
         kind: Pending,
-        suspect: bool,
     ) {
         let rto = self.current_rto();
         self.metrics.observe("rto_ms", rto);
@@ -385,7 +399,6 @@ impl ChordNode {
             req,
             Outstanding {
                 kind,
-                suspect,
                 to,
                 msg: msg.clone(),
                 first_sent_ms: self.now_ms,
@@ -429,7 +442,7 @@ impl ChordNode {
             self.me().id,
             "table belongs to a different node"
         );
-        self.table = table;
+        self.replace_table(table);
         self.status = NodeStatus::Active;
         let mut out = Vec::new();
         self.arm_periodic(&mut out);
@@ -461,7 +474,7 @@ impl ChordNode {
             origin: self.me(),
             hops: 0,
         };
-        self.send_tracked(out, bootstrap, msg, req, kind, false);
+        self.send_tracked(out, bootstrap, msg, req, kind);
     }
 
     fn arm_periodic(&self, out: &mut Vec<Output>) {
@@ -492,7 +505,7 @@ impl ChordNode {
             hops: 0,
         };
         match self.next_hop(key) {
-            Some(next) => self.send_tracked(&mut out, next, msg, req, Pending::Lookup, true),
+            Some(next) => self.send_tracked(&mut out, next, msg, req, Pending::Lookup),
             None => out.push(Output::Upcall(Upcall::LookupFailed { req })),
         }
         (req, out)
@@ -556,7 +569,7 @@ impl ChordNode {
             req,
             sender: self.me(),
         };
-        self.send_tracked(&mut out, target, msg, req, Pending::PingNode, true);
+        self.send_tracked(&mut out, target, msg, req, Pending::PingNode);
         out
     }
 
@@ -699,7 +712,7 @@ impl ChordNode {
                             req,
                             sender: self.me(),
                         };
-                        self.send_tracked(out, s, msg, req, Pending::Stabilize, true);
+                        self.send_tracked(out, s, msg, req, Pending::Stabilize);
                     }
                 }
                 self.arm(out, TimerKind::Stabilize, self.cfg.stabilize_ms);
@@ -718,7 +731,7 @@ impl ChordNode {
                             req,
                             sender: self.me(),
                         };
-                        self.send_tracked(out, p, msg, req, Pending::PingPred, true);
+                        self.send_tracked(out, p, msg, req, Pending::PingPred);
                     }
                     self.probe_fallen(out);
                     self.keepalive_probe(out);
@@ -747,7 +760,7 @@ impl ChordNode {
                     req,
                     sender: self.me(),
                 };
-                self.send_tracked(out, f.node, msg, req, Pending::FofRefresh(j), true);
+                self.send_tracked(out, f.node, msg, req, Pending::FofRefresh(j));
                 return;
             }
         }
@@ -771,7 +784,7 @@ impl ChordNode {
             hops: 0,
         };
         if let Some(next) = self.next_hop(target) {
-            self.send_tracked(out, next, msg, req, Pending::FixFinger(j), true);
+            self.send_tracked(out, next, msg, req, Pending::FixFinger(j));
         }
     }
 
@@ -787,7 +800,7 @@ impl ChordNode {
             req,
             sender: self.me(),
         };
-        self.send_tracked(out, node, msg, req, Pending::FallenProbe, false);
+        self.send_tracked(out, node, msg, req, Pending::FallenProbe);
         if budget > 1 {
             self.fallen.push_back((node, budget - 1));
         }
@@ -824,7 +837,7 @@ impl ChordNode {
                     req,
                     sender: self.me(),
                 };
-                self.send_tracked(out, r, msg, req, Pending::PingNode, true);
+                self.send_tracked(out, r, msg, req, Pending::PingNode);
             }
         }
     }
@@ -857,13 +870,13 @@ impl ChordNode {
             return;
         }
         // Retries exhausted. Not `untrack`: no RTT sample from a failure.
-        let (kind, suspect, to) = (o.kind, o.suspect, o.to);
+        let (kind, to) = (o.kind, o.to);
         self.outstanding.remove(&req);
         // Suspect the node that failed to answer. Two consecutive strikes
         // are required before eviction so a single lost datagram on a lossy
         // network cannot tear down a live neighbor; finger fixing relearns
         // genuinely-alive nodes either way.
-        if suspect {
+        if kind.suspects_target() {
             let dead = to.id;
             // Hard evidence for the failure detector: the full retry
             // budget burned with no reply.
@@ -889,8 +902,8 @@ impl ChordNode {
                 }
             }
             // Stabilize / predecessor-ping targets were already evicted by
-            // the generic suspicion above (they were tracked with
-            // `track_to`); the successor list/notify machinery re-links.
+            // the generic suspicion above (`send_tracked` marks both kinds
+            // for it); the successor list/notify machinery re-links.
             Pending::Stabilize | Pending::PingPred => {}
             Pending::Lookup => out.push(Output::Upcall(Upcall::LookupFailed { req })),
             // The generic suspect-eviction above already handled the target.
@@ -986,7 +999,7 @@ impl ChordNode {
                         req,
                         sender: self.me(),
                     };
-                    self.send_tracked(out, sender, msg, req, Pending::Unify, false);
+                    self.send_tracked(out, sender, msg, req, Pending::Unify);
                 }
             }
             ChordMsg::ProbeJoin { req, origin } => {
@@ -1007,7 +1020,7 @@ impl ChordNode {
                     origin: self.me(),
                     hops: 0,
                 };
-                self.send_tracked(out, bootstrap, msg, req, Pending::JoinFindSuccessor, false);
+                self.send_tracked(out, bootstrap, msg, req, Pending::JoinFindSuccessor);
             }
             ChordMsg::LeaveToPred { leaver, succ_list } => {
                 if self.table.successor().map(|s| s.id) == Some(leaver.id) {
@@ -1161,7 +1174,7 @@ impl ChordNode {
                     req,
                     origin: self.me(),
                 };
-                self.send_tracked(out, owner, msg, req, Pending::ProbeJoin, false);
+                self.send_tracked(out, owner, msg, req, Pending::ProbeJoin);
             }
             Pending::JoinFindSuccessor => {
                 if owner.id == self.me().id {
@@ -1340,7 +1353,14 @@ impl ChordNode {
     fn adopt_id(&mut self, id: Id) {
         let addr = self.me().addr;
         let me = NodeRef::new(self.cfg.space.id(id.raw()), addr);
-        self.table = FingerTable::new(self.cfg.space, me, self.cfg.succ_list_len);
+        self.replace_table(FingerTable::new(self.cfg.space, me, self.cfg.succ_list_len));
+    }
+
+    /// Swap the whole routing table; its change counter carries on from the
+    /// old one's, so nothing stamped against the old table reads as current.
+    fn replace_table(&mut self, mut table: FingerTable) {
+        table.supersede(self.table.version());
+        self.table = table;
     }
 
     /// Forward a broadcast to every finger responsible for a sub-range of

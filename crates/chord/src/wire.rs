@@ -138,10 +138,13 @@ pub struct Writer {
 }
 
 impl Writer {
-    /// Fresh empty writer.
+    /// Fresh empty writer, with room for the messages that make up the
+    /// traffic: a DAT `Update` or `Response` is 100 bytes and most Chord
+    /// maintenance messages are shorter, so encoding one does not regrow
+    /// the buffer.
     pub fn new() -> Self {
         Writer {
-            buf: Vec::with_capacity(64),
+            buf: Vec::with_capacity(128),
         }
     }
 

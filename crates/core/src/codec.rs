@@ -595,6 +595,32 @@ mod tests {
     }
 
     #[test]
+    fn a_plain_partial_encodes_without_regrowing_the_buffer() {
+        // The two messages of the aggregation paths proper — one `Update`
+        // per node per key per epoch, one `Response` per queried node —
+        // must fit the buffer a `Writer` starts with: a regrow is a
+        // `realloc` and a copy on every push.
+        let start = Writer::new().finish().capacity();
+        let update = DatMsg::Update {
+            key: Id(u64::MAX),
+            epoch: u64::MAX,
+            partial: AggPartial::of(42.0),
+            sender: nr(3),
+        };
+        let response = DatMsg::Response {
+            reqid: u64::MAX,
+            key: Id(u64::MAX),
+            partial: AggPartial::of(42.0),
+            sender: nr(3),
+        };
+        for msg in [update, response] {
+            let bytes = msg.encode();
+            assert_eq!(bytes.len(), 100, "{}", msg.kind());
+            assert_eq!(bytes.capacity(), start, "{} regrew", msg.kind());
+        }
+    }
+
+    #[test]
     fn nan_and_infinity_roundtrip() {
         let mut p = AggPartial::identity();
         // Empty partial has ±inf extremes — must survive the wire.

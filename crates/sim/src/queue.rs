@@ -94,6 +94,11 @@ struct Wheel<E> {
     slots: Vec<Vec<Scheduled<E>>>,
     /// One occupancy bitmap per level (bit `s` set ⇔ slot `s` non-empty).
     occupied: [u64; LEVELS],
+    /// Earliest firing time in each slot (`u64::MAX` ⇔ empty): lowered
+    /// where `place` files an event, reset where the slot is taken whole.
+    /// Slots only ever lose all their events at once, so the minimum never
+    /// has to be recomputed from the survivors.
+    slot_min: Vec<u64>,
     /// Events due exactly at `now`, in `seq` order.
     ready: VecDeque<Scheduled<E>>,
     /// Events beyond the wheel span, ordered by `(at, seq)`.
@@ -111,11 +116,20 @@ impl<E> Wheel<E> {
                 .take(LEVELS * SLOTS)
                 .collect(),
             occupied: [0; LEVELS],
+            slot_min: vec![u64::MAX; LEVELS * SLOTS],
             ready: VecDeque::new(),
             overflow: BinaryHeap::new(),
             len: 0,
             next_at: None,
         }
+    }
+
+    /// Empty slot `s` of level `lvl`, handing its events over.
+    fn take_slot(&mut self, lvl: usize, s: u64) -> Vec<Scheduled<E>> {
+        let idx = lvl * SLOTS + s as usize;
+        self.occupied[lvl] &= !(1u64 << s);
+        self.slot_min[idx] = u64::MAX;
+        std::mem::take(&mut self.slots[idx])
     }
 
     /// Level an event at `at` belongs to, given cursor `now`:
@@ -155,7 +169,9 @@ impl<E> Wheel<E> {
             return;
         }
         let slot = ((at >> (LEVEL_BITS * lvl as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.slots[lvl * SLOTS + slot].push(ev);
+        let idx = lvl * SLOTS + slot;
+        self.slots[idx].push(ev);
+        self.slot_min[idx] = self.slot_min[idx].min(at);
         self.occupied[lvl] |= 1u64 << slot;
     }
 
@@ -208,10 +224,7 @@ impl<E> Wheel<E> {
                 if self.occupied[lvl] & (1u64 << s) == 0 {
                     continue;
                 }
-                let idx = lvl * SLOTS + s as usize;
-                let evs = std::mem::take(&mut self.slots[idx]);
-                self.occupied[lvl] &= !(1u64 << s);
-                for ev in evs {
+                for ev in self.take_slot(lvl, s) {
                     debug_assert!(ev.at.0 >= *now, "pending event in the past");
                     self.place(*now, ev);
                 }
@@ -245,9 +258,7 @@ impl<E> Wheel<E> {
             debug_assert!(mask != 0, "occupied slot behind the cursor at level {lvl}");
             let mask = if mask != 0 { mask } else { self.occupied[lvl] };
             let s = mask.trailing_zeros() as u64;
-            let idx = lvl * SLOTS + s as usize;
-            let mut evs = std::mem::take(&mut self.slots[idx]);
-            self.occupied[lvl] &= !(1u64 << s);
+            let mut evs = self.take_slot(lvl, s);
             if lvl == 0 {
                 // Every event here fires at the same instant (see module
                 // docs); seq-sort restores insertion order exactly.
@@ -274,6 +285,8 @@ impl<E> Wheel<E> {
 
     /// Recompute the cached earliest firing time (exact, not a lower
     /// bound). Called after pops; pushes maintain the cache incrementally.
+    /// Reads one `slot_min` word per occupied level: a level's first slot
+    /// at or after the cursor holds its earliest events, however many.
     fn recompute_next(&mut self, now: u64) {
         if let Some(front) = self.ready.front() {
             self.next_at = Some(front.at);
@@ -288,18 +301,8 @@ impl<E> Wheel<E> {
             let cur = (now >> shift) & (SLOTS as u64 - 1);
             let mask = self.occupied[lvl] & (!0u64 << cur);
             let mask = if mask != 0 { mask } else { self.occupied[lvl] };
-            let s = mask.trailing_zeros() as u64;
-            let cand = if lvl == 0 {
-                // Level-0 slots hold a single firing time.
-                (now & !(SLOTS as u64 - 1)) | s
-            } else {
-                // Earliest event within the level's first upcoming slot.
-                self.slots[lvl * SLOTS + s as usize]
-                    .iter()
-                    .map(|e| e.at.0)
-                    .min()
-                    .unwrap_or(u64::MAX)
-            };
+            let cand = self.slot_min[lvl * SLOTS + mask.trailing_zeros() as usize];
+            debug_assert!(cand != u64::MAX, "occupied slot without a minimum");
             best = Some(match best {
                 Some(b) => b.min(cand),
                 None => cand,
@@ -357,6 +360,7 @@ impl<E> Wheel<E> {
             v.clear();
         }
         self.occupied = [0; LEVELS];
+        self.slot_min.fill(u64::MAX);
         self.ready.clear();
         self.overflow.clear();
         self.len = 0;
@@ -1028,6 +1032,101 @@ pub(crate) mod tests {
         for seed in 0..4u64 {
             lockstep_all_backends(seed, true);
         }
+    }
+
+    /// The cached next firing time stays exact when an upper-level slot is
+    /// crowded — thousands of parked timers in one level-1 and one level-2
+    /// slot, the shape an epoch-driven overlay gives the wheel — and it
+    /// does so without reading the slot: after every call `peek_time()`
+    /// equals the minimum of a flat set of pending `(at, seq)` kept beside
+    /// the queue, and every pop equals the heap reference's.
+    #[test]
+    fn next_at_is_exact_with_a_crowded_upper_slot() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeSet;
+        let mut rng = SmallRng::seed_from_u64(0xC20D_ED51);
+        let mut w: EventQueue<u64> = with_scheduler(SchedulerKind::Wheel);
+        let mut h: EventQueue<u64> = with_scheduler(SchedulerKind::Heap);
+        let mut pending: BTreeSet<(u64, u64)> = BTreeSet::new();
+        let mut stream_ctr = [1u64; 4];
+        let mut push = |w: &mut EventQueue<u64>,
+                        h: &mut EventQueue<u64>,
+                        pending: &mut BTreeSet<(u64, u64)>,
+                        rng: &mut SmallRng,
+                        at: u64| {
+            let s = rng.random_range(0usize..4);
+            let key = (stream_ctr[s] << 8) | s as u64;
+            stream_ctr[s] += 1;
+            let at = at.max(w.now().0);
+            w.push_at_keyed(SimTime(at), key, key);
+            h.push_at_keyed(SimTime(at), key, key);
+            assert!(pending.insert((at, key)));
+        };
+        let check = |w: &EventQueue<u64>, pending: &BTreeSet<(u64, u64)>, what: &str, op: u32| {
+            assert_eq!(
+                w.peek_time(),
+                pending.first().map(|&(at, _)| SimTime(at)),
+                "next_at drifted after {what} (op {op})"
+            );
+            assert_eq!(w.len(), pending.len());
+        };
+        // Relative to t = 0: level-1 slot 5 is [320, 384), level-2 slot 3
+        // is [12288, 16384). 5,000 events in each.
+        for i in 0..10_000u32 {
+            let at = if i % 2 == 0 {
+                rng.random_range(320u64..384)
+            } else {
+                rng.random_range(12_288u64..16_384)
+            };
+            push(&mut w, &mut h, &mut pending, &mut rng, at);
+            check(&w, &pending, "setup push", i);
+        }
+        for op in 0..20_000u32 {
+            match rng.random_range(0u32..100) {
+                // A trickle of near events, and refills one and two levels
+                // up so a crowded slot is always ahead of the cursor.
+                0..=29 => {
+                    let now = w.now().0;
+                    let at = match rng.random_range(0u32..4) {
+                        0 | 1 => now + rng.random_range(0u64..40),
+                        2 => (now | 63) + 1 + rng.random_range(0u64..64),
+                        _ => (now | 4_095) + 1 + rng.random_range(0u64..4_096),
+                    };
+                    push(&mut w, &mut h, &mut pending, &mut rng, at);
+                    check(&w, &pending, "push", op);
+                }
+                roll @ 30..=89 => {
+                    let (a, b, what) = if roll < 70 {
+                        (w.pop(), h.pop(), "pop")
+                    } else {
+                        let pred = |e: &u64| !e.is_multiple_of(3);
+                        (w.pop_if(pred), h.pop_if(pred), "pop_if")
+                    };
+                    assert_eq!(
+                        a.as_ref().map(|e| (e.at, e.seq, e.event)),
+                        b.as_ref().map(|e| (e.at, e.seq, e.event)),
+                        "{what} diverged from the heap at op {op}"
+                    );
+                    if let Some(e) = a {
+                        assert_eq!(pending.pop_first(), Some((e.at.0, e.seq)));
+                    }
+                    check(&w, &pending, what, op);
+                }
+                _ => {
+                    let target = w.now().0 + rng.random_range(0u64..200);
+                    let bounded = pending.first().map_or(target, |&(at, _)| at.min(target));
+                    w.advance_to(SimTime(bounded));
+                    h.advance_to(SimTime(bounded));
+                    check(&w, &pending, "advance_to", op);
+                }
+            }
+            assert_eq!(w.now(), h.now());
+        }
+        assert!(
+            pending.len() > 1_000 && w.now().0 > 320,
+            "the run must cross the crowded level-1 slot and leave a crowd behind"
+        );
     }
 
     #[test]

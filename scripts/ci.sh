@@ -178,6 +178,22 @@ bash benchmark/run.sh spec >/dev/null
 git diff --exit-code -- benchmark/Cargo.lock BENCHMARK.json \
   || { echo "building the benchmark changed its lock file or BENCHMARK.json"; exit 1; }
 
+echo "==> DAT-path smoke: a seeded sim_epoch run must reproduce the pinned digest and event count"
+# The multi-shard smoke above pins Chord maintenance only. This is its
+# twin for the aggregation path (epoch ticks, hold timers, parent
+# decisions, Update / Prune / RootState, the failure detector's say in
+# who is waited for): 1024 nodes x 4 keys, seed 1, one second, untraced.
+# A change that claims "no protocol byte moved" passes with both
+# constants unedited; one that does move bytes edits them in the same
+# diff.
+EPOCH_SMOKE_DIGEST=0063adfff9e85934
+EPOCH_SMOKE_EVENTS=10189
+epoch_out="$(bash benchmark/run.sh --workload sim_epoch --quick --seed 1 --seconds 1 --trace 0)"
+grep -qx "# digest: $EPOCH_SMOKE_DIGEST" <<<"$epoch_out" \
+  || { echo "DAT-path smoke: run digest moved off $EPOCH_SMOKE_DIGEST (protocol bytes changed: re-pin it here, knowingly)"; exit 1; }
+grep -qx "# events_per_op: $EPOCH_SMOKE_EVENTS" <<<"$epoch_out" \
+  || { echo "DAT-path smoke: events per epoch moved off $EPOCH_SMOKE_EVENTS"; exit 1; }
+
 echo "==> examples build"
 cargo build --release --examples
 
