@@ -292,11 +292,11 @@ fn run_degradation(o: &Opts) -> Vec<String> {
     println!(
         "min completeness during churn {:.3}; recovered in {:?} epochs; \
          root failover {:?} ms with {:?} contributors  (seed {}, digest {:#018x})",
-        d.outcome.min_ratio_during_churn,
-        d.outcome.recovery_epochs,
-        d.outcome.failover_delay_ms,
-        d.outcome.failover_contributors,
-        d.outcome.seed,
+        d.outcome.score.min_ratio_during_faults,
+        d.outcome.score.recovery_epochs,
+        d.outcome.score.failover_delay_ms,
+        d.outcome.score.failover_contributors,
+        d.outcome.scenario.seed,
         d.outcome.digest
     );
     d.check()

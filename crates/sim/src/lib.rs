@@ -22,6 +22,8 @@
 //!   for fault injection;
 //! * [`harness`] — builds whole overlays: live protocol joins, or
 //!   pre-stabilized 8192-node rings materialised from a global view;
+//! * [`campaign`] — seeded fault campaigns (churn, gray failures, wire
+//!   corruption): one scenario, one drive loop, one invariant scorer;
 //! * [`scale`] — 10⁴–10⁶-node throughput epochs (events/sec, ns/event,
 //!   peak RSS) tracking the engine's performance trajectory;
 //! * [`stats`] — tallies, percentiles and the paper's imbalance factor.
@@ -41,10 +43,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod corrupt;
+pub mod campaign;
 pub mod fault;
 pub mod fuzz;
-pub mod gray;
 pub mod harness;
 pub mod latency;
 pub mod net;
@@ -52,14 +53,12 @@ pub mod obs;
 pub mod queue;
 pub mod scale;
 pub mod shard;
-pub mod soak;
 pub mod stats;
 pub mod time;
 
-pub use corrupt::{run_corrupt, CorruptConfig, CorruptOutcome};
+pub use campaign::{Campaign, FleetCounters, Outcome, Report, Scenario, Score};
 pub use fault::{CorruptMode, FaultEvent, FaultPlan, LinkFault};
 pub use fuzz::{fuzz_codec, FuzzReport, FuzzTarget, ALL_TARGETS};
-pub use gray::{run_gray, GrayConfig, GrayOutcome};
 pub use harness::{
     finger_convergence, prestabilized_chord, prestabilized_dat, prestabilized_explicit,
     prestabilized_gossip, prestabilized_stack, ring_converged, spawn_live_ring, ChordView,
@@ -70,6 +69,5 @@ pub use obs::{fleet_events, fleet_prometheus, fleet_registry};
 pub use queue::EventQueue;
 pub use scale::{run_scale, ScaleConfig, ScaleReport};
 pub use shard::ShardedNet;
-pub use soak::{run_soak, SoakConfig, SoakOutcome, SoakReport};
 pub use stats::{imbalance_factor, percentile, rank_order, Tally};
 pub use time::SimTime;

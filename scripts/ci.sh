@@ -15,7 +15,7 @@ echo "==> clippy: unwrap_used denied in self-healing + observability + health mo
 # degraded state, the observability crate (PR 4) must never crash the
 # node it instruments, the health plane (PR 6) must never panic the
 # failure detector it runs inside, and the wire-robustness layer (PR 8:
-# codec error paths, fuzz driver, corruption soak) must never panic on
+# codec error paths, fuzz driver, corruption campaign) must never panic on
 # hostile input, and the async cluster host + its bins (PR 9) must never
 # panic a 1k-node fleet, and the event engine (PR 10, one engine since
 # PR 14: sim/src/net.rs + shard.rs) must never panic a worker thread
@@ -27,11 +27,11 @@ echo "==> clippy: unwrap_used denied in self-healing + observability + health mo
 # never panic the message path; the modules opt in via
 # #![deny(clippy::unwrap_used)] and this check keeps the attribute from
 # being dropped silently.
-for f in crates/sim/src/soak.rs crates/bench/src/experiments/degradation.rs \
+for f in crates/sim/src/campaign.rs crates/bench/src/experiments/degradation.rs \
          crates/obs/src/lib.rs crates/chord/src/health.rs \
-         crates/sim/src/gray.rs crates/sim/src/queue.rs crates/sim/src/net.rs \
+         crates/sim/src/queue.rs crates/sim/src/net.rs \
          crates/sim/src/scale.rs crates/chord/src/wire.rs \
-         crates/sim/src/fuzz.rs crates/sim/src/corrupt.rs \
+         crates/sim/src/fuzz.rs \
          crates/cluster/src/lib.rs crates/cluster/src/bin/clusterd.rs \
          crates/cluster/src/bin/clusterbench.rs crates/sim/src/shard.rs \
          crates/chord/src/host.rs crates/chord/src/metrics.rs; do
@@ -225,5 +225,8 @@ if [ "${TSAN:-0}" = "1" ]; then
 else
   echo "==> TSAN lane skipped (opt in with TSAN=1; needs nightly + rust-src)"
 fi
+
+echo "==> code size: tracked Rust lines"
+git ls-files '*.rs' | xargs wc -l | tail -1
 
 echo "CI green."

@@ -1,123 +1,23 @@
 //! Wire-corruption soak: sustained byte-level frame damage — a noise
 //! floor of bit flips on tree uplinks, a garbage jam on the biggest
 //! subtree's uplink, and a poisoning burst on a ring-neighbor link —
-//! against a continuous aggregation (see `dat_sim::corrupt`).
+//! against a continuous aggregation (see `dat_sim::campaign`).
 //!
-//! Scored invariants: no panics, zero silently-wrong root reports
-//! (every node feeds the same constant, so the root sum must equal
-//! `contributors × value` exactly), completeness dips and fully heals,
+//! On top of what every campaign is scored on (zero silently-wrong root
+//! reports above all: every node feeds the same constant, so the root sum
+//! must equal `contributors × value` exactly): frames were injected and
+//! rejected, every one accounted for (`rejected + passed == injected`),
 //! detection surfaces in `bad_frames_total`, and the poisoned peer is
 //! quarantined and later released.
 //!
-//! Each run is fully determined by its seed; a failing seed is printed in
-//! the assertion message so the run can be replayed bit-for-bit. Extra
-//! seeds via `CORRUPT_SEEDS=9,17 cargo test --test corruption_soak`.
+//! Extra seeds via `CORRUPT_SEEDS=9,17 cargo test --test corruption_soak`.
 
-use dat_sim::{run_corrupt, CorruptConfig, CorruptOutcome};
+mod common;
 
-/// Seeds to soak: three fixed defaults (the acceptance floor), extended
-/// by `CORRUPT_SEEDS` (comma- or space-separated integers) for longer
-/// local/CI campaigns.
-fn seed_matrix() -> Vec<u64> {
-    let mut seeds = vec![1, 2, 3];
-    if let Ok(extra) = std::env::var("CORRUPT_SEEDS") {
-        for tok in extra.split(|c: char| !c.is_ascii_digit()) {
-            if let Ok(s) = tok.parse::<u64>() {
-                if !seeds.contains(&s) {
-                    seeds.push(s);
-                }
-            }
-        }
-    }
-    seeds
-}
+use dat_sim::Scenario;
 
-fn corrupt_one(seed: u64) -> CorruptOutcome {
-    let cfg = CorruptConfig {
-        seed,
-        ..CorruptConfig::default()
-    };
-    let out = run_corrupt(&cfg);
-    eprintln!(
-        "corrupt seed {seed}: digest {:#018x}, {} events, {} reports, \
-         injected {} (rejected {} / passed {}), min ratio {:.3} during faults, \
-         final ratio {:.3}, bad frames {} / scoring trips {} / quarantines {} / rejoins {}",
-        out.digest,
-        out.events_processed,
-        out.log.len(),
-        out.injected,
-        out.rejected,
-        out.passed,
-        out.min_ratio_during_faults,
-        out.final_ratio,
-        out.fleet_bad_frames,
-        out.fleet_bad_frame_suspects,
-        out.fleet_quarantines,
-        out.fleet_rejoins,
-    );
-    out
-}
-
+/// Three fixed default seeds: the acceptance floor.
 #[test]
 fn corruption_is_detected_contained_and_healed() {
-    for seed in seed_matrix() {
-        let out = corrupt_one(seed);
-
-        // Every invariant breach embeds the seed, so the replay handle is
-        // in the failure output. The scored invariants cover: report
-        // exactness (no silently-wrong answers), total detection
-        // accounting, visible degradation, post-fault healing, and the
-        // containment pipeline (bad-frame scoring → suspicion →
-        // quarantine → rejoin) with valid Prometheus exposition.
-        assert!(
-            out.violations.is_empty(),
-            "replay with seed {seed}: {:#?}",
-            out.violations
-        );
-
-        // Belt-and-braces on the headline numbers the outcome carries.
-        assert!(out.injected > 0, "seed {seed}: nothing was injected");
-        assert!(
-            out.rejected > 0,
-            "seed {seed}: the checksum rejected nothing"
-        );
-        assert!(
-            out.min_ratio_during_faults < 1.0,
-            "seed {seed}: the jam never dented completeness"
-        );
-        assert!(
-            (out.final_ratio - 1.0).abs() < 1e-9,
-            "seed {seed}: final ratio {:.3} — never healed",
-            out.final_ratio
-        );
-        assert!(
-            out.fleet_quarantines > 0 && out.fleet_rejoins > 0,
-            "seed {seed}: quarantine fired {} times, released {} times",
-            out.fleet_quarantines,
-            out.fleet_rejoins
-        );
-    }
-}
-
-/// The same seed must replay the same attack byte for byte: identical
-/// fault digest, identical mutation tallies, identical report stream.
-#[test]
-fn corruption_soak_replays_bit_for_bit() {
-    let cfg = CorruptConfig {
-        seed: 2,
-        nodes: 16,
-        warmup_ms: 30_000,
-        episode_ms: 30_000,
-        quiesce_ms: 60_000,
-        ..CorruptConfig::default()
-    };
-    let a = run_corrupt(&cfg);
-    let b = run_corrupt(&cfg);
-    assert_eq!(a.digest, b.digest);
-    assert_eq!(a.events_processed, b.events_processed);
-    assert_eq!(
-        (a.injected, a.rejected, a.passed),
-        (b.injected, b.rejected, b.passed)
-    );
-    assert_eq!(a.log.len(), b.log.len());
+    common::sweep("CORRUPT_SEEDS", &[1, 2, 3], Scenario::corrupt);
 }

@@ -2,83 +2,26 @@
 //! flapping peers against a continuous aggregation, checking that the
 //! health plane — phi-accrual suspicion, proactive re-parenting, flap
 //! quarantine, bounded inboxes — keeps reports flowing end to end (see
-//! `dat_sim::gray`).
+//! `dat_sim::campaign`). On top of what every campaign is scored on: the
+//! report gap bound (epoch + 2×RTO), and the full suspicion pipeline
+//! firing (suspects → proactive re-parents → quarantine → rejoin) with
+//! the overload shed.
 //!
-//! Each run is fully determined by its seed; a failing seed is printed in
-//! the assertion message so the run can be replayed bit-for-bit. Extra
-//! seeds via `GRAY_SEEDS=2,9,17 cargo test --test gray_failures`.
+//! Extra seeds via `GRAY_SEEDS=2,9,17 cargo test --test gray_failures`.
 
-use dat_sim::{run_gray, GrayConfig, GrayOutcome};
+mod common;
 
-/// Seeds to soak: the fixed default, extended by `GRAY_SEEDS` (comma- or
-/// space-separated integers) for longer local/CI campaigns.
-fn seed_matrix() -> Vec<u64> {
-    let mut seeds = vec![1];
-    if let Ok(extra) = std::env::var("GRAY_SEEDS") {
-        for tok in extra.split(|c: char| !c.is_ascii_digit()) {
-            if let Ok(s) = tok.parse::<u64>() {
-                if !seeds.contains(&s) {
-                    seeds.push(s);
-                }
-            }
-        }
-    }
-    seeds
-}
-
-fn gray_one(seed: u64) -> GrayOutcome {
-    let cfg = GrayConfig {
-        seed,
-        ..GrayConfig::default()
-    };
-    let out = run_gray(&cfg);
-    eprintln!(
-        "gray seed {seed}: digest {:#018x}, {} events, {} reports, \
-         max gap {} ms, min ratio {:.3} during faults, final ratio {:.3}, \
-         suspects {} / quarantines {} / rejoins {} / reparents {} / sheds {}",
-        out.digest,
-        out.events_processed,
-        out.log.len(),
-        out.max_report_gap_ms,
-        out.min_ratio_during_faults,
-        out.final_ratio,
-        out.fleet_suspects,
-        out.fleet_quarantines,
-        out.fleet_rejoins,
-        out.fleet_proactive_reparents,
-        out.fleet_sheds,
-    );
-    out
-}
+use dat_sim::Scenario;
 
 #[test]
 fn gray_failures_degrade_but_never_stall() {
-    for seed in seed_matrix() {
-        let out = gray_one(seed);
-
-        // Every invariant breach embeds the seed, so the replay handle is
-        // in the failure output. The scored invariants cover: the report
-        // gap bound (epoch + 2×RTO), visible-but-bounded degradation,
-        // post-fault healing, the full suspicion pipeline firing
-        // (suspects → proactive re-parents → quarantine → rejoin) and
-        // overload shedding with valid Prometheus exposition.
+    for out in common::sweep("GRAY_SEEDS", &[1], Scenario::gray) {
+        // The root never stands down here, so the dent must show in what
+        // it publishes, not only as silence.
         assert!(
-            out.violations.is_empty(),
-            "replay with seed {seed}: {:#?}",
-            out.violations
+            out.score.min_ratio_during_faults < 1.0,
+            "seed {}: the gray faults never dented completeness",
+            out.scenario.seed
         );
-
-        // Belt-and-braces on the headline numbers the outcome carries.
-        assert!(
-            out.min_ratio_during_faults < 1.0,
-            "seed {seed}: the gray faults never dented completeness"
-        );
-        assert!(
-            (out.final_ratio - 1.0).abs() < 1e-9,
-            "seed {seed}: final ratio {:.3} — never healed",
-            out.final_ratio
-        );
-        assert!(out.fleet_proactive_reparents >= 1, "seed {seed}");
-        assert!(out.fleet_sheds >= 1, "seed {seed}");
     }
 }

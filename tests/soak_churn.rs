@@ -1,110 +1,46 @@
 //! Churn soak: simulated hours of randomized faults against a 256-node
 //! continuous aggregation, checking the self-healing invariants end to
-//! end (see `dat_sim::soak`).
+//! end (see `dat_sim::campaign`).
 //!
 //! The schedule composes crash bursts, partitions, flaky links and
 //! duplication bursts, plus one mid-epoch crash of the acting root to
-//! exercise warm failover. Each run is fully determined by its seed; a
-//! failing seed is printed in the assertion message so the run can be
-//! replayed bit-for-bit.
+//! exercise warm failover (a report within two epochs of the crash is one
+//! of the scored invariants).
 //!
 //! Extra seeds can be soaked via `SOAK_SEEDS=2,9,17 cargo test --test
 //! soak_churn` (the CI smoke keeps the default single-seed matrix).
 
-use dat_sim::{run_soak, SoakConfig, SoakOutcome};
+mod common;
 
-/// Seeds to soak: the fixed default, extended by `SOAK_SEEDS` (comma- or
-/// space-separated integers) for longer local/CI campaigns.
-fn seed_matrix() -> Vec<u64> {
-    let mut seeds = vec![1];
-    if let Ok(extra) = std::env::var("SOAK_SEEDS") {
-        for tok in extra.split(|c: char| !c.is_ascii_digit()) {
-            if let Ok(s) = tok.parse::<u64>() {
-                if !seeds.contains(&s) {
-                    seeds.push(s);
-                }
-            }
-        }
-    }
-    seeds
-}
+use dat_sim::{Campaign, Scenario};
 
-fn soak_one(seed: u64) -> SoakOutcome {
-    let cfg = SoakConfig {
+#[test]
+fn soak_two_hours_of_churn_self_heals() {
+    let scenario = |seed| Scenario {
         nodes: 256,
-        space_bits: 32,
         seed,
         epoch_ms: 10_000,
         warmup_ms: 120_000,
         // Two simulated hours of faults + fault-free tail.
-        churn_ms: 3_600_000,
+        faults_ms: 3_600_000,
         quiesce_ms: 3_600_000,
-        episodes: 12,
-        crash_root: true,
+        campaign: Campaign::Churn {
+            episodes: 12,
+            crash_root: true,
+        },
     };
-    let out = run_soak(&cfg);
-    eprintln!(
-        "soak seed {seed}: digest {:#018x}, {} events, {} reports, \
-         min ratio {:.3} during churn, recovered in {:?} epochs \
-         (bound {}), failover {:?} ms / {:?} contributors",
-        out.digest,
-        out.events_processed,
-        out.log.len(),
-        out.min_ratio_during_churn,
-        out.recovery_epochs,
-        out.recovery_bound_epochs,
-        out.failover_delay_ms,
-        out.failover_contributors,
-    );
-    out
-}
-
-#[test]
-fn soak_two_hours_of_churn_self_heals() {
-    for seed in seed_matrix() {
-        let out = soak_one(seed);
-
-        // Every invariant breach embeds the seed, so the replay handle is
-        // in the failure output.
-        assert!(
-            out.violations.is_empty(),
-            "replay with seed {seed}: {:#?}",
-            out.violations
-        );
-
+    for out in common::sweep("SOAK_SEEDS", &[1], scenario) {
+        let (seed, score) = (out.scenario.seed, &out.score);
         // The schedule actually degraded the aggregate — a soak that never
         // dents completeness proves nothing.
         assert!(
-            out.min_ratio_during_churn < 1.0,
+            score.min_ratio_during_faults < 1.0,
             "seed {seed}: churn never degraded completeness"
         );
-
-        // Completeness returned to 1.0 within the recovery bound after the
-        // fault schedule drained, and the final report is exact.
-        let recovered = out
-            .recovery_epochs
-            .unwrap_or_else(|| panic!("seed {seed}: completeness never recovered"));
-        assert!(
-            recovered <= out.recovery_bound_epochs,
-            "seed {seed}: recovery took {recovered} epochs, bound {}",
-            out.recovery_bound_epochs
-        );
-        assert_eq!(out.final_contributors, 256, "seed {seed}");
-        assert!((out.final_ratio - 1.0).abs() < 1e-9, "seed {seed}");
-
-        // Warm failover: the acting root was crashed mid-epoch, yet some
-        // node reported within ~one epoch (at most one epoch of reports
-        // lost; the half-epoch drain quantization adds slack), and its
-        // first report already carried most of the grid — a replica
-        // takeover, not a cold rebuild.
-        let delay = out
-            .failover_delay_ms
-            .unwrap_or_else(|| panic!("seed {seed}: no report after the root crash"));
-        assert!(
-            delay <= 2 * 10_000,
-            "seed {seed}: failover took {delay} ms — more than one epoch of reports lost"
-        );
-        let contributors = out.failover_contributors.unwrap_or(0);
+        // Warm failover: the first report after the root's crash already
+        // carried most of the grid — a replica takeover, not a cold
+        // rebuild.
+        let contributors = score.failover_contributors.unwrap_or(0);
         assert!(
             contributors as f64 >= 0.9 * 256.0,
             "seed {seed}: first post-crash report covered only {contributors}/256 nodes"
