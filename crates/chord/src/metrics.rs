@@ -35,7 +35,9 @@ type Traffic = (u64, u64);
 /// Index of `name`'s row, appending `T::default()` for a new name. A name
 /// already seen at this address hits on pointer + length alone; only a
 /// first sighting (or a second copy of the same text) compares contents,
-/// so equal strings always share one row.
+/// so equal strings always share one row. Rows grow one at a time: a
+/// layer names a handful of series, and a `LogHist` row is 568 bytes, so
+/// doubling would leave most of every node's histogram rows empty.
 fn row<'a, T: Default>(rows: &'a mut Vec<(&'static str, T)>, name: &'static str) -> &'a mut T {
     let same_literal = |r: &(&'static str, T)| {
         std::ptr::eq(r.0.as_ptr(), name.as_ptr()) && r.0.len() == name.len()
@@ -45,6 +47,7 @@ fn row<'a, T: Default>(rows: &'a mut Vec<(&'static str, T)>, name: &'static str)
         .position(same_literal)
         .or_else(|| rows.iter().position(|r| r.0 == name))
         .unwrap_or_else(|| {
+            rows.reserve_exact(1);
             rows.push((name, T::default()));
             rows.len() - 1
         });
@@ -121,7 +124,7 @@ impl Metrics {
         }
     }
 
-    /// Record a state event (epoch starts, reports…), whatever its id.
+    /// Record a state event (reports, failovers…), whatever its id.
     pub fn trace(&mut self, at_ms: u64, trace_id: u64, kind: EventKind) {
         self.tracer.record(at_ms, trace_id, kind);
     }
@@ -394,6 +397,24 @@ mod tests {
         assert_eq!(sent[0].1, 4);
         assert_eq!(reg.hists().count(), 1);
         assert_eq!(reg.hist_sum("dat_update").count(), 4);
+    }
+
+    #[test]
+    fn k_distinct_names_leave_row_capacity_k() {
+        let names = ["rtt_ms", "route_hops", "branching", "fanout", "rto_ms"];
+        for k in 1..=names.len() {
+            let mut m = Metrics::default();
+            for name in &names[..k] {
+                // A repeat finds its row and allocates nothing.
+                m.observe(name, 1);
+                m.observe(name, 2);
+                m.inc(name);
+                m.count_sent_kind(name);
+            }
+            assert_eq!(m.hists.capacity(), k, "{k} histogram rows");
+            assert_eq!(m.counters.capacity(), k, "{k} counter rows");
+            assert_eq!(m.kinds.capacity(), k, "{k} kind rows");
+        }
     }
 
     const KINDS: [&str; 7] = [

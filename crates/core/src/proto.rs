@@ -153,10 +153,12 @@ pub struct AggregationEntry {
     /// Identity items this node contributes to the distinct sketch
     /// (e.g. its site name).
     local_items: Vec<Vec<u8>>,
-    /// Freshest partial per child id, with the *local* epoch it arrived in.
-    /// Ordered: walks of this map decide float merge order, which children
-    /// the failure detector is consulted about, and replica byte order.
-    children: BTreeMap<Id, (AggPartial, u64)>,
+    /// Freshest partial per child id, with the *local* epoch it arrived in,
+    /// sorted by id: walks decide float merge order, which children the
+    /// failure detector is consulted about, and replica byte order. Each
+    /// flush drops the entries older than `child_ttl_epochs`, which every
+    /// reader already ignores.
+    children: Vec<(Id, AggPartial, u64)>,
     /// Last epoch whose partial has been pushed up / reported.
     flushed_epoch: u64,
     /// Root stickiness: we keep acting as the root through this epoch while
@@ -217,8 +219,17 @@ impl AggregationEntry {
     fn active(&self, now_epoch: u64) -> impl Iterator<Item = (Id, u64)> + '_ {
         self.children
             .iter()
-            .filter(move |(_, (_, e))| now_epoch.saturating_sub(*e) <= 1)
-            .map(|(id, (_, e))| (*id, *e))
+            .filter(move |(_, _, e)| now_epoch.saturating_sub(*e) <= 1)
+            .map(|(id, _, e)| (*id, *e))
+    }
+
+    /// Cache `partial` as child `id`'s freshest, stamped with local epoch
+    /// `epoch`, replacing what `id` sent before.
+    fn put_child(&mut self, id: Id, partial: AggPartial, epoch: u64) {
+        match self.children.binary_search_by_key(&id, |c| c.0) {
+            Ok(i) => self.children[i] = (id, partial, epoch),
+            Err(i) => self.children.insert(i, (id, partial, epoch)),
+        }
     }
 
     /// The DAT parent for this entry's key against `table`, recomputed
@@ -237,8 +248,8 @@ impl AggregationEntry {
     /// Number of live (unexpired) children currently known.
     pub fn live_children(&self, now_epoch: u64, ttl: u64) -> usize {
         self.children
-            .values()
-            .filter(|(_, e)| now_epoch.saturating_sub(*e) <= ttl)
+            .iter()
+            .filter(|(_, _, e)| now_epoch.saturating_sub(*e) <= ttl)
             .count()
     }
 
@@ -270,7 +281,7 @@ impl AggregationEntry {
         // accounting) — even with no local sensor value it is a live
         // participant relaying its subtree.
         acc.contributors = 1;
-        for (child, (p, e)) in self.children.iter() {
+        for (child, p, e) in &self.children {
             if Some(*child) == exclude {
                 continue;
             }
@@ -320,9 +331,12 @@ impl AggregationEntry {
                 continue;
             }
             let stamp = epoch.saturating_sub(age.saturating_add(lag));
-            let have_fresher = self.children.get(&id).is_some_and(|(_, e)| *e >= stamp);
+            let have_fresher = self
+                .children
+                .binary_search_by_key(&id, |c| c.0)
+                .is_ok_and(|i| self.children[i].2 >= stamp);
             if !have_fresher {
-                self.children.insert(id, (p, stamp));
+                self.put_child(id, p, stamp);
             }
         }
         for (id, v, age) in rep.raw {
@@ -506,7 +520,7 @@ impl DatProtocol {
             histogram,
             distinct_p: None,
             local_items: Vec::new(),
-            children: BTreeMap::new(),
+            children: Vec::new(),
             flushed_epoch: 0,
             root_until: 0,
             last_parent: None,
@@ -597,14 +611,6 @@ impl DatProtocol {
         for slot in (turn..n).chain(0..turn) {
             let entry = &self.aggs[slot];
             let key = entry.key;
-            // Every epoch of every aggregation gets a causal trace id
-            // (identical on every node in a lockstep ring), anchoring the
-            // leaf→root event tree for this slot.
-            self.metrics.trace(
-                cx.now_ms(),
-                trace_id_for(key.0, epoch),
-                EventKind::EpochStart { key: key.0, epoch },
-            );
             let local = entry.local;
             match entry.mode {
                 AggregationMode::Continuous => {
@@ -727,7 +733,7 @@ impl DatProtocol {
             let stamps: Vec<(u64, u64, f64)> = entry
                 .children
                 .iter()
-                .map(|(id, (p, e))| (id.raw() % 1000, *e, p.sum))
+                .map(|(id, p, e)| (id.raw() % 1000, *e, p.sum))
                 .collect();
             eprintln!(
                 "[{:?}] flush epoch={epoch} local={:?} children={stamps:?}",
@@ -735,6 +741,12 @@ impl DatProtocol {
             );
         }
         entry.flushed_epoch = epoch;
+        // A child that went silent (crashed, left, restarted under a fresh
+        // id) is never pruned by name; past the ttl no reader counts it, so
+        // it goes here instead of costing every walk for the rest of the run.
+        entry
+            .children
+            .retain(|(_, _, e)| epoch.saturating_sub(*e) <= ttl);
         // Branching factor of the implicit DAT: how many recently-active
         // children fold into this node's push (the paper's Fig. 6 metric).
         let branching = entry.active_children(epoch).count() as u64;
@@ -922,7 +934,7 @@ impl DatProtocol {
         let children: Vec<(Id, AggPartial, u64)> = entry
             .children
             .iter()
-            .filter_map(|(id, (p, e))| {
+            .filter_map(|(id, p, e)| {
                 let age = epoch.saturating_sub(*e);
                 (age <= ttl).then(|| (*id, p.clone(), age))
             })
@@ -951,18 +963,19 @@ impl DatProtocol {
         }
     }
 
-    /// The causal trace id carried by (or derivable from) a DAT message:
-    /// query traffic is traced under its request id, epoch traffic under
-    /// the partial's threaded [`AggPartial::trace_id`].
+    /// The causal trace id a received DAT message is ringed under. Query
+    /// traffic is traced under its request id at both ends. Epoch traffic
+    /// is ringed once, by its sender: an `Update`'s `Send` is already the
+    /// edge [`dat_obs::EpochTrace`] reads, so its receive (like a `Prune`'s
+    /// or a `RootState`'s) is id 0 — counted, not ringed.
     fn msg_trace_id(msg: &DatMsg) -> u64 {
         match msg {
-            DatMsg::Update { partial, .. } => partial.trace_id,
             DatMsg::Request { reqid, .. }
             | DatMsg::Query { reqid, .. }
             | DatMsg::Response { reqid, .. }
             | DatMsg::Result { reqid, .. } => *reqid,
             DatMsg::RawSample { key, epoch, .. } => trace_id_for(key.0, *epoch),
-            DatMsg::Prune { .. } | DatMsg::RootState { .. } => 0,
+            DatMsg::Update { .. } | DatMsg::Prune { .. } | DatMsg::RootState { .. } => 0,
         }
     }
 
@@ -981,7 +994,7 @@ impl DatProtocol {
                 let e = &mut self.aggs[slot];
                 // Stamp with OUR epoch counter: nodes that joined at
                 // different times number epochs differently.
-                e.children.insert(sender.id, (partial, now_epoch));
+                e.put_child(sender.id, partial, now_epoch);
                 // Readiness: every recently-active child has delivered this
                 // epoch's partial. A child the failure detector suspects is
                 // NOT waited for — its last-known partial still merges
@@ -1045,7 +1058,7 @@ impl DatProtocol {
             }
             DatMsg::Prune { key, sender } => {
                 if let Some(e) = self.aggregation_mut(key) {
-                    e.children.remove(&sender.id);
+                    e.children.retain(|c| c.0 != sender.id);
                 }
             }
             DatMsg::RootState {
@@ -2135,6 +2148,176 @@ mod tests {
         assert!(root.take_events().is_empty(), "no second report");
         assert_eq!(root.dat_metrics().sent_total(), sent);
         assert_eq!(root.dat().timers.len(), 1, "only the next tick is pending");
+    }
+
+    /// Deliver `partial` as `child`'s `Update` for `key`.
+    fn deliver_update(n: &mut StackNode, child: NodeRef, key: Id, partial: AggPartial) {
+        let upd = DatMsg::Update {
+            key,
+            epoch: n.epoch(),
+            partial,
+            sender: child,
+        };
+        let _ = n.handle(Input::Message {
+            from: child.addr,
+            msg: dat_chord::ChordMsg::App {
+                proto: DAT_PROTO,
+                from: child,
+                payload: upd.encode().into(),
+            },
+        });
+    }
+
+    fn last_report(n: &mut StackNode) -> DatEvent {
+        n.take_events()
+            .into_iter()
+            .rev()
+            .find(|e| matches!(e, DatEvent::Report { .. }))
+            .expect("the root reports")
+    }
+
+    #[test]
+    fn a_silent_child_leaves_after_its_ttl_and_reports_stay_bit_equal() {
+        let ttl = DatConfig::default().child_ttl_epochs;
+        // Two roots hear the same steady child every epoch; `a` also heard
+        // one update from a child that then went silent.
+        let (mut a, mut b) = (mk(1), mk(1));
+        let steady = NodeRef::new(Id(77), NodeAddr(77));
+        let silent = NodeRef::new(Id(99), NodeAddr(99));
+        let mut key = Id(0);
+        for n in [&mut a, &mut b] {
+            key = n.register("cpu-usage", AggregationMode::Continuous);
+            let _ = n.start_create();
+            n.set_local(key, 1.0);
+            deliver_update(n, steady, key, AggPartial::of(0.1));
+        }
+        deliver_update(&mut a, silent, key, AggPartial::of(100.0));
+        let cached = |n: &StackNode| {
+            n.aggregation(key)
+                .unwrap()
+                .live_children(n.epoch(), u64::MAX)
+        };
+        for epoch in 1..=ttl + 3 {
+            let _ = a.fire_epoch_for_tests();
+            let _ = b.fire_epoch_for_tests();
+            let (ra, rb) = (last_report(&mut a), last_report(&mut b));
+            if epoch <= ttl {
+                assert_eq!(cached(&a), 2, "epoch {epoch}: within its ttl");
+                assert_ne!(ra, rb, "epoch {epoch}: the silent child still counts");
+            } else {
+                assert_eq!(cached(&a), 1, "epoch {epoch}: dropped at flush");
+                // Bit-equal, not just equal: the same merges in the same order.
+                let bits = |r: &DatEvent| match r {
+                    DatEvent::Report {
+                        partial,
+                        completeness,
+                        ..
+                    } => (partial.sum.to_bits(), completeness.ratio.to_bits()),
+                    _ => unreachable!(),
+                };
+                assert_eq!(bits(&ra), bits(&rb), "epoch {epoch}");
+                assert_eq!(ra, rb, "epoch {epoch}");
+            }
+            for n in [&mut a, &mut b] {
+                deliver_update(n, steady, key, AggPartial::of(0.1));
+            }
+        }
+    }
+
+    const FOUR_KEYS: [&str; 4] = ["cpu-usage", "mem-free", "disk-io", "net-rx"];
+
+    #[test]
+    fn a_non_root_rings_one_update_send_per_key_per_epoch() {
+        use dat_chord::FingerTable;
+        let space = IdSpace::new(8);
+        let ccfg = ChordConfig {
+            space,
+            ..ChordConfig::default()
+        };
+        let me = NodeRef::new(Id(100), NodeAddr(10));
+        let pred = NodeRef::new(Id(99), NodeAddr(11));
+        let succ = NodeRef::new(Id(140), NodeAddr(12));
+        let child = NodeRef::new(Id(60), NodeAddr(13));
+        let mut n =
+            StackNode::new(ccfg, me.id, me.addr).with_app(DatProtocol::new(DatConfig::default()));
+        let keys: Vec<Id> = FOUR_KEYS
+            .iter()
+            .map(|name| n.register(name, AggregationMode::Continuous))
+            .collect();
+        let mut table = FingerTable::new(space, me, 4);
+        table.set_successor(succ);
+        table.set_predecessor(Some(pred));
+        let _ = n.start_with_table(table);
+        for &key in &keys {
+            assert_ne!(key, me.id, "the node owns none of the keys");
+            n.set_local(key, 1.0);
+        }
+        const EPOCHS: u64 = 10;
+        for _ in 0..EPOCHS {
+            // A child's update each epoch: counted on arrival, never ringed.
+            for &key in &keys {
+                deliver_update(&mut n, child, key, AggPartial::of(2.0));
+            }
+            let _ = n.fire_epoch_for_tests();
+        }
+        let m = n.dat_metrics();
+        assert_eq!(m.received_of("dat_update"), 4 * EPOCHS);
+        assert_eq!(m.sent_of("dat_update"), 4 * EPOCHS);
+        let mut ringed: Vec<u64> = m
+            .tracer()
+            .events()
+            .map(|e| {
+                assert_eq!(
+                    e.kind,
+                    EventKind::Send {
+                        kind: "dat_update",
+                        to: succ.id.0
+                    }
+                );
+                e.trace_id
+            })
+            .collect();
+        let mut want: Vec<u64> = (1..=EPOCHS)
+            .flat_map(|epoch| keys.iter().map(move |k| trace_id_for(k.0, epoch)))
+            .collect();
+        ringed.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(ringed, want, "one Send per key per epoch, nothing else");
+    }
+
+    #[test]
+    fn a_root_rings_its_reports() {
+        let mut n = mk(1);
+        let keys: Vec<Id> = FOUR_KEYS
+            .iter()
+            .map(|name| n.register(name, AggregationMode::Continuous))
+            .collect();
+        let _ = n.start_create();
+        for &key in &keys {
+            n.set_local(key, 1.0);
+        }
+        // 20 epochs of 4 reports overflow the 64-event ring by 16.
+        for _ in 0..20 {
+            let _ = n.fire_epoch_for_tests();
+        }
+        let tracer = n.dat_metrics().tracer();
+        assert_eq!(
+            (tracer.len(), tracer.dropped()),
+            (dat_obs::trace::DEFAULT_TRACE_CAP, 16)
+        );
+        let mut ringed: Vec<(u64, u64)> = tracer
+            .events()
+            .map(|e| match e.kind {
+                EventKind::Report { key, epoch, .. } => (epoch, key),
+                ref other => panic!("a lone root rings only reports: {other:?}"),
+            })
+            .collect();
+        let mut want: Vec<(u64, u64)> = (5..=20)
+            .flat_map(|epoch| keys.iter().map(move |k| (epoch, k.0)))
+            .collect();
+        ringed.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(ringed, want, "the newest 16 epochs, one report per key");
     }
 
     impl StackNode {

@@ -58,13 +58,6 @@ pub enum EventKind {
         /// Hops traversed.
         hops: u32,
     },
-    /// A new aggregation epoch began for `key`.
-    EpochStart {
-        /// Aggregation key.
-        key: u64,
-        /// Epoch index.
-        epoch: u64,
-    },
     /// The acting root emitted a report.
     Report {
         /// Aggregation key.
@@ -147,12 +140,8 @@ impl Event {
                 push(&key.to_le_bytes(), &mut n);
                 push(&(*hops as u64).to_le_bytes(), &mut n);
             }
-            // Tag 4 is retired: pinned digests hash these tags, never renumber.
-            EventKind::EpochStart { key, epoch } => {
-                push(&[5], &mut n);
-                push(&key.to_le_bytes(), &mut n);
-                push(&epoch.to_le_bytes(), &mut n);
-            }
+            // Tags 4 and 5 are retired: pinned digests hash these tags,
+            // never renumber.
             EventKind::Report {
                 key,
                 epoch,
@@ -211,9 +200,10 @@ pub struct Tracer {
     enabled: bool,
 }
 
-/// Default ring capacity — enough for tens of epochs of one protocol's
-/// events; a full ring measures 16 KiB (one per layer of every node).
-pub const DEFAULT_TRACE_CAP: usize = 256;
+/// Default ring capacity — 16 epochs of a 4-key DAT node, which rings
+/// about one event per key per epoch; a full ring measures 4 KiB (one per
+/// layer of every node).
+pub const DEFAULT_TRACE_CAP: usize = 64;
 
 impl Default for Tracer {
     fn default() -> Self {
@@ -366,7 +356,7 @@ mod tests {
         assert_eq!((t.len(), t.dropped()), (DEFAULT_TRACE_CAP, 0));
         let room = t.ring.capacity();
         assert!(room >= DEFAULT_TRACE_CAP);
-        // The 257th event evicts the first; the ring never grows past cap.
+        // One event past cap evicts the first; the ring never grows past cap.
         t.record(999, 0, hop(999));
         assert_eq!((t.len(), t.dropped()), (DEFAULT_TRACE_CAP, 1));
         assert_eq!(t.events().next().map(|e| e.lts), Some(2));

@@ -43,14 +43,11 @@ echo "==> tier-1: cargo build --release"
 cargo build --release
 
 echo "==> tier-1: cargo test -q"
+# `default-members` in Cargo.toml makes this every member's tests, not
+# only the root package's: the scheduler lockstep harness and full-stack
+# parity in dat-sim, the host core in dat-chord, both real hosts, the
+# runtime shim's smoke tests.
 cargo test -q
-
-echo "==> member crates: cargo test --workspace -q"
-# Tier-1 runs the root package only. The member crates' own tests — the
-# scheduler lockstep harness and full-stack parity in dat-sim, the host
-# core in dat-chord, both real hosts, the runtime shim's smoke tests —
-# run here.
-cargo test --workspace -q
 
 echo "==> repro smoke: every experiment's qualitative checks, twice, byte-identical"
 # --quick --check all runs all fourteen experiments at small sizes in
@@ -193,6 +190,13 @@ grep -qx "# digest: $EPOCH_SMOKE_DIGEST" <<<"$epoch_out" \
   || { echo "DAT-path smoke: run digest moved off $EPOCH_SMOKE_DIGEST (protocol bytes changed: re-pin it here, knowingly)"; exit 1; }
 grep -qx "# events_per_op: $EPOCH_SMOKE_EVENTS" <<<"$epoch_out" \
   || { echo "DAT-path smoke: events per epoch moved off $EPOCH_SMOKE_EVENTS"; exit 1; }
+# Per-node state is most of this run's resident set (DESIGN §11 "Event
+# tracer"): 36.4 MiB with 256-event DAT rings and tree-map children,
+# ~22.5 MiB since. A change that regrows what every node keeps fails here.
+EPOCH_SMOKE_RSS_MIB=28
+epoch_rss="$(awk '$1 == "peak_rss_mib" { print $2 }' <<<"$epoch_out")"
+[ -n "$epoch_rss" ] && awk -v r="$epoch_rss" -v cap="$EPOCH_SMOKE_RSS_MIB" 'BEGIN { exit !(r <= cap) }' \
+  || { echo "DAT-path smoke: peak_rss_mib ${epoch_rss:-missing} above $EPOCH_SMOKE_RSS_MIB MiB"; exit 1; }
 
 echo "==> examples build"
 cargo build --release --examples

@@ -4,6 +4,7 @@
 
 use libdat::chord::{ChordConfig, IdPolicy, IdSpace, RoutingScheme, StaticRing};
 use libdat::core::{AggregationMode, DatConfig, DatEvent};
+use libdat::obs::trace::DEFAULT_TRACE_CAP;
 use libdat::obs::EventKind;
 use libdat::sim::harness::{addr_book, prestabilized_dat};
 use libdat::sim::{LatencyModel, LossModel};
@@ -127,14 +128,32 @@ fn same_seed_reproduces_every_byte_with_several_keys_per_node() {
                 (a, s.sent, s.delivered)
             })
             .collect();
+        // Twenty epochs of four keys fill every node's DAT ring...
+        for (addr, node) in net.iter_nodes() {
+            assert_eq!(
+                node.dat_metrics().tracer().len(),
+                DEFAULT_TRACE_CAP,
+                "{addr:?} traced its epochs"
+            );
+        }
+        // ...with the epochs' events alone: a message without a causal id
+        // is counted, not ringed, so maintenance cannot evict an epoch's
+        // events, and an update is ringed once, by its sender.
         let events = libdat::sim::fleet_events(&net);
-        assert!(events.len() > 64 * 4 * 20, "the fleet traced its epochs");
-        // ...and only those: a message without a causal id is counted,
-        // not ringed, so maintenance cannot evict an epoch's events.
         assert!(
             !events.iter().any(|(_, e)| e.trace_id == 0
                 && matches!(e.kind, EventKind::Send { .. } | EventKind::Recv { .. })),
             "an untraced message reached a trace ring"
+        );
+        assert!(
+            !events.iter().any(|(_, e)| matches!(
+                e.kind,
+                EventKind::Recv {
+                    kind: "dat_update",
+                    ..
+                }
+            )),
+            "an update's receive was ringed"
         );
         (
             traffic,

@@ -144,12 +144,6 @@ fn build_nodes() -> (Vec<StackNode>, Id) {
             .with_app(MaanProtocol::new(grid_schemas()));
         let key = node.register("cpu-usage", AggregationMode::Continuous);
         node.set_local(key, (i * 10) as f64);
-        // The query's trace events must survive until we snapshot them —
-        // widen the DAT ring well past the continuous-epoch chatter.
-        node.app_mut::<DatProtocol>()
-            .metrics_mut()
-            .tracer_mut()
-            .set_capacity(4096);
         nodes.push(node);
     }
     let key = libdat::chord::hash_to_id(chord_cfg().space, b"cpu-usage");
