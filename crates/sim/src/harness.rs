@@ -433,4 +433,26 @@ mod tests {
         let all = sample_addrs(&net, 999, &mut rng);
         assert_eq!(all.len(), 32);
     }
+
+    /// The engine's CI-sized proxy for a million nodes: a 98,304-node
+    /// prestabilized ring runs one virtual second of maintenance without
+    /// clamping or dropping. Release-only (`cargo test --release -p
+    /// dat-sim --lib -- --ignored a_100k_ring`); `scripts/ci.sh` runs it
+    /// under a wall-clock budget.
+    #[test]
+    #[ignore = "100k nodes: run in release, as scripts/ci.sh does"]
+    fn a_100k_ring_runs_a_virtual_second_clean() {
+        let mut rng = SmallRng::seed_from_u64(0x5ca1e);
+        let ring = StaticRing::build(IdSpace::new(40), 98_304, IdPolicy::Random, &mut rng);
+        let mut net = prestabilized_chord(&ring, cfg(40), 0x5ca1e);
+        // Upcall records are not read here; keep them off the heap.
+        net.set_record_upcalls(false);
+        net.run_for(1_000);
+        assert!(
+            net.events_processed() > 0,
+            "maintenance must generate events"
+        );
+        assert_eq!(net.clamped_events(), 0, "timer wheel span exceeded");
+        assert_eq!(net.dropped, 0);
+    }
 }

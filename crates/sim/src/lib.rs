@@ -24,8 +24,6 @@
 //!   pre-stabilized 8192-node rings materialised from a global view;
 //! * [`campaign`] — seeded fault campaigns (churn, gray failures, wire
 //!   corruption): one scenario, one drive loop, one invariant scorer;
-//! * [`scale`] — 10⁴–10⁶-node throughput epochs (events/sec, ns/event,
-//!   peak RSS) tracking the engine's performance trajectory;
 //! * [`stats`] — tallies, percentiles and the paper's imbalance factor.
 //!
 //! ```
@@ -51,7 +49,6 @@ pub mod latency;
 pub mod net;
 pub mod obs;
 pub mod queue;
-pub mod scale;
 pub mod shard;
 pub mod stats;
 pub mod time;
@@ -67,7 +64,6 @@ pub use latency::{LatencyModel, LossModel};
 pub use net::{Actor, LinkStats, SimNet, UpcallRecord};
 pub use obs::{fleet_events, fleet_prometheus, fleet_registry};
 pub use queue::EventQueue;
-pub use scale::{run_scale, ScaleConfig, ScaleReport};
 pub use shard::ShardedNet;
 pub use stats::{imbalance_factor, percentile, rank_order, Tally};
 pub use time::SimTime;

@@ -27,11 +27,10 @@ use crate::net::SimNet;
 /// count ([`SimNet::clamped_events`]) is exported zero-initialized
 /// as `sim_clamped_events_total`, so a run whose horizon never clamped
 /// still exposes the series; the scheduler backlog
-/// ([`SimNet::pending_events`]) and process peak RSS
-/// ([`crate::scale::peak_rss_mib`]) export as the `sim_backlog_events` and
-/// `sim_peak_rss_mib` gauges — the same engine-health numbers
-/// `sim::scale` reports, live on the metrics plane (peak RSS reads 0
-/// where the platform does not expose `VmHWM`).
+/// ([`SimNet::pending_events`]) and process peak RSS (`VmHWM`) export
+/// as the `sim_backlog_events` and `sim_peak_rss_mib` gauges — engine
+/// health live on the metrics plane (peak RSS reads 0 where the platform
+/// does not expose `VmHWM`).
 pub fn fleet_registry(net: &SimNet<StackNode>) -> Registry {
     let mut fleet = Registry::default();
     for (_, node) in net.iter_nodes() {
@@ -41,9 +40,22 @@ pub fn fleet_registry(net: &SimNet<StackNode>) -> Registry {
     fleet.gauge_set(Key::new("sim_backlog_events"), net.pending_events() as f64);
     fleet.gauge_set(
         Key::new("sim_peak_rss_mib"),
-        crate::scale::peak_rss_mib().unwrap_or(0) as f64,
+        peak_rss_mib().unwrap_or(0) as f64,
     );
     fleet
+}
+
+/// Peak resident set size of this process in MiB (`VmHWM` from
+/// `/proc/self/status`), if the platform exposes it.
+fn peak_rss_mib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    for line in status.lines() {
+        if let Some(rest) = line.strip_prefix("VmHWM:") {
+            let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
+            return Some(kb / 1024);
+        }
+    }
+    None
 }
 
 /// Render the merged fleet registry as Prometheus text exposition.
@@ -132,6 +144,12 @@ mod tests {
         };
         assert_eq!(lines(&sharded), lines(&net));
         assert_eq!(fleet_events(&sharded), fleet_events(&net));
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn peak_rss_is_readable_on_linux() {
+        assert!(peak_rss_mib().is_some());
     }
 
     #[test]

@@ -30,10 +30,9 @@ echo "==> clippy: unwrap_used denied in self-healing + observability + health mo
 for f in crates/sim/src/campaign.rs crates/bench/src/experiments/degradation.rs \
          crates/obs/src/lib.rs crates/chord/src/health.rs \
          crates/sim/src/queue.rs crates/sim/src/net.rs \
-         crates/sim/src/scale.rs crates/chord/src/wire.rs \
-         crates/sim/src/fuzz.rs \
+         crates/chord/src/wire.rs crates/sim/src/fuzz.rs \
          crates/cluster/src/lib.rs crates/cluster/src/bin/clusterd.rs \
-         crates/cluster/src/bin/clusterbench.rs crates/sim/src/shard.rs \
+         crates/sim/src/shard.rs \
          crates/chord/src/host.rs crates/chord/src/metrics.rs; do
   grep -q '#!\[deny(clippy::unwrap_used)\]' "$f" \
     || { echo "missing #![deny(clippy::unwrap_used)] in $f"; exit 1; }
@@ -97,71 +96,24 @@ echo "==> corruption soak smoke: scored byte-damage campaign, 3 seeds"
 # their replay line. Extend with e.g. CORRUPT_SEEDS="9 17".
 cargo test -q --test corruption_soak -- --nocapture
 
-echo "==> event-engine bench smoke: simbench at small sizes emits BENCH_sim.json"
-# A fast sweep (512 and 2048 nodes, 2 s virtual) through the same binary
-# that produced the committed BENCH_sim.json; validates the harness and
-# the JSON shape without the multi-minute full sweep. Writes to a temp
-# file so the committed trajectory is not clobbered by smoke numbers.
-simbench_out="$(mktemp)"
-cargo run --release -p dat-bench --bin simbench -- \
-  --sizes 512,2048 --virtual-ms 2000 --quiet \
-  --out "$simbench_out"
-grep -q '"events_per_sec"' "$simbench_out" \
-  || { echo "simbench smoke produced no throughput figures"; exit 1; }
-rm -f "$simbench_out"
-
-echo "==> multi-shard smoke: 4-shard scale run must reproduce the 1-shard digest, and the pinned one"
-# A 200,704-event seeded maintenance run (4096 nodes, 2 s virtual) at 1
-# and 4 shards. simbench itself exits non-zero on any digest divergence;
-# the greps below double-check that both shard counts actually ran, that
-# the conservative window never clamped, and that the digest is the one
-# pinned here: a change that claims "no protocol byte moved" passes with
-# this line unedited, one that does move bytes (message order, timer
-# schedule, RNG draws) re-pins it in the same diff.
-SHARD_SMOKE_DIGEST=b00c9d9c805797ae
-shard_out="$(mktemp)"
-cargo run --release -p dat-bench --bin simbench -- \
-  --sizes 4096 --virtual-ms 2000 --shards 1,4 --quiet \
-  --out "$shard_out" \
-  || { echo "multi-shard smoke: digest divergence or engine failure"; exit 1; }
-grep -q '"shards": 1' "$shard_out" && grep -q '"shards": 4' "$shard_out" \
-  || { echo "multi-shard smoke: missing a shard-count entry"; exit 1; }
-shard_digests="$(grep -o '"digest": "[0-9a-f]*"' "$shard_out" | sort -u | wc -l)"
-[ "$shard_digests" -eq 1 ] \
-  || { echo "multi-shard smoke: shard counts disagree on the run digest"; exit 1; }
-grep -q "\"digest\": \"$SHARD_SMOKE_DIGEST\"" "$shard_out" \
-  || { echo "multi-shard smoke: run digest moved off $SHARD_SMOKE_DIGEST (protocol bytes changed: re-pin it here, knowingly)"; exit 1; }
-grep -q '"clamped": 0' "$shard_out" \
-  || { echo "multi-shard smoke: conservative window clamped an event"; exit 1; }
-rm -f "$shard_out"
-
 echo "==> scale smoke: 100k-node ring, 1 s virtual, bounded wall clock"
-# The million-node engine's CI-sized proxy: build a 100k-node
-# prestabilized ring and run one virtual second through the timer wheel.
-# The wall-clock budget (default 300 s, enforced by timeout(1) since
-# simbench's own --budget-s only gates between sweep entries) catches
-# complexity regressions in the hot path — at the measured ~300k
-# events/s this finishes in well under half the budget, so a trip means
-# something got slower in kind, not degree. Raise SCALE_BUDGET_S on
-# slow hardware.
-scale_out="$(mktemp)"
+# The million-node engine's CI-sized proxy: an ignored dat-sim test
+# builds a 98,304-node prestabilized ring, runs one virtual second
+# through the timer wheel and fails on any clamped or dropped event. The
+# wall-clock budget (default 300 s, enforced by timeout(1)) catches
+# complexity regressions in the hot path: the run takes seconds, so a
+# trip means something got slower in kind, not degree. Raise
+# SCALE_BUDGET_S on slow hardware.
 timeout "${SCALE_BUDGET_S:-300}" \
-  cargo run --release -p dat-bench --bin simbench -- \
-  --sizes 98304 --virtual-ms 1000 --quiet --out "$scale_out" \
+  cargo test --release -q -p dat-sim --lib -- --ignored a_100k_ring_runs_a_virtual_second_clean \
   || { echo "100k scale smoke failed or exceeded ${SCALE_BUDGET_S:-300}s budget"; exit 1; }
-grep -q '"n": 98304' "$scale_out" \
-  || { echo "100k scale smoke produced no report entry"; exit 1; }
-grep -q '"clamped": 0' "$scale_out" \
-  || { echo "100k scale smoke clamped timestamps (wheel span exceeded)"; exit 1; }
-rm -f "$scale_out"
 
 echo "==> cluster smoke: 64 real UDP nodes through the tokio host"
 # Boots 64 real nodes (one UDP socket + three tasks each) with the
 # prestabilized harness, runs 6 DAT epochs + a MAAN discovery, scrapes
 # every node, and exits non-zero unless the root answer was exact
 # (sum 64·63/2) and completeness held at 1.0. ~5 s wall-clock; scale
-# with e.g. CLUSTER_SMOKE_NODES=256. The full 1024-node run backs the
-# committed BENCH_cluster.json (see clusterbench).
+# with e.g. CLUSTER_SMOKE_NODES=256.
 cargo run --release -p dat-cluster --bin clusterd -- \
   --nodes "${CLUSTER_SMOKE_NODES:-64}" --epochs 6 --epoch-ms 500 --quiet
 
@@ -175,8 +127,23 @@ bash benchmark/run.sh spec >/dev/null
 git diff --exit-code -- benchmark/Cargo.lock BENCHMARK.json \
   || { echo "building the benchmark changed its lock file or BENCHMARK.json"; exit 1; }
 
+echo "==> maintenance smoke: a seeded sim_maint run must reproduce the pinned digest at two shard counts"
+# Chord maintenance only (stabilization timers, finger fixes, the
+# traffic they cause): 512 nodes, seed 1, one second, traced. On a host
+# with two or more cores the traced run adds a pass at a second shard
+# count; it exits non-zero if any pass clamped or dropped an event or
+# the shard counts disagree on the digest.
+# A change that claims "no protocol byte moved" passes with this line
+# unedited; one that does move bytes (message order, timer schedule, RNG
+# draws) re-pins it in the same diff.
+MAINT_SMOKE_DIGEST=08aa49efd8b1dec8
+maint_out="$(bash benchmark/run.sh --workload sim_maint --quick --seed 1 --seconds 1 --trace 1)" \
+  || { echo "maintenance smoke: a gate failed (clamped/dropped event or shard-count digest divergence)"; exit 1; }
+grep -qx "# digest: $MAINT_SMOKE_DIGEST" <<<"$maint_out" \
+  || { echo "maintenance smoke: run digest moved off $MAINT_SMOKE_DIGEST (protocol bytes changed: re-pin it here, knowingly)"; exit 1; }
+
 echo "==> DAT-path smoke: a seeded sim_epoch run must reproduce the pinned digest and event count"
-# The multi-shard smoke above pins Chord maintenance only. This is its
+# The maintenance smoke above pins Chord maintenance only. This is its
 # twin for the aggregation path (epoch ticks, hold timers, parent
 # decisions, Update / Prune / RootState, the failure detector's say in
 # who is waited for): 1024 nodes x 4 keys, seed 1, one second, untraced.

@@ -165,30 +165,3 @@ fn same_seed_reproduces_every_byte_with_several_keys_per_node() {
     assert_eq!(traffic_a, traffic_b, "per-node traffic");
     assert_eq!(digest_a, digest_b, "fleet trace digest");
 }
-
-#[test]
-fn scale_digest_is_shard_count_invariant() {
-    // The same seeded scale workload (real ChordNode maintenance) must
-    // produce a byte-identical digest whether it runs on 1 worker thread
-    // or 8.
-    use libdat::sim::{run_scale, ScaleConfig};
-    let cfg = |shards| ScaleConfig {
-        n: 192,
-        virtual_ms: 5_000,
-        shards,
-        ..ScaleConfig::default()
-    };
-    let base = run_scale(cfg(1));
-    assert!(base.events > 0, "workload generated no events");
-    assert_eq!(base.clamped, 0, "conservative window violated");
-    for s in [2usize, 4, 8] {
-        let r = run_scale(cfg(s));
-        assert_eq!(
-            r.digest, base.digest,
-            "{s}-shard digest {:016x} diverged from 1-shard {:016x}",
-            r.digest, base.digest
-        );
-        assert_eq!(r.events, base.events, "{s}-shard event count diverged");
-        assert_eq!(r.clamped, 0);
-    }
-}
