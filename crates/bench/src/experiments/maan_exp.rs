@@ -9,9 +9,17 @@
 //!   the number of responsible nodes — i.e. it scales with the query's
 //!   *selectivity*, not with `n` alone;
 //! * the multi-attribute dominated strategy costs `O(log n + n·s_min)`.
+//!
+//! Everything runs on the live [`MaanProtocol`] over a pre-stabilized
+//! [`SimNet`] overlay; hops are read off the fleet's own counters (Chord
+//! `route` sends, and the nodes whose store a walk scanned).
 
-use dat_chord::{IdPolicy, IdSpace, StaticRing};
-use dat_maan::{AttrSchema, MaanNetwork, Resource};
+use dat_chord::{ChordConfig, IdPolicy, IdSpace, NodeAddr, StaticRing};
+use dat_core::StackNode;
+use dat_maan::{AttrSchema, MaanProtocol, MaanStack, Predicate, Resource};
+use dat_monitor::discovery::{discover, routing_hops, Discovery};
+use dat_sim::harness::prestabilized_stack;
+use dat_sim::SimNet;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -43,53 +51,59 @@ pub struct MaanExp {
 /// Run the MAAN complexity sweep.
 pub fn run(sizes: &[usize], seed: u64) -> MaanExp {
     let space = IdSpace::new(32);
+    let ccfg = ChordConfig {
+        space,
+        ..ChordConfig::default()
+    };
+    let schemas = vec![
+        AttrSchema::numeric("cpu-usage", 0.0, 100.0),
+        AttrSchema::numeric("cpu-speed", 0.0, 8.0),
+        AttrSchema::keyword("os"),
+    ];
     let mut rows = Vec::new();
     for &n in sizes {
         let mut rng = SmallRng::seed_from_u64(seed + n as u64);
         let ring = StaticRing::build(space, n, IdPolicy::Probed, &mut rng);
-        let schemas = vec![
-            AttrSchema::numeric("cpu-usage", 0.0, 100.0),
-            AttrSchema::numeric("cpu-speed", 0.0, 8.0),
-            AttrSchema::keyword("os"),
-        ];
-        let mut net = MaanNetwork::new(ring, schemas);
-        let origins: Vec<_> = net.ring().ids().to_vec();
-        // Register 200 resources from random origins.
-        let mut reg_hops = 0u64;
-        let mut reg_attrs = 0u64;
+        let mut net = prestabilized_stack(&ring, ccfg, seed, |_, id, addr| {
+            StackNode::new(ccfg, id, addr).with_app(MaanProtocol::new(schemas.clone()))
+        });
+        // Register 200 resources (600 attribute values) from random origins.
         for i in 0..200u64 {
-            let origin = origins[rng.random_range(0..origins.len())];
+            let origin = NodeAddr(rng.random_range(0..n as u64));
             let r = Resource::new(&format!("m{i}"))
                 .with("cpu-usage", rng.random::<f64>() * 100.0)
                 .with("cpu-speed", rng.random::<f64>() * 8.0)
                 .with("os", "linux");
-            let st = net.register(origin, &r);
-            reg_hops += st.routing_hops;
-            reg_attrs += 3;
+            net.with_node(origin, |node| ((), node.maan_register(&r)));
         }
+        net.run_for(1_000);
+        let reg_hops = routing_hops(&net);
         // Narrow (1%) and wide (25%) range queries from random origins.
         let mut narrow_hops = 0u64;
         let mut wide_visits = 0u64;
         let trials = 20;
         for _ in 0..trials {
-            let origin = origins[rng.random_range(0..origins.len())];
+            let origin = NodeAddr(rng.random_range(0..n as u64));
             let lo = rng.random::<f64>() * 99.0;
-            let (_, st) = net.range_query(origin, "cpu-usage", lo, lo + 1.0);
-            narrow_hops += st.routing_hops + st.visited_nodes;
+            let d = usage_query(&mut net, origin, lo, lo + 1.0);
+            narrow_hops += d.routing_hops + d.visited_nodes;
             let lo = rng.random::<f64>() * 75.0;
-            let (_, st) = net.range_query(origin, "cpu-usage", lo, lo + 25.0);
-            wide_visits += st.visited_nodes;
+            wide_visits += usage_query(&mut net, origin, lo, lo + 25.0).visited_nodes;
         }
         rows.push(MaanRow {
             n,
             log2n: (n as f64).log2(),
-            reg_hops_per_attr: reg_hops as f64 / reg_attrs as f64,
+            reg_hops_per_attr: reg_hops as f64 / 600.0,
             narrow_query_hops: narrow_hops as f64 / trials as f64,
             wide_query_visits: wide_visits as f64 / trials as f64,
             wide_expected: n as f64 * 0.25,
         });
     }
     MaanExp { rows }
+}
+
+fn usage_query(net: &mut SimNet<StackNode>, at: NodeAddr, lo: f64, hi: f64) -> Discovery {
+    discover(net, at, &[Predicate::range("cpu-usage", lo, hi)]).expect("query answered")
 }
 
 impl MaanExp {

@@ -330,6 +330,31 @@ impl FingerTable {
         best
     }
 
+    /// The fan-out of a broadcast over `(me, limit)` (the whole ring when
+    /// `limit` is this node): the distinct fingers strictly inside it,
+    /// ordered by clockwise distance from this node, each paired with the
+    /// next one's id as the sub-limit of its disjoint share (the last one
+    /// inherits `limit`).
+    pub fn fan_out(&self, limit: Id) -> Vec<(NodeRef, Id)> {
+        let me = self.me.id;
+        let mut targets: Vec<NodeRef> = Vec::new();
+        for (_, fi) in self.iter() {
+            let n = fi.node;
+            let inside = if limit == me {
+                n.id != me
+            } else {
+                self.space.in_open_open(n.id, me, limit)
+            };
+            if inside && !targets.iter().any(|t| t.id == n.id) {
+                targets.push(n);
+            }
+        }
+        targets.sort_by_key(|t| self.space.dist_cw(me, t.id));
+        (0..targets.len())
+            .map(|i| (targets[i], targets.get(i + 1).map_or(limit, |next| next.id)))
+            .collect()
+    }
+
     /// Number of populated fingers.
     pub fn populated(&self) -> usize {
         self.fingers.iter().filter(|f| f.is_some()).count()

@@ -68,7 +68,7 @@ pub use health::{HealthConfig, HealthDetector, SuspicionLevel};
 pub use id::{ceil_log2, ceil_log2_ratio, Id, IdSpace};
 pub use metrics::{Dir, Metrics};
 pub use msg::{ChordMsg, Input, Output, ReqId, TimerKind, Upcall};
-pub use node::{ChordConfig, ChordNode, NodeStatus};
+pub use node::{ChordConfig, ChordNode, NodeStatus, RTO_MIN_MS};
 pub use payload::Payload;
 pub use ring::{IdPolicy, StaticRing};
 pub use routing::{

@@ -43,24 +43,27 @@ pub struct ChordConfig {
     pub check_pred_ms: u64,
     /// Per-request timeout.
     pub req_timeout_ms: u64,
-    /// Hop budget for recursive routing (loop protection during churn).
-    pub max_hops: u32,
     /// Use identifier probing at join time (§3.5).
     pub probe_on_join: bool,
     /// Give up joining after this many attempts.
     pub max_join_retries: u32,
-    /// Refresh the FOF data of one finger every `fof_refresh_every`-th
-    /// finger-fix firing (0 disables FOF refresh).
-    pub fof_refresh_every: u32,
     /// Retransmissions allowed per request before it is declared failed.
     /// `0` disables retransmission entirely: a request gets exactly one
     /// transmission and the fixed `req_timeout_ms` (the legacy behavior).
     pub max_retries: u32,
-    /// Lower clamp for the adaptive retransmission timeout.
-    pub rto_min_ms: u64,
     /// Upper clamp for the adaptive RTO and its exponential backoff.
     pub rto_max_ms: u64,
 }
+
+/// Hop budget for recursive routing (loop protection during churn).
+const MAX_HOPS: u32 = 160;
+
+/// Every `FOF_REFRESH_EVERY`-th finger-fix firing refreshes the FOF data
+/// of one existing finger instead of looking a finger up.
+const FOF_REFRESH_EVERY: u32 = 4;
+
+/// Lower clamp for the adaptive retransmission timeout.
+pub const RTO_MIN_MS: u64 = 250;
 
 impl Default for ChordConfig {
     fn default() -> Self {
@@ -71,12 +74,9 @@ impl Default for ChordConfig {
             fix_fingers_ms: 250,
             check_pred_ms: 1_000,
             req_timeout_ms: 2_000,
-            max_hops: 160,
             probe_on_join: false,
             max_join_retries: 8,
-            fof_refresh_every: 4,
             max_retries: 2,
-            rto_min_ms: 250,
             rto_max_ms: 8_000,
         }
     }
@@ -352,7 +352,7 @@ impl ChordNode {
     }
 
     /// The retransmission timeout the next request will be armed with:
-    /// `SRTT + 4·RTTVAR` clamped into `[rto_min_ms, rto_max_ms]`, or the
+    /// `SRTT + 4·RTTVAR` clamped into `[RTO_MIN_MS, rto_max_ms]`, or the
     /// configured `req_timeout_ms` before any RTT sample exists (and
     /// always when retransmission is disabled).
     pub fn current_rto(&self) -> u64 {
@@ -360,8 +360,9 @@ impl ChordNode {
             return self.cfg.req_timeout_ms;
         }
         match self.srtt_ms {
-            Some(srtt) => ((srtt + 4.0 * self.rttvar_ms) as u64)
-                .clamp(self.cfg.rto_min_ms, self.cfg.rto_max_ms),
+            Some(srtt) => {
+                ((srtt + 4.0 * self.rttvar_ms) as u64).clamp(RTO_MIN_MS, self.cfg.rto_max_ms)
+            }
             None => self.cfg.req_timeout_ms,
         }
     }
@@ -747,13 +748,11 @@ impl ChordNode {
         self.fix_round = self.fix_round.wrapping_add(1);
         // Periodically refresh FOF data of an existing finger instead of
         // re-looking one up; probing and child computation depend on it.
-        if self.cfg.fof_refresh_every > 0
-            && self.fix_round.is_multiple_of(self.cfg.fof_refresh_every)
-        {
-            let target = self.table.iter().nth(
-                (self.fix_round / self.cfg.fof_refresh_every) as usize
-                    % self.table.populated().max(1),
-            );
+        if self.fix_round.is_multiple_of(FOF_REFRESH_EVERY) {
+            let target = self
+                .table
+                .iter()
+                .nth((self.fix_round / FOF_REFRESH_EVERY) as usize % self.table.populated().max(1));
             if let Some((j, f)) = target {
                 let req = self.fresh_req();
                 let msg = ChordMsg::GetNeighbors {
@@ -1047,7 +1046,7 @@ impl ChordNode {
                 origin,
                 hops,
             } => {
-                if hops >= self.cfg.max_hops {
+                if hops >= MAX_HOPS {
                     self.metrics.dropped += 1;
                     return;
                 }
@@ -1119,7 +1118,7 @@ impl ChordNode {
         hops: u32,
         out: &mut Vec<Output>,
     ) {
-        if hops >= self.cfg.max_hops {
+        if hops >= MAX_HOPS {
             self.metrics.dropped += 1;
             return;
         }
@@ -1373,36 +1372,14 @@ impl ChordNode {
         origin: NodeRef,
         depth: u32,
     ) {
-        let space = self.cfg.space;
-        let me = self.me().id;
-        // Distinct finger nodes strictly inside (me, limit), ordered by
-        // clockwise distance from me.
-        let mut targets: Vec<NodeRef> = Vec::new();
-        for (_, fi) in self.table.iter() {
-            let n = fi.node;
-            let inside = if limit == me {
-                n.id != me
-            } else {
-                space.in_open_open(n.id, me, limit)
-            };
-            if inside && !targets.iter().any(|t| t.id == n.id) {
-                targets.push(n);
-            }
-        }
-        targets.sort_by_key(|t| space.dist_cw(me, t.id));
-        for i in 0..targets.len() {
-            let sub_limit = if i + 1 < targets.len() {
-                targets[i + 1].id
-            } else {
-                limit
-            };
+        for (target, sub_limit) in self.table.fan_out(limit) {
             let msg = ChordMsg::Broadcast {
                 limit: sub_limit,
                 payload: payload.clone(),
                 origin,
                 depth,
             };
-            self.send(out, targets[i], msg);
+            self.send(out, target, msg);
         }
     }
 }
@@ -1732,7 +1709,7 @@ mod tests {
                 key: Id(6),
                 payload: vec![].into(),
                 origin: NodeRef::new(Id(15), NodeAddr(15)),
-                hops: n.config().max_hops,
+                hops: MAX_HOPS,
             },
         });
         assert!(out.is_empty());
@@ -2043,7 +2020,7 @@ mod tests {
     /// Invariants the Karn/Jacobson estimator must hold for *any* sample
     /// sequence: SRTT stays finite and non-negative, RTTVAR stays finite
     /// and non-negative, and the armed RTO never escapes
-    /// `[rto_min_ms, rto_max_ms]`.
+    /// `[RTO_MIN_MS, rto_max_ms]`.
     fn assert_rto_invariants(n: &ChordNode, context: &str) {
         if let Some(srtt) = n.srtt_ms() {
             assert!(srtt.is_finite(), "{context}: SRTT not finite: {srtt}");
@@ -2056,9 +2033,9 @@ mod tests {
         );
         let rto = n.current_rto();
         assert!(
-            (n.cfg.rto_min_ms..=n.cfg.rto_max_ms).contains(&rto),
+            (RTO_MIN_MS..=n.cfg.rto_max_ms).contains(&rto),
             "{context}: RTO {rto} escaped [{}, {}]",
-            n.cfg.rto_min_ms,
+            RTO_MIN_MS,
             n.cfg.rto_max_ms
         );
     }
@@ -2071,7 +2048,7 @@ mod tests {
             assert_rto_invariants(&n, &format!("zero sample {i}"));
         }
         // Degenerate estimate clamps to the floor, not to zero.
-        assert_eq!(n.current_rto(), n.cfg.rto_min_ms);
+        assert_eq!(n.current_rto(), RTO_MIN_MS);
     }
 
     #[test]

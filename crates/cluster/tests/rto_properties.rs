@@ -2,12 +2,12 @@
 //! timer path.
 //!
 //! The chord node's retransmission machinery (SRTT/RTTVAR estimation,
-//! exponential backoff, the `[rto_min_ms, rto_max_ms]` clamp) is pure
+//! exponential backoff, the `[RTO_MIN_MS, rto_max_ms]` clamp) is pure
 //! sans-io state — but its inputs here come from genuine UDP round trips
 //! and the async host's per-actor timer heap, not a simulated clock. The
 //! properties under test:
 //!
-//! 1. `current_rto()` stays inside `[rto_min_ms, rto_max_ms]` at every
+//! 1. `current_rto()` stays inside `[RTO_MIN_MS, rto_max_ms]` at every
 //!    observable instant — cold start, live estimation, and backoff.
 //! 2. Once traffic flows, `srtt_ms()` becomes `Some` and stays plausible
 //!    (positive, far below the clamp ceiling on loopback).
@@ -19,7 +19,7 @@
 
 use std::time::{Duration, Instant};
 
-use dat_chord::{ChordConfig, ChordNode, Id, IdSpace, NodeAddr, NodeRef, Upcall};
+use dat_chord::{ChordConfig, ChordNode, Id, IdSpace, NodeAddr, NodeRef, Upcall, RTO_MIN_MS};
 use dat_cluster::ClusterHost;
 
 fn fast_cfg() -> ChordConfig {
@@ -46,9 +46,9 @@ fn sample_rto(
             .call(NodeAddr(i), |n| ((n.current_rto(), n.srtt_ms()), vec![]))
             .expect("node answers");
         assert!(
-            (cfg.rto_min_ms..=cfg.rto_max_ms).contains(&rto),
+            (RTO_MIN_MS..=cfg.rto_max_ms).contains(&rto),
             "node {i}: rto {rto} ms escaped [{}, {}]",
-            cfg.rto_min_ms,
+            RTO_MIN_MS,
             cfg.rto_max_ms
         );
         if let Some(s) = srtt {
@@ -71,7 +71,7 @@ fn rto_stays_clamped_while_estimating_over_real_udp() {
     // Cold start: no RTT samples yet, the clamp must already hold.
     for (rto, srtt) in sample_rto(&cluster, 2, &cfg) {
         assert_eq!(srtt, None, "no traffic yet, no estimate");
-        assert!(rto >= cfg.rto_min_ms);
+        assert!(rto >= RTO_MIN_MS);
     }
 
     let bootstrap = cluster
@@ -98,7 +98,7 @@ fn rto_stays_clamped_while_estimating_over_real_udp() {
                 // Jacobson: the timeout is srtt plus variance margin, so
                 // it can never undercut the smoothed estimate.
                 assert!(
-                    (rto as f64) >= s || rto == cfg.rto_min_ms,
+                    (rto as f64) >= s || rto == RTO_MIN_MS,
                     "rto {rto} below srtt {s} without hitting the floor"
                 );
             }

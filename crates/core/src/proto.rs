@@ -65,13 +65,12 @@ pub struct DatConfig {
     /// Exact average inter-node gap, when globally known (experiments set
     /// `2^b / n`); `None` means estimate from the local neighborhood.
     pub d0_hint: Option<u64>,
-    /// Warm root failover: the acting root replicates its per-key soft
-    /// state ([`DatMsg::RootState`]) to this many successors each epoch,
-    /// so a root crash loses at most one epoch of reports. `0` disables
-    /// replication (cold failover: the new root rebuilds over
-    /// `child_ttl_epochs`).
-    pub replication_k: usize,
 }
+
+/// Warm root failover: the acting root replicates its per-key soft state
+/// ([`DatMsg::RootState`]) to this many successors each epoch, so a root
+/// crash loses at most one epoch of reports.
+const REPLICATION_K: usize = 2;
 
 impl Default for DatConfig {
     fn default() -> Self {
@@ -82,7 +81,6 @@ impl Default for DatConfig {
             query_window_ms: 500,
             hold_ms: 250,
             d0_hint: None,
-            replication_k: 2,
         }
     }
 }
@@ -918,12 +916,9 @@ impl DatProtocol {
 
     /// Warm root failover: ship this key's soft state (fresh child
     /// partials + centralized samples, each with its age) and the report
-    /// fence to the first `replication_k` successors.
+    /// fence to the first `REPLICATION_K` successors.
     fn replicate_root_state(&mut self, cx: &mut Ctx<'_>, slot: usize, seq: u64) {
-        if self.cfg.replication_k == 0 {
-            return;
-        }
-        let targets = cx.successors(self.cfg.replication_k);
+        let targets = cx.successors(REPLICATION_K);
         if targets.is_empty() {
             return;
         }
@@ -1203,28 +1198,9 @@ impl DatProtocol {
         limit: Id,
         depth: u32,
     ) -> Vec<Id> {
-        let space = cx.space();
         let me = cx.me();
-        let mut targets: Vec<NodeRef> = Vec::new();
-        for (_, fi) in cx.table().iter() {
-            let n = fi.node;
-            let inside = if limit == me.id {
-                n.id != me.id
-            } else {
-                space.in_open_open(n.id, me.id, limit)
-            };
-            if inside && !targets.iter().any(|t| t.id == n.id) {
-                targets.push(n);
-            }
-        }
-        targets.sort_by_key(|t| space.dist_cw(me.id, t.id));
-        let count = targets.len();
-        for i in 0..count {
-            let sub_limit = if i + 1 < count {
-                targets[i + 1].id
-            } else {
-                limit
-            };
+        let shares = cx.table().fan_out(limit);
+        for &(target, sub_limit) in &shares {
             let msg = DatMsg::Query {
                 reqid,
                 key,
@@ -1233,14 +1209,14 @@ impl DatProtocol {
                 depth,
             };
             self.metrics
-                .on_send(cx.now_ms(), reqid, msg.kind(), targets[i].id.0);
-            cx.send(targets[i], msg.encode());
+                .on_send(cx.now_ms(), reqid, msg.kind(), target.id.0);
+            cx.send(target, msg.encode());
         }
-        if count > 0 {
+        if !shares.is_empty() {
             // Fan-out width per level of the on-demand broadcast tree.
-            self.metrics.observe("fanout", count as u64);
+            self.metrics.observe("fanout", shares.len() as u64);
         }
-        targets.iter().map(|t| t.id).collect()
+        shares.iter().map(|(t, _)| t.id).collect()
     }
 
     /// Set the lost-branch deadline of a query. Windows halve with fan-out

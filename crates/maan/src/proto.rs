@@ -1,16 +1,21 @@
 //! MAAN as a live protocol on the stack engine.
 //!
-//! The [`crate::network::MaanNetwork`] is a global-view analytic model; this
-//! module is the *protocol* version — a [`MaanProtocol`] handler hosted on a
-//! [`StackNode`], so one overlay node can serve MAAN resource discovery
-//! alongside DAT aggregation over the same finger table (the paper's P-GMA
-//! layering, §2.2/§4):
+//! A [`MaanProtocol`] handler is hosted on a [`StackNode`], so one overlay
+//! node serves MAAN resource discovery alongside DAT aggregation over the
+//! same finger table (the paper's P-GMA layering, §2.2/§4):
 //!
 //! * **registration** routes each attribute value to the Chord successor of
 //!   its (locality-preserving) hash;
 //! * **range queries** route to `successor(H(l))` and walk the ring arc to
 //!   `successor(H(u))` node by node; every arc node streams its hits
 //!   straight back to the query origin and the last one signals completion.
+//!   When one node owns both `H(l)` and `H(u)`, the range either fits in
+//!   its arc or covers the whole ring, and the walk then visits every node
+//!   once;
+//! * **multi-attribute queries** use the *single-attribute dominated*
+//!   strategy: the origin walks only the arc of its most selective
+//!   predicate and drops the hits that fail the others, for
+//!   `O(log n + n × s_min)` hops.
 //!
 //! Wire messages are hand-rolled on the shared [`dat_chord::wire`]
 //! primitives, same as every other codec in the workspace.
@@ -21,9 +26,9 @@ use dat_chord::wire::{CodecError, Reader, Writer};
 use dat_chord::{Id, Metrics, NodeRef, Output};
 use dat_core::engine::{AppProtocol, Ctx, StackNode};
 
-use crate::lph::hash_value;
+use crate::lph::{hash_value, selectivity};
 use crate::store::NodeStore;
-use crate::types::{AttrSchema, AttrValue, Constraint, Predicate, Resource};
+use crate::types::{AttrKind, AttrSchema, AttrValue, Constraint, Predicate, Resource};
 
 /// Application-protocol discriminator for MAAN messages.
 pub const MAAN_PROTO: u8 = 4;
@@ -133,8 +138,8 @@ pub enum MaanMsg {
         /// Matching resources stored on the sending node.
         resources: Vec<Resource>,
     },
-    /// The arc walk finished (sent by the node owning `hi_id`, or on hop
-    /// exhaustion).
+    /// The arc walk finished (sent by the node owning `hi_id`, by the last
+    /// node of a ring-spanning walk, or on hop exhaustion).
     Done {
         /// Query id that completed.
         qid: u64,
@@ -274,6 +279,8 @@ pub enum MaanEvent {
 #[derive(Debug)]
 struct QueryCollect {
     hits: Vec<Resource>,
+    /// The predicates the walk did not resolve, checked at the origin.
+    rest: Vec<Predicate>,
 }
 
 /// The MAAN handler: per-node resource index + range-query arc walking,
@@ -308,11 +315,6 @@ impl MaanProtocol {
     /// The local resource index.
     pub fn store(&self) -> &NodeStore {
         &self.store
-    }
-
-    /// The registered attribute schemas.
-    pub fn schemas(&self) -> &[AttrSchema] {
-        &self.schemas
     }
 
     /// Drain application events produced since the last call.
@@ -350,9 +352,23 @@ impl MaanProtocol {
         }
     }
 
-    /// Start a query for `pred`; the answer arrives as
-    /// [`MaanEvent::QueryDone`] with the returned query id.
-    fn query(&mut self, cx: &mut Ctx<'_>, pred: Predicate) -> u64 {
+    /// Fraction of the identifier space a predicate's image covers: 0 for
+    /// an exact match, 1 when the attribute has no numeric schema.
+    fn pred_selectivity(&self, p: &Predicate) -> f64 {
+        match (&p.constraint, self.schema(&p.attr).map(|s| &s.kind)) {
+            (Constraint::Exact(_), _) => 0.0,
+            (Constraint::Range { lo: l, hi: u }, Some(AttrKind::Numeric { lo, hi })) => {
+                selectivity(*lo, *hi, *l, *u)
+            }
+            _ => 1.0,
+        }
+    }
+
+    /// Start a query for every predicate of `preds`: walk the arc of the
+    /// most selective one and filter the rest at the origin. The answer
+    /// arrives as [`MaanEvent::QueryDone`] with the returned query id.
+    fn query(&mut self, cx: &mut Ctx<'_>, mut preds: Vec<Predicate>) -> u64 {
+        assert!(!preds.is_empty(), "empty query");
         let me = cx.me();
         if self.next_qid == 0 {
             self.next_qid = me.addr.0 << 24;
@@ -360,25 +376,42 @@ impl MaanProtocol {
         self.next_qid += 1;
         let qid = self.next_qid;
         let space = cx.space();
-        let Some(schema) = self.schema(&pred.attr) else {
-            // Unknown attribute: trivially empty.
+        let (dom, _) = preds
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (i, self.pred_selectivity(p)))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .expect("non-empty");
+        let pred = preds.remove(dom);
+        let image = match (&pred.constraint, self.schema(&pred.attr)) {
+            (Constraint::Range { lo, hi }, Some(schema))
+                if matches!(schema.kind, AttrKind::Numeric { .. }) =>
+            {
+                let h = |v: f64| hash_value(space, schema, &AttrValue::Num(v));
+                Some((h(*lo), h(*hi)))
+            }
+            (Constraint::Exact(v), Some(schema)) => {
+                let id = hash_value(space, schema, &AttrValue::Str(v.clone()));
+                Some((id, id))
+            }
+            _ => None,
+        };
+        let Some((lo_id, hi_id)) = image else {
+            // Unknown attribute, or a range over keywords (which have no
+            // order-preserving hash): trivially empty.
             self.events.push(MaanEvent::QueryDone {
                 qid,
                 hits: Vec::new(),
             });
             return qid;
         };
-        let (lo_id, hi_id) = match &pred.constraint {
-            Constraint::Range { lo, hi } => (
-                hash_value(space, schema, &AttrValue::Num(*lo)),
-                hash_value(space, schema, &AttrValue::Num(*hi)),
-            ),
-            Constraint::Exact(s) => {
-                let id = hash_value(space, schema, &AttrValue::Str(s.clone()));
-                (id, id)
-            }
-        };
-        self.pending.insert(qid, QueryCollect { hits: Vec::new() });
+        self.pending.insert(
+            qid,
+            QueryCollect {
+                hits: Vec::new(),
+                rest: preds,
+            },
+        );
         let m = MaanMsg::RangeQuery {
             qid,
             lo_id,
@@ -423,45 +456,44 @@ impl MaanProtocol {
                     .map(|e| e.resource.clone())
                     .collect();
                 if !local.is_empty() {
-                    if origin.id == me.id {
-                        self.collect_hits(qid, local);
-                    } else {
-                        let hits = MaanMsg::Hits {
-                            qid,
-                            resources: local,
-                        };
-                        self.metrics.count_sent_kind(hits.kind());
-                        cx.send(origin, hits.encode());
-                    }
-                }
-                // Walk on unless this node already covers the arc's end.
-                let walk_done = cx.owns(hi_id) || hops_left == 0;
-                if walk_done {
-                    if origin.id == me.id {
-                        self.finish_query(qid);
-                    } else {
-                        let done = MaanMsg::Done { qid };
-                        self.metrics.count_sent_kind(done.kind());
-                        cx.send(origin, done.encode());
-                    }
-                } else if let Some(succ) = cx.table().successor() {
-                    let fwd = MaanMsg::RangeQuery {
+                    let hits = MaanMsg::Hits {
                         qid,
-                        lo_id,
-                        hi_id,
-                        pred,
-                        origin,
-                        hops_left: hops_left - 1,
+                        resources: local,
                     };
-                    self.metrics.count_sent_kind(fwd.kind());
-                    cx.send(succ, fwd.encode());
-                } else if origin.id == me.id {
-                    // No successor (singleton): the arc is just us.
-                    self.finish_query(qid);
-                } else {
-                    let done = MaanMsg::Done { qid };
-                    self.metrics.count_sent_kind(done.kind());
-                    cx.send(origin, done.encode());
+                    self.reply(cx, origin, hits);
+                }
+                // Walk on unless this node covers the arc's end. Owning both
+                // ends, it covers the whole range only when `H(l)` comes
+                // first clockwise from its predecessor; otherwise the range
+                // spans the ring, and the walk ends at the node whose
+                // successor owns `H(l)`.
+                let space = cx.space();
+                let table = cx.table();
+                let owns_lo = cx.owns(lo_id);
+                let spans = owns_lo
+                    && table
+                        .predecessor()
+                        .is_some_and(|p| space.dist_cw(p.id, lo_id) > space.dist_cw(p.id, hi_id));
+                let closes_circle = !owns_lo
+                    && table
+                        .successor()
+                        .is_some_and(|s| space.in_open_closed(lo_id, me.id, s.id));
+                let walk_done = (cx.owns(hi_id) && !spans) || closes_circle || hops_left == 0;
+                match table.successor().filter(|_| !walk_done) {
+                    // The walk ends here, or (alone on the ring) has nowhere to go.
+                    None => self.reply(cx, origin, MaanMsg::Done { qid }),
+                    Some(succ) => {
+                        let fwd = MaanMsg::RangeQuery {
+                            qid,
+                            lo_id,
+                            hi_id,
+                            pred,
+                            origin,
+                            hops_left: hops_left - 1,
+                        };
+                        self.metrics.count_sent_kind(fwd.kind());
+                        cx.send(succ, fwd.encode());
+                    }
                 }
             }
             MaanMsg::Hits { qid, resources } => {
@@ -473,10 +505,21 @@ impl MaanProtocol {
         }
     }
 
+    /// Deliver `m` to the query's origin, handling it in place when that
+    /// is this node.
+    fn reply(&mut self, cx: &mut Ctx<'_>, origin: NodeRef, m: MaanMsg) {
+        if origin.id == cx.me().id {
+            self.on_msg(cx, m);
+        } else {
+            self.metrics.count_sent_kind(m.kind());
+            cx.send(origin, m.encode());
+        }
+    }
+
     fn collect_hits(&mut self, qid: u64, resources: Vec<Resource>) {
         if let Some(q) = self.pending.get_mut(&qid) {
             for r in resources {
-                if !q.hits.iter().any(|h| h.uri == r.uri) {
+                if q.rest.iter().all(|p| r.matches(p)) && !q.hits.iter().any(|h| h.uri == r.uri) {
                     q.hits.push(r);
                 }
             }
@@ -543,15 +586,14 @@ pub trait MaanStack {
     /// The MAAN handler (read-only).
     fn maan(&self) -> &MaanProtocol;
 
-    /// The MAAN handler (mutable).
-    fn maan_mut(&mut self) -> &mut MaanProtocol;
-
     /// Register every attribute of `resource` onto the overlay.
     fn maan_register(&mut self, resource: &Resource) -> Vec<Output>;
 
-    /// Issue a query for `pred`; the answer arrives as
-    /// [`MaanEvent::QueryDone`] with the returned query id.
-    fn maan_query(&mut self, pred: Predicate) -> (u64, Vec<Output>);
+    /// Issue a multi-attribute query for resources satisfying every
+    /// predicate of `preds` (a single-attribute query is a list of one);
+    /// the answer arrives as [`MaanEvent::QueryDone`] with the returned
+    /// query id.
+    fn maan_query(&mut self, preds: Vec<Predicate>) -> (u64, Vec<Output>);
 
     /// Issue a numeric range query `attr ∈ [lo, hi]`.
     fn maan_range_query(&mut self, attr: &str, lo: f64, hi: f64) -> (u64, Vec<Output>);
@@ -565,26 +607,22 @@ impl MaanStack for StackNode {
         self.app::<MaanProtocol>()
     }
 
-    fn maan_mut(&mut self) -> &mut MaanProtocol {
-        self.app_mut::<MaanProtocol>()
-    }
-
     fn maan_register(&mut self, resource: &Resource) -> Vec<Output> {
         let resource = resource.clone();
         self.drive::<MaanProtocol, _>(move |m, cx| m.register(cx, &resource))
             .1
     }
 
-    fn maan_query(&mut self, pred: Predicate) -> (u64, Vec<Output>) {
-        self.drive::<MaanProtocol, _>(move |m, cx| m.query(cx, pred))
+    fn maan_query(&mut self, preds: Vec<Predicate>) -> (u64, Vec<Output>) {
+        self.drive::<MaanProtocol, _>(move |m, cx| m.query(cx, preds))
     }
 
     fn maan_range_query(&mut self, attr: &str, lo: f64, hi: f64) -> (u64, Vec<Output>) {
-        self.maan_query(Predicate::range(attr, lo, hi))
+        self.maan_query(vec![Predicate::range(attr, lo, hi)])
     }
 
     fn take_maan_events(&mut self) -> Vec<MaanEvent> {
-        self.maan_mut().take_events()
+        self.app_mut::<MaanProtocol>().take_events()
     }
 }
 
@@ -693,7 +731,7 @@ mod tests {
         let _ = n.start_create();
         let _ = n.maan_register(&Resource::new("grid://m1").with("os", "linux"));
         let _ = n.maan_register(&Resource::new("grid://m2").with("os", "plan9"));
-        let (qid, _) = n.maan_query(Predicate::exact("os", "linux"));
+        let (qid, _) = n.maan_query(vec![Predicate::exact("os", "linux")]);
         let evs = n.take_maan_events();
         match &evs[..] {
             [MaanEvent::QueryDone { qid: q, hits }] => {
@@ -706,16 +744,32 @@ mod tests {
     }
 
     #[test]
+    fn dominated_choice_prefers_exact_predicate() {
+        let m = MaanProtocol::new(vec![
+            AttrSchema::numeric("cpu-usage", 0.0, 100.0),
+            AttrSchema::keyword("os"),
+        ]);
+        // Exact predicates have selectivity 0 — they dominate.
+        let s_exact = m.pred_selectivity(&Predicate::exact("os", "linux"));
+        let s_wide = m.pred_selectivity(&Predicate::range("cpu-usage", 0.0, 100.0));
+        let s_narrow = m.pred_selectivity(&Predicate::range("cpu-usage", 10.0, 15.0));
+        assert!(s_exact < s_narrow && s_narrow < s_wide);
+        assert_eq!(s_wide, 1.0);
+    }
+
+    #[test]
     fn unknown_attribute_completes_empty() {
         let mut n = mk(1);
         let _ = n.start_create();
-        let (qid, _) = n.maan_range_query("no-such-attr", 0.0, 1.0);
-        assert_eq!(
-            n.take_maan_events(),
-            vec![MaanEvent::QueryDone {
+        let _ = n.maan_register(&Resource::new("grid://m1").with("os", "linux"));
+        // A range over a keyword attribute has no ordered image either.
+        for attr in ["no-such-attr", "os"] {
+            let (qid, _) = n.maan_range_query(attr, 0.0, 1.0);
+            let done = MaanEvent::QueryDone {
                 qid,
-                hits: Vec::new()
-            }]
-        );
+                hits: Vec::new(),
+            };
+            assert_eq!(n.take_maan_events(), vec![done], "{attr}");
+        }
     }
 }

@@ -51,22 +51,6 @@ impl NodeStore {
             .push(entry);
     }
 
-    /// Remove every registration of `uri` under `attr`. Returns how many
-    /// entries were dropped.
-    pub fn remove(&mut self, attr: &str, uri: &str) -> usize {
-        let Some(values) = self.by_attr.get_mut(attr) else {
-            return 0;
-        };
-        let mut dropped = 0;
-        values.retain(|_, entries| {
-            let before = entries.len();
-            entries.retain(|e| e.resource.uri != uri);
-            dropped += before - entries.len();
-            !entries.is_empty()
-        });
-        dropped
-    }
-
     /// Total entries across all attributes.
     pub fn len(&self) -> usize {
         self.by_attr
@@ -99,14 +83,6 @@ impl NodeStore {
             .flat_map(|(_, v)| v.iter())
             .filter(|e| pred.is_none_or(|p| e.resource.matches(p)))
             .collect()
-    }
-
-    /// All entries of `attr`.
-    pub fn all(&self, attr: &str) -> Vec<&StoredEntry> {
-        self.by_attr
-            .get(attr)
-            .map(|m| m.values().flatten().collect())
-            .unwrap_or_default()
     }
 }
 
@@ -145,22 +121,9 @@ mod tests {
     }
 
     #[test]
-    fn remove_by_uri() {
-        let mut s = NodeStore::new();
-        s.insert("os", Id(7), None, res("a", 1.0));
-        s.insert("os", Id(7), None, res("b", 2.0));
-        s.insert("os", Id(9), None, res("a", 1.0));
-        assert_eq!(s.remove("os", "a"), 2);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.remove("os", "zzz"), 0);
-        assert_eq!(s.remove("missing", "a"), 0);
-    }
-
-    #[test]
     fn unknown_attribute_scans_empty() {
         let s = NodeStore::new();
         assert!(s.scan("nope", Id(0), Id(10), None).is_empty());
-        assert!(s.all("nope").is_empty());
         assert!(s.is_empty());
     }
 }

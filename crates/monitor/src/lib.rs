@@ -7,8 +7,9 @@
 //!   random walks, constants);
 //! * **producers** — each node's [`dat_core::StackNode`] hosting a
 //!   [`dat_core::DatProtocol`], fed by its sensors every epoch;
-//! * **indexing** — the MAAN layer, fronted by
-//!   [`discovery::DiscoveryService`] for multi-attribute resource search;
+//! * **indexing** — the MAAN layer hosted on the same nodes; consumers
+//!   search it with multi-attribute queries through [`discovery::discover`]
+//!   (or [`pgma::GridMonitorSim::discover`]);
 //! * **aggregation** — continuous DAT aggregation of global attributes;
 //! * **consumers** — per-epoch global reports at the rendezvous root,
 //!   collected by [`pgma::GridMonitorSim`] together with ground truth.
@@ -35,7 +36,6 @@ pub mod pgma;
 pub mod sensor;
 pub mod trace;
 
-pub use discovery::DiscoveryService;
 pub use pgma::{grid_schemas, AccuracyStats, EpochRecord, GridMonitorSim, MonitorConfig};
 pub use sensor::{ConstantSensor, RandomWalkSensor, Sensor, TraceSensor};
 pub use trace::{CpuTrace, TraceConfig};

@@ -18,22 +18,25 @@ use dat_chord::{ChordConfig, Id, IdPolicy, IdSpace, NodeAddr, RoutingScheme, Sta
 use dat_core::{
     AggFunc, AggregationMode, Completeness, DatConfig, DatEvent, DatProtocol, StackNode,
 };
-use dat_maan::{AttrSchema, MaanEvent, MaanProtocol, MaanStack, Resource};
+use dat_maan::{AttrSchema, MaanProtocol, MaanStack, Predicate, Resource};
 use dat_sim::harness::{addr_book, prestabilized_stack};
 use dat_sim::{LatencyModel, SimNet};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use crate::discovery::discover;
 use crate::sensor::Sensor;
 
-/// The default Grid attribute schemas for the MAAN index hosted next to
-/// the aggregation layer (the paper's running examples: CPU speed in GHz,
-/// memory in MB, operating system as a keyword).
+/// The Grid attribute schemas of the MAAN index hosted next to the
+/// aggregation layer (the paper's running examples: CPU speed in GHz, CPU
+/// usage in percent, memory in MB, operating system and site as keywords).
 pub fn grid_schemas() -> Vec<AttrSchema> {
     vec![
         AttrSchema::numeric("cpu-speed", 0.0, 8.0),
+        AttrSchema::numeric("cpu-usage", 0.0, 100.0),
         AttrSchema::numeric("memory", 0.0, 65_536.0),
         AttrSchema::keyword("os"),
+        AttrSchema::keyword("site"),
     ]
 }
 
@@ -259,25 +262,13 @@ impl GridMonitorSim {
         self.net.run_for(2_000);
     }
 
-    /// Discover resources with `attr ∈ [lo, hi]` from node `from`: issues
-    /// a MAAN range query over the same overlay that carries the
-    /// aggregation traffic and runs the network until it completes.
-    pub fn discover(&mut self, from: NodeAddr, attr: &str, lo: f64, hi: f64) -> Vec<Resource> {
-        let attr = attr.to_string();
-        let qid = self
-            .net
-            .with_node(from, |n| n.maan_range_query(&attr, lo, hi))
-            .expect("query origin exists");
-        self.net.run_for(5_000);
-        self.net
-            .with_node(from, |n| (n.take_maan_events(), Vec::new()))
-            .into_iter()
-            .flatten()
-            .find_map(|e| match e {
-                MaanEvent::QueryDone { qid: q, hits } if q == qid => Some(hits),
-                _ => None,
-            })
-            .unwrap_or_default()
+    /// Discover the resources satisfying every predicate of `preds` from
+    /// node `from`: issues a MAAN query over the same overlay that carries
+    /// the aggregation traffic and runs the network until its answer
+    /// arrives, for at most [`crate::discovery::DISCOVER_BOUND_MS`] of
+    /// virtual time. `None` when no answer came in time.
+    pub fn discover(&mut self, from: NodeAddr, preds: &[Predicate]) -> Option<Vec<Resource>> {
+        discover(&mut self.net, from, preds).map(|d| d.hits)
     }
 
     /// Collected per-epoch records.
@@ -472,10 +463,13 @@ mod tests {
             NodeAddr(3),
             &Resource::new("grid://m2").with("cpu-speed", 6.0),
         );
-        let hits = sim.discover(NodeAddr(5), "cpu-speed", 2.0, 3.0);
+        let hits = sim
+            .discover(NodeAddr(5), &[Predicate::range("cpu-speed", 2.0, 3.0)])
+            .unwrap();
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].uri, "grid://m1");
-        assert!(sim.discover(NodeAddr(7), "cpu-speed", 7.0, 8.0).is_empty());
+        let fast = [Predicate::range("cpu-speed", 7.0, 8.0)];
+        assert_eq!(sim.discover(NodeAddr(7), &fast), Some(Vec::new()));
         sim.run_epochs(8);
         let acc = sim.accuracy();
         assert!(acc.reported_epochs >= 1, "{acc:?}");
@@ -483,6 +477,34 @@ mod tests {
             acc.mape < 1e-6,
             "aggregation unharmed by discovery: {acc:?}"
         );
+    }
+
+    #[test]
+    fn full_domain_discovery_waits_for_its_answer() {
+        // A full-domain range walks all 512 nodes one hop at a time: about
+        // 20 s under a 40 ms-median WAN latency, far past a fixed 5 s wait.
+        let cfg = MonitorConfig {
+            nodes: 512,
+            latency: LatencyModel::LogNormal {
+                median_ms: 40.0,
+                sigma: 0.6,
+            },
+            ..MonitorConfig::default()
+        };
+        let mut sim = GridMonitorSim::new(cfg, "cpu-usage", |_| {
+            Box::new(ConstantSensor::new("cpu-usage", 1.0))
+        });
+        for (i, ghz) in [0.5, 4.0, 7.5].into_iter().enumerate() {
+            let r = Resource::new(&format!("grid://m{i}")).with("cpu-speed", ghz);
+            sim.register_resource(NodeAddr(i as u64 * 100), &r);
+        }
+        let start = sim.net().now();
+        let hits = sim
+            .discover(NodeAddr(300), &[Predicate::range("cpu-speed", 0.0, 8.0)])
+            .expect("answered within the bound");
+        assert_eq!(hits.len(), 3, "{hits:?}");
+        let took_ms = sim.net().now().saturating_since(start);
+        assert!(took_ms > 5_000, "{took_ms} ms");
     }
 
     #[test]

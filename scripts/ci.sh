@@ -168,9 +168,10 @@ epoch_rss="$(awk '$1 == "peak_rss_mib" { print $2 }' <<<"$epoch_out")"
 echo "==> examples build"
 cargo build --release --examples
 
-echo "==> examples smoke: quickstart (sim) + rpc_cluster (UDP, 8 nodes)"
+echo "==> examples smoke: quickstart (sim) + rpc_cluster (UDP, 8 nodes) + resource_discovery (live MAAN)"
 cargo run --release --example quickstart
 cargo run --release --example rpc_cluster -- 8
+cargo run --release --example resource_discovery
 
 echo "==> rustdoc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

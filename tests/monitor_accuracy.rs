@@ -2,8 +2,8 @@
 //! shape) and discovery answers stay consistent with monitored state.
 
 use libdat::monitor::{
-    ConstantSensor, CpuTrace, DiscoveryService, GridMonitorSim, MonitorConfig, RandomWalkSensor,
-    TraceConfig, TraceSensor,
+    ConstantSensor, CpuTrace, GridMonitorSim, MonitorConfig, RandomWalkSensor, TraceConfig,
+    TraceSensor,
 };
 
 #[test]
@@ -85,14 +85,18 @@ fn random_walk_metrics_stay_in_domain() {
 
 #[test]
 fn discovery_consistency_with_advertised_state() {
-    use libdat::chord::{IdPolicy, IdSpace, StaticRing};
-    use libdat::maan::{MaanNetwork, Predicate, Resource};
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(31);
-    let ring = StaticRing::build(IdSpace::new(32), 64, IdPolicy::Probed, &mut rng);
-    let mut svc =
-        DiscoveryService::new(MaanNetwork::new(ring, DiscoveryService::standard_schemas()));
-    let origin = svc.maan().ring().ids()[0];
+    use libdat::chord::NodeAddr;
+    use libdat::maan::{Predicate, Resource};
+    let cfg = MonitorConfig {
+        nodes: 64,
+        epoch_ms: 1_000,
+        seed: 31,
+        ..MonitorConfig::default()
+    };
+    let mut sim = GridMonitorSim::new(cfg, "cpu-usage", |_| {
+        Box::new(ConstantSensor::new("cpu-usage", 1.0))
+    });
+    let origin = NodeAddr(0);
     // Advertise machines mirroring a monitored fleet.
     let usages: Vec<f64> = (0..40).map(|i| (i * 97 % 101) as f64).collect();
     for (i, &u) in usages.iter().enumerate() {
@@ -100,11 +104,13 @@ fn discovery_consistency_with_advertised_state() {
             .with("cpu-usage", u)
             .with("cpu-speed", 2.0)
             .with("os", "linux");
-        svc.advertise(origin, &r);
+        sim.register_resource(origin, &r);
     }
     // Every usage band returns exactly the machines in that band.
     for (lo, hi) in [(0.0, 25.0), (25.0, 75.0), (75.0, 100.0)] {
-        let (hits, _) = svc.find(origin, &[Predicate::range("cpu-usage", lo, hi)]);
+        let hits = sim
+            .discover(origin, &[Predicate::range("cpu-usage", lo, hi)])
+            .expect("answered");
         let want = usages.iter().filter(|&&u| u >= lo && u <= hi).count();
         assert_eq!(hits.len(), want, "band [{lo},{hi}]");
     }
