@@ -157,12 +157,6 @@ impl Crosscheck {
     }
 }
 
-/// Parity of ideal-ring helpers against table-based decisions, exposed for
-/// tests.
-pub fn parent_parity(n: usize, scheme: RoutingScheme, seed: u64) -> usize {
-    check_one(n, scheme, seed).parent_mismatches
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,7 +13,7 @@
 //!   network sizes 100..1000: ≈linear for centralized, ≈log for basic,
 //!   ≈constant (about 2) for balanced.
 
-use dat_chord::{ChordConfig, IdPolicy, IdSpace, NodeAddr, RoutingScheme, StaticRing};
+use dat_chord::{ChordConfig, IdPolicy, IdSpace, RoutingScheme, StaticRing};
 use dat_core::{AggregationMode, DatConfig, StackNode};
 use dat_obs::LogHist;
 use dat_sim::harness::prestabilized_dat;
@@ -316,23 +316,6 @@ impl Fig8b {
         }
         bad
     }
-}
-
-/// Measure per-node counts with a provided scheme — exposed for the
-/// crosscheck experiment.
-pub fn counts_for(n: usize, scheme: Scheme, seed: u64) -> Vec<f64> {
-    measure_message_counts(n, scheme, seed, 4)
-}
-
-/// Access the aggregation rendezvous address used by these experiments —
-/// useful for tests needing the root.
-pub fn root_addr_of(n: usize, seed: u64) -> NodeAddr {
-    let space = IdSpace::new(BITS);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let ring = StaticRing::build(space, n, IdPolicy::Probed, &mut rng);
-    let key = dat_chord::hash_to_id(space, b"cpu-usage");
-    let book = dat_sim::harness::addr_book(&ring);
-    book[&ring.successor(key)]
 }
 
 #[cfg(test)]

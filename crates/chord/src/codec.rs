@@ -6,8 +6,9 @@
 //! fixed-order little-endian fields, built on the [`crate::wire`]
 //! primitives (and the same [`CodecError`] vocabulary) every protocol codec
 //! in the workspace uses. Application payloads (already encoded by their
-//! protocol's codec) ride opaquely inside `App`, `Route` and `Broadcast`
-//! frames.
+//! protocol's codec) ride opaquely inside `App` and `Route` frames. Tags
+//! are never reused: tag 14, the retired ring broadcast, decodes as
+//! [`CodecError::BadTag`] like any unknown tag.
 //!
 //! The codec lives next to the message type so every host can reach it:
 //! `dat-rpc` uses it to frame UDP datagrams, and the simulator's codec
@@ -113,18 +114,6 @@ pub fn encode(msg: &ChordMsg) -> Vec<u8> {
             payload,
         } => {
             w.u8(13).u8(*proto).node_ref(*from).bytes(payload);
-        }
-        ChordMsg::Broadcast {
-            limit,
-            payload,
-            origin,
-            depth,
-        } => {
-            w.u8(14)
-                .id(*limit)
-                .bytes(payload)
-                .node_ref(*origin)
-                .u32(*depth);
         }
         ChordMsg::StatsRequest { req, sender } => {
             w.u8(15).u64(*req).node_ref(*sender);
@@ -234,12 +223,6 @@ pub fn decode(data: &[u8]) -> Result<ChordMsg, CodecError> {
             from: r.node_ref()?,
             payload: r.bytes()?.into(),
         },
-        14 => ChordMsg::Broadcast {
-            limit: r.id()?,
-            payload: r.bytes()?.into(),
-            origin: r.node_ref()?,
-            depth: r.u32()?,
-        },
         15 => ChordMsg::StatsRequest {
             req: r.u64()?,
             sender: r.node_ref()?,
@@ -325,12 +308,6 @@ mod tests {
                 from: nr(30),
                 payload: vec![0; 1000].into(),
             },
-            ChordMsg::Broadcast {
-                limit: Id(31),
-                payload: vec![9, 9].into(),
-                origin: nr(32),
-                depth: 33,
-            },
             ChordMsg::StatsRequest {
                 req: 34,
                 sender: nr(35),
@@ -381,6 +358,17 @@ mod tests {
             decode(&sealed(&[MAGIC, VERSION, 200])),
             Err(CodecError::BadTag(200))
         );
+        // The retired ring-broadcast tag stays retired: a sealed frame
+        // that carries the fields it once had is still an unknown tag.
+        let mut w = Writer::new();
+        w.u8(MAGIC)
+            .u8(VERSION)
+            .u8(14)
+            .id(Id(31))
+            .bytes(&[9, 9])
+            .node_ref(nr(32))
+            .u32(33);
+        assert_eq!(decode(&sealed(&w.finish())), Err(CodecError::BadTag(14)));
         assert_eq!(decode(&[]), Err(CodecError::Truncated));
         // Too short to even carry a trailer.
         assert_eq!(decode(&[MAGIC, VERSION, 1]), Err(CodecError::Truncated));

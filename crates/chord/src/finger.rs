@@ -330,8 +330,8 @@ impl FingerTable {
         best
     }
 
-    /// The fan-out of a broadcast over `(me, limit)` (the whole ring when
-    /// `limit` is this node): the distinct fingers strictly inside it,
+    /// The fan-out of an on-demand query over `(me, limit)` (the whole ring
+    /// when `limit` is this node): the distinct fingers strictly inside it,
     /// ordered by clockwise distance from this node, each paired with the
     /// next one's id as the sub-limit of its disjoint share (the last one
     /// inherits `limit`).
@@ -461,6 +461,32 @@ mod tests {
         let mut ids: Vec<u64> = t.known_nodes().iter().map(|n| n.id.raw()).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![5, 9, 10, 12]);
+    }
+
+    #[test]
+    fn fan_out_covers_disjoint_ranges() {
+        // Node 0 of a full 16-node, 4-bit ring: fingers 1, 2, 4, 8.
+        let mut t = FingerTable::new(IdSpace::new(4), nr(0), 3);
+        t.set_predecessor(Some(nr(15)));
+        for j in 1..=4u8 {
+            let start = t.space().finger_start(Id(0), j);
+            t.set_finger(j, FingerInfo::bare(nr(start.raw())));
+        }
+        // The whole ring: one share per distinct finger, nearest first,
+        // each ending where the next begins; the last wraps back to us.
+        let shares: Vec<(u64, u64)> = t
+            .fan_out(Id(0))
+            .iter()
+            .map(|(n, limit)| (n.id.raw(), limit.raw()))
+            .collect();
+        assert_eq!(shares, vec![(1, 2), (2, 4), (4, 8), (8, 0)]);
+        // A sub-range keeps only the fingers strictly inside it.
+        let shares: Vec<(u64, u64)> = t
+            .fan_out(Id(8))
+            .iter()
+            .map(|(n, limit)| (n.id.raw(), limit.raw()))
+            .collect();
+        assert_eq!(shares, vec![(1, 2), (2, 4), (4, 8)]);
     }
 
     #[test]

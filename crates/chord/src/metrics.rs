@@ -18,8 +18,6 @@
 
 use dat_obs::{EventKind, Key, LogHist, Registry, Tracer};
 
-use crate::msg::ChordMsg;
-
 /// Which direction a kind-labeled count applies to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Dir {
@@ -80,16 +78,6 @@ impl Metrics {
             Dir::Sent => traffic.0 += 1,
             Dir::Received => traffic.1 += 1,
         }
-    }
-
-    /// Record an outgoing message.
-    pub fn count_sent(&mut self, msg: &ChordMsg) {
-        self.count_kind(Dir::Sent, msg.kind());
-    }
-
-    /// Record an incoming message.
-    pub fn count_received(&mut self, msg: &ChordMsg) {
-        self.count_kind(Dir::Received, msg.kind());
     }
 
     /// Record an outgoing message by kind label (for layers above Chord).
@@ -164,11 +152,6 @@ impl Metrics {
         &self.tracer
     }
 
-    /// Mutable tracer access (enable/disable, resize, drain).
-    pub fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.tracer
-    }
-
     /// Total messages sent.
     pub fn sent_total(&self) -> u64 {
         self.get("sent_total")
@@ -199,11 +182,6 @@ impl Metrics {
     /// Sum of sent counts over `kinds`.
     pub fn sent_of_kinds(&self, kinds: &[&str]) -> u64 {
         kinds.iter().map(|k| self.sent_of(k)).sum()
-    }
-
-    /// Sum of received counts over `kinds`.
-    pub fn received_of_kinds(&self, kinds: &[&str]) -> u64 {
-        kinds.iter().map(|k| self.received_of(k)).sum()
     }
 
     /// Iterate `(kind, sent, received)` over every kind seen, sorted.
@@ -272,24 +250,15 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::finger::{NodeAddr, NodeRef};
-    use crate::id::Id;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-
-    fn ping() -> ChordMsg {
-        ChordMsg::Ping {
-            req: 1,
-            sender: NodeRef::new(Id(0), NodeAddr(0)),
-        }
-    }
 
     #[test]
     fn counting_and_totals() {
         let mut m = Metrics::default();
-        m.count_sent(&ping());
-        m.count_sent(&ping());
-        m.count_received(&ping());
+        m.count_sent_kind("ping");
+        m.count_sent_kind("ping");
+        m.count_received_kind("ping");
         assert_eq!(m.sent_total(), 2);
         assert_eq!(m.received_total(), 1);
         assert_eq!(m.sent_of("ping"), 2);
@@ -324,7 +293,7 @@ mod tests {
     #[test]
     fn reset_clears() {
         let mut m = Metrics::default();
-        m.count_sent(&ping());
+        m.count_sent_kind("ping");
         m.dropped = 2;
         m.reset();
         assert_eq!(m.sent_total(), 0);
@@ -360,7 +329,7 @@ mod tests {
     #[test]
     fn export_stamps_layer_and_loose_counters() {
         let mut m = Metrics::default();
-        m.count_sent(&ping());
+        m.count_sent_kind("ping");
         m.timeouts = 2;
         m.observe("rtt_ms", 5);
         let mut reg = Registry::new();

@@ -2,9 +2,12 @@
 //!
 //! The protocol core ([`crate::node::ChordNode`]) is a pure state machine:
 //! it consumes [`Input`]s and emits [`Output`]s. Hosts — the discrete-event
-//! simulator (`dat-sim`) or the UDP reactor (`dat-rpc`) — interpret the
-//! outputs. This mirrors the paper's prototype, where the same Chord/DAT
-//! layers run over either an RPC manager or a simulation engine (§4).
+//! simulator (`dat-sim`) or the real-socket host core ([`crate::host`])
+//! under `dat-rpc` and `dat-cluster` — interpret the outputs. This mirrors
+//! the paper's prototype, where the same Chord/DAT layers run over either
+//! an RPC manager or a simulation engine (§4). Application payloads ride
+//! opaquely in [`ChordMsg::Route`] (keyed) and [`ChordMsg::App`] (direct);
+//! the on-demand query fan-out is the DAT layer's, over `App`.
 
 use crate::finger::{NodeAddr, NodeRef};
 use crate::id::Id;
@@ -138,19 +141,6 @@ pub enum ChordMsg {
         /// Opaque application payload (shared buffer; clones are cheap).
         payload: Payload,
     },
-    /// Ring broadcast (El-Ansary style, the `broadcast` primitive of §4):
-    /// the receiver owns responsibility for `(receiver, limit)` and
-    /// re-broadcasts to its fingers inside that range.
-    Broadcast {
-        /// End of the identifier range this branch must cover (exclusive).
-        limit: Id,
-        /// Opaque application payload (shared buffer; clones are cheap).
-        payload: Payload,
-        /// The node that initiated the request and receives the reply/upcall.
-        origin: NodeRef,
-        /// Broadcast tree depth so far (diagnostics).
-        depth: u32,
-    },
     /// Ask a node for its observability snapshot. The receiving host
     /// serves it via [`Upcall::StatsRequested`] (a protocol stack replies
     /// with its merged Prometheus text dump); a host that does not serve
@@ -190,7 +180,6 @@ impl ChordMsg {
             ChordMsg::LeaveToSucc { .. } => "leave_to_succ",
             ChordMsg::Route { .. } => "route",
             ChordMsg::App { .. } => "app",
-            ChordMsg::Broadcast { .. } => "broadcast",
             ChordMsg::StatsRequest { .. } => "stats_request",
             ChordMsg::StatsReply { .. } => "stats_reply",
         }
@@ -199,10 +188,7 @@ impl ChordMsg {
     /// `true` for messages that belong to ring maintenance rather than
     /// application traffic — used by the churn-overhead experiment.
     pub fn is_maintenance(&self) -> bool {
-        !matches!(
-            self,
-            ChordMsg::Route { .. } | ChordMsg::Broadcast { .. } | ChordMsg::App { .. }
-        )
+        !matches!(self, ChordMsg::Route { .. } | ChordMsg::App { .. })
     }
 }
 
@@ -283,19 +269,6 @@ pub enum Upcall {
         origin: NodeRef,
         /// Hops traversed so far.
         hops: u32,
-    },
-    /// A broadcast payload arrived (each node receives it exactly once per
-    /// broadcast when the ring is stable).
-    Broadcast {
-        /// Opaque application payload (shared buffer; clones are cheap).
-        payload: Payload,
-        /// The node that initiated the request and receives the reply/upcall.
-        origin: NodeRef,
-        /// Broadcast tree depth.
-        depth: u32,
-        /// The range `(me, limit)` this node is responsible for forwarding
-        /// into.
-        limit: Id,
     },
     /// A direct application-layer message arrived (see [`ChordMsg::App`]).
     AppMessage {

@@ -3,8 +3,8 @@
 //! [`ChordNode`] implements ring creation, joining (optionally with
 //! identifier probing, §3.5/§4), recursive greedy lookup routing,
 //! stabilization, finger fixing with FOF refresh, predecessor liveness
-//! checking, graceful departure, application payload routing and ring
-//! broadcast. It performs no I/O: hosts feed [`Input`]s and interpret the
+//! checking, graceful departure and application payload routing (keyed or
+//! direct). It performs no I/O: hosts feed [`Input`]s and interpret the
 //! returned [`Output`]s, which is what lets the identical protocol code run
 //! over both the discrete-event simulator and the UDP RPC transport, as in
 //! the paper's prototype (§4).
@@ -26,6 +26,7 @@ use crate::id::{Id, IdSpace};
 use crate::metrics::Metrics;
 use crate::msg::{ChordMsg, Input, Output, ReqId, TimerKind, Upcall};
 use crate::payload::Payload;
+use crate::probing;
 
 /// Tunables for the Chord layer. Times are in host milliseconds (virtual
 /// milliseconds under simulation).
@@ -538,25 +539,6 @@ impl ChordNode {
         out
     }
 
-    /// Broadcast a payload to every ring member (the `broadcast` primitive
-    /// of §4). The local upcall fires immediately; remote nodes receive
-    /// [`Upcall::Broadcast`] exactly once on a stable ring.
-    pub fn broadcast(&mut self, payload: impl Into<Payload>) -> Vec<Output> {
-        let payload = payload.into();
-        let mut out = Vec::new();
-        let me = self.me();
-        // Shared-buffer payload: the local upcall and every fan-out branch
-        // alias one allocation instead of deep-copying per finger.
-        out.push(Output::Upcall(Upcall::Broadcast {
-            payload: payload.clone(),
-            origin: me,
-            depth: 0,
-            limit: me.id,
-        }));
-        self.fan_out(&mut out, me.id, &payload, me, 0);
-        out
-    }
-
     /// Probe an arbitrary node's liveness. If no pong arrives within the
     /// request timeout the node is evicted from the routing table (failure
     /// suspicion) — upper layers use this to detect dead DAT parents.
@@ -611,14 +593,6 @@ impl ChordNode {
         };
         self.metrics.on_send(self.now_ms, 0, msg.kind(), to.id.0);
         Output::Send { to, msg }
-    }
-
-    /// Arm an application-layer timer (surfaces as [`Upcall::AppTimer`]).
-    pub fn app_timer(&self, sub: u64, delay_ms: u64) -> Output {
-        Output::SetTimer {
-            kind: TimerKind::App(sub),
-            delay_ms,
-        }
     }
 
     /// Gracefully leave the ring.
@@ -919,8 +893,8 @@ impl ChordNode {
         // Any message that names its direct sender doubles as a heartbeat
         // for the phi-accrual detector — the "every ack/reply the RTO
         // machinery observes" feed, plus unsolicited traffic for free.
-        // (FindSuccessor/Route/Broadcast carry an *origin*, which may be
-        // several forwarding hops away; those are not direct evidence.)
+        // (FindSuccessor/Route carry an *origin*, which may be several
+        // forwarding hops away; those are not direct evidence.)
         let heard = match &msg {
             ChordMsg::GetNeighbors { sender, .. }
             | ChordMsg::Notify { sender }
@@ -1092,20 +1066,6 @@ impl ChordNode {
                     from: sender,
                     text,
                 }));
-            }
-            ChordMsg::Broadcast {
-                limit,
-                payload,
-                origin,
-                depth,
-            } => {
-                out.push(Output::Upcall(Upcall::Broadcast {
-                    payload: payload.clone(),
-                    origin,
-                    depth,
-                    limit,
-                }));
-                self.fan_out(out, limit, &payload, origin, depth + 1);
             }
         }
     }
@@ -1322,31 +1282,22 @@ impl ChordNode {
         }
     }
 
-    /// Identifier-probing designation (§3.5): inspect ourselves plus our
-    /// fingers, pick the node owning the largest identifier gap, and hand
-    /// out that gap's midpoint.
+    /// Identifier-probing designation (§3.5): the [`probing::designate`]
+    /// rule over our own gap, then each finger's as its FOF data knows it.
+    /// Without a predecessor our own arc is unknown, so we split the circle
+    /// opposite ourselves.
     fn designate_id(&self) -> Id {
         let space = self.cfg.space;
         let me = self.me().id;
-        // Candidate gaps: (pred(candidate), candidate].
-        let mut best_start = self.table.predecessor().map(|p| p.id).unwrap_or(me);
-        let mut best_end = me;
-        let mut best_gap = match self.table.predecessor() {
-            Some(p) => space.dist_cw(p.id, me),
-            None => return space.add(me, (space.size() / 2) as u64),
+        let opposite = space.add(me, (space.size() / 2) as u64);
+        let Some(pred) = self.table.predecessor() else {
+            return opposite;
         };
-        for (_, fi) in self.table.iter() {
-            if let Some(p) = fi.pred {
-                let gap = space.dist_cw(p.id, fi.node.id);
-                if gap > best_gap {
-                    best_gap = gap;
-                    best_start = p.id;
-                    best_end = fi.node.id;
-                }
-            }
-        }
-        let _ = best_end;
-        space.add(best_start, best_gap / 2)
+        let fingers = self
+            .table
+            .iter()
+            .filter_map(|(_, fi)| fi.pred.map(|p| (p.id, fi.node.id)));
+        probing::designate(space, std::iter::once((pred.id, me)).chain(fingers)).unwrap_or(opposite)
     }
 
     fn adopt_id(&mut self, id: Id) {
@@ -1360,27 +1311,6 @@ impl ChordNode {
     fn replace_table(&mut self, mut table: FingerTable) {
         table.supersede(self.table.version());
         self.table = table;
-    }
-
-    /// Forward a broadcast to every finger responsible for a sub-range of
-    /// `(me, limit)`.
-    fn fan_out(
-        &mut self,
-        out: &mut Vec<Output>,
-        limit: Id,
-        payload: &Payload,
-        origin: NodeRef,
-        depth: u32,
-    ) {
-        for (target, sub_limit) in self.table.fan_out(limit) {
-            let msg = ChordMsg::Broadcast {
-                limit: sub_limit,
-                payload: payload.clone(),
-                origin,
-                depth,
-            };
-            self.send(out, target, msg);
-        }
     }
 }
 
@@ -1717,36 +1647,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_covers_disjoint_ranges() {
-        let mut n = node(0);
-        let _ = n.start_create();
-        n.table
-            .set_predecessor(Some(NodeRef::new(Id(15), NodeAddr(15))));
-        for j in 1..=4u8 {
-            let t = n.cfg.space.finger_start(Id(0), j);
-            n.table
-                .set_finger(j, FingerInfo::bare(NodeRef::new(t, NodeAddr(t.raw()))));
-        }
-        let out = n.broadcast(vec![9]);
-        // Local delivery + one send per distinct finger (1, 2, 4, 8).
-        assert!(matches!(
-            upcalls(&out)[0],
-            Upcall::Broadcast { depth: 0, .. }
-        ));
-        let s = sends(&out);
-        assert_eq!(s.len(), 4);
-        // Ranges are disjoint and ordered: limits are the next finger.
-        let limits: Vec<u64> = s
-            .iter()
-            .map(|(_, m)| match m {
-                ChordMsg::Broadcast { limit, .. } => limit.raw(),
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert_eq!(limits, vec![2, 4, 8, 0]);
-    }
-
-    #[test]
     fn graceful_leave_bridges_neighbors() {
         let mut n = node(8);
         let _ = n.start_create();
@@ -1805,6 +1705,34 @@ mod tests {
         );
         // Largest gap is (8, 12]: midpoint 10.
         assert_eq!(n.designate_id(), Id(10));
+    }
+
+    /// The live probe answer and the static ring builder apply one rule: a
+    /// node started with the converged table of `anchor` designates
+    /// exactly what `StaticRing` designates for that anchor — ties
+    /// included, which probed rings (gaps halved from one another) are
+    /// full of.
+    #[test]
+    fn designate_id_matches_static_ring() {
+        use crate::ring::{IdPolicy, StaticRing};
+        use rand::SeedableRng;
+        let cfg = ChordConfig {
+            space: IdSpace::new(32),
+            ..ChordConfig::default()
+        };
+        for policy in [IdPolicy::Random, IdPolicy::Probed] {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(29);
+            let ring = StaticRing::build(cfg.space, 256, policy, &mut rng);
+            for &anchor in ring.ids() {
+                let mut n = ChordNode::new(cfg, anchor, NodeAddr(anchor.raw()));
+                let _ = n.start_with_table(ring.table_of(anchor, cfg.succ_list_len));
+                assert_eq!(
+                    n.designate_id(),
+                    ring.designate_at(anchor),
+                    "{policy:?} ring, anchor {anchor}"
+                );
+            }
+        }
     }
 
     #[test]

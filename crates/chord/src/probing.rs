@@ -1,101 +1,32 @@
-//! Identifier-probing support (Adler et al., STOC'03; paper §3.5).
+//! Identifier probing's designation rule (Adler et al., STOC'03; paper §3.5).
 //!
 //! With plain random identifiers the ratio between the largest and smallest
 //! inter-node gap grows as `O(log n)`, which makes even the balanced DAT's
 //! branching factor grow logarithmically (paper Fig. 7). Probing fixes the
 //! distribution at join time: the joining node contacts the successor of a
 //! random identifier, that node inspects itself plus its `O(log n)` fingers
-//! and designates the midpoint of the largest gap it can see. This module
-//! holds the shared gap-selection logic and ring-quality statistics used by
-//! both the live protocol ([`crate::node::ChordNode`]) and the static ring
-//! builder ([`crate::ring::StaticRing`]).
+//! and designates the midpoint of the largest gap it can see. [`designate`]
+//! is that rule, written once for its two callers: the live protocol
+//! (`ChordNode`'s probe-join handler) and the static ring builder
+//! ([`crate::ring::StaticRing::probe_join_id`]).
+//! [`crate::ring::StaticRing::gap_ratio`] measures what it achieves.
 
 use crate::id::{Id, IdSpace};
 
-/// A candidate gap `(start, end]` owned by node `end`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GapCandidate {
-    /// Predecessor of the owning node — the gap starts just after it.
-    pub start: Id,
-    /// The owning node — the gap ends at it (inclusive).
-    pub end: Id,
-}
-
-impl GapCandidate {
-    /// Gap length in identifier units.
-    pub fn len(&self, space: IdSpace) -> u64 {
-        space.dist_cw(self.start, self.end)
+/// Among the `(start, end]` gaps given, take the first strictly largest —
+/// callers control priority by ordering (the probed node first, then its
+/// fingers) — and return its midpoint. `None` when every gap is empty.
+pub fn designate(space: IdSpace, gaps: impl IntoIterator<Item = (Id, Id)>) -> Option<Id> {
+    let mut best = None;
+    let mut best_len = 0;
+    for (start, end) in gaps {
+        let len = space.dist_cw(start, end);
+        if len > best_len {
+            best_len = len;
+            best = Some((start, end));
+        }
     }
-
-    /// `true` when the gap has zero length (adjacent equal ids — cannot be
-    /// split).
-    pub fn is_empty(&self, space: IdSpace) -> bool {
-        self.len(space) == 0
-    }
-
-    /// The identifier a joiner should adopt to split this gap evenly.
-    pub fn split_point(&self, space: IdSpace) -> Id {
-        space.add(self.start, self.len(space) / 2)
-    }
-}
-
-/// Pick the largest gap among `candidates`; ties are broken toward the
-/// earliest candidate, so callers control priority by ordering (the live
-/// protocol lists the probed node first, then its fingers — matching the
-/// paper's "probes O(log n) neighbors" description).
-pub fn select_largest_gap(space: IdSpace, candidates: &[GapCandidate]) -> Option<GapCandidate> {
-    candidates
-        .iter()
-        .copied()
-        .max_by_key(|c| (c.len(space), std::cmp::Reverse(c.start)))
-        .filter(|c| !c.is_empty(space))
-}
-
-/// Summary statistics of the gap distribution of a sorted id set.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct GapStats {
-    /// Smallest inter-node gap.
-    pub min: u64,
-    /// Largest inter-node gap.
-    pub max: u64,
-    /// Mean gap (`2^b / n`).
-    pub mean: f64,
-    /// max / min, the quantity Adler et al. bound by a constant.
-    pub ratio: f64,
-}
-
-/// Compute [`GapStats`] for sorted, deduplicated `ids`.
-pub fn gap_stats(space: IdSpace, ids: &[Id]) -> GapStats {
-    assert!(!ids.is_empty());
-    if ids.len() == 1 {
-        let whole = u64::try_from(space.size() - 1).unwrap_or(u64::MAX);
-        return GapStats {
-            min: whole,
-            max: whole,
-            mean: whole as f64,
-            ratio: 1.0,
-        };
-    }
-    let mut min = u64::MAX;
-    let mut max = 0u64;
-    let mut sum = 0u128;
-    for (i, &id) in ids.iter().enumerate() {
-        let prev = if i == 0 {
-            ids[ids.len() - 1]
-        } else {
-            ids[i - 1]
-        };
-        let g = space.dist_cw(prev, id);
-        min = min.min(g);
-        max = max.max(g);
-        sum += g as u128;
-    }
-    GapStats {
-        min,
-        max,
-        mean: sum as f64 / ids.len() as f64,
-        ratio: max as f64 / min.max(1) as f64,
-    }
+    best.map(|(start, end)| space.midpoint(start, end))
 }
 
 #[cfg(test)]
@@ -108,69 +39,52 @@ mod tests {
     #[test]
     fn split_point_is_midpoint() {
         let s = IdSpace::new(8);
-        let g = GapCandidate {
-            start: Id(10),
-            end: Id(30),
-        };
-        assert_eq!(g.len(s), 20);
-        assert_eq!(g.split_point(s), Id(20));
+        assert_eq!(designate(s, [(Id(10), Id(30))]), Some(Id(20)));
         // Wrapping gap.
-        let g = GapCandidate {
-            start: Id(250),
-            end: Id(6),
-        };
-        assert_eq!(g.len(s), 12);
-        assert_eq!(g.split_point(s), Id(0));
+        assert_eq!(designate(s, [(Id(250), Id(6))]), Some(Id(0)));
     }
 
     #[test]
     fn largest_gap_selection() {
         let s = IdSpace::new(8);
-        let cands = [
-            GapCandidate {
-                start: Id(0),
-                end: Id(10),
-            },
-            GapCandidate {
-                start: Id(10),
-                end: Id(40),
-            },
-            GapCandidate {
-                start: Id(40),
-                end: Id(50),
-            },
-        ];
-        assert_eq!(select_largest_gap(s, &cands).unwrap().end, Id(40));
+        let gaps = [(Id(0), Id(10)), (Id(10), Id(40)), (Id(40), Id(50))];
+        assert_eq!(designate(s, gaps), Some(Id(25)));
+    }
+
+    #[test]
+    fn equal_gaps_keep_the_first_in_order() {
+        // Two gaps of 20: the first listed wins, not the smaller `start`.
+        let s = IdSpace::new(8);
+        assert_eq!(
+            designate(s, [(Id(100), Id(120)), (Id(10), Id(30))]),
+            Some(Id(110))
+        );
+        assert_eq!(
+            designate(s, [(Id(10), Id(30)), (Id(100), Id(120))]),
+            Some(Id(20))
+        );
     }
 
     #[test]
     fn empty_gaps_filtered() {
         let s = IdSpace::new(8);
-        let cands = [GapCandidate {
-            start: Id(5),
-            end: Id(5),
-        }];
-        assert!(select_largest_gap(s, &cands).is_none());
-        assert!(select_largest_gap(s, &[]).is_none());
+        assert_eq!(designate(s, [(Id(5), Id(5))]), None);
+        assert_eq!(designate(s, []), None);
+        // An empty gap listed first does not shadow a real one.
+        assert_eq!(designate(s, [(Id(5), Id(5)), (Id(5), Id(9))]), Some(Id(7)));
     }
 
     #[test]
     fn stats_on_even_ring() {
         let s = IdSpace::new(6);
-        let ids: Vec<Id> = (0..16u64).map(|i| Id(i * 4)).collect();
-        let st = gap_stats(s, &ids);
-        assert_eq!(st.min, 4);
-        assert_eq!(st.max, 4);
-        assert_eq!(st.ratio, 1.0);
-        assert!((st.mean - 4.0).abs() < 1e-9);
+        let ring = StaticRing::from_ids(s, (0..16u64).map(|i| Id(i * 4)).collect());
+        assert_eq!(ring.gap_ratio(), 1.0);
     }
 
     #[test]
     fn stats_singleton() {
-        let s = IdSpace::new(8);
-        let st = gap_stats(s, &[Id(7)]);
-        assert_eq!(st.max, 255);
-        assert_eq!(st.ratio, 1.0);
+        let ring = StaticRing::from_ids(IdSpace::new(8), vec![Id(7)]);
+        assert_eq!(ring.gap_ratio(), 1.0);
     }
 
     #[test]
@@ -180,8 +94,7 @@ mod tests {
         for seed in 0..5u64 {
             let mut rng = SmallRng::seed_from_u64(seed);
             let ring = StaticRing::build(space, 256, IdPolicy::Probed, &mut rng);
-            let st = gap_stats(space, ring.ids());
-            probed_worst = probed_worst.max(st.ratio);
+            probed_worst = probed_worst.max(ring.gap_ratio());
         }
         // Adler et al.: constant-factor bound. Our probe uses b fingers,
         // giving ratios well under 8 in practice.

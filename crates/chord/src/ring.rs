@@ -10,6 +10,7 @@
 
 use crate::finger::{FingerInfo, FingerTable, NodeAddr, NodeRef};
 use crate::id::{Id, IdSpace};
+use crate::probing;
 use rand::Rng;
 
 /// How node identifiers are assigned when building a ring.
@@ -183,25 +184,30 @@ impl StaticRing {
     }
 
     /// The id a joining node would be assigned under identifier probing:
-    /// route to the successor of a random id, inspect it and its `b`
-    /// fingers, split the largest owned gap at its midpoint.
+    /// route to the successor of a random id and let it designate one with
+    /// the [`probing::designate`] rule. A singleton is the only possible
+    /// anchor, so it draws no random id.
     pub fn probe_join_id<R: Rng + ?Sized>(&self, rng: &mut R) -> Id {
-        if self.ids.len() == 1 {
-            // A singleton owns the whole circle: split it opposite the node.
-            return self.space.add(self.ids[0], (self.space.size() / 2) as u64);
-        }
-        let anchor = self.successor(self.space.random(rng));
-        let mut best = anchor;
-        let mut best_gap = self.gap_of(anchor);
-        for j in 1..=self.space.bits() {
-            let f = self.successor(self.space.finger_start(anchor, j));
-            let g = self.gap_of(f);
-            if g > best_gap {
-                best_gap = g;
-                best = f;
-            }
-        }
-        self.space.midpoint(self.predecessor(best), best)
+        let anchor = if self.ids.len() == 1 {
+            self.ids[0]
+        } else {
+            self.successor(self.space.random(rng))
+        };
+        self.designate_at(anchor)
+    }
+
+    /// The id member `anchor` designates for a prober: the
+    /// [`probing::designate`] rule over `anchor`'s own gap, then the gap of
+    /// each of its `b` fingers. A singleton owns the whole circle and
+    /// splits it opposite itself.
+    pub(crate) fn designate_at(&self, anchor: Id) -> Id {
+        let space = self.space;
+        let fingers = (1..=space.bits()).map(|j| self.successor(space.finger_start(anchor, j)));
+        let gaps = std::iter::once(anchor)
+            .chain(fingers)
+            .map(|v| (self.predecessor(v), v));
+        probing::designate(space, gaps)
+            .unwrap_or_else(|| space.add(anchor, (space.size() / 2) as u64))
     }
 
     /// Ratio of the maximal to minimal inter-node gap — `O(log n)` for

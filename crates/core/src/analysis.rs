@@ -3,13 +3,10 @@
 //! *Maximum branching factor* bounds the worst per-node aggregation load;
 //! *average branching factor* (over interior nodes) characterises the tree
 //! shape; *height* bounds aggregation latency in hops. [`TreeStats`]
-//! computes all of them from a materialised [`crate::tree::DatTree`], and
-//! [`simulate_message_counts`] derives the per-node aggregation-message
-//! counts of one aggregation round (Fig. 8) *analytically* — each node
-//! receives exactly one message per child — which cross-validates the
-//! protocol-level measurements from the simulator.
-
-use dat_chord::{Id, StaticRing};
+//! computes all of them from a materialised [`crate::tree::DatTree`].
+//! Fig. 8's message counts are measured on the live protocol; the bench
+//! crate's `crosscheck` holds them to [`DatTree::branching`] (one message
+//! per child per round).
 
 use crate::tree::DatTree;
 
@@ -71,44 +68,10 @@ impl TreeStats {
     }
 }
 
-/// Per-node aggregation-message counts for one round of tree aggregation:
-/// node `v` receives `branching(v)` messages (one per child). This is the
-/// analytic counterpart of the simulator measurement behind Fig. 8.
-pub fn simulate_message_counts(tree: &DatTree) -> Vec<(Id, u64)> {
-    tree.all_ids()
-        .map(|&v| (v, tree.branching(v) as u64))
-        .collect()
-}
-
-/// Per-node message counts for the *centralized* baseline: every node
-/// routes its raw value to the root along greedy finger routes, and a
-/// node's load is the number of messages it receives (its own forwarding
-/// burden plus, for the root, every value in the network) — the scheme
-/// Fig. 8a calls "centralized".
-pub fn centralized_message_counts(ring: &StaticRing, key: Id) -> Vec<(Id, u64)> {
-    let root = ring.successor(key);
-    let mut counts: std::collections::HashMap<Id, u64> =
-        ring.ids().iter().map(|&v| (v, 0)).collect();
-    for &v in ring.ids() {
-        if v == root {
-            continue;
-        }
-        let route = ring.finger_route(v, key);
-        // Every hop after the first receives the message once.
-        for w in route.iter().skip(1) {
-            *counts.get_mut(w).unwrap() += 1;
-        }
-    }
-    let mut out: Vec<(Id, u64)> = counts.into_iter().collect();
-    out.sort_unstable_by_key(|&(id, _)| id);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::DatTree;
-    use dat_chord::{IdPolicy, IdSpace, RoutingScheme};
+    use dat_chord::{Id, IdPolicy, IdSpace, RoutingScheme, StaticRing};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -154,42 +117,10 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let ring = StaticRing::build(IdSpace::new(24), 200, IdPolicy::Random, &mut rng);
         for scheme in [RoutingScheme::Greedy, RoutingScheme::Balanced] {
+            // A node receives one message per child in a round.
             let t = DatTree::build(&ring, Id(99), scheme);
-            let counts = simulate_message_counts(&t);
-            let total: u64 = counts.iter().map(|&(_, c)| c).sum();
+            let total: usize = t.all_ids().map(|&v| t.branching(v)).sum();
             assert_eq!(total, 199, "each non-root sends exactly one message");
         }
-    }
-
-    #[test]
-    fn centralized_root_receives_n_minus_1() {
-        let ring = even_ring(8, 64);
-        let counts = centralized_message_counts(&ring, Id(0));
-        let root_count = counts.iter().find(|&&(id, _)| id == Id(0)).unwrap().1;
-        // Fig. 8a: "the root node is the most loaded one with 511
-        // aggregation messages" in a 512-node network.
-        assert_eq!(root_count, 63);
-        let max = counts.iter().map(|&(_, c)| c).max().unwrap();
-        assert_eq!(max, root_count, "the root is the most loaded node");
-    }
-
-    #[test]
-    fn centralized_is_more_imbalanced_than_dat() {
-        let ring = even_ring(10, 256);
-        let central: Vec<u64> = centralized_message_counts(&ring, Id(0))
-            .iter()
-            .map(|&(_, c)| c)
-            .collect();
-        let t = DatTree::build(&ring, Id(0), RoutingScheme::Balanced);
-        let dat: Vec<u64> = simulate_message_counts(&t)
-            .iter()
-            .map(|&(_, c)| c)
-            .collect();
-        let imb = |v: &[u64]| {
-            let max = *v.iter().max().unwrap() as f64;
-            let mean = v.iter().sum::<u64>() as f64 / v.len() as f64;
-            max / mean
-        };
-        assert!(imb(&central) > 10.0 * imb(&dat));
     }
 }

@@ -103,41 +103,27 @@ impl Default for InboxPolicy {
     }
 }
 
-/// Scoring policy for undecodable frames ([`Input::BadFrame`]).
-///
-/// A lossy WAN produces the odd mangled datagram even from honest peers,
-/// so one bad frame is noise; a *burst* from one peer is a poisoned link
-/// or a hostile sender. The engine counts bad frames per source address
-/// inside a sliding window, and when a window accumulates
-/// [`BadFrameConfig::threshold`] frames the peer is reported to the shared
-/// failure detector as a hard miss (forced Suspect). Repeated episodes
-/// then ride the detector's existing flap damping into a bounded-length
-/// quarantine — the same machinery that contains flapping-slow peers
-/// contains wire-poisoning ones.
-///
-/// The per-peer table is bounded at [`BadFrameConfig::max_tracked`]
-/// entries (stalest window evicted first) so a spray of spoofed source
-/// addresses cannot grow node memory.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BadFrameConfig {
-    /// Sliding window (engine ms) over which bad frames from one peer
-    /// accumulate toward the threshold.
-    pub window_ms: u64,
-    /// Bad frames inside one window that force the peer Suspect.
-    pub threshold: u32,
-    /// Upper bound on concurrently tracked source addresses.
-    pub max_tracked: usize,
-}
+// Scoring of undecodable frames (`Input::BadFrame`).
+//
+// A lossy WAN produces the odd mangled datagram even from honest peers,
+// so one bad frame is noise; a *burst* from one peer is a poisoned link
+// or a hostile sender. The engine counts bad frames per source address
+// inside a sliding window, and when a window accumulates
+// `BAD_FRAME_THRESHOLD` frames the peer is reported to the shared failure
+// detector as a hard miss (forced Suspect). Repeated episodes then ride
+// the detector's existing flap damping into a bounded-length quarantine —
+// the same machinery that contains flapping-slow peers contains
+// wire-poisoning ones. The per-peer table is bounded at
+// `BAD_FRAME_MAX_TRACKED` entries (stalest window evicted first) so a
+// spray of spoofed source addresses cannot grow node memory.
 
-impl Default for BadFrameConfig {
-    fn default() -> Self {
-        BadFrameConfig {
-            window_ms: 10_000,
-            threshold: 3,
-            max_tracked: 64,
-        }
-    }
-}
+/// Sliding window (engine ms) over which bad frames from one peer
+/// accumulate toward the threshold.
+const BAD_FRAME_WINDOW_MS: u64 = 10_000;
+/// Bad frames inside one window that force the peer Suspect.
+const BAD_FRAME_THRESHOLD: u32 = 3;
+/// Upper bound on concurrently tracked source addresses.
+const BAD_FRAME_MAX_TRACKED: usize = 64;
 
 /// Admit one payload of a class with the given backlog capacity, advancing
 /// the shared busy horizon on admission.
@@ -308,12 +294,6 @@ pub trait AppProtocol: Send + 'static {
         None
     }
 
-    /// Mutable access to the handler's metrics shim, if any (e.g. to
-    /// enlarge or disable its event tracer).
-    fn metrics_mut(&mut self) -> Option<&mut Metrics> {
-        None
-    }
-
     /// Upcast for typed access via [`StackNode::app`].
     fn as_any(&self) -> &dyn Any;
 
@@ -349,8 +329,6 @@ pub struct StackNode {
     inbox_busy_until_ms: u64,
     /// Stats requests shed (lowest priority class).
     stats_shed: u64,
-    /// Poisoned-peer scoring policy for undecodable frames.
-    bad_frame_cfg: BadFrameConfig,
     /// Undecodable frames seen, by [`dat_chord::wire::ERROR_KINDS`] index.
     bad_frames_by_kind: [u64; dat_chord::wire::ERROR_KINDS.len()],
     /// Per-source sliding window: (window start, bad frames in window).
@@ -376,21 +354,10 @@ impl StackNode {
             inbox: InboxPolicy::default(),
             inbox_busy_until_ms: 0,
             stats_shed: 0,
-            bad_frame_cfg: BadFrameConfig::default(),
             bad_frames_by_kind: [0; dat_chord::wire::ERROR_KINDS.len()],
             bad_peer_window: HashMap::new(),
             bad_frame_suspects: 0,
         }
-    }
-
-    /// Install or change the poisoned-peer scoring policy.
-    pub fn set_bad_frame_config(&mut self, cfg: BadFrameConfig) {
-        self.bad_frame_cfg = cfg;
-    }
-
-    /// The poisoned-peer scoring policy in effect.
-    pub fn bad_frame_config(&self) -> BadFrameConfig {
-        self.bad_frame_cfg
     }
 
     /// Undecodable frames seen so far, all error kinds summed.
@@ -415,25 +382,14 @@ impl StackNode {
     }
 
     /// Source addresses currently tracked by the bad-frame scorer (always
-    /// ≤ [`BadFrameConfig::max_tracked`]).
+    /// ≤ 64).
     pub fn bad_peers_tracked(&self) -> usize {
         self.bad_peer_window.len()
     }
 
-    /// Install a bounded-inbox policy (builder style). See [`InboxPolicy`].
-    pub fn with_inbox_policy(mut self, policy: InboxPolicy) -> Self {
-        self.inbox = policy;
-        self
-    }
-
-    /// Install or change the bounded-inbox policy at runtime.
+    /// Install or change the bounded-inbox policy. See [`InboxPolicy`].
     pub fn set_inbox_policy(&mut self, policy: InboxPolicy) {
         self.inbox = policy;
-    }
-
-    /// The bounded-inbox policy in effect.
-    pub fn inbox_policy(&self) -> InboxPolicy {
-        self.inbox
     }
 
     /// The tally of `proto`'s handler (all zero when none is registered).
@@ -775,12 +731,6 @@ impl StackNode {
         self.dispatch(outs)
     }
 
-    /// Broadcast a raw host-level payload over the disjoint finger ranges.
-    pub fn broadcast(&mut self, payload: Vec<u8>) -> Vec<Output> {
-        let outs = self.chord.broadcast(payload);
-        self.dispatch(outs)
-    }
-
     /// Probe a peer's liveness (feeds the RTO estimator and failure
     /// detector shared by every stacked protocol).
     pub fn ping_node(&mut self, target: NodeRef) -> Vec<Output> {
@@ -839,9 +789,8 @@ impl StackNode {
             return;
         };
         let now = self.now_ms;
-        let cfg = self.bad_frame_cfg;
         if !self.bad_peer_window.contains_key(&addr)
-            && self.bad_peer_window.len() >= cfg.max_tracked
+            && self.bad_peer_window.len() >= BAD_FRAME_MAX_TRACKED
         {
             // Bounded table: evict the stalest window so spoofed source
             // sprays cannot grow node memory.
@@ -855,11 +804,11 @@ impl StackNode {
             }
         }
         let entry = self.bad_peer_window.entry(addr).or_insert((now, 0));
-        if now.saturating_sub(entry.0) > cfg.window_ms {
+        if now.saturating_sub(entry.0) > BAD_FRAME_WINDOW_MS {
             *entry = (now, 0);
         }
         entry.1 += 1;
-        if entry.1 >= cfg.threshold {
+        if entry.1 >= BAD_FRAME_THRESHOLD {
             // Reset the window so the *next* burst escalates again — each
             // escalation is one Suspect episode, and it is the episode
             // cadence the detector's flap damping turns into quarantine.
@@ -1224,13 +1173,12 @@ mod tests {
 
     #[test]
     fn overload_sheds_aggregation_beyond_capacity() {
-        let mut stack = StackNode::new(cfg(), Id(10), NodeAddr(1))
-            .with_app(Echo::new(40))
-            .with_inbox_policy(InboxPolicy {
-                service_ms: 5,
-                agg_capacity: 4,
-                stats_capacity: 1,
-            });
+        let mut stack = StackNode::new(cfg(), Id(10), NodeAddr(1)).with_app(Echo::new(40));
+        stack.set_inbox_policy(InboxPolicy {
+            service_ms: 5,
+            agg_capacity: 4,
+            stats_capacity: 1,
+        });
         let _ = stack.start_create();
         let peer = NodeRef::new(Id(20), NodeAddr(2));
         // A burst at one instant: the virtual-time inbox admits up to
@@ -1281,13 +1229,12 @@ mod tests {
 
     #[test]
     fn stats_class_sheds_before_aggregation() {
-        let mut stack = StackNode::new(cfg(), Id(10), NodeAddr(1))
-            .with_app(Echo::new(40))
-            .with_inbox_policy(InboxPolicy {
-                service_ms: 5,
-                agg_capacity: 8,
-                stats_capacity: 2,
-            });
+        let mut stack = StackNode::new(cfg(), Id(10), NodeAddr(1)).with_app(Echo::new(40));
+        stack.set_inbox_policy(InboxPolicy {
+            service_ms: 5,
+            agg_capacity: 8,
+            stats_capacity: 2,
+        });
         let _ = stack.start_create();
         let peer = NodeRef::new(Id(20), NodeAddr(2));
         for req in 0..6u64 {
@@ -1407,21 +1354,10 @@ mod tests {
     #[test]
     fn bad_frame_window_expires_and_table_is_bounded() {
         let (mut stack, _) = stack_with_peer();
-        stack.set_bad_frame_config(BadFrameConfig {
-            window_ms: 1_000,
-            threshold: 3,
-            max_tracked: 4,
-        });
-        // Two bad frames, then the window expires: the next two do not
-        // reach the threshold either.
-        for t in [0u64, 100] {
-            stack.set_now(t);
-            let _ = stack.handle(Input::BadFrame {
-                from: Some(NodeAddr(2)),
-                error: checksum_err(),
-            });
-        }
-        for t in [5_000u64, 5_100] {
+        // Threshold − 1 bad frames, then the window expires: as many again
+        // do not reach the threshold either.
+        let below = u64::from(BAD_FRAME_THRESHOLD - 1);
+        for t in (0..below).chain((0..below).map(|i| BAD_FRAME_WINDOW_MS + 1 + i)) {
             stack.set_now(t);
             let _ = stack.handle(Input::BadFrame {
                 from: Some(NodeAddr(2)),
@@ -1429,14 +1365,14 @@ mod tests {
             });
         }
         assert_eq!(stack.bad_frame_suspects(), 0);
-        // A spray of spoofed sources stays bounded at max_tracked.
-        for i in 0..100u64 {
+        // A spray of spoofed sources stays bounded at the table's size.
+        for i in 0..2 * BAD_FRAME_MAX_TRACKED as u64 {
             let _ = stack.handle(Input::BadFrame {
                 from: Some(NodeAddr(1_000 + i)),
                 error: checksum_err(),
             });
         }
-        assert!(stack.bad_peers_tracked() <= 4);
+        assert_eq!(stack.bad_peers_tracked(), BAD_FRAME_MAX_TRACKED);
     }
 
     #[test]

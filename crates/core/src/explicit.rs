@@ -529,10 +529,6 @@ impl AppProtocol for ExplicitProtocol {
         Some(&self.metrics)
     }
 
-    fn metrics_mut(&mut self) -> Option<&mut Metrics> {
-        Some(&mut self.metrics)
-    }
-
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }

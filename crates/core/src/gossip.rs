@@ -223,10 +223,6 @@ impl AppProtocol for GossipProtocol {
         Some(&self.metrics)
     }
 
-    fn metrics_mut(&mut self) -> Option<&mut Metrics> {
-        Some(&mut self.metrics)
-    }
-
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
@@ -242,11 +238,6 @@ impl StackNode {
     /// The gossip handler (read-only).
     pub fn gossip(&self) -> &GossipProtocol {
         self.app::<GossipProtocol>()
-    }
-
-    /// The gossip handler (mutable).
-    pub fn gossip_mut(&mut self) -> &mut GossipProtocol {
-        self.app_mut::<GossipProtocol>()
     }
 
     /// Gossip-layer message counters.

@@ -60,7 +60,7 @@ pub mod tree;
 pub mod viz;
 
 pub use aggregate::{AggFunc, AggPartial, Histogram};
-pub use analysis::{centralized_message_counts, simulate_message_counts, TreeStats};
+pub use analysis::TreeStats;
 pub use codec::{CodecError, DatMsg, DAT_PROTO};
 pub use engine::{proto_label, AppProtocol, Ctx, InboxPolicy, StackNode};
 pub use explicit::{ExpMsg, ExplicitConfig, ExplicitProtocol, EXPLICIT_PROTO};

@@ -622,8 +622,6 @@ impl DatProtocol {
                         self.flush_continuous(cx, slot);
                     } else {
                         let delay = self.flush_delay(cx, key);
-                        #[cfg(feature = "trace-flush")]
-                        eprintln!("[{:?}] arm hold epoch={epoch} delay={delay}", me.addr);
                         self.arm(cx, DatTimer::HoldFlush(key), delay);
                     }
                 }
@@ -719,24 +717,7 @@ impl DatProtocol {
         let entry = &mut self.aggs[slot];
         let key = entry.key;
         if entry.mode != AggregationMode::Continuous || entry.flushed_epoch >= epoch {
-            #[cfg(feature = "trace-flush")]
-            eprintln!(
-                "[{:?}] flush skipped epoch={epoch} flushed={}",
-                me.addr, entry.flushed_epoch
-            );
             return;
-        }
-        #[cfg(feature = "trace-flush")]
-        {
-            let stamps: Vec<(u64, u64, f64)> = entry
-                .children
-                .iter()
-                .map(|(id, p, e)| (id.raw() % 1000, *e, p.sum))
-                .collect();
-            eprintln!(
-                "[{:?}] flush epoch={epoch} local={:?} children={stamps:?}",
-                me.addr, entry.local
-            );
         }
         entry.flushed_epoch = epoch;
         // A child that went silent (crashed, left, restarted under a fresh
@@ -1344,12 +1325,6 @@ impl AppProtocol for DatProtocol {
     }
 
     fn on_timer(&mut self, cx: &mut Ctx<'_>, sub: u64) {
-        #[cfg(feature = "trace-flush")]
-        eprintln!(
-            "[{:?}] AppTimer sub={sub} known={}",
-            cx.me().addr,
-            self.timers.iter().any(|(token, _)| *token == sub)
-        );
         // A token that was never armed, or that already fired, is not in
         // the table and is ignored.
         let Some(at) = self.timers.iter().position(|(token, _)| *token == sub) else {
@@ -1391,10 +1366,6 @@ impl AppProtocol for DatProtocol {
 
     fn metrics(&self) -> Option<&Metrics> {
         Some(&self.metrics)
-    }
-
-    fn metrics_mut(&mut self) -> Option<&mut Metrics> {
-        Some(&mut self.metrics)
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

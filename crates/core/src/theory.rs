@@ -14,7 +14,7 @@
 //! arithmetic only) so property tests can pin the constructed trees
 //! against the theory — the strongest form of "reproducing the analysis".
 
-use dat_chord::{ceil_log2_ratio, finger_limit, Id, IdSpace};
+use dat_chord::{ceil_log2_ratio, Id, IdSpace};
 
 /// Theoretical basic-DAT branching factor `B(i, n)` for a ring of `n`
 /// evenly spaced nodes: `log2(n) − ⌈log2(d/d0 + 1)⌉`, evaluated with exact
@@ -36,13 +36,6 @@ pub fn basic_branching(space: IdSpace, i: Id, root: Id, n: usize) -> u32 {
     log2n.saturating_sub(term)
 }
 
-/// Theoretical maximum branching factor of the basic DAT: attained at the
-/// root, `log2 n` (§3.3).
-pub fn basic_max_branching(n: usize) -> u32 {
-    assert!(n.is_power_of_two());
-    n.ilog2()
-}
-
 /// Theoretical upper bounds for the balanced DAT on an even ring (§3.5):
 /// `(max_branching, max_height) = (2, log2 n)`.
 pub fn balanced_bounds(n: usize) -> (u32, u32) {
@@ -52,28 +45,6 @@ pub fn balanced_bounds(n: usize) -> (u32, u32) {
         (n as f64).log2().ceil() as u32
     };
     (2, h)
-}
-
-/// The paper's finger-limiting function `g(x)` re-exported at theory level
-/// (see [`dat_chord::finger_limit`]): minimal `g ≥ 0` with
-/// `3·2^g ≥ x + 2·d0`.
-pub fn g_of_x(x: u64, d0: u64) -> u32 {
-    finger_limit(x, d0)
-}
-
-/// §3.5's height argument: the distance from a node to its closest child
-/// is at least its distance to the root, hence any balanced route has at
-/// most `log2 n` hops. This helper checks the inequality
-/// `2^(g(d + 2^(j-1)) ) ≥ d` used in the proof for a concrete `d`.
-pub fn height_step_holds(d: u64, d0: u64) -> bool {
-    if d == 0 {
-        return true;
-    }
-    // j = ⌈log2(d + 2 d0)⌉-ish index of the closest child; the proof's two
-    // cases reduce to: the closest child is at distance ≥ d.
-    let j = g_of_x(d, d0);
-    let child_dist = 1u128 << j;
-    child_dist >= d as u128 / 2 // each hop at least halves remaining work
 }
 
 #[cfg(test)]
@@ -196,16 +167,9 @@ mod tests {
     fn g_of_x_monotone_nondecreasing() {
         let mut prev = 0;
         for x in 0..10_000u64 {
-            let g = g_of_x(x, 16);
+            let g = dat_chord::finger_limit(x, 16);
             assert!(g >= prev);
             prev = g;
-        }
-    }
-
-    #[test]
-    fn height_step_sanity() {
-        for d in [0u64, 1, 2, 3, 7, 8, 100, 1 << 20] {
-            assert!(height_step_holds(d, 1), "d={d}");
         }
     }
 }

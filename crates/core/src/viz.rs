@@ -1,10 +1,8 @@
-//! Graphviz (DOT) export of rings and DAT trees.
+//! Graphviz (DOT) export of DAT trees.
 //!
 //! Small tooling layer for debugging and for rendering figures like the
-//! paper's Fig. 2/Fig. 5: `to_dot` emits the tree with nodes laid out by
+//! paper's Fig. 2/Fig. 5: [`tree_to_dot`] emits the tree with nodes laid out by
 //! identifier, annotated with branching factors and depths.
-
-use dat_chord::{Id, StaticRing};
 
 use crate::tree::DatTree;
 
@@ -33,36 +31,10 @@ pub fn tree_to_dot(tree: &DatTree) -> String {
     out
 }
 
-/// Render a ring's successor cycle (plus optional finger edges for one
-/// highlighted node) as DOT.
-pub fn ring_to_dot(ring: &StaticRing, fingers_of: Option<Id>) -> String {
-    let mut out =
-        String::from("digraph ring {\n  layout=circo;\n  node [shape=circle, fontsize=10];\n");
-    let ids = ring.ids();
-    for (i, &id) in ids.iter().enumerate() {
-        let next = ids[(i + 1) % ids.len()];
-        out.push_str(&format!("  \"N{id}\" -> \"N{next}\" [color=gray];\n"));
-    }
-    if let Some(v) = fingers_of {
-        let space = ring.space();
-        let mut seen = std::collections::HashSet::new();
-        for j in 1..=space.bits() {
-            let f = ring.successor(space.finger_start(v, j));
-            if f != v && seen.insert(f) {
-                out.push_str(&format!(
-                    "  \"N{v}\" -> \"N{f}\" [color=blue, label=\"f{j}\", fontsize=8];\n"
-                ));
-            }
-        }
-    }
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dat_chord::{IdPolicy, IdSpace, RoutingScheme};
+    use dat_chord::{Id, IdPolicy, IdSpace, RoutingScheme, StaticRing};
     use rand::SeedableRng;
 
     fn ring16() -> StaticRing {
@@ -85,17 +57,5 @@ mod tests {
         assert_eq!(dot.matches(" -> ").count(), 15);
         // The Fig. 5 edge: N8 -> N12.
         assert!(dot.contains("\"N8\" -> \"N12\";"));
-    }
-
-    #[test]
-    fn ring_dot_cycle_and_fingers() {
-        let ring = ring16();
-        let dot = ring_to_dot(&ring, Some(Id(8)));
-        // 16 successor edges + 4 distinct finger edges of N8 (9, 10, 12, 0).
-        assert_eq!(dot.matches("color=gray").count(), 16);
-        assert_eq!(dot.matches("color=blue").count(), 4);
-        assert!(dot.contains("\"N8\" -> \"N12\""));
-        let plain = ring_to_dot(&ring, None);
-        assert_eq!(plain.matches("color=blue").count(), 0);
     }
 }

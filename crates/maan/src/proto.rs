@@ -566,10 +566,6 @@ impl AppProtocol for MaanProtocol {
         Some(&self.metrics)
     }
 
-    fn metrics_mut(&mut self) -> Option<&mut Metrics> {
-        Some(&mut self.metrics)
-    }
-
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }

@@ -187,17 +187,16 @@ pub fn digest_events<'a>(events: impl Iterator<Item = &'a Event>) -> u64 {
 /// A bounded ring buffer of [`Event`]s with a logical clock.
 ///
 /// Recording is O(1); when the ring is full the oldest event is evicted
-/// and counted in [`Tracer::dropped`]. Disabled tracers record nothing.
-/// The ring starts without heap and grows with what is recorded: every
-/// layer of every node owns a tracer, and many of them (quiet handlers,
-/// fleets run with tracing off) record little or nothing.
+/// and counted in [`Tracer::dropped`]. The ring starts without heap and
+/// grows with what is recorded: every layer of every node owns a tracer,
+/// and many of them (quiet handlers, fleets run with tracing off) record
+/// little or nothing.
 #[derive(Clone, Debug)]
 pub struct Tracer {
     ring: VecDeque<Event>,
     cap: usize,
     lts: u64,
     dropped: u64,
-    enabled: bool,
 }
 
 /// Default ring capacity — 16 epochs of a 4-key DAT node, which rings
@@ -219,15 +218,11 @@ impl Tracer {
             cap: cap.max(1),
             lts: 0,
             dropped: 0,
-            enabled: true,
         }
     }
 
-    /// Record one event (no-op while disabled).
+    /// Record one event.
     pub fn record(&mut self, at_ms: u64, trace_id: u64, kind: EventKind) {
-        if !self.enabled {
-            return;
-        }
         self.lts += 1;
         if self.ring.len() == self.cap {
             self.ring.pop_front();
@@ -269,25 +264,6 @@ impl Tracer {
     /// `true` when no events are buffered.
     pub fn is_empty(&self) -> bool {
         self.ring.is_empty()
-    }
-
-    /// Enable/disable recording.
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-    }
-
-    /// `true` while recording.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Grow/shrink the ring capacity (evicts oldest on shrink).
-    pub fn set_capacity(&mut self, cap: usize) {
-        self.cap = cap.max(1);
-        while self.ring.len() > self.cap {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
     }
 
     /// Order-insensitive digest of the buffered events.
@@ -337,19 +313,12 @@ mod tests {
         assert_eq!(t.dropped(), 2);
         let lts: Vec<u64> = t.events().map(|e| e.lts).collect();
         assert_eq!(lts, vec![3, 4, 5], "oldest evicted, lts monotone");
-        t.set_enabled(false);
-        t.record(9, 0, hop(9));
-        assert_eq!(t.len(), 3, "disabled tracer records nothing");
     }
 
     #[test]
     fn ring_holds_no_heap_until_it_records() {
         let mut t = Tracer::default();
         assert_eq!(t.ring.capacity(), 0, "a fresh tracer holds no heap");
-        t.set_enabled(false);
-        t.record(1, 0, hop(1));
-        assert_eq!(t.ring.capacity(), 0, "nor does a disabled one");
-        t.set_enabled(true);
         for i in 0..DEFAULT_TRACE_CAP as u64 {
             t.record(i, 0, hop(i));
         }

@@ -606,10 +606,6 @@ impl FaultController {
         }
     }
 
-    pub(crate) fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Scheduled time (ms) of the next un-fired event.
     pub(crate) fn next_at(&self) -> Option<u64> {
         self.order.get(self.fired).map(|&i| self.plan.events[i].0)

@@ -318,12 +318,6 @@ pub fn chord_corpus() -> Vec<ChordMsg> {
             from: nr(30),
             payload: vec![7; 64].into(),
         },
-        ChordMsg::Broadcast {
-            limit: Id(31),
-            payload: vec![9, 9].into(),
-            origin: nr(32),
-            depth: 33,
-        },
         ChordMsg::StatsRequest {
             req: 34,
             sender: nr(35),
@@ -451,7 +445,7 @@ mod tests {
 
     #[test]
     fn corpora_are_valid_and_cover_every_variant() {
-        assert_eq!(chord_corpus().len(), 16);
+        assert_eq!(chord_corpus().len(), 15);
         assert_eq!(dat_corpus().len(), 8);
         assert_eq!(maan_corpus().len(), 4);
         for t in ALL_TARGETS {
@@ -471,8 +465,13 @@ mod tests {
             let a = fuzz_codec(t, 0xF00D, 500);
             let b = fuzz_codec(t, 0xF00D, 500);
             assert_eq!(a, b, "{} run not deterministic", t.label());
-            let c = fuzz_codec(t, 0xF00E, 500);
-            assert_ne!(a, c, "{} seed has no effect?", t.label());
+            // A report is only three tallies, so one other seed can land on
+            // the same ones by chance; a handful all doing so cannot.
+            assert!(
+                (1..=4).any(|d| fuzz_codec(t, 0xF00D + d, 500) != a),
+                "{} seed has no effect?",
+                t.label()
+            );
         }
     }
 

@@ -206,11 +206,6 @@ impl<A: Actor> SimNet<A> {
         self.faults = Some(FaultController::new(plan));
     }
 
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref().map(|f| f.plan())
-    }
-
     /// Install the hook that [`crate::FaultEvent::Restart`] uses to build
     /// a replacement actor (fresh state — a restart never resurrects the
     /// crashed actor's memory). Return `None` to skip a restart.

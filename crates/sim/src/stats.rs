@@ -78,11 +78,6 @@ impl Tally {
         }
     }
 
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// max / mean — the paper's imbalance factor (1.0 when empty).
     pub fn imbalance(&self) -> f64 {
         if self.n == 0 || self.mean() == 0.0 {

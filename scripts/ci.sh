@@ -198,7 +198,9 @@ else
   echo "==> TSAN lane skipped (opt in with TSAN=1; needs nightly + rust-src)"
 fi
 
-echo "==> code size: tracked Rust lines"
-git ls-files '*.rs' | xargs wc -l | tail -1
-
 echo "CI green."
+
+# Reported, not gated: the workspace line count the ROADMAP tracks next to
+# the performance numbers. `cat` first, so a file list xargs splits over
+# several invocations still sums to one number.
+echo "==> code size: $(git ls-files '*.rs' | xargs cat | wc -l) tracked Rust lines"

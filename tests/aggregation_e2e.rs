@@ -1,7 +1,8 @@
 //! Integration: end-to-end aggregation across crates in the simulator —
-//! continuous mode, on-demand queries, and the centralized baseline.
+//! continuous mode, on-demand queries (and what their fan-out costs), and
+//! the centralized baseline.
 
-use libdat::chord::{ChordConfig, IdPolicy, IdSpace, RoutingScheme, StaticRing};
+use libdat::chord::{ChordConfig, IdPolicy, IdSpace, NodeAddr, RoutingScheme, StaticRing};
 use libdat::core::{AggFunc, AggregationMode, DatConfig, DatEvent, StackNode};
 use libdat::sim::harness::{addr_book, prestabilized_dat};
 use libdat::sim::SimNet;
@@ -128,6 +129,83 @@ fn on_demand_query_from_any_node() {
             .expect("query completes");
         assert_eq!(done.count as usize, n, "asker idx {idx}");
         assert_eq!(done.finalize(AggFunc::Sum), (n * (n - 1) / 2) as f64);
+    }
+}
+
+/// Ring sizes and seeds of the on-demand census.
+const CENSUS: [(usize, u64); 3] = [(16, 1), (100, 2), (256, 3)];
+
+/// What one on-demand query costs on a fresh probed ring of `n` nodes,
+/// asked from a non-root node.
+struct Census {
+    root: NodeAddr,
+    /// `dat_query` frames each node received.
+    received: Vec<(NodeAddr, u64)>,
+    /// `dat_query` and `dat_response` frames the fleet sent.
+    sent: (u64, u64),
+    /// Contributors the answer counts.
+    contributors: u64,
+}
+
+fn census(n: usize, seed: u64) -> Census {
+    let (mut net, ring, key) = build(
+        n,
+        RoutingScheme::Balanced,
+        AggregationMode::Continuous,
+        seed,
+    );
+    let root = addr_book(&ring)[&ring.successor(key)];
+    let addrs = net.addrs();
+    let asker = *addrs.iter().find(|&&a| a != root).unwrap();
+    let reqid = net.with_node(asker, |node| node.query(key)).unwrap();
+    net.run_for(5_000);
+    let contributors = net
+        .node_mut(asker)
+        .unwrap()
+        .take_events()
+        .into_iter()
+        .find_map(|e| match e {
+            DatEvent::QueryDone {
+                reqid: r, partial, ..
+            } if r == reqid => Some(partial.contributors),
+            _ => None,
+        })
+        .expect("query completes");
+    let metrics = |a: NodeAddr| net.node(a).unwrap().dat_metrics();
+    Census {
+        root,
+        received: addrs
+            .iter()
+            .map(|&a| (a, metrics(a).received_of("dat_query")))
+            .collect(),
+        sent: addrs.iter().fold((0, 0), |(q, r), &a| {
+            let m = metrics(a);
+            (q + m.sent_of("dat_query"), r + m.sent_of("dat_response"))
+        }),
+        contributors,
+    }
+}
+
+#[test]
+fn on_demand_query_reaches_every_node_exactly_once() {
+    for (n, seed) in CENSUS {
+        let c = census(n, seed);
+        assert_eq!(c.contributors, n as u64, "n={n}: every node answers");
+        for (addr, got) in c.received {
+            let want = u64::from(addr != c.root);
+            assert_eq!(got, want, "n={n}: {addr:?} received {got} queries");
+        }
+    }
+}
+
+#[test]
+fn on_demand_query_costs_n_minus_1_frames_each_way() {
+    // The disjoint-range fan-out sends one query per non-root node, and
+    // each answers its parent once.
+    for (n, seed) in CENSUS {
+        let c = census(n, seed);
+        let each_way = n as u64 - 1;
+        assert_eq!(c.sent, (each_way, each_way), "n={n}: (queries, responses)");
     }
 }
 
