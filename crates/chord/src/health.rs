@@ -33,48 +33,42 @@ use std::collections::{BTreeMap, VecDeque};
 
 use crate::id::Id;
 
-/// Tunables for the phi-accrual detector. Times are host milliseconds.
+/// Suspicion threshold: a peer turns [`SuspicionLevel::Suspect`] when its
+/// phi (improbability exponent of the current silence) reaches this. 8 ≈
+/// "this silence had a 10⁻⁸ chance under the learned cadence".
+const PHI_THRESHOLD: f64 = 8.0;
+/// Sliding window of inter-arrival samples kept per peer.
+const WINDOW: usize = 32;
+/// Floor on the inter-arrival standard deviation (ms). Simulated
+/// heartbeats can be metronome-regular; without a floor the distribution
+/// collapses and one millisecond of jitter reads as certain death.
+const MIN_STD_MS: f64 = 100.0;
+/// Inter-arrival samples required before phi is trusted; below this the
+/// peer reads Healthy (phi 0).
+const MIN_SAMPLES: usize = 3;
+/// Recoveries inside the flap window that trigger quarantine.
+const FLAP_THRESHOLD: usize = 3;
+/// Silence (ms) after which a monitored peer is worth an adaptive
+/// keepalive ping (see [`HealthDetector::stalest`]).
+const KEEPALIVE_AFTER_MS: u64 = 3_000;
+
+/// The detector's two tunable periods (the rest are constants). Times are
+/// host milliseconds.
 #[derive(Clone, Copy, Debug)]
 pub struct HealthConfig {
-    /// Suspicion threshold: a peer turns [`SuspicionLevel::Suspect`] when
-    /// its phi (improbability exponent of the current silence) reaches
-    /// this. 8 ≈ "this silence had a 10⁻⁸ chance under the learned
-    /// cadence".
-    pub phi_threshold: f64,
-    /// Sliding window of inter-arrival samples kept per peer (at least 1).
-    pub window: usize,
-    /// Floor on the inter-arrival standard deviation (ms). Simulated
-    /// heartbeats can be metronome-regular; without a floor the
-    /// distribution collapses and one millisecond of jitter reads as
-    /// certain death.
-    pub min_std_ms: f64,
-    /// Inter-arrival samples required before phi is trusted (at least 1);
-    /// below this the peer reads Healthy (phi 0).
-    pub min_samples: usize,
     /// Sliding window (ms) over which Suspect→Healthy recoveries count as
     /// flapping.
     pub flap_window_ms: u64,
-    /// Recoveries inside the flap window that trigger quarantine.
-    pub flap_threshold: u32,
     /// How long a quarantined peer is held at
     /// [`SuspicionLevel::Quarantined`] before it may rejoin.
     pub quarantine_ms: u64,
-    /// Silence (ms) after which a monitored peer is worth an adaptive
-    /// keepalive ping (see [`HealthDetector::stalest`]).
-    pub keepalive_after_ms: u64,
 }
 
 impl Default for HealthConfig {
     fn default() -> Self {
         HealthConfig {
-            phi_threshold: 8.0,
-            window: 32,
-            min_std_ms: 100.0,
-            min_samples: 3,
             flap_window_ms: 30_000,
-            flap_threshold: 3,
             quarantine_ms: 30_000,
-            keepalive_after_ms: 3_000,
         }
     }
 }
@@ -97,6 +91,7 @@ pub enum SuspicionLevel {
 /// window's mean (samples are ≥ 1 ms), so `p_later ≥ ½` and
 /// `phi ≤ log10 2 = 0.30103`; the margin absorbs `log10` rounding.
 const ZERO_SILENCE_PHI_MAX: f64 = 0.3011;
+const _: () = assert!(ZERO_SILENCE_PHI_MAX < PHI_THRESHOLD);
 
 /// Per-peer detector state.
 #[derive(Clone, Debug)]
@@ -158,8 +153,8 @@ impl PeerHealth {
     }
 
     /// Phi of the silence since the last beat under a fitted window.
-    fn phi_under(&self, cfg: &HealthConfig, (mean, var): (f64, f64), now_ms: u64) -> f64 {
-        let std = var.sqrt().max(cfg.min_std_ms);
+    fn phi_under(&self, (mean, var): (f64, f64), now_ms: u64) -> f64 {
+        let std = var.sqrt().max(MIN_STD_MS);
         let t = now_ms.saturating_sub(self.last_heard_ms) as f64;
         // Logistic approximation of the normal tail (as used by Akka's
         // accrual detector): cheap, monotone, and good to a few percent.
@@ -176,10 +171,9 @@ impl PeerHealth {
     /// Advance the Healthy↔Suspect↔Quarantined state machine at `now_ms`,
     /// given phi (or an upper bound on it that is below the threshold).
     fn advance(&mut self, cfg: &HealthConfig, now_ms: u64, phi: f64) -> Option<Moved> {
-        let threshold = cfg.phi_threshold;
         match self.level {
             SuspicionLevel::Quarantined => {
-                if now_ms >= self.quarantined_until_ms && phi < threshold {
+                if now_ms >= self.quarantined_until_ms && phi < PHI_THRESHOLD {
                     // Quarantine served AND the peer is currently talking:
                     // it has stabilized, let it back in with a clean slate.
                     self.level = SuspicionLevel::Healthy;
@@ -188,7 +182,7 @@ impl PeerHealth {
                 }
             }
             SuspicionLevel::Suspect => {
-                if phi < threshold {
+                if phi < PHI_THRESHOLD {
                     // Recovery. Count it as flap evidence; too many inside
                     // the window and the peer is quarantined instead.
                     self.recoveries.push_back(now_ms);
@@ -199,7 +193,7 @@ impl PeerHealth {
                     {
                         self.recoveries.pop_front();
                     }
-                    if self.recoveries.len() as u32 >= cfg.flap_threshold {
+                    if self.recoveries.len() >= FLAP_THRESHOLD {
                         self.level = SuspicionLevel::Quarantined;
                         self.quarantined_until_ms = now_ms + cfg.quarantine_ms;
                         self.recoveries.clear();
@@ -209,7 +203,7 @@ impl PeerHealth {
                 }
             }
             SuspicionLevel::Healthy => {
-                if phi >= threshold {
+                if phi >= PHI_THRESHOLD {
                     self.level = SuspicionLevel::Suspect;
                     return Some(Moved::Suspected);
                 }
@@ -250,11 +244,6 @@ impl HealthDetector {
         }
     }
 
-    /// The tunables in effect.
-    pub fn config(&self) -> &HealthConfig {
-        &self.cfg
-    }
-
     /// Mutable access to the tunables (harnesses shorten quarantines).
     pub fn config_mut(&mut self) -> &mut HealthConfig {
         &mut self.cfg
@@ -263,22 +252,17 @@ impl HealthDetector {
     /// Record a heartbeat: any ack, reply or message that proves `peer`
     /// was alive at `now_ms`.
     pub fn heartbeat(&mut self, peer: Id, now_ms: u64) {
-        let level = self.record_beat(peer, now_ms);
         // The silence scored right after a beat is 0 ms, so phi is at most
-        // `ZERO_SILENCE_PHI_MAX`: under a threshold above that, a Healthy
-        // peer stays Healthy and the recovery arms' `phi < threshold`
-        // holds, without fitting the window.
-        let phi = match (self.cfg.phi_threshold > ZERO_SILENCE_PHI_MAX, level) {
-            (true, SuspicionLevel::Healthy) => return,
-            (true, _) => ZERO_SILENCE_PHI_MAX,
-            (false, _) => self.phi(peer, now_ms),
-        };
-        self.transition(peer, now_ms, phi);
+        // `ZERO_SILENCE_PHI_MAX`, below the threshold: a Healthy peer stays
+        // Healthy and the recovery arms' `phi < PHI_THRESHOLD` holds,
+        // without fitting the window.
+        if self.record_beat(peer, now_ms) != SuspicionLevel::Healthy {
+            self.transition(peer, now_ms, ZERO_SILENCE_PHI_MAX);
+        }
     }
 
     /// Learn one beat's inter-arrival sample; returns the level it found.
     fn record_beat(&mut self, peer: Id, now_ms: u64) -> SuspicionLevel {
-        let window = self.cfg.window;
         let e = self
             .peers
             .entry(peer)
@@ -291,7 +275,7 @@ impl HealthDetector {
             // walk the threshold out from under the flap damper).
             if e.level == SuspicionLevel::Healthy {
                 // Pop first: `window + 1` samples would double the buffer.
-                if e.intervals.len() >= window {
+                if e.intervals.len() >= WINDOW {
                     e.intervals.pop_front();
                 }
                 e.intervals.push_back(now_ms - e.last_heard_ms);
@@ -323,11 +307,11 @@ impl HealthDetector {
         let Some(e) = self.peers.get(&peer) else {
             return 0.0;
         };
-        if e.intervals.len() < self.cfg.min_samples.max(1) {
+        if e.intervals.len() < MIN_SAMPLES {
             return 0.0;
         }
         let fit = if e.fitted { e.fit } else { e.fit_window() };
-        e.phi_under(&self.cfg, fit, now_ms)
+        e.phi_under(fit, now_ms)
     }
 
     /// Evaluate and return `peer`'s suspicion level at `now_ms`,
@@ -337,14 +321,14 @@ impl HealthDetector {
         let Some(e) = self.peers.get_mut(&peer) else {
             return SuspicionLevel::Healthy;
         };
-        let phi = if e.intervals.len() < self.cfg.min_samples.max(1) {
+        let phi = if e.intervals.len() < MIN_SAMPLES {
             0.0
         } else {
             if !e.fitted {
                 e.fit = e.fit_window();
                 e.fitted = true;
             }
-            e.phi_under(&self.cfg, e.fit, now_ms)
+            e.phi_under(e.fit, now_ms)
         };
         let moved = e.advance(&self.cfg, now_ms, phi);
         let level = e.level;
@@ -367,7 +351,7 @@ impl HealthDetector {
     }
 
     /// Among `candidates`, the peer silent the longest — provided its
-    /// silence exceeds `keepalive_after_ms` — as the target for one
+    /// silence reaches `KEEPALIVE_AFTER_MS` (3 s) — as the target for one
     /// adaptive keepalive ping. A candidate with no history counts as
     /// silent since time zero (never heard), so fresh links get probed and
     /// a history started, without a ping storm at startup.
@@ -378,7 +362,7 @@ impl HealthDetector {
                 Some(e) => now_ms.saturating_sub(e.last_heard_ms),
                 None => now_ms,
             };
-            if silence < self.cfg.keepalive_after_ms {
+            if silence < KEEPALIVE_AFTER_MS {
                 continue;
             }
             if best.map(|(s, _)| silence > s).unwrap_or(true) {
@@ -426,7 +410,7 @@ impl HealthDetector {
         let Some(e) = self.peers.get(&peer) else {
             return 0.0;
         };
-        if e.intervals.len() < self.cfg.min_samples.max(1) {
+        if e.intervals.len() < MIN_SAMPLES {
             return 0.0;
         }
         let n = e.intervals.len() as f64;
@@ -440,7 +424,7 @@ impl HealthDetector {
             })
             .sum::<f64>()
             / n;
-        let std = var.sqrt().max(self.cfg.min_std_ms);
+        let std = var.sqrt().max(MIN_STD_MS);
         let t = now_ms.saturating_sub(e.last_heard_ms) as f64;
         let y = (t - mean) / std;
         let ex = (-y * (1.5976 + 0.070566 * y * y)).exp();
@@ -479,13 +463,8 @@ mod tests {
 
     fn cfg() -> HealthConfig {
         HealthConfig {
-            phi_threshold: 4.0,
-            min_samples: 3,
-            min_std_ms: 50.0,
             flap_window_ms: 20_000,
-            flap_threshold: 3,
             quarantine_ms: 5_000,
-            ..HealthConfig::default()
         }
     }
 
@@ -504,7 +483,7 @@ mod tests {
         let mut d = HealthDetector::new(cfg());
         let t = warmed(&mut d, id(7), 500, 20);
         assert_eq!(d.level(id(7), t + 600), SuspicionLevel::Healthy);
-        assert!(d.phi(id(7), t + 600) < 4.0);
+        assert!(d.phi(id(7), t + 600) < 1.0);
         assert_eq!(d.suspects, 0);
     }
 
@@ -597,13 +576,12 @@ mod tests {
     #[test]
     fn full_window_never_grows_its_buffer() {
         let mut d = HealthDetector::new(cfg());
-        let window = d.config().window;
         warmed(&mut d, id(7), 500, 1_000);
         let intervals = &d.peers[&id(7)].intervals;
-        assert_eq!(intervals.len(), window);
+        assert_eq!(intervals.len(), WINDOW);
         assert!(
-            intervals.capacity() <= window.next_power_of_two(),
-            "{} slots for a {window}-sample window",
+            intervals.capacity() <= WINDOW.next_power_of_two(),
+            "{} slots for a {WINDOW}-sample window",
             intervals.capacity()
         );
     }
@@ -614,45 +592,36 @@ mod tests {
         let mut closest = 0.0f64;
         for seed in 0..64 {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let mut d = HealthDetector::new(HealthConfig {
-                phi_threshold: f64::INFINITY,
-                window: rng.random_range(1..=64usize),
-                min_samples: rng.random_range(0..5usize),
-                // From "no floor" to a deviation that dwarfs every mean
-                // (y → 0, the case that approaches log10 2).
-                min_std_ms: [0.0, 1.0, 100.0, 1e15][rng.random_range(0..4usize)],
-                ..HealthConfig::default()
-            });
+            let mut d = HealthDetector::new(HealthConfig::default());
             let mut t = 0u64;
-            for _ in 0..200 {
-                t += 1 << rng.random_range(0..24u32);
+            for step in 0..200 {
+                // A window of 1 ms beats first: the smallest mean under
+                // the deviation floor, the closest phi gets to log10 2.
+                t += if step < 40 {
+                    1
+                } else {
+                    1 << rng.random_range(0..24u32)
+                };
                 d.heartbeat(id(1), t);
                 let phi = d.phi(id(1), t);
                 assert!(phi <= ZERO_SILENCE_PHI_MAX, "seed {seed}: phi {phi}");
                 closest = closest.max(phi);
             }
         }
-        assert!(closest > 0.301, "the bound is tight: saw {closest}");
+        assert!(closest > 0.29, "the bound is near tight: saw {closest}");
     }
 
     /// The zero-silence shortcut and the kept fit are exact: against a
     /// detector that fits the window on every beat and every evaluation,
-    /// every observable agrees after every call — phi to the bit — under
-    /// thresholds above the constant (shortcut taken) and below it
-    /// (shortcut must be off: a beat alone can then raise suspicion),
-    /// across `forget` and a window resized under a standing fit.
+    /// every observable agrees after every call — phi to the bit — across
+    /// `forget`, `miss` and beats stamped in the past.
     #[test]
     fn heartbeat_shortcut_matches_the_always_fit_reference() {
         let (mut suspects, mut quarantines, mut rejoins) = (0, 0, 0);
         for seed in 0..64 {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let threshold = [0.2, 4.0, 8.0][seed as usize % 3];
-            let cfg = HealthConfig {
-                phi_threshold: threshold,
-                ..cfg()
-            };
-            let mut fast = HealthDetector::new(cfg);
-            let mut slow = HealthDetector::new(cfg);
+            let mut fast = HealthDetector::new(cfg());
+            let mut slow = HealthDetector::new(cfg());
             let mut t = 0u64;
             for step in 0..2_000 {
                 // Mostly a steady cadence; now and then a silence long
@@ -679,13 +648,6 @@ mod tests {
                         fast.heartbeat(peer, past);
                         slow.heartbeat_reference(peer, past);
                     }
-                    // A resized window: the buffer only follows at the next
-                    // beat, so a standing fit stays the fit of what is there.
-                    10 => {
-                        let window = rng.random_range(1..=32usize);
-                        fast.config_mut().window = window;
-                        slow.config_mut().window = window;
-                    }
                     _ => {
                         fast.heartbeat(peer, t);
                         slow.heartbeat_reference(peer, t);
@@ -693,7 +655,7 @@ mod tests {
                 }
                 assert!(
                     fast.peers().eq(slow.peers()),
-                    "seed {seed} step {step} threshold {threshold}: levels diverged"
+                    "seed {seed} step {step}: levels diverged"
                 );
                 for p in (1..=3u64).map(id) {
                     for at in [t, t + 700] {
@@ -707,14 +669,12 @@ mod tests {
                 assert_eq!(
                     (fast.suspects, fast.quarantines, fast.rejoins),
                     (slow.suspects, slow.quarantines, slow.rejoins),
-                    "seed {seed} step {step} threshold {threshold}"
+                    "seed {seed} step {step}"
                 );
             }
-            if threshold > ZERO_SILENCE_PHI_MAX {
-                suspects += fast.suspects;
-                quarantines += fast.quarantines;
-                rejoins += fast.rejoins;
-            }
+            suspects += fast.suspects;
+            quarantines += fast.quarantines;
+            rejoins += fast.rejoins;
         }
         assert!(
             suspects > 0 && quarantines > 0 && rejoins > 0,

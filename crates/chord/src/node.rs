@@ -13,8 +13,8 @@
 //! retries, exponential backoff) with the retransmission timeout adapted
 //! from a smoothed RTT estimate (Jacobson/Karn, as in TCP). Hosts feed the
 //! node wall/virtual time through [`ChordNode::handle_at`] or
-//! [`ChordNode::set_now`]; with `max_retries = 0` the node degrades to the
-//! legacy single-shot behavior with the fixed `req_timeout_ms`.
+//! [`ChordNode::set_now`]; with `max_retries = 0` a request is sent once
+//! and its first timeout is final.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -49,8 +49,8 @@ pub struct ChordConfig {
     /// Give up joining after this many attempts.
     pub max_join_retries: u32,
     /// Retransmissions allowed per request before it is declared failed.
-    /// `0` disables retransmission entirely: a request gets exactly one
-    /// transmission and the fixed `req_timeout_ms` (the legacy behavior).
+    /// `0` disables retransmission: a request gets exactly one
+    /// transmission.
     pub max_retries: u32,
     /// Upper clamp for the adaptive RTO and its exponential backoff.
     pub rto_max_ms: u64,
@@ -354,12 +354,8 @@ impl ChordNode {
 
     /// The retransmission timeout the next request will be armed with:
     /// `SRTT + 4·RTTVAR` clamped into `[RTO_MIN_MS, rto_max_ms]`, or the
-    /// configured `req_timeout_ms` before any RTT sample exists (and
-    /// always when retransmission is disabled).
+    /// configured `req_timeout_ms` before any RTT sample exists.
     pub fn current_rto(&self) -> u64 {
-        if self.cfg.max_retries == 0 {
-            return self.cfg.req_timeout_ms;
-        }
         match self.srtt_ms {
             Some(srtt) => {
                 ((srtt + 4.0 * self.rttvar_ms) as u64).clamp(RTO_MIN_MS, self.cfg.rto_max_ms)
@@ -2036,15 +2032,6 @@ mod tests {
                 n.observe_rtt(sample);
                 assert_rto_invariants(&n, &format!("seq {seq} step {step} sample {sample}"));
             }
-        }
-    }
-
-    #[test]
-    fn rto_without_retries_keeps_fixed_timeout() {
-        let mut n = node_no_retry(1);
-        for s in [0, u64::MAX, 5] {
-            n.observe_rtt(s);
-            assert_eq!(n.current_rto(), n.cfg.req_timeout_ms);
         }
     }
 }

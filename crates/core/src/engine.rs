@@ -74,34 +74,24 @@ pub const SUB_MASK: u64 = (1 << PROTO_SHIFT) - 1;
 ///
 /// Priorities are expressed as capacities: Chord control traffic never
 /// passes through the inbox at all (it is what keeps the ring alive), the
-/// aggregation class gets [`InboxPolicy::agg_capacity`], and stats serving
-/// gets the smaller [`InboxPolicy::stats_capacity`] — so under pressure
-/// the order of sacrifice is stats first, aggregation second, control
-/// never.
+/// aggregation class gets `AGG_CAPACITY` (64 slots), and stats serving
+/// gets the smaller `STATS_CAPACITY` (8) — so under pressure the order of
+/// sacrifice is stats first, aggregation second, control never.
 ///
 /// The default `service_ms = 0` disables the model entirely: the inbox is
 /// unbounded and nothing is ever shed (the pre-health-plane behavior).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InboxPolicy {
     /// Virtual service time per application payload (0 = unbounded inbox).
     pub service_ms: u64,
-    /// Backlog (in service slots) above which aggregation-class payloads
-    /// (`AppMessage` / engine-tagged `Routed`) are shed.
-    pub agg_capacity: u64,
-    /// Backlog above which incoming stats requests are shed (answered
-    /// never, not late). Keep below `agg_capacity`: stats are diagnostics.
-    pub stats_capacity: u64,
 }
 
-impl Default for InboxPolicy {
-    fn default() -> Self {
-        InboxPolicy {
-            service_ms: 0,
-            agg_capacity: 64,
-            stats_capacity: 8,
-        }
-    }
-}
+/// Backlog (in service slots) above which aggregation-class payloads
+/// (`AppMessage` / engine-tagged `Routed`) are shed.
+const AGG_CAPACITY: u64 = 64;
+/// Backlog above which incoming stats requests are shed (answered never,
+/// not late). Below `AGG_CAPACITY`: stats are diagnostics.
+const STATS_CAPACITY: u64 = 8;
 
 // Scoring of undecodable frames (`Input::BadFrame`).
 //
@@ -767,7 +757,7 @@ impl StackNode {
                 &self.inbox,
                 &mut self.inbox_busy_until_ms,
                 self.now_ms,
-                self.inbox.stats_capacity,
+                STATS_CAPACITY,
             ) {
                 self.stats_shed += 1;
                 continue;
@@ -873,7 +863,7 @@ impl StackNode {
                         payload,
                     } => match slot_of(handlers, proto) {
                         Some(i) => {
-                            if !inbox_admit(inbox, inbox_busy_until_ms, now, inbox.agg_capacity) {
+                            if !inbox_admit(inbox, inbox_busy_until_ms, now, AGG_CAPACITY) {
                                 tallies[i].shed += 1;
                                 continue;
                             }
@@ -901,7 +891,7 @@ impl StackNode {
                         hops,
                     } => match payload.first().and_then(|&p| slot_of(handlers, p)) {
                         Some(i) => {
-                            if !inbox_admit(inbox, inbox_busy_until_ms, now, inbox.agg_capacity) {
+                            if !inbox_admit(inbox, inbox_busy_until_ms, now, AGG_CAPACITY) {
                                 tallies[i].shed += 1;
                                 continue;
                             }
@@ -1174,16 +1164,12 @@ mod tests {
     #[test]
     fn overload_sheds_aggregation_beyond_capacity() {
         let mut stack = StackNode::new(cfg(), Id(10), NodeAddr(1)).with_app(Echo::new(40));
-        stack.set_inbox_policy(InboxPolicy {
-            service_ms: 5,
-            agg_capacity: 4,
-            stats_capacity: 1,
-        });
+        stack.set_inbox_policy(InboxPolicy { service_ms: 5 });
         let _ = stack.start_create();
         let peer = NodeRef::new(Id(20), NodeAddr(2));
         // A burst at one instant: the virtual-time inbox admits up to
-        // `agg_capacity` payloads before the backlog horizon fills.
-        for i in 0..10u8 {
+        // `AGG_CAPACITY` payloads before the backlog horizon fills.
+        for i in 0..AGG_CAPACITY as u8 + 6 {
             let _ = stack.handle(Input::Message {
                 from: NodeAddr(2),
                 msg: ChordMsg::App {
@@ -1193,9 +1179,9 @@ mod tests {
                 },
             });
         }
-        assert_eq!(stack.proto_received(40), 4);
+        assert_eq!(stack.proto_received(40), AGG_CAPACITY);
         assert_eq!(stack.shed_count(40), 6);
-        assert_eq!(stack.app::<Echo>().seen.len(), 4);
+        assert_eq!(stack.app::<Echo>().seen.len(), AGG_CAPACITY as usize);
         // Control traffic is never shed: chord pings still get pongs.
         let outs = stack.handle(Input::Message {
             from: NodeAddr(2),
@@ -1221,7 +1207,7 @@ mod tests {
                 payload: vec![99].into(),
             },
         });
-        assert_eq!(stack.proto_received(40), 5);
+        assert_eq!(stack.proto_received(40), AGG_CAPACITY + 1);
         // Shed counters surface in the obs registry with a proto label.
         let reg = stack.obs_registry();
         assert_eq!(reg.counter_with("engine_shed_total", proto_label(40)), 6);
@@ -1230,14 +1216,10 @@ mod tests {
     #[test]
     fn stats_class_sheds_before_aggregation() {
         let mut stack = StackNode::new(cfg(), Id(10), NodeAddr(1)).with_app(Echo::new(40));
-        stack.set_inbox_policy(InboxPolicy {
-            service_ms: 5,
-            agg_capacity: 8,
-            stats_capacity: 2,
-        });
+        stack.set_inbox_policy(InboxPolicy { service_ms: 5 });
         let _ = stack.start_create();
         let peer = NodeRef::new(Id(20), NodeAddr(2));
-        for req in 0..6u64 {
+        for req in 0..STATS_CAPACITY + 4 {
             let _ = stack.handle(Input::Message {
                 from: NodeAddr(2),
                 msg: ChordMsg::StatsRequest { req, sender: peer },
@@ -1380,9 +1362,7 @@ mod tests {
         let (mut stack, peer) = stack_with_peer();
         stack.set_health_config(dat_chord::HealthConfig {
             flap_window_ms: 60_000,
-            flap_threshold: 3,
             quarantine_ms: 5_000,
-            ..dat_chord::HealthConfig::default()
         });
         let mut now = 0u64;
         // Three poison-burst → heartbeat-recovery cycles inside the flap

@@ -14,7 +14,10 @@
 //! no silent epoch, on *every* report. What a plane adds is data
 //! (`Expect`): the counters its faults must have moved, the series its
 //! victim's exposition must carry, a bound on the report gap where it has
-//! one. A new plane is one more generator.
+//! one. A new plane is one more generator. Every link fault a generator
+//! injects is one [`crate::FaultEvent::Link`] episode: churn's flaky
+//! links, gray's half-open link and corruption's noise, jam and poison
+//! differ only in the [`LinkFault`] they carry.
 
 // Crashes in a campaign must carry context, never a bare unwrap panic.
 #![deny(clippy::unwrap_used)]
@@ -71,12 +74,12 @@ pub enum Campaign {
     },
     /// The failures the RTO cannot see: a node that answers late rather
     /// than never ([`crate::FaultEvent::Slowdown`]), a link degraded one way
-    /// ([`crate::FaultEvent::DegradeLink`]), a junk flood
+    /// (a lossy, jittered [`crate::FaultEvent::Link`] episode), a junk flood
     /// ([`crate::FaultEvent::Overload`]) and a flapping peer. The health
     /// plane — phi-accrual suspicion, proactive re-parenting, flap-damping
     /// quarantine, bounded inboxes — is what keeps reports flowing.
     Gray,
-    /// *Byte* pathologies ([`crate::FaultEvent::CorruptLink`]): bit-flip
+    /// *Byte* pathologies ([`crate::LinkFault::corrupt`]): bit-flip
     /// noise, a garbage jam and a poisoning burst, scoring the full
     /// detection → containment → recovery pipeline.
     Corrupt,
@@ -203,16 +206,12 @@ impl Scenario {
             node.set_health_config(HealthConfig {
                 quarantine_ms: 25_000,
                 flap_window_ms: 60_000,
-                ..HealthConfig::default()
             });
         }
         if matches!(self.campaign, Campaign::Gray) {
             // Bounded inboxes on: the overload burst must be shed, not
             // queued.
-            node.set_inbox_policy(InboxPolicy {
-                service_ms: 20,
-                ..InboxPolicy::default()
-            });
+            node.set_inbox_policy(InboxPolicy { service_ms: 20 });
         }
     }
 
@@ -447,12 +446,13 @@ fn churn_plan(
                     let fault = LinkFault {
                         loss: 0.3 + 0.6 * rng.random::<f64>(),
                         extra_latency_ms: rng.random_range(0u64..50),
+                        ..LinkFault::default()
                     };
                     let at = t0 + rng.random_range(0..slot / 2);
                     let for_ms = rng
                         .random_range(epoch_ms..=(slot / 2).max(epoch_ms + 1))
                         .min(t_end.saturating_sub(at));
-                    p = p.flaky_link_at(at, from, to, fault, for_ms);
+                    p = p.link_at(at, from, to, fault, for_ms);
                 }
                 p
             }
@@ -487,6 +487,8 @@ fn gray_plan(sc: &Scenario, topo: &Topology) -> (FaultPlan, Expect) {
     let half_open = LinkFault {
         loss: 0.9,
         extra_latency_ms: 400,
+        jitter_ms: 300,
+        corrupt: None,
     };
     let mut plan = FaultPlan::new()
         // Episode 1 — slow parent: serializes every delivery through a
@@ -497,7 +499,7 @@ fn gray_plan(sc: &Scenario, topo: &Topology) -> (FaultPlan, Expect) {
         // Episode 2 — half-open link: the victim's traffic toward its DAT
         // parent is mostly lost and jittered, the reverse direction is
         // clean. The parent must suspect the child and stop waiting on it.
-        .degrade_link_at(degrade_at, child, parent, half_open, 300, episode / 2)
+        .link_at(degrade_at, child, parent, half_open, episode / 2)
         // Episode 3 — overload burst: junk floods one node faster than its
         // virtual service rate; the bounded inbox must shed, not stall.
         .overload_at(overload_at, overload_victim, 400, 2_000);
@@ -538,10 +540,14 @@ fn corrupt_plan(sc: &Scenario, topo: &Topology) -> (FaultPlan, Expect) {
     let (jam_at, poison_at) = (sc.warmup_ms, sc.warmup_ms + episode);
     // Noise floor: low-probability bit flips on every interior uplink
     // (capped at four links).
+    let corrupt = |prob, mode| LinkFault {
+        corrupt: Some((prob, mode)),
+        ..LinkFault::default()
+    };
     let mut plan = FaultPlan::new();
     for &(child, parent) in topo.interior.iter().take(4) {
-        let (at, mode) = (sc.warmup_ms, CorruptMode::BitFlip);
-        plan = plan.corrupt_link_at(at, child, parent, NOISE_PROB, mode, sc.faults_ms);
+        let noise = corrupt(NOISE_PROB, CorruptMode::BitFlip);
+        plan = plan.link_at(sc.warmup_ms, child, parent, noise, sc.faults_ms);
     }
     // The jam hits the biggest subtree's uplink (child → parent), so
     // destroying its update frames visibly dents completeness. The poison
@@ -553,17 +559,18 @@ fn corrupt_plan(sc: &Scenario, topo: &Topology) -> (FaultPlan, Expect) {
     // (Addresses follow ring order, so the predecessor is one address down.)
     let (root, n) = (topo.root, sc.nodes as u64);
     let pred = NodeAddr((root.0 + n - 1) % n);
-    let (jam, poison) = (CorruptMode::Garbage, CorruptMode::Truncate);
+    let jam = corrupt(BURST_PROB, CorruptMode::Garbage);
+    let poison = corrupt(BURST_PROB, CorruptMode::Truncate);
     plan = plan
         // Jam: heavy garbage. Update frames are destroyed (and detected),
         // the cached child partial ages out, completeness dips — then
         // heals after expiry.
-        .corrupt_link_at(jam_at, child, parent, BURST_PROB, jam, episode)
+        .link_at(jam_at, child, parent, jam, episode)
         // Poison: heavy corruption, alternating mutation shapes across the
         // episode via truncation. Surviving ~10% of frames keeps heartbeats
         // trickling through, so the victim oscillates Suspect → recover —
         // exactly the flap pattern quarantine exists for.
-        .corrupt_link_at(poison_at, pred, root, BURST_PROB, poison, episode);
+        .link_at(poison_at, pred, root, poison, episode);
     let expect = Expect {
         root_crash_at_ms: None,
         // The attack actually ran, the checksum caught some of it and the

@@ -1,17 +1,20 @@
 //! Deterministic fault injection for the simulated network.
 //!
 //! A [`FaultPlan`] is a declarative schedule of fault events in virtual
-//! time: network partitions and their heals, per-link loss/latency
-//! overrides, bounded flaky-link episodes, message duplication, node
-//! crashes and restarts. The engine cuts every run at the plan's event
+//! time: network partitions and their heals, directed-link episodes,
+//! message duplication, node crashes, restarts, slowdowns and overload
+//! bursts. A link episode ([`FaultEvent::Link`]) carries one
+//! [`LinkFault`] — loss, extra latency, jitter and byte corruption, any
+//! mix of them — for a bounded time; a later episode on the same link
+//! replaces it. The engine cuts every run at the plan's event
 //! times and applies each event on the calling thread *between* two run
 //! segments, so a fault at `T` fires before every protocol event at `T`
 //! for any shard count, and the worker threads only ever read the
 //! controller. The schedule replays identically for a given seed — the
-//! *only* randomness consumed (per-link drop coins, duplication coins,
-//! corruption draws) comes from the private stream of the node being
-//! processed, and none at all is drawn when no plan is installed.
-//! [`FaultPlan::digest`] hashes
+//! *only* randomness consumed (link loss coins and jitter at send,
+//! duplication coins, corruption draws at delivery) comes from the
+//! private stream of the node being processed, and none at all is drawn
+//! when no plan is installed. [`FaultPlan::digest`] hashes
 //! a canonical byte encoding of the schedule, which is what the
 //! reproducibility tests compare across runs.
 
@@ -23,17 +26,31 @@ use rand::Rng;
 
 use crate::time::SimTime;
 
-/// Fault parameters for one directed link.
+/// Everything that goes wrong on one directed link during an episode.
+/// The default is a clean link; set only the fields the episode needs.
+///
+/// The sender's stream draws the loss coin (when `loss > 0`), then the
+/// jitter (when `jitter_ms > 0`); the receiver's stream draws the
+/// corruption coin and damage at delivery (when `corrupt` is set).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LinkFault {
     /// Drop probability applied on top of the global loss model.
     pub loss: f64,
     /// Extra one-way latency (ms) added to every surviving message.
     pub extra_latency_ms: u64,
+    /// Upper bound of a uniform per-message jitter drawn from
+    /// `0..=jitter_ms` and added to the latency.
+    pub jitter_ms: u64,
+    /// Byte corruption: each delivered frame is mutated with this
+    /// probability, in this shape. Mutated frames travel through the real
+    /// codec — the receiver sees whatever the decoder makes of the damaged
+    /// bytes, which exercises checksum detection, bad-frame accounting
+    /// and poisoned-peer quarantine end to end.
+    pub corrupt: Option<(f64, CorruptMode)>,
 }
 
 /// How a corrupted frame's bytes are mutated (see
-/// [`FaultEvent::CorruptLink`]). Each mode models a different wire
+/// [`LinkFault::corrupt`]). Each mode models a different wire
 /// pathology; all of them must be caught by the frame checksum.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CorruptMode {
@@ -123,30 +140,17 @@ pub enum FaultEvent {
     },
     /// Remove the active partition.
     Heal,
-    /// Install a loss/latency override on the directed link `from → to`.
-    SetLink {
+    /// An episode of `fault` on the directed link `from → to`, active from
+    /// its firing for `for_ms` (a zero-length episode applies nothing). The
+    /// reverse direction is untouched, so a lossy episode leaves the victim
+    /// *hearing* its peer while its own traffic wanders — the half-open
+    /// link. A later episode on the same link replaces this one.
+    Link {
         /// Sending side.
         from: NodeAddr,
         /// Receiving side.
         to: NodeAddr,
-        /// Override parameters.
-        fault: LinkFault,
-    },
-    /// Remove the override on `from → to`.
-    ClearLink {
-        /// Sending side.
-        from: NodeAddr,
-        /// Receiving side.
-        to: NodeAddr,
-    },
-    /// A flaky-link episode: like `SetLink` but auto-expiring after
-    /// `for_ms` virtual milliseconds.
-    FlakyLink {
-        /// Sending side.
-        from: NodeAddr,
-        /// Receiving side.
-        to: NodeAddr,
-        /// Override parameters during the episode.
+        /// What the link does to traffic during the episode.
         fault: LinkFault,
         /// Episode length (ms).
         for_ms: u64,
@@ -187,23 +191,6 @@ pub enum FaultEvent {
         /// Episode length (ms).
         for_ms: u64,
     },
-    /// Asymmetric gray degradation of the directed link `from → to`:
-    /// extra loss and latency plus per-message jitter drawn uniformly
-    /// from `0..=jitter_ms`, auto-expiring after `for_ms`. The reverse
-    /// direction is untouched, so the victim still *hears* its peer while
-    /// its own traffic wanders — the half-open-link shape.
-    DegradeLink {
-        /// Sending side.
-        from: NodeAddr,
-        /// Receiving side.
-        to: NodeAddr,
-        /// Baseline loss/latency override during the episode.
-        fault: LinkFault,
-        /// Upper bound of the uniform per-message latency jitter (ms).
-        jitter_ms: u64,
-        /// Episode length (ms).
-        for_ms: u64,
-    },
     /// Overload burst: `msgs` junk application messages (an undecodable
     /// DAT payload from a sentinel sender) are delivered to `node`,
     /// spread evenly over `spread_ms`. They burn inbox capacity and
@@ -216,25 +203,6 @@ pub enum FaultEvent {
         msgs: u64,
         /// Window over which the deliveries are spread (ms).
         spread_ms: u64,
-    },
-    /// Byte-level wire corruption on the directed link `from → to`: each
-    /// delivered message independently has its encoded frame mutated with
-    /// probability `prob` (mode picks the mutation shape), auto-expiring
-    /// after `for_ms`. Mutated frames travel through the real codec — the
-    /// receiver sees whatever the decoder makes of the damaged bytes, so
-    /// this exercises checksum detection, bad-frame accounting, and
-    /// poisoned-peer quarantine end to end.
-    CorruptLink {
-        /// Sending side.
-        from: NodeAddr,
-        /// Receiving side.
-        to: NodeAddr,
-        /// Per-message corruption probability in `[0, 1]`.
-        prob: f64,
-        /// Byte-mutation shape.
-        mode: CorruptMode,
-        /// Episode length (ms); must be non-zero.
-        for_ms: u64,
     },
 }
 
@@ -250,29 +218,25 @@ impl FaultEvent {
                 }
             }
             FaultEvent::Heal => buf.push(1),
-            FaultEvent::SetLink { from, to, fault } => {
-                buf.push(2);
-                buf.extend(from.0.to_le_bytes());
-                buf.extend(to.0.to_le_bytes());
-                buf.extend(fault.loss.to_bits().to_le_bytes());
-                buf.extend(fault.extra_latency_ms.to_le_bytes());
-            }
-            FaultEvent::ClearLink { from, to } => {
-                buf.push(3);
-                buf.extend(from.0.to_le_bytes());
-                buf.extend(to.0.to_le_bytes());
-            }
-            FaultEvent::FlakyLink {
+            FaultEvent::Link {
                 from,
                 to,
                 fault,
                 for_ms,
             } => {
-                buf.push(4);
+                buf.push(12);
                 buf.extend(from.0.to_le_bytes());
                 buf.extend(to.0.to_le_bytes());
                 buf.extend(fault.loss.to_bits().to_le_bytes());
                 buf.extend(fault.extra_latency_ms.to_le_bytes());
+                buf.extend(fault.jitter_ms.to_le_bytes());
+                match fault.corrupt {
+                    None => buf.push(0),
+                    Some((prob, mode)) => {
+                        buf.push(1 + mode.code());
+                        buf.extend(prob.to_bits().to_le_bytes());
+                    }
+                }
                 buf.extend(for_ms.to_le_bytes());
             }
             FaultEvent::SetDuplication { prob } => {
@@ -297,21 +261,6 @@ impl FaultEvent {
                 buf.extend(process_ms.to_le_bytes());
                 buf.extend(for_ms.to_le_bytes());
             }
-            FaultEvent::DegradeLink {
-                from,
-                to,
-                fault,
-                jitter_ms,
-                for_ms,
-            } => {
-                buf.push(9);
-                buf.extend(from.0.to_le_bytes());
-                buf.extend(to.0.to_le_bytes());
-                buf.extend(fault.loss.to_bits().to_le_bytes());
-                buf.extend(fault.extra_latency_ms.to_le_bytes());
-                buf.extend(jitter_ms.to_le_bytes());
-                buf.extend(for_ms.to_le_bytes());
-            }
             FaultEvent::Overload {
                 node,
                 msgs,
@@ -321,20 +270,6 @@ impl FaultEvent {
                 buf.extend(node.0.to_le_bytes());
                 buf.extend(msgs.to_le_bytes());
                 buf.extend(spread_ms.to_le_bytes());
-            }
-            FaultEvent::CorruptLink {
-                from,
-                to,
-                prob,
-                mode,
-                for_ms,
-            } => {
-                buf.push(11);
-                buf.extend(from.0.to_le_bytes());
-                buf.extend(to.0.to_le_bytes());
-                buf.extend(prob.to_bits().to_le_bytes());
-                buf.push(mode.code());
-                buf.extend(for_ms.to_le_bytes());
             }
         }
     }
@@ -351,17 +286,13 @@ impl FaultEvent {
             );
         }
         match self {
-            FaultEvent::SetLink { fault, .. }
-            | FaultEvent::FlakyLink { fault, .. }
-            | FaultEvent::DegradeLink { fault, .. } => check_prob("LinkFault.loss", fault.loss),
-            FaultEvent::SetDuplication { prob } => check_prob("duplication prob", *prob),
-            FaultEvent::CorruptLink { prob, for_ms, .. } => {
-                check_prob("corruption prob", *prob);
-                assert!(
-                    *for_ms > 0,
-                    "corruption episode must have a non-zero length, got for_ms = 0"
-                );
+            FaultEvent::Link { fault, .. } => {
+                check_prob("LinkFault.loss", fault.loss);
+                if let Some((prob, _)) = fault.corrupt {
+                    check_prob("corruption prob", prob);
+                }
             }
+            FaultEvent::SetDuplication { prob } => check_prob("duplication prob", *prob),
             _ => {}
         }
     }
@@ -386,9 +317,9 @@ impl FaultPlan {
     /// Schedule `event` at virtual time `at_ms`.
     ///
     /// Every builder funnels through here, so probability parameters
-    /// (link loss, duplication) are validated into `[0.0, 1.0]` at build
-    /// time; an out-of-range or NaN value panics immediately instead of
-    /// corrupting coin flips mid-run.
+    /// (link loss, corruption, duplication) are validated into
+    /// `[0.0, 1.0]` at build time; an out-of-range or NaN value panics
+    /// immediately instead of corrupting coin flips mid-run.
     pub fn at(mut self, at_ms: u64, event: FaultEvent) -> Self {
         event.validate();
         self.events.push((at_ms, event));
@@ -405,18 +336,8 @@ impl FaultPlan {
         self.at(at_ms, FaultEvent::Heal)
     }
 
-    /// Install a directed link override at `at_ms`.
-    pub fn link_fault_at(self, at_ms: u64, from: NodeAddr, to: NodeAddr, fault: LinkFault) -> Self {
-        self.at(at_ms, FaultEvent::SetLink { from, to, fault })
-    }
-
-    /// Clear a directed link override at `at_ms`.
-    pub fn clear_link_at(self, at_ms: u64, from: NodeAddr, to: NodeAddr) -> Self {
-        self.at(at_ms, FaultEvent::ClearLink { from, to })
-    }
-
-    /// A flaky-link episode of `for_ms` starting at `at_ms`.
-    pub fn flaky_link_at(
+    /// An episode of `fault` on `from → to`, from `at_ms` for `for_ms`.
+    pub fn link_at(
         self,
         at_ms: u64,
         from: NodeAddr,
@@ -426,7 +347,7 @@ impl FaultPlan {
     ) -> Self {
         self.at(
             at_ms,
-            FaultEvent::FlakyLink {
+            FaultEvent::Link {
                 from,
                 to,
                 fault,
@@ -462,28 +383,6 @@ impl FaultPlan {
         )
     }
 
-    /// An asymmetric link-degradation episode on `from → to` at `at_ms`.
-    pub fn degrade_link_at(
-        self,
-        at_ms: u64,
-        from: NodeAddr,
-        to: NodeAddr,
-        fault: LinkFault,
-        jitter_ms: u64,
-        for_ms: u64,
-    ) -> Self {
-        self.at(
-            at_ms,
-            FaultEvent::DegradeLink {
-                from,
-                to,
-                fault,
-                jitter_ms,
-                for_ms,
-            },
-        )
-    }
-
     /// An overload burst of `msgs` junk messages on `node` at `at_ms`.
     pub fn overload_at(self, at_ms: u64, node: NodeAddr, msgs: u64, spread_ms: u64) -> Self {
         self.at(
@@ -492,28 +391,6 @@ impl FaultPlan {
                 node,
                 msgs,
                 spread_ms,
-            },
-        )
-    }
-
-    /// A byte-corruption episode on `from → to` starting at `at_ms`.
-    pub fn corrupt_link_at(
-        self,
-        at_ms: u64,
-        from: NodeAddr,
-        to: NodeAddr,
-        prob: f64,
-        mode: CorruptMode,
-        for_ms: u64,
-    ) -> Self {
-        self.at(
-            at_ms,
-            FaultEvent::CorruptLink {
-                from,
-                to,
-                prob,
-                mode,
-                for_ms,
             },
         )
     }
@@ -542,6 +419,8 @@ impl FaultPlan {
             buf.extend(at.to_le_bytes());
             ev.encode(&mut buf);
         }
+        // Not `dat_obs::fnv1a`: the multiplier differs, and every recorded
+        // plan digest depends on this one.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in buf {
             h ^= b as u64;
@@ -578,15 +457,8 @@ pub(crate) struct FaultController {
     fired: usize,
     /// Addresses on the minority side of the active partition, if any.
     partition: Option<HashSet<NodeAddr>>,
-    /// Directed link overrides, with an optional expiry for flaky links.
-    links: HashMap<(NodeAddr, NodeAddr), (LinkFault, Option<SimTime>)>,
-    /// Asymmetric gray-degradation overrides: `(fault, jitter_ms, expiry)`.
-    /// Kept apart from `links` so a degradation composes with (rather than
-    /// replaces) an ordinary override on the same link.
-    degraded: HashMap<(NodeAddr, NodeAddr), (LinkFault, u64, SimTime)>,
-    /// Byte-corruption episodes: `(prob, mode, expiry)`. Separate from the
-    /// loss maps — a corrupted frame is still *delivered*, just damaged.
-    corrupt: HashMap<(NodeAddr, NodeAddr), (f64, CorruptMode, SimTime)>,
+    /// The latest episode on each directed link, with its expiry.
+    links: HashMap<(NodeAddr, NodeAddr), (LinkFault, SimTime)>,
     dup_prob: f64,
 }
 
@@ -600,8 +472,6 @@ impl FaultController {
             fired: 0,
             partition: None,
             links: HashMap::new(),
-            degraded: HashMap::new(),
-            corrupt: HashMap::new(),
             dup_prob: 0.0,
         }
     }
@@ -626,21 +496,13 @@ impl FaultController {
                 self.partition = None;
                 None
             }
-            FaultEvent::SetLink { from, to, fault } => {
-                self.links.insert((from, to), (fault, None));
-                None
-            }
-            FaultEvent::ClearLink { from, to } => {
-                self.links.remove(&(from, to));
-                None
-            }
-            FaultEvent::FlakyLink {
+            FaultEvent::Link {
                 from,
                 to,
                 fault,
                 for_ms,
             } => {
-                self.links.insert((from, to), (fault, Some(now + for_ms)));
+                self.links.insert((from, to), (fault, now + for_ms));
                 None
             }
             FaultEvent::SetDuplication { prob } => {
@@ -654,32 +516,11 @@ impl FaultController {
                 process_ms,
                 for_ms,
             } => Some(FaultAction::Slow(node, process_ms, for_ms)),
-            FaultEvent::DegradeLink {
-                from,
-                to,
-                fault,
-                jitter_ms,
-                for_ms,
-            } => {
-                self.degraded
-                    .insert((from, to), (fault, jitter_ms, now + for_ms));
-                None
-            }
             FaultEvent::Overload {
                 node,
                 msgs,
                 spread_ms,
             } => Some(FaultAction::Overload(node, msgs, spread_ms)),
-            FaultEvent::CorruptLink {
-                from,
-                to,
-                prob,
-                mode,
-                for_ms,
-            } => {
-                self.corrupt.insert((from, to), (prob, mode, now + for_ms));
-                None
-            }
         }
     }
 
@@ -691,41 +532,12 @@ impl FaultController {
         }
     }
 
-    /// The override on `from → to`, unless its flaky episode is over.
-    pub(crate) fn link(&self, from: NodeAddr, to: NodeAddr, now: SimTime) -> Option<LinkFault> {
+    /// The episode on `from → to`, while it runs: from its firing up to,
+    /// not including, its expiry. `None` — and so no randomness drawn —
+    /// on every link no episode touches.
+    pub(crate) fn link(&self, from: NodeAddr, to: NodeAddr, now: SimTime) -> Option<&LinkFault> {
         match self.links.get(&(from, to)) {
-            Some((_, Some(expiry))) if *expiry <= now => None,
-            Some((fault, _)) => Some(*fault),
-            None => None,
-        }
-    }
-
-    /// The gray degradation on `from → to` as `(fault, jitter_ms)`, unless
-    /// its episode is over.
-    pub(crate) fn degrade(
-        &self,
-        from: NodeAddr,
-        to: NodeAddr,
-        now: SimTime,
-    ) -> Option<(LinkFault, u64)> {
-        match self.degraded.get(&(from, to)) {
-            Some((fault, jitter, expiry)) if *expiry > now => Some((*fault, *jitter)),
-            _ => None,
-        }
-    }
-
-    /// The corruption episode on `from → to` as `(prob, mode)`, unless it
-    /// is over. Returns `None` — without consuming any randomness — when no
-    /// episode is active, so runs without corruption events keep their
-    /// seeded digests byte-identical.
-    pub(crate) fn corrupt(
-        &self,
-        from: NodeAddr,
-        to: NodeAddr,
-        now: SimTime,
-    ) -> Option<(f64, CorruptMode)> {
-        match self.corrupt.get(&(from, to)) {
-            Some((prob, mode, expiry)) if *expiry > now => Some((*prob, *mode)),
+            Some((fault, expiry)) if now < *expiry => Some(fault),
             _ => None,
         }
     }
@@ -797,51 +609,85 @@ mod tests {
         assert_eq!(fc.next_at(), None);
     }
 
+    fn lossy(loss: f64, extra_latency_ms: u64) -> LinkFault {
+        LinkFault {
+            loss,
+            extra_latency_ms,
+            ..LinkFault::default()
+        }
+    }
+
+    fn noisy(prob: f64, mode: CorruptMode) -> LinkFault {
+        LinkFault {
+            corrupt: Some((prob, mode)),
+            ..LinkFault::default()
+        }
+    }
+
     #[test]
-    fn flaky_link_expires_and_set_link_persists() {
-        let fault = LinkFault {
-            loss: 0.5,
-            extra_latency_ms: 100,
+    fn link_episode_is_directed_and_inactive_from_its_expiry() {
+        let fault = lossy(0.5, 100);
+        let plan = FaultPlan::new().link_at(30, a(1), a(2), fault, 50);
+        let mut fc = FaultController::new(plan);
+        assert_eq!(fc.link(a(1), a(2), SimTime(30)), None, "not yet fired");
+        fc.fire_next(SimTime(30));
+        assert_eq!(fc.link(a(1), a(2), SimTime(30)), Some(&fault));
+        assert_eq!(fc.link(a(1), a(2), SimTime(79)), Some(&fault));
+        assert_eq!(
+            fc.link(a(1), a(2), SimTime(80)),
+            None,
+            "over at at + for_ms"
+        );
+        assert_eq!(fc.link(a(2), a(1), SimTime(30)), None, "directed");
+    }
+
+    #[test]
+    fn a_second_episode_on_a_link_replaces_the_first() {
+        let all_four = LinkFault {
+            jitter_ms: 25,
+            corrupt: Some((0.5, CorruptMode::Garbage)),
+            ..lossy(0.3, 40)
         };
         let plan = FaultPlan::new()
-            .flaky_link_at(0, a(1), a(2), fault, 50)
-            .link_fault_at(0, a(3), a(4), fault);
+            .link_at(0, a(1), a(2), all_four, 10_000)
+            .link_at(100, a(1), a(2), noisy(0.9, CorruptMode::BitFlip), 200)
+            .link_at(1_000, a(1), a(2), lossy(1.0, 0), 5_000)
+            .link_at(2_000, a(1), a(2), all_four, 0);
         let mut fc = FaultController::new(plan);
         fc.fire_next(SimTime(0));
-        fc.fire_next(SimTime(0));
-        assert_eq!(fc.link(a(1), a(2), SimTime(49)), Some(fault));
-        assert_eq!(fc.link(a(1), a(2), SimTime(50)), None, "episode over");
-        assert_eq!(fc.link(a(3), a(4), SimTime(1_000_000)), Some(fault));
-        assert_eq!(fc.link(a(2), a(1), SimTime(0)), None, "directed");
+        assert_eq!(fc.link(a(1), a(2), SimTime(50)), Some(&all_four));
+        // Corruption alone replaces all four kinds, loss alone replaces
+        // corruption, and an ended episode does not bring back the one it
+        // replaced.
+        fc.fire_next(SimTime(100));
+        let replaced = fc.link(a(1), a(2), SimTime(100));
+        assert_eq!(replaced, Some(&noisy(0.9, CorruptMode::BitFlip)));
+        assert_eq!(fc.link(a(1), a(2), SimTime(300)), None);
+        fc.fire_next(SimTime(1_000));
+        assert_eq!(fc.link(a(1), a(2), SimTime(1_000)), Some(&lossy(1.0, 0)));
+        // A zero-length episode ends the running one and applies nothing.
+        fc.fire_next(SimTime(2_000));
+        assert_eq!(fc.link(a(1), a(2), SimTime(2_000)), None);
+    }
+
+    #[test]
+    fn zero_length_episode_is_legal_and_inert() {
+        let plan = FaultPlan::new().link_at(5, a(1), a(2), noisy(1.0, CorruptMode::Truncate), 0);
+        let mut fc = FaultController::new(plan);
+        assert!(fc.fire_next(SimTime(5)).is_none());
+        assert_eq!(fc.link(a(1), a(2), SimTime(5)), None);
     }
 
     #[test]
     #[should_panic(expected = "finite probability")]
     fn link_loss_above_one_rejected_at_build_time() {
-        let _ = FaultPlan::new().link_fault_at(
-            0,
-            a(1),
-            a(2),
-            LinkFault {
-                loss: 1.5,
-                extra_latency_ms: 0,
-            },
-        );
+        let _ = FaultPlan::new().link_at(0, a(1), a(2), lossy(1.5, 0), 100);
     }
 
     #[test]
     #[should_panic(expected = "finite probability")]
     fn link_loss_nan_rejected_at_build_time() {
-        let _ = FaultPlan::new().flaky_link_at(
-            0,
-            a(1),
-            a(2),
-            LinkFault {
-                loss: f64::NAN,
-                extra_latency_ms: 0,
-            },
-            100,
-        );
+        let _ = FaultPlan::new().link_at(0, a(1), a(2), lossy(f64::NAN, 0), 100);
     }
 
     #[test]
@@ -853,34 +699,32 @@ mod tests {
     #[test]
     fn gray_events_surface_actions_and_cover_digest() {
         let fault = LinkFault {
-            loss: 0.3,
-            extra_latency_ms: 20,
+            jitter_ms: 40,
+            ..lossy(0.3, 20)
         };
-        let build = || {
+        let build = |jitter_ms| {
             FaultPlan::new()
                 .slowdown_at(10, a(1), 500, 5_000)
-                .degrade_link_at(20, a(1), a(2), fault, 40, 5_000)
+                .link_at(20, a(1), a(2), LinkFault { jitter_ms, ..fault }, 5_000)
                 .overload_at(30, a(3), 64, 1_000)
         };
-        // Every new variant lands in the canonical digest.
-        assert_eq!(build().digest(), build().digest());
+        // Every variant and every link field lands in the canonical digest.
+        assert_eq!(build(40).digest(), build(40).digest());
+        assert_ne!(build(40).digest(), build(41).digest());
         let tweaked = FaultPlan::new()
             .slowdown_at(10, a(1), 501, 5_000)
-            .degrade_link_at(20, a(1), a(2), fault, 40, 5_000)
+            .link_at(20, a(1), a(2), fault, 5_000)
             .overload_at(30, a(3), 64, 1_000);
-        assert_ne!(build().digest(), tweaked.digest());
+        assert_ne!(build(40).digest(), tweaked.digest());
 
-        let mut fc = FaultController::new(build());
+        let mut fc = FaultController::new(build(40));
         assert!(matches!(
             fc.fire_next(SimTime(10)),
             Some(FaultAction::Slow(n, 500, 5_000)) if n == a(1)
         ));
         assert!(fc.fire_next(SimTime(20)).is_none());
-        // Degradation is asymmetric, composes with `links`, and expires.
-        assert_eq!(fc.degrade(a(1), a(2), SimTime(100)), Some((fault, 40)));
-        assert_eq!(fc.degrade(a(2), a(1), SimTime(100)), None, "directed");
-        assert_eq!(fc.link(a(1), a(2), SimTime(100)), None, "separate maps");
-        assert_eq!(fc.degrade(a(1), a(2), SimTime(5_020)), None, "expired");
+        assert_eq!(fc.link(a(1), a(2), SimTime(100)), Some(&fault));
+        assert_eq!(fc.link(a(1), a(2), SimTime(5_020)), None, "expired");
         assert!(matches!(
             fc.fire_next(SimTime(30)),
             Some(FaultAction::Overload(n, 64, 1_000)) if n == a(3)
@@ -889,64 +733,58 @@ mod tests {
 
     #[test]
     fn corrupt_link_covers_digest_and_expires() {
-        let build = || {
+        let build = |first: CorruptMode, prob: f64| {
             FaultPlan::new()
-                .corrupt_link_at(100, a(1), a(2), 0.05, CorruptMode::BitFlip, 5_000)
-                .corrupt_link_at(200, a(2), a(3), 0.5, CorruptMode::Garbage, 1_000)
+                .link_at(100, a(1), a(2), noisy(prob, first), 5_000)
+                .link_at(200, a(2), a(3), noisy(0.5, CorruptMode::Garbage), 1_000)
         };
-        assert_eq!(build().digest(), build().digest());
-        let other_mode = FaultPlan::new()
-            .corrupt_link_at(100, a(1), a(2), 0.05, CorruptMode::Truncate, 5_000)
-            .corrupt_link_at(200, a(2), a(3), 0.5, CorruptMode::Garbage, 1_000);
-        assert_ne!(build().digest(), other_mode.digest(), "mode is content");
-        let other_prob = FaultPlan::new()
-            .corrupt_link_at(100, a(1), a(2), 0.06, CorruptMode::BitFlip, 5_000)
-            .corrupt_link_at(200, a(2), a(3), 0.5, CorruptMode::Garbage, 1_000);
-        assert_ne!(build().digest(), other_prob.digest(), "prob is content");
+        let plan = || build(CorruptMode::BitFlip, 0.05);
+        assert_eq!(plan().digest(), plan().digest());
+        let other_mode = build(CorruptMode::Truncate, 0.05);
+        assert_ne!(plan().digest(), other_mode.digest(), "mode is content");
+        let other_prob = build(CorruptMode::BitFlip, 0.06);
+        assert_ne!(plan().digest(), other_prob.digest(), "prob is content");
+        let clean = FaultPlan::new()
+            .link_at(100, a(1), a(2), LinkFault::default(), 5_000)
+            .link_at(200, a(2), a(3), noisy(0.5, CorruptMode::Garbage), 1_000);
+        assert_ne!(plan().digest(), clean.digest(), "corruption is content");
 
-        let mut fc = FaultController::new(build());
+        let mut fc = FaultController::new(plan());
         assert!(fc.fire_next(SimTime(100)).is_none());
-        assert_eq!(
-            fc.corrupt(a(1), a(2), SimTime(5_099)),
-            Some((0.05, CorruptMode::BitFlip))
-        );
-        assert_eq!(fc.corrupt(a(2), a(1), SimTime(200)), None, "directed");
-        assert_eq!(fc.corrupt(a(1), a(2), SimTime(5_100)), None, "episode over");
+        let episode = fc
+            .link(a(1), a(2), SimTime(5_099))
+            .and_then(|lf| lf.corrupt);
+        assert_eq!(episode, Some((0.05, CorruptMode::BitFlip)));
+        assert_eq!(fc.link(a(2), a(1), SimTime(200)), None, "directed");
+        assert_eq!(fc.link(a(1), a(2), SimTime(5_100)), None, "episode over");
     }
 
     #[test]
     fn corrupt_link_digest_vector_is_pinned() {
-        // Golden digest: guards the canonical encoding (tag 11, LE fields,
-        // mode code byte) against accidental re-numbering. If this changes,
-        // every recorded replay line referencing a corruption plan breaks.
-        let plan = FaultPlan::new().corrupt_link_at(
-            1_000,
-            a(7),
-            a(9),
-            0.25,
-            CorruptMode::TagRewrite,
-            30_000,
-        );
-        assert_eq!(plan.digest(), 0x94d5_7ce2_0f49_7c04);
+        // Golden digest: guards the canonical encoding of a link episode
+        // (tag 12, LE fields, the corruption byte: 0 for none, else 1 +
+        // the mode code, then the probability) against accidental
+        // re-numbering. If this changes, every recorded replay line
+        // referencing a link-fault plan breaks.
+        let fault = LinkFault {
+            jitter_ms: 5,
+            corrupt: Some((0.25, CorruptMode::TagRewrite)),
+            ..lossy(0.125, 40)
+        };
+        let plan = FaultPlan::new().link_at(1_000, a(7), a(9), fault, 30_000);
+        assert_eq!(plan.digest(), 0x5c33_ec5f_e7e7_869c);
     }
 
     #[test]
     #[should_panic(expected = "finite probability")]
     fn corruption_prob_nan_rejected_at_build_time() {
-        let _ =
-            FaultPlan::new().corrupt_link_at(0, a(1), a(2), f64::NAN, CorruptMode::BitFlip, 100);
+        let _ = FaultPlan::new().link_at(0, a(1), a(2), noisy(f64::NAN, CorruptMode::BitFlip), 100);
     }
 
     #[test]
     #[should_panic(expected = "finite probability")]
     fn corruption_prob_above_one_rejected_at_build_time() {
-        let _ = FaultPlan::new().corrupt_link_at(0, a(1), a(2), 1.01, CorruptMode::Garbage, 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero length")]
-    fn zero_length_corruption_episode_rejected_at_build_time() {
-        let _ = FaultPlan::new().corrupt_link_at(0, a(1), a(2), 0.5, CorruptMode::Truncate, 0);
+        let _ = FaultPlan::new().link_at(0, a(1), a(2), noisy(1.01, CorruptMode::Garbage), 100);
     }
 
     #[test]

@@ -329,8 +329,10 @@ impl<A: Actor> Shard<A> {
         // Byte-level corruption rides the real codec path: the message is
         // encoded, its bytes damaged, and the damaged frame decoded —
         // whatever the decoder makes of it is what the victim receives.
-        // No episode on the link, no randomness drawn.
-        let damage = env.faults.and_then(|fc| fc.corrupt(from, to_addr, at));
+        // No corruption on the link, no randomness drawn.
+        let damage = env
+            .faults
+            .and_then(|fc| fc.link(from, to_addr, at)?.corrupt);
         let input = match damage {
             Some((prob, mode)) if prob > 0.0 && n.rng.random::<f64>() < prob => {
                 self.corruption.injected += 1;
@@ -398,24 +400,17 @@ impl<A: Actor> Shard<A> {
                     let mut extra = 0;
                     let mut duplicate = false;
                     if let Some(fc) = env.faults {
-                        // A plain link override and a gray degradation
-                        // compose: each flips its own loss coin, then adds
-                        // its latency (plus uniform per-message jitter).
-                        let link = fc.link(from, to.addr, at).map(|lf| (lf, 0));
-                        let mut lost = false;
-                        for (lf, jitter) in link.into_iter().chain(fc.degrade(from, to.addr, at)) {
-                            lost = lf.loss > 0.0 && n.rng.random::<f64>() < lf.loss;
-                            if lost {
-                                break;
+                        // A link episode flips its loss coin, then adds its
+                        // latency plus uniform per-message jitter.
+                        if let Some(lf) = fc.link(from, to.addr, at) {
+                            if lf.loss > 0.0 && n.rng.random::<f64>() < lf.loss {
+                                self.dropped += 1;
+                                continue;
                             }
-                            extra += lf.extra_latency_ms;
-                            if jitter > 0 {
-                                extra += n.rng.random_range(0..=jitter);
+                            extra = lf.extra_latency_ms;
+                            if lf.jitter_ms > 0 {
+                                extra += n.rng.random_range(0..=lf.jitter_ms);
                             }
-                        }
-                        if lost {
-                            self.dropped += 1;
-                            continue;
                         }
                         let dup = fc.dup_prob();
                         duplicate = dup > 0.0 && n.rng.random::<f64>() < dup;

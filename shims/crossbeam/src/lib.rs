@@ -1,105 +1,20 @@
-//! Offline drop-in subset of the `crossbeam` 0.8 API.
-//!
-//! The build environment has no network access to crates.io, so the
-//! workspace vendors the slice of crossbeam it actually uses: MPMC-flavored
-//! channels. These are layered over `std::sync::mpsc`, which covers the
-//! workspace's usage (every receiver has a single owner thread).
+//! Offline stand-in for the slice of the `crossbeam` 0.8 API the
+//! workspace uses: an unbounded channel with `recv_timeout`.
+//! `std::sync::mpsc` has exactly that, so the shim is re-exports (every
+//! receiver in the workspace has a single owner thread).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Multi-producer channels (subset of `crossbeam::channel`).
 pub mod channel {
-    use std::sync::mpsc;
-    use std::time::Duration;
-
-    /// Error returned by [`Sender::send`] when the receiver is gone.
-    #[derive(Debug, PartialEq, Eq)]
-    pub struct SendError<T>(pub T);
-
-    /// Error returned by [`Receiver::recv`] when all senders are gone.
-    #[derive(Debug, PartialEq, Eq, Clone, Copy)]
-    pub struct RecvError;
-
-    /// Error returned by [`Receiver::recv_timeout`].
-    #[derive(Debug, PartialEq, Eq, Clone, Copy)]
-    pub enum RecvTimeoutError {
-        /// The deadline passed with no message available.
-        Timeout,
-        /// All senders disconnected and the queue is drained.
-        Disconnected,
-    }
-
-    /// The sending half of a channel. Cloneable; all clones feed the same
-    /// receiver.
-    pub struct Sender<T>(Flavor<T>);
-
-    enum Flavor<T> {
-        Unbounded(mpsc::Sender<T>),
-        Bounded(mpsc::SyncSender<T>),
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            Sender(match &self.0 {
-                Flavor::Unbounded(tx) => Flavor::Unbounded(tx.clone()),
-                Flavor::Bounded(tx) => Flavor::Bounded(tx.clone()),
-            })
-        }
-    }
-
-    impl<T> Sender<T> {
-        /// Send a message, blocking if the channel is bounded and full.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            match &self.0 {
-                Flavor::Unbounded(tx) => tx.send(value).map_err(|e| SendError(e.0)),
-                Flavor::Bounded(tx) => tx.send(value).map_err(|e| SendError(e.0)),
-            }
-        }
-    }
-
-    /// The receiving half of a channel.
-    pub struct Receiver<T>(mpsc::Receiver<T>);
-
-    impl<T> Receiver<T> {
-        /// Block until a message arrives or every sender disconnects.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            self.0.recv().map_err(|_| RecvError)
-        }
-
-        /// Block until a message arrives, the timeout elapses, or every
-        /// sender disconnects.
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            self.0.recv_timeout(timeout).map_err(|e| match e {
-                mpsc::RecvTimeoutError::Timeout => RecvTimeoutError::Timeout,
-                mpsc::RecvTimeoutError::Disconnected => RecvTimeoutError::Disconnected,
-            })
-        }
-
-        /// Return a message if one is immediately available.
-        pub fn try_recv(&self) -> Result<T, RecvTimeoutError> {
-            self.0.try_recv().map_err(|e| match e {
-                mpsc::TryRecvError::Empty => RecvTimeoutError::Timeout,
-                mpsc::TryRecvError::Disconnected => RecvTimeoutError::Disconnected,
-            })
-        }
-    }
-
-    /// Create a channel with unlimited buffering.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::channel();
-        (Sender(Flavor::Unbounded(tx)), Receiver(rx))
-    }
-
-    /// Create a channel holding at most `cap` in-flight messages.
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::sync_channel(cap);
-        (Sender(Flavor::Bounded(tx)), Receiver(rx))
-    }
+    pub use std::sync::mpsc::channel as unbounded;
+    pub use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 
     #[cfg(test)]
     mod tests {
         use super::*;
+        use std::time::Duration;
 
         #[test]
         fn unbounded_roundtrip_multi_producer() {
@@ -114,7 +29,7 @@ pub mod channel {
 
         #[test]
         fn timeout_and_disconnect() {
-            let (tx, rx) = bounded::<u32>(1);
+            let (tx, rx) = unbounded::<u32>();
             assert_eq!(
                 rx.recv_timeout(Duration::from_millis(10)),
                 Err(RecvTimeoutError::Timeout)

@@ -9,8 +9,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::{Mutex as StdMutex, MutexGuard as StdMutexGuard, RwLock as StdRwLock};
-use std::sync::{RwLockReadGuard as StdReadGuard, RwLockWriteGuard as StdWriteGuard};
+use std::sync::{Mutex as StdMutex, MutexGuard as StdMutexGuard};
 
 /// A mutual-exclusion lock whose `lock()` never returns a poison error.
 #[derive(Debug, Default)]
@@ -38,34 +37,6 @@ impl<T: ?Sized> Mutex<T> {
     }
 }
 
-/// A reader-writer lock whose guards never carry poison errors.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(StdRwLock<T>);
-
-/// Shared-read guard for [`RwLock`].
-pub type RwLockReadGuard<'a, T> = StdReadGuard<'a, T>;
-/// Exclusive-write guard for [`RwLock`].
-pub type RwLockWriteGuard<'a, T> = StdWriteGuard<'a, T>;
-
-impl<T> RwLock<T> {
-    /// Wrap a value in a reader-writer lock.
-    pub fn new(value: T) -> Self {
-        RwLock(StdRwLock::new(value))
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Block until shared read access is acquired.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Block until exclusive write access is acquired.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,13 +59,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(*m.lock(), 4000);
-    }
-
-    #[test]
-    fn rwlock_read_write() {
-        let l = RwLock::new(5u32);
-        assert_eq!(*l.read(), 5);
-        *l.write() = 6;
-        assert_eq!(*l.read(), 6);
     }
 }

@@ -169,16 +169,6 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// A multi-thread runtime with default settings.
-    pub fn new() -> io::Result<Runtime> {
-        Builder::new_multi_thread().build()
-    }
-
-    /// This runtime's clonable handle.
-    pub fn handle(&self) -> &Handle {
-        &self.handle
-    }
-
     /// Spawn a future onto the runtime.
     pub fn spawn<T, F>(&self, future: F) -> JoinHandle<T>
     where

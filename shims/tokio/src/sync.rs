@@ -42,19 +42,9 @@ pub mod mpsc {
         }
 
         impl<T: std::fmt::Debug> std::error::Error for TrySendError<T> {}
-
-        /// Why a [`super::Receiver::try_recv`] returned no value.
-        #[derive(Debug, PartialEq, Eq, Clone, Copy)]
-        pub enum TryRecvError {
-            /// The channel is currently empty.
-            Empty,
-            /// Every sender dropped (or the receiver closed) and the
-            /// queue is drained.
-            Disconnected,
-        }
     }
 
-    use error::{SendError, TryRecvError, TrySendError};
+    use error::{SendError, TrySendError};
 
     struct State<T> {
         queue: VecDeque<T>,
@@ -202,22 +192,6 @@ pub mod mpsc {
                 Poll::Pending
             })
             .await
-        }
-
-        /// Dequeue without waiting.
-        pub fn try_recv(&mut self) -> Result<T, TryRecvError> {
-            let mut s = self.chan.lock();
-            if let Some(v) = s.queue.pop_front() {
-                if let Some(w) = s.send_wakers.pop_front() {
-                    w.wake();
-                }
-                return Ok(v);
-            }
-            if s.senders == 0 || !s.rx_alive {
-                Err(TryRecvError::Disconnected)
-            } else {
-                Err(TryRecvError::Empty)
-            }
         }
 
         /// Dequeue from synchronous (non-runtime) code, blocking the

@@ -21,7 +21,7 @@ use libdat::maan::{MaanEvent, MaanProtocol, MaanStack, Resource};
 use libdat::monitor::grid_schemas;
 use libdat::obs::{fnv1a, Event, EventKind};
 use libdat::rpc::{RpcCluster, TransportStats};
-use libdat::sim::{CorruptMode, FaultPlan, SimNet};
+use libdat::sim::{CorruptMode, FaultPlan, LinkFault, SimNet};
 use rand::{Rng, SeedableRng};
 
 const N: usize = 8;
@@ -502,8 +502,6 @@ fn hostile_health_cfg() -> HealthConfig {
     HealthConfig {
         quarantine_ms: 2_000,
         flap_window_ms: 60_000,
-        flap_threshold: 3,
-        ..HealthConfig::default()
     }
 }
 
@@ -547,14 +545,11 @@ fn hostile_in_simulator() -> HostileVerdict {
     // 90% of the successor's frames arrive as garbage for 15 s: enough
     // survivors keep heartbeats trickling, so the victim sees the
     // Suspect↔recover flapping that the detector turns into quarantine.
-    net.set_fault_plan(FaultPlan::new().corrupt_link_at(
-        21_000,
-        attacker.addr,
-        victim,
-        0.9,
-        CorruptMode::Garbage,
-        15_000,
-    ));
+    let garbage = LinkFault {
+        corrupt: Some((0.9, CorruptMode::Garbage)),
+        ..LinkFault::default()
+    };
+    net.set_fault_plan(FaultPlan::new().link_at(21_000, attacker.addr, victim, garbage, 15_000));
     net.run_for(31_000); // episode + quarantine expiry + clean recovery
 
     let reqid = net.with_node(victim, |n| n.query(key)).expect("sim query");
