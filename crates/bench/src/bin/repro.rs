@@ -15,7 +15,7 @@
 //!   ablation      design-choice sweeps (hold window, child TTL)
 //!   gossip        push-sum baseline vs DAT message cost
 //!   wan           wide-area latency/loss robustness (§7 future work)
-//!   partition     partition/heal fault injection (ring + aggregate recovery)
+//!   partition     3:1 partition/heal campaign (completeness + ring re-knit)
 //!   degradation   completeness under a randomized churn soak (self-healing)
 //!   all           everything above
 //! ```
@@ -271,15 +271,19 @@ fn run_partition(o: &Opts) -> Vec<String> {
     eprintln!("[partition] 3:1 split/heal at n = {n} ...");
     let p = partition::run(n, 0xDA7);
     p.table().print();
-    match (p.reconverged_at_s, p.recovered_at_s) {
-        (Some(ring), Some(agg)) => println!(
-            "ring re-unified {} s after heal; aggregate back within 1% after {} s  (plan digest {:#018x})",
-            ring - partition::HEAL_AT_MS / 1_000,
-            agg - partition::HEAL_AT_MS / 1_000,
-            p.plan_digest
+    let (out, heal_ms) = (&p.outcome, p.outcome.scenario.faults_end_ms());
+    let ring = match out.ring_reunified_ms {
+        Some(t) => format!(
+            "ring re-unified {:.1} s after the heal",
+            (t - heal_ms) as f64 / 1_000.0
         ),
-        _ => println!("no full recovery observed within the run"),
-    }
+        None => "ring never re-unified".into(),
+    };
+    println!(
+        "{ring}; recovered in {:?} epochs; min completeness during the split {:.3}  \
+         (plan digest {:#018x})",
+        out.score.recovery_epochs, out.score.min_ratio_during_faults, out.digest
+    );
     p.check()
 }
 

@@ -9,8 +9,6 @@
 //!   children (under-coverage); a long TTL keeps ghost contributions after
 //!   departures (over-coverage under churn).
 
-use dat_chord::{IdPolicy, RoutingScheme};
-use dat_core::AggregationMode;
 use dat_monitor::{CpuTrace, GridMonitorSim, MonitorConfig, TraceConfig, TraceSensor};
 use dat_sim::LatencyModel;
 
@@ -75,9 +73,6 @@ fn hold_accuracy(n: usize, hold_ms: u64, seed: u64) -> HoldRow {
         seed,
         hold_ms: Some(hold_ms),
         latency: LatencyModel::Constant(2),
-        id_policy: IdPolicy::Probed,
-        scheme: RoutingScheme::Balanced,
-        mode: AggregationMode::Continuous,
         ..MonitorConfig::default()
     };
     let mut sim = GridMonitorSim::new(cfg, "cpu-usage", |_| {

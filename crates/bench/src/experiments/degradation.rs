@@ -7,19 +7,20 @@
 //! the report stream into a time series — minimum and mean completeness
 //! per bucket, plus the warm-failover and recovery numbers the soak
 //! scores — so the self-healing story shows up as a table, not just a
-//! passing test.
+//! passing test. The fold and the table are shared with `repro
+//! partition` ([`completeness_rows`], [`completeness_table`]).
 #![deny(clippy::unwrap_used)]
 
 use dat_sim::{Campaign, Outcome, Scenario};
 
 use crate::table::Table;
 
-/// One time bucket of the report stream.
+/// One time bucket of a campaign's report stream.
 #[derive(Clone, Copy, Debug)]
-pub struct DegradationRow {
+pub struct CompletenessRow {
     /// Bucket start, virtual seconds.
     pub t_s: u64,
-    /// "warmup" / "churn" / "quiesce".
+    /// "warmup", the campaign's fault phase, or "quiesce".
     pub phase: &'static str,
     /// Reports observed in the bucket.
     pub reports: usize,
@@ -31,16 +32,89 @@ pub struct DegradationRow {
     pub max_staleness_ms: u64,
 }
 
+/// Fold a campaign's report stream into `bucket_ms` time buckets, each
+/// labelled "warmup" (wholly before the faults), `fault_phase` (overlapping
+/// the fault window) or "quiesce".
+pub fn completeness_rows(
+    outcome: &Outcome,
+    bucket_ms: u64,
+    fault_phase: &'static str,
+) -> Vec<CompletenessRow> {
+    let sc = &outcome.scenario;
+    let buckets = sc.total_ms().div_ceil(bucket_ms);
+    let row = |b: u64| {
+        let (lo, hi) = (b * bucket_ms, (b + 1) * bucket_ms);
+        let in_bucket: Vec<_> = (outcome.log.iter())
+            .filter(|r| r.t_ms >= lo && r.t_ms < hi)
+            .collect();
+        let reports = in_bucket.len();
+        let ratios = || in_bucket.iter().map(|r| r.completeness.ratio);
+        let min_ratio = ratios().fold(f64::INFINITY, f64::min);
+        let sum: f64 = ratios().sum();
+        CompletenessRow {
+            t_s: lo / 1_000,
+            phase: if hi <= sc.warmup_ms {
+                "warmup"
+            } else if lo < sc.faults_end_ms() {
+                fault_phase
+            } else {
+                "quiesce"
+            },
+            reports,
+            min_ratio: if reports == 0 { 1.0 } else { min_ratio },
+            mean_ratio: if reports == 0 {
+                1.0
+            } else {
+                sum / reports as f64
+            },
+            max_staleness_ms: (in_bucket.iter())
+                .map(|r| r.completeness.staleness_ms)
+                .max()
+                .unwrap_or(0),
+        }
+    };
+    (0..buckets).map(row).collect()
+}
+
+/// The completeness-over-time table of `rows`, folded from `outcome`,
+/// titled by `what` ran.
+pub fn completeness_table(what: &str, outcome: &Outcome, rows: &[CompletenessRow]) -> Table {
+    let sc = &outcome.scenario;
+    let mut t = Table::new(
+        &format!(
+            "{what} — completeness over time (n = {}, seed {}, plan digest {:#018x})",
+            sc.nodes, sc.seed, outcome.digest
+        ),
+        &[
+            "t (s)",
+            "phase",
+            "reports",
+            "min completeness",
+            "mean completeness",
+            "max staleness (ms)",
+        ],
+    );
+    for r in rows {
+        t.row(vec![
+            r.t_s.to_string(),
+            r.phase.to_string(),
+            r.reports.to_string(),
+            format!("{:.3}", r.min_ratio),
+            format!("{:.3}", r.mean_ratio),
+            r.max_staleness_ms.to_string(),
+        ]);
+    }
+    t
+}
+
 /// Experiment output: the scored soak plus the bucketed series.
 pub struct Degradation {
     /// Network size.
     pub n: usize,
     /// The scored soak run.
     pub outcome: Outcome,
-    /// Time buckets across warmup → churn → quiesce.
-    pub rows: Vec<DegradationRow>,
-    /// Bucket width, virtual ms.
-    pub bucket_ms: u64,
+    /// Minute buckets across warmup → churn → quiesce.
+    pub rows: Vec<CompletenessRow>,
 }
 
 /// Run the bench-scale soak: `n` nodes, ~8 virtual minutes of randomized
@@ -60,83 +134,14 @@ pub fn run(n: usize, seed: u64) -> Degradation {
         },
     };
     let outcome = cfg.run();
-    let bucket_ms = 60_000;
-    let buckets = cfg.total_ms().div_ceil(bucket_ms);
-    let rows = (0..buckets)
-        .map(|b| {
-            let (lo, hi) = (b * bucket_ms, (b + 1) * bucket_ms);
-            let in_bucket: Vec<_> = outcome
-                .log
-                .iter()
-                .filter(|r| r.t_ms >= lo && r.t_ms < hi)
-                .collect();
-            let reports = in_bucket.len();
-            let min_ratio = in_bucket
-                .iter()
-                .map(|r| r.completeness.ratio)
-                .fold(f64::INFINITY, f64::min);
-            let sum: f64 = in_bucket.iter().map(|r| r.completeness.ratio).sum();
-            DegradationRow {
-                t_s: lo / 1_000,
-                phase: if hi <= cfg.warmup_ms {
-                    "warmup"
-                } else if lo < cfg.faults_end_ms() {
-                    "churn"
-                } else {
-                    "quiesce"
-                },
-                reports,
-                min_ratio: if reports == 0 { 1.0 } else { min_ratio },
-                mean_ratio: if reports == 0 {
-                    1.0
-                } else {
-                    sum / reports as f64
-                },
-                max_staleness_ms: in_bucket
-                    .iter()
-                    .map(|r| r.completeness.staleness_ms)
-                    .max()
-                    .unwrap_or(0),
-            }
-        })
-        .collect();
-    Degradation {
-        n,
-        outcome,
-        rows,
-        bucket_ms,
-    }
+    let rows = completeness_rows(&outcome, 60_000, "churn");
+    Degradation { n, outcome, rows }
 }
 
 impl Degradation {
     /// Completeness time series across the fault schedule.
     pub fn table(&self) -> Table {
-        let mut t = Table::new(
-            &format!(
-                "degradation under churn — completeness over time (n = {}, seed {}, \
-                 plan digest {:#018x})",
-                self.n, self.outcome.scenario.seed, self.outcome.digest
-            ),
-            &[
-                "t (s)",
-                "phase",
-                "reports",
-                "min completeness",
-                "mean completeness",
-                "max staleness (ms)",
-            ],
-        );
-        for r in &self.rows {
-            t.row(vec![
-                r.t_s.to_string(),
-                r.phase.to_string(),
-                r.reports.to_string(),
-                format!("{:.3}", r.min_ratio),
-                format!("{:.3}", r.mean_ratio),
-                r.max_staleness_ms.to_string(),
-            ]);
-        }
-        t
+        completeness_table("degradation under churn", &self.outcome, &self.rows)
     }
 
     /// Fleet-wide transport-health tallies for the run — the timeout /

@@ -378,60 +378,3 @@ mod tests {
         );
     }
 }
-
-#[cfg(test)]
-mod debug_tests {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn debug_missing_updates() {
-        let n = 30;
-        let space = IdSpace::new(BITS);
-        let mut rng = SmallRng::seed_from_u64(7);
-        let ring = StaticRing::build(space, n, IdPolicy::Probed, &mut rng);
-        let ccfg = ChordConfig {
-            space,
-            stabilize_ms: 120_000,
-            fix_fingers_ms: 120_000,
-            check_pred_ms: 120_000,
-            ..ChordConfig::default()
-        };
-        let dcfg = DatConfig {
-            scheme: RoutingScheme::Balanced,
-            epoch_ms: 1_000,
-            d0_hint: Some(ring.d0()),
-            ..DatConfig::default()
-        };
-        let mut net: SimNet<StackNode> = prestabilized_dat(&ring, ccfg, dcfg, 7);
-        net.set_record_upcalls(false);
-        let addrs = net.addrs();
-        for (i, &addr) in addrs.iter().enumerate() {
-            let node = net.node_mut(addr).expect("node");
-            let key = node.register("cpu-usage", AggregationMode::Continuous);
-            node.set_local(key, 10.0 + i as f64);
-        }
-        net.run_for(1_500);
-        for &addr in &addrs {
-            net.node_mut(addr).unwrap().reset_metrics();
-        }
-        let key = dat_chord::hash_to_id(space, b"cpu-usage");
-        let epochs = 4u64;
-        net.run_for(epochs * 1_000);
-        for &addr in &addrs {
-            let node = net.node(addr).unwrap();
-            let sent = node.dat_metrics().sent_of("dat_update");
-            let recv = node.dat_metrics().received_of("dat_update");
-            let pd = node.parent_decision(key);
-            println!(
-                "addr={:?} id={} epoch={} sent={} recv={} parent={:?}",
-                addr,
-                node.me().id,
-                node.epoch(),
-                sent,
-                recv,
-                pd.parent().map(|p| p.id)
-            );
-        }
-    }
-}

@@ -629,32 +629,8 @@ impl DatProtocol {
                     if cx.owns(key) {
                         let e = &mut self.aggs[slot];
                         e.adopt_replica(me.id, epoch);
-                        e.fence_seq += 1;
-                        e.fence_root = Some(me.id);
-                        let (partial, seq) = (e.merged_raw(epoch, ttl), e.fence_seq);
-                        let completeness = self.completeness_for(cx, &partial, seq);
-                        let tid = trace_id_for(key.0, epoch);
-                        self.metrics.trace(
-                            cx.now_ms(),
-                            tid,
-                            EventKind::Report {
-                                key: key.0,
-                                epoch,
-                                contributors: partial.contributors,
-                                seq,
-                            },
-                        );
-                        self.metrics.observe(
-                            "epoch_completion_ms",
-                            cx.now_ms().saturating_sub(self.epoch_started_ms),
-                        );
-                        self.events.push(DatEvent::Report {
-                            key,
-                            epoch,
-                            partial,
-                            completeness,
-                        });
-                        self.replicate_root_state(cx, slot, seq);
+                        let partial = e.merged_raw(epoch, ttl);
+                        self.publish(cx, slot, partial);
                     } else if let Some(v) = local {
                         let msg = DatMsg::RawSample {
                             key,
@@ -820,33 +796,7 @@ impl DatProtocol {
             cx.send(old, msg.encode());
         }
         match decision {
-            ParentDecision::IAmRoot => {
-                entry.fence_seq += 1;
-                entry.fence_root = Some(me.id);
-                let seq = entry.fence_seq;
-                let completeness = self.completeness_for(cx, &partial, seq);
-                self.metrics.trace(
-                    cx.now_ms(),
-                    tid,
-                    EventKind::Report {
-                        key: key.0,
-                        epoch,
-                        contributors: partial.contributors,
-                        seq,
-                    },
-                );
-                self.metrics.observe(
-                    "epoch_completion_ms",
-                    cx.now_ms().saturating_sub(self.epoch_started_ms),
-                );
-                self.events.push(DatEvent::Report {
-                    key,
-                    epoch,
-                    partial,
-                    completeness,
-                });
-                self.replicate_root_state(cx, slot, seq);
-            }
+            ParentDecision::IAmRoot => self.publish(cx, slot, partial),
             ParentDecision::Parent(p) => {
                 let msg = DatMsg::Update {
                     key,
@@ -875,6 +825,41 @@ impl DatProtocol {
                 entry.flushed_epoch = epoch.saturating_sub(1);
             }
         }
+    }
+
+    /// Publish `partial` as this root's report for the aggregation in
+    /// `slot`: bump the report fence, emit the `Report` event with its
+    /// completeness accounting, and replicate the root state. The one
+    /// path for both modes — the centralized root's tick and the
+    /// continuous root's flush.
+    fn publish(&mut self, cx: &mut Ctx<'_>, slot: usize, partial: AggPartial) {
+        let (epoch, me) = (self.epoch, cx.me());
+        let entry = &mut self.aggs[slot];
+        entry.fence_seq += 1;
+        entry.fence_root = Some(me.id);
+        let (key, seq) = (entry.key, entry.fence_seq);
+        let completeness = self.completeness_for(cx, &partial, seq);
+        self.metrics.trace(
+            cx.now_ms(),
+            trace_id_for(key.0, epoch),
+            EventKind::Report {
+                key: key.0,
+                epoch,
+                contributors: partial.contributors,
+                seq,
+            },
+        );
+        self.metrics.observe(
+            "epoch_completion_ms",
+            cx.now_ms().saturating_sub(self.epoch_started_ms),
+        );
+        self.events.push(DatEvent::Report {
+            key,
+            epoch,
+            partial,
+            completeness,
+        });
+        self.replicate_root_state(cx, slot, seq);
     }
 
     /// Completeness accounting for a root report: contributors vs the

@@ -40,19 +40,16 @@ pub fn grid_schemas() -> Vec<AttrSchema> {
     ]
 }
 
-/// Configuration of a monitoring simulation.
+/// Identifier-space width of every monitored ring.
+const SPACE_BITS: u8 = 32;
+
+/// Configuration of a monitoring simulation: a probed ring of `nodes`
+/// Grid nodes, continuously aggregating one attribute over the balanced
+/// DAT (the paper's §5.4 setup).
 #[derive(Clone, Copy, Debug)]
 pub struct MonitorConfig {
     /// Number of Grid nodes (paper §5.4: 512).
     pub nodes: usize,
-    /// Identifier-space width.
-    pub space_bits: u8,
-    /// Identifier placement policy.
-    pub id_policy: IdPolicy,
-    /// DAT routing scheme.
-    pub scheme: RoutingScheme,
-    /// Aggregation mode.
-    pub mode: AggregationMode,
     /// Epoch length in virtual milliseconds.
     pub epoch_ms: u64,
     /// Network latency model.
@@ -74,10 +71,6 @@ impl Default for MonitorConfig {
     fn default() -> Self {
         MonitorConfig {
             nodes: 512,
-            space_bits: 32,
-            id_policy: IdPolicy::Probed,
-            scheme: RoutingScheme::Balanced,
-            mode: AggregationMode::Continuous,
             epoch_ms: 10_000,
             latency: LatencyModel::Constant(2),
             seed: 0xCA1,
@@ -150,9 +143,9 @@ impl GridMonitorSim {
     where
         F: FnMut(usize) -> Box<dyn Sensor>,
     {
-        let space = IdSpace::new(cfg.space_bits);
+        let space = IdSpace::new(SPACE_BITS);
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let ring = StaticRing::build(space, cfg.nodes, cfg.id_policy, &mut rng);
+        let ring = StaticRing::build(space, cfg.nodes, IdPolicy::Probed, &mut rng);
         let ccfg = if cfg.fast_maintenance {
             ChordConfig {
                 space,
@@ -175,7 +168,7 @@ impl GridMonitorSim {
             }
         };
         let mut dcfg = DatConfig {
-            scheme: cfg.scheme,
+            scheme: RoutingScheme::Balanced,
             epoch_ms: cfg.epoch_ms,
             d0_hint: Some(ring.d0()),
             ..DatConfig::default()
@@ -209,7 +202,7 @@ impl GridMonitorSim {
         for (i, &id) in ring.ids().iter().enumerate() {
             let addr = book[&id];
             let node = net.node_mut(addr).expect("node exists");
-            key = node.register(attr, cfg.mode);
+            key = node.register(attr, AggregationMode::Continuous);
             sensors.insert(addr, make_sensor(i));
             current.insert(addr, 0.0);
         }

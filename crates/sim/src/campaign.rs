@@ -14,10 +14,13 @@
 //! no silent epoch, on *every* report. What a plane adds is data
 //! (`Expect`): the counters its faults must have moved, the series its
 //! victim's exposition must carry, a bound on the report gap where it has
-//! one. A new plane is one more generator. Every link fault a generator
-//! injects is one [`crate::FaultEvent::Link`] episode: churn's flaky
-//! links, gray's half-open link and corruption's noise, jam and poison
-//! differ only in the [`LinkFault`] they carry.
+//! one. A new plane is one more generator; there are four — churn, gray,
+//! corrupt and partition. Every link fault a generator injects is one
+//! [`crate::FaultEvent::Link`] episode: churn's flaky links, gray's
+//! half-open link and corruption's noise, jam and poison differ only in
+//! the [`LinkFault`] they carry. Besides the score, the drive loop times
+//! the successor ring's re-knit after the faults end
+//! ([`Outcome::ring_reunified_ms`]), which the partition plane reads.
 
 // Crashes in a campaign must carry context, never a bare unwrap panic.
 #![deny(clippy::unwrap_used)]
@@ -38,7 +41,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::fault::{CorruptMode, FaultPlan, LinkFault};
-use crate::harness::{addr_book, prestabilized_dat};
+use crate::harness::{addr_book, prestabilized_dat, ring_converged};
 use crate::net::SimNet;
 
 /// The attribute every node registers.
@@ -83,6 +86,12 @@ pub enum Campaign {
     /// noise, a garbage jam and a poisoning burst, scoring the full
     /// detection → containment → recovery pipeline.
     Corrupt,
+    /// One wide-area split (§7): every 4th ring position is cut off for
+    /// the whole fault window, then the partition heals. Nothing but the
+    /// ring's own maintenance — fallen-peer probes, stabilization — knits
+    /// the two sides back together; [`Outcome::ring_reunified_ms`] says
+    /// when.
+    Partition,
 }
 
 /// Parameters of one campaign run. Everything is virtual time; a run is
@@ -133,6 +142,20 @@ impl Scenario {
         }
     }
 
+    /// The scored 3:1 partition/heal scenario: split at 20 s, heal at
+    /// 80 s, 150 s of recovery.
+    pub fn partition(nodes: usize, seed: u64) -> Scenario {
+        Scenario {
+            nodes,
+            seed,
+            epoch_ms: 5_000,
+            warmup_ms: 20_000,
+            faults_ms: 60_000,
+            quiesce_ms: 150_000,
+            campaign: Campaign::Partition,
+        }
+    }
+
     /// When the fault schedule drains (start of the quiesce tail), ms.
     pub fn faults_end_ms(&self) -> u64 {
         self.warmup_ms + self.faults_ms
@@ -175,11 +198,17 @@ impl Scenario {
             max_retries: 1,
             ..ChordConfig::default()
         };
-        if !matches!(self.campaign, Campaign::Churn { .. }) {
+        if self.tuned() {
             // The RTO ceiling is a term of gray's report-gap bound.
             ccfg.rto_max_ms = 4_000;
         }
         ccfg
+    }
+
+    /// Gray and corrupt run a tuned health plane and RTO ceiling; churn
+    /// and partition, whose failures are clean, run the defaults.
+    fn tuned(&self) -> bool {
+        matches!(self.campaign, Campaign::Gray | Campaign::Corrupt)
     }
 
     fn dat_config(&self, d0_hint: Option<u64>) -> DatConfig {
@@ -197,7 +226,7 @@ impl Scenario {
     fn equip(&self, node: &mut StackNode) {
         let k = node.register(ATTR, AggregationMode::Continuous);
         node.set_local(k, VALUE);
-        if !matches!(self.campaign, Campaign::Churn { .. }) {
+        if self.tuned() {
             // Health plane tuned for the campaign's timescales: quarantine
             // short enough that release and rejoin land inside the quiesce
             // tail, and a flap window wide enough to catch the injected
@@ -279,11 +308,12 @@ impl Scenario {
             } => churn_plan(self, &topo, &mut rng, (episodes, crash_root)),
             Campaign::Gray => gray_plan(self, &topo),
             Campaign::Corrupt => corrupt_plan(self, &topo),
+            Campaign::Partition => partition_plan(self, &topo),
         };
         let digest = plan.digest();
         net.set_fault_plan(plan);
 
-        let log = drive(&mut net, self, key, spawn);
+        let (log, ring_reunified_ms) = drive(&mut net, self, key, spawn);
 
         let victim = net.node(expect.exposition.0);
         let exposition = victim.map(|n| n.render_prometheus()).unwrap_or_default();
@@ -296,6 +326,7 @@ impl Scenario {
             digest,
             events_processed: net.events_processed(),
             log,
+            ring_reunified_ms,
             score,
             fleet,
         }
@@ -590,6 +621,22 @@ fn corrupt_plan(sc: &Scenario, topo: &Topology) -> (FaultPlan, Expect) {
     (plan, expect)
 }
 
+fn partition_plan(sc: &Scenario, topo: &Topology) -> (FaultPlan, Expect) {
+    // Addresses follow ring order, so every 4th address is every 4th ring
+    // position: a 3:1 split that cuts every tree path crossing it.
+    let minority: Vec<NodeAddr> = (0..sc.nodes as u64).step_by(4).map(NodeAddr).collect();
+    let plan = FaultPlan::new()
+        .partition_at(sc.warmup_ms, minority)
+        .heal_at(sc.faults_end_ms());
+    let expect = Expect {
+        root_crash_at_ms: None,
+        nonzero: &[],
+        exposition: (topo.root, &[]),
+        max_gap_ms: u64::MAX,
+    };
+    (plan, expect)
+}
+
 /// One root report observed during the run (timestamp quantized to the
 /// half-epoch drain step).
 #[derive(Clone, Copy, Debug)]
@@ -606,13 +653,15 @@ pub struct Report {
 
 /// Drive the run to its end in half-epoch steps, draining every node's
 /// reports for `key` after each — so a report's timestamp is within half
-/// an epoch of when it was emitted.
+/// an epoch of when it was emitted. Also returns the first step at or
+/// after the end of the fault window at which the successor ring was
+/// whole again.
 fn drive(
     net: &mut SimNet<StackNode>,
     sc: &Scenario,
     key: Id,
     mut respawn: impl FnMut(NodeAddr) -> Option<(StackNode, Vec<Output>)>,
-) -> Vec<Report> {
+) -> (Vec<Report>, Option<u64>) {
     let (total, step) = (sc.total_ms(), (sc.epoch_ms / 2).max(1));
     // A restart that lands while stale routes still point at the node's
     // dead incarnation can exhaust the chord layer's join retries and park
@@ -624,6 +673,7 @@ fn drive(
     let joining = |n: &StackNode| n.status() == NodeStatus::Joining;
     let mut joining_since: HashMap<NodeAddr, u64> = HashMap::new();
     let mut log: Vec<Report> = Vec::new();
+    let mut ring_reunified_ms = None;
     // The sorted address list is only rebuilt when membership actually
     // changed (crash/restart), not on every half-epoch step — the engine's
     // membership epoch is the cache key. Within a step the cache may
@@ -678,8 +728,22 @@ fn drive(
                 joining_since.insert(addr, t_ms);
             }
         }
+        if ring_reunified_ms.is_none() && t_ms >= sc.faults_end_ms() && ring_whole(net) {
+            ring_reunified_ms = Some(t_ms);
+        }
     }
-    log
+    (log, ring_reunified_ms)
+}
+
+/// Is every live `Active` node's successor the next live `Active` id?
+fn ring_whole(net: &SimNet<StackNode>) -> bool {
+    let active = net
+        .iter_nodes()
+        .map(|(_, n)| n)
+        .filter(|n| n.status() == NodeStatus::Active);
+    let mut ids: Vec<Id> = active.map(|n| n.me().id).collect();
+    ids.sort_unstable();
+    ring_converged(net, &ids)
 }
 
 /// Fleet-wide tallies over the whole run, by name: ten counter sums of
@@ -826,6 +890,11 @@ pub struct Outcome {
     pub events_processed: u64,
     /// Every root report observed, in drain order.
     pub log: Vec<Report>,
+    /// The first drain step at or after the end of the fault window at
+    /// which every live `Active` node's successor was the next live id;
+    /// `None` if the ring never re-knit. Not scored: [`Campaign::Partition`]
+    /// reads it, the other planes leave it unasserted.
+    pub ring_reunified_ms: Option<u64>,
     /// The log, scored.
     pub score: Score,
     /// Fleet-wide tallies over the whole run.
@@ -1013,15 +1082,29 @@ mod tests {
     /// The replay guarantee the digest stands for, and shard invariance, on
     /// the seeds CI scores: a second run and a run on four worker threads
     /// inject the same schedule, mutate the same frames and observe the
-    /// same log, scores and counters (every loss, latency and mutation coin
-    /// is drawn from the receiving node's stream).
+    /// same log, ring re-knit time, scores and counters (every loss,
+    /// latency and mutation coin is drawn from the receiving node's
+    /// stream).
     #[test]
     fn campaigns_heal_replay_and_are_shard_count_invariant() {
         let churn = [1, 2, 3].map(|seed| churn(24, seed, 3, false));
         let (gray, corrupt) = ([1, 2].map(Scenario::gray), [1, 2, 3].map(Scenario::corrupt));
-        for sc in churn.into_iter().chain(gray).chain(corrupt) {
+        let partition = [0xda7, 1].map(|seed| Scenario::partition(64, seed));
+        let all = churn
+            .into_iter()
+            .chain(gray)
+            .chain(corrupt)
+            .chain(partition);
+        for sc in all {
             let first = sc.run_on(1);
             assert!(first.violations.is_empty(), "{:#?}", first.violations);
+            if let Campaign::Partition = sc.campaign {
+                assert_eq!(first.digest, 0xdd7d3409acf1f4a3, "{sc:?}: plan moved");
+                assert!(
+                    first.ring_reunified_ms.is_some(),
+                    "{sc:?}: ring never re-knit"
+                );
+            }
             for shards in [1, 4] {
                 let again = format!("{:?}", sc.run_on(shards));
                 assert_eq!(format!("{first:?}"), again, "{sc:?} on {shards} shards");

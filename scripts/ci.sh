@@ -28,6 +28,7 @@ echo "==> clippy: unwrap_used denied in self-healing + observability + health mo
 # #![deny(clippy::unwrap_used)] and this check keeps the attribute from
 # being dropped silently.
 for f in crates/sim/src/campaign.rs crates/bench/src/experiments/degradation.rs \
+         crates/bench/src/experiments/partition.rs \
          crates/obs/src/lib.rs crates/chord/src/health.rs \
          crates/sim/src/queue.rs crates/sim/src/net.rs \
          crates/chord/src/wire.rs crates/sim/src/fuzz.rs \
