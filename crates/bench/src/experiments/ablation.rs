@@ -9,7 +9,7 @@
 //!   children (under-coverage); a long TTL keeps ghost contributions after
 //!   departures (over-coverage under churn).
 
-use dat_monitor::{CpuTrace, GridMonitorSim, MonitorConfig, TraceConfig, TraceSensor};
+use dat_monitor::{CpuTrace, GridMonitorSim, MonitorConfig, TraceSensor};
 use dat_sim::LatencyModel;
 
 use crate::table::Table;
@@ -62,11 +62,7 @@ pub fn run(n: usize, seed: u64) -> Ablation {
 }
 
 fn hold_accuracy(n: usize, hold_ms: u64, seed: u64) -> HoldRow {
-    let trace = CpuTrace::generate(TraceConfig {
-        duration_s: 1200,
-        seed,
-        ..TraceConfig::default()
-    });
+    let trace = CpuTrace::generate(1200, seed);
     let cfg = MonitorConfig {
         nodes: n,
         epoch_ms: 10_000,

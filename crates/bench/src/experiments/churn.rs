@@ -10,9 +10,7 @@
 //! from ring maintenance and aggregation payload.
 
 use dat_chord::{ChordConfig, IdPolicy, IdSpace, NodeAddr, RoutingScheme, StaticRing};
-use dat_core::{
-    AggregationMode, DatConfig, DatProtocol, ExplicitConfig, ExplicitProtocol, StackNode,
-};
+use dat_core::{AggregationMode, DatConfig, DatProtocol, ExplicitProtocol, StackNode};
 use dat_sim::harness::{addr_book, prestabilized_dat, prestabilized_explicit};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -107,12 +105,7 @@ pub fn run(n: usize, event_gap_ms: u64, duration_ms: u64, seed: u64) -> Churn {
     }
 
     // ---- explicit side ---------------------------------------------------
-    let ecfg = ExplicitConfig {
-        epoch_ms: 1_000,
-        heartbeat_ms: 1_000,
-        ..ExplicitConfig::default()
-    };
-    let mut exp_net = prestabilized_explicit(&ring, ccfg, ecfg, key, seed);
+    let mut exp_net = prestabilized_explicit(&ring, ccfg, key, seed);
     exp_net.set_record_upcalls(false);
     for addr in exp_net.addrs() {
         exp_net.node_mut(addr).unwrap().exp_set_local(25.0);
@@ -159,7 +152,7 @@ pub fn run(n: usize, event_gap_ms: u64, duration_ms: u64, seed: u64) -> Churn {
             dat_net.add_node(dn);
             dat_net.apply(addr, outs);
 
-            let mut en = StackNode::new(ccfg, id, addr).with_app(ExplicitProtocol::new(ecfg, key));
+            let mut en = StackNode::new(ccfg, id, addr).with_app(ExplicitProtocol::new(key));
             en.exp_set_local(25.0);
             let boot2 = exp_net.node(root_addr).unwrap().me();
             let outs = en.start_join(boot2);

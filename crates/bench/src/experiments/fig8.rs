@@ -6,7 +6,7 @@
 //!
 //! * **(a)** per-node aggregation-message counts in a 512-node network,
 //!   nodes sorted by load ("node rank", log-scale y in the paper). The
-//!   centralized scheme routes every raw value to the root (most loaded
+//!   centralized scheme routes every node's value to the root (most loaded
 //!   node ≈ 511 messages); basic DAT peaks around a few tens; balanced DAT
 //!   stays in single digits;
 //! * **(b)** the *imbalance factor* (max/mean messages per node) for

@@ -6,7 +6,7 @@
 //! actual vs aggregated total usage; panel (b) the scatter of aggregated
 //! vs actual — the paper reports points "clustered around the diagonal".
 
-use dat_monitor::{CpuTrace, GridMonitorSim, MonitorConfig, TraceConfig, TraceSensor};
+use dat_monitor::{CpuTrace, GridMonitorSim, MonitorConfig, TraceSensor};
 
 use crate::table::{f, Table};
 
@@ -21,11 +21,7 @@ pub struct Fig9 {
 /// Run the accuracy experiment: `n` nodes, a trace of `duration_s`
 /// seconds, aggregation epoch `epoch_s`.
 pub fn run(n: usize, duration_s: u64, epoch_s: u64, seed: u64) -> Fig9 {
-    let trace = CpuTrace::generate(TraceConfig {
-        duration_s,
-        seed,
-        ..TraceConfig::default()
-    });
+    let trace = CpuTrace::generate(duration_s, seed);
     let cfg = MonitorConfig {
         nodes: n,
         epoch_ms: epoch_s * 1_000,

@@ -9,7 +9,6 @@
 //! the truth, against the DAT's fixed per-epoch cost.
 
 use dat_chord::{ChordConfig, IdPolicy, IdSpace, StaticRing};
-use dat_core::GossipConfig;
 use dat_sim::harness::prestabilized_gossip;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -54,12 +53,8 @@ fn run_one(n: usize, seed: u64) -> GossipRow {
         check_pred_ms: 600_000,
         ..ChordConfig::default()
     };
-    let gcfg = GossipConfig {
-        round_ms: 1_000,
-        fanout: 1,
-    };
     // Values 0..n-1: true average (n-1)/2.
-    let mut net = prestabilized_gossip(&ring, ccfg, gcfg, seed, |i| i as f64);
+    let mut net = prestabilized_gossip(&ring, ccfg, seed, |i| i as f64);
     net.set_record_upcalls(false);
     let truth = (n as f64 - 1.0) / 2.0;
     let mut rounds_1pct = None;

@@ -11,6 +11,12 @@
 //! aggregation vocabulary on top — [`AggPartial`] fields via the
 //! [`WritePartial`]/[`ReadPartial`] extension traits, and the [`DatMsg`]
 //! message set itself.
+//!
+//! Tag 6 is retired, not reused: it carried the centralized baseline's raw
+//! sample, which is now an ordinary [`DatMsg::Update`], and decodes as
+//! [`CodecError::BadTag`].
+
+#![deny(clippy::unwrap_used)]
 
 use dat_chord::{Id, NodeRef};
 
@@ -24,6 +30,12 @@ pub use dat_chord::wire::{CodecError, Reader, Writer};
 /// v2: [`AggPartial`] gained `contributors`/`age_epochs` (completeness
 /// accounting) and [`DatMsg::RootState`] was added (warm root failover).
 /// v3: [`AggPartial`] gained `trace_id` (causal epoch tracing).
+///
+/// Still v3 after [`DatMsg::RootState`] lost its trailing raw-sample list:
+/// a mixed ring already rejects the other side's `RootState` (a decoder of
+/// the old layout reports `Truncated`, the new one finds trailing bytes),
+/// and every other message is unchanged. A bump would instead change byte
+/// 0 of every DAT frame.
 pub const WIRE_VERSION: u8 = 3;
 
 /// Application-protocol discriminator for DAT messages inside
@@ -131,7 +143,8 @@ impl ReadPartial for Reader<'_> {
 #[derive(Clone, Debug, PartialEq)]
 pub enum DatMsg {
     /// Continuous mode: a child pushes its merged partial for `epoch` to
-    /// its current DAT parent.
+    /// its current DAT parent. Centralized mode: a node routes its
+    /// one-node partial straight to the root.
     Update {
         /// Rendezvous key of the aggregation (the tree id).
         key: Id,
@@ -198,8 +211,8 @@ pub enum DatMsg {
         sender: NodeRef,
     },
     /// Warm-failover replication: the acting root ships a snapshot of its
-    /// per-key soft state (freshest child partials and centralized raw
-    /// samples, each with its age in epochs) to its first `k` successors.
+    /// per-key soft state (freshest child partials, each with its age in
+    /// epochs) to its first `k` successors.
     /// When the rendezvous key remaps after a root crash, the successor
     /// resumes reporting from this replica within one epoch instead of
     /// rebuilding from scratch. `seq` is the per-key fencing sequence: a
@@ -215,20 +228,6 @@ pub enum DatMsg {
         root: NodeRef,
         /// Cached child partials: `(child id, partial, age in epochs)`.
         children: Vec<(Id, AggPartial, u64)>,
-        /// Centralized-mode raw samples: `(sender id, value, age)`.
-        raw: Vec<(Id, f64, u64)>,
-    },
-    /// Centralized-baseline sample: a raw local value sent (via Chord
-    /// routing) straight to the root, no in-network merging.
-    RawSample {
-        /// Rendezvous key.
-        key: Id,
-        /// Epoch the sample belongs to.
-        epoch: u64,
-        /// The raw local value.
-        value: f64,
-        /// The sampling node.
-        sender: NodeRef,
     },
 }
 
@@ -242,7 +241,6 @@ impl DatMsg {
             DatMsg::Result { .. } => "dat_result",
             DatMsg::Request { .. } => "dat_request",
             DatMsg::Prune { .. } => "dat_prune",
-            DatMsg::RawSample { .. } => "dat_raw_sample",
             DatMsg::RootState { .. } => "dat_root_state",
         }
     }
@@ -304,14 +302,6 @@ impl DatMsg {
             } => {
                 w.u8(5).u64(*reqid).id(*key).node_ref(*requester);
             }
-            DatMsg::RawSample {
-                key,
-                epoch,
-                value,
-                sender,
-            } => {
-                w.u8(6).id(*key).u64(*epoch).f64(*value).node_ref(*sender);
-            }
             DatMsg::Prune { key, sender } => {
                 w.u8(7).id(*key).node_ref(*sender);
             }
@@ -320,7 +310,6 @@ impl DatMsg {
                 seq,
                 root,
                 children,
-                raw,
             } => {
                 w.u8(8)
                     .id(*key)
@@ -329,10 +318,6 @@ impl DatMsg {
                     .u32(children.len() as u32);
                 for (id, partial, age) in children {
                     w.id(*id).u64(*age).partial(partial);
-                }
-                w.u32(raw.len() as u32);
-                for (id, value, age) in raw {
-                    w.id(*id).f64(*value).u64(*age);
                 }
             }
         }
@@ -377,12 +362,6 @@ impl DatMsg {
                 key: r.id()?,
                 requester: r.node_ref()?,
             },
-            6 => DatMsg::RawSample {
-                key: r.id()?,
-                epoch: r.u64()?,
-                value: r.f64()?,
-                sender: r.node_ref()?,
-            },
             7 => DatMsg::Prune {
                 key: r.id()?,
                 sender: r.node_ref()?,
@@ -402,20 +381,11 @@ impl DatMsg {
                     let age = r.u64()?;
                     children.push((id, r.partial()?, age));
                 }
-                let m = r.u32()? as usize;
-                if m * 24 > r.remaining() {
-                    return Err(CodecError::BadLength(m as u64));
-                }
-                let mut raw = Vec::with_capacity(m);
-                for _ in 0..m {
-                    raw.push((r.id()?, r.f64()?, r.u64()?));
-                }
                 DatMsg::RootState {
                     key,
                     seq,
                     root,
                     children,
-                    raw,
                 }
             }
             t => return Err(CodecError::BadTag(t)),
@@ -426,6 +396,7 @@ impl DatMsg {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use dat_chord::NodeAddr;
@@ -479,12 +450,6 @@ mod tests {
                 key: Id(55),
                 requester: nr(200),
             },
-            DatMsg::RawSample {
-                key: Id(8),
-                epoch: 3,
-                value: 99.9,
-                sender: nr(4),
-            },
             DatMsg::Prune {
                 key: Id(15),
                 sender: nr(6),
@@ -497,14 +462,12 @@ mod tests {
                     (Id(31), sample_partial(), 0),
                     (Id(32), AggPartial::identity(), 4),
                 ],
-                raw: vec![(Id(33), 1.5, 0), (Id(34), -2.0, 2)],
             },
             DatMsg::RootState {
                 key: Id(22),
                 seq: 0,
                 root: nr(40),
                 children: vec![],
-                raw: vec![],
             },
         ];
         for m in msgs {
@@ -538,7 +501,6 @@ mod tests {
             seq: 17,
             root: nr(30),
             children: vec![(Id(31), sample_partial(), 1)],
-            raw: vec![(Id(33), 1.5, 0)],
         };
         let bytes = m.encode();
         for cut in 0..bytes.len() {
@@ -555,6 +517,22 @@ mod tests {
             DatMsg::decode(&w.finish()),
             Err(CodecError::BadLength(_)) | Err(CodecError::Truncated)
         ));
+    }
+
+    #[test]
+    fn root_state_with_the_old_raw_list_rejected() {
+        // The pre-retirement layout appended a `u32` raw-sample count (and
+        // its entries) after the children; even an empty one is 4 bytes
+        // past where the replica now ends.
+        let mut bytes = DatMsg::RootState {
+            key: Id(21),
+            seq: 17,
+            root: nr(30),
+            children: vec![(Id(31), sample_partial(), 1)],
+        }
+        .encode();
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        assert_eq!(DatMsg::decode(&bytes), Err(CodecError::TrailingBytes(4)));
     }
 
     #[test]
@@ -575,6 +553,16 @@ mod tests {
             DatMsg::decode(&[WIRE_VERSION, 99]),
             Err(CodecError::BadTag(99))
         );
+        // Tag 6 (the centralized raw sample) is retired, not reused: a
+        // frame in its old layout fails on the tag, before any field.
+        let mut w = Writer::new();
+        w.u8(WIRE_VERSION)
+            .u8(6)
+            .id(Id(8))
+            .u64(3)
+            .f64(99.9)
+            .node_ref(nr(4));
+        assert_eq!(DatMsg::decode(&w.finish()), Err(CodecError::BadTag(6)));
         assert_eq!(DatMsg::decode(&[42, 1]), Err(CodecError::BadVersion(42)));
         assert_eq!(DatMsg::decode(&[]), Err(CodecError::Truncated));
     }

@@ -176,29 +176,14 @@ impl ExpMsg {
     }
 }
 
-/// Tunables for the explicit tree.
-#[derive(Clone, Copy, Debug)]
-pub struct ExplicitConfig {
-    /// Maximum children per node (bounded degree).
-    pub max_children: usize,
-    /// Heartbeat period, ms.
-    pub heartbeat_ms: u64,
-    /// Missed-heartbeat threshold before an edge is dissolved.
-    pub miss_limit: u32,
-    /// Aggregation epoch, ms (matches the DAT side for fair comparison).
-    pub epoch_ms: u64,
-}
-
-impl Default for ExplicitConfig {
-    fn default() -> Self {
-        ExplicitConfig {
-            max_children: 4,
-            heartbeat_ms: 1_000,
-            miss_limit: 3,
-            epoch_ms: 1_000,
-        }
-    }
-}
+/// Maximum children per node (bounded degree).
+const MAX_CHILDREN: usize = 4;
+/// Heartbeat period, ms.
+const HEARTBEAT_MS: u64 = 1_000;
+/// Missed-heartbeat threshold before an edge is dissolved.
+const MISS_LIMIT: u32 = 3;
+/// Aggregation epoch, ms (the DAT default, for a fair comparison).
+const EPOCH_MS: u64 = 1_000;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum ExpTimer {
@@ -216,7 +201,6 @@ struct ChildState {
 /// The explicit-membership aggregation tree for one rendezvous key, as a
 /// protocol handler (Chord is used only as a router for `JoinTree`).
 pub struct ExplicitProtocol {
-    cfg: ExplicitConfig,
     key: Id,
     parent: Option<NodeRef>,
     /// Parent heartbeats missed (from the child's perspective).
@@ -236,9 +220,8 @@ pub struct ExplicitProtocol {
 
 impl ExplicitProtocol {
     /// Create an explicit-tree handler for `key`.
-    pub fn new(cfg: ExplicitConfig, key: Id) -> Self {
+    pub fn new(key: Id) -> Self {
         ExplicitProtocol {
-            cfg,
             key,
             parent: None,
             parent_missed: 0,
@@ -326,7 +309,7 @@ impl ExplicitProtocol {
                 if joiner.id == me.id {
                     return;
                 }
-                if self.children.len() < self.cfg.max_children {
+                if self.children.len() < MAX_CHILDREN {
                     self.children.insert(
                         joiner.id,
                         ChildState {
@@ -399,7 +382,7 @@ impl ExplicitProtocol {
         // Child side: heartbeat the parent, count misses.
         if let Some(p) = self.parent {
             self.parent_missed += 1;
-            if self.parent_missed > self.cfg.miss_limit {
+            if self.parent_missed > MISS_LIMIT {
                 self.parent = None;
                 self.send_join_tree(cx);
             } else {
@@ -419,7 +402,7 @@ impl ExplicitProtocol {
             .iter_mut()
             .filter_map(|(id, c)| {
                 c.missed += 1;
-                (c.missed > self.cfg.miss_limit).then_some(*id)
+                (c.missed > MISS_LIMIT).then_some(*id)
             })
             .collect();
         for id in dead {
@@ -464,8 +447,8 @@ impl AppProtocol for ExplicitProtocol {
     }
 
     fn on_start(&mut self, cx: &mut Ctx<'_>) {
-        self.arm_timer(cx, ExpTimer::Heartbeat, self.cfg.heartbeat_ms);
-        self.arm_timer(cx, ExpTimer::Epoch, self.cfg.epoch_ms);
+        self.arm_timer(cx, ExpTimer::Heartbeat, HEARTBEAT_MS);
+        self.arm_timer(cx, ExpTimer::Epoch, EPOCH_MS);
         if !self.is_root(cx) {
             self.send_join_tree(cx);
         }
@@ -485,11 +468,11 @@ impl AppProtocol for ExplicitProtocol {
         match self.timers.remove(&sub) {
             Some(ExpTimer::Heartbeat) => {
                 self.on_heartbeat_timer(cx);
-                self.arm_timer(cx, ExpTimer::Heartbeat, self.cfg.heartbeat_ms);
+                self.arm_timer(cx, ExpTimer::Heartbeat, HEARTBEAT_MS);
             }
             Some(ExpTimer::Epoch) => {
                 self.on_epoch(cx);
-                self.arm_timer(cx, ExpTimer::Epoch, self.cfg.epoch_ms);
+                self.arm_timer(cx, ExpTimer::Epoch, EPOCH_MS);
             }
             None => {}
         }
@@ -592,8 +575,7 @@ mod tests {
             space: IdSpace::new(8),
             ..ChordConfig::default()
         };
-        StackNode::new(ccfg, Id(id), NodeAddr(id))
-            .with_app(ExplicitProtocol::new(ExplicitConfig::default(), Id(0)))
+        StackNode::new(ccfg, Id(id), NodeAddr(id)).with_app(ExplicitProtocol::new(Id(0)))
     }
 
     #[test]

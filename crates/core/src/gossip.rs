@@ -52,27 +52,13 @@ impl Share {
     }
 }
 
-/// Tunables for push-sum.
-#[derive(Clone, Copy, Debug)]
-pub struct GossipConfig {
-    /// Round length, ms (matches the DAT epoch for fair comparisons).
-    pub round_ms: u64,
-    /// How many random peers receive a share each round (classic: 1).
-    pub fanout: usize,
-}
-
-impl Default for GossipConfig {
-    fn default() -> Self {
-        GossipConfig {
-            round_ms: 1_000,
-            fanout: 1,
-        }
-    }
-}
+/// Round length, ms (the DAT epoch default, for fair comparisons).
+const ROUND_MS: u64 = 1_000;
+/// How many random peers receive a share each round (classic push-sum).
+const FANOUT: usize = 1;
 
 /// The push-sum handler, hosted on a [`StackNode`].
 pub struct GossipProtocol {
-    cfg: GossipConfig,
     /// Local observed value.
     local: f64,
     sum: f64,
@@ -92,9 +78,8 @@ pub struct GossipProtocol {
 
 impl GossipProtocol {
     /// Create a push-sum handler with local value `value`.
-    pub fn new(cfg: GossipConfig, value: f64) -> Self {
+    pub fn new(value: f64) -> Self {
         GossipProtocol {
-            cfg,
             local: value,
             sum: value,
             weight: 1.0,
@@ -141,7 +126,7 @@ impl GossipProtocol {
         self.next_token += 1;
         let token = self.next_token;
         self.armed = Some(token);
-        cx.set_timer(token, self.cfg.round_ms);
+        cx.set_timer(token, ROUND_MS);
     }
 
     fn next_rand(&mut self) -> u64 {
@@ -166,7 +151,7 @@ impl GossipProtocol {
             self.history.push((self.round, self.estimate()));
             return;
         }
-        let k = self.cfg.fanout.min(peers.len());
+        let k = FANOUT.min(peers.len());
         let split = (k + 1) as f64;
         let share = Share {
             sum: self.sum / split,
@@ -256,8 +241,7 @@ mod tests {
             space: IdSpace::new(8),
             ..ChordConfig::default()
         };
-        StackNode::new(ccfg, Id(id), NodeAddr(id))
-            .with_app(GossipProtocol::new(GossipConfig::default(), value))
+        StackNode::new(ccfg, Id(id), NodeAddr(id)).with_app(GossipProtocol::new(value))
     }
 
     #[test]

@@ -63,8 +63,8 @@ pub use aggregate::{AggFunc, AggPartial, Histogram};
 pub use analysis::TreeStats;
 pub use codec::{CodecError, DatMsg, DAT_PROTO};
 pub use engine::{proto_label, AppProtocol, Ctx, InboxPolicy, StackNode};
-pub use explicit::{ExpMsg, ExplicitConfig, ExplicitProtocol, EXPLICIT_PROTO};
-pub use gossip::{GossipConfig, GossipProtocol, GOSSIP_PROTO};
+pub use explicit::{ExpMsg, ExplicitProtocol, EXPLICIT_PROTO};
+pub use gossip::{GossipProtocol, GOSSIP_PROTO};
 pub use proto::{
     AggregationEntry, AggregationMode, Completeness, DatConfig, DatEvent, DatProtocol,
     COMPLETED_QUERIES_KEPT,

@@ -8,12 +8,14 @@
 //!   recomputed from the live finger table — so the tree adapts to churn
 //!   with zero membership-repair messages, the paper's central claim.
 //! * **on-demand** — a query is routed to the rendezvous root, which fans
-//!   out over disjoint finger ranges (the `broadcast` primitive) and
+//!   out over disjoint finger ranges ([`FingerTable::fan_out`]) and
 //!   convergecasts exact partials back up with per-node completion
 //!   tracking and a timeout window for lost branches.
 //!
 //! A third mode, **centralized**, reproduces the baseline of Fig. 8: every
-//! node routes its raw value to the root with no in-network merging.
+//! node routes its own one-node partial as an `Update` straight to the
+//! root, which caches it in the same child table and merges nothing
+//! in-network.
 //!
 //! [`DatProtocol`] is an [`AppProtocol`]: it holds only aggregation state
 //! and acts on the overlay through the engine [`Ctx`]. Application-level
@@ -22,8 +24,10 @@
 //! register/set-local/query keep the same shape they had when DAT owned
 //! the node, but now compose with any other stacked protocol.
 
+#![deny(clippy::unwrap_used)]
+
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use dat_chord::{
     estimate_d0, hash_to_id, parent_for, ring_size_for_d0, FingerTable, Id, Metrics, NodeAddr,
@@ -40,7 +44,8 @@ use crate::engine::{AppProtocol, Ctx, StackNode};
 pub enum AggregationMode {
     /// Epoch-based push along the implicit DAT tree (the paper's scheme).
     Continuous,
-    /// Baseline: raw values routed to the root, no in-network merging.
+    /// Baseline: every node's one-node partial routed to the root, no
+    /// in-network merging.
     Centralized,
 }
 
@@ -153,9 +158,10 @@ pub struct AggregationEntry {
     local_items: Vec<Vec<u8>>,
     /// Freshest partial per child id, with the *local* epoch it arrived in,
     /// sorted by id: walks decide float merge order, which children the
-    /// failure detector is consulted about, and replica byte order. Each
-    /// flush drops the entries older than `child_ttl_epochs`, which every
-    /// reader already ignores.
+    /// failure detector is consulted about, and replica byte order. A
+    /// centralized root keeps every node's routed partial here. Each flush
+    /// (or centralized root tick) drops the entries older than
+    /// `child_ttl_epochs`, which every reader already ignores.
     children: Vec<(Id, AggPartial, u64)>,
     /// Last epoch whose partial has been pushed up / reported.
     flushed_epoch: u64,
@@ -170,8 +176,6 @@ pub struct AggregationEntry {
     /// Old parent still owed prune notices (sent on consecutive flushes —
     /// prunes travel over the same lossy links as everything else).
     prune_old: Option<(NodeRef, u8)>,
-    /// (Root, centralized mode) freshest raw sample per node id.
-    raw: BTreeMap<Id, (f64, u64)>,
     /// Highest report-fence sequence observed for this key, either emitted
     /// by this node as root or carried by a replicated
     /// [`DatMsg::RootState`].
@@ -198,8 +202,6 @@ struct ReplicaState {
     seq: u64,
     /// Cached child partials with their age (epochs) at shipping time.
     children: Vec<(Id, AggPartial, u64)>,
-    /// Centralized-mode raw samples with their age at shipping time.
-    raw: Vec<(Id, f64, u64)>,
     /// Local epoch at which the replica arrived (ages the snapshot).
     received_epoch: u64,
 }
@@ -251,7 +253,9 @@ impl AggregationEntry {
             .count()
     }
 
-    fn base_partial(&self) -> AggPartial {
+    /// This node's one-node partial: its local value and sketch items,
+    /// counted as one contributor.
+    fn own_partial(&self) -> AggPartial {
         let mut p = match self.histogram {
             Some((lo, hi, n)) => AggPartial::identity_with_histogram(lo, hi, n),
             None => AggPartial::identity(),
@@ -262,23 +266,29 @@ impl AggregationEntry {
                 p.observe_item(item);
             }
         }
-        p
-    }
-
-    /// Merge local value + fresh child partials (continuous mode).
-    /// `exclude` drops one cached child — the node we are about to push to.
-    /// Under heavy loss, parent decisions can flap so that two nodes
-    /// transiently treat each other as parent; reflecting a node's own
-    /// partial back at it creates an exponential counting cycle.
-    fn merged_partial(&self, now_epoch: u64, ttl: u64, exclude: Option<Id>) -> AggPartial {
-        let mut acc = self.base_partial();
         if let Some(x) = self.local {
-            acc.absorb(x);
+            p.absorb(x);
         }
         // This node contributes itself exactly once (completeness
         // accounting) — even with no local sensor value it is a live
         // participant relaying its subtree.
-        acc.contributors = 1;
+        p.contributors = 1;
+        p
+    }
+
+    /// Drop the children older than `ttl`, which no reader counts.
+    fn expire_children(&mut self, now_epoch: u64, ttl: u64) {
+        self.children
+            .retain(|(_, _, e)| now_epoch.saturating_sub(*e) <= ttl);
+    }
+
+    /// Merge local value + fresh child partials. `exclude` drops one
+    /// cached child — the node we are about to push to. Under heavy loss,
+    /// parent decisions can flap so that two nodes transiently treat each
+    /// other as parent; reflecting a node's own partial back at it creates
+    /// an exponential counting cycle.
+    fn merged_partial(&self, now_epoch: u64, ttl: u64, exclude: Option<Id>) -> AggPartial {
+        let mut acc = self.own_partial();
         for (child, p, e) in &self.children {
             if Some(*child) == exclude {
                 continue;
@@ -293,27 +303,9 @@ impl AggregationEntry {
         acc
     }
 
-    /// Merge local value + fresh raw samples (centralized root).
-    fn merged_raw(&self, now_epoch: u64, ttl: u64) -> AggPartial {
-        let mut acc = self.base_partial();
-        if let Some(x) = self.local {
-            acc.absorb(x);
-        }
-        acc.contributors = 1;
-        for (v, e) in self.raw.values() {
-            let age = now_epoch.saturating_sub(*e);
-            if age <= ttl {
-                acc.absorb(*v);
-                acc.contributors += 1;
-                acc.age_epochs = acc.age_epochs.max(age);
-            }
-        }
-        acc
-    }
-
     /// Fold a warm-failover replica from a previous root into live soft
     /// state. Called when this node finds itself the acting root: the
-    /// replicated children/samples (re-aged relative to the local epoch
+    /// replicated children (re-aged relative to the local epoch
     /// counter) let the very first report after a root crash cover the
     /// whole grid instead of rebuilding over `child_ttl_epochs`.
     fn adopt_replica(&mut self, me: Id, epoch: u64) {
@@ -335,16 +327,6 @@ impl AggregationEntry {
                 .is_ok_and(|i| self.children[i].2 >= stamp);
             if !have_fresher {
                 self.put_child(id, p, stamp);
-            }
-        }
-        for (id, v, age) in rep.raw {
-            if id == me {
-                continue;
-            }
-            let stamp = epoch.saturating_sub(age.saturating_add(lag));
-            let have_fresher = self.raw.get(&id).is_some_and(|(_, e)| *e >= stamp);
-            if !have_fresher {
-                self.raw.insert(id, (v, stamp));
             }
         }
         // Continue the crashed root's fence so our next report supersedes
@@ -523,7 +505,6 @@ impl DatProtocol {
             root_until: 0,
             last_parent: None,
             prune_old: None,
-            raw: BTreeMap::new(),
             fence_seq: 0,
             fence_root: None,
             replica: None,
@@ -593,7 +574,7 @@ impl DatProtocol {
     }
 
     /// One epoch tick: push every continuous aggregation to its parent,
-    /// route centralized samples, emit root reports.
+    /// route centralized one-node partials, emit root reports.
     fn on_epoch(&mut self, cx: &mut Ctx<'_>) {
         self.epoch += 1;
         self.epoch_started_ms = cx.now_ms();
@@ -609,7 +590,6 @@ impl DatProtocol {
         for slot in (turn..n).chain(0..turn) {
             let entry = &self.aggs[slot];
             let key = entry.key;
-            let local = entry.local;
             match entry.mode {
                 AggregationMode::Continuous => {
                     // Aggregation synchronization (§4): schedule this
@@ -629,13 +609,16 @@ impl DatProtocol {
                     if cx.owns(key) {
                         let e = &mut self.aggs[slot];
                         e.adopt_replica(me.id, epoch);
-                        let partial = e.merged_raw(epoch, ttl);
+                        e.expire_children(epoch, ttl);
+                        let partial = e.merged_partial(epoch, ttl, None);
                         self.publish(cx, slot, partial);
-                    } else if let Some(v) = local {
-                        let msg = DatMsg::RawSample {
+                    } else if entry.local.is_some() {
+                        // Straight to the root: an ex-root's leftover
+                        // children stay out of it.
+                        let msg = DatMsg::Update {
                             key,
                             epoch,
-                            value: v,
+                            partial: entry.own_partial(),
                             sender: me,
                         };
                         self.metrics.on_send(
@@ -699,9 +682,7 @@ impl DatProtocol {
         // A child that went silent (crashed, left, restarted under a fresh
         // id) is never pruned by name; past the ttl no reader counts it, so
         // it goes here instead of costing every walk for the rest of the run.
-        entry
-            .children
-            .retain(|(_, _, e)| epoch.saturating_sub(*e) <= ttl);
+        entry.expire_children(epoch, ttl);
         // Branching factor of the implicit DAT: how many recently-active
         // children fold into this node's push (the paper's Fig. 6 metric).
         let branching = entry.active_children(epoch).count() as u64;
@@ -881,8 +862,8 @@ impl DatProtocol {
     }
 
     /// Warm root failover: ship this key's soft state (fresh child
-    /// partials + centralized samples, each with its age) and the report
-    /// fence to the first `REPLICATION_K` successors.
+    /// partials, each with its age) and the report fence to the first
+    /// `REPLICATION_K` successors.
     fn replicate_root_state(&mut self, cx: &mut Ctx<'_>, slot: usize, seq: u64) {
         let targets = cx.successors(REPLICATION_K);
         if targets.is_empty() {
@@ -900,20 +881,11 @@ impl DatProtocol {
                 (age <= ttl).then(|| (*id, p.clone(), age))
             })
             .collect();
-        let raw: Vec<(Id, f64, u64)> = entry
-            .raw
-            .iter()
-            .filter_map(|(id, (v, e))| {
-                let age = epoch.saturating_sub(*e);
-                (age <= ttl).then_some((*id, *v, age))
-            })
-            .collect();
         let msg = DatMsg::RootState {
             key,
             seq,
             root: cx.me(),
             children,
-            raw,
         };
         let bytes = msg.encode();
         let kind = msg.kind();
@@ -935,7 +907,6 @@ impl DatProtocol {
             | DatMsg::Query { reqid, .. }
             | DatMsg::Response { reqid, .. }
             | DatMsg::Result { reqid, .. } => *reqid,
-            DatMsg::RawSample { key, epoch, .. } => trace_id_for(key.0, *epoch),
             DatMsg::Update { .. } | DatMsg::Prune { .. } | DatMsg::RootState { .. } => 0,
         }
     }
@@ -961,25 +932,16 @@ impl DatProtocol {
                 // NOT waited for — its last-known partial still merges
                 // (soft state), but the epoch cascades without it, so
                 // Completeness degrades instead of the report stalling
-                // behind a slow or gray-failed subtree.
-                let ready = e.flushed_epoch < now_epoch
+                // behind a slow or gray-failed subtree. A centralized root
+                // merges at its tick and never cascades.
+                let ready = e.mode == AggregationMode::Continuous
+                    && e.flushed_epoch < now_epoch
                     && e.active(now_epoch).all(|(child, delivered)| {
                         delivered == now_epoch || cx.suspicion(child) != SuspicionLevel::Healthy
                     });
                 if ready {
                     // Cascade up without waiting for the hold timer.
                     self.flush_continuous(cx, slot);
-                }
-            }
-            DatMsg::RawSample {
-                key,
-                epoch,
-                value,
-                sender,
-            } => {
-                let now_epoch = self.epoch;
-                if let Some(e) = self.aggregation_mut(key) {
-                    e.raw.insert(sender.id, (value, epoch.max(now_epoch)));
                 }
             }
             DatMsg::Request {
@@ -1027,7 +989,6 @@ impl DatProtocol {
                 seq,
                 root,
                 children,
-                raw,
             } => {
                 let now_epoch = self.epoch;
                 if let Some(slot) = slot_of(&self.aggs, key) {
@@ -1043,7 +1004,6 @@ impl DatProtocol {
                             root: root.id,
                             seq,
                             children,
-                            raw,
                             received_epoch: now_epoch,
                         });
                     } else {
@@ -1141,17 +1101,8 @@ impl DatProtocol {
     }
 
     fn local_partial(&self, key: Id) -> AggPartial {
-        match self.aggregation(key) {
-            Some(e) => {
-                let mut p = e.base_partial();
-                if let Some(x) = e.local {
-                    p.absorb(x);
-                }
-                p.contributors = 1;
-                p
-            }
-            None => AggPartial::identity(),
-        }
+        self.aggregation(key)
+            .map_or_else(AggPartial::identity, AggregationEntry::own_partial)
     }
 
     /// Send `Query` messages covering the disjoint finger sub-ranges of
@@ -1463,6 +1414,7 @@ fn d0(cfg: &DatConfig, table: &FingerTable) -> u64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use dat_chord::{ChordConfig, ChordNode, IdSpace, Input, Output};
@@ -1788,7 +1740,6 @@ mod tests {
             seq: 7,
             root: succ,
             children: Vec::new(),
-            raw: Vec::new(),
         };
         let _ = n.handle(Input::Message {
             from: succ.addr,
@@ -1838,7 +1789,6 @@ mod tests {
             seq: 7,
             root: pred,
             children: vec![(Id(99), child_partial, 0)],
-            raw: Vec::new(),
         };
         let _ = n.handle(Input::Message {
             from: pred.addr,

@@ -38,4 +38,4 @@ pub mod trace;
 
 pub use pgma::{grid_schemas, AccuracyStats, EpochRecord, GridMonitorSim, MonitorConfig};
 pub use sensor::{ConstantSensor, RandomWalkSensor, Sensor, TraceSensor};
-pub use trace::{CpuTrace, TraceConfig};
+pub use trace::CpuTrace;

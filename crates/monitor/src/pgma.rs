@@ -385,7 +385,7 @@ impl GridMonitorSim {
 mod tests {
     use super::*;
     use crate::sensor::ConstantSensor;
-    use crate::trace::{CpuTrace, TraceConfig};
+    use crate::trace::CpuTrace;
     use crate::TraceSensor;
 
     #[test]
@@ -413,10 +413,7 @@ mod tests {
 
     #[test]
     fn trace_signal_tracks_closely() {
-        let trace = CpuTrace::generate(TraceConfig {
-            duration_s: 600,
-            ..TraceConfig::default()
-        });
+        let trace = CpuTrace::generate(600, CpuTrace::DEFAULT_SEED);
         let cfg = MonitorConfig {
             nodes: 64,
             epoch_ms: 5_000,

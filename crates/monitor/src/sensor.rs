@@ -113,11 +113,10 @@ impl Sensor for ConstantSensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceConfig;
 
     #[test]
     fn trace_sensor_replays_with_offset_and_scale() {
-        let trace = CpuTrace::generate(TraceConfig::default());
+        let trace = CpuTrace::generate(7200, CpuTrace::DEFAULT_SEED);
         let mut s = TraceSensor::new("cpu-usage", trace.clone(), 100, 2.0);
         assert_eq!(s.attribute(), "cpu-usage");
         assert_eq!(s.sample(0), trace.at(100) * 2.0);

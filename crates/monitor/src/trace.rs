@@ -12,94 +12,64 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Parameters of the synthetic trace generator.
-#[derive(Clone, Copy, Debug)]
-pub struct TraceConfig {
-    /// Trace length in seconds (paper: 2 h = 7200 s).
-    pub duration_s: u64,
-    /// Samples per second (paper-equivalent: 1 Hz).
-    pub sample_hz: u32,
-    /// Number of processors whose utilisation is summed (Sun Fire v880: 8).
-    pub cpus: u32,
-    /// RNG seed.
-    pub seed: u64,
-    /// Baseline utilisation per CPU, percent.
-    pub base: f64,
-    /// Amplitude of the slow sinusoidal drift, percent.
-    pub drift_amp: f64,
-    /// Period of the slow drift, seconds.
-    pub drift_period_s: f64,
-    /// AR(1) coefficient (0 = white noise, →1 = long memory).
-    pub ar1: f64,
-    /// Standard deviation of the AR(1) innovations, percent.
-    pub noise: f64,
-    /// Per-sample probability of a load spike starting.
-    pub spike_prob: f64,
-    /// Spike amplitude, percent.
-    pub spike_amp: f64,
-    /// Spike decay per sample (exponential).
-    pub spike_decay: f64,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            duration_s: 7200,
-            sample_hz: 1,
-            cpus: 8,
-            seed: 0x5f1f,
-            base: 35.0,
-            drift_amp: 20.0,
-            drift_period_s: 5400.0,
-            ar1: 0.97,
-            noise: 2.5,
-            spike_prob: 0.002,
-            spike_amp: 45.0,
-            spike_decay: 0.92,
-        }
-    }
-}
+/// Samples per second (paper-equivalent: 1 Hz).
+const SAMPLE_HZ: u64 = 1;
+/// Number of processors whose utilisation is summed (Sun Fire v880: 8).
+const CPUS: u32 = 8;
+/// Baseline utilisation per CPU, percent.
+const BASE: f64 = 35.0;
+/// Amplitude of the slow sinusoidal drift, percent.
+const DRIFT_AMP: f64 = 20.0;
+/// Period of the slow drift, seconds.
+const DRIFT_PERIOD_S: f64 = 5400.0;
+/// AR(1) coefficient (long memory).
+const AR1: f64 = 0.97;
+/// Standard deviation of the AR(1) innovations, percent.
+const NOISE: f64 = 2.5;
+/// Per-sample probability of a load spike starting.
+const SPIKE_PROB: f64 = 0.002;
+/// Spike amplitude, percent.
+const SPIKE_AMP: f64 = 45.0;
+/// Spike decay per sample (exponential).
+const SPIKE_DECAY: f64 = 0.92;
 
 /// A generated utilisation trace. Samples are *average per-CPU usage* in
 /// percent (`0..=100`); [`CpuTrace::total_at`] scales by the CPU count.
 #[derive(Clone, Debug)]
 pub struct CpuTrace {
-    cfg: TraceConfig,
     samples: Vec<f64>,
 }
 
 impl CpuTrace {
-    /// Generate a trace from `cfg` (deterministic per seed).
-    pub fn generate(cfg: TraceConfig) -> Self {
-        assert!(cfg.sample_hz >= 1 && cfg.duration_s >= 1);
-        assert!((0.0..1.0).contains(&cfg.ar1.abs()) || cfg.ar1 == 0.0 || cfg.ar1 < 1.0);
-        let n = (cfg.duration_s * cfg.sample_hz as u64) as usize;
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    /// The seed of the default trace (any seed gives the same shape).
+    pub const DEFAULT_SEED: u64 = 0x5f1f;
+
+    /// Generate `duration_s` seconds of trace (paper: 2 h = 7200 s),
+    /// deterministic per `seed`.
+    pub fn generate(duration_s: u64, seed: u64) -> Self {
+        assert!(duration_s >= 1);
+        let n = (duration_s * SAMPLE_HZ) as usize;
+        let mut rng = SmallRng::seed_from_u64(seed);
         let mut samples = Vec::with_capacity(n);
         let mut ar = 0.0f64;
         let mut spike = 0.0f64;
         for i in 0..n {
-            let t = i as f64 / cfg.sample_hz as f64;
+            let t = i as f64 / SAMPLE_HZ as f64;
             // AR(1) noise via Box-Muller.
             let u1: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
             let u2: f64 = rng.random();
             let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-            ar = cfg.ar1 * ar + cfg.noise * z;
+            ar = AR1 * ar + NOISE * z;
             // Spikes.
-            spike *= cfg.spike_decay;
-            if rng.random::<f64>() < cfg.spike_prob {
-                spike += cfg.spike_amp;
+            spike *= SPIKE_DECAY;
+            if rng.random::<f64>() < SPIKE_PROB {
+                spike += SPIKE_AMP;
             }
-            let drift = cfg.drift_amp * (std::f64::consts::TAU * t / cfg.drift_period_s).sin();
-            let v = (cfg.base + drift + ar + spike).clamp(0.0, 100.0);
+            let drift = DRIFT_AMP * (std::f64::consts::TAU * t / DRIFT_PERIOD_S).sin();
+            let v = (BASE + drift + ar + spike).clamp(0.0, 100.0);
             samples.push(v);
         }
-        CpuTrace { cfg, samples }
-    }
-
-    /// The generator parameters.
-    pub fn config(&self) -> &TraceConfig {
-        &self.cfg
+        CpuTrace { samples }
     }
 
     /// Number of samples.
@@ -115,13 +85,13 @@ impl CpuTrace {
     /// Average per-CPU usage (percent) at `t_s` seconds from trace start.
     /// Out-of-range times clamp to the last sample.
     pub fn at(&self, t_s: u64) -> f64 {
-        let idx = ((t_s * self.cfg.sample_hz as u64) as usize).min(self.samples.len() - 1);
+        let idx = ((t_s * SAMPLE_HZ) as usize).min(self.samples.len() - 1);
         self.samples[idx]
     }
 
     /// Total usage across all CPUs (percent × cpus) at `t_s`.
     pub fn total_at(&self, t_s: u64) -> f64 {
-        self.at(t_s) * self.cfg.cpus as f64
+        self.at(t_s) * CPUS as f64
     }
 
     /// The raw sample vector.
@@ -154,21 +124,22 @@ impl CpuTrace {
 mod tests {
     use super::*;
 
+    fn default_trace() -> CpuTrace {
+        CpuTrace::generate(7200, CpuTrace::DEFAULT_SEED)
+    }
+
     #[test]
     fn deterministic_per_seed() {
-        let a = CpuTrace::generate(TraceConfig::default());
-        let b = CpuTrace::generate(TraceConfig::default());
+        let a = default_trace();
+        let b = default_trace();
         assert_eq!(a.samples(), b.samples());
-        let c = CpuTrace::generate(TraceConfig {
-            seed: 999,
-            ..TraceConfig::default()
-        });
+        let c = CpuTrace::generate(7200, 999);
         assert_ne!(a.samples(), c.samples());
     }
 
     #[test]
     fn two_hour_trace_shape() {
-        let t = CpuTrace::generate(TraceConfig::default());
+        let t = default_trace();
         assert_eq!(t.len(), 7200);
         assert!(t.samples().iter().all(|&v| (0.0..=100.0).contains(&v)));
         // 8-CPU totals scale accordingly.
@@ -177,43 +148,36 @@ mod tests {
 
     #[test]
     fn strongly_autocorrelated() {
-        let t = CpuTrace::generate(TraceConfig::default());
+        let t = default_trace();
         assert!(
             t.lag1_autocorr() > 0.8,
             "trace-like signals are smooth: r1 = {}",
             t.lag1_autocorr()
         );
-        // A white trace for contrast.
-        let white = CpuTrace::generate(TraceConfig {
-            ar1: 0.0,
-            noise: 20.0,
-            drift_amp: 0.0,
-            spike_prob: 0.0,
-            ..TraceConfig::default()
-        });
-        assert!(white.lag1_autocorr() < 0.4);
     }
 
     #[test]
     fn out_of_range_times_clamp() {
-        let t = CpuTrace::generate(TraceConfig {
-            duration_s: 10,
-            ..TraceConfig::default()
-        });
+        let t = CpuTrace::generate(10, CpuTrace::DEFAULT_SEED);
         assert_eq!(t.at(10_000), t.at(9));
     }
 
     #[test]
     fn spikes_present() {
-        let t = CpuTrace::generate(TraceConfig {
-            spike_prob: 0.05,
-            ..TraceConfig::default()
-        });
+        let t = default_trace();
         let max = t.samples().iter().cloned().fold(0.0, f64::max);
         let mean = t.samples().iter().sum::<f64>() / t.len() as f64;
         assert!(
             max > mean + 20.0,
             "spikes should stand out: max {max}, mean {mean}"
         );
+        // The drift alone can clear that bar; a one-sample rise of 20
+        // points (8 innovation deviations) is a spike's onset.
+        let rise = t
+            .samples()
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .fold(0.0, f64::max);
+        assert!(rise > 20.0, "no spike onset: largest rise {rise}");
     }
 }

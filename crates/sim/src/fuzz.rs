@@ -389,13 +389,6 @@ pub fn dat_corpus() -> Vec<DatMsg> {
                 (Id(22), filled_partial(), 1),
                 (Id(23), AggPartial::identity(), 0),
             ],
-            raw: vec![(Id(24), 3.5, 0)],
-        },
-        DatMsg::RawSample {
-            key: Id(25),
-            epoch: 26,
-            value: 7.25,
-            sender: nr(27),
         },
     ]
 }
@@ -446,7 +439,7 @@ mod tests {
     #[test]
     fn corpora_are_valid_and_cover_every_variant() {
         assert_eq!(chord_corpus().len(), 15);
-        assert_eq!(dat_corpus().len(), 8);
+        assert_eq!(dat_corpus().len(), 7);
         assert_eq!(maan_corpus().len(), 4);
         for t in ALL_TARGETS {
             for frame in corpus_for(t) {

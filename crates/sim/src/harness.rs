@@ -16,10 +16,7 @@
 //! (DAT + MAAN + gossip…) shares one Chord substrate per node.
 
 use dat_chord::{ChordConfig, ChordNode, Id, NodeAddr, NodeStatus, StaticRing};
-use dat_core::{
-    DatConfig, DatProtocol, ExplicitConfig, ExplicitProtocol, GossipConfig, GossipProtocol,
-    StackNode,
-};
+use dat_core::{DatConfig, DatProtocol, ExplicitProtocol, GossipProtocol, StackNode};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -124,12 +121,11 @@ pub fn prestabilized_dat(
 pub fn prestabilized_explicit(
     ring: &StaticRing,
     ccfg: ChordConfig,
-    ecfg: ExplicitConfig,
     key: Id,
     seed: u64,
 ) -> SimNet<StackNode> {
     prestabilized_stack(ring, ccfg, seed, |_, id, addr| {
-        StackNode::new(ccfg, id, addr).with_app(ExplicitProtocol::new(ecfg, key))
+        StackNode::new(ccfg, id, addr).with_app(ExplicitProtocol::new(key))
     })
 }
 
@@ -138,7 +134,6 @@ pub fn prestabilized_explicit(
 pub fn prestabilized_gossip<F>(
     ring: &StaticRing,
     ccfg: ChordConfig,
-    gcfg: GossipConfig,
     seed: u64,
     mut value_of: F,
 ) -> SimNet<StackNode>
@@ -146,7 +141,7 @@ where
     F: FnMut(usize) -> f64,
 {
     prestabilized_stack(ring, ccfg, seed, |i, id, addr| {
-        StackNode::new(ccfg, id, addr).with_app(GossipProtocol::new(gcfg, value_of(i)))
+        StackNode::new(ccfg, id, addr).with_app(GossipProtocol::new(value_of(i)))
     })
 }
 
@@ -408,7 +403,7 @@ mod tests {
         let mut net = prestabilized_stack(&ring, c, 7, |i, id, addr| {
             StackNode::new(c, id, addr)
                 .with_app(DatProtocol::new(DatConfig::default()))
-                .with_app(GossipProtocol::new(GossipConfig::default(), i as f64))
+                .with_app(GossipProtocol::new(i as f64))
         });
         assert!(ring_converged(&net, ring.ids()));
         net.run_for(30_000);

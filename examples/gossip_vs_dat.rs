@@ -12,7 +12,7 @@
 //! ```
 
 use libdat::chord::{hash_to_id, ChordConfig, IdPolicy, IdSpace, RoutingScheme, StaticRing};
-use libdat::core::{AggFunc, DatEvent, GossipConfig};
+use libdat::core::{AggFunc, DatEvent};
 use libdat::sim::harness::{addr_book, prestabilized_dat, prestabilized_gossip};
 use rand::SeedableRng;
 
@@ -32,11 +32,7 @@ fn main() {
     println!("true global average over {n} nodes: {truth}");
 
     // --- push-sum gossip -------------------------------------------------
-    let gcfg = GossipConfig {
-        round_ms: 1_000,
-        fanout: 1,
-    };
-    let mut gnet = prestabilized_gossip(&ring, ccfg, gcfg, 1, |i| i as f64);
+    let mut gnet = prestabilized_gossip(&ring, ccfg, 1, |i| i as f64);
     gnet.set_record_upcalls(false);
     println!("\npush-sum:");
     println!("  round   worst-node error   messages so far");

@@ -6,17 +6,14 @@
 //! cargo run --release --example grid_monitor [-- --full]
 //! ```
 
-use libdat::monitor::{CpuTrace, GridMonitorSim, MonitorConfig, TraceConfig, TraceSensor};
+use libdat::monitor::{CpuTrace, GridMonitorSim, MonitorConfig, TraceSensor};
 
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
     let duration_s = if full { 7200 } else { 1800 };
     let epoch_s = 10;
 
-    let trace = CpuTrace::generate(TraceConfig {
-        duration_s,
-        ..TraceConfig::default()
-    });
+    let trace = CpuTrace::generate(duration_s, CpuTrace::DEFAULT_SEED);
     println!(
         "trace: {}s, {} samples, lag-1 autocorrelation {:.3}",
         duration_s,

@@ -24,7 +24,9 @@ echo "==> clippy: unwrap_used denied in self-healing + observability + health mo
 # real-socket host core (PR 12) must never panic a node's only thread
 # or task, and the per-message tallies (PR 13:
 # chord::Metrics, bumped on every send and receive of every layer) must
-# never panic the message path; the modules opt in via
+# never panic the message path, and the DAT codec and protocol
+# (core/src/codec.rs + proto.rs) must never panic on a hostile frame or
+# inside the aggregation handler; the modules opt in via
 # #![deny(clippy::unwrap_used)] and this check keeps the attribute from
 # being dropped silently.
 for f in crates/sim/src/campaign.rs crates/bench/src/experiments/degradation.rs \
@@ -34,7 +36,8 @@ for f in crates/sim/src/campaign.rs crates/bench/src/experiments/degradation.rs 
          crates/chord/src/wire.rs crates/sim/src/fuzz.rs \
          crates/cluster/src/lib.rs crates/cluster/src/bin/clusterd.rs \
          crates/sim/src/shard.rs \
-         crates/chord/src/host.rs crates/chord/src/metrics.rs; do
+         crates/chord/src/host.rs crates/chord/src/metrics.rs \
+         crates/core/src/codec.rs crates/core/src/proto.rs; do
   grep -q '#!\[deny(clippy::unwrap_used)\]' "$f" \
     || { echo "missing #![deny(clippy::unwrap_used)] in $f"; exit 1; }
 done
@@ -196,10 +199,16 @@ epoch_rss="$(awk '$1 == "peak_rss_mib" { print $2 }' <<<"$epoch_out")"
 echo "==> examples build"
 cargo build --release --examples
 
-echo "==> examples smoke: quickstart (sim) + rpc_cluster (UDP, 8 nodes) + resource_discovery (live MAAN)"
+echo "==> examples smoke: quickstart (sim) + rpc_cluster (UDP, 8 nodes) + resource_discovery (live MAAN) + gossip_vs_dat + grid_monitor + churn_storm"
+# Each example asserts its own result and exits non-zero on failure:
+# every node counted, no missed match, the exact average, trace error
+# under 5 %, over 90 % coverage after churn.
 cargo run --release --example quickstart
 cargo run --release --example rpc_cluster -- 8
 cargo run --release --example resource_discovery
+cargo run --release --example gossip_vs_dat
+cargo run --release --example grid_monitor
+cargo run --release --example churn_storm
 
 echo "==> rustdoc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

@@ -316,7 +316,14 @@ fn histogram_digests_flow_through_the_tree() {
 fn distinct_count_sketch_flows_through_the_tree() {
     // Every node reports its site; the root's sketch estimates the number
     // of distinct sites Grid-wide (idempotent merge: duplicate delivery
-    // under churn cannot inflate it).
+    // under churn cannot inflate it). The centralized baseline routes the
+    // same one-node partials, sketch included, straight to the root.
+    for mode in [AggregationMode::Continuous, AggregationMode::Centralized] {
+        distinct_count_reaches_the_root(mode);
+    }
+}
+
+fn distinct_count_reaches_the_root(mode: AggregationMode) {
     let space = IdSpace::new(BITS);
     let mut rng = rand::rngs::SmallRng::seed_from_u64(77);
     let ring = StaticRing::build(space, 120, IdPolicy::Probed, &mut rng);
@@ -339,7 +346,7 @@ fn distinct_count_sketch_flows_through_the_tree() {
     let mut key = libdat::chord::Id(0);
     for (i, &id) in ring.ids().iter().enumerate() {
         let node = net.node_mut(book[&id]).unwrap();
-        key = node.register_with_distinct("cpu-usage", AggregationMode::Continuous, 12);
+        key = node.register_with_distinct("cpu-usage", mode, 12);
         node.set_local(key, 1.0);
         // 120 nodes spread over 17 distinct sites.
         node.observe_local_item(key, format!("site-{:02}", i % 17).as_bytes());
@@ -347,10 +354,10 @@ fn distinct_count_sketch_flows_through_the_tree() {
     net.run_for(10_000);
     let root = book[&ring.successor(key)];
     let p = last_report(&mut net, root, key).expect("report");
-    assert_eq!(p.count, 120);
+    assert_eq!(p.count, 120, "{mode:?}");
     let est = p.distinct_estimate();
     assert!(
         (15.0..=19.0).contains(&est),
-        "distinct-site estimate {est} (true: 17)"
+        "{mode:?}: distinct-site estimate {est} (true: 17)"
     );
 }

@@ -2,16 +2,12 @@
 //! shape) and discovery answers stay consistent with monitored state.
 
 use libdat::monitor::{
-    ConstantSensor, CpuTrace, GridMonitorSim, MonitorConfig, RandomWalkSensor, TraceConfig,
-    TraceSensor,
+    ConstantSensor, CpuTrace, GridMonitorSim, MonitorConfig, RandomWalkSensor, TraceSensor,
 };
 
 #[test]
 fn trace_aggregation_clusters_on_diagonal() {
-    let trace = CpuTrace::generate(TraceConfig {
-        duration_s: 1200,
-        ..TraceConfig::default()
-    });
+    let trace = CpuTrace::generate(1200, CpuTrace::DEFAULT_SEED);
     let cfg = MonitorConfig {
         nodes: 128,
         epoch_ms: 10_000,
