@@ -202,8 +202,13 @@ pub enum TimerKind {
     FixFingers,
     /// Periodic predecessor liveness check.
     CheckPredecessor,
-    /// Per-request timeout for the pending table.
-    ReqTimeout(ReqId),
+    /// The node's request-deadline timer, carrying the host time it was
+    /// armed for. Every input first times out the requests past their
+    /// deadline, so this one exists only to guarantee an input by the
+    /// earliest deadline when no periodic timer the node re-armed itself
+    /// comes first. At most one is live: a firing whose time is not the
+    /// latest armed one was superseded and does nothing.
+    ReqDeadline(u64),
     /// Timer owned by the layer above Chord (the DAT layer), with its own
     /// sub-kind.
     App(u64),

@@ -11,10 +11,19 @@
 //!
 //! Request/response exchanges are retransmitted on timeout (bounded
 //! retries, exponential backoff) with the retransmission timeout adapted
-//! from a smoothed RTT estimate (Jacobson/Karn, as in TCP). Hosts feed the
-//! node wall/virtual time through [`ChordNode::handle_at`] or
-//! [`ChordNode::set_now`]; with `max_retries = 0` a request is sent once
-//! and its first timeout is final.
+//! from a smoothed RTT estimate (Jacobson/Karn, as in TCP); with
+//! `max_retries = 0` a request is sent once and its first timeout is
+//! final.
+//!
+//! Request timeouts are deadlines, not timers. Each in-flight request
+//! carries the host time its latest transmission expires at, and every
+//! input starts by expiring the requests whose deadline has passed, in
+//! (deadline, arming order). The node only has to make sure *some* timer
+//! of its own fires by the earliest deadline: a periodic timer it re-armed
+//! itself usually does (the default RTO floor equals the finger-fix
+//! period), and otherwise one [`TimerKind::ReqDeadline`] is armed for the
+//! whole table. Hosts must therefore report time, through
+//! [`ChordNode::handle_at`] or [`ChordNode::set_now`], before every input.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -42,7 +51,8 @@ pub struct ChordConfig {
     pub fix_fingers_ms: u64,
     /// Predecessor liveness-check period.
     pub check_pred_ms: u64,
-    /// Per-request timeout.
+    /// Request timeout before the first RTT sample (the adaptive RTO's
+    /// fallback).
     pub req_timeout_ms: u64,
     /// Use identifier probing at join time (§3.5).
     pub probe_on_join: bool,
@@ -157,12 +167,16 @@ struct Outstanding {
     to: NodeRef,
     /// The exact datagram to re-send.
     msg: ChordMsg,
-    /// Host time of the first transmission (RTT sampling, Karn's rule).
-    first_sent_ms: u64,
     /// Transmissions so far (1 = the original send).
     attempts: u32,
-    /// Timeout armed for the latest transmission (doubles per retry).
+    /// Arming order of `deadline_ms`: equal deadlines expire in it. It
+    /// wraps after 2^32 arms, which only reorders a tie.
+    armed: u32,
+    /// Timeout of the latest transmission (doubles per retry).
     rto_ms: u64,
+    /// Host time the latest transmission times out at; minus `rto_ms`,
+    /// when it was sent.
+    deadline_ms: u64,
 }
 
 /// The Chord protocol state machine.
@@ -187,6 +201,15 @@ pub struct ChordNode {
     rttvar_ms: f64,
     /// In-flight requests by id: `send_tracked` in, reply or final timeout out.
     outstanding: HashMap<ReqId, Outstanding>,
+    /// Counter behind [`Outstanding::armed`].
+    next_arm: u32,
+    /// Due time of each periodic timer this node re-armed itself
+    /// (`Stabilize`, `FixFingers`, `CheckPredecessor`; `u64::MAX` until
+    /// then). The first arming is not recorded: a host may delay it.
+    periodic_due: [u64; 3],
+    /// Due time of the latest armed [`TimerKind::ReqDeadline`] that has
+    /// not fired yet (`u64::MAX`: none).
+    deadline_timer: u64,
     /// Timeout-evicted peers remembered for ring unification, each with a
     /// remaining probe budget (FIFO, capped at `FALLEN_CAP`).
     fallen: VecDeque<(NodeRef, u8)>,
@@ -217,6 +240,9 @@ impl ChordNode {
             srtt_ms: None,
             rttvar_ms: 0.0,
             outstanding: HashMap::new(),
+            next_arm: 0,
+            periodic_due: [u64::MAX; 3],
+            deadline_timer: u64::MAX,
             fallen: VecDeque::new(),
             health: HealthDetector::default(),
             metrics: Metrics::default(),
@@ -335,8 +361,8 @@ impl ChordNode {
     }
 
     /// Advance the node's notion of host time (wall or virtual ms). The
-    /// clock only moves forward; it feeds RTT estimation, nothing else, so
-    /// hosts that never call it simply keep the fallback timeout.
+    /// clock only moves forward; it feeds RTT estimation and decides which
+    /// requests are past their deadline.
     pub fn set_now(&mut self, now_ms: u64) {
         self.now_ms = self.now_ms.max(now_ms);
     }
@@ -382,7 +408,8 @@ impl ChordNode {
     /// Send a request and register it for timeout tracking and (when the
     /// retry budget allows) retransmission. Whether the target is marked
     /// for failure suspicion on final timeout follows from `kind`
-    /// ([`Pending::suspects_target`]).
+    /// ([`Pending::suspects_target`]). The public entry point that got
+    /// here ends with [`ChordNode::cover_deadlines`].
     fn send_tracked(
         &mut self,
         out: &mut Vec<Output>,
@@ -393,27 +420,86 @@ impl ChordNode {
     ) {
         let rto = self.current_rto();
         self.metrics.observe("rto_ms", rto);
-        self.outstanding.insert(
-            req,
-            Outstanding {
-                kind,
-                to,
-                msg: msg.clone(),
-                first_sent_ms: self.now_ms,
-                attempts: 1,
-                rto_ms: rto,
-            },
-        );
+        let mut o = Outstanding {
+            kind,
+            to,
+            msg: msg.clone(),
+            attempts: 1,
+            armed: 0,
+            rto_ms: rto,
+            deadline_ms: 0,
+        };
+        self.set_deadline(&mut o);
+        self.outstanding.insert(req, o);
         self.send(out, to, msg);
-        self.arm(out, TimerKind::ReqTimeout(req), rto);
+    }
+
+    /// Start the timeout of `o`'s latest transmission: `rto_ms` from now.
+    fn set_deadline(&mut self, o: &mut Outstanding) {
+        o.deadline_ms = self.now_ms.saturating_add(o.rto_ms);
+        o.armed = self.next_arm;
+        self.next_arm = self.next_arm.wrapping_add(1);
+    }
+
+    /// Time out every request whose deadline is not after now, in
+    /// (deadline, arming order) — the order one timer per request would
+    /// have fired in. A retransmission gets a later deadline; a retry that
+    /// is itself due again (a zero RTO) expires in this same pass.
+    fn expire_requests(&mut self, out: &mut Vec<Output>) {
+        while let Some(req) = self
+            .outstanding
+            .iter()
+            .filter(|(_, o)| o.deadline_ms <= self.now_ms)
+            .min_by_key(|(_, o)| (o.deadline_ms, o.armed))
+            .map(|(&req, _)| req)
+        {
+            self.on_req_timeout(req, out);
+        }
+    }
+
+    /// Make sure a timer of this node's own fires no later than the
+    /// earliest request deadline: a periodic timer it re-armed itself, or
+    /// the pending [`TimerKind::ReqDeadline`]. Failing both, arm one
+    /// `ReqDeadline` for that deadline.
+    fn cover_deadlines(&mut self, out: &mut Vec<Output>) {
+        let Some(due) = self.outstanding.values().map(|o| o.deadline_ms).min() else {
+            return;
+        };
+        let cover = self
+            .periodic_due
+            .into_iter()
+            .fold(self.deadline_timer, u64::min);
+        if cover <= due {
+            return;
+        }
+        self.deadline_timer = due;
+        self.arm(
+            out,
+            TimerKind::ReqDeadline(due),
+            due.saturating_sub(self.now_ms),
+        );
+    }
+
+    /// Re-arm periodic timer `kind` from its own handler, and remember
+    /// when it fires: until then it covers every deadline at or before it.
+    fn rearm(&mut self, out: &mut Vec<Output>, kind: TimerKind, period_ms: u64) {
+        let slot = match kind {
+            TimerKind::Stabilize => 0,
+            TimerKind::FixFingers => 1,
+            _ => 2,
+        };
+        self.periodic_due[slot] = self.now_ms + period_ms;
+        self.arm(out, kind, period_ms);
     }
 
     fn untrack(&mut self, req: ReqId) -> Option<Pending> {
         let o = self.outstanding.remove(&req)?;
         // Karn's rule: only exchanges that were never retransmitted
-        // yield RTT samples (a retransmitted reply is ambiguous).
+        // yield RTT samples (a retransmitted reply is ambiguous), and for
+        // those the latest transmission is the first.
         if o.attempts == 1 {
-            self.observe_rtt(self.now_ms.saturating_sub(o.first_sent_ms));
+            let sent_ms = o.deadline_ms - o.rto_ms;
+            self.observe_rtt(self.now_ms.saturating_sub(sent_ms));
         }
         Some(o.kind)
     }
@@ -455,6 +541,7 @@ impl ChordNode {
         self.bootstrap = Some(bootstrap);
         let mut out = Vec::new();
         self.begin_join_attempt(&mut out);
+        self.cover_deadlines(&mut out);
         out
     }
 
@@ -506,6 +593,7 @@ impl ChordNode {
             Some(next) => self.send_tracked(&mut out, next, msg, req, Pending::Lookup),
             None => out.push(Output::Upcall(Upcall::LookupFailed { req })),
         }
+        self.cover_deadlines(&mut out);
         (req, out)
     }
 
@@ -549,6 +637,7 @@ impl ChordNode {
             sender: self.me(),
         };
         self.send_tracked(&mut out, target, msg, req, Pending::PingNode);
+        self.cover_deadlines(&mut out);
         out
     }
 
@@ -629,12 +718,15 @@ impl ChordNode {
         self.table.closest_preceding(key).or(Some(succ))
     }
 
-    /// Drive one input through the state machine.
+    /// Drive one input through the state machine: first time out every
+    /// request past its deadline, then the input, then make sure a timer
+    /// covers the earliest deadline left.
     pub fn handle(&mut self, input: Input) -> Vec<Output> {
         let mut out = Vec::new();
         if self.status == NodeStatus::Departed {
             return out;
         }
+        self.expire_requests(&mut out);
         match input {
             Input::Timer(kind) => self.on_timer(kind, &mut out),
             Input::Message { from, msg } => {
@@ -649,6 +741,7 @@ impl ChordNode {
             // the failure detector (see `core::engine`).
             Input::BadFrame { .. } => {}
         }
+        self.cover_deadlines(&mut out);
         out
     }
 
@@ -686,13 +779,13 @@ impl ChordNode {
                         self.send_tracked(out, s, msg, req, Pending::Stabilize);
                     }
                 }
-                self.arm(out, TimerKind::Stabilize, self.cfg.stabilize_ms);
+                self.rearm(out, TimerKind::Stabilize, self.cfg.stabilize_ms);
             }
             TimerKind::FixFingers => {
                 if self.status == NodeStatus::Active {
                     self.fix_next_finger(out);
                 }
-                self.arm(out, TimerKind::FixFingers, self.cfg.fix_fingers_ms);
+                self.rearm(out, TimerKind::FixFingers, self.cfg.fix_fingers_ms);
             }
             TimerKind::CheckPredecessor => {
                 if self.status == NodeStatus::Active {
@@ -707,9 +800,15 @@ impl ChordNode {
                     self.probe_fallen(out);
                     self.keepalive_probe(out);
                 }
-                self.arm(out, TimerKind::CheckPredecessor, self.cfg.check_pred_ms);
+                self.rearm(out, TimerKind::CheckPredecessor, self.cfg.check_pred_ms);
             }
-            TimerKind::ReqTimeout(req) => self.on_req_timeout(req, out),
+            // The deadlines it was armed for expired before this input ran;
+            // a superseded firing (an earlier one was armed since) is inert.
+            TimerKind::ReqDeadline(due) => {
+                if self.deadline_timer == due {
+                    self.deadline_timer = u64::MAX;
+                }
+            }
             TimerKind::App(sub) => out.push(Output::Upcall(Upcall::AppTimer(sub))),
         }
     }
@@ -823,24 +922,25 @@ impl ChordNode {
         self.fallen.push_back((node, FALLEN_PROBES));
     }
 
+    /// Request `req` reached its deadline unanswered.
     fn on_req_timeout(&mut self, req: ReqId, out: &mut Vec<Output>) {
-        let Some(o) = self.outstanding.get_mut(&req) else {
-            return; // answered in time
+        // Not `untrack`: no RTT sample from a timeout.
+        let Some(mut o) = self.outstanding.remove(&req) else {
+            return;
         };
         // Retransmit the identical datagram to the identical first hop
         // while the retry budget lasts, doubling the timeout each round.
         if o.attempts <= self.cfg.max_retries {
             o.attempts += 1;
             o.rto_ms = (o.rto_ms * 2).min(self.cfg.rto_max_ms);
-            let (to, msg, rto) = (o.to, o.msg.clone(), o.rto_ms);
+            self.set_deadline(&mut o);
+            let (to, msg) = (o.to, o.msg.clone());
+            self.outstanding.insert(req, o);
             self.metrics.retransmits += 1;
             self.send(out, to, msg);
-            self.arm(out, TimerKind::ReqTimeout(req), rto);
             return;
         }
-        // Retries exhausted. Not `untrack`: no RTT sample from a failure.
         let (kind, to) = (o.kind, o.to);
-        self.outstanding.remove(&req);
         // Suspect the node that failed to answer. Two consecutive strikes
         // are required before eviction so a single lost datagram on a lossy
         // network cannot tear down a live neighbor; finger fixing relearns
@@ -1326,14 +1426,21 @@ mod tests {
         ChordNode::new(cfg4(), Id(id), NodeAddr(id))
     }
 
-    /// A node with retransmission disabled: the first `ReqTimeout` is final,
-    /// which is what the failure-suspicion tests below drive by hand.
+    /// A node with retransmission disabled: a request's first deadline is
+    /// final, which is what the failure-suspicion tests below drive by hand.
     fn node_no_retry(id: u64) -> ChordNode {
         let cfg = ChordConfig {
             max_retries: 0,
             ..cfg4()
         };
         ChordNode::new(cfg, Id(id), NodeAddr(id))
+    }
+
+    /// The input a host delivers at `req`'s deadline: every request due
+    /// by then times out before the input itself runs.
+    fn time_out(n: &mut ChordNode, req: ReqId) -> Vec<Output> {
+        let due = n.outstanding[&req].deadline_ms;
+        n.handle_at(Input::Timer(TimerKind::ReqDeadline(due)), due)
     }
 
     fn sends(out: &[Output]) -> Vec<(&NodeRef, &ChordMsg)> {
@@ -1547,7 +1654,7 @@ mod tests {
             ChordMsg::GetNeighbors { req, .. } => *req,
             other => panic!("unexpected {other:?}"),
         };
-        let _ = n.handle(Input::Timer(TimerKind::ReqTimeout(req)));
+        let _ = time_out(&mut n, req);
         assert_eq!(
             n.table().successor().unwrap().id,
             Id(4),
@@ -1559,7 +1666,7 @@ mod tests {
             ChordMsg::GetNeighbors { req, .. } => *req,
             other => panic!("unexpected {other:?}"),
         };
-        let out = n.handle(Input::Timer(TimerKind::ReqTimeout(req)));
+        let out = time_out(&mut n, req);
         assert_eq!(n.table().successor().unwrap().id, Id(8));
         assert!(upcalls(&out)
             .iter()
@@ -1581,7 +1688,7 @@ mod tests {
             ChordMsg::GetNeighbors { req, .. } => *req,
             other => panic!("unexpected {other:?}"),
         };
-        let _ = n.handle(Input::Timer(TimerKind::ReqTimeout(req)));
+        let _ = time_out(&mut n, req);
         // The node answers the next round: strikes reset.
         let out = n.handle(Input::Timer(TimerKind::Stabilize));
         let req = match sends(&out)[0].1 {
@@ -1603,7 +1710,7 @@ mod tests {
             ChordMsg::GetNeighbors { req, .. } => *req,
             other => panic!("unexpected {other:?}"),
         };
-        let _ = n.handle(Input::Timer(TimerKind::ReqTimeout(req)));
+        let _ = time_out(&mut n, req);
         assert_eq!(
             n.table().successor().unwrap().id,
             Id(4),
@@ -1788,27 +1895,25 @@ mod tests {
         };
         // Two retransmissions of the identical datagram, backing off from
         // the 2 s initial timeout, then the request is declared failed.
+        let mut sent_at = 0;
         for i in 1..=2u64 {
-            let out = n.handle(Input::Timer(TimerKind::ReqTimeout(req)));
+            let out = time_out(&mut n, req);
+            assert_eq!(
+                n.now_ms,
+                sent_at + (2_000 << (i - 1)),
+                "expired at its deadline"
+            );
+            sent_at = n.now_ms;
             let (to, msg) = sends(&out)[0];
             assert_eq!(to.id, Id(4));
             assert!(matches!(msg, ChordMsg::GetNeighbors { req: r, .. } if *r == req));
-            let delay = out
-                .iter()
-                .find_map(|o| match o {
-                    Output::SetTimer {
-                        kind: TimerKind::ReqTimeout(r),
-                        delay_ms,
-                    } if *r == req => Some(*delay_ms),
-                    _ => None,
-                })
-                .unwrap();
-            assert_eq!(delay, 2_000 << i);
+            assert_eq!(n.outstanding[&req].deadline_ms, sent_at + (2_000 << i));
             assert_eq!(n.metrics().retransmits, i);
             assert_eq!(n.metrics().timeouts, 0, "not failed yet");
         }
         // Budget exhausted: the third expiry is final (one strike, no send).
-        let out = n.handle(Input::Timer(TimerKind::ReqTimeout(req)));
+        let out = time_out(&mut n, req);
+        assert_eq!(n.now_ms, sent_at + 8_000);
         assert!(sends(&out).is_empty());
         assert_eq!(n.metrics().timeouts, 1);
         assert_eq!(
@@ -1851,7 +1956,7 @@ mod tests {
         // estimator (Karn's rule), however slow it was.
         let out = n.handle_at(Input::Timer(TimerKind::Stabilize), 1_000);
         let req2 = stabilize_req(&out);
-        let out = n.handle_at(Input::Timer(TimerKind::ReqTimeout(req2)), 1_300);
+        let out = n.handle_at(Input::Timer(TimerKind::ReqDeadline(1_300)), 1_300);
         assert_eq!(sends(&out).len(), 1, "retransmitted");
         let _ = n.handle_at(
             Input::Message {
@@ -1879,7 +1984,7 @@ mod tests {
                 ChordMsg::GetNeighbors { req, .. } => *req,
                 other => panic!("unexpected {other:?}"),
             };
-            let _ = n.handle(Input::Timer(TimerKind::ReqTimeout(req)));
+            let _ = time_out(&mut n, req);
         }
         assert_eq!(n.table().successor().unwrap().id, Id(8));
         // The next liveness round probes the fallen peer.
@@ -2033,5 +2138,517 @@ mod tests {
                 assert_rto_invariants(&n, &format!("seq {seq} step {step} sample {sample}"));
             }
         }
+    }
+
+    // ---- Request deadlines -------------------------------------------
+
+    use crate::ring::{IdPolicy, StaticRing};
+    use rand::{Rng, SeedableRng};
+    use std::collections::{BTreeMap, HashSet};
+
+    /// 32 members of a 16-bit ring; the node under test is the first.
+    fn deadline_ring() -> StaticRing {
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
+        StaticRing::build(IdSpace::new(16), 32, IdPolicy::Random, &mut rng)
+    }
+
+    fn cfg16() -> ChordConfig {
+        ChordConfig {
+            space: IdSpace::new(16),
+            succ_list_len: 3,
+            ..ChordConfig::default()
+        }
+    }
+
+    fn at(id: Id) -> NodeRef {
+        NodeRef::new(id, NodeAddr(id.raw()))
+    }
+
+    /// The node under test, started with its converged table. The first
+    /// periodic timers are armed but not delivered by the callers below,
+    /// so no periodic timer covers a deadline until one is re-armed.
+    fn started(cfg: ChordConfig) -> (StaticRing, ChordNode) {
+        let ring = deadline_ring();
+        let me = ring.ids()[0];
+        let mut n = ChordNode::new(cfg, me, NodeAddr(me.raw()));
+        let _ = n.start_with_table(ring.table_of(me, cfg.succ_list_len));
+        (ring, n)
+    }
+
+    /// `(due, delay)` of every `ReqDeadline` the outputs arm.
+    fn deadline_timers(out: &[Output]) -> Vec<(u64, u64)> {
+        out.iter()
+            .filter_map(|o| match o {
+                Output::SetTimer {
+                    kind: TimerKind::ReqDeadline(due),
+                    delay_ms,
+                } => Some((*due, *delay_ms)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The request id a transmission carries; `None` for a notification.
+    fn req_of(msg: &ChordMsg) -> Option<ReqId> {
+        match *msg {
+            ChordMsg::FindSuccessor { req, .. }
+            | ChordMsg::GetNeighbors { req, .. }
+            | ChordMsg::Ping { req, .. } => Some(req),
+            _ => None,
+        }
+    }
+
+    /// What ring member `to` answers to request `msg`.
+    fn answer(ring: &StaticRing, to: NodeRef, msg: &ChordMsg) -> ChordMsg {
+        let succ = |id: Id| ring.successor(ring.space().add(id, 1));
+        match *msg {
+            ChordMsg::FindSuccessor { req, .. } => ChordMsg::FoundSuccessor {
+                req,
+                owner: to,
+                owner_pred: Some(at(ring.predecessor(to.id))),
+                owner_succ: Some(at(succ(to.id))),
+                hops: 1,
+            },
+            ChordMsg::GetNeighbors { req, .. } => {
+                let mut succ_list = vec![at(succ(to.id))];
+                for _ in 1..3 {
+                    let last = succ_list[succ_list.len() - 1].id;
+                    succ_list.push(at(succ(last)));
+                }
+                ChordMsg::Neighbors {
+                    req,
+                    me: to,
+                    pred: Some(at(ring.predecessor(to.id))),
+                    succ_list,
+                }
+            }
+            ChordMsg::Ping { req, .. } => ChordMsg::Pong { req, sender: to },
+            ref other => panic!("not a request: {other:?}"),
+        }
+    }
+
+    fn found(req: ReqId, owner: NodeRef) -> Input {
+        Input::Message {
+            from: owner.addr,
+            msg: ChordMsg::FoundSuccessor {
+                req,
+                owner,
+                owner_pred: None,
+                owner_succ: None,
+                hops: 1,
+            },
+        }
+    }
+
+    /// Reference side of the deadline host: one request as per-request
+    /// arithmetic sees it.
+    struct Expect {
+        first_sent: u64,
+        attempts: u32,
+        rto: u64,
+        due: u64,
+    }
+
+    /// Reference side: Jacobson's estimator with Karn's rule, kept from
+    /// the replies the host delivers.
+    struct RefRto {
+        srtt: Option<f64>,
+        rttvar: f64,
+    }
+
+    impl RefRto {
+        fn observe(&mut self, sample: u64) {
+            let s = sample as f64;
+            match self.srtt {
+                None => {
+                    self.srtt = Some(s);
+                    self.rttvar = s / 2.0;
+                }
+                Some(srtt) => {
+                    self.rttvar = 0.75 * self.rttvar + 0.25 * (srtt - s).abs();
+                    self.srtt = Some(0.875 * srtt + 0.125 * s);
+                }
+            }
+        }
+
+        fn rto(&self, cfg: &ChordConfig) -> u64 {
+            match self.srtt {
+                Some(s) => ((s + 4.0 * self.rttvar) as u64).clamp(RTO_MIN_MS, cfg.rto_max_ms),
+                None => cfg.req_timeout_ms,
+            }
+        }
+    }
+
+    enum Ev {
+        Timer(TimerKind),
+        Reply(NodeAddr, ChordMsg),
+        Call,
+    }
+
+    /// What one run of [`deadline_host`] saw.
+    #[derive(Default)]
+    struct HostRun {
+        requests: usize,
+        deadline_timers: u64,
+        retransmits: u64,
+        timeouts: u64,
+        late_replies: u64,
+    }
+
+    /// A one-node host over virtual time: every timer the node arms is
+    /// delivered when due, every request transmission is dropped with
+    /// probability `drop_p` or answered after 1..=`max_rtt_ms`, and with
+    /// `calls` the host issues a lookup or a ping every 1..=400 ms. Every
+    /// retransmission and final timeout is checked against the reference:
+    /// first send + RTO, doubled (up to `rto_max_ms`) per retry.
+    struct DeadlineHost {
+        seed: u64,
+        cfg: ChordConfig,
+        ring: StaticRing,
+        rng: rand::rngs::SmallRng,
+        queue: BTreeMap<(u64, u64), Ev>,
+        seq: u64,
+        drop_p: f64,
+        max_rtt_ms: u64,
+        est: RefRto,
+        live: HashMap<ReqId, Expect>,
+        seen: HashSet<ReqId>,
+        run: HostRun,
+    }
+
+    impl DeadlineHost {
+        fn push(&mut self, at_ms: u64, ev: Ev) {
+            self.queue.insert((at_ms, self.seq), ev);
+            self.seq += 1;
+        }
+
+        /// Take the node's outputs at `t`; `retx` lists the requests the
+        /// reference expects retransmitted by them.
+        fn absorb(&mut self, n: &ChordNode, t: u64, outs: Vec<Output>, mut retx: Vec<ReqId>) {
+            let seed = self.seed;
+            for o in outs {
+                match o {
+                    Output::Send { to, msg } => {
+                        let Some(req) = req_of(&msg) else {
+                            continue;
+                        };
+                        if let Some(i) = retx.iter().position(|&r| r == req) {
+                            retx.swap_remove(i);
+                        } else {
+                            assert!(
+                                self.seen.insert(req),
+                                "seed {seed}: request {req} re-sent at {t}, off its deadline"
+                            );
+                            let rto = self.est.rto(&self.cfg);
+                            let due = t + rto;
+                            let first_sent = t;
+                            let attempts = 1;
+                            let e = Expect {
+                                first_sent,
+                                attempts,
+                                rto,
+                                due,
+                            };
+                            self.live.insert(req, e);
+                        }
+                        if !self.rng.random_bool(self.drop_p) {
+                            let rtt = self.rng.random_range(1..=self.max_rtt_ms);
+                            let reply = answer(&self.ring, to, &msg);
+                            self.push(t + rtt, Ev::Reply(to.addr, reply));
+                        }
+                    }
+                    Output::SetTimer { kind, delay_ms } => {
+                        if matches!(kind, TimerKind::ReqDeadline(_)) {
+                            self.run.deadline_timers += 1;
+                        }
+                        self.push(t + delay_ms, Ev::Timer(kind));
+                    }
+                    Output::Upcall(_) => {}
+                }
+            }
+            assert!(
+                retx.is_empty(),
+                "seed {seed}: {retx:?} were due a retransmission at {t}"
+            );
+            let mut mine: Vec<ReqId> = n.outstanding.keys().copied().collect();
+            let mut theirs: Vec<ReqId> = self.live.keys().copied().collect();
+            mine.sort_unstable();
+            theirs.sort_unstable();
+            assert_eq!(mine, theirs, "seed {seed}: requests in flight at {t}");
+        }
+
+        /// The reference at `t`, before the input: everything due by now
+        /// retransmits or times out, and must be due exactly now — an
+        /// earlier deadline means the node armed nothing that woke it.
+        fn expire(&mut self, t: u64) -> Vec<ReqId> {
+            let (seed, cfg) = (self.seed, self.cfg);
+            let mut retx = Vec::new();
+            let mut finals = Vec::new();
+            for (&req, e) in self.live.iter_mut().filter(|(_, e)| e.due <= t) {
+                assert_eq!(
+                    e.due, t,
+                    "seed {seed}: request {req} got no input at its deadline"
+                );
+                if e.attempts <= cfg.max_retries {
+                    e.attempts += 1;
+                    e.rto = (e.rto * 2).min(cfg.rto_max_ms);
+                    e.due = t + e.rto;
+                    retx.push(req);
+                } else {
+                    finals.push(req);
+                }
+            }
+            for req in finals {
+                self.live.remove(&req);
+            }
+            retx
+        }
+
+        /// The reference's view of a reply arriving at `t`: the first
+        /// answer to a live request completes it, sampling the RTT when
+        /// the request was never retransmitted.
+        fn replied(&mut self, t: u64, msg: &ChordMsg) {
+            let req = match *msg {
+                ChordMsg::FoundSuccessor { req, .. }
+                | ChordMsg::Neighbors { req, .. }
+                | ChordMsg::Pong { req, .. } => req,
+                ref other => panic!("not a reply: {other:?}"),
+            };
+            match self.live.remove(&req) {
+                Some(e) if e.attempts == 1 => self.est.observe(t - e.first_sent),
+                Some(_) => {}
+                None => self.run.late_replies += 1,
+            }
+        }
+    }
+
+    fn deadline_host(
+        seed: u64,
+        cfg: ChordConfig,
+        drop_p: f64,
+        max_rtt_ms: u64,
+        calls: bool,
+        horizon_ms: u64,
+    ) -> HostRun {
+        let ring = deadline_ring();
+        let me = ring.ids()[0];
+        let mut n = ChordNode::new(cfg, me, NodeAddr(me.raw()));
+        let outs = n.start_with_table(ring.table_of(me, cfg.succ_list_len));
+        let mut h = DeadlineHost {
+            seed,
+            cfg,
+            ring,
+            rng: rand::rngs::SmallRng::seed_from_u64(seed),
+            queue: BTreeMap::new(),
+            seq: 0,
+            drop_p,
+            max_rtt_ms,
+            est: RefRto {
+                srtt: None,
+                rttvar: 0.0,
+            },
+            live: HashMap::new(),
+            seen: HashSet::new(),
+            run: HostRun::default(),
+        };
+        h.absorb(&n, 0, outs, Vec::new());
+        if calls {
+            let first = h.rng.random_range(1..=400u64);
+            h.push(first, Ev::Call);
+        }
+        while let Some(((t, _), ev)) = h.queue.pop_first() {
+            if t > horizon_ms {
+                break;
+            }
+            // Inputs expire what is due; a call from the host does not
+            // (the timer due at the same instant follows it).
+            let retx = match ev {
+                Ev::Call => Vec::new(),
+                _ => h.expire(t),
+            };
+            let outs = match ev {
+                Ev::Timer(kind) => n.handle_at(Input::Timer(kind), t),
+                Ev::Reply(from, msg) => {
+                    h.replied(t, &msg);
+                    n.handle_at(Input::Message { from, msg }, t)
+                }
+                Ev::Call => {
+                    let next = t + h.rng.random_range(1..=400u64);
+                    h.push(next, Ev::Call);
+                    let member = h.ring.ids()[h.rng.random_range(1..h.ring.len())];
+                    n.set_now(t);
+                    if h.rng.random_bool(0.5) {
+                        n.lookup(member).1
+                    } else {
+                        n.ping_node(at(member))
+                    }
+                }
+            };
+            h.absorb(&n, t, outs, retx);
+        }
+        h.run.requests = h.seen.len();
+        h.run.retransmits = n.metrics().retransmits;
+        h.run.timeouts = n.metrics().timeouts;
+        h.run
+    }
+
+    #[test]
+    fn a_ticks_requests_arm_no_deadline_timer_under_default_config() {
+        // Every periodic timer delivered on time, every reply back in
+        // 1-2 ms: the RTO settles on its 250 ms floor, which is the
+        // finger-fix period, so the next FixFingers always comes first.
+        let run = deadline_host(1, cfg16(), 0.0, 2, false, 30_000);
+        assert!(run.requests > 150, "only {} requests", run.requests);
+        assert_eq!(run.deadline_timers, 0, "a deadline timer was armed");
+        assert_eq!((run.retransmits, run.timeouts), (0, 0));
+    }
+
+    #[test]
+    fn uncovered_requests_share_one_deadline_timer() {
+        // Between ticks: lookups before any periodic timer was re-armed.
+        let (ring, mut n) = started(cfg16());
+        let mut armed = Vec::new();
+        for (i, &key) in ring.ids()[3..6].iter().enumerate() {
+            n.set_now(10 * i as u64);
+            let (_, out) = n.lookup(key);
+            assert_eq!(sends(&out).len(), 1);
+            armed.extend(deadline_timers(&out));
+        }
+        assert_eq!(armed, vec![(2_000, 2_000)], "one timer for three requests");
+
+        // A finger-fix period longer than the RTO: a tick's requests.
+        let cfg = ChordConfig {
+            stabilize_ms: 5_000,
+            fix_fingers_ms: 5_000,
+            check_pred_ms: 5_000,
+            req_timeout_ms: 300,
+            ..cfg16()
+        };
+        let (_, mut n) = started(cfg);
+        let mut armed = Vec::new();
+        let mut requests = 0;
+        for kind in [
+            TimerKind::Stabilize,
+            TimerKind::FixFingers,
+            TimerKind::CheckPredecessor,
+        ] {
+            let out = n.handle_at(Input::Timer(kind), 1_000);
+            requests += sends(&out).len();
+            armed.extend(deadline_timers(&out));
+        }
+        assert!(requests >= 3);
+        assert_eq!(armed, vec![(1_300, 300)]);
+    }
+
+    #[test]
+    fn an_earlier_deadline_arms_an_earlier_timer_and_the_superseded_one_is_inert() {
+        let (ring, mut n) = started(cfg16());
+        let key = ring.ids()[9];
+        let (a, out) = n.lookup(key);
+        assert_eq!(deadline_timers(&out), vec![(2_000, 2_000)]);
+        let hop = *sends(&out)[0].0;
+        // Answered in 100 ms: SRTT 100, RTTVAR 50, RTO 300.
+        let _ = n.handle_at(found(a, hop), 100);
+        assert_eq!(n.current_rto(), 300);
+
+        n.set_now(200);
+        let (b, out) = n.lookup(key);
+        assert_eq!(
+            deadline_timers(&out),
+            vec![(500, 300)],
+            "an earlier deadline arms an earlier timer"
+        );
+        // b goes unanswered: re-sent at 500 and 1_100, final at 2_300.
+        for (now, next) in [(500, (1_100, 600)), (1_100, (2_300, 1_200))] {
+            let out = n.handle_at(Input::Timer(TimerKind::ReqDeadline(now)), now);
+            assert!(
+                matches!(sends(&out)[..], [(_, ChordMsg::FindSuccessor { req, .. })] if *req == b)
+            );
+            assert_eq!(deadline_timers(&out), vec![next]);
+        }
+        // The timer armed for a's deadline: superseded, it does nothing
+        // and leaves the live one alone.
+        let out = n.handle_at(Input::Timer(TimerKind::ReqDeadline(2_000)), 2_000);
+        assert!(out.is_empty(), "{out:?}");
+        assert_eq!(n.deadline_timer, 2_300);
+        let out = n.handle_at(Input::Timer(TimerKind::ReqDeadline(2_300)), 2_300);
+        assert!(upcalls(&out)
+            .iter()
+            .any(|u| matches!(u, Upcall::LookupFailed { req } if *req == b)));
+        assert!(deadline_timers(&out).is_empty());
+        assert_eq!(n.deadline_timer, u64::MAX);
+        assert!(n.outstanding.is_empty());
+    }
+
+    #[test]
+    fn a_late_host_expires_every_overdue_request_in_deadline_then_send_order() {
+        for max_retries in [0, 2] {
+            let (ring, mut n) = started(ChordConfig {
+                max_retries,
+                ..cfg16()
+            });
+            let keys = &ring.ids()[3..];
+            // a at 0 (due 2_000); x answered at 100, so the RTO drops to
+            // 300; b and c at 150 (both due 450, b armed first); d at
+            // 1_000 (due 1_300).
+            let (a, _) = n.lookup(keys[0]);
+            let (x, out) = n.lookup(keys[1]);
+            let _ = n.handle_at(found(x, *sends(&out)[0].0), 100);
+            n.set_now(150);
+            let (b, _) = n.lookup(keys[2]);
+            let (c, _) = n.lookup(keys[3]);
+            n.set_now(1_000);
+            let (d, _) = n.lookup(keys[4]);
+            // The host wakes the node only at 3_000.
+            let out = n.handle_at(Input::Timer(TimerKind::ReqDeadline(450)), 3_000);
+            let order: Vec<ReqId> = if max_retries == 0 {
+                upcalls(&out)
+                    .iter()
+                    .filter_map(|u| match u {
+                        Upcall::LookupFailed { req } => Some(*req),
+                        _ => None,
+                    })
+                    .collect()
+            } else {
+                sends(&out).iter().filter_map(|(_, m)| req_of(m)).collect()
+            };
+            assert_eq!(order, vec![b, c, d, a], "max_retries {max_retries}");
+        }
+    }
+
+    /// Seeded scripts of send times, RTT samples (late ones included) and
+    /// dropped replies over varied periods and RTO bounds: every
+    /// retransmission and final timeout lands on the millisecond
+    /// per-request arithmetic gives, with periodic timers or one
+    /// `ReqDeadline` covering the deadlines.
+    #[test]
+    fn every_retransmit_and_timeout_lands_on_its_deadline() {
+        let mut total = HostRun::default();
+        for seed in 0..24u64 {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ 0xDEAD_11E5);
+            let cfg = ChordConfig {
+                stabilize_ms: [500, 900][rng.random_range(0..2usize)],
+                fix_fingers_ms: [250, 400, 1_500][rng.random_range(0..3usize)],
+                check_pred_ms: [1_000, 1_700][rng.random_range(0..2usize)],
+                req_timeout_ms: [300, 1_000, 2_000][rng.random_range(0..3usize)],
+                max_retries: rng.random_range(0..=3u32),
+                rto_max_ms: [1_000, 8_000][rng.random_range(0..2usize)],
+                ..cfg16()
+            };
+            let drop_p = [0.0, 0.2, 0.5][rng.random_range(0..3usize)];
+            let max_rtt = [3, 400, 1_500][rng.random_range(0..3usize)];
+            let run = deadline_host(seed, cfg, drop_p, max_rtt, true, 20_000);
+            total.requests += run.requests;
+            total.deadline_timers += run.deadline_timers;
+            total.retransmits += run.retransmits;
+            total.timeouts += run.timeouts;
+            total.late_replies += run.late_replies;
+        }
+        // The scripts reach every path the reference checks.
+        assert!(total.requests > 4_000, "{} requests", total.requests);
+        assert!(total.deadline_timers > 1_000, "{}", total.deadline_timers);
+        assert!(total.retransmits > 1_000, "{}", total.retransmits);
+        assert!(total.timeouts > 500, "{}", total.timeouts);
+        assert!(total.late_replies > 100, "{}", total.late_replies);
     }
 }

@@ -165,11 +165,12 @@ pub struct AggregationEntry {
     children: Vec<(Id, AggPartial, u64)>,
     /// Last epoch whose partial has been pushed up / reported.
     flushed_epoch: u64,
-    /// Root stickiness: we keep acting as the root through this epoch while
-    /// the predecessor link is unknown (transient evictions on lossy links
-    /// must not silence reports or push partials down-tree, which would
-    /// create counting cycles).
-    root_until: u64,
+    /// Root stickiness: this node was the acting root when it last knew
+    /// its predecessor, and keeps acting as the root until it knows one
+    /// again (an evicted or quarantined predecessor must not silence
+    /// reports or push partials down-tree, which would create counting
+    /// cycles) or another root's fence stands it down.
+    was_root: bool,
     /// The parent the previous flush went to; a switch triggers a prune
     /// notice so the old parent drops our cached partial at once.
     last_parent: Option<NodeRef>,
@@ -502,7 +503,7 @@ impl DatProtocol {
             local_items: Vec::new(),
             children: Vec::new(),
             flushed_epoch: 0,
-            root_until: 0,
+            was_root: false,
             last_parent: None,
             prune_old: None,
             fence_seq: 0,
@@ -698,7 +699,10 @@ impl DatProtocol {
         // candidate and let the timeout machinery sort it out.
         let mut hops = cx.table().successor_list().len().max(1);
         while let ParentDecision::Parent(p) = decision {
-            if hops == 0 || cx.suspicion(p.id) == SuspicionLevel::Healthy {
+            // The key's owner is never evicted here: the node after it is
+            // not the root, and its route to the key runs back through us.
+            let owner = cx.space().in_open_closed(key, me.id, p.id);
+            if hops == 0 || owner || cx.suspicion(p.id) == SuspicionLevel::Healthy {
                 break;
             }
             hops -= 1;
@@ -708,13 +712,13 @@ impl DatProtocol {
             cx.evict_suspect(p);
             decision = entry.parent_under(&self.cfg, cx.table());
         }
-        // Root stickiness: a transiently evicted predecessor makes the ring
-        // position uncertain; a recent root keeps reporting rather than
-        // pushing its partial *down* the tree (which would both silence the
-        // report and create a counting cycle).
+        // Root stickiness: an evicted predecessor makes the ring position
+        // uncertain; the last root keeps reporting rather than pushing its
+        // partial *down* the tree (which would both silence the report and
+        // create a counting cycle) until it knows a predecessor again.
         match decision {
             ParentDecision::IAmRoot => {
-                entry.root_until = epoch + 2;
+                entry.was_root = true;
                 // Warm failover: if a previous root replicated its soft
                 // state here, fold it in before computing this epoch's
                 // partial — the first report after a takeover already
@@ -728,15 +732,14 @@ impl DatProtocol {
                 }
             }
             _ => {
-                let pred_unknown = cx.table().predecessor().is_none();
-                let sticky = entry.root_until >= epoch;
-                if pred_unknown && sticky {
+                entry.was_root &= cx.table().predecessor().is_none();
+                if entry.was_root {
                     // Fencing (at most one report per key per epoch): a
                     // sticky ex-root stands down as soon as it has observed
                     // the live root's fence — a RootState replica with a
                     // sequence at or above its own. Without this, an
-                    // evicted ex-root keeps reporting for up to 2 epochs
-                    // *alongside* the true root.
+                    // evicted ex-root keeps reporting *alongside* the true
+                    // root until it learns a predecessor.
                     let fenced_off = entry.fence_root.is_some_and(|root| root != me.id);
                     if fenced_off {
                         let seq = entry.fence_seq;
@@ -758,7 +761,9 @@ impl DatProtocol {
         partial.trace_id = partial.trace_id.max(tid);
         // Parent switch: tell the old parent to forget our partial so the
         // subtree is never counted along two paths at once. Prunes ride the
-        // same lossy links as updates, so each switch schedules two.
+        // same lossy links as updates: the switch flush sends two copies
+        // (the one race that matters is reaching the old parent before its
+        // own flush this epoch), the next flush one more.
         if let Some(old) = entry
             .last_parent
             .filter(|old| Some(old.id) != new_parent.map(|p| p.id))
@@ -773,8 +778,11 @@ impl DatProtocol {
         if let Some((old, n)) = entry.prune_old {
             entry.prune_old = (n > 1).then_some((old, n - 1));
             let msg = DatMsg::Prune { key, sender: me };
-            self.metrics.on_send(cx.now_ms(), tid, msg.kind(), old.id.0);
-            cx.send(old, msg.encode());
+            let bytes = msg.encode();
+            for _ in 0..n {
+                self.metrics.on_send(cx.now_ms(), tid, msg.kind(), old.id.0);
+                cx.send(old, bytes.clone());
+            }
         }
         match decision {
             ParentDecision::IAmRoot => self.publish(cx, slot, partial),
@@ -1417,7 +1425,7 @@ fn d0(cfg: &DatConfig, table: &FingerTable) -> u64 {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use dat_chord::{ChordConfig, ChordNode, IdSpace, Input, Output};
+    use dat_chord::{ChordConfig, ChordMsg, ChordNode, IdSpace, Input, Output};
 
     fn mk(id: u64) -> StackNode {
         let ccfg = ChordConfig {
@@ -1700,7 +1708,7 @@ mod tests {
     #[test]
     fn fenced_ex_root_stands_down() {
         use dat_chord::FingerTable;
-        // A sticky ex-root (predecessor unknown, root_until in the future)
+        // A sticky ex-root (predecessor unknown, the acting root before)
         // keeps reporting — until it observes the live root's fence, after
         // which at most one node reports per key per epoch.
         let space = IdSpace::new(8);
@@ -1726,7 +1734,7 @@ mod tests {
         n.app_mut::<DatProtocol>()
             .aggregation_mut(key)
             .unwrap()
-            .root_until = 10;
+            .was_root = true;
         let _ = n.fire_epoch_for_tests();
         let reports = n
             .take_events()
@@ -1755,6 +1763,121 @@ mod tests {
             !evs.iter().any(|e| matches!(e, DatEvent::Report { .. })),
             "fenced ex-root must stand down, got {evs:?}"
         );
+    }
+
+    /// The node `d` ids past the key of "cpu-usage" on an 8-bit ring, at
+    /// address `d`.
+    fn past_key(d: u64) -> NodeRef {
+        let key = hash_to_id(IdSpace::new(8), b"cpu-usage");
+        NodeRef::new(Id((key.raw() + d) % 256), NodeAddr(d))
+    }
+
+    /// `past_key(d)` as a started continuous "cpu-usage" node holding a
+    /// value, its routing table filled in by `fill`.
+    fn placed(d: u64, fill: impl FnOnce(&mut dat_chord::FingerTable)) -> StackNode {
+        let space = IdSpace::new(8);
+        let ccfg = ChordConfig {
+            space,
+            ..ChordConfig::default()
+        };
+        let me = past_key(d);
+        let mut n =
+            StackNode::new(ccfg, me.id, me.addr).with_app(DatProtocol::new(DatConfig::default()));
+        let key = n.register("cpu-usage", AggregationMode::Continuous);
+        let mut table = dat_chord::FingerTable::new(space, me, 4);
+        fill(&mut table);
+        let _ = n.start_with_table(table);
+        n.set_local(key, 1.0);
+        n
+    }
+
+    fn reports(n: &mut StackNode) -> usize {
+        let evs = n.take_events();
+        evs.iter()
+            .filter(|e| matches!(e, DatEvent::Report { .. }))
+            .count()
+    }
+
+    /// How many DAT frames `outs` sends to `to`.
+    fn dat_sends(outs: &[Output], to: NodeRef) -> usize {
+        outs.iter()
+            .filter(|o| matches!(o, Output::Send { to: t, msg: ChordMsg::App { .. } } if *t == to))
+            .count()
+    }
+
+    #[test]
+    fn a_suspect_key_owner_is_not_evicted_by_its_predecessor() {
+        // The owner's predecessor keeps pushing to the owner when the
+        // failure detector suspects it: the node after the owner is not
+        // the root, and its route to the key runs back through here.
+        let (owner, next) = (past_key(3), past_key(40));
+        let mut n = placed(250, |t| {
+            t.set_successor_list(vec![owner, next]);
+            t.set_predecessor(Some(past_key(200)));
+        });
+        // A steady beat from the owner, then a long silence: Suspect.
+        for req in 1..=8u64 {
+            n.set_now(req * 1_000);
+            let msg = ChordMsg::Ping { req, sender: owner };
+            let _ = n.handle(Input::Message {
+                from: owner.addr,
+                msg,
+            });
+        }
+        n.set_now(60_000);
+        let outs = n.fire_epoch_for_tests();
+        assert_eq!(n.table().successor(), Some(owner), "the owner was evicted");
+        assert_eq!((dat_sends(&outs, owner), dat_sends(&outs, next)), (1, 0));
+    }
+
+    #[test]
+    fn a_parent_switch_prunes_twice_at_once_then_once_more() {
+        let (old, new) = (past_key(210), past_key(220));
+        let mut n = placed(200, |t| t.set_successor_list(vec![old, new]));
+        let outs = n.fire_epoch_for_tests();
+        assert_eq!((dat_sends(&outs, old), dat_sends(&outs, new)), (1, 0));
+        let _ = n.drive::<DatProtocol, _>(|_, cx| cx.evict_suspect(old));
+        // The switch flush: the update to the new parent and two prunes
+        // to the old one; the next flush: one more prune.
+        let outs = n.fire_epoch_for_tests();
+        assert_eq!((dat_sends(&outs, old), dat_sends(&outs, new)), (2, 1));
+        let outs = n.fire_epoch_for_tests();
+        assert_eq!((dat_sends(&outs, old), dat_sends(&outs, new)), (1, 1));
+        let outs = n.fire_epoch_for_tests();
+        assert_eq!((dat_sends(&outs, old), dat_sends(&outs, new)), (0, 1));
+    }
+
+    #[test]
+    fn a_root_that_loses_its_predecessor_reports_until_it_knows_one() {
+        let pred = past_key(250);
+        let mut n = placed(10, |t| {
+            t.set_successor(past_key(60));
+            t.set_predecessor(Some(pred));
+        });
+        let _ = n.fire_epoch_for_tests();
+        assert_eq!(reports(&mut n), 1, "the owner reports");
+        // Its predecessor is evicted (say, quarantined behind a jammed
+        // link): the root keeps reporting, epoch after epoch.
+        let _ = n.drive::<DatProtocol, _>(|_, cx| cx.evict_suspect(pred));
+        assert_eq!(n.table().predecessor(), None);
+        for epoch in 0..6 {
+            let _ = n.fire_epoch_for_tests();
+            assert_eq!(reports(&mut n), 1, "silent {epoch} epochs on");
+        }
+        // A predecessor past the key: this node no longer owns it, and
+        // losing that predecessor again does not make it a root.
+        let between = past_key(5);
+        let msg = ChordMsg::Notify { sender: between };
+        let _ = n.handle(Input::Message {
+            from: between.addr,
+            msg,
+        });
+        assert_eq!(n.table().predecessor(), Some(between));
+        let _ = n.fire_epoch_for_tests();
+        assert_eq!(reports(&mut n), 0, "a non-owner reported");
+        let _ = n.drive::<DatProtocol, _>(|_, cx| cx.evict_suspect(between));
+        let _ = n.fire_epoch_for_tests();
+        assert_eq!(reports(&mut n), 0, "an ex-non-owner reported");
     }
 
     #[test]

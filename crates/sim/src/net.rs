@@ -87,7 +87,7 @@ pub struct SimNet<A: Actor> {
     now: SimTime,
     latency: LatencyModel,
     loss: LossModel,
-    /// Recorded upcalls with their emission keys; `(at, key)` is the
+    /// Recorded upcalls with their upcall keys; `(at, key)` is the
     /// shard-count-invariant order [`SimNet::take_upcalls`] returns.
     upcalls: Vec<(u64, UpcallRecord)>,
     record_upcalls: bool,
@@ -230,8 +230,8 @@ impl<A: Actor> SimNet<A> {
     }
 
     /// Stop/start recording upcalls (recording is on by default; long churn
-    /// runs may want it off to bound memory). A recorded upcall draws a key
-    /// from its node's stream, so flip this before the run, not during.
+    /// runs may want it off to bound memory). Recording draws nothing from
+    /// a node's event keys or RNG stream: a run is the same either way.
     pub fn set_record_upcalls(&mut self, on: bool) {
         self.record_upcalls = on;
     }
@@ -1205,6 +1205,14 @@ mod tests {
     /// [`FaultEvent`](crate::FaultEvent) variant and every kind of link
     /// damage; everything observable, as one string.
     fn every_fault_digest(shards: usize) -> String {
+        let (run, upcalls) = every_fault_run(shards, true);
+        format!("{run}\n{upcalls}")
+    }
+
+    /// [`every_fault_digest`] in two parts: the run (event count, queue,
+    /// drops, corruption tallies, per-node traffic, root reports) and the
+    /// recorded upcalls, recording switched on or off after set-up.
+    fn every_fault_run(shards: usize, record: bool) -> (String, String) {
         use dat_core::{AggregationMode, DatConfig, DatEvent, DatProtocol, StackNode};
         let space = IdSpace::new(32);
         let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(0xFA17);
@@ -1223,6 +1231,7 @@ mod tests {
         };
         let mut net = crate::harness::prestabilized_dat(&ring, ccfg, dcfg, 0xFA17);
         net.set_shards(shards);
+        net.set_record_upcalls(record);
         net.set_latency(LatencyModel::Uniform { lo: 2, hi: 20 });
         net.set_loss(LossModel::new(0.01));
         let feed = |node: &mut StackNode| {
@@ -1297,14 +1306,26 @@ mod tests {
             net.corruption.rejected > 40,
             "all four corrupted links carry traffic"
         );
-        assert!(upcalls.len() > 24 && reports.len() > 10 && net.dropped > 200);
-        format!(
-            "{} {} {} {:?}\n{stats:?}\n{reports:?}\n{upcalls:?}",
+        assert!(upcalls.len() > 24 || !record);
+        assert!(reports.len() > 10 && net.dropped > 200);
+        let run = format!(
+            "{} {} {} {:?}\n{stats:?}\n{reports:?}",
             net.events_processed(),
             net.pending_events(),
             net.dropped,
             net.corruption,
-        )
+        );
+        (run, format!("{upcalls:?}"))
+    }
+
+    /// Recording upcalls is an observer: switching it off leaves every
+    /// event, message, drop and report of the run where it was.
+    #[test]
+    fn recording_upcalls_moves_no_byte() {
+        let (on, recorded) = every_fault_run(1, true);
+        let (off, setup_only) = every_fault_run(1, false);
+        assert_eq!(on, off, "recording upcalls moved the run");
+        assert!(recorded.len() > setup_only.len(), "nothing was recorded");
     }
 
     #[test]
@@ -1314,7 +1335,7 @@ mod tests {
         // plan passes; a moved send or delivery draw does not.
         assert_eq!(
             dat_obs::fnv1a(base.as_bytes()),
-            0x1ee9_8694_c4ad_baa9,
+            0xd53e_282a_2242_28c9,
             "the 1-shard run moved off its pinned fingerprint"
         );
         for shards in [2, 4, 8] {

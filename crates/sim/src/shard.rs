@@ -149,6 +149,9 @@ pub(crate) struct Slot<A> {
     /// Private monotone counter — the high bits of every key this slot
     /// assigns.
     pub(crate) ctr: u64,
+    /// Private monotone counter of recorded upcalls — their order keys.
+    /// Separate from `ctr`, so recording them moves no event key.
+    up_ctr: u64,
     /// Global slot index (the low bits of every key).
     idx: u32,
 }
@@ -164,6 +167,7 @@ impl<A> Slot<A> {
             busy_until: SimTime::ZERO,
             rng: SmallRng::seed_from_u64(mix64(seed ^ mix64(u64::from(idx)))),
             ctr: 0,
+            up_ctr: 0,
             idx,
         }
     }
@@ -171,6 +175,12 @@ impl<A> Slot<A> {
     fn next_key(&mut self) -> u64 {
         let k = key(self.ctr, self.idx);
         self.ctr += 1;
+        k
+    }
+
+    fn next_upcall_key(&mut self) -> u64 {
+        let k = key(self.up_ctr, self.idx);
+        self.up_ctr += 1;
         k
     }
 }
@@ -202,7 +212,7 @@ pub(crate) struct Shard<A> {
     pub(crate) events: u64,
     pub(crate) dropped: u64,
     pub(crate) corruption: CorruptionStats,
-    /// Upcalls tagged with the key drawn at emission time, so the merged
+    /// Upcalls tagged with their node's upcall key, so the merged
     /// fleet-wide order is `(at, key)` — deterministic for any shard count.
     pub(crate) upcalls: Vec<(u64, UpcallRecord)>,
 }
@@ -430,7 +440,7 @@ impl<A: Actor> Shard<A> {
                 }
                 Output::Upcall(upcall) => {
                     if env.record_upcalls {
-                        let (key, node) = (n.next_key(), n.addr);
+                        let (key, node) = (n.next_upcall_key(), n.addr);
                         self.upcalls.push((key, UpcallRecord { at, node, upcall }));
                     }
                 }

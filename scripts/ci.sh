@@ -118,7 +118,7 @@ echo "==> campaign pin: the default seeds' summary lines must hash to the pinned
 # scheduled event passes with this line unedited; one that moves a
 # campaign byte re-pins it in the same diff. A seed override (SOAK_SEEDS,
 # GRAY_SEEDS, CORRUPT_SEEDS) runs other seeds, so it skips the check.
-CAMPAIGN_SCORE_DIGEST=8444a2af4c84d9c7
+CAMPAIGN_SCORE_DIGEST=60451cb3deccd6c5
 if [ -z "${SOAK_SEEDS:-}${GRAY_SEEDS:-}${CORRUPT_SEEDS:-}" ]; then
   campaign_digest="$(printf '%s' "$campaign_lines" | sed -E 's/digest 0x[0-9a-f]+, //' | sha256sum | cut -c1-16)"
   [ "$campaign_digest" = "$CAMPAIGN_SCORE_DIGEST" ] \
@@ -167,11 +167,18 @@ echo "==> maintenance smoke: a seeded sim_maint run must reproduce the pinned di
 # A change that claims "no protocol byte moved" passes with this line
 # unedited; one that does move bytes (message order, timer schedule, RNG
 # draws) re-pins it in the same diff.
-MAINT_SMOKE_DIGEST=08aa49efd8b1dec8
+MAINT_SMOKE_DIGEST=07a1c1d522674b2e
 maint_out="$(bash benchmark/run.sh --workload sim_maint --quick --seed 1 --seconds 1 --trace 1)" \
   || { echo "maintenance smoke: a gate failed (clamped/dropped event or shard-count digest divergence)"; exit 1; }
 grep -qx "# digest: $MAINT_SMOKE_DIGEST" <<<"$maint_out" \
   || { echo "maintenance smoke: run digest moved off $MAINT_SMOKE_DIGEST (protocol bytes changed: re-pin it here, knowingly)"; exit 1; }
+# Events per virtual second at 512 nodes: 7 periodic timers per node and
+# the traffic they cause. A Chord request times out through its node's
+# own timers; a timer per request coming back adds 8 events per node.
+MAINT_SMOKE_EVENTS=12904
+maint_events="$(awk '$1 == "sim.events_per_op" { print $2 }' <<<"$maint_out")"
+[ -n "$maint_events" ] && awk -v e="$maint_events" -v pin="$MAINT_SMOKE_EVENTS" 'BEGIN { exit !(e == pin) }' \
+  || { echo "maintenance smoke: events per op ${maint_events:-missing}, not $MAINT_SMOKE_EVENTS (per-request timers back?)"; exit 1; }
 
 echo "==> DAT-path smoke: a seeded sim_epoch run must reproduce the pinned digest and event count"
 # The maintenance smoke above pins Chord maintenance only. This is its

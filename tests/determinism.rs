@@ -2,12 +2,14 @@
 //! simulation outcome (the property all experiment reproducibility rests
 //! on), and different seeds genuinely differ.
 
-use libdat::chord::{ChordConfig, IdPolicy, IdSpace, RoutingScheme, StaticRing};
+use libdat::chord::{
+    ChordConfig, ChordNode, IdPolicy, IdSpace, Output, RoutingScheme, StaticRing, TimerKind,
+};
 use libdat::core::{AggregationMode, DatConfig, DatEvent};
 use libdat::obs::trace::DEFAULT_TRACE_CAP;
 use libdat::obs::EventKind;
 use libdat::sim::harness::{addr_book, prestabilized_dat};
-use libdat::sim::{LatencyModel, LossModel};
+use libdat::sim::{LatencyModel, LossModel, SimNet};
 use rand::SeedableRng;
 
 /// Run a lossy, jittery aggregation network and produce a fingerprint of
@@ -164,4 +166,70 @@ fn same_seed_reproduces_every_byte_with_several_keys_per_node() {
     let (traffic_b, digest_b) = run();
     assert_eq!(traffic_a, traffic_b, "per-node traffic");
     assert_eq!(digest_a, digest_b, "fleet trace digest");
+}
+
+/// Fault-free Chord maintenance on a 512-node probed ring, every node's
+/// first `FixFingers` delayed by `(i mod 52) x 250 ms` the way the
+/// `sim_maint` benchmark staggers finger cursors, 30 virtual seconds.
+/// The per-node `(sent, delivered)` fingerprint is pinned: how a node
+/// schedules its request deadlines may change the event count, never a
+/// message. No request is retransmitted or times out on a healthy ring.
+#[test]
+fn fault_free_maintenance_traffic_is_pinned() {
+    let seed = 1;
+    let space = IdSpace::new(40);
+    let cfg = ChordConfig {
+        space,
+        ..ChordConfig::default()
+    };
+    // Finger-fix firings per cursor cycle: fingers 2..=40, every fourth
+    // firing a FOF refresh.
+    let cycle = (u64::from(space.bits()) - 1) * 4 / 3;
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+    let ring = StaticRing::build(space, 512, IdPolicy::Probed, &mut rng);
+    let book = addr_book(&ring);
+    let mut net: SimNet<ChordNode> = SimNet::new(seed);
+    net.set_record_upcalls(false);
+    for (i, &id) in ring.ids().iter().enumerate() {
+        let addr = book[&id];
+        let mut node = ChordNode::new(cfg, id, addr);
+        let mut outs =
+            node.start_with_table(ring.table_of_with(id, cfg.succ_list_len, &|id| book[&id]));
+        for o in &mut outs {
+            if let Output::SetTimer {
+                kind: TimerKind::FixFingers,
+                delay_ms,
+            } = o
+            {
+                *delay_ms += (i as u64 % cycle) * cfg.fix_fingers_ms;
+            }
+        }
+        net.add_node(node);
+        net.apply(addr, outs);
+    }
+    net.run_for(30_000);
+    assert_eq!(net.clamped_events(), 0);
+    let traffic: Vec<(u64, u64)> = net
+        .addrs()
+        .iter()
+        .map(|&a| {
+            let s = net.link_stats(a);
+            (s.sent, s.delivered)
+        })
+        .collect();
+    let (mut retransmits, mut timeouts) = (0, 0);
+    for (_, node) in net.iter_nodes() {
+        retransmits += node.metrics().retransmits;
+        timeouts += node.metrics().timeouts;
+    }
+    assert_eq!(
+        (retransmits, timeouts),
+        (0, 0),
+        "a healthy ring lost a request"
+    );
+    assert_eq!(
+        libdat::obs::fnv1a(format!("{traffic:?}").as_bytes()),
+        0x34e7_e81b_bf95_fc8c,
+        "fault-free maintenance traffic moved"
+    );
 }
