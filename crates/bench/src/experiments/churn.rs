@@ -93,7 +93,6 @@ pub fn run(n: usize, event_gap_ms: u64, duration_ms: u64, seed: u64) -> Churn {
         ..DatConfig::default()
     };
     let mut dat_net = prestabilized_dat(&ring, ccfg, dcfg, seed);
-    dat_net.set_record_upcalls(false);
     for addr in dat_net.addrs() {
         let node = dat_net.node_mut(addr).unwrap();
         let k = node.register("cpu-usage", AggregationMode::Continuous);
@@ -106,7 +105,6 @@ pub fn run(n: usize, event_gap_ms: u64, duration_ms: u64, seed: u64) -> Churn {
 
     // ---- explicit side ---------------------------------------------------
     let mut exp_net = prestabilized_explicit(&ring, ccfg, key, seed);
-    exp_net.set_record_upcalls(false);
     for addr in exp_net.addrs() {
         exp_net.node_mut(addr).unwrap().exp_set_local(25.0);
     }

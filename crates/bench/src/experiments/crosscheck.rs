@@ -70,7 +70,6 @@ fn check_one(n: usize, scheme: RoutingScheme, seed: u64) -> CrosscheckRow {
         ..DatConfig::default()
     };
     let mut net: SimNet<StackNode> = prestabilized_dat(&ring, ccfg, dcfg, seed);
-    net.set_record_upcalls(false);
     let book = addr_book(&ring);
     for &id in ring.ids() {
         let node = net.node_mut(book[&id]).unwrap();

@@ -102,7 +102,6 @@ fn build_loaded_net(n: usize, scheme: Scheme, seed: u64) -> SimNet<StackNode> {
         ..DatConfig::default()
     };
     let mut net: SimNet<StackNode> = prestabilized_dat(&ring, ccfg, dcfg, seed);
-    net.set_record_upcalls(false);
     // Register the aggregation and a local value at every node.
     let addrs = net.addrs();
     for (i, &addr) in addrs.iter().enumerate() {

@@ -55,7 +55,6 @@ fn run_one(n: usize, seed: u64) -> GossipRow {
     };
     // Values 0..n-1: true average (n-1)/2.
     let mut net = prestabilized_gossip(&ring, ccfg, seed, |i| i as f64);
-    net.set_record_upcalls(false);
     let truth = (n as f64 - 1.0) / 2.0;
     let mut rounds_1pct = None;
     let mut rounds_01pct = None;

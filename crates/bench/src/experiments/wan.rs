@@ -93,7 +93,6 @@ fn run_one(n: usize, loss: f64, seed: u64) -> WanRow {
         sigma: 0.6,
     });
     net.set_loss(LossModel::new(loss));
-    net.set_record_upcalls(false);
     let book = addr_book(&ring);
     let key = dat_chord::hash_to_id(space, b"cpu-usage");
     for &id in ring.ids() {

@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use dat_obs::Registry;
+use dat_obs::{Key, Registry};
 
 use crate::wire::ERROR_KINDS;
 use crate::{codec, Actor, Input, NodeAddr, Output, TimerKind, Upcall};
@@ -76,20 +76,47 @@ impl TransportStats {
         std::array::from_fn(|i| (ERROR_KINDS[i], self.decode_errors_by_kind[i]))
     }
 
-    /// The snapshot as an obs registry in the shared
-    /// [`dat_obs::transport`] vocabulary, every series zero-initialized,
-    /// labelled `transport="<transport>"`.
+    /// The snapshot as an obs registry, in the one naming scheme both real
+    /// hosts share, so fleet merges and dashboards never see two
+    /// spellings of the same series:
+    ///
+    /// * `transport_datagrams_total{transport,dir="sent"|"received"}`
+    /// * `transport_decode_errors_total{transport,kind}`
+    /// * `transport_socket_errors_total{transport,op="recv"|"send"}`
+    /// * `engine_shed_total{layer="transport_rx"|"transport_tx"}` — the
+    ///   transport edge reuses the engine's shed vocabulary, so one
+    ///   `counter_sum("engine_shed_total")` covers every layer that can
+    ///   drop under pressure.
+    ///
+    /// Every series is written even when zero, so a fresh host already
+    /// exposes the complete vocabulary (scrapes can alert on absence).
     pub fn registry(&self, transport: &'static str) -> Registry {
-        dat_obs::transport_registry(&dat_obs::TransportCounters {
-            transport,
-            sent: self.sent,
-            received: self.received,
-            decode_errors_by_kind: self.decode_error_kinds().to_vec(),
-            shed_rx: self.shed_rx,
-            shed_tx: self.shed_tx,
-            socket_recv_errors: self.socket_recv_errors,
-            socket_send_errors: self.socket_send_errors,
-        })
+        let mut r = Registry::new();
+        let by = |name: &'static str, label: &'static str, value: &'static str| {
+            Key::new(name)
+                .label("transport", transport)
+                .label(label, value)
+        };
+        r.counter_add(by("transport_datagrams_total", "dir", "sent"), self.sent);
+        r.counter_add(
+            by("transport_datagrams_total", "dir", "received"),
+            self.received,
+        );
+        for (kind, count) in self.decode_error_kinds() {
+            r.counter_add(by("transport_decode_errors_total", "kind", kind), count);
+        }
+        r.counter_add(
+            by("transport_socket_errors_total", "op", "recv"),
+            self.socket_recv_errors,
+        );
+        r.counter_add(
+            by("transport_socket_errors_total", "op", "send"),
+            self.socket_send_errors,
+        );
+        let shed = |layer| Key::new("engine_shed_total").label("layer", layer);
+        r.counter_add(shed("transport_rx"), self.shed_rx);
+        r.counter_add(shed("transport_tx"), self.shed_tx);
+        r
     }
 }
 
@@ -389,6 +416,50 @@ impl<A: Actor> Node<A> {
 mod tests {
     use super::*;
     use crate::{ChordMsg, Id, NodeRef};
+
+    #[test]
+    fn zero_snapshot_exposes_the_full_vocabulary() {
+        let reg = TransportStats::default().registry("test");
+        assert_eq!(reg.counter_sum("transport_datagrams_total"), 0);
+        assert_eq!(reg.counter_sum("transport_decode_errors_total"), 0);
+        assert_eq!(reg.counter_sum("transport_socket_errors_total"), 0);
+        assert_eq!(reg.counter_sum("engine_shed_total"), 0);
+        let text = reg.render_prometheus();
+        let samples = dat_obs::validate_prometheus(&text).expect("parses");
+        assert_eq!(
+            samples,
+            6 + KINDS,
+            "2 dirs + 2 ops + 2 shed layers + every kind"
+        );
+    }
+
+    #[test]
+    fn counts_land_on_the_right_series() {
+        let mut decode_errors_by_kind = [0; KINDS];
+        decode_errors_by_kind[0] = 2;
+        let reg = TransportStats {
+            sent: 5,
+            received: 3,
+            decode_errors: 2,
+            decode_errors_by_kind,
+            shed_rx: 7,
+            shed_tx: 1,
+            socket_recv_errors: 4,
+            socket_send_errors: 6,
+        }
+        .registry("test");
+        assert_eq!(reg.counter_with("transport_datagrams_total", "sent"), 5);
+        assert_eq!(reg.counter_with("transport_datagrams_total", "received"), 3);
+        assert_eq!(
+            reg.counter_with("transport_decode_errors_total", ERROR_KINDS[0]),
+            2
+        );
+        assert_eq!(reg.counter_sum("transport_decode_errors_total"), 2);
+        assert_eq!(reg.counter_with("engine_shed_total", "transport_rx"), 7);
+        assert_eq!(reg.counter_with("engine_shed_total", "transport_tx"), 1);
+        assert_eq!(reg.counter_with("transport_socket_errors_total", "recv"), 4);
+        assert_eq!(reg.counter_with("transport_socket_errors_total", "send"), 6);
+    }
 
     fn sock(port: u16) -> SocketAddr {
         SocketAddr::from(([127, 0, 0, 1], port))

@@ -16,17 +16,17 @@
 //! | 4 | MAAN discovery (`dat_maan::proto::MAAN_PROTO`) | `dat-maan` |
 //!
 //! Handlers never see the Chord node directly; they act through a [`Ctx`]
-//! that scopes sends and timers to their own proto byte. Three properties
+//! that scopes sends and wake-ups to their own proto byte. Three properties
 //! fall out of the design:
 //!
 //! * **Transparency** — a `StackNode` with no handlers behaves exactly like
 //!   a bare `ChordNode`: every upcall and output passes through untouched.
 //!   Transports therefore host *only* `StackNode`s (the one [`Actor`] impl
 //!   in the workspace).
-//! * **Timer isolation** — `TimerKind::App` tokens are partitioned by
-//!   handler: the high 8 bits carry the proto byte, the low 56 bits the
-//!   handler's private sub-token, so stacked protocols can never steal each
-//!   other's timers.
+//! * **Timer isolation** — a handler keeps its deadlines in its own state
+//!   and asks to be woken at the earliest ([`Ctx::wake_at`]). Its pending
+//!   wakes are its own (the token carries its proto byte and the due
+//!   time), so one handler's wake never covers, steals or fires another's.
 //! * **One clock** — the engine owns `now_ms` and forwards it to the Chord
 //!   layer exactly once per [`StackNode::set_now`]; handlers read the clock
 //!   from [`Ctx::now_ms`], so no handler can observe a stale clock no
@@ -58,9 +58,9 @@ pub fn proto_label(proto: u8) -> &'static str {
 }
 
 /// Bit position of the proto byte inside a `TimerKind::App` token.
-pub const PROTO_SHIFT: u32 = 56;
-/// Mask of the handler-private sub-token bits.
-pub const SUB_MASK: u64 = (1 << PROTO_SHIFT) - 1;
+const PROTO_SHIFT: u32 = 56;
+/// Mask of the due-time bits of a `TimerKind::App` token.
+const DUE_MASK: u64 = (1 << PROTO_SHIFT) - 1;
 
 /// Backpressure policy for the engine's per-node inbox.
 ///
@@ -132,11 +132,11 @@ fn inbox_admit(policy: &InboxPolicy, busy_until_ms: &mut u64, now_ms: u64, capac
 /// The engine-side context handed to every [`AppProtocol`] callback.
 ///
 /// Wraps the shared Chord node, the engine clock, and the output queue.
-/// All sends and timers are scoped to the handler's proto byte.
+/// All sends and wake-ups are scoped to the handler's proto byte.
 pub struct Ctx<'a> {
     chord: &'a mut ChordNode,
     queue: &'a mut VecDeque<Output>,
-    sent: &'a mut u64,
+    slot: &'a mut Slot,
     proto: u8,
     now_ms: u64,
 }
@@ -182,7 +182,7 @@ impl Ctx<'_> {
     /// Send an application payload directly to `to`, tagged with this
     /// handler's proto byte.
     pub fn send(&mut self, to: NodeRef, payload: Vec<u8>) {
-        *self.sent += 1;
+        self.slot.sent += 1;
         let out = self.chord.send_app(to, self.proto, payload);
         self.queue.push_back(out);
     }
@@ -191,7 +191,7 @@ impl Ctx<'_> {
     /// prepends this handler's proto byte so the owner's engine can
     /// dispatch the payload back to the same protocol.
     pub fn route(&mut self, key: Id, payload: Vec<u8>) {
-        *self.sent += 1;
+        self.slot.sent += 1;
         let mut tagged = Vec::with_capacity(payload.len() + 1);
         tagged.push(self.proto);
         tagged.extend_from_slice(&payload);
@@ -228,15 +228,19 @@ impl Ctx<'_> {
         self.queue.extend(outs);
     }
 
-    /// Arm an application timer private to this handler. `sub` must fit in
-    /// the low [`PROTO_SHIFT`] bits; it comes back via
-    /// [`AppProtocol::on_timer`].
-    pub fn set_timer(&mut self, sub: u64, delay_ms: u64) {
-        debug_assert!(sub <= SUB_MASK, "timer sub-token {sub:#x} overflows");
-        let token = ((self.proto as u64) << PROTO_SHIFT) | (sub & SUB_MASK);
+    /// Ask for [`AppProtocol::on_wake`] at engine time `due_ms` or soon
+    /// after. A timer is armed only when none of this handler's pending
+    /// wakes comes at or before `due_ms`: that one covers it, and the
+    /// handler asks again for whatever is left when it wakes.
+    pub fn wake_at(&mut self, due_ms: u64) {
+        debug_assert!(due_ms <= DUE_MASK, "wake due {due_ms} overflows");
+        if self.slot.wakes.iter().any(|&w| w <= due_ms) {
+            return;
+        }
+        self.slot.wakes.push(due_ms);
         self.queue.push_back(Output::SetTimer {
-            kind: TimerKind::App(token),
-            delay_ms,
+            kind: TimerKind::App(((self.proto as u64) << PROTO_SHIFT) | (due_ms & DUE_MASK)),
+            delay_ms: due_ms.saturating_sub(self.now_ms),
         });
     }
 }
@@ -247,21 +251,23 @@ impl Ctx<'_> {
 /// state (aggregation tables, query registries, stores …) and act on the
 /// overlay only through the [`Ctx`] passed to each callback. A handler is
 /// identified by its [`AppProtocol::proto`] byte, which keys message,
-/// routed-payload and timer dispatch.
+/// routed-payload and wake-up dispatch.
 pub trait AppProtocol: Send + 'static {
     /// The 1-byte protocol discriminator (must be unique per node).
     fn proto(&self) -> u8;
 
     /// The shared Chord node became active (create, join, or table
-    /// preload). Arm initial timers here.
+    /// preload). Ask for the first wake-up here.
     fn on_start(&mut self, _cx: &mut Ctx<'_>) {}
 
     /// A directly-addressed application message with this handler's proto
     /// byte arrived.
     fn on_message(&mut self, cx: &mut Ctx<'_>, from: NodeRef, payload: &[u8]);
 
-    /// One of this handler's timers (armed via [`Ctx::set_timer`]) fired.
-    fn on_timer(&mut self, _cx: &mut Ctx<'_>, _sub: u64) {}
+    /// A wake this handler asked for ([`Ctx::wake_at`]) came due. Do what
+    /// is due by [`Ctx::now_ms`], then ask to wake at the earliest deadline
+    /// left. A wake another one superseded finds nothing due.
+    fn on_wake(&mut self, _cx: &mut Ctx<'_>) {}
 
     /// A rendezvous-routed payload tagged with this handler's proto byte
     /// reached this node (the owner of `key`).
@@ -291,13 +297,16 @@ pub trait AppProtocol: Send + 'static {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-/// What the engine counts per registered handler: application payloads
-/// sent, dispatched and shed under its proto byte.
-#[derive(Clone, Copy, Debug, Default)]
-struct ProtoTally {
+/// What the engine keeps per registered handler: application payloads
+/// sent, dispatched and shed under its proto byte, and the due times of
+/// its wake timers armed and not yet fired (a handful at most: a wake is
+/// armed only ahead of every pending one).
+#[derive(Debug, Default)]
+struct Slot {
     sent: u64,
     received: u64,
     shed: u64,
+    wakes: Vec<u64>,
 }
 
 /// A protocol-stack node: one shared [`ChordNode`] plus any number of
@@ -309,8 +318,8 @@ struct ProtoTally {
 pub struct StackNode {
     chord: ChordNode,
     handlers: Vec<Box<dyn AppProtocol>>,
-    /// Per-handler payload tallies, parallel to `handlers`.
-    tallies: Vec<ProtoTally>,
+    /// Per-handler tallies and pending wakes, parallel to `handlers`.
+    slots: Vec<Slot>,
     now_ms: u64,
     /// Backpressure model for application payloads (default: unbounded).
     inbox: InboxPolicy,
@@ -339,7 +348,7 @@ impl StackNode {
         StackNode {
             chord,
             handlers: Vec::new(),
-            tallies: Vec::new(),
+            slots: Vec::new(),
             now_ms: 0,
             inbox: InboxPolicy::default(),
             inbox_busy_until_ms: 0,
@@ -382,14 +391,14 @@ impl StackNode {
         self.inbox = policy;
     }
 
-    /// The tally of `proto`'s handler (all zero when none is registered).
-    fn tally(&self, proto: u8) -> ProtoTally {
-        slot_of(&self.handlers, proto).map_or_else(ProtoTally::default, |i| self.tallies[i])
+    /// `proto`'s handler's tally `f` (0 when none is registered).
+    fn tally(&self, proto: u8, f: impl Fn(&Slot) -> u64) -> u64 {
+        slot_of(&self.handlers, proto).map_or(0, |i| f(&self.slots[i]))
     }
 
     /// Aggregation-class payloads shed so far for `proto`.
     pub fn shed_count(&self, proto: u8) -> u64 {
-        self.tally(proto).shed
+        self.tally(proto, |s| s.shed)
     }
 
     /// Stats requests shed so far.
@@ -406,7 +415,7 @@ impl StackNode {
             "proto byte {p} already registered on this StackNode"
         );
         self.handlers.push(Box::new(handler));
-        self.tallies.push(ProtoTally::default());
+        self.slots.push(Slot::default());
         self
     }
 
@@ -461,13 +470,13 @@ impl StackNode {
     /// `ChordMsg::App` sends; engine-tagged routed payloads are counted at
     /// the receiver instead, since routing hops are Chord traffic).
     pub fn proto_sent(&self, proto: u8) -> u64 {
-        self.tally(proto).sent
+        self.tally(proto, |s| s.sent)
     }
 
     /// Application payloads received and dispatched to `proto`'s handler
     /// (direct messages and engine-tagged routed payloads).
     pub fn proto_received(&self, proto: u8) -> u64 {
-        self.tally(proto).received
+        self.tally(proto, |s| s.received)
     }
 
     /// Reset every counter on this node: the Chord-layer metrics, the
@@ -475,7 +484,9 @@ impl StackNode {
     /// experiment's warm-up phase, so steady state is measured alone).
     pub fn reset_metrics(&mut self) {
         self.chord.metrics_mut().reset();
-        self.tallies.fill(ProtoTally::default());
+        for s in &mut self.slots {
+            (s.sent, s.received, s.shed) = (0, 0, 0);
+        }
         self.stats_shed = 0;
         self.bad_frames_by_kind = [0; dat_chord::wire::ERROR_KINDS.len()];
         self.bad_peer_window.clear();
@@ -513,7 +524,7 @@ impl StackNode {
         // counters exist (at zero) for every registered handler and for
         // the stats class, so the series are visible before the first
         // shed; health-plane counters come from the shared detector.
-        for (h, t) in self.handlers.iter().zip(&self.tallies) {
+        for (h, t) in self.handlers.iter().zip(&self.slots) {
             let stamped = |name| Key::new(name).label("layer", proto_label(h.proto()));
             if t.sent > 0 {
                 reg.counter_add(stamped("engine_sent_total"), t.sent);
@@ -624,7 +635,7 @@ impl StackNode {
         let StackNode {
             chord,
             handlers,
-            tallies,
+            slots,
             now_ms,
             ..
         } = self;
@@ -632,13 +643,13 @@ impl StackNode {
         let mut queue = VecDeque::new();
         let mut result = None;
         let mut f = Some(f);
-        for (h, t) in handlers.iter_mut().zip(tallies.iter_mut()) {
+        for (h, slot) in handlers.iter_mut().zip(slots.iter_mut()) {
             let proto = h.proto();
             if let Some(p) = h.as_any_mut().downcast_mut::<P>() {
                 let mut cx = Ctx {
                     chord: &mut *chord,
                     queue: &mut queue,
-                    sent: &mut t.sent,
+                    slot,
                     proto,
                     now_ms: now,
                 };
@@ -684,17 +695,17 @@ impl StackNode {
         let StackNode {
             chord,
             handlers,
-            tallies,
+            slots,
             now_ms,
             ..
         } = self;
         let mut queue = VecDeque::new();
-        for (h, t) in handlers.iter_mut().zip(tallies.iter_mut()) {
+        for (h, slot) in handlers.iter_mut().zip(slots.iter_mut()) {
             let proto = h.proto();
             let mut cx = Ctx {
                 chord: &mut *chord,
                 queue: &mut queue,
-                sent: &mut t.sent,
+                slot,
                 proto,
                 now_ms: *now_ms,
             };
@@ -820,7 +831,7 @@ impl StackNode {
         let StackNode {
             chord,
             handlers,
-            tallies,
+            slots,
             now_ms,
             inbox,
             inbox_busy_until_ms,
@@ -834,25 +845,22 @@ impl StackNode {
                 send @ Output::Send { .. } => pass.push(send),
                 Output::Upcall(up) => match up {
                     Upcall::Joined { id } => {
-                        fire(chord, handlers, tallies, now, &mut scan, None, |h, cx| {
+                        fire(chord, handlers, slots, now, &mut scan, None, |h, cx| {
                             h.on_start(cx)
                         });
                         pass.push(Output::Upcall(Upcall::Joined { id }));
                     }
                     Upcall::AppTimer(token) => {
-                        let proto = (token >> PROTO_SHIFT) as u8;
-                        let sub = token & SUB_MASK;
-                        match slot_of(handlers, proto) {
+                        match slot_of(handlers, (token >> PROTO_SHIFT) as u8) {
                             Some(i) => {
-                                fire(
-                                    chord,
-                                    handlers,
-                                    tallies,
-                                    now,
-                                    &mut scan,
-                                    Some(i),
-                                    |h, cx| h.on_timer(cx, sub),
-                                );
+                                let wakes = &mut slots[i].wakes;
+                                if let Some(at) = wakes.iter().position(|&w| w == token & DUE_MASK)
+                                {
+                                    wakes.swap_remove(at);
+                                }
+                                fire(chord, handlers, slots, now, &mut scan, Some(i), |h, cx| {
+                                    h.on_wake(cx)
+                                });
                             }
                             None => pass.push(Output::Upcall(Upcall::AppTimer(token))),
                         }
@@ -864,19 +872,13 @@ impl StackNode {
                     } => match slot_of(handlers, proto) {
                         Some(i) => {
                             if !inbox_admit(inbox, inbox_busy_until_ms, now, AGG_CAPACITY) {
-                                tallies[i].shed += 1;
+                                slots[i].shed += 1;
                                 continue;
                             }
-                            tallies[i].received += 1;
-                            fire(
-                                chord,
-                                handlers,
-                                tallies,
-                                now,
-                                &mut scan,
-                                Some(i),
-                                |h, cx| h.on_message(cx, from, &payload),
-                            );
+                            slots[i].received += 1;
+                            fire(chord, handlers, slots, now, &mut scan, Some(i), |h, cx| {
+                                h.on_message(cx, from, &payload)
+                            });
                         }
                         None => pass.push(Output::Upcall(Upcall::AppMessage {
                             proto,
@@ -892,19 +894,13 @@ impl StackNode {
                     } => match payload.first().and_then(|&p| slot_of(handlers, p)) {
                         Some(i) => {
                             if !inbox_admit(inbox, inbox_busy_until_ms, now, AGG_CAPACITY) {
-                                tallies[i].shed += 1;
+                                slots[i].shed += 1;
                                 continue;
                             }
-                            tallies[i].received += 1;
-                            fire(
-                                chord,
-                                handlers,
-                                tallies,
-                                now,
-                                &mut scan,
-                                Some(i),
-                                |h, cx| h.on_routed(cx, key, origin, &payload[1..]),
-                            );
+                            slots[i].received += 1;
+                            fire(chord, handlers, slots, now, &mut scan, Some(i), |h, cx| {
+                                h.on_routed(cx, key, origin, &payload[1..])
+                            });
                         }
                         None => pass.push(Output::Upcall(Upcall::Routed {
                             key,
@@ -914,7 +910,7 @@ impl StackNode {
                         })),
                     },
                     Upcall::NeighborhoodChanged => {
-                        fire(chord, handlers, tallies, now, &mut scan, None, |h, cx| {
+                        fire(chord, handlers, slots, now, &mut scan, None, |h, cx| {
                             h.on_neighborhood_changed(cx)
                         });
                         pass.push(Output::Upcall(Upcall::NeighborhoodChanged));
@@ -942,18 +938,18 @@ impl Actor for StackNode {
     }
 }
 
-/// Index of `proto`'s handler — and of its tally.
+/// Index of `proto`'s handler — and of its slot.
 fn slot_of(handlers: &[Box<dyn AppProtocol>], proto: u8) -> Option<usize> {
     handlers.iter().position(|h| h.proto() == proto)
 }
 
 /// Invoke `f` on every handler (or only the one in slot `only`), each
 /// under a fresh [`Ctx`] feeding the shared scan queue and that handler's
-/// sent tally.
+/// slot.
 fn fire<F>(
     chord: &mut ChordNode,
     handlers: &mut [Box<dyn AppProtocol>],
-    tallies: &mut [ProtoTally],
+    slots: &mut [Slot],
     now_ms: u64,
     scan: &mut VecDeque<Output>,
     only: Option<usize>,
@@ -961,19 +957,82 @@ fn fire<F>(
 ) where
     F: FnMut(&mut dyn AppProtocol, &mut Ctx<'_>),
 {
-    let slots = match only {
+    let range = match only {
         Some(i) => i..i + 1,
         None => 0..handlers.len(),
     };
-    for (h, t) in handlers[slots.clone()].iter_mut().zip(&mut tallies[slots]) {
+    for (h, slot) in handlers[range.clone()].iter_mut().zip(&mut slots[range]) {
         let mut cx = Ctx {
             chord: &mut *chord,
             queue: &mut *scan,
-            sent: &mut t.sent,
+            slot,
             proto: h.proto(),
             now_ms,
         };
         f(h.as_mut(), &mut cx);
+    }
+}
+
+/// A test clock for the wake-ups a stack asks for: it keeps the
+/// application timers the stack's outputs arm and fires them in due order,
+/// moving the engine clock to each. Chord's own timers never fire.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct WakeClock {
+    /// Armed application timers as `(due, token)`, in arming order.
+    pub pending: Vec<(u64, u64)>,
+    /// The engine time it last set.
+    pub now_ms: u64,
+    /// Application timers armed so far.
+    pub armed: u64,
+    /// Application timers fired so far.
+    pub fired: u64,
+}
+
+#[cfg(test)]
+impl WakeClock {
+    /// Keep the application timers `outs` arms, due from now.
+    pub fn absorb(&mut self, outs: &[Output]) {
+        for o in outs {
+            if let Output::SetTimer {
+                kind: TimerKind::App(token),
+                delay_ms,
+            } = o
+            {
+                self.pending.push((self.now_ms + delay_ms, *token));
+                self.armed += 1;
+            }
+        }
+    }
+
+    /// Fire every timer due by `until_ms`, earliest first (ties in arming
+    /// order), then move the clock to `until_ms`. Each output comes back
+    /// with the time of the firing that produced it. Panics on a handler
+    /// that keeps asking to be woken at an instant that never moves on.
+    pub fn run_until(&mut self, node: &mut StackNode, until_ms: u64) -> Vec<(u64, Output)> {
+        let mut all = Vec::new();
+        let mut same_instant = 0;
+        while let Some(i) = (0..self.pending.len())
+            .filter(|&i| self.pending[i].0 <= until_ms)
+            .min_by_key(|&i| self.pending[i].0)
+        {
+            let (due, token) = self.pending.remove(i);
+            same_instant = if due > self.now_ms {
+                0
+            } else {
+                same_instant + 1
+            };
+            assert!(same_instant < 100, "wakes at {due} ms keep coming back");
+            self.now_ms = self.now_ms.max(due);
+            node.set_now(self.now_ms);
+            let outs = node.handle(Input::Timer(TimerKind::App(token)));
+            self.fired += 1;
+            self.absorb(&outs);
+            all.extend(outs.into_iter().map(|o| (self.now_ms, o)));
+        }
+        self.now_ms = self.now_ms.max(until_ms);
+        node.set_now(self.now_ms);
+        all
     }
 }
 
@@ -989,12 +1048,13 @@ mod tests {
         }
     }
 
-    /// A minimal protocol for engine tests: echoes every message back and
-    /// records what it saw.
+    /// A minimal protocol for engine tests: echoes every message back,
+    /// asks to wake at 100 ms on start, and records what it saw.
     struct Echo {
         proto: u8,
         seen: Vec<Vec<u8>>,
-        timers: Vec<u64>,
+        /// The engine clock at each wake.
+        woken: Vec<u64>,
         started: bool,
     }
 
@@ -1003,7 +1063,7 @@ mod tests {
             Echo {
                 proto,
                 seen: Vec::new(),
-                timers: Vec::new(),
+                woken: Vec::new(),
                 started: false,
             }
         }
@@ -1015,14 +1075,14 @@ mod tests {
         }
         fn on_start(&mut self, cx: &mut Ctx<'_>) {
             self.started = true;
-            cx.set_timer(7, 100);
+            cx.wake_at(100);
         }
         fn on_message(&mut self, cx: &mut Ctx<'_>, from: NodeRef, payload: &[u8]) {
             self.seen.push(payload.to_vec());
             cx.send(from, payload.to_vec());
         }
-        fn on_timer(&mut self, _cx: &mut Ctx<'_>, sub: u64) {
-            self.timers.push(sub);
+        fn on_wake(&mut self, cx: &mut Ctx<'_>) {
+            self.woken.push(cx.now_ms());
         }
         fn as_any(&self) -> &dyn Any {
             self
@@ -1050,35 +1110,88 @@ mod tests {
         assert_eq!(bare.status(), stack.status());
     }
 
+    /// `(token, delay)` of every application timer in `outs`.
+    fn wakes(outs: &[Output]) -> Vec<(u64, u64)> {
+        outs.iter()
+            .filter_map(|o| match o {
+                Output::SetTimer {
+                    kind: TimerKind::App(t),
+                    delay_ms,
+                } => Some((*t, *delay_ms)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn echoes(stack: &StackNode) -> Vec<&Echo> {
+        stack
+            .handlers
+            .iter()
+            .filter_map(|h| h.as_any().downcast_ref::<Echo>())
+            .collect()
+    }
+
+    /// Two handlers never share a wake: both ask for 100 ms, each gets its
+    /// own timer, and firing one wakes only its owner.
     #[test]
     fn timer_tokens_are_partitioned_by_proto() {
         let mut stack = StackNode::new(cfg(), Id(10), NodeAddr(1))
             .with_app(Echo::new(40))
             .with_app(Echo::new(41));
-        let outs = stack.start_create();
-        // Both handlers armed sub-token 7; the wire tokens must differ.
-        let tokens: Vec<u64> = outs
-            .iter()
-            .filter_map(|o| match o {
-                Output::SetTimer {
-                    kind: TimerKind::App(t),
-                    ..
-                } => Some(*t),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(tokens.len(), 2);
-        assert_ne!(tokens[0], tokens[1]);
-        // Firing one token reaches only its own handler.
-        let _ = stack.handle(Input::Timer(TimerKind::App(tokens[0])));
-        assert_eq!(stack.app::<Echo>().timers, vec![7]);
-        let b: Vec<&Echo> = stack
-            .handlers
-            .iter()
-            .filter_map(|h| h.as_any().downcast_ref::<Echo>())
-            .collect();
-        assert_eq!(b[0].timers, vec![7]);
-        assert!(b[1].timers.is_empty());
+        let armed = wakes(&stack.start_create());
+        assert_eq!(armed.len(), 2, "{armed:?}");
+        assert_ne!(armed[0].0, armed[1].0);
+        assert_eq!(armed[0].0 & DUE_MASK, 100);
+        stack.set_now(100);
+        let _ = stack.handle(Input::Timer(TimerKind::App(armed[0].0)));
+        let e = echoes(&stack);
+        assert_eq!(
+            (e[0].woken.as_slice(), e[1].woken.as_slice()),
+            (&[100][..], &[][..])
+        );
+        assert_eq!(
+            stack.slots[1].wakes,
+            vec![100],
+            "the other wake still pends"
+        );
+    }
+
+    #[test]
+    fn an_earlier_wake_arms_an_earlier_timer_and_a_later_one_is_covered() {
+        let mut stack = StackNode::new(cfg(), Id(10), NodeAddr(1)).with_app(Echo::new(40));
+        assert_eq!(wakes(&stack.start_create()).len(), 1, "the 100 ms wake");
+        stack.set_now(20);
+        let wake_at = |stack: &mut StackNode, due: u64| {
+            wakes(&stack.drive::<Echo, _>(|_, cx| cx.wake_at(due)).1)
+        };
+        assert_eq!(
+            wake_at(&mut stack, 60),
+            vec![((40 << PROTO_SHIFT) | 60, 40)]
+        );
+        for due in [60, 100, 300] {
+            assert!(wake_at(&mut stack, due).is_empty(), "{due} is covered");
+        }
+        assert_eq!(stack.slots[0].wakes, vec![100, 60]);
+    }
+
+    #[test]
+    fn a_superseded_firing_is_inert_and_a_fired_wake_no_longer_covers() {
+        let mut stack = StackNode::new(cfg(), Id(10), NodeAddr(1)).with_app(Echo::new(40));
+        let _ = stack.start_create();
+        let ((), outs) = stack.drive::<Echo, _>(|_, cx| cx.wake_at(60));
+        let early = wakes(&outs)[0].0;
+        stack.set_now(60);
+        assert!(stack.handle(Input::Timer(TimerKind::App(early))).is_empty());
+        // The 100 ms wake was superseded; it still fires, and still only
+        // calls on_wake, which has nothing to do.
+        stack.set_now(100);
+        let late = (40 << PROTO_SHIFT) | 100;
+        assert!(stack.handle(Input::Timer(TimerKind::App(late))).is_empty());
+        assert_eq!(stack.app::<Echo>().woken, vec![60, 100]);
+        assert!(stack.slots[0].wakes.is_empty());
+        // Nothing pends any more: the next ask arms again.
+        let ((), outs) = stack.drive::<Echo, _>(|_, cx| cx.wake_at(500));
+        assert_eq!(wakes(&outs), vec![((40 << PROTO_SHIFT) | 500, 400)]);
     }
 
     #[test]

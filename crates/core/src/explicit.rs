@@ -18,7 +18,7 @@
 //!   payload traffic, so experiments can compare *maintenance* overhead
 //!   against the implicit DAT's zero.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use dat_chord::{Id, Metrics, NodeRef, NodeStatus};
 
@@ -185,12 +185,6 @@ const MISS_LIMIT: u32 = 3;
 /// Aggregation epoch, ms (the DAT default, for a fair comparison).
 const EPOCH_MS: u64 = 1_000;
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ExpTimer {
-    Heartbeat,
-    Epoch,
-}
-
 #[derive(Clone, Debug)]
 struct ChildState {
     node: NodeRef,
@@ -210,8 +204,10 @@ pub struct ExplicitProtocol {
     children: BTreeMap<Id, ChildState>,
     local: Option<f64>,
     epoch: u64,
-    timers: HashMap<u64, ExpTimer>,
-    next_token: u64,
+    /// Engine time of the next heartbeat round.
+    next_heartbeat_ms: u64,
+    /// Engine time of the next epoch push.
+    next_epoch_ms: u64,
     joining_tree: bool,
     metrics: Metrics,
     /// Root-side per-epoch reports.
@@ -228,8 +224,8 @@ impl ExplicitProtocol {
             children: BTreeMap::new(),
             local: None,
             epoch: 0,
-            timers: HashMap::new(),
-            next_token: 1,
+            next_heartbeat_ms: 0,
+            next_epoch_ms: 0,
             joining_tree: false,
             metrics: Metrics::default(),
             reports: Vec::new(),
@@ -280,13 +276,6 @@ impl ExplicitProtocol {
 
     fn is_root(&self, cx: &Ctx<'_>) -> bool {
         cx.owns(self.key)
-    }
-
-    fn arm_timer(&mut self, cx: &mut Ctx<'_>, t: ExpTimer, delay: u64) {
-        self.next_token += 1;
-        let token = self.next_token;
-        self.timers.insert(token, t);
-        cx.set_timer(token, delay);
     }
 
     fn send_join_tree(&mut self, cx: &mut Ctx<'_>) {
@@ -374,7 +363,7 @@ impl ExplicitProtocol {
         }
     }
 
-    fn on_heartbeat_timer(&mut self, cx: &mut Ctx<'_>) {
+    fn on_heartbeat(&mut self, cx: &mut Ctx<'_>) {
         if cx.status() != NodeStatus::Active {
             return;
         }
@@ -447,8 +436,9 @@ impl AppProtocol for ExplicitProtocol {
     }
 
     fn on_start(&mut self, cx: &mut Ctx<'_>) {
-        self.arm_timer(cx, ExpTimer::Heartbeat, HEARTBEAT_MS);
-        self.arm_timer(cx, ExpTimer::Epoch, EPOCH_MS);
+        self.next_heartbeat_ms = cx.now_ms() + HEARTBEAT_MS;
+        self.next_epoch_ms = cx.now_ms() + EPOCH_MS;
+        cx.wake_at(self.next_heartbeat_ms.min(self.next_epoch_ms));
         if !self.is_root(cx) {
             self.send_join_tree(cx);
         }
@@ -464,18 +454,18 @@ impl AppProtocol for ExplicitProtocol {
         }
     }
 
-    fn on_timer(&mut self, cx: &mut Ctx<'_>, sub: u64) {
-        match self.timers.remove(&sub) {
-            Some(ExpTimer::Heartbeat) => {
-                self.on_heartbeat_timer(cx);
-                self.arm_timer(cx, ExpTimer::Heartbeat, HEARTBEAT_MS);
-            }
-            Some(ExpTimer::Epoch) => {
-                self.on_epoch(cx);
-                self.arm_timer(cx, ExpTimer::Epoch, EPOCH_MS);
-            }
-            None => {}
+    fn on_wake(&mut self, cx: &mut Ctx<'_>) {
+        // Both due at once: the heartbeat round runs first.
+        let now = cx.now_ms();
+        if now >= self.next_heartbeat_ms {
+            self.on_heartbeat(cx);
+            self.next_heartbeat_ms = now + HEARTBEAT_MS;
         }
+        if now >= self.next_epoch_ms {
+            self.on_epoch(cx);
+            self.next_epoch_ms = now + EPOCH_MS;
+        }
+        cx.wake_at(self.next_heartbeat_ms.min(self.next_epoch_ms));
     }
 
     fn on_routed(&mut self, cx: &mut Ctx<'_>, _key: Id, _origin: NodeRef, payload: &[u8]) {
@@ -688,7 +678,8 @@ mod tests {
     #[test]
     fn missed_heartbeats_dissolve_edges() {
         let mut n = mk(50);
-        let _ = n.start_create();
+        let mut clock = crate::engine::WakeClock::default();
+        clock.absorb(&n.start_create());
         n.explicit_mut().parent = Some(nr(3));
         n.explicit_mut().children.insert(
             Id(9),
@@ -698,9 +689,12 @@ mod tests {
                 partial: None,
             },
         );
-        for _ in 0..5 {
-            let _ = n.drive::<ExplicitProtocol, _>(|e, cx| e.on_heartbeat_timer(cx));
-        }
+        // Five heartbeat rounds, one a second, none answered.
+        clock.run_until(&mut n, 5 * HEARTBEAT_MS);
+        assert_eq!(
+            clock.fired, 5,
+            "one wake per round: heartbeat and epoch share it"
+        );
         // Edge to the silent child dissolved...
         assert_eq!(n.child_count(), 0);
         // ...and the silent parent was abandoned (rejoin attempted).

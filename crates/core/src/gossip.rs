@@ -14,7 +14,7 @@
 //!   ε-approximation — the paper's tree wins on message count while gossip
 //!   wins on robustness (no structure at all).
 //!
-//! One gossip round per epoch tick, over the engine's partitioned timers.
+//! One gossip round per epoch tick, woken by the engine at its deadline.
 
 use crate::codec::{CodecError, Reader, Writer, WIRE_VERSION};
 use crate::engine::{AppProtocol, Ctx, StackNode};
@@ -65,9 +65,8 @@ pub struct GossipProtocol {
     weight: f64,
     started: bool,
     round: u64,
-    next_token: u64,
-    /// Outstanding round-timer sub-token, if armed.
-    armed: Option<u64>,
+    /// Engine time of the next round.
+    next_round_ms: u64,
     /// Deterministic peer-selection state (seeded on start from the node
     /// address).
     rng_state: u64,
@@ -85,8 +84,7 @@ impl GossipProtocol {
             weight: 1.0,
             started: false,
             round: 0,
-            next_token: 1,
-            armed: None,
+            next_round_ms: 0,
             rng_state: 0,
             metrics: Metrics::default(),
             history: Vec::new(),
@@ -120,13 +118,6 @@ impl GossipProtocol {
     /// Per-round estimate history.
     pub fn history(&self) -> &[(u64, f64)] {
         &self.history
-    }
-
-    fn arm_round(&mut self, cx: &mut Ctx<'_>) {
-        self.next_token += 1;
-        let token = self.next_token;
-        self.armed = Some(token);
-        cx.set_timer(token, ROUND_MS);
     }
 
     fn next_rand(&mut self) -> u64 {
@@ -177,7 +168,8 @@ impl AppProtocol for GossipProtocol {
         if !self.started {
             self.started = true;
             self.rng_state = cx.me().addr.0.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-            self.arm_round(cx);
+            self.next_round_ms = cx.now_ms() + ROUND_MS;
+            cx.wake_at(self.next_round_ms);
         }
     }
 
@@ -192,12 +184,12 @@ impl AppProtocol for GossipProtocol {
         }
     }
 
-    fn on_timer(&mut self, cx: &mut Ctx<'_>, sub: u64) {
-        if self.armed == Some(sub) {
-            self.armed = None;
+    fn on_wake(&mut self, cx: &mut Ctx<'_>) {
+        if cx.now_ms() >= self.next_round_ms {
             self.on_round(cx);
-            self.arm_round(cx);
+            self.next_round_ms = cx.now_ms() + ROUND_MS;
         }
+        cx.wake_at(self.next_round_ms);
     }
 
     fn reset_metrics(&mut self) {

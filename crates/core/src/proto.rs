@@ -18,20 +18,23 @@
 //! in-network.
 //!
 //! [`DatProtocol`] is an [`AppProtocol`]: it holds only aggregation state
-//! and acts on the overlay through the engine [`Ctx`]. Application-level
-//! results surface as [`DatEvent`]s drained via [`StackNode::take_events`].
+//! and acts on the overlay through the engine [`Ctx`]. Its deadlines are
+//! that state too — the next epoch tick, each aggregation's hold, each open
+//! query's window — and it asks the engine to wake it at the earliest
+//! ([`Ctx::wake_at`]); a wake runs whatever is due and asks again.
+//! Application-level results surface as [`DatEvent`]s drained via
+//! [`StackNode::take_events`].
 //! The `impl StackNode` block at the bottom is the host-facing surface —
 //! register/set-local/query keep the same shape they had when DAT owned
 //! the node, but now compose with any other stacked protocol.
 
 #![deny(clippy::unwrap_used)]
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use dat_chord::{
     estimate_d0, hash_to_id, parent_for, ring_size_for_d0, FingerTable, Id, Metrics, NodeAddr,
-    NodeRef, NodeStatus, Output, ParentDecision, RoutingScheme, SuspicionLevel,
+    NodeRef, Output, ParentDecision, RoutingScheme, SuspicionLevel,
 };
 use dat_obs::{trace_id_for, EventKind};
 
@@ -66,6 +69,8 @@ pub struct DatConfig {
     /// partial up (the "aggregation synchronization" of §4). Updates
     /// cascade bottom-up within one slot, so the root's report reflects the
     /// *current* epoch's values instead of lagging by the tree height.
+    /// Must stay below `epoch_ms`: an epoch's holds are assumed to be
+    /// flushed before the next tick.
     pub hold_ms: u64,
     /// Exact average inter-node gap, when globally known (experiments set
     /// `2^b / n`); `None` means estimate from the local neighborhood.
@@ -165,6 +170,10 @@ pub struct AggregationEntry {
     children: Vec<(Id, AggPartial, u64)>,
     /// Last epoch whose partial has been pushed up / reported.
     flushed_epoch: u64,
+    /// Engine time by which this epoch's partial is pushed even if a
+    /// child is still missing. Set at the tick, cleared by the flush,
+    /// early or timed.
+    hold_due_ms: Option<u64>,
     /// Root stickiness: this node was the acting root when it last knew
     /// its predecessor, and keeps acting as the root until it knows one
     /// again (an evicted or quarantined predecessor must not silence
@@ -336,17 +345,6 @@ impl AggregationEntry {
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum DatTimer {
-    EpochTick,
-    /// The lost-branch deadline (engine-clock ms) this timer was armed for.
-    QueryWindow(u64),
-    /// Flush the continuous partial of one aggregation for the current
-    /// epoch (armed at each tick; may be preempted by an early flush when
-    /// every recently-active child has already delivered).
-    HoldFlush(Id),
-}
-
 /// One on-demand query as this node remembers it.
 #[derive(Debug)]
 struct QuerySlot {
@@ -368,6 +366,9 @@ struct QueryState {
     /// of a response finds its sender gone from here.
     awaiting: Vec<Id>,
     acc: AggPartial,
+    /// Engine time at which the lost branches are given up on and the
+    /// query answers with what it has.
+    deadline_ms: u64,
 }
 
 /// How many answered queries a node remembers, oldest retired first. A
@@ -392,20 +393,11 @@ pub struct DatProtocol {
     /// Answered `reqid`s, oldest first; at most
     /// [`COMPLETED_QUERIES_KEPT`].
     completed: VecDeque<u64>,
-    /// Lost-branch deadlines of the queries opened here, `(engine-clock
-    /// ms, reqid)`, earliest first. One host timer at a time serves them
-    /// all (see `ensure_window_timer`).
-    windows: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Deadline of the earliest `QueryWindow` timer still pending.
-    window_armed_ms: Option<u64>,
-    /// Live timers by token, in no order: at most one per aggregation
-    /// (`HoldFlush`) plus the epoch tick and one query window.
-    timers: Vec<(u64, DatTimer)>,
-    next_token: u64,
+    /// Engine time of the next epoch tick (`u64::MAX` until started).
+    next_tick_ms: u64,
     next_reqid: u64,
     metrics: Metrics,
     events: Vec<DatEvent>,
-    epoch_timer_armed: bool,
     /// Last epoch in which the DAT parent was liveness-pinged.
     parent_ping_epoch: u64,
     /// Engine clock at the latest epoch tick; the root's report latency
@@ -422,14 +414,10 @@ impl DatProtocol {
             epoch: 0,
             queries: HashMap::new(),
             completed: VecDeque::new(),
-            windows: BinaryHeap::new(),
-            window_armed_ms: None,
-            timers: Vec::new(),
-            next_token: 1,
+            next_tick_ms: u64::MAX,
             next_reqid: 0,
             metrics: Metrics::default(),
             events: Vec::new(),
-            epoch_timer_armed: false,
             parent_ping_epoch: 0,
             epoch_started_ms: 0,
         }
@@ -503,6 +491,7 @@ impl DatProtocol {
             local_items: Vec::new(),
             children: Vec::new(),
             flushed_epoch: 0,
+            hold_due_ms: None,
             was_root: false,
             last_parent: None,
             prune_old: None,
@@ -559,19 +548,17 @@ impl DatProtocol {
         reqid
     }
 
-    fn ensure_epoch_timer(&mut self, cx: &mut Ctx<'_>) {
-        if self.epoch_timer_armed || cx.status() != NodeStatus::Active {
-            return;
+    /// Ask the engine to wake this handler at its earliest deadline: the
+    /// next tick, a hold, or an open query's window.
+    fn wake(&self, cx: &mut Ctx<'_>) {
+        let holds = self.aggs.iter().filter_map(|e| e.hold_due_ms);
+        let windows = self.queries.values().filter_map(|s| s.open.as_ref());
+        let due = holds
+            .chain(windows.map(|q| q.deadline_ms))
+            .fold(self.next_tick_ms, u64::min);
+        if due != u64::MAX {
+            cx.wake_at(due);
         }
-        self.arm(cx, DatTimer::EpochTick, self.cfg.epoch_ms);
-        self.epoch_timer_armed = true;
-    }
-
-    /// Arm `timer` under a fresh token.
-    fn arm(&mut self, cx: &mut Ctx<'_>, timer: DatTimer, delay_ms: u64) {
-        self.next_token += 1;
-        self.timers.push((self.next_token, timer));
-        cx.set_timer(self.next_token, delay_ms);
     }
 
     /// One epoch tick: push every continuous aggregation to its parent,
@@ -598,12 +585,12 @@ impl DatProtocol {
                     // to the root — leaves flush first, the root's children
                     // last — so updates cascade bottom-up inside one epoch.
                     // Nodes whose children have all delivered flush early
-                    // (see the Update handler); the timer is the bound.
+                    // (see the Update handler); the hold is the bound.
                     if entry.active_children(epoch).next().is_none() {
                         self.flush_continuous(cx, slot);
                     } else {
-                        let delay = self.flush_delay(cx, key);
-                        self.arm(cx, DatTimer::HoldFlush(key), delay);
+                        let due = cx.now_ms() + self.flush_delay(cx, key);
+                        self.aggs[slot].hold_due_ms = Some(due);
                     }
                 }
                 AggregationMode::Centralized => {
@@ -676,6 +663,7 @@ impl DatProtocol {
         let me = cx.me();
         let entry = &mut self.aggs[slot];
         let key = entry.key;
+        entry.hold_due_ms = None;
         if entry.mode != AggregationMode::Continuous || entry.flushed_epoch >= epoch {
             return;
         }
@@ -1079,7 +1067,11 @@ impl DatProtocol {
         self.open_query(cx, reqid, key, limit, Some(parent), None, depth + 1);
     }
 
-    /// Fan `reqid` out over `(me, limit)` and start gathering.
+    /// Fan `reqid` out over `(me, limit)` and start gathering until the
+    /// lost-branch deadline. Windows halve with fan-out depth so that a
+    /// deep subtree's timeout still fits inside every ancestor's window —
+    /// otherwise one lost message below would make the root close before
+    /// the (late but complete) deep responses arrive.
     #[allow(clippy::too_many_arguments)]
     fn open_query(
         &mut self,
@@ -1094,17 +1086,19 @@ impl DatProtocol {
         let acc = self.local_partial(key);
         let awaiting = self.fan_out_query(cx, reqid, key, limit, depth);
         let leaf = awaiting.is_empty();
+        let deadline_ms = cx.now_ms() + (self.cfg.query_window_ms >> depth.min(6)).max(40);
         let open = Some(Box::new(QueryState {
             key,
             requester,
             awaiting,
             acc,
+            deadline_ms,
         }));
         self.queries.insert(reqid, QuerySlot { parent, open });
         if leaf {
             self.complete_query(cx, reqid);
         } else {
-            self.arm_query_window(cx, reqid, depth);
+            cx.wake_at(deadline_ms);
         }
     }
 
@@ -1142,53 +1136,6 @@ impl DatProtocol {
             self.metrics.observe("fanout", shares.len() as u64);
         }
         shares.iter().map(|(t, _)| t.id).collect()
-    }
-
-    /// Set the lost-branch deadline of a query. Windows halve with fan-out
-    /// depth so that a deep subtree's timeout still fits inside every
-    /// ancestor's window — otherwise one lost message below would make the
-    /// root close before the (late but complete) deep responses arrive.
-    fn arm_query_window(&mut self, cx: &mut Ctx<'_>, reqid: u64, depth: u32) {
-        let window = (self.cfg.query_window_ms >> depth.min(6)).max(40);
-        self.windows.push(Reverse((cx.now_ms() + window, reqid)));
-        self.ensure_window_timer(cx);
-    }
-
-    /// Keep a host timer pending for the earliest deadline of a query
-    /// that is still open. A query answered before its window closes —
-    /// every one, on a healthy ring — is skipped here and never costs a
-    /// timer of its own; an open one still closes at exactly its deadline.
-    fn ensure_window_timer(&mut self, cx: &mut Ctx<'_>) {
-        let deadline = loop {
-            let Some(&Reverse((deadline, reqid))) = self.windows.peek() else {
-                return;
-            };
-            if self.queries.get(&reqid).is_some_and(|s| s.open.is_some()) {
-                break deadline;
-            }
-            self.windows.pop();
-        };
-        if self.window_armed_ms.is_some_and(|armed| armed <= deadline) {
-            return;
-        }
-        self.window_armed_ms = Some(deadline);
-        let delay = deadline.saturating_sub(cx.now_ms());
-        self.arm(cx, DatTimer::QueryWindow(deadline), delay);
-    }
-
-    fn on_query_window(&mut self, cx: &mut Ctx<'_>, armed_for: u64) {
-        if self.window_armed_ms == Some(armed_for) {
-            self.window_armed_ms = None;
-        }
-        while let Some(&Reverse((deadline, reqid))) = self.windows.peek() {
-            if deadline > cx.now_ms() {
-                break;
-            }
-            self.windows.pop();
-            // Lost branches: answer with what we have (no-op once answered).
-            self.complete_query(cx, reqid);
-        }
-        self.ensure_window_timer(cx);
     }
 
     fn complete_query(&mut self, cx: &mut Ctx<'_>, reqid: u64) {
@@ -1252,7 +1199,8 @@ impl AppProtocol for DatProtocol {
     }
 
     fn on_start(&mut self, cx: &mut Ctx<'_>) {
-        self.ensure_epoch_timer(cx);
+        self.next_tick_ms = cx.now_ms() + self.cfg.epoch_ms;
+        self.wake(cx);
     }
 
     fn on_message(&mut self, cx: &mut Ctx<'_>, from: NodeRef, payload: &[u8]) {
@@ -1268,25 +1216,31 @@ impl AppProtocol for DatProtocol {
         }
     }
 
-    fn on_timer(&mut self, cx: &mut Ctx<'_>, sub: u64) {
-        // A token that was never armed, or that already fired, is not in
-        // the table and is ignored.
-        let Some(at) = self.timers.iter().position(|(token, _)| *token == sub) else {
-            return;
-        };
-        match self.timers.swap_remove(at).1 {
-            DatTimer::EpochTick => {
-                self.epoch_timer_armed = false;
-                self.on_epoch(cx);
-                self.ensure_epoch_timer(cx);
-            }
-            DatTimer::QueryWindow(armed_for) => self.on_query_window(cx, armed_for),
-            DatTimer::HoldFlush(key) => {
-                if let Some(slot) = slot_of(&self.aggs, key) {
-                    self.flush_continuous(cx, slot);
-                }
+    /// Everything due by now, in a fixed order: the tick, the holds in key
+    /// order, then the query windows by `(deadline, reqid)`.
+    fn on_wake(&mut self, cx: &mut Ctx<'_>) {
+        let now = cx.now_ms();
+        if self.next_tick_ms <= now {
+            self.next_tick_ms = now + self.cfg.epoch_ms;
+            self.on_epoch(cx);
+        }
+        for slot in 0..self.aggs.len() {
+            if self.aggs[slot].hold_due_ms.is_some_and(|due| due <= now) {
+                self.flush_continuous(cx, slot);
             }
         }
+        let mut closing: Vec<(u64, u64)> = self
+            .queries
+            .iter()
+            .filter_map(|(&reqid, s)| Some((s.open.as_ref()?.deadline_ms, reqid)))
+            .filter(|&(deadline, _)| deadline <= now)
+            .collect();
+        closing.sort_unstable();
+        for (_, reqid) in closing {
+            // Lost branches: answer with what we have.
+            self.complete_query(cx, reqid);
+        }
+        self.wake(cx);
     }
 
     fn on_routed(&mut self, cx: &mut Ctx<'_>, _key: Id, origin: NodeRef, payload: &[u8]) {
@@ -1425,6 +1379,7 @@ fn d0(cfg: &DatConfig, table: &FingerTable) -> u64 {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::engine::WakeClock;
     use dat_chord::{ChordConfig, ChordMsg, ChordNode, IdSpace, Input, Output};
 
     fn mk(id: u64) -> StackNode {
@@ -1474,14 +1429,11 @@ mod tests {
     fn singleton_root_reports_own_value() {
         let mut n = mk(1);
         let key = n.register("cpu-usage", AggregationMode::Continuous);
-        let outs = n.start_create();
+        let mut clock = WakeClock::default();
+        clock.absorb(&n.start_create());
         n.set_local(key, 55.0);
-        // Fire the epoch timer.
-        let app = timer_outputs(&outs)
-            .into_iter()
-            .find(|t| matches!(t, dat_chord::TimerKind::App(_)))
-            .unwrap();
-        let _ = n.handle(Input::Timer(app));
+        // One epoch of virtual time: the tick's wake.
+        let _ = clock.run_until(&mut n, DatConfig::default().epoch_ms);
         let evs = n.take_events();
         assert_eq!(evs.len(), 1);
         match &evs[0] {
@@ -2064,113 +2016,348 @@ mod tests {
         );
     }
 
-    fn app_timers(outs: &[Output]) -> Vec<(u64, u64)> {
-        outs.iter()
-            .filter_map(|o| match o {
-                Output::SetTimer {
-                    kind: dat_chord::TimerKind::App(token),
-                    delay_ms,
-                } => Some((*token & crate::engine::SUB_MASK, *delay_ms)),
-                _ => None,
-            })
-            .collect()
-    }
-
     #[test]
     fn unknown_and_spent_timer_tokens_are_ignored() {
         let mut n = mk(1);
         let key = n.register("cpu-usage", AggregationMode::Continuous);
-        let outs = n.start_create();
+        let mut clock = WakeClock::default();
+        clock.absorb(&n.start_create());
         n.set_local(key, 1.0);
-        let (tick, _) = app_timers(&outs)[0];
-        let fire =
-            |n: &mut StackNode, sub: u64| n.drive::<DatProtocol, _>(|d, cx| d.on_timer(cx, sub)).1;
-        // Never armed: no tick, no flush, no re-arm.
-        assert!(fire(&mut n, tick + 1_000).is_empty());
+        let epoch_ms = DatConfig::default().epoch_ms;
+        assert_eq!(clock.pending.len(), 1, "the tick's wake");
+        let (_, tick) = clock.pending[0];
+        let wake = |n: &mut StackNode| n.handle(Input::Timer(dat_chord::TimerKind::App(tick ^ 1)));
+        // A wake before anything is due: no tick, no flush, no new timer
+        // (the tick's covers it).
+        let _ = clock.run_until(&mut n, epoch_ms / 2);
+        assert!(wake(&mut n).is_empty());
         assert_eq!(n.epoch(), 0);
         assert!(n.take_events().is_empty());
-        // Armed: the tick runs and re-arms itself under a fresh token.
-        let outs = fire(&mut n, tick);
+        // The tick's wake: it runs and asks for the next one.
+        let outs = clock.run_until(&mut n, epoch_ms);
         assert_eq!(n.epoch(), 1);
         assert_eq!(n.take_events().len(), 1, "the singleton root reports");
-        let rearmed = app_timers(&outs);
-        assert_eq!(rearmed.len(), 1);
-        assert_ne!(rearmed[0].0, tick);
-        // Already fired: the same token a second time does nothing.
-        assert!(fire(&mut n, tick).is_empty());
+        assert_eq!(outs.len(), 1, "{outs:?}");
+        assert_eq!(clock.pending.len(), 1);
+        assert_eq!(clock.pending[0].0, 2 * epoch_ms);
+        // Spent: a second firing at the same instant finds nothing due.
+        let again = n.handle(Input::Timer(dat_chord::TimerKind::App(tick)));
+        assert!(again.is_empty(), "{again:?}");
         assert_eq!(n.epoch(), 1);
         assert!(n.take_events().is_empty());
-        assert_eq!(n.dat().timers.len(), 1, "only the next tick is pending");
     }
 
     #[test]
     fn hold_flush_after_an_early_flush_is_a_no_op() {
         let mut root = mk(1);
         let key = root.register("cpu-usage", AggregationMode::Continuous);
-        let outs = root.start_create();
+        let mut clock = WakeClock::default();
+        clock.absorb(&root.start_create());
         root.set_local(key, 10.0);
-        let (tick, _) = app_timers(&outs)[0];
         let child = NodeRef::new(Id(99), NodeAddr(99));
-        let update = |root: &mut StackNode, epoch: u64| {
-            let upd = DatMsg::Update {
-                key,
-                epoch,
-                partial: AggPartial::of(32.0),
-                sender: child,
-            };
-            root.handle(Input::Message {
-                from: child.addr,
-                msg: dat_chord::ChordMsg::App {
-                    proto: DAT_PROTO,
-                    from: child,
-                    payload: upd.encode().into(),
-                },
-            })
-        };
+        let DatConfig {
+            epoch_ms, hold_ms, ..
+        } = DatConfig::default();
         // A child heard before the tick makes the root wait for it: the
-        // tick arms a hold timer (the root's is the full window) instead
-        // of flushing.
-        let _ = update(&mut root, 0);
-        let outs = root.drive::<DatProtocol, _>(|d, cx| d.on_timer(cx, tick)).1;
+        // tick sets a hold (the root's is the full window) and wakes for
+        // it instead of flushing.
+        clock.absorb(&deliver_update(&mut root, child, key, AggPartial::of(32.0)));
+        let _ = clock.run_until(&mut root, epoch_ms);
         assert!(
             root.take_events().is_empty(),
             "the root holds for its child"
         );
-        let hold_ms = DatConfig::default().hold_ms;
-        let hold = app_timers(&outs)
-            .into_iter()
-            .find(|&(_, delay)| delay == hold_ms)
-            .expect("a hold timer is armed")
-            .0;
+        let hold_due = epoch_ms + hold_ms;
+        assert_eq!(root.aggregation(key).unwrap().hold_due_ms, Some(hold_due));
+        assert_eq!(
+            clock.pending.iter().map(|p| p.0).collect::<Vec<_>>(),
+            [hold_due]
+        );
         // The child delivers: every active child is in, the root flushes
-        // early, once.
-        let _ = update(&mut root, 1);
+        // early, once, and the hold is cleared.
+        let _ = clock.run_until(&mut root, epoch_ms + 10);
+        clock.absorb(&deliver_update(&mut root, child, key, AggPartial::of(32.0)));
         assert_eq!(root.take_events().len(), 1);
+        assert_eq!(root.aggregation(key).unwrap().hold_due_ms, None);
         let sent = root.dat_metrics().sent_total();
-        // The hold timer then finds the epoch flushed.
-        let outs = root.drive::<DatProtocol, _>(|d, cx| d.on_timer(cx, hold)).1;
-        assert!(outs.is_empty(), "no second push: {outs:?}");
+        // The hold's wake then finds nothing due and only asks for the
+        // next tick.
+        let outs = clock.run_until(&mut root, hold_due);
+        assert!(
+            outs.iter()
+                .all(|(_, o)| matches!(o, Output::SetTimer { .. })),
+            "no second push: {outs:?}"
+        );
         assert!(root.take_events().is_empty(), "no second report");
         assert_eq!(root.dat_metrics().sent_total(), sent);
-        assert_eq!(root.dat().timers.len(), 1, "only the next tick is pending");
+        assert_eq!(
+            clock.pending.iter().map(|p| p.0).collect::<Vec<_>>(),
+            [2 * epoch_ms]
+        );
+    }
+
+    /// A node owning none of [`FOUR_KEYS`], pushing all four to `succ`,
+    /// with a clock holding the wake its start asked for.
+    fn interior_node() -> (StackNode, Vec<Id>, NodeRef, WakeClock) {
+        use dat_chord::FingerTable;
+        let space = IdSpace::new(8);
+        let ccfg = ChordConfig {
+            space,
+            ..ChordConfig::default()
+        };
+        let me = NodeRef::new(Id(100), NodeAddr(10));
+        let succ = NodeRef::new(Id(140), NodeAddr(12));
+        let mut n =
+            StackNode::new(ccfg, me.id, me.addr).with_app(DatProtocol::new(DatConfig::default()));
+        let keys: Vec<Id> = FOUR_KEYS
+            .iter()
+            .map(|name| n.register(name, AggregationMode::Continuous))
+            .collect();
+        let mut table = FingerTable::new(space, me, 4);
+        table.set_successor(succ);
+        table.set_predecessor(Some(NodeRef::new(Id(99), NodeAddr(11))));
+        let mut clock = WakeClock::default();
+        clock.absorb(&n.start_with_table(table));
+        for &key in &keys {
+            assert_ne!(key, me.id, "the node owns none of the keys");
+            n.set_local(key, 1.0);
+        }
+        (n, keys, succ, clock)
+    }
+
+    #[test]
+    fn children_that_deliver_early_cost_one_wake_per_epoch_besides_the_tick() {
+        let (mut n, keys, succ, mut clock) = interior_node();
+        let child = NodeRef::new(Id(60), NodeAddr(13));
+        let epoch_ms = DatConfig::default().epoch_ms;
+        let _ = clock.run_until(&mut n, epoch_ms / 2);
+        for &key in &keys {
+            clock.absorb(&deliver_update(&mut n, child, key, AggPartial::of(32.0)));
+        }
+        for epoch in 1..=10u64 {
+            let (armed, pushed) = (clock.armed, n.dat_metrics().sent_of("dat_update"));
+            // The tick holds every key for the child, which then delivers
+            // a millisecond later: four early flushes.
+            let _ = clock.run_until(&mut n, epoch * epoch_ms + 1);
+            assert!(keys
+                .iter()
+                .all(|&k| n.aggregation(k).unwrap().hold_due_ms.is_some()));
+            for &key in &keys {
+                let outs = deliver_update(&mut n, child, key, AggPartial::of(32.0));
+                assert_eq!(dat_sends(&outs, succ), 1, "epoch {epoch}: an early flush");
+                clock.absorb(&outs);
+            }
+            let _ = clock.run_until(&mut n, epoch * epoch_ms + epoch_ms / 2);
+            assert_eq!(n.dat_metrics().sent_of("dat_update"), pushed + 4);
+            assert_eq!(
+                clock.armed - armed,
+                2,
+                "epoch {epoch}: the tick and one hold wake"
+            );
+        }
+    }
+
+    /// Seeded runs of an interior node with scripted children that deliver
+    /// at random offsets or not at all, and fan-out queries of random depth
+    /// whose branches answer or stay lost. Every flush a wake makes lands
+    /// at its reference due time, `tick + flush_delay` (or the tick, when
+    /// no child was active), and every early one before it; every window a
+    /// wake closes closes at `open + window`, and every early one before
+    /// it. To the millisecond.
+    #[test]
+    fn timed_flushes_and_window_closes_land_on_their_deadlines() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let DatConfig {
+            epoch_ms,
+            query_window_ms,
+            ..
+        } = DatConfig::default();
+        let (mut timed, mut early, mut closed, mut answered) = (0, 0, 0, 0);
+        for seed in 0..24u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (mut n, keys, succ, mut clock) = interior_node();
+            let delays: Vec<u64> = keys
+                .iter()
+                .map(|&k| n.drive::<DatProtocol, _>(|d, cx| d.flush_delay(cx, k)).0)
+                .collect();
+            let children: Vec<NodeRef> = (0..3)
+                .map(|i| NodeRef::new(Id(20 + 10 * i), NodeAddr(20 + i)))
+                .collect();
+            // The script: `(time, what)`, what = child delivery
+            // `(key, child)`, query open `(reqid, depth)` or branch answer.
+            enum Ev {
+                Deliver(usize, usize),
+                Query(u64, u32),
+                Answer(u64),
+            }
+            let mut script: Vec<(u64, Ev)> = Vec::new();
+            for epoch in 0..12u64 {
+                for k in 0..keys.len() {
+                    for c in 0..children.len() {
+                        if rng.random_bool(0.85) {
+                            let at = epoch * epoch_ms + rng.random_range(1..300u64);
+                            script.push((at, Ev::Deliver(k, c)));
+                        }
+                    }
+                }
+                for _ in 0..rng.random_range(0..3u32) {
+                    let reqid = 1 + script.len() as u64;
+                    let at = epoch * epoch_ms + rng.random_range(0..epoch_ms);
+                    script.push((at, Ev::Query(reqid, rng.random_range(0..8u32))));
+                    if rng.random_bool(0.5) {
+                        script.push((at + rng.random_range(1..400u64), Ev::Answer(reqid)));
+                    }
+                }
+            }
+            script.sort_by_key(|(at, _)| *at);
+            let parent = NodeRef::new(Id(200), NodeAddr(30));
+            let deliver = |n: &mut StackNode, from: NodeRef, msg: DatMsg| {
+                n.handle(Input::Message {
+                    from: from.addr,
+                    msg: ChordMsg::App {
+                        proto: DAT_PROTO,
+                        from,
+                        payload: msg.encode().into(),
+                    },
+                })
+            };
+            // Reference state: each child's last delivery epoch per key,
+            // the due time of each (epoch, key) flush, each window's close.
+            let mut last = vec![vec![None::<u64>; children.len()]; keys.len()];
+            let mut flush_due: HashMap<(u64, usize), u64> = HashMap::new();
+            let mut flushed: HashMap<(u64, usize), u64> = HashMap::new();
+            let mut close_at: HashMap<u64, u64> = HashMap::new();
+            let mut check = |outs: &[(u64, Output)],
+                             by_wake: bool,
+                             last: &[Vec<Option<u64>>],
+                             close_at: &HashMap<u64, u64>| {
+                for (at, o) in outs {
+                    let Output::Send {
+                        to,
+                        msg: ChordMsg::App { payload, .. },
+                    } = o
+                    else {
+                        continue;
+                    };
+                    match DatMsg::decode(payload).unwrap() {
+                        DatMsg::Update { key, epoch, .. } => {
+                            assert_eq!(*to, succ);
+                            let k = keys.iter().position(|&x| x == key).unwrap();
+                            let due = *flush_due.entry((epoch, k)).or_insert_with(|| {
+                                let tick = epoch * epoch_ms;
+                                let active =
+                                    last[k].iter().any(|l| l.is_some_and(|e| e + 1 >= epoch));
+                                if active {
+                                    tick + delays[k]
+                                } else {
+                                    tick
+                                }
+                            });
+                            assert!(
+                                flushed.insert((epoch, k), *at).is_none(),
+                                "seed {seed}: key {k} flushed twice in epoch {epoch}"
+                            );
+                            if by_wake {
+                                assert_eq!(
+                                    *at, due,
+                                    "seed {seed}: timed flush of key {k}, epoch {epoch}"
+                                );
+                                timed += 1;
+                            } else {
+                                assert!(*at < due, "seed {seed}: early flush at {at}, due {due}");
+                                early += 1;
+                            }
+                        }
+                        DatMsg::Response { reqid, .. } => {
+                            assert_eq!(*to, parent);
+                            let close = close_at[&reqid];
+                            if by_wake {
+                                assert_eq!(*at, close, "seed {seed}: window of query {reqid}");
+                                closed += 1;
+                            } else {
+                                assert!(
+                                    *at < close,
+                                    "seed {seed}: answered at {at}, closes {close}"
+                                );
+                                answered += 1;
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+            };
+            for (at, ev) in script {
+                let woken = clock.run_until(&mut n, at);
+                check(&woken, true, &last, &close_at);
+                let outs = match ev {
+                    Ev::Deliver(k, c) => {
+                        let msg = DatMsg::Update {
+                            key: keys[k],
+                            epoch: 0,
+                            partial: AggPartial::of(1.0),
+                            sender: children[c],
+                        };
+                        let outs = deliver(&mut n, children[c], msg);
+                        last[k][c] = Some(n.epoch());
+                        outs
+                    }
+                    Ev::Query(reqid, depth) => {
+                        let window = (query_window_ms >> (depth + 1).min(6)).max(40);
+                        close_at.insert(reqid, at + window);
+                        let msg = DatMsg::Query {
+                            reqid,
+                            key: keys[0],
+                            limit: Id(150),
+                            parent,
+                            depth,
+                        };
+                        deliver(&mut n, parent, msg)
+                    }
+                    Ev::Answer(reqid) => {
+                        let msg = DatMsg::Response {
+                            reqid,
+                            key: keys[0],
+                            partial: AggPartial::of(1.0),
+                            sender: succ,
+                        };
+                        deliver(&mut n, succ, msg)
+                    }
+                };
+                clock.absorb(&outs);
+                let stamped: Vec<(u64, Output)> = outs.into_iter().map(|o| (at, o)).collect();
+                check(&stamped, false, &last, &close_at);
+            }
+            let woken = clock.run_until(&mut n, 13 * epoch_ms);
+            check(&woken, true, &last, &close_at);
+        }
+        assert!(
+            timed > 100 && early > 100 && closed > 20 && answered > 20,
+            "every path taken: {timed} timed, {early} early, {closed} closed, {answered} answered"
+        );
     }
 
     /// Deliver `partial` as `child`'s `Update` for `key`.
-    fn deliver_update(n: &mut StackNode, child: NodeRef, key: Id, partial: AggPartial) {
+    fn deliver_update(
+        n: &mut StackNode,
+        child: NodeRef,
+        key: Id,
+        partial: AggPartial,
+    ) -> Vec<Output> {
         let upd = DatMsg::Update {
             key,
             epoch: n.epoch(),
             partial,
             sender: child,
         };
-        let _ = n.handle(Input::Message {
+        n.handle(Input::Message {
             from: child.addr,
             msg: dat_chord::ChordMsg::App {
                 proto: DAT_PROTO,
                 from: child,
                 payload: upd.encode().into(),
             },
-        });
+        })
     }
 
     fn last_report(n: &mut StackNode) -> DatEvent {

@@ -185,7 +185,6 @@ impl GridMonitorSim {
                 .with_app(MaanProtocol::new(grid_schemas()))
         });
         net.set_latency(cfg.latency);
-        net.set_record_upcalls(false);
         // Phase-shift the sampling windows: every node's epoch tick fires at
         // multiples of epoch_ms; by advancing `settle_ms` past the start we
         // make each step_epoch window contain exactly one tick *plus* the

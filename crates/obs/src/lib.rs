@@ -31,10 +31,8 @@ pub mod epoch;
 pub mod hist;
 pub mod registry;
 pub mod trace;
-pub mod transport;
 
 pub use epoch::{EpochTrace, TraceEdge};
 pub use hist::LogHist;
 pub use registry::{validate_prometheus, Key, Registry};
 pub use trace::{digest_events, fnv1a, mix64, trace_id_for, Event, EventKind, Tracer};
-pub use transport::{transport_registry, TransportCounters};

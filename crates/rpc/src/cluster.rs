@@ -150,7 +150,7 @@ impl<A: Actor> RpcCluster<A> {
     }
 
     /// Transport-level metrics as an obs registry, in the shared
-    /// [`dat_obs::transport`] vocabulary (`transport="threads"`).
+    /// [`TransportStats::registry`] vocabulary (`transport="threads"`).
     pub fn transport_registry(&self) -> dat_obs::Registry {
         self.stats().registry("threads")
     }

@@ -14,7 +14,9 @@
 //! no silent epoch, on *every* report. What a plane adds is data
 //! (`Expect`): the counters its faults must have moved, the series its
 //! victim's exposition must carry, a bound on the report gap where it has
-//! one. A new plane is one more generator; there are four — churn, gray,
+//! one, and a bound on the longest run of silent slots while faults are
+//! live (two under churn, whose root crash costs a slot or two; none
+//! elsewhere). A new plane is one more generator; there are four — churn, gray,
 //! corrupt and partition. Every link fault a generator injects is one
 //! [`crate::FaultEvent::Link`] episode: churn's flaky links, gray's
 //! half-open link and corruption's noise, jam and poison differ only in
@@ -260,7 +262,6 @@ impl Scenario {
         let dcfg = self.dat_config(Some(ring.d0()));
         let mut net: SimNet<StackNode> = prestabilized_dat(&ring, ccfg, dcfg, self.seed);
         net.set_shards(shards);
-        net.set_record_upcalls(false);
         for addr in net.addrs() {
             if let Some(node) = net.node_mut(addr) {
                 self.equip(node);
@@ -383,6 +384,8 @@ struct Expect {
     /// The campaign's bound on [`Score::max_report_gap_ms`] (`u64::MAX`:
     /// none).
     max_gap_ms: u64,
+    /// The campaign's bound on [`Score::max_silent_run_during_faults`].
+    max_silent_run: u64,
 }
 
 /// Generate the seeded churn schedule: the fault window is sliced into
@@ -501,6 +504,9 @@ fn churn_plan(
         nonzero: &[],
         exposition: (topo.stable, &[]),
         max_gap_ms: u64::MAX,
+        // A crashed root costs its slot and, at worst, the next one before
+        // a successor's warm failover reports.
+        max_silent_run: 2,
     };
     (plan, expect)
 }
@@ -560,6 +566,7 @@ fn gray_plan(sc: &Scenario, topo: &Topology) -> (FaultPlan, Expect) {
         // than one epoch plus 2×RTO (the proactive bound) plus drain
         // quantization.
         max_gap_ms: sc.epoch_ms + 2 * sc.chord_config().rto_max_ms + sc.epoch_ms / 2,
+        max_silent_run: 0,
     };
     (plan, expect)
 }
@@ -617,6 +624,7 @@ fn corrupt_plan(sc: &Scenario, topo: &Topology) -> (FaultPlan, Expect) {
         ],
         exposition: (root, &["bad_frames_total", "bad_frame_suspects_total"]),
         max_gap_ms: u64::MAX,
+        max_silent_run: 0,
     };
     (plan, expect)
 }
@@ -633,6 +641,9 @@ fn partition_plan(sc: &Scenario, topo: &Topology) -> (FaultPlan, Expect) {
         nonzero: &[],
         exposition: (topo.root, &[]),
         max_gap_ms: u64::MAX,
+        // The root sits in the majority: the split shows in what it
+        // reports, never as silence.
+        max_silent_run: 0,
     };
     (plan, expect)
 }
@@ -955,6 +966,11 @@ fn violations(
         // The dent must heal, within the bound.
         ("recovery_epochs", s.recovery_epochs, bound),
         ("max_report_gap_ms", gap, expect.max_gap_ms),
+        (
+            "max_silent_run_during_faults",
+            Some(s.max_silent_run_during_faults),
+            expect.max_silent_run,
+        ),
     ];
     if expect.root_crash_at_ms.is_some() {
         // Warm failover: some node reports within ~one epoch of the root's
@@ -1158,6 +1174,7 @@ mod tests {
             nonzero: &[],
             exposition: (NodeAddr(0), &[]),
             max_gap_ms: u64::MAX,
+            max_silent_run: 2,
         };
         let score = Score::of(&TINY, root_crash_at_ms, &log);
         let fleet = FleetCounters::new();
@@ -1202,6 +1219,10 @@ mod tests {
         // A fault window nobody could see.
         let flat = stream(|log| log[4] = report(4_500, 4));
         assert_judged(flat, None, &["completeness never dipped"]);
+        // Three silent slots in a row during the faults, one past the bound.
+        let mute = stream(|log| drop(log.drain(3..6)));
+        let want = ["max_silent_run_during_faults is Some(3), bound 2"];
+        assert_judged(mute, None, &want);
         // Slots 3 and 4 of the fault window pass with nothing published:
         // the ratio reads what *was* published, the silence is counted —
         // and the next report comes more than an epoch after a root crash.

@@ -303,7 +303,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(10);
         let ring = StaticRing::build(IdSpace::new(24), 128, IdPolicy::Random, &mut rng);
         let mut net = prestabilized_chord(&ring, cfg(24), 2);
-        net.take_upcalls();
+        net.set_record_upcalls(true);
         let from = NodeAddr(0);
         let key = Id(123_456);
         let req = net.with_node(from, |n| n.lookup(key)).unwrap();
@@ -440,8 +440,6 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0x5ca1e);
         let ring = StaticRing::build(IdSpace::new(40), 98_304, IdPolicy::Random, &mut rng);
         let mut net = prestabilized_chord(&ring, cfg(40), 0x5ca1e);
-        // Upcall records are not read here; keep them off the heap.
-        net.set_record_upcalls(false);
         net.run_for(1_000);
         assert!(
             net.events_processed() > 0,

@@ -1207,7 +1207,6 @@ pub(crate) mod tests {
         let mut net = on_scheduler(kind, || prestabilized_dat(&ring, ccfg, dcfg, seed));
         net.set_latency(LatencyModel::Uniform { lo: 2, hi: 40 });
         net.set_loss(LossModel::new(0.02));
-        net.set_record_upcalls(false);
         let book = addr_book(&ring);
         let mut key = dat_chord::Id(0);
         for (i, &id) in ring.ids().iter().enumerate() {

@@ -589,7 +589,6 @@ impl<A: Actor> ShardedNet<A> {
     pub fn new(seed: u64, shards: usize) -> Self {
         let mut net = SimNet::new(seed);
         net.set_shards(shards);
-        net.set_record_upcalls(false);
         ShardedNet(net)
     }
 

@@ -41,7 +41,6 @@ fn main() {
     let root_addr = book[&ring.successor(key)];
 
     let mut net = prestabilized_dat(&ring, ccfg, dcfg, 0x57);
-    net.set_record_upcalls(false);
     for addr in net.addrs() {
         let node = net.node_mut(addr).unwrap();
         let k = node.register("cpu-usage", AggregationMode::Continuous);

@@ -33,7 +33,6 @@ fn main() {
 
     // --- push-sum gossip -------------------------------------------------
     let mut gnet = prestabilized_gossip(&ring, ccfg, 1, |i| i as f64);
-    gnet.set_record_upcalls(false);
     println!("\npush-sum:");
     println!("  round   worst-node error   messages so far");
     let mut gossip_done_msgs = None;
@@ -70,7 +69,6 @@ fn main() {
         ..libdat::core::DatConfig::default()
     };
     let mut dnet = prestabilized_dat(&ring, ccfg, dcfg, 1);
-    dnet.set_record_upcalls(false);
     let book = addr_book(&ring);
     let key = hash_to_id(space, b"load-average");
     let sites = ["usc", "isi", "caltech", "ucla", "ucsd"];

@@ -47,7 +47,6 @@ fn main() {
         ..DatConfig::default()
     };
     let mut net = prestabilized_dat(&ring, ccfg, dcfg, 42);
-    net.set_record_upcalls(false);
     let book = addr_book(&ring);
     for (i, &id) in ring.ids().iter().enumerate() {
         let node = net.node_mut(book[&id]).unwrap();

@@ -63,6 +63,15 @@ repro_b="$(cargo run --release -q -p dat-bench --bin repro -- --quick --check al
 diff <(echo "$repro_a") <(echo "$repro_b") \
   || { echo "two runs of repro --quick --check all differ: unseeded order leaked into an experiment"; exit 1; }
 
+echo "==> EXPERIMENTS.md: its recorded output is what repro all --check prints now"
+# The fenced block under "## Recorded output" is the full-size run's
+# stdout, byte for byte (progress lines go to stderr); ~10 s. A change
+# that moves a number regenerates the block in the same diff.
+recorded="$(awk '/^## Recorded output/ { f = 1; next } f && /^```/ { if (b) exit; b = 1; next } b' EXPERIMENTS.md)"
+full="$(cargo run --release -q -p dat-bench --bin repro -- all --check)"
+diff <(echo "$recorded") <(echo "$full") \
+  || { echo "EXPERIMENTS.md's recorded output is stale: paste in repro all --check"; exit 1; }
+
 echo "==> repro smoke: fig8a with tracing on; the fleet Prometheus dump must parse"
 # --metrics merges every node's registry and validates the exposition
 # (non-empty, grammar, no duplicate series); --check turns a validation
@@ -118,7 +127,7 @@ echo "==> campaign pin: the default seeds' summary lines must hash to the pinned
 # scheduled event passes with this line unedited; one that moves a
 # campaign byte re-pins it in the same diff. A seed override (SOAK_SEEDS,
 # GRAY_SEEDS, CORRUPT_SEEDS) runs other seeds, so it skips the check.
-CAMPAIGN_SCORE_DIGEST=60451cb3deccd6c5
+CAMPAIGN_SCORE_DIGEST=18045fd5db479133
 if [ -z "${SOAK_SEEDS:-}${GRAY_SEEDS:-}${CORRUPT_SEEDS:-}" ]; then
   campaign_digest="$(printf '%s' "$campaign_lines" | sed -E 's/digest 0x[0-9a-f]+, //' | sha256sum | cut -c1-16)"
   [ "$campaign_digest" = "$CAMPAIGN_SCORE_DIGEST" ] \
@@ -182,14 +191,17 @@ maint_events="$(awk '$1 == "sim.events_per_op" { print $2 }' <<<"$maint_out")"
 
 echo "==> DAT-path smoke: a seeded sim_epoch run must reproduce the pinned digest and event count"
 # The maintenance smoke above pins Chord maintenance only. This is its
-# twin for the aggregation path (epoch ticks, hold timers, parent
+# twin for the aggregation path (epoch ticks, hold deadlines, parent
 # decisions, Update / Prune / RootState, the failure detector's say in
 # who is waited for): 1024 nodes x 4 keys, seed 1, one second, untraced.
 # A change that claims "no protocol byte moved" passes with both
 # constants unedited; one that does move bytes edits them in the same
 # diff.
-EPOCH_SMOKE_DIGEST=0063adfff9e85934
-EPOCH_SMOKE_EVENTS=10189
+EPOCH_SMOKE_DIGEST=0b07d1288f403a38
+# Events per epoch at 1024 nodes: the DAT handler wakes at its earliest
+# deadline (tick or hold), so a hold its children beat costs no timer; a
+# timer per held key coming back adds ~1.1 events per node.
+EPOCH_SMOKE_EVENTS=9032
 epoch_out="$(bash benchmark/run.sh --workload sim_epoch --quick --seed 1 --seconds 1 --trace 0)"
 grep -qx "# digest: $EPOCH_SMOKE_DIGEST" <<<"$epoch_out" \
   || { echo "DAT-path smoke: run digest moved off $EPOCH_SMOKE_DIGEST (protocol bytes changed: re-pin it here, knowingly)"; exit 1; }

@@ -33,7 +33,6 @@ fn build(
         ..DatConfig::default()
     };
     let mut net = prestabilized_dat(&ring, ccfg, dcfg, seed);
-    net.set_record_upcalls(false);
     let book = addr_book(&ring);
     let mut key = libdat::chord::Id(0);
     for (i, &id) in ring.ids().iter().enumerate() {
@@ -229,7 +228,6 @@ fn multiple_trees_coexist() {
         ..DatConfig::default()
     };
     let mut net = prestabilized_dat(&ring, ccfg, dcfg, 5);
-    net.set_record_upcalls(false);
     let book = addr_book(&ring);
     let attrs = ["cpu-usage", "memory-free", "disk-free"];
     let mut keys = Vec::new();
@@ -287,7 +285,6 @@ fn histogram_digests_flow_through_the_tree() {
         ..DatConfig::default()
     };
     let mut net = prestabilized_dat(&ring, ccfg, dcfg, 6);
-    net.set_record_upcalls(false);
     let book = addr_book(&ring);
     let mut key = libdat::chord::Id(0);
     for (i, &id) in ring.ids().iter().enumerate() {
@@ -341,7 +338,6 @@ fn distinct_count_reaches_the_root(mode: AggregationMode) {
         ..DatConfig::default()
     };
     let mut net = prestabilized_dat(&ring, ccfg, dcfg, 77);
-    net.set_record_upcalls(false);
     let book = addr_book(&ring);
     let mut key = libdat::chord::Id(0);
     for (i, &id) in ring.ids().iter().enumerate() {

@@ -32,7 +32,6 @@ fn coverage_recovers_after_graceful_leaves() {
         ..DatConfig::default()
     };
     let mut net = prestabilized_dat(&ring, chord_cfg(space), dcfg, 21);
-    net.set_record_upcalls(false);
     let book = addr_book(&ring);
     let root_addr = book[&ring.successor(key)];
     for &id in ring.ids() {
@@ -105,7 +104,6 @@ fn coverage_recovers_after_crashes() {
         ..DatConfig::default()
     };
     let mut net = prestabilized_dat(&ring, chord_cfg(space), dcfg, 22);
-    net.set_record_upcalls(false);
     let book = addr_book(&ring);
     let root_addr = book[&ring.successor(key)];
     for &id in ring.ids() {
@@ -175,7 +173,6 @@ fn live_joiners_enter_the_tree() {
         ..DatConfig::default()
     };
     let mut net = prestabilized_dat(&ring, ccfg, dcfg, 23);
-    net.set_record_upcalls(false);
     let book = addr_book(&ring);
     let root_addr = book[&ring.successor(key)];
     for &id in ring.ids() {
@@ -231,7 +228,6 @@ fn root_handoff_when_root_leaves() {
         ..DatConfig::default()
     };
     let mut net = prestabilized_dat(&ring, chord_cfg(space), dcfg, 24);
-    net.set_record_upcalls(false);
     let book = addr_book(&ring);
     let old_root_id = ring.successor(key);
     let old_root = book[&old_root_id];

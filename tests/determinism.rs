@@ -37,7 +37,6 @@ fn fingerprint(seed: u64, shards: usize) -> Fingerprint {
     net.set_shards(shards);
     net.set_latency(LatencyModel::Uniform { lo: 2, hi: 40 });
     net.set_loss(LossModel::new(0.02));
-    net.set_record_upcalls(false);
     let book = addr_book(&ring);
     let mut key = libdat::chord::Id(0);
     for (i, &id) in ring.ids().iter().enumerate() {
@@ -113,7 +112,6 @@ fn same_seed_reproduces_every_byte_with_several_keys_per_node() {
             ..DatConfig::default()
         };
         let mut net = prestabilized_dat(&ring, ccfg, dcfg, seed);
-        net.set_record_upcalls(false);
         for (i, addr) in net.addrs().into_iter().enumerate() {
             let node = net.node_mut(addr).unwrap();
             for name in ["cpu-usage", "mem-free", "disk-io", "net-rx"] {
@@ -189,7 +187,6 @@ fn fault_free_maintenance_traffic_is_pinned() {
     let ring = StaticRing::build(space, 512, IdPolicy::Probed, &mut rng);
     let book = addr_book(&ring);
     let mut net: SimNet<ChordNode> = SimNet::new(seed);
-    net.set_record_upcalls(false);
     for (i, &id) in ring.ids().iter().enumerate() {
         let addr = book[&id];
         let mut node = ChordNode::new(cfg, id, addr);
@@ -231,5 +228,107 @@ fn fault_free_maintenance_traffic_is_pinned() {
         libdat::obs::fnv1a(format!("{traffic:?}").as_bytes()),
         0x34e7_e81b_bf95_fc8c,
         "fault-free maintenance traffic moved"
+    );
+}
+
+/// DAT continuous aggregation on a 512-node probed ring, four keys, jittery
+/// but lossless links, 30 virtual seconds: once with Chord maintenance
+/// quiet, once at its default periods. Returns the FNV of every node's
+/// `(sent, delivered)` and of every root report from epoch 7 on as
+/// `(key, epoch, count, sum bits, seq)`. Epochs 2-6 are warm-up (with
+/// default maintenance one tree still lacks two nodes at epoch 6): which
+/// of two same-millisecond events runs first may move them, never a
+/// message.
+fn dat_traffic(quiet: bool) -> (u64, u64) {
+    const QUIET_MS: u64 = 600_000;
+    let seed = 1;
+    let space = IdSpace::new(40);
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+    let ring = StaticRing::build(space, 512, IdPolicy::Probed, &mut rng);
+    let ccfg = if quiet {
+        ChordConfig {
+            space,
+            stabilize_ms: QUIET_MS,
+            fix_fingers_ms: QUIET_MS,
+            check_pred_ms: QUIET_MS,
+            ..ChordConfig::default()
+        }
+    } else {
+        ChordConfig {
+            space,
+            ..ChordConfig::default()
+        }
+    };
+    let dcfg = DatConfig {
+        scheme: RoutingScheme::Balanced,
+        d0_hint: Some(ring.d0()),
+        ..DatConfig::default()
+    };
+    let mut net = prestabilized_dat(&ring, ccfg, dcfg, seed);
+    net.set_latency(LatencyModel::Uniform { lo: 2, hi: 40 });
+    for (i, addr) in net.addrs().into_iter().enumerate() {
+        let node = net.node_mut(addr).unwrap();
+        for (k, name) in ["cpu-usage", "mem-free", "disk-io", "net-rx"]
+            .into_iter()
+            .enumerate()
+        {
+            let key = node.register(name, AggregationMode::Continuous);
+            node.set_local(key, (i * 7 + k) as f64);
+        }
+    }
+    net.run_for(30_000);
+    let traffic: Vec<(u64, u64)> = net
+        .addrs()
+        .iter()
+        .map(|&a| {
+            let s = net.link_stats(a);
+            (s.sent, s.delivered)
+        })
+        .collect();
+    let mut reports = Vec::new();
+    for addr in net.addrs() {
+        for e in net.node_mut(addr).unwrap().take_events() {
+            if let DatEvent::Report {
+                key,
+                epoch,
+                partial,
+                completeness,
+            } = e
+            {
+                if epoch >= 7 {
+                    reports.push((
+                        key.0,
+                        epoch,
+                        partial.count,
+                        partial.sum.to_bits(),
+                        completeness.seq,
+                    ));
+                }
+            }
+        }
+    }
+    reports.sort_unstable();
+    assert_eq!(reports.len(), 4 * 23, "one report per key per epoch 7..=29");
+    (
+        libdat::obs::fnv1a(format!("{traffic:?}").as_bytes()),
+        libdat::obs::fnv1a(format!("{reports:?}").as_bytes()),
+    )
+}
+
+/// The DAT path's traffic and its steady-state reports are pinned, with
+/// maintenance quiet and at its default periods: how a node schedules its
+/// epoch ticks, hold flushes and query windows may change the event count,
+/// never a message or a report.
+#[test]
+fn dat_traffic_is_pinned() {
+    assert_eq!(
+        dat_traffic(true),
+        (0x7035_f9d9_796e_686c, 0x818d_d07a_09ee_aa40),
+        "DAT traffic with quiet maintenance moved"
+    );
+    assert_eq!(
+        dat_traffic(false),
+        (0xf562_e7f2_29fb_9120, 0x818d_d07a_09ee_aa40),
+        "DAT traffic with default maintenance moved"
     );
 }

@@ -39,7 +39,6 @@ fn one_stack_runs_aggregation_and_discovery_concurrently() {
             .with_app(DatProtocol::new(dcfg))
             .with_app(MaanProtocol::new(grid_schemas()))
     });
-    net.set_record_upcalls(false);
     let book = addr_book(&ring);
 
     // Every node hosts both services on the same substrate.

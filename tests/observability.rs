@@ -43,7 +43,6 @@ fn continuous_net(n: usize, seed: u64, run_ms: u64) -> (SimNet<StackNode>, Stati
         ..DatConfig::default()
     };
     let mut net = prestabilized_dat(&ring, quiet_chord(space), dcfg, seed);
-    net.set_record_upcalls(false);
     let book = addr_book(&ring);
     let mut key = Id(0);
     for (i, &id) in ring.ids().iter().enumerate() {
@@ -182,7 +181,6 @@ fn untraced_maintenance_is_counted_but_never_ringed() {
         ..ChordConfig::default()
     };
     let mut net = prestabilized_chord(&ring, cfg, 0xC0);
-    net.set_record_upcalls(false);
     net.run_for(10_000);
     for (addr, node) in net.iter_nodes() {
         let m = node.metrics();
@@ -335,7 +333,6 @@ fn pinned_fleet_exposition(shards: usize) {
             .with_app(MaanProtocol::new(libdat::monitor::grid_schemas()))
     });
     net.set_shards(shards);
-    net.set_record_upcalls(false);
     let book = addr_book(&ring);
     for (i, &id) in ring.ids().iter().enumerate() {
         let node = net.node_mut(book[&id]).unwrap();

@@ -41,7 +41,6 @@ fn build_with_window(
         ..DatConfig::default()
     };
     let mut net = prestabilized_dat(&ring, ccfg, dcfg, seed);
-    net.set_record_upcalls(false);
     let book = addr_book(&ring);
     let mut key = libdat::chord::Id(0);
     for &id in ring.ids() {
@@ -221,7 +220,6 @@ fn unregistered_nodes_contribute_identity() {
         ..DatConfig::default()
     };
     let mut net = prestabilized_dat(&ring, ccfg, dcfg, 45);
-    net.set_record_upcalls(false);
     let book = addr_book(&ring);
     let key = hash_to_id(space, b"cpu-usage");
     // Only every other node registers.

@@ -239,7 +239,6 @@ fn duplicate_delivery_never_inflates_contributors() {
         ..DatConfig::default()
     };
     let mut net: SimNet<StackNode> = prestabilized_dat(&ring, ccfg, dcfg, 0xD0D0);
-    net.set_record_upcalls(false);
     net.set_fault_plan(FaultPlan::new().duplication_at(0, 0.75));
     let book = addr_book(&ring);
     let mut key = Id(0);

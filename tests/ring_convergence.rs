@@ -57,7 +57,7 @@ fn lookups_resolve_to_correct_owners_after_live_join() {
     let (mut net, ids) = spawn_live_ring(24, cfg(), 5, 2_000, 60_000);
     assert!(ring_converged(&net, &ids));
     let ring = StaticRing::from_ids(IdSpace::new(32), ids.clone());
-    net.take_upcalls();
+    net.set_record_upcalls(true);
     // Issue lookups from several nodes for several keys.
     let addrs = net.addrs();
     let mut expected = Vec::new();
@@ -108,7 +108,6 @@ fn ping_node_detects_crash_and_evicts() {
     let mut rng = rand::rngs::SmallRng::seed_from_u64(4);
     let ring = StaticRing::build(space, 24, IdPolicy::Probed, &mut rng);
     let mut net = prestabilized_chord(&ring, quiet_cfg(), 4);
-    net.take_upcalls();
     // Pick a node and one of its fingers; crash the finger.
     let me = NodeAddr(0);
     let target = net
