@@ -271,4 +271,40 @@ mod tests {
         // re-parent), so compare with tolerance.
         assert!(w.rows[0].coverage + 0.05 >= w.rows.last().unwrap().coverage);
     }
+
+    /// Coverage at 10 % and 20 % loss over seeds 1–24 (n = 128, the
+    /// recorded run's size): the spread the single-seed rows of `repro
+    /// wan` are read against. Prints one line per loss rate; ~10 s in
+    /// release:
+    /// `cargo test --release -p dat-bench --lib -- --ignored wan_loss_sweep --nocapture`
+    #[test]
+    #[ignore]
+    fn wan_loss_sweep_over_seeds() {
+        for loss in [0.10, 0.20] {
+            let cov: Vec<(u64, f64)> = (1..=24u64)
+                .map(|seed| (seed, run_one(128, loss, seed).coverage))
+                .collect();
+            let mean = cov.iter().map(|c| c.1).sum::<f64>() / cov.len() as f64;
+            let by_cov = |a: &&(u64, f64), b: &&(u64, f64)| a.1.total_cmp(&b.1);
+            let (lo, hi) = (
+                cov.iter().min_by(by_cov).unwrap(),
+                cov.iter().max_by(by_cov).unwrap(),
+            );
+            println!(
+                "loss {:.0}%: mean {mean:.3}, min {:.3} (seed {}), max {:.3} (seed {}), above 1.05: {}",
+                loss * 100.0,
+                lo.1,
+                lo.0,
+                hi.1,
+                hi.0,
+                cov.iter().filter(|c| c.1 > 1.05).count()
+            );
+            assert!(
+                hi.1 <= 1.1,
+                "duplicate counting at seed {}: {:.3}",
+                hi.0,
+                hi.1
+            );
+        }
+    }
 }

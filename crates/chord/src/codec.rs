@@ -6,9 +6,9 @@
 //! fixed-order little-endian fields, built on the [`crate::wire`]
 //! primitives (and the same [`CodecError`] vocabulary) every protocol codec
 //! in the workspace uses. Application payloads (already encoded by their
-//! protocol's codec) ride opaquely inside `App` and `Route` frames. Tags
-//! are never reused: tag 14, the retired ring broadcast, decodes as
-//! [`CodecError::BadTag`] like any unknown tag.
+//! protocol's codec) ride opaquely inside `App`, `ProbedApp` (tag 17) and
+//! `Route` frames. Tags are never reused: tag 14, the retired ring
+//! broadcast, decodes as [`CodecError::BadTag`] like any unknown tag.
 //!
 //! The codec lives next to the message type so every host can reach it:
 //! `dat-rpc` uses it to frame UDP datagrams, and the simulator's codec
@@ -114,6 +114,14 @@ pub fn encode(msg: &ChordMsg) -> Vec<u8> {
             payload,
         } => {
             w.u8(13).u8(*proto).node_ref(*from).bytes(payload);
+        }
+        ChordMsg::ProbedApp {
+            req,
+            proto,
+            from,
+            payload,
+        } => {
+            w.u8(17).u64(*req).u8(*proto).node_ref(*from).bytes(payload);
         }
         ChordMsg::StatsRequest { req, sender } => {
             w.u8(15).u64(*req).node_ref(*sender);
@@ -232,6 +240,12 @@ pub fn decode(data: &[u8]) -> Result<ChordMsg, CodecError> {
             sender: r.node_ref()?,
             text: r.bytes()?.into(),
         },
+        17 => ChordMsg::ProbedApp {
+            req: r.u64()?,
+            proto: r.u8()?,
+            from: r.node_ref()?,
+            payload: r.bytes()?.into(),
+        },
         t => return Err(CodecError::BadTag(t)),
     };
     r.expect_end()?;
@@ -316,6 +330,12 @@ mod tests {
                 req: 36,
                 sender: nr(37),
                 text: b"# TYPE sent_total counter\nsent_total 1\n".to_vec().into(),
+            },
+            ChordMsg::ProbedApp {
+                req: 38,
+                proto: 1,
+                from: nr(39),
+                payload: vec![7; 40].into(),
             },
         ]
     }
@@ -437,6 +457,40 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn app_frames_are_pinned_and_the_probed_one_only_adds_its_req() {
+        // An App frame's bytes are the same with or without ProbedApp in
+        // the vocabulary; the probed frame is its own tag with the request
+        // id up front, and round-trips.
+        let payload = [0xAB, 0xCD];
+        let app = encode(&ChordMsg::App {
+            proto: 1,
+            from: nr(2),
+            payload: payload.to_vec().into(),
+        });
+        let app_body = [
+            MAGIC, VERSION, 13, // tag
+            1,  // proto
+            2, 0, 0, 0, 0, 0, 0, 0, // id = 2, LE
+            6, 0, 0, 0, 0, 0, 0, 0, // addr = 6, LE
+            2, 0, 0, 0, 0xAB, 0xCD, // payload, u32 length prefix
+        ];
+        assert_eq!(&app[..app_body.len()], &app_body);
+        assert_eq!(&app[app_body.len()..], crc32c(&app_body).to_le_bytes());
+        let probed = ChordMsg::ProbedApp {
+            req: 9,
+            proto: 1,
+            from: nr(2),
+            payload: payload.to_vec().into(),
+        };
+        let frame = encode(&probed);
+        let mut body = vec![MAGIC, VERSION, 17, 9, 0, 0, 0, 0, 0, 0, 0];
+        body.extend_from_slice(&app_body[3..]);
+        assert_eq!(&frame[..body.len()], &body[..]);
+        assert_eq!(frame.len(), body.len() + CRC_TRAILER);
+        assert_eq!(decode(&frame).unwrap(), probed);
     }
 
     #[test]

@@ -7,7 +7,11 @@
 //! the paper's prototype, where the same Chord/DAT layers run over either
 //! an RPC manager or a simulation engine (§4). Application payloads ride
 //! opaquely in [`ChordMsg::Route`] (keyed) and [`ChordMsg::App`] (direct);
-//! the on-demand query fan-out is the DAT layer's, over `App`.
+//! the on-demand query fan-out is the DAT layer's, over `App`. A direct
+//! payload that doubles as a liveness probe rides in
+//! [`ChordMsg::ProbedApp`]: the receiver answers it with the `Pong` a
+//! `Ping` gets, so the DAT's once-per-epoch parent probe costs no message
+//! of its own.
 
 use crate::finger::{NodeAddr, NodeRef};
 use crate::id::Id;
@@ -141,6 +145,22 @@ pub enum ChordMsg {
         /// Opaque application payload (shared buffer; clones are cheap).
         payload: Payload,
     },
+    /// A direct application message that is also a liveness probe: the
+    /// receiver answers `req` with [`ChordMsg::Pong`], exactly as for a
+    /// [`ChordMsg::Ping`], then delivers the payload like an
+    /// [`ChordMsg::App`]. The sender retries the probe as plain `Ping`s,
+    /// never the payload (see
+    /// [`crate::node::ChordNode::send_app_probed`]).
+    ProbedApp {
+        /// Request id echoed by the pong.
+        req: ReqId,
+        /// Application protocol discriminator (e.g. `dat_core::DAT_PROTO`).
+        proto: u8,
+        /// The sending node (pong target).
+        from: NodeRef,
+        /// Opaque application payload (shared buffer; clones are cheap).
+        payload: Payload,
+    },
     /// Ask a node for its observability snapshot. The receiving host
     /// serves it via [`Upcall::StatsRequested`] (a protocol stack replies
     /// with its merged Prometheus text dump); a host that does not serve
@@ -179,7 +199,7 @@ impl ChordMsg {
             ChordMsg::LeaveToPred { .. } => "leave_to_pred",
             ChordMsg::LeaveToSucc { .. } => "leave_to_succ",
             ChordMsg::Route { .. } => "route",
-            ChordMsg::App { .. } => "app",
+            ChordMsg::App { .. } | ChordMsg::ProbedApp { .. } => "app",
             ChordMsg::StatsRequest { .. } => "stats_request",
             ChordMsg::StatsReply { .. } => "stats_reply",
         }
@@ -188,7 +208,10 @@ impl ChordMsg {
     /// `true` for messages that belong to ring maintenance rather than
     /// application traffic — used by the churn-overhead experiment.
     pub fn is_maintenance(&self) -> bool {
-        !matches!(self, ChordMsg::Route { .. } | ChordMsg::App { .. })
+        !matches!(
+            self,
+            ChordMsg::Route { .. } | ChordMsg::App { .. } | ChordMsg::ProbedApp { .. }
+        )
     }
 }
 
@@ -354,5 +377,13 @@ mod tests {
             sender: NodeRef::new(Id(0), NodeAddr(0)),
         };
         assert!(ping.is_maintenance());
+        let probed = ChordMsg::ProbedApp {
+            req: 2,
+            proto: 1,
+            from: NodeRef::new(Id(0), NodeAddr(0)),
+            payload: vec![7].into(),
+        };
+        assert!(!probed.is_maintenance());
+        assert_eq!(probed.kind(), "app");
     }
 }

@@ -137,6 +137,11 @@ enum Pending {
     PingPred,
     /// Generic liveness ping to an arbitrary node (evicted on timeout).
     PingNode,
+    /// A [`ChordMsg::ProbedApp`]'s liveness probe: retried as a plain
+    /// `Ping` and timed out exactly like [`Pending::PingNode`]. Its own
+    /// kind only so the retries it costs can be counted apart from the
+    /// ring's.
+    AppProbe,
     /// Liveness probe to a previously-evicted peer (ring unification).
     FallenProbe,
     /// Neighborhood pull from a risen peer to re-merge severed rings.
@@ -406,10 +411,9 @@ impl ChordNode {
     }
 
     /// Send a request and register it for timeout tracking and (when the
-    /// retry budget allows) retransmission. Whether the target is marked
-    /// for failure suspicion on final timeout follows from `kind`
-    /// ([`Pending::suspects_target`]). The public entry point that got
-    /// here ends with [`ChordNode::cover_deadlines`].
+    /// retry budget allows) retransmission of the same datagram. The
+    /// public entry point that got here ends with
+    /// [`ChordNode::cover_deadlines`].
     fn send_tracked(
         &mut self,
         out: &mut Vec<Output>,
@@ -418,12 +422,21 @@ impl ChordNode {
         req: ReqId,
         kind: Pending,
     ) {
+        self.track(to, msg.clone(), req, kind);
+        self.send(out, to, msg);
+    }
+
+    /// Register request `req` to `to` as sent now: its deadline is one RTO
+    /// away, and each expiry within the retry budget re-sends `retry_msg`.
+    /// Whether the target is marked for failure suspicion on final timeout
+    /// follows from `kind` ([`Pending::suspects_target`]).
+    fn track(&mut self, to: NodeRef, retry_msg: ChordMsg, req: ReqId, kind: Pending) {
         let rto = self.current_rto();
         self.metrics.observe("rto_ms", rto);
         let mut o = Outstanding {
             kind,
             to,
-            msg: msg.clone(),
+            msg: retry_msg,
             attempts: 1,
             armed: 0,
             rto_ms: rto,
@@ -431,7 +444,6 @@ impl ChordNode {
         };
         self.set_deadline(&mut o);
         self.outstanding.insert(req, o);
-        self.send(out, to, msg);
     }
 
     /// Start the timeout of `o`'s latest transmission: `rto_ms` from now.
@@ -678,6 +690,43 @@ impl ChordNode {
         };
         self.metrics.on_send(self.now_ms, 0, msg.kind(), to.id.0);
         Output::Send { to, msg }
+    }
+
+    /// [`ChordNode::send_app`] that doubles as a [`ChordNode::ping_node`]:
+    /// the payload goes out once in a [`ChordMsg::ProbedApp`], whose
+    /// receiver answers with a `Pong`. Until one arrives the probe is a
+    /// `ping_node` request — the same RTO, Karn's rule, retries and
+    /// two-strike eviction — except that its retries are plain `Ping`s:
+    /// re-sending the payload could deliver it after a newer one. A probe
+    /// the node would not ping (itself, or before it is active) goes out
+    /// as a plain `App`.
+    pub fn send_app_probed(
+        &mut self,
+        to: NodeRef,
+        proto: u8,
+        payload: impl Into<Payload>,
+    ) -> Vec<Output> {
+        if to.id == self.me().id || self.status != NodeStatus::Active {
+            return vec![self.send_app(to, proto, payload)];
+        }
+        let mut out = Vec::new();
+        let req = self.fresh_req();
+        let from = self.me();
+        self.track(
+            to,
+            ChordMsg::Ping { req, sender: from },
+            req,
+            Pending::AppProbe,
+        );
+        let msg = ChordMsg::ProbedApp {
+            req,
+            proto,
+            from,
+            payload: payload.into(),
+        };
+        self.send(&mut out, to, msg);
+        self.cover_deadlines(&mut out);
+        out
     }
 
     /// Gracefully leave the ring.
@@ -934,9 +983,12 @@ impl ChordNode {
             o.attempts += 1;
             o.rto_ms = (o.rto_ms * 2).min(self.cfg.rto_max_ms);
             self.set_deadline(&mut o);
-            let (to, msg) = (o.to, o.msg.clone());
+            let (to, msg, o_kind) = (o.to, o.msg.clone(), o.kind);
             self.outstanding.insert(req, o);
             self.metrics.retransmits += 1;
+            if o_kind == Pending::AppProbe {
+                self.metrics.inc("probe_retries_total");
+            }
             self.send(out, to, msg);
             return;
         }
@@ -976,7 +1028,7 @@ impl ChordNode {
             Pending::Stabilize | Pending::PingPred => {}
             Pending::Lookup => out.push(Output::Upcall(Upcall::LookupFailed { req })),
             // The generic suspect-eviction above already handled the target.
-            Pending::PingNode => {}
+            Pending::PingNode | Pending::AppProbe => {}
             Pending::FixFinger(_) | Pending::FofRefresh(_) => {}
             // Fallen peers are not table members; silence is the expected
             // outcome until a partition heals.
@@ -1000,7 +1052,7 @@ impl ChordNode {
             | ChordMsg::StatsReply { sender, .. } => Some(*sender),
             ChordMsg::Neighbors { me, .. } => Some(*me),
             ChordMsg::FoundSuccessor { owner, .. } => Some(*owner),
-            ChordMsg::App { from, .. } => Some(*from),
+            ChordMsg::App { from, .. } | ChordMsg::ProbedApp { from, .. } => Some(*from),
             _ => None,
         };
         if let Some(p) = heard {
@@ -1058,6 +1110,13 @@ impl ChordNode {
             }
             ChordMsg::Pong { req, sender } => {
                 self.strikes.remove(&sender.id);
+                if self
+                    .outstanding
+                    .get(&req)
+                    .is_some_and(|o| o.kind == Pending::AppProbe && o.attempts > 1)
+                {
+                    self.metrics.inc("probe_retry_pongs_total");
+                }
                 if self.untrack(req) == Some(Pending::FallenProbe) {
                     // A previously-evicted peer answered: whatever cut it
                     // off has healed. Pull its neighborhood to re-merge
@@ -1147,6 +1206,25 @@ impl ChordNode {
                 from,
                 payload,
             } => {
+                out.push(Output::Upcall(Upcall::AppMessage {
+                    proto,
+                    from,
+                    payload,
+                }));
+            }
+            // Liveness is the node's: the pong goes out even if the layer
+            // above sheds the payload.
+            ChordMsg::ProbedApp {
+                req,
+                proto,
+                from,
+                payload,
+            } => {
+                let reply = ChordMsg::Pong {
+                    req,
+                    sender: self.me(),
+                };
+                self.send(out, from, reply);
                 out.push(Output::Upcall(Upcall::AppMessage {
                     proto,
                     from,
@@ -1279,6 +1357,7 @@ impl ChordNode {
             | Pending::FofRefresh(_)
             | Pending::PingPred
             | Pending::PingNode
+            | Pending::AppProbe
             | Pending::FallenProbe
             | Pending::Unify => {}
         }
@@ -2578,6 +2657,106 @@ mod tests {
         assert!(deadline_timers(&out).is_empty());
         assert_eq!(n.deadline_timer, u64::MAX);
         assert!(n.outstanding.is_empty());
+    }
+
+    #[test]
+    fn a_probed_app_is_answered_by_one_pong_and_delivered_once() {
+        let (ring, mut child) = started(cfg16());
+        let parent_id = ring.ids()[7];
+        let mut parent = ChordNode::new(cfg16(), parent_id, NodeAddr(parent_id.raw()));
+        let _ = parent.start_with_table(ring.table_of(parent_id, 3));
+        let out = child.send_app_probed(at(parent_id), 1, vec![4, 2]);
+        let [(to, frame)] = sends(&out)[..] else {
+            panic!("one frame: {out:?}");
+        };
+        assert_eq!(to.id, parent_id);
+        let ChordMsg::ProbedApp { req, .. } = *frame else {
+            panic!("not a probe: {frame:?}");
+        };
+        let heard = |p: &ChordNode| p.health().peers().any(|(id, _)| id == child.me().id);
+        assert!(!heard(&parent));
+        parent.set_now(40);
+        let out = parent.handle(Input::Message {
+            from: child.me().addr,
+            msg: frame.clone(),
+        });
+        assert_eq!(
+            sends(&out),
+            [(
+                &child.me(),
+                &ChordMsg::Pong {
+                    req,
+                    sender: at(parent_id)
+                }
+            )]
+        );
+        let delivered: Vec<_> = upcalls(&out)
+            .into_iter()
+            .filter(|u| matches!(u, Upcall::AppMessage { proto: 1, payload, .. } if payload == &vec![4, 2]))
+            .collect();
+        assert_eq!(delivered.len(), 1, "{out:?}");
+        assert!(heard(&parent), "a heartbeat");
+        // The pong closes the probe like any ping's: one RTT sample.
+        let pong = sends(&out)[0].1.clone();
+        let _ = child.handle_at(
+            Input::Message {
+                from: NodeAddr(parent_id.raw()),
+                msg: pong,
+            },
+            80,
+        );
+        assert!(child.outstanding.is_empty());
+        assert_eq!(child.srtt_ms(), Some(80.0));
+    }
+
+    /// A probe whose frame is lost is a `ping_node` from then on: the same
+    /// plain `Ping` retries at the same deadlines, and the final timeouts
+    /// strike and evict the target as a ping's do. The payload goes out
+    /// once.
+    #[test]
+    fn a_lost_probe_retries_as_pings_and_evicts_as_ping_node_does() {
+        let (_, mut pinger) = started(cfg16());
+        let (_, mut prober) = started(cfg16());
+        let target = pinger.table().successor().unwrap();
+        for round in 0..2u64 {
+            pinger.set_now(round * 10_000);
+            prober.set_now(round * 10_000);
+            let pinged = pinger.ping_node(target);
+            let probed = prober.send_app_probed(target, 1, vec![9]);
+            let (ChordMsg::Ping { req, .. }, ChordMsg::ProbedApp { req: r, .. }) =
+                (sends(&pinged)[0].1, sends(&probed)[0].1)
+            else {
+                panic!("{pinged:?} / {probed:?}");
+            };
+            assert_eq!(
+                (*req, deadline_timers(&pinged)),
+                (*r, deadline_timers(&probed))
+            );
+            let mut retries = 0;
+            while pinger.outstanding.contains_key(req) {
+                let due = pinger.outstanding[req].deadline_ms;
+                assert_eq!(prober.outstanding[req].deadline_ms, due);
+                let a = pinger.handle_at(Input::Timer(TimerKind::ReqDeadline(due)), due);
+                let b = prober.handle_at(Input::Timer(TimerKind::ReqDeadline(due)), due);
+                assert_eq!(a, b, "round {round}, at {due}");
+                retries += sends(&b).len() as u64;
+                assert!(sends(&b)
+                    .iter()
+                    .all(|(_, m)| matches!(m, ChordMsg::Ping { .. })));
+            }
+            assert!(prober.outstanding.is_empty());
+            assert_eq!(retries, u64::from(cfg16().max_retries));
+            let evicted = round == 1;
+            assert_eq!(prober.table().successor() != Some(target), evicted);
+            assert_eq!(pinger.table().successor(), prober.table().successor());
+        }
+        assert_eq!(prober.metrics().get("probe_retries_total"), 4);
+        assert_eq!(
+            prober.metrics().sent_of("app"),
+            2,
+            "the payload, once a round"
+        );
+        assert_eq!(prober.metrics().timeouts, pinger.metrics().timeouts);
     }
 
     #[test]

@@ -199,10 +199,13 @@ impl Ctx<'_> {
         self.queue.extend(outs);
     }
 
-    /// Probe a peer's liveness through the Chord ping machinery (feeds the
-    /// shared RTO estimator and failure detector).
-    pub fn ping(&mut self, target: NodeRef) {
-        let outs = self.chord.ping_node(target);
+    /// [`Ctx::send`] that also probes `to`'s liveness: the payload rides a
+    /// `ProbedApp` frame that `to` answers with a `Pong`, and silence runs
+    /// the Chord ping machinery (retries as plain pings, the shared RTO
+    /// estimator and failure detector, eviction on timeout).
+    pub fn send_probed(&mut self, to: NodeRef, payload: Vec<u8>) {
+        self.slot.sent += 1;
+        let outs = self.chord.send_app_probed(to, self.proto, payload);
         self.queue.extend(outs);
     }
 
@@ -729,13 +732,6 @@ impl StackNode {
     /// proto byte — prefer [`Ctx::route`] from inside a handler).
     pub fn route(&mut self, key: Id, payload: Vec<u8>) -> Vec<Output> {
         let outs = self.chord.route(key, payload);
-        self.dispatch(outs)
-    }
-
-    /// Probe a peer's liveness (feeds the RTO estimator and failure
-    /// detector shared by every stacked protocol).
-    pub fn ping_node(&mut self, target: NodeRef) -> Vec<Output> {
-        let outs = self.chord.ping_node(target);
         self.dispatch(outs)
     }
 

@@ -398,7 +398,8 @@ pub struct DatProtocol {
     next_reqid: u64,
     metrics: Metrics,
     events: Vec<DatEvent>,
-    /// Last epoch in which the DAT parent was liveness-pinged.
+    /// Last epoch in which the DAT parent was liveness-probed (by that
+    /// epoch's first `Update`).
     parent_ping_epoch: u64,
     /// Engine clock at the latest epoch tick; the root's report latency
     /// (`epoch_completion_ms` histogram) is measured from here.
@@ -570,7 +571,7 @@ impl DatProtocol {
         let ttl = self.cfg.child_ttl_epochs;
         let me = cx.me();
         // The table's key order, so a seed fixes the flush order; rotated
-        // by the epoch, so the once-per-epoch parent ping — sent with the
+        // by the epoch, so the once-per-epoch parent probe — riding the
         // first flush — takes turns over the trees instead of loading the
         // smallest key's.
         let n = self.aggs.len();
@@ -784,15 +785,17 @@ impl DatProtocol {
                 // The `dat_update` Send event is the edge record of the
                 // causal epoch trace: child = this node, parent = `to`.
                 self.metrics.on_send(cx.now_ms(), tid, msg.kind(), p.id.0);
-                cx.send(p, msg.encode());
-                // Updates are fire-and-forget; probe the parent's liveness
-                // once per epoch so a crashed or departed parent is evicted
-                // (via the Chord timeout machinery) and next epoch's parent
-                // computation routes around it.
+                let bytes = msg.encode();
+                // Updates are fire-and-forget; the epoch's first one also
+                // probes the parent's liveness, so a crashed or departed
+                // parent is evicted (via the Chord timeout machinery) and
+                // next epoch's parent computation routes around it.
                 if self.parent_ping_epoch < epoch {
                     self.parent_ping_epoch = epoch;
                     self.metrics.count_sent_kind("dat_parent_ping");
-                    cx.ping(p);
+                    cx.send_probed(p, bytes);
+                } else {
+                    cx.send(p, bytes);
                 }
             }
             ParentDecision::Unknown => {
@@ -1380,7 +1383,7 @@ fn d0(cfg: &DatConfig, table: &FingerTable) -> u64 {
 mod tests {
     use super::*;
     use crate::engine::WakeClock;
-    use dat_chord::{ChordConfig, ChordMsg, ChordNode, IdSpace, Input, Output};
+    use dat_chord::{ChordConfig, ChordMsg, ChordNode, IdSpace, Input, Output, Payload};
 
     fn mk(id: u64) -> StackNode {
         let ccfg = ChordConfig {
@@ -1750,10 +1753,18 @@ mod tests {
             .count()
     }
 
+    /// The DAT payload a frame carries, probed or not.
+    fn dat_payload(msg: &ChordMsg) -> Option<&Payload> {
+        match msg {
+            ChordMsg::App { payload, .. } | ChordMsg::ProbedApp { payload, .. } => Some(payload),
+            _ => None,
+        }
+    }
+
     /// How many DAT frames `outs` sends to `to`.
     fn dat_sends(outs: &[Output], to: NodeRef) -> usize {
         outs.iter()
-            .filter(|o| matches!(o, Output::Send { to: t, msg: ChordMsg::App { .. } } if *t == to))
+            .filter(|o| matches!(o, Output::Send { to: t, msg } if *t == to && dat_payload(msg).is_some()))
             .count()
     }
 
@@ -2125,6 +2136,45 @@ mod tests {
         (n, keys, succ, clock)
     }
 
+    /// The parent probe is the epoch's first `Update`, to that flush's
+    /// parent: one per epoch, and never a `Ping` of its own.
+    #[test]
+    fn every_epoch_probes_its_parent_with_its_first_update_and_no_ping() {
+        let (mut n, keys, succ, mut clock) = interior_node();
+        let epoch_ms = DatConfig::default().epoch_ms;
+        for epoch in 1..=10u64 {
+            let outs = clock.run_until(&mut n, epoch * epoch_ms + epoch_ms / 2);
+            let frames: Vec<&ChordMsg> = outs
+                .iter()
+                .filter_map(|(_, o)| match o {
+                    Output::Send { to, msg } => {
+                        assert_eq!(*to, succ, "epoch {epoch}: {msg:?}");
+                        Some(msg)
+                    }
+                    _ => None,
+                })
+                .collect();
+            // One update per key and nothing else: no ping.
+            assert_eq!(frames.len(), keys.len(), "epoch {epoch}: {frames:?}");
+            assert!(frames.iter().all(|m| matches!(
+                dat_payload(m).map(|p| DatMsg::decode(p)),
+                Some(Ok(DatMsg::Update { .. }))
+            )));
+            let ChordMsg::ProbedApp { req, .. } = *frames[0] else {
+                panic!("epoch {epoch}: the first update does not probe");
+            };
+            assert!(frames[1..]
+                .iter()
+                .all(|m| matches!(m, ChordMsg::App { .. })));
+            assert_eq!(n.dat_metrics().sent_of("dat_parent_ping"), epoch);
+            // The parent answers, so the next epoch's parent is the same.
+            let _ = n.handle(Input::Message {
+                from: succ.addr,
+                msg: ChordMsg::Pong { req, sender: succ },
+            });
+        }
+    }
+
     #[test]
     fn children_that_deliver_early_cost_one_wake_per_epoch_besides_the_tick() {
         let (mut n, keys, succ, mut clock) = interior_node();
@@ -2233,11 +2283,10 @@ mod tests {
                              last: &[Vec<Option<u64>>],
                              close_at: &HashMap<u64, u64>| {
                 for (at, o) in outs {
-                    let Output::Send {
-                        to,
-                        msg: ChordMsg::App { payload, .. },
-                    } = o
-                    else {
+                    let Some((to, payload)) = (match o {
+                        Output::Send { to, msg } => dat_payload(msg).map(|p| (to, p)),
+                        _ => None,
+                    }) else {
                         continue;
                     };
                     match DatMsg::decode(payload).unwrap() {

@@ -327,6 +327,12 @@ pub fn chord_corpus() -> Vec<ChordMsg> {
             sender: nr(37),
             text: b"# TYPE sent_total counter\nsent_total 1\n".to_vec().into(),
         },
+        ChordMsg::ProbedApp {
+            req: 38,
+            proto: 1,
+            from: nr(39),
+            payload: vec![7; 64].into(),
+        },
     ]
 }
 
@@ -438,7 +444,7 @@ mod tests {
 
     #[test]
     fn corpora_are_valid_and_cover_every_variant() {
-        assert_eq!(chord_corpus().len(), 15);
+        assert_eq!(chord_corpus().len(), 16);
         assert_eq!(dat_corpus().len(), 7);
         assert_eq!(maan_corpus().len(), 4);
         for t in ALL_TARGETS {

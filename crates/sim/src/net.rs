@@ -1339,7 +1339,7 @@ mod tests {
         // plan passes; a moved send or delivery draw does not.
         assert_eq!(
             dat_obs::fnv1a(base.as_bytes()),
-            0x7728_4c59_b498_3f57,
+            0x602e_be1f_928b_e3d4,
             "the 1-shard run moved off its pinned fingerprint"
         );
         for shards in [2, 4, 8] {

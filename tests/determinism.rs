@@ -323,12 +323,12 @@ fn dat_traffic(quiet: bool) -> (u64, u64) {
 fn dat_traffic_is_pinned() {
     assert_eq!(
         dat_traffic(true),
-        (0x7035_f9d9_796e_686c, 0x818d_d07a_09ee_aa40),
+        (0xcb41_fd4d_c86a_2169, 0x818d_d07a_09ee_aa40),
         "DAT traffic with quiet maintenance moved"
     );
     assert_eq!(
         dat_traffic(false),
-        (0xf562_e7f2_29fb_9120, 0x818d_d07a_09ee_aa40),
+        (0x4850_3aa9_72cc_4da5, 0x818d_d07a_09ee_aa40),
         "DAT traffic with default maintenance moved"
     );
 }
