@@ -34,10 +34,10 @@ pub struct ChurnCosts {
     pub payload: u64,
     /// DAT frames in none of the rows above (prunes and root-state
     /// replicas); not printed, but booked so the rows account for
-    /// `chord_sent`.
+    /// `chord_sent`. Always 0 for the explicit tree.
     pub other: u64,
-    /// Every message the DAT fleet's Chord layers sent: each lands in
-    /// exactly one of the fields above. Not booked for the explicit tree.
+    /// Every message the fleet's Chord layers sent: each lands in exactly
+    /// one of the fields above.
     pub chord_sent: u64,
 }
 
@@ -200,16 +200,25 @@ pub fn run(n: usize, event_gap_ms: u64, duration_ms: u64, seed: u64) -> Churn {
         // tree_maintenance stays 0: the DAT never repairs membership.
     }
     let mut explicit = ChurnCosts::default();
+    // Every explicit frame leaves as one Chord `app` frame, except a
+    // routed `JoinTree`, whose first hop is a `route` frame: the `route`
+    // frames beyond those first hops are its forwarding hops, which the
+    // protocol's own tallies never see.
+    let (mut exp_sent, mut app_sent, mut route_sent) = (0u64, 0u64, 0u64);
     for addr in exp_net.addrs() {
         let node = exp_net.node(addr).unwrap();
-        explicit.ring_maintenance += node.chord().metrics().sent_of_kinds(&RING_KINDS);
-        explicit.tree_maintenance += node
-            .explicit()
-            .metrics()
-            .sent_of_kinds(&EXP_MEMBERSHIP_KINDS);
-        explicit.liveness += node.explicit().metrics().sent_of_kinds(&EXP_LIVENESS_KINDS);
-        explicit.payload += node.explicit().metrics().sent_of("exp_update");
+        let chord = node.chord().metrics();
+        let exp = node.explicit().metrics();
+        explicit.ring_maintenance += chord.sent_of_kinds(&RING_KINDS);
+        explicit.tree_maintenance += exp.sent_of_kinds(&EXP_MEMBERSHIP_KINDS);
+        explicit.liveness += exp.sent_of_kinds(&EXP_LIVENESS_KINDS);
+        explicit.payload += exp.sent_of("exp_update");
+        explicit.chord_sent += chord.sent_total();
+        exp_sent += exp.sent_total();
+        app_sent += chord.sent_of("app");
+        route_sent += chord.sent_of("route");
     }
+    explicit.tree_maintenance += route_sent - (exp_sent - app_sent);
     // Did aggregation survive on the DAT side?
     let dat_reports_after_churn = dat_net
         .node_mut(root_addr)
@@ -307,14 +316,20 @@ mod tests {
         assert!(c.table().to_markdown().contains("membership"));
     }
 
-    /// The DAT column, prunes and root-state replicas included, adds up to
-    /// the fleet's Chord `sent_total`: no message is booked twice, as the
-    /// parent probes once were (under liveness and ring maintenance both).
+    /// Each column adds up to its fleet's Chord `sent_total`: the DAT's,
+    /// prunes and root-state replicas included, books no message twice, as
+    /// the parent probes once were (under liveness and ring maintenance
+    /// both); the explicit tree's books the forwarding hops of a routed
+    /// `JoinTree` under membership repair.
     #[test]
     fn every_dat_message_is_booked_once() {
-        let d = run(32, 1_000, 8_000, 3).dat;
+        let c = run(32, 1_000, 8_000, 3);
+        let (d, e) = (c.dat, c.explicit);
         assert!(d.liveness > 0 && d.other > 0, "{d:?}");
-        let booked = d.tree_maintenance + d.liveness + d.ring_maintenance + d.payload + d.other;
-        assert_eq!(booked, d.chord_sent, "{d:?}");
+        assert_eq!(e.other, 0, "{e:?}");
+        for (name, k) in [("dat", d), ("explicit", e)] {
+            let booked = k.tree_maintenance + k.liveness + k.ring_maintenance + k.payload + k.other;
+            assert_eq!(booked, k.chord_sent, "{name}: {k:?}");
+        }
     }
 }

@@ -63,15 +63,27 @@ impl FingerInfo {
     }
 }
 
+/// `FINGER(me, j) = info` for every `j` in `first..=last`: one stored
+/// copy of a finger that fills consecutive slots.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Run {
+    first: u8,
+    last: u8,
+    info: FingerInfo,
+}
+
 /// The per-node routing state: predecessor, successor list and the finger
 /// table proper.
 #[derive(Clone, Debug)]
 pub struct FingerTable {
     space: IdSpace,
     me: NodeRef,
-    /// `fingers[j-1]` holds `FINGER(me, j)`, `j = 1..=b`. Entry 0 is the
-    /// immediate successor.
-    fingers: Vec<Option<FingerInfo>>,
+    /// The populated fingers `FINGER(me, j)`, `j = 1..=b`, as runs of
+    /// equal consecutive fingers, ascending `j`; an empty slot is in no
+    /// run, and two adjacent runs differ. On a `b`-bit ring of `n` nodes
+    /// the first `b − log2 n` or so fingers are all the successor, so a
+    /// table keeps about `log2 n` runs instead of `b` slots.
+    runs: Vec<Run>,
     /// Successor list for fault tolerance (first entry mirrors finger 1).
     successors: Vec<NodeRef>,
     /// Maximum successor-list length.
@@ -88,7 +100,7 @@ impl FingerTable {
         FingerTable {
             space,
             me,
-            fingers: vec![None; space.bits() as usize],
+            runs: Vec::new(),
             successors: Vec::new(),
             succ_list_len: succ_list_len.max(1),
             predecessor: None,
@@ -155,7 +167,7 @@ impl FingerTable {
         self.successors
             .first()
             .copied()
-            .or_else(|| self.fingers[0].map(|f| f.node))
+            .or_else(|| self.finger(1).map(|f| f.node))
     }
 
     /// Full successor list, nearest first.
@@ -188,7 +200,7 @@ impl FingerTable {
         self.version += 1;
         if s.id == self.me.id {
             self.successors.clear();
-            self.fingers[0] = None;
+            self.put(1, None);
             return;
         }
         let mut list = Vec::with_capacity(self.succ_list_len);
@@ -200,7 +212,7 @@ impl FingerTable {
         }
         list.truncate(self.succ_list_len);
         self.successors = list;
-        self.fingers[0] = Some(FingerInfo::bare(s));
+        self.put(1, Some(FingerInfo::bare(s)));
     }
 
     /// Drop a failed node from every slot it occupies. Returns `true` if
@@ -214,16 +226,14 @@ impl FingerTable {
         let before = self.successors.len();
         self.successors.retain(|s| s.id != dead);
         changed |= self.successors.len() != before;
-        for f in self.fingers.iter_mut() {
-            if f.map(|fi| fi.node.id) == Some(dead) {
-                *f = None;
-                changed = true;
-            }
-        }
+        // A dropped run leaves a gap on both sides: nothing to merge.
+        let before = self.runs.len();
+        self.runs.retain(|r| r.info.node.id != dead);
+        changed |= self.runs.len() != before;
         // Keep finger 1 mirroring the successor list head.
         if let Some(&head) = self.successors.first() {
-            if self.fingers[0].map(|f| f.node.id) != Some(head.id) {
-                self.fingers[0] = Some(FingerInfo::bare(head));
+            if self.finger(1).map(|f| f.node.id) != Some(head.id) {
+                self.put(1, Some(FingerInfo::bare(head)));
                 self.version += 1;
             }
         }
@@ -234,18 +244,18 @@ impl FingerTable {
     /// `FINGER(me, j)` for `j = 1..=b`.
     pub fn finger(&self, j: u8) -> Option<FingerInfo> {
         assert!((1..=self.space.bits()).contains(&j));
-        self.fingers[(j - 1) as usize]
+        let i = self.runs.partition_point(|r| r.last < j);
+        self.runs.get(i).filter(|r| r.first <= j).map(|r| r.info)
     }
 
     /// Install finger `j`.
     pub fn set_finger(&mut self, j: u8, info: FingerInfo) {
         assert!((1..=self.space.bits()).contains(&j));
-        let slot = &mut self.fingers[(j - 1) as usize];
         let new = (info.node.id != self.me.id).then_some(info);
         // Finger fixing re-installs the node it found last round, with
         // fresh FOF detail: only a different node counts as a change.
-        self.version += u64::from(slot.map(|f| f.node) != new.map(|f| f.node));
-        *slot = new;
+        self.version += u64::from(self.finger(j).map(|f| f.node) != new.map(|f| f.node));
+        self.put(j, new);
         if new.is_none() {
             return;
         }
@@ -266,12 +276,81 @@ impl FingerTable {
         }
     }
 
+    /// Store `new` in slot `j`: carve `j` out of the run holding it, then
+    /// extend a neighbouring equal run over it or start a run of its own.
+    /// Installing fingers in ascending `j`, as a table is built, only ever
+    /// extends or appends the last run. Runs are added one at a time: a
+    /// table holds a handful, and every node keeps one.
+    fn put(&mut self, j: u8, new: Option<FingerInfo>) {
+        let mut i = self.runs.partition_point(|r| r.last < j);
+        match self.runs.get(i).copied() {
+            Some(r) if r.first <= j => {
+                if Some(r.info) == new {
+                    return;
+                }
+                match (r.first == j, r.last == j) {
+                    (true, true) => {
+                        self.runs.remove(i);
+                    }
+                    (true, false) => self.runs[i].first = j + 1,
+                    (false, true) => {
+                        self.runs[i].last = j - 1;
+                        i += 1;
+                    }
+                    (false, false) => {
+                        self.runs[i].last = j - 1;
+                        i += 1;
+                        let tail = Run { first: j + 1, ..r };
+                        self.runs.reserve_exact(1);
+                        self.runs.insert(i, tail);
+                    }
+                }
+            }
+            _ => {}
+        }
+        // Every run before `i` ends below `j`; every run from `i` on
+        // starts above it.
+        let Some(info) = new else {
+            return;
+        };
+        let joins_prev = i > 0 && self.runs[i - 1].last + 1 == j && self.runs[i - 1].info == info;
+        let joins_next = self
+            .runs
+            .get(i)
+            .is_some_and(|r| r.first == j + 1 && r.info == info);
+        match (joins_prev, joins_next) {
+            (true, true) => {
+                self.runs[i - 1].last = self.runs[i].last;
+                self.runs.remove(i);
+            }
+            (true, false) => self.runs[i - 1].last = j,
+            (false, true) => self.runs[i].first = j,
+            (false, false) => {
+                self.runs.reserve_exact(1);
+                self.runs.insert(
+                    i,
+                    Run {
+                        first: j,
+                        last: j,
+                        info,
+                    },
+                );
+            }
+        }
+    }
+
     /// Iterate `(j, FingerInfo)` over the populated fingers, ascending `j`.
     pub fn iter(&self) -> impl Iterator<Item = (u8, FingerInfo)> + '_ {
-        self.fingers
+        self.runs
             .iter()
-            .enumerate()
-            .filter_map(|(i, f)| f.map(|fi| ((i + 1) as u8, fi)))
+            .flat_map(|r| (r.first..=r.last).map(move |j| (j, r.info)))
+    }
+
+    /// Iterate `(j, FingerInfo)` over runs of equal consecutive fingers,
+    /// ascending: each run once, at its lowest `j`. A node that fills
+    /// several non-adjacent slots appears once per run.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (u8, FingerInfo)> + '_ {
+        self.runs.iter().map(|r| (r.first, r.info))
     }
 
     /// The distinct nodes known to this table (fingers + successors +
@@ -283,7 +362,7 @@ impl FingerTable {
                 out.push(n);
             }
         };
-        for (_, f) in self.iter() {
+        for (_, f) in self.runs() {
             push(f.node);
         }
         for &s in &self.successors {
@@ -315,8 +394,8 @@ impl FingerTable {
         // Fingers only: this is what defines the paper's finger routes and
         // hence the basic-DAT tree shape (e.g. node 13's parent toward key 0
         // on the Fig. 2 ring is its finger 15, even if its successor list
-        // happens to contain the root).
-        for (_, f) in self.iter() {
+        // happens to contain the root). A run's node is weighed once.
+        for (_, f) in self.runs() {
             consider(f.node, &mut best, &mut best_dist);
         }
         if best.is_some() {
@@ -338,7 +417,7 @@ impl FingerTable {
     pub fn fan_out(&self, limit: Id) -> Vec<(NodeRef, Id)> {
         let me = self.me.id;
         let mut targets: Vec<NodeRef> = Vec::new();
-        for (_, fi) in self.iter() {
+        for (_, fi) in self.runs() {
             let n = fi.node;
             let inside = if limit == me {
                 n.id != me
@@ -357,7 +436,10 @@ impl FingerTable {
 
     /// Number of populated fingers.
     pub fn populated(&self) -> usize {
-        self.fingers.iter().filter(|f| f.is_some()).count()
+        self.runs
+            .iter()
+            .map(|r| usize::from(r.last - r.first) + 1)
+            .sum()
     }
 }
 
@@ -487,6 +569,92 @@ mod tests {
             .map(|(n, limit)| (n.id.raw(), limit.raw()))
             .collect();
         assert_eq!(shares, vec![(1, 2), (2, 4), (4, 8)]);
+    }
+
+    /// Runs against the plain `b`-slot table they replace: every mutator,
+    /// in a seeded random mix, leaves the same fingers, only a different
+    /// node moves the version, and the runs stay sorted, disjoint and
+    /// maximal (two adjacent runs always differ).
+    #[test]
+    fn runs_match_a_slot_per_finger_model() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        for seed in 0..40u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut t = FingerTable::new(IdSpace::new(6), nr(8), 3);
+            let mut slots: Vec<Option<FingerInfo>> = vec![None; 6];
+            for _ in 0..300 {
+                // Few nodes and two FOF variants, so equal neighbours are
+                // common; node 8 is the owner itself.
+                let node = nr([8, 9, 12, 20, 40][rng.random_range(0..5usize)]);
+                let info = FingerInfo {
+                    node,
+                    pred: rng.random_bool(0.5).then(|| nr(node.id.raw() + 1)),
+                    succ: None,
+                };
+                let version = t.version();
+                match rng.random_range(0..8u32) {
+                    0 => {
+                        t.set_successor(node);
+                        slots[0] = (node.id != Id(8)).then(|| FingerInfo::bare(node));
+                    }
+                    1 => {
+                        t.evict(node.id);
+                        for s in slots.iter_mut() {
+                            if s.is_some_and(|f| f.node.id == node.id) {
+                                *s = None;
+                            }
+                        }
+                        if let Some(&head) = t.successor_list().first() {
+                            if slots[0].map(|f| f.node.id) != Some(head.id) {
+                                slots[0] = Some(FingerInfo::bare(head));
+                            }
+                        }
+                    }
+                    _ => {
+                        let j = rng.random_range(1..=6u32) as u8;
+                        let old = slots[usize::from(j - 1)].map(|f| f.node);
+                        t.set_finger(j, info);
+                        let new = (node.id != Id(8)).then_some(info);
+                        slots[usize::from(j - 1)] = new;
+                        // Only a different node moves the version (finger 1
+                        // may also move it by re-heading the successor list).
+                        if old != new.map(|f| f.node) {
+                            assert!(t.version() > version, "seed {seed} j {j}");
+                        } else if j > 1 {
+                            assert_eq!(t.version(), version, "seed {seed} j {j}");
+                        }
+                    }
+                }
+                for j in 1..=6u8 {
+                    assert_eq!(t.finger(j), slots[usize::from(j - 1)], "seed {seed} j {j}");
+                }
+                let want: Vec<(u8, FingerInfo)> = (1u8..)
+                    .zip(&slots)
+                    .filter_map(|(j, s)| s.map(|f| (j, f)))
+                    .collect();
+                assert_eq!(t.iter().collect::<Vec<_>>(), want, "seed {seed}");
+                assert_eq!(t.populated(), want.len());
+                for w in t.runs.windows(2) {
+                    assert!(w[0].first <= w[0].last && w[0].last < w[1].first);
+                    assert!(w[0].last + 1 < w[1].first || w[0].info != w[1].info);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_full_ring_keeps_one_run_per_distinct_finger() {
+        // 40-bit ring, 1024 nodes: the first ~30 fingers are all the
+        // successor, and only the last ~10 differ.
+        let space = IdSpace::new(40);
+        let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(7);
+        let ring = crate::StaticRing::build(space, 1024, crate::IdPolicy::Probed, &mut rng);
+        let t = ring.table_of(ring.ids()[17], 8);
+        assert_eq!(t.populated(), 40);
+        assert!(t.runs.len() <= 16, "{} runs", t.runs.len());
+        assert_eq!(t.runs.capacity(), t.runs.len());
     }
 
     #[test]

@@ -29,7 +29,7 @@
 
 #![deny(clippy::unwrap_used)]
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::id::Id;
 
@@ -96,8 +96,9 @@ const _: () = assert!(ZERO_SILENCE_PHI_MAX < PHI_THRESHOLD);
 /// Per-peer detector state.
 #[derive(Clone, Debug)]
 struct PeerHealth {
-    /// Sliding window of heartbeat inter-arrival times (ms).
-    intervals: VecDeque<u64>,
+    /// Sliding window of heartbeat inter-arrival times (ms), four bytes a
+    /// sample: a gap past `u32::MAX` ms (49 days) is held at it.
+    intervals: VecDeque<u32>,
     /// Host time of the last heartbeat.
     last_heard_ms: u64,
     level: SuspicionLevel,
@@ -213,6 +214,57 @@ impl PeerHealth {
     }
 }
 
+/// Per-peer state sorted by id, so every walk (keepalive target pick,
+/// exports) is in id order. A node tracks a handful of peers, and a
+/// `BTreeMap` leaf holds room for eleven whatever the count: these vectors
+/// grow one peer at a time instead. The ids sit apart from the state so a
+/// lookup's binary search reads a few cache lines of ids, not one line per
+/// probe of ~100-byte entries.
+#[derive(Clone, Debug, Default)]
+struct Peers {
+    ids: Vec<Id>,
+    /// `state[i]` belongs to `ids[i]`.
+    state: Vec<PeerHealth>,
+}
+
+impl Peers {
+    fn get(&self, peer: Id) -> Option<&PeerHealth> {
+        let i = self.ids.binary_search(&peer).ok()?;
+        Some(&self.state[i])
+    }
+
+    fn get_mut(&mut self, peer: Id) -> Option<&mut PeerHealth> {
+        let i = self.ids.binary_search(&peer).ok()?;
+        Some(&mut self.state[i])
+    }
+
+    /// `peer`'s state, first heard of at `now_ms` if it is new.
+    fn entry(&mut self, peer: Id, now_ms: u64) -> &mut PeerHealth {
+        let i = match self.ids.binary_search(&peer) {
+            Ok(i) => i,
+            Err(i) => {
+                self.ids.reserve_exact(1);
+                self.ids.insert(i, peer);
+                self.state.reserve_exact(1);
+                self.state.insert(i, PeerHealth::new(now_ms));
+                i
+            }
+        };
+        &mut self.state[i]
+    }
+
+    fn remove(&mut self, peer: Id) {
+        if let Ok(i) = self.ids.binary_search(&peer) {
+            self.ids.remove(i);
+            self.state.remove(i);
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (Id, &PeerHealth)> + '_ {
+        self.ids.iter().copied().zip(&self.state)
+    }
+}
+
 /// The phi-accrual failure detector with flap damping.
 ///
 /// Counters are loose public fields (the same pattern as
@@ -220,9 +272,7 @@ impl PeerHealth {
 #[derive(Clone, Debug, Default)]
 pub struct HealthDetector {
     cfg: HealthConfig,
-    /// `BTreeMap` so every iteration (keepalive target pick, exports) is
-    /// deterministic.
-    peers: BTreeMap<Id, PeerHealth>,
+    peers: Peers,
     /// Healthy→Suspect transitions observed (phi crossings + final
     /// timeouts).
     pub suspects: u64,
@@ -237,7 +287,7 @@ impl HealthDetector {
     pub fn new(cfg: HealthConfig) -> Self {
         HealthDetector {
             cfg,
-            peers: BTreeMap::new(),
+            peers: Peers::default(),
             suspects: 0,
             quarantines: 0,
             rejoins: 0,
@@ -263,10 +313,7 @@ impl HealthDetector {
 
     /// Learn one beat's inter-arrival sample; returns the level it found.
     fn record_beat(&mut self, peer: Id, now_ms: u64) -> SuspicionLevel {
-        let e = self
-            .peers
-            .entry(peer)
-            .or_insert_with(|| PeerHealth::new(now_ms));
+        let e = self.peers.entry(peer, now_ms);
         if now_ms > e.last_heard_ms {
             // Only a Healthy peer's cadence is learned: the long silence
             // that ends a Suspect episode is exactly the anomaly the
@@ -278,7 +325,9 @@ impl HealthDetector {
                 if e.intervals.len() >= WINDOW {
                     e.intervals.pop_front();
                 }
-                e.intervals.push_back(now_ms - e.last_heard_ms);
+                let gap = now_ms - e.last_heard_ms;
+                e.intervals
+                    .push_back(u32::try_from(gap).unwrap_or(u32::MAX));
                 e.fitted = false;
             }
             e.last_heard_ms = now_ms;
@@ -290,10 +339,7 @@ impl HealthDetector {
     /// exhausted its retries. Forces Suspect immediately (quarantine is
     /// never overridden downward).
     pub fn miss(&mut self, peer: Id, now_ms: u64) {
-        let e = self
-            .peers
-            .entry(peer)
-            .or_insert_with(|| PeerHealth::new(now_ms));
+        let e = self.peers.entry(peer, now_ms);
         if e.level == SuspicionLevel::Healthy {
             e.level = SuspicionLevel::Suspect;
             self.suspects += 1;
@@ -304,7 +350,7 @@ impl HealthDetector {
     /// peer with this heartbeat history stays silent this long. 0.0 while
     /// the history is too short to judge.
     pub fn phi(&self, peer: Id, now_ms: u64) -> f64 {
-        let Some(e) = self.peers.get(&peer) else {
+        let Some(e) = self.peers.get(peer) else {
             return 0.0;
         };
         if e.intervals.len() < MIN_SAMPLES {
@@ -318,7 +364,7 @@ impl HealthDetector {
     /// advancing the Healthy↔Suspect↔Quarantined state machine (silence
     /// alone can raise suspicion, so evaluation mutates).
     pub fn level(&mut self, peer: Id, now_ms: u64) -> SuspicionLevel {
-        let Some(e) = self.peers.get_mut(&peer) else {
+        let Some(e) = self.peers.get_mut(peer) else {
             return SuspicionLevel::Healthy;
         };
         let phi = if e.intervals.len() < MIN_SAMPLES {
@@ -340,14 +386,14 @@ impl HealthDetector {
     /// for cross-transport snapshots).
     pub fn peek(&self, peer: Id) -> SuspicionLevel {
         self.peers
-            .get(&peer)
+            .get(peer)
             .map(|e| e.level)
             .unwrap_or(SuspicionLevel::Healthy)
     }
 
     /// Drop all state for `peer` (evicted / departed / replaced).
     pub fn forget(&mut self, peer: Id) {
-        self.peers.remove(&peer);
+        self.peers.remove(peer);
     }
 
     /// Among `candidates`, the peer silent the longest — provided its
@@ -358,7 +404,7 @@ impl HealthDetector {
     pub fn stalest(&self, candidates: &[Id], now_ms: u64) -> Option<Id> {
         let mut best: Option<(u64, Id)> = None;
         for &c in candidates {
-            let silence = match self.peers.get(&c) {
+            let silence = match self.peers.get(c) {
                 Some(e) => now_ms.saturating_sub(e.last_heard_ms),
                 None => now_ms,
             };
@@ -374,18 +420,18 @@ impl HealthDetector {
 
     /// Number of peers currently tracked.
     pub fn tracked(&self) -> usize {
-        self.peers.len()
+        self.peers.ids.len()
     }
 
     /// Iterate `(peer, level)` in deterministic (id) order.
     pub fn peers(&self) -> impl Iterator<Item = (Id, SuspicionLevel)> + '_ {
-        self.peers.iter().map(|(id, e)| (*id, e.level))
+        self.peers.iter().map(|(id, e)| (id, e.level))
     }
 
     /// Advance one peer's state machine at `now_ms`, given its phi (or an
     /// upper bound on it that is below the threshold).
     fn transition(&mut self, peer: Id, now_ms: u64, phi: f64) {
-        let Some(e) = self.peers.get_mut(&peer) else {
+        let Some(e) = self.peers.get_mut(peer) else {
             return;
         };
         let moved = e.advance(&self.cfg, now_ms, phi);
@@ -407,7 +453,7 @@ impl HealthDetector {
     /// [`HealthDetector::phi`] as it was before the fit was kept: both
     /// passes over the window on every call, no stored state read.
     fn phi_reference(&self, peer: Id, now_ms: u64) -> f64 {
-        let Some(e) = self.peers.get(&peer) else {
+        let Some(e) = self.peers.get(peer) else {
             return 0.0;
         };
         if e.intervals.len() < MIN_SAMPLES {
@@ -577,13 +623,24 @@ mod tests {
     fn full_window_never_grows_its_buffer() {
         let mut d = HealthDetector::new(cfg());
         warmed(&mut d, id(7), 500, 1_000);
-        let intervals = &d.peers[&id(7)].intervals;
+        let intervals = &d.peers.get(id(7)).expect("peer 7 is tracked").intervals;
         assert_eq!(intervals.len(), WINDOW);
         assert!(
             intervals.capacity() <= WINDOW.next_power_of_two(),
             "{} slots for a {WINDOW}-sample window",
             intervals.capacity()
         );
+    }
+
+    #[test]
+    fn a_gap_past_u32_milliseconds_is_held_at_the_cap() {
+        let mut d = HealthDetector::new(cfg());
+        let t = warmed(&mut d, id(7), 500, 4);
+        let late = t + u64::from(u32::MAX) + 1_000;
+        d.heartbeat(id(7), late);
+        let intervals = &d.peers.get(id(7)).expect("peer 7 is tracked").intervals;
+        assert_eq!(intervals.back(), Some(&u32::MAX));
+        assert_eq!(d.level(id(7), late), SuspicionLevel::Healthy);
     }
 
     #[test]

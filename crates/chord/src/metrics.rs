@@ -34,8 +34,9 @@ type Traffic = (u64, u64);
 /// already seen at this address hits on pointer + length alone; only a
 /// first sighting (or a second copy of the same text) compares contents,
 /// so equal strings always share one row. Rows grow one at a time: a
-/// layer names a handful of series, and a `LogHist` row is 568 bytes, so
-/// doubling would leave most of every node's histogram rows empty.
+/// layer names a handful of series, and a `LogHist` row is 72 bytes plus
+/// 8 per bucket up to its max's, so doubling would leave most of every
+/// node's histogram rows empty.
 fn row<'a, T: Default>(rows: &'a mut Vec<(&'static str, T)>, name: &'static str) -> &'a mut T {
     let same_literal = |r: &(&'static str, T)| {
         std::ptr::eq(r.0.as_ptr(), name.as_ptr()) && r.0.len() == name.len()

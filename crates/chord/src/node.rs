@@ -184,6 +184,53 @@ struct Outstanding {
     deadline_ms: u64,
 }
 
+/// The in-flight request table, unordered. A node has a few requests out
+/// at most (one parent probe per epoch on a quiet DAT ring), so a scan
+/// beats hashing, and the table grows one entry at a time to the most it
+/// ever held at once.
+#[derive(Debug, Default)]
+struct Requests(Vec<(ReqId, Outstanding)>);
+
+impl Requests {
+    fn insert(&mut self, req: ReqId, o: Outstanding) {
+        debug_assert!(self.get(req).is_none(), "request {req} tracked twice");
+        self.0.reserve_exact(1);
+        self.0.push((req, o));
+    }
+
+    fn get(&self, req: ReqId) -> Option<&Outstanding> {
+        self.0.iter().find(|(r, _)| *r == req).map(|(_, o)| o)
+    }
+
+    fn remove(&mut self, req: ReqId) -> Option<Outstanding> {
+        let i = self.0.iter().position(|(r, _)| *r == req)?;
+        Some(self.0.swap_remove(i).1)
+    }
+
+    /// The request to expire first among those due by `now_ms`: earliest
+    /// deadline, then arming order.
+    fn first_due(&self, now_ms: u64) -> Option<ReqId> {
+        self.0
+            .iter()
+            .filter(|(_, o)| o.deadline_ms <= now_ms)
+            .min_by_key(|(_, o)| (o.deadline_ms, o.armed))
+            .map(|(req, _)| *req)
+    }
+
+    fn earliest_deadline(&self) -> Option<u64> {
+        self.0.iter().map(|(_, o)| o.deadline_ms).min()
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
 /// The Chord protocol state machine.
 pub struct ChordNode {
     cfg: ChordConfig,
@@ -205,7 +252,7 @@ pub struct ChordNode {
     /// RTT mean deviation (ms), per Jacobson.
     rttvar_ms: f64,
     /// In-flight requests by id: `send_tracked` in, reply or final timeout out.
-    outstanding: HashMap<ReqId, Outstanding>,
+    outstanding: Requests,
     /// Counter behind [`Outstanding::armed`].
     next_arm: u32,
     /// Due time of each periodic timer this node re-armed itself
@@ -244,7 +291,7 @@ impl ChordNode {
             now_ms: 0,
             srtt_ms: None,
             rttvar_ms: 0.0,
-            outstanding: HashMap::new(),
+            outstanding: Requests::default(),
             next_arm: 0,
             periodic_due: [u64::MAX; 3],
             deadline_timer: u64::MAX,
@@ -458,13 +505,7 @@ impl ChordNode {
     /// have fired in. A retransmission gets a later deadline; a retry that
     /// is itself due again (a zero RTO) expires in this same pass.
     fn expire_requests(&mut self, out: &mut Vec<Output>) {
-        while let Some(req) = self
-            .outstanding
-            .iter()
-            .filter(|(_, o)| o.deadline_ms <= self.now_ms)
-            .min_by_key(|(_, o)| (o.deadline_ms, o.armed))
-            .map(|(&req, _)| req)
-        {
+        while let Some(req) = self.outstanding.first_due(self.now_ms) {
             self.on_req_timeout(req, out);
         }
     }
@@ -474,7 +515,7 @@ impl ChordNode {
     /// the pending [`TimerKind::ReqDeadline`]. Failing both, arm one
     /// `ReqDeadline` for that deadline.
     fn cover_deadlines(&mut self, out: &mut Vec<Output>) {
-        let Some(due) = self.outstanding.values().map(|o| o.deadline_ms).min() else {
+        let Some(due) = self.outstanding.earliest_deadline() else {
             return;
         };
         let cover = self
@@ -505,7 +546,7 @@ impl ChordNode {
     }
 
     fn untrack(&mut self, req: ReqId) -> Option<Pending> {
-        let o = self.outstanding.remove(&req)?;
+        let o = self.outstanding.remove(req)?;
         // Karn's rule: only exchanges that were never retransmitted
         // yield RTT samples (a retransmitted reply is ambiguous), and for
         // those the latest transmission is the first.
@@ -943,7 +984,7 @@ impl ChordNode {
         if let Some(p) = self.table.predecessor() {
             push(p, &mut neigh);
         }
-        for (_, fi) in self.table.iter() {
+        for (_, fi) in self.table.runs() {
             push(fi.node, &mut neigh);
         }
         let ids: Vec<Id> = neigh.iter().map(|n| n.id).collect();
@@ -974,7 +1015,7 @@ impl ChordNode {
     /// Request `req` reached its deadline unanswered.
     fn on_req_timeout(&mut self, req: ReqId, out: &mut Vec<Output>) {
         // Not `untrack`: no RTT sample from a timeout.
-        let Some(mut o) = self.outstanding.remove(&req) else {
+        let Some(mut o) = self.outstanding.remove(req) else {
             return;
         };
         // Retransmit the identical datagram to the identical first hop
@@ -1112,7 +1153,7 @@ impl ChordNode {
                 self.strikes.remove(&sender.id);
                 if self
                     .outstanding
-                    .get(&req)
+                    .get(req)
                     .is_some_and(|o| o.kind == Pending::AppProbe && o.attempts > 1)
                 {
                     self.metrics.inc("probe_retry_pongs_total");
@@ -1518,7 +1559,7 @@ mod tests {
     /// The input a host delivers at `req`'s deadline: every request due
     /// by then times out before the input itself runs.
     fn time_out(n: &mut ChordNode, req: ReqId) -> Vec<Output> {
-        let due = n.outstanding[&req].deadline_ms;
+        let due = n.outstanding.get(req).unwrap().deadline_ms;
         n.handle_at(Input::Timer(TimerKind::ReqDeadline(due)), due)
     }
 
@@ -1986,7 +2027,10 @@ mod tests {
             let (to, msg) = sends(&out)[0];
             assert_eq!(to.id, Id(4));
             assert!(matches!(msg, ChordMsg::GetNeighbors { req: r, .. } if *r == req));
-            assert_eq!(n.outstanding[&req].deadline_ms, sent_at + (2_000 << i));
+            assert_eq!(
+                n.outstanding.get(req).unwrap().deadline_ms,
+                sent_at + (2_000 << i)
+            );
             assert_eq!(n.metrics().retransmits, i);
             assert_eq!(n.metrics().timeouts, 0, "not failed yet");
         }
@@ -2449,7 +2493,7 @@ mod tests {
                 retx.is_empty(),
                 "seed {seed}: {retx:?} were due a retransmission at {t}"
             );
-            let mut mine: Vec<ReqId> = n.outstanding.keys().copied().collect();
+            let mut mine: Vec<ReqId> = n.outstanding.0.iter().map(|(r, _)| *r).collect();
             let mut theirs: Vec<ReqId> = self.live.keys().copied().collect();
             mine.sort_unstable();
             theirs.sort_unstable();
@@ -2733,9 +2777,9 @@ mod tests {
                 (*r, deadline_timers(&probed))
             );
             let mut retries = 0;
-            while pinger.outstanding.contains_key(req) {
-                let due = pinger.outstanding[req].deadline_ms;
-                assert_eq!(prober.outstanding[req].deadline_ms, due);
+            while let Some(o) = pinger.outstanding.get(*req) {
+                let due = o.deadline_ms;
+                assert_eq!(prober.outstanding.get(*req).unwrap().deadline_ms, due);
                 let a = pinger.handle_at(Input::Timer(TimerKind::ReqDeadline(due)), due);
                 let b = prober.handle_at(Input::Timer(TimerKind::ReqDeadline(due)), due);
                 assert_eq!(a, b, "round {round}, at {due}");

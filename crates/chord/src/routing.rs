@@ -191,7 +191,8 @@ pub fn parent_balanced(table: &FingerTable, key: Id, d0: u64) -> ParentDecision 
 
     let mut best: Option<NodeRef> = None;
     let mut best_dist = u64::MAX;
-    for (j, fi) in table.iter() {
+    // A run is admissible from its lowest `j`, the smallest offset.
+    for (j, fi) in table.runs() {
         if (space.finger_offset(j) as u128) > limit {
             continue;
         }

@@ -1,4 +1,5 @@
-//! Log2-bucketed histograms: constant-size, constant-time, mergeable.
+//! Log2-bucketed histograms: sized to their largest sample, constant-time,
+//! mergeable.
 
 /// Number of buckets: index 0 holds exact zeros, index `i > 0` holds
 /// values in `[2^(i-1), 2^i - 1]` — so index 64 tops out at `u64::MAX`.
@@ -6,7 +7,10 @@ pub const BUCKETS: usize = 65;
 
 /// A log2-bucketed histogram over `u64` samples.
 ///
-/// Observation cost is two array writes; merge is element-wise addition.
+/// Buckets are kept only up to the one holding the max, so a row of small
+/// samples (hop counts, RTOs) holds a handful of counts, not [`BUCKETS`].
+/// Observation cost is two array writes, plus a one-off grow when a sample
+/// beats the max's bucket; merge is element-wise addition.
 /// That makes the merge associative and commutative with [`LogHist::new`]
 /// as the identity — the same algebra `AggPartial` requires, so fleet-wide
 /// percentiles are just a fold over per-node histograms. Exact `count`,
@@ -14,7 +18,9 @@ pub const BUCKETS: usize = 65;
 /// bound of the containing bucket (clamped to the exact max).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LogHist {
-    buckets: [u64; BUCKETS],
+    /// Counts of buckets `0..=bucket_index(max)`; empty while `count` is
+    /// 0. Equal histograms therefore hold equal vectors.
+    buckets: Vec<u64>,
     count: u64,
     sum: u64,
     min: u64,
@@ -50,7 +56,7 @@ impl LogHist {
     /// The empty histogram (merge identity).
     pub fn new() -> Self {
         LogHist {
-            buckets: [0; BUCKETS],
+            buckets: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -60,7 +66,9 @@ impl LogHist {
 
     /// Record one sample.
     pub fn observe(&mut self, v: u64) {
-        self.buckets[bucket_index(v)] += 1;
+        let i = bucket_index(v);
+        self.grow_to(i + 1);
+        self.buckets[i] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
         self.min = self.min.min(v);
@@ -69,6 +77,7 @@ impl LogHist {
 
     /// Fold `other` into `self` (element-wise; associative, commutative).
     pub fn merge(&mut self, other: &LogHist) {
+        self.grow_to(other.buckets.len());
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *b += o;
         }
@@ -76,6 +85,15 @@ impl LogHist {
         self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+    }
+
+    /// Hold at least `len` buckets, growing exactly: a histogram's buckets
+    /// end at its max's.
+    fn grow_to(&mut self, len: usize) {
+        if len > self.buckets.len() {
+            self.buckets.reserve_exact(len - self.buckets.len());
+            self.buckets.resize(len, 0);
+        }
     }
 
     /// Samples recorded.
@@ -143,8 +161,8 @@ impl LogHist {
     }
 
     /// Raw bucket counts (index 0 holds zeros, index `i > 0` holds
-    /// `[2^(i-1), 2^i − 1]`).
-    pub fn buckets(&self) -> &[u64; BUCKETS] {
+    /// `[2^(i-1), 2^i − 1]`), up to the max's bucket: every later one is 0.
+    pub fn buckets(&self) -> &[u64] {
         &self.buckets
     }
 }
@@ -201,6 +219,31 @@ mod tests {
         let mut ia = LogHist::new();
         ia.merge(&a);
         assert_eq!(ia, a);
+    }
+
+    #[test]
+    fn buckets_end_at_the_max_and_merge_grows_to_the_longer() {
+        let mut h = LogHist::new();
+        assert!(h.buckets().is_empty());
+        h.observe(0);
+        assert_eq!(h.buckets(), &[1]);
+        h.observe(5);
+        h.observe(2);
+        assert_eq!(h.buckets(), &[1, 0, 1, 1]);
+        let mut big = LogHist::new();
+        big.observe(1000);
+        let mut m = h.clone();
+        m.merge(&big);
+        assert_eq!(m.buckets().len(), bucket_index(1000) + 1);
+        assert_eq!(m.buckets()[..4], [1, 0, 1, 1]);
+        // The shorter side merged into the longer leaves its length alone.
+        let mut n = big.clone();
+        n.merge(&h);
+        assert_eq!(n, m);
+        let mut top = LogHist::new();
+        top.observe(u64::MAX);
+        assert_eq!(top.buckets().len(), BUCKETS);
+        assert_eq!(top.quantile(0.5), u64::MAX);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! and end-to-end accuracy. This crate is the instrumentation substrate
 //! every layer shares:
 //!
-//! * [`LogHist`] — a fixed-size log2-bucketed histogram. Observing is two
-//!   array writes, merging is element-wise addition, so 8192-node sim runs
+//! * [`LogHist`] — a log2-bucketed histogram that keeps buckets only up to
+//!   its max's. Observing is two array writes, merging is element-wise
+//!   addition, so 8192-node sim runs
 //!   can afford one per node and fold them into fleet-wide percentiles;
 //! * [`Registry`] — counters, gauges and histograms keyed by static metric
 //!   names plus up to two static labels. Deterministically ordered, cheap

@@ -1,0 +1,158 @@
+//! Per-node heap footprint of a DAT fleet, component by component.
+//!
+//! A counting global allocator (this test binary's only) tracks live heap
+//! bytes; each component is measured by cloning it and reading what the
+//! clone holds. The fleet is the DAT-path smoke's shape: 1024 probed ids
+//! on a 40-bit ring, balanced routing, four continuous aggregations,
+//! Chord maintenance quiet, 20 epochs so every DAT trace ring is full.
+//!
+//! ```text
+//! cargo test --release --test node_footprint -- --nocapture
+//! FOOTPRINT_NODES=8192 cargo test --release --test node_footprint -- --nocapture
+//! ```
+//!
+//! The bounds hold at both sizes: only the finger table grows with `n`
+//! (one run per distinct finger, about log2 n of them).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use libdat::chord::{ChordConfig, IdPolicy, IdSpace, RoutingScheme, StaticRing};
+use libdat::core::{AggregationEntry, AggregationMode, DatConfig, DatProtocol, StackNode};
+use libdat::sim::harness::prestabilized_stack;
+use rand::SeedableRng;
+
+/// The system allocator, keeping a running total of live bytes.
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded to `System` with its arguments as given
+// and its result returned unchanged; the tally beside it touches no memory
+// the allocator hands out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = System.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            LIVE.fetch_add(new_size, Ordering::Relaxed);
+            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Heap bytes a clone of `x` holds: what `x` keeps, less any spare
+/// capacity.
+fn heap_of<T: Clone>(x: &T) -> usize {
+    let before = LIVE.load(Ordering::Relaxed);
+    let copy = x.clone();
+    let held = LIVE.load(Ordering::Relaxed) - before;
+    drop(copy);
+    held
+}
+
+const KEYS: usize = 4;
+const EPOCHS: u64 = 20;
+
+/// `(component, bound in bytes per node)`, in the order printed. Read at
+/// 1024 / 8192 nodes: finger table 850 / 1,066 (one run per distinct
+/// finger; 2,688 as 40 slots), Chord metrics 328 (1,200 with 65 buckets a
+/// histogram row), health 817 (1,868 / 1,873 in a `BTreeMap` of `u64`
+/// windows), DAT metrics 4,256 (4,096 of it the trace ring; 4,731 with
+/// 65-bucket rows), aggregation entries 1,913 / 1,912.
+const BOUNDS: [(&str, usize); 5] = [
+    ("finger table", 1_200),
+    ("chord metrics", 400),
+    ("health", 950),
+    ("dat metrics", 4_500),
+    ("aggregation entries", 2_100),
+];
+
+#[test]
+fn per_node_state_stays_within_its_bounds() {
+    let n: usize = std::env::var("FOOTPRINT_NODES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1024);
+    let space = IdSpace::new(40);
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
+    let ring = StaticRing::build(space, n, IdPolicy::Probed, &mut rng);
+    let quiet = 600_000;
+    let ccfg = ChordConfig {
+        space,
+        stabilize_ms: quiet,
+        fix_fingers_ms: quiet,
+        check_pred_ms: quiet,
+        ..ChordConfig::default()
+    };
+    let dcfg = DatConfig {
+        scheme: RoutingScheme::Balanced,
+        epoch_ms: 1_000,
+        d0_hint: Some(ring.d0()),
+        ..DatConfig::default()
+    };
+    let names: Vec<String> = (0..KEYS).map(|k| format!("load-{k}")).collect();
+    let mut net = prestabilized_stack(&ring, ccfg, 1, |i, id, addr| {
+        let mut node = StackNode::new(ccfg, id, addr).with_app(DatProtocol::new(dcfg));
+        for (k, name) in names.iter().enumerate() {
+            let key = node.register(name, AggregationMode::Continuous);
+            node.set_local(key, (i * KEYS + k) as f64);
+        }
+        node
+    });
+    net.set_record_upcalls(false);
+    net.run_for(EPOCHS * 1_000);
+
+    let mut totals = [0usize; BOUNDS.len()];
+    for addr in net.addrs() {
+        let node = net.node(addr).expect("no node leaves this fleet");
+        let chord = node.chord();
+        let entries: Vec<AggregationEntry> = node.dat().aggregations().cloned().collect();
+        let held = [
+            heap_of(chord.table()),
+            heap_of(chord.metrics()),
+            heap_of(chord.health()),
+            heap_of(node.dat().metrics()),
+            heap_of(&entries),
+        ];
+        for (t, h) in totals.iter_mut().zip(held) {
+            *t += h;
+        }
+    }
+    println!("heap bytes per node, {n} nodes x {KEYS} keys, {EPOCHS} epochs:");
+    let mut over = Vec::new();
+    for ((name, bound), total) in BOUNDS.iter().zip(totals) {
+        let per_node = total as f64 / n as f64;
+        println!("  {name:<20} {per_node:>9.1}  (bound {bound})");
+        if per_node > *bound as f64 {
+            over.push(format!("{name}: {per_node:.1} B per node > {bound}"));
+        }
+    }
+    let sum: usize = totals.iter().sum();
+    println!("  {:<20} {:>9.1}", "total", sum as f64 / n as f64);
+    assert!(over.is_empty(), "{over:?}");
+}
