@@ -28,6 +28,11 @@ pub struct WanRow {
     pub coverage: f64,
     /// Fraction of epochs that produced a root report at all.
     pub report_rate: f64,
+    /// Observed reports covering more than `n` nodes: a subtree counted
+    /// along two paths at once.
+    pub over_n: u64,
+    /// Observed reports (one per reported epoch).
+    pub reports: u64,
     /// Fleet-wide request timeouts over the whole run (Chord maintenance
     /// and lookups — DAT updates are unacked by design).
     pub timeouts: u64,
@@ -149,6 +154,8 @@ fn run_one(n: usize, loss: f64, seed: u64) -> WanRow {
             covered / reports as f64
         },
         report_rate: (reports as f64 / epochs as f64).min(1.0),
+        over_n: seen.values().filter(|&&c| c > n as u64).count() as u64,
+        reports,
     }
 }
 
@@ -272,18 +279,21 @@ mod tests {
         assert!(w.rows[0].coverage + 0.05 >= w.rows.last().unwrap().coverage);
     }
 
-    /// Coverage at 10 % and 20 % loss over seeds 1–24 (n = 128, the
-    /// recorded run's size): the spread the single-seed rows of `repro
-    /// wan` are read against. Prints one line per loss rate; ~10 s in
-    /// release:
+    /// Coverage, and the reports above n, at 10 % and 20 % loss over seeds
+    /// 1–24 (n = 128, the recorded run's size): the spread the single-seed
+    /// rows of `repro wan` are read against. Prints one line per loss
+    /// rate; ~10 s in release:
     /// `cargo test --release -p dat-bench --lib -- --ignored wan_loss_sweep --nocapture`
     #[test]
     #[ignore]
     fn wan_loss_sweep_over_seeds() {
         for loss in [0.10, 0.20] {
-            let cov: Vec<(u64, f64)> = (1..=24u64)
-                .map(|seed| (seed, run_one(128, loss, seed).coverage))
+            let rows: Vec<(u64, WanRow)> = (1..=24u64)
+                .map(|seed| (seed, run_one(128, loss, seed)))
                 .collect();
+            let cov: Vec<(u64, f64)> = rows.iter().map(|(s, r)| (*s, r.coverage)).collect();
+            let over_n: u64 = rows.iter().map(|(_, r)| r.over_n).sum();
+            let reports: u64 = rows.iter().map(|(_, r)| r.reports).sum();
             let mean = cov.iter().map(|c| c.1).sum::<f64>() / cov.len() as f64;
             let by_cov = |a: &&(u64, f64), b: &&(u64, f64)| a.1.total_cmp(&b.1);
             let (lo, hi) = (
@@ -291,7 +301,8 @@ mod tests {
                 cov.iter().max_by(by_cov).unwrap(),
             );
             println!(
-                "loss {:.0}%: mean {mean:.3}, min {:.3} (seed {}), max {:.3} (seed {}), above 1.05: {}",
+                "loss {:.0}%: mean {mean:.3}, reports above n {over_n} of {reports}, \
+                 min {:.3} (seed {}), max {:.3} (seed {}), above 1.05: {}",
                 loss * 100.0,
                 lo.1,
                 lo.0,

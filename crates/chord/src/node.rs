@@ -1072,8 +1072,20 @@ impl ChordNode {
             Pending::PingNode | Pending::AppProbe => {}
             Pending::FixFinger(_) | Pending::FofRefresh(_) => {}
             // Fallen peers are not table members; silence is the expected
-            // outcome until a partition heals.
-            Pending::FallenProbe | Pending::Unify => {}
+            // outcome until a partition heals. The last probe of a spent
+            // budget unanswered, the peer is tracked nowhere any more.
+            Pending::FallenProbe => self.forget_if_untracked(to.id),
+            Pending::Unify => {}
+        }
+    }
+
+    /// Drop `peer`'s failure-detector state when neither the routing table
+    /// nor the fallen queue holds it. Eviction into the fallen queue keeps
+    /// it: flap damping and the rejoin path read that history.
+    fn forget_if_untracked(&mut self, peer: Id) {
+        let fallen = self.fallen.iter().any(|(n, _)| n.id == peer);
+        if !fallen && !self.table.known_nodes().iter().any(|n| n.id == peer) {
+            self.health.forget(peer);
         }
     }
 
@@ -1192,6 +1204,8 @@ impl ChordNode {
                 self.send_tracked(out, bootstrap, msg, req, Pending::JoinFindSuccessor);
             }
             ChordMsg::LeaveToPred { leaver, succ_list } => {
+                // A peer that said goodbye is nobody's to watch any more.
+                self.health.forget(leaver.id);
                 if self.table.successor().map(|s| s.id) == Some(leaver.id) {
                     self.table.evict(leaver.id);
                     self.table.set_successor_list(succ_list);
@@ -1201,6 +1215,7 @@ impl ChordNode {
                 }
             }
             ChordMsg::LeaveToSucc { leaver, pred } => {
+                self.health.forget(leaver.id);
                 if self.table.predecessor().map(|p| p.id) == Some(leaver.id) {
                     self.table.evict(leaver.id);
                     self.table
@@ -2152,6 +2167,92 @@ mod tests {
             .find(|(_, m)| matches!(m, ChordMsg::Notify { .. }))
             .unwrap();
         assert_eq!(notify.0.id, Id(2));
+    }
+
+    /// A leaver's goodbye drops it from the failure detector of the node
+    /// it said goodbye to.
+    #[test]
+    fn a_leave_notice_forgets_the_leaver() {
+        let mut n = node(0);
+        let _ = n.start_create();
+        let (pred, s4, s8) = (
+            NodeRef::new(Id(12), NodeAddr(12)),
+            NodeRef::new(Id(4), NodeAddr(4)),
+            NodeRef::new(Id(8), NodeAddr(8)),
+        );
+        n.table.set_successor_list(vec![s4, s8]);
+        n.table.set_predecessor(Some(pred));
+        for sender in [pred, s4, s8] {
+            let _ = n.handle(Input::Message {
+                from: sender.addr,
+                msg: ChordMsg::Notify { sender },
+            });
+        }
+        let tracks = |n: &ChordNode, peer: NodeRef| n.health().peers().any(|(id, _)| id == peer.id);
+        assert!([pred, s4, s8].iter().all(|&p| tracks(&n, p)));
+        let _ = n.handle(Input::Message {
+            from: pred.addr,
+            msg: ChordMsg::LeaveToSucc {
+                leaver: pred,
+                pred: None,
+            },
+        });
+        assert!(!tracks(&n, pred) && tracks(&n, s4));
+        let _ = n.handle(Input::Message {
+            from: s4.addr,
+            msg: ChordMsg::LeaveToPred {
+                leaver: s4,
+                succ_list: vec![s8],
+            },
+        });
+        assert!(!tracks(&n, s4) && tracks(&n, s8));
+    }
+
+    /// A peer evicted into the fallen queue keeps its detector history
+    /// while the queue probes it, and loses it when the last probe of its
+    /// budget goes unanswered.
+    #[test]
+    fn a_fallen_peer_is_forgotten_when_its_last_probe_goes_unanswered() {
+        let mut n = node_no_retry(0);
+        let _ = n.start_create();
+        let (s4, s8) = (
+            NodeRef::new(Id(4), NodeAddr(4)),
+            NodeRef::new(Id(8), NodeAddr(8)),
+        );
+        n.table.set_successor_list(vec![s4, s8]);
+        for _ in 0..2 {
+            let out = n.handle(Input::Timer(TimerKind::Stabilize));
+            let req = match sends(&out)[0].1 {
+                ChordMsg::GetNeighbors { req, .. } => *req,
+                other => panic!("unexpected {other:?}"),
+            };
+            let _ = time_out(&mut n, req);
+        }
+        assert_eq!(n.table().successor(), Some(s8));
+        let tracks = |n: &ChordNode| n.health().peers().any(|(id, _)| id == s4.id);
+        for probe in 1..=FALLEN_PROBES {
+            assert!(tracks(&n), "forgotten before probe {probe}");
+            let out = n.handle(Input::Timer(TimerKind::CheckPredecessor));
+            let mut to_4 = None;
+            for (to, msg) in sends(&out) {
+                match msg {
+                    ChordMsg::Ping { req, .. } if to.id == s4.id => to_4 = Some(*req),
+                    // The live successor answers its keepalives.
+                    ChordMsg::Ping { req, .. } => {
+                        let _ = n.handle(Input::Message {
+                            from: s8.addr,
+                            msg: ChordMsg::Pong {
+                                req: *req,
+                                sender: s8,
+                            },
+                        });
+                    }
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+            let _ = time_out(&mut n, to_4.expect("the fallen peer is probed"));
+        }
+        assert!(!tracks(&n), "the spent budget left 4 in the detector");
     }
 
     #[test]

@@ -795,6 +795,13 @@ fn fleet_counters(net: &SimNet<StackNode>) -> FleetCounters {
 /// to the end of the run.
 #[derive(Clone, Debug)]
 pub struct Score {
+    /// Reports *published* during faults that cover more than `n` nodes:
+    /// a subtree counted along two paths at once. Measured, not yet
+    /// bounded by [`Outcome::violations`].
+    pub over_n_during_faults: u64,
+    /// The largest `contributors / n` among the reports published during
+    /// faults; 0 if there was none.
+    pub max_over_n_ratio: f64,
     /// Reports, anywhere in the run, that are not [`VALUE`]-exact.
     pub wrong_values: u64,
     /// Distinct nodes reporting after the settle point: exactly one, once
@@ -869,6 +876,12 @@ impl Score {
             next.map(|r| (r.t_ms - rc, r.completeness.contributors))
         });
         Score {
+            over_n_during_faults: during_faults.clone().filter(|r| covers(r).is_gt()).count()
+                as u64,
+            max_over_n_ratio: during_faults
+                .clone()
+                .map(|r| r.completeness.contributors as f64 / n as f64)
+                .fold(0.0, f64::max),
             wrong_values: log.iter().filter(wrong).count() as u64,
             settled_reporters: reporters.len() as u64,
             settled_over_n: settled.iter().filter(|r| covers(r).is_gt()).count() as u64,

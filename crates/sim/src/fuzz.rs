@@ -360,6 +360,15 @@ pub fn dat_corpus() -> Vec<DatMsg> {
             partial: filled_partial(),
             sender: nr(3),
         },
+        DatMsg::Updates {
+            epoch: 2,
+            sender: nr(3),
+            entries: vec![
+                (Id(1), filled_partial()),
+                (Id(24), AggPartial::identity()),
+                (Id(25), AggPartial::of(26.0)),
+            ],
+        },
         DatMsg::Query {
             reqid: 4,
             key: Id(5),
@@ -445,7 +454,7 @@ mod tests {
     #[test]
     fn corpora_are_valid_and_cover_every_variant() {
         assert_eq!(chord_corpus().len(), 16);
-        assert_eq!(dat_corpus().len(), 7);
+        assert_eq!(dat_corpus().len(), 8);
         assert_eq!(maan_corpus().len(), 4);
         for t in ALL_TARGETS {
             for frame in corpus_for(t) {

@@ -3,9 +3,10 @@
 //! on), and different seeds genuinely differ.
 
 use libdat::chord::{
-    ChordConfig, ChordNode, IdPolicy, IdSpace, Output, RoutingScheme, StaticRing, TimerKind,
+    Actor, ChordConfig, ChordMsg, ChordNode, IdPolicy, IdSpace, Input, NodeAddr, Output,
+    RoutingScheme, StaticRing, TimerKind,
 };
-use libdat::core::{AggregationMode, DatConfig, DatEvent};
+use libdat::core::{AggregationMode, DatConfig, DatEvent, DatProtocol, StackNode, DAT_PROTO};
 use libdat::obs::trace::DEFAULT_TRACE_CAP;
 use libdat::obs::EventKind;
 use libdat::sim::harness::{addr_book, prestabilized_dat};
@@ -166,6 +167,111 @@ fn same_seed_reproduces_every_byte_with_several_keys_per_node() {
     assert_eq!(digest_a, digest_b, "fleet trace digest");
 }
 
+/// A [`StackNode`] that counts the DAT frames an input sends to a peer the
+/// same input already sent a DAT frame to.
+struct FrameCheck {
+    node: StackNode,
+    doubled: u64,
+}
+
+impl Actor for FrameCheck {
+    fn addr(&self) -> NodeAddr {
+        self.node.me().addr
+    }
+
+    fn on_input(&mut self, input: Input) -> Vec<Output> {
+        let outs = self.node.on_input(input);
+        let mut peers = Vec::new();
+        for o in &outs {
+            if let Output::Send {
+                to,
+                msg:
+                    ChordMsg::App {
+                        proto: DAT_PROTO, ..
+                    }
+                    | ChordMsg::ProbedApp {
+                        proto: DAT_PROTO, ..
+                    },
+            } = o
+            {
+                if peers.contains(to) {
+                    self.doubled += 1;
+                } else {
+                    peers.push(*to);
+                }
+            }
+        }
+        outs
+    }
+
+    fn set_now(&mut self, now_ms: u64) {
+        self.node.set_now(now_ms);
+    }
+}
+
+/// The four-key fleet above: a node's pushes that leave in one input share
+/// one frame per parent. Every node still pushes one update per key per
+/// epoch (the root of a key reports instead), and the Chord layer carries
+/// fewer `app` frames than the DAT layer sends updates and replicas.
+#[test]
+fn several_keys_pushed_at_once_share_one_frame_per_parent() {
+    const KEYS: u64 = 4;
+    let seed = 0xD47;
+    let space = IdSpace::new(32);
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+    let ring = StaticRing::build(space, 64, IdPolicy::Probed, &mut rng);
+    let n = ring.ids().len() as u64;
+    let ccfg = ChordConfig {
+        space,
+        ..ChordConfig::default()
+    };
+    let dcfg = DatConfig {
+        scheme: RoutingScheme::Balanced,
+        epoch_ms: 1_000,
+        d0_hint: Some(ring.d0()),
+        ..DatConfig::default()
+    };
+    let book = addr_book(&ring);
+    let mut net: SimNet<FrameCheck> = SimNet::new(seed);
+    let mut started = Vec::new();
+    for (i, &id) in ring.ids().iter().enumerate() {
+        let addr = book[&id];
+        let mut node = StackNode::new(ccfg, id, addr).with_app(DatProtocol::new(dcfg));
+        for name in ["cpu-usage", "mem-free", "disk-io", "net-rx"] {
+            let key = node.register(name, AggregationMode::Continuous);
+            node.set_local(key, i as f64);
+        }
+        let table = ring.table_of_with(id, ccfg.succ_list_len, &|id| book[&id]);
+        started.push((addr, node.start_with_table(table)));
+        net.add_node(FrameCheck { node, doubled: 0 });
+    }
+    for (addr, outs) in started {
+        net.apply(addr, outs);
+    }
+    // Ten whole epochs, ticks 6..=15, after five of warm-up.
+    net.run_for(5_500);
+    for addr in net.addrs() {
+        net.node_mut(addr).unwrap().node.reset_metrics();
+    }
+    net.run_for(10_000);
+    let (mut doubled, mut app, mut updates, mut received, mut replicas) = (0, 0, 0, 0, 0);
+    for (_, check) in net.iter_nodes() {
+        doubled += check.doubled;
+        app += check.node.chord_metrics().sent_of("app");
+        let dat = check.node.dat_metrics();
+        updates += dat.sent_of("dat_update");
+        received += dat.received_of("dat_update");
+        replicas += dat.sent_of("dat_root_state");
+    }
+    assert_eq!(doubled, 0, "an input sent two DAT frames to one peer");
+    assert_eq!(updates, KEYS * (n - 1) * 10, "one update per key per epoch");
+    assert_eq!(received, updates);
+    assert!(
+        app < updates + replicas,
+        "{app} app frames for {updates} updates and {replicas} replicas"
+    );
+}
+
 /// Fault-free Chord maintenance on a 512-node probed ring, every node's
 /// first `FixFingers` delayed by `(i mod 52) x 250 ms` the way the
 /// `sim_maint` benchmark staggers finger cursors, 30 virtual seconds.
@@ -323,12 +429,12 @@ fn dat_traffic(quiet: bool) -> (u64, u64) {
 fn dat_traffic_is_pinned() {
     assert_eq!(
         dat_traffic(true),
-        (0xcb41_fd4d_c86a_2169, 0x818d_d07a_09ee_aa40),
+        (0x5c1d_82ca_017a_8b44, 0x818d_d07a_09ee_aa40),
         "DAT traffic with quiet maintenance moved"
     );
     assert_eq!(
         dat_traffic(false),
-        (0x4850_3aa9_72cc_4da5, 0x818d_d07a_09ee_aa40),
+        (0x15f0_05a7_3bfb_3bfe, 0x818d_d07a_09ee_aa40),
         "DAT traffic with default maintenance moved"
     );
 }

@@ -373,7 +373,7 @@ fn pinned_fleet_exposition(shards: usize) {
     assert_eq!(
         chord.by_kind(),
         vec![
-            ("app", 1323, 1323),
+            ("app", 1321, 1321),
             ("find_successor", 2128, 2064),
             ("found_successor", 1984, 1984),
             ("get_neighbors", 1984, 1920),
@@ -419,7 +419,7 @@ fn pinned_fleet_exposition(shards: usize) {
         .collect();
     assert_eq!(
         libdat::obs::fnv1a(rest.as_bytes()),
-        0x1938_53a1_77ab_982e,
+        0x2e55_0776_d2a0_e702,
         "fleet exposition bytes changed:\n{text}"
     );
 }
