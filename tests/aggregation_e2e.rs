@@ -357,3 +357,65 @@ fn distinct_count_reaches_the_root(mode: AggregationMode) {
         "{mode:?}: distinct-site estimate {est} (true: 17)"
     );
 }
+
+#[test]
+fn large_sketched_keys_sharing_a_parent_split_into_frames_that_fit() {
+    // A `p = 14` sketch is 16 KiB of registers, so four or more such keys
+    // pushed to one parent at once would pass one 64 KiB frame: they
+    // split into frames that fit. On 4 nodes, each of 12 keys has 3
+    // pushers, most to a parent they share with other keys. The parity
+    // proof round-trips every delivered frame through the wire codec (a
+    // frame it refuses panics), and every key's root still counts every
+    // node.
+    let n = 4;
+    let space = IdSpace::new(BITS);
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
+    let ring = StaticRing::build(space, n, IdPolicy::Probed, &mut rng);
+    let ccfg = ChordConfig {
+        space,
+        ..ChordConfig::default()
+    };
+    let dcfg = DatConfig {
+        scheme: RoutingScheme::Balanced,
+        epoch_ms: 1_000,
+        d0_hint: Some(ring.d0()),
+        ..DatConfig::default()
+    };
+    let mut net = prestabilized_dat(&ring, ccfg, dcfg, 5);
+    net.set_codec_parity(true);
+    let book = addr_book(&ring);
+    let mut keys = Vec::new();
+    for (i, &id) in ring.ids().iter().enumerate() {
+        let node = net.node_mut(book[&id]).unwrap();
+        keys.clear();
+        for k in 0..12 {
+            let name = format!("attr-{k}");
+            let key = node.register_with_distinct(&name, AggregationMode::Continuous, 14);
+            node.set_local(key, 1.0);
+            node.observe_local_item(key, format!("site-{i}").as_bytes());
+            keys.push(key);
+        }
+    }
+    net.run_for(10_000);
+    let mut last = std::collections::HashMap::new();
+    let (mut messages, mut frames) = (0, 0);
+    for &id in ring.ids() {
+        let node = net.node_mut(book[&id]).unwrap();
+        messages += node
+            .dat_metrics()
+            .sent_of_kinds(&["dat_update", "dat_root_state"]);
+        frames += node.chord_metrics().sent_of("app");
+        for e in node.take_events() {
+            if let DatEvent::Report { key, partial, .. } = e {
+                last.insert(key, partial);
+            }
+        }
+    }
+    assert!(frames < messages, "no two updates shared a frame");
+    for key in keys {
+        let p = &last[&key];
+        assert_eq!((p.count, p.contributors), (n as u64, n as u64), "{key:?}");
+        let est = p.distinct_estimate();
+        assert!((3.5..=4.5).contains(&est), "{key:?}: {est} sites (true: 4)");
+    }
+}
