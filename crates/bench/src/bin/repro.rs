@@ -238,7 +238,7 @@ fn run_maan(o: &Opts) -> Vec<String> {
 
 fn run_ablation(o: &Opts) -> Vec<String> {
     let n = if o.quick { 48 } else { 128 };
-    eprintln!("[ablation] hold window + child TTL sweeps at n = {n} ...");
+    eprintln!("[ablation] hold window + child TTL (departure campaign) sweeps at n = {n} ...");
     let a = ablation::run(n, 0xAB);
     let (th, tt) = a.tables();
     th.print();
@@ -260,7 +260,7 @@ fn run_gossip(o: &Opts) -> Vec<String> {
 
 fn run_wan(o: &Opts) -> Vec<String> {
     let n = if o.quick { 48 } else { 128 };
-    eprintln!("[wan] latency/loss sweep at n = {n} ...");
+    eprintln!("[wan] loss campaign sweep at n = {n} ...");
     let w = wan::run(n, 0x3A9);
     w.table().print();
     w.check()

@@ -5,12 +5,14 @@
 //!   and the root's view lags by `height × epoch` (pure pipelining); with a
 //!   hold window the report reflects the current epoch. Measured as Fig. 9
 //!   accuracy (MAPE) on the same trace.
-//! * **child_ttl_epochs** — soft-state expiry: a short TTL drops slow
-//!   children (under-coverage); a long TTL keeps ghost contributions after
-//!   departures (over-coverage under churn).
+//! * **child_ttl_epochs** — soft-state expiry, run as the departure-burst
+//!   campaign (`dat_sim::Campaign::Departures`): a fifth of the ring
+//!   crashes for good, and the departed partials stay counted until the
+//!   TTL expires them (over-coverage); a short TTL drops slow children
+//!   instead (under-coverage).
 
 use dat_monitor::{CpuTrace, GridMonitorSim, MonitorConfig, TraceSensor};
-use dat_sim::LatencyModel;
+use dat_sim::{LatencyModel, Outcome, Scenario};
 
 use crate::table::Table;
 
@@ -29,22 +31,26 @@ pub struct HoldRow {
 pub struct Ablation {
     /// hold_ms sweep.
     pub hold: Vec<HoldRow>,
-    /// ttl sweep: (ttl, ghost overshoot after leaves, epochs to re-cover).
-    pub ttl: Vec<TtlRow>,
+    /// TTL sweep: one scored departure burst per TTL.
+    pub ttl: Vec<Outcome>,
 }
 
-/// Coverage behaviour vs child TTL under departures.
-#[derive(Clone, Copy, Debug)]
-pub struct TtlRow {
-    /// TTL in epochs.
-    pub ttl: u64,
-    /// Max reported count *after* the departures (ghost contributions —
-    /// ideal is the live-node count).
-    pub max_after_leave: u64,
-    /// Live nodes after the departures.
-    pub live: u64,
-    /// Epochs until the report first matches the live count.
-    pub epochs_to_recover: Option<u64>,
+/// The most contributors a report counted after the burst (departed
+/// partials still counted — ideal is the live-node count).
+fn max_after_burst(o: &Outcome) -> u64 {
+    let after = o.log.iter().filter(|r| r.t_ms >= o.scenario.warmup_ms);
+    after
+        .map(|r| r.completeness.contributors)
+        .max()
+        .unwrap_or(0)
+}
+
+/// Epochs from the burst until a report first matches the live count.
+fn epochs_to_recover(o: &Outcome) -> Option<u64> {
+    let (sc, live) = (&o.scenario, o.scenario.population() as u64);
+    let mut after = o.log.iter().filter(|r| r.t_ms >= sc.warmup_ms);
+    let back = after.find(|r| r.completeness.contributors == live)?;
+    Some((back.t_ms - sc.warmup_ms).div_ceil(sc.epoch_ms))
 }
 
 /// Run both ablations (sizes kept moderate; the effects are not
@@ -56,7 +62,7 @@ pub fn run(n: usize, seed: u64) -> Ablation {
         .collect();
     let ttl = [1u64, 3, 8]
         .iter()
-        .map(|&t| ttl_behaviour(n, t, seed))
+        .map(|&t| Scenario::departures(n, seed, t).run())
         .collect();
     Ablation { hold, ttl }
 }
@@ -69,7 +75,6 @@ fn hold_accuracy(n: usize, hold_ms: u64, seed: u64) -> HoldRow {
         seed,
         hold_ms: Some(hold_ms),
         latency: LatencyModel::Constant(2),
-        ..MonitorConfig::default()
     };
     let mut sim = GridMonitorSim::new(cfg, "cpu-usage", |_| {
         Box::new(TraceSensor::new("cpu-usage", trace.clone(), 0, 1.0))
@@ -80,69 +85,6 @@ fn hold_accuracy(n: usize, hold_ms: u64, seed: u64) -> HoldRow {
         hold_ms,
         mape: acc.mape,
         coverage: acc.coverage,
-    }
-}
-
-fn ttl_behaviour(n: usize, ttl: u64, seed: u64) -> TtlRow {
-    use dat_core::DatEvent;
-    let cfg = MonitorConfig {
-        nodes: n,
-        epoch_ms: 1_000,
-        seed,
-        child_ttl_epochs: Some(ttl),
-        fast_maintenance: true,
-        ..MonitorConfig::default()
-    };
-    let mut sim = GridMonitorSim::new(cfg, "cpu-usage", |_| {
-        Box::new(dat_monitor::ConstantSensor::new("cpu-usage", 1.0))
-    });
-    sim.run_epochs(8);
-    // A burst of graceful departures (a fifth of the fleet, sparing the root).
-    let root = sim.root_addr();
-    let victims: Vec<_> = sim
-        .net()
-        .iter_nodes()
-        .map(|(a, _)| *a)
-        .filter(|&a| a != root)
-        .take(n / 5)
-        .collect();
-    for v in &victims {
-        sim.net_mut().with_node(*v, |node| ((), node.leave()));
-    }
-    let live = (n - victims.len()) as u64;
-    // Watch the root's reports for the next epochs.
-    let key = sim.key();
-    let mut max_after = 0u64;
-    let mut recovered = None;
-    for e in 0..40u64 {
-        sim.net_mut().run_for(1_000);
-        let reports: Vec<u64> = sim
-            .net_mut()
-            .node_mut(root)
-            .map(|r| {
-                r.take_events()
-                    .into_iter()
-                    .filter_map(|ev| match ev {
-                        DatEvent::Report {
-                            key: k, partial, ..
-                        } if k == key => Some(partial.count),
-                        _ => None,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        for c in reports {
-            max_after = max_after.max(c);
-            if recovered.is_none() && c == live {
-                recovered = Some(e + 1);
-            }
-        }
-    }
-    TtlRow {
-        ttl,
-        max_after_leave: max_after,
-        live,
-        epochs_to_recover: recovered,
     }
 }
 
@@ -167,23 +109,26 @@ impl Ablation {
                 "live nodes",
                 "max reported after",
                 "epochs to re-cover",
+                "reports above live",
+                "violations",
             ],
         );
-        for r in &self.ttl {
+        for o in &self.ttl {
             tt.row(vec![
-                r.ttl.to_string(),
-                r.live.to_string(),
-                r.max_after_leave.to_string(),
-                r.epochs_to_recover
-                    .map(|e| e.to_string())
-                    .unwrap_or_else(|| "-".into()),
+                o.scenario.child_ttl_epochs.to_string(),
+                o.scenario.population().to_string(),
+                max_after_burst(o).to_string(),
+                epochs_to_recover(o).map_or_else(|| "-".into(), |e| e.to_string()),
+                o.score.over_n_during_faults.to_string(),
+                o.violations.len().to_string(),
             ]);
         }
         (th, tt)
     }
 
-    /// Qualitative checks: the hold window must improve accuracy; longer
-    /// TTLs must keep ghosts around longer.
+    /// Qualitative checks: the hold window must improve accuracy; no TTL
+    /// may let the report match the live count before ghosts can expire,
+    /// and every TTL must settle on it.
     pub fn check(&self) -> Vec<String> {
         let mut bad = Vec::new();
         let no_hold = self.hold.iter().find(|r| r.hold_ms == 0);
@@ -203,27 +148,27 @@ impl Ablation {
             _ => bad.push("hold sweep incomplete".into()),
         }
         // Ghost contributions from *departed* nodes cannot be pruned (the
-        // leaver never re-parents), so the report can only settle to the
+        // departed never re-parent), so the report can only settle to the
         // live count after the soft-state TTL expires: recovery time is
         // bounded below by the TTL, and every TTL must eventually recover.
-        for r in &self.ttl {
-            match r.epochs_to_recover {
-                None => bad.push(format!("ttl={} never re-covered", r.ttl)),
-                Some(e) => {
-                    if e + 1 < r.ttl {
-                        bad.push(format!(
-                            "ttl={} recovered after {e} epochs — before ghosts can expire?!",
-                            r.ttl
-                        ));
-                    }
-                }
+        for o in &self.ttl {
+            let (ttl, live) = (o.scenario.child_ttl_epochs, o.scenario.population() as u64);
+            match epochs_to_recover(o) {
+                None => bad.push(format!("ttl={ttl} never re-covered")),
+                Some(e) if e + 1 < ttl => bad.push(format!(
+                    "ttl={ttl} recovered after {e} epochs — before ghosts can expire?!"
+                )),
+                Some(_) => {}
             }
-            if r.max_after_leave < r.live {
+            let max = max_after_burst(o);
+            if max < live {
                 bad.push(format!(
-                    "ttl={}: report never reached the live count {} (max {})",
-                    r.ttl, r.live, r.max_after_leave
+                    "ttl={ttl}: report never reached the live count {live} (max {max})"
                 ));
             }
+            // Once the TTL has passed, every report counts exactly the live
+            // nodes, from one reporter: the campaign's settled invariants.
+            bad.extend(o.violations.iter().map(|v| format!("ttl={ttl}: {v}")));
         }
         bad
     }

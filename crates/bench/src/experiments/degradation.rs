@@ -128,6 +128,7 @@ pub fn run(n: usize, seed: u64) -> Degradation {
         warmup_ms: 60_000,
         faults_ms: 480_000,
         quiesce_ms: 240_000,
+        child_ttl_epochs: 3,
         campaign: Campaign::Churn {
             episodes: 8,
             crash_root: true,

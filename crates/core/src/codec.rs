@@ -415,8 +415,9 @@ impl DatMsg {
                 let seq = r.u64()?;
                 let root = r.node_ref()?;
                 let n = r.u32()? as usize;
-                // A child entry is at least id + age + partial scalars.
-                if n * 16 > r.remaining() {
+                // A count the rest of the frame cannot hold is refused
+                // before allocating.
+                if n > r.remaining() / MIN_ROOT_CHILD {
                     return Err(CodecError::BadLength(n as u64));
                 }
                 let mut children = Vec::with_capacity(n);
@@ -442,9 +443,8 @@ impl DatMsg {
 /// Wire tag of [`DatMsg::Updates`].
 const UPDATES_TAG: u8 = 9;
 
-/// Fewest bytes one [`DatMsg::Updates`] entry takes: a key and a partial
-/// with neither histogram nor sketch.
-const MIN_UPDATE_ENTRY: usize = 8 + 8 * 8 + 2;
+/// Fewest bytes one [`DatMsg::Updates`] entry takes: a key and a partial.
+const MIN_UPDATE_ENTRY: usize = 8 + MIN_PARTIAL;
 
 /// Bytes of a [`DatMsg::Updates`] frame before its entries: version, tag,
 /// epoch, sender and entry count.
@@ -457,6 +457,14 @@ const UPDATES_HEADER: usize = 2 + 8 + 16 + 4;
 /// datagram (65,507 bytes): 60 KiB keeps clear of both.
 pub(crate) const MAX_UPDATES_BYTES: usize = 60 * 1024;
 
+/// Fewest bytes [`WritePartial::partial`] writes: the eight scalars and
+/// two absent-flags, with neither histogram nor sketch.
+const MIN_PARTIAL: usize = 8 * 8 + 2;
+
+/// Fewest bytes one [`DatMsg::RootState`] child takes: an id, an age and
+/// a partial.
+const MIN_ROOT_CHILD: usize = 8 + 8 + MIN_PARTIAL;
+
 /// Bytes [`WritePartial::partial`] writes for `p`.
 fn partial_len(p: &AggPartial) -> usize {
     let histogram = p
@@ -464,7 +472,7 @@ fn partial_len(p: &AggPartial) -> usize {
         .as_ref()
         .map_or(0, |h| 8 + 8 + 4 + 8 * h.buckets.len());
     let distinct = p.distinct.as_ref().map_or(0, |h| 4 + h.registers().len());
-    8 * 8 + 1 + histogram + 1 + distinct
+    MIN_PARTIAL + histogram + distinct
 }
 
 /// How many of `partials`, from the first, one [`DatMsg::Updates`] frame
@@ -634,6 +642,17 @@ mod tests {
             DatMsg::decode(&w.finish()),
             Err(CodecError::BadLength(_)) | Err(CodecError::Truncated)
         ));
+        // A 64 KiB replica claiming a child per 20 bytes cannot hold them
+        // (a child takes 82 B at least): refused before anything is
+        // reserved for them, not after.
+        let body = vec![0u8; 64 * 1024];
+        let n = body.len() / 20;
+        let mut w = Writer::new();
+        w.u8(WIRE_VERSION).u8(8).id(Id(1)).u64(0).node_ref(nr(2));
+        w.u32(n as u32);
+        let mut bytes = w.finish();
+        bytes.extend_from_slice(&body);
+        assert_eq!(DatMsg::decode(&bytes), Err(CodecError::BadLength(n as u64)));
     }
 
     #[test]

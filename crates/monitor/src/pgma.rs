@@ -58,13 +58,6 @@ pub struct MonitorConfig {
     pub seed: u64,
     /// Override the DAT hold window (ms); `None` uses the DAT default.
     pub hold_ms: Option<u64>,
-    /// Override the soft-state child TTL (epochs); `None` uses the default.
-    pub child_ttl_epochs: Option<u64>,
-    /// Use churn-grade ring maintenance (1 s stabilization, 0.5 s finger
-    /// fixing) instead of the relaxed static-overlay defaults. Required
-    /// when the run injects departures/failures and expects the trees to
-    /// re-form within seconds.
-    pub fast_maintenance: bool,
 }
 
 impl Default for MonitorConfig {
@@ -75,8 +68,6 @@ impl Default for MonitorConfig {
             latency: LatencyModel::Constant(2),
             seed: 0xCA1,
             hold_ms: None,
-            child_ttl_epochs: None,
-            fast_maintenance: false,
         }
     }
 }
@@ -146,26 +137,15 @@ impl GridMonitorSim {
         let space = IdSpace::new(SPACE_BITS);
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         let ring = StaticRing::build(space, cfg.nodes, IdPolicy::Probed, &mut rng);
-        let ccfg = if cfg.fast_maintenance {
-            ChordConfig {
-                space,
-                stabilize_ms: 1_000,
-                fix_fingers_ms: 500,
-                check_pred_ms: 1_500,
-                req_timeout_ms: 2_500,
-                ..ChordConfig::default()
-            }
-        } else {
-            ChordConfig {
-                space,
-                // The monitored overlay is pre-converged and static for the
-                // accuracy experiment: relax ring maintenance so simulated
-                // time is dominated by aggregation traffic.
-                stabilize_ms: 30_000,
-                fix_fingers_ms: 20_000,
-                check_pred_ms: 30_000,
-                ..ChordConfig::default()
-            }
+        let ccfg = ChordConfig {
+            space,
+            // The monitored overlay is pre-converged and static for the
+            // accuracy experiment: relax ring maintenance so simulated
+            // time is dominated by aggregation traffic.
+            stabilize_ms: 30_000,
+            fix_fingers_ms: 20_000,
+            check_pred_ms: 30_000,
+            ..ChordConfig::default()
         };
         let mut dcfg = DatConfig {
             scheme: RoutingScheme::Balanced,
@@ -175,9 +155,6 @@ impl GridMonitorSim {
         };
         if let Some(h) = cfg.hold_ms {
             dcfg.hold_ms = h;
-        }
-        if let Some(t) = cfg.child_ttl_epochs {
-            dcfg.child_ttl_epochs = t;
         }
         let mut net = prestabilized_stack(&ring, ccfg, cfg.seed, |_, id, addr| {
             StackNode::new(ccfg, id, addr)
@@ -218,24 +195,9 @@ impl GridMonitorSim {
         }
     }
 
-    /// The rendezvous key of the monitored attribute.
-    pub fn key(&self) -> Id {
-        self.key
-    }
-
-    /// The simulator address of the aggregation root.
-    pub fn root_addr(&self) -> NodeAddr {
-        self.root_addr
-    }
-
     /// The simulation network (for ad-hoc inspection).
     pub fn net(&self) -> &SimNet<StackNode> {
         &self.net
-    }
-
-    /// Mutable network access (e.g. to inject churn mid-run).
-    pub fn net_mut(&mut self) -> &mut SimNet<StackNode> {
-        &mut self.net
     }
 
     /// The monitoring fleet's merged Prometheus dump — every node's

@@ -2,11 +2,11 @@
 //!
 //! A [`FaultPlan`] is a declarative schedule of fault events in virtual
 //! time: network partitions and their heals, directed-link episodes,
-//! message duplication, node crashes, restarts, slowdowns and overload
-//! bursts. A link episode ([`FaultEvent::Link`]) carries one
-//! [`LinkFault`] — loss, extra latency, jitter and byte corruption, any
-//! mix of them — for a bounded time; a later episode on the same link
-//! replaces it. The engine cuts every run at the plan's event
+//! network-wide loss, message duplication, node crashes, restarts,
+//! slowdowns and overload bursts. A link episode ([`FaultEvent::Link`])
+//! carries one [`LinkFault`] — loss, extra latency, jitter and byte
+//! corruption, any mix of them — for a bounded time; a later episode on
+//! the same link replaces it. The engine cuts every run at the plan's event
 //! times and applies each event on the calling thread *between* two run
 //! segments, so a fault at `T` fires before every protocol event at `T`
 //! for any shard count, and the worker threads only ever read the
@@ -165,6 +165,14 @@ pub enum FaultEvent {
         /// Duplication probability in `[0, 1]`.
         prob: f64,
     },
+    /// Drop every message with this probability, network-wide: sets the
+    /// engine's own [`crate::LossModel`] (the coin every send already
+    /// flips), which stays until the next `SetLoss` or
+    /// [`crate::SimNet::set_loss`].
+    SetLoss {
+        /// Loss probability in `[0, 1]`.
+        prob: f64,
+    },
     /// Abruptly remove a node, exactly like [`crate::SimNet::crash`]:
     /// in-flight traffic to it is dropped, its timers die silently.
     Crash {
@@ -243,6 +251,10 @@ impl FaultEvent {
                 buf.push(5);
                 buf.extend(prob.to_bits().to_le_bytes());
             }
+            FaultEvent::SetLoss { prob } => {
+                buf.push(13);
+                buf.extend(prob.to_bits().to_le_bytes());
+            }
             FaultEvent::Crash { node } => {
                 buf.push(6);
                 buf.extend(node.0.to_le_bytes());
@@ -293,6 +305,7 @@ impl FaultEvent {
                 }
             }
             FaultEvent::SetDuplication { prob } => check_prob("duplication prob", *prob),
+            FaultEvent::SetLoss { prob } => check_prob("loss prob", *prob),
             _ => {}
         }
     }
@@ -317,8 +330,8 @@ impl FaultPlan {
     /// Schedule `event` at virtual time `at_ms`.
     ///
     /// Every builder funnels through here, so probability parameters
-    /// (link loss, corruption, duplication) are validated into
-    /// `[0.0, 1.0]` at build time; an out-of-range or NaN value panics
+    /// (link loss, network loss, corruption, duplication) are validated
+    /// into `[0.0, 1.0]` at build time; an out-of-range or NaN value panics
     /// immediately instead of corrupting coin flips mid-run.
     pub fn at(mut self, at_ms: u64, event: FaultEvent) -> Self {
         event.validate();
@@ -359,6 +372,11 @@ impl FaultPlan {
     /// Set the message-duplication probability at `at_ms`.
     pub fn duplication_at(self, at_ms: u64, prob: f64) -> Self {
         self.at(at_ms, FaultEvent::SetDuplication { prob })
+    }
+
+    /// Set the network-wide loss probability at `at_ms`.
+    pub fn loss_at(self, at_ms: u64, prob: f64) -> Self {
+        self.at(at_ms, FaultEvent::SetLoss { prob })
     }
 
     /// Crash `node` at `at_ms`.
@@ -436,6 +454,8 @@ impl FaultPlan {
 pub(crate) enum FaultAction {
     Crash(NodeAddr),
     Restart(NodeAddr),
+    /// Set the engine's loss probability.
+    Loss(f64),
     /// Install a processing slowdown: (node, process_ms, for_ms).
     Slow(NodeAddr, u64, u64),
     /// Schedule an overload burst: (node, msgs, spread_ms).
@@ -509,6 +529,7 @@ impl FaultController {
                 self.dup_prob = prob.clamp(0.0, 1.0);
                 None
             }
+            FaultEvent::SetLoss { prob } => Some(FaultAction::Loss(prob)),
             FaultEvent::Crash { node } => Some(FaultAction::Crash(node)),
             FaultEvent::Restart { node } => Some(FaultAction::Restart(node)),
             FaultEvent::Slowdown {
@@ -791,11 +812,13 @@ mod tests {
     fn duplication_applies_and_crash_restart_surface_actions() {
         let plan = FaultPlan::new()
             .duplication_at(0, 1.0)
+            .loss_at(0, 0.25)
             .crash_at(1, a(9))
             .restart_at(2, a(9));
         let mut fc = FaultController::new(plan);
         assert!(fc.fire_next(SimTime(0)).is_none());
         assert_eq!(fc.dup_prob(), 1.0);
+        assert!(matches!(fc.fire_next(SimTime(0)), Some(FaultAction::Loss(p)) if p == 0.25));
         assert!(matches!(
             fc.fire_next(SimTime(1)),
             Some(FaultAction::Crash(n)) if n == a(9)

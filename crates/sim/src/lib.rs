@@ -23,7 +23,8 @@
 //! * [`harness`] — builds whole overlays: live protocol joins, or
 //!   pre-stabilized 8192-node rings materialised from a global view;
 //! * [`campaign`] — seeded fault campaigns (churn, gray failures, wire
-//!   corruption): one scenario, one drive loop, one invariant scorer;
+//!   corruption, partition/heal, WAN loss, a departure burst): one
+//!   scenario, one drive loop, one invariant scorer;
 //! * [`stats`] — tallies, percentiles and the paper's imbalance factor.
 //!
 //! ```

@@ -449,6 +449,7 @@ impl<A: Actor> SimNet<A> {
         let now = self.now;
         let action = self.faults.as_mut().and_then(|fc| fc.fire_next(now));
         match action {
+            Some(FaultAction::Loss(prob)) => self.loss = LossModel::new(prob),
             Some(FaultAction::Crash(node)) => drop(self.crash(node)),
             Some(FaultAction::Restart(node)) if !self.addr_map.contains_key(&node) => {
                 let spawned = self.restart_fn.as_mut().and_then(|f| f(node));

@@ -24,6 +24,7 @@ fn soak_two_hours_of_churn_self_heals() {
         // Two simulated hours of faults + fault-free tail.
         faults_ms: 3_600_000,
         quiesce_ms: 3_600_000,
+        child_ttl_epochs: 3,
         campaign: Campaign::Churn {
             episodes: 12,
             crash_root: true,
