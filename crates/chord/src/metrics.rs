@@ -16,7 +16,7 @@
 
 #![deny(clippy::unwrap_used)]
 
-use dat_obs::{EventKind, Key, LogHist, Registry, Tracer};
+use dat_obs::{row_index, EventKind, Key, LogHist, Registry, Tracer};
 
 /// Which direction a kind-labeled count applies to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -30,38 +30,23 @@ pub enum Dir {
 /// Traffic of one message kind: `(sent, received)`.
 type Traffic = (u64, u64);
 
-/// Index of `name`'s row, appending `T::default()` for a new name. A name
-/// already seen at this address hits on pointer + length alone; only a
-/// first sighting (or a second copy of the same text) compares contents,
-/// so equal strings always share one row. Rows grow one at a time: a
-/// layer names a handful of series, and a `LogHist` row is 72 bytes plus
-/// 8 per bucket up to its max's, so doubling would leave most of every
-/// node's histogram rows empty.
+/// `name`'s row, appended as `T::default()` if new (see
+/// [`dat_obs::row_index`]).
 fn row<'a, T: Default>(rows: &'a mut Vec<(&'static str, T)>, name: &'static str) -> &'a mut T {
-    let same_literal = |r: &(&'static str, T)| {
-        std::ptr::eq(r.0.as_ptr(), name.as_ptr()) && r.0.len() == name.len()
-    };
-    let i = rows
-        .iter()
-        .position(same_literal)
-        .or_else(|| rows.iter().position(|r| r.0 == name))
-        .unwrap_or_else(|| {
-            rows.reserve_exact(1);
-            rows.push((name, T::default()));
-            rows.len() - 1
-        });
+    let i = row_index(rows, name);
     &mut rows[i].1
 }
 
 /// Observability state kept by every protocol node: dense tally rows
 /// (per-kind traffic, named counters, named histograms), an event tracer,
-/// and the three loose counters the transports bump directly.
+/// and the three loose counters the transports bump directly. The
+/// per-kind traffic rows are the tracer's label table: a traced `Send` /
+/// `Recv` names its kind by that row's index.
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
-    kinds: Vec<(&'static str, Traffic)>,
     counters: Vec<(&'static str, u64)>,
     hists: Vec<(&'static str, LogHist)>,
-    tracer: Tracer,
+    tracer: Tracer<Traffic>,
     /// Requests that expired in the pending table.
     pub timeouts: u64,
     /// Requests re-sent after an RTO expiry (bounded-retry recovery).
@@ -74,7 +59,7 @@ impl Metrics {
     /// The single kind-label counting helper: every sent/received tally —
     /// whole messages or bare kind labels — funnels through here.
     fn count_kind(&mut self, dir: Dir, kind: &'static str) {
-        let traffic = row(&mut self.kinds, kind);
+        let traffic = self.tracer.label_row(kind);
         match dir {
             Dir::Sent => traffic.0 += 1,
             Dir::Received => traffic.1 += 1,
@@ -141,16 +126,21 @@ impl Metrics {
             .map(|(_, v)| v)
             .sum();
         let traffic: u64 = match name {
-            "sent_total" => self.kinds.iter().map(|(_, t)| t.0).sum(),
-            "received_total" => self.kinds.iter().map(|(_, t)| t.1).sum(),
+            "sent_total" => self.kinds().iter().map(|(_, t)| t.0).sum(),
+            "received_total" => self.kinds().iter().map(|(_, t)| t.1).sum(),
             _ => 0,
         };
         named + traffic
     }
 
     /// The embedded event tracer.
-    pub fn tracer(&self) -> &Tracer {
+    pub fn tracer(&self) -> &Tracer<Traffic> {
         &self.tracer
+    }
+
+    /// The per-kind traffic rows.
+    fn kinds(&self) -> &[(&'static str, Traffic)] {
+        self.tracer.labels()
     }
 
     /// Total messages sent.
@@ -164,7 +154,7 @@ impl Metrics {
     }
 
     fn traffic_of(&self, kind: &str) -> Traffic {
-        self.kinds
+        self.kinds()
             .iter()
             .find(|(k, _)| *k == kind)
             .map_or((0, 0), |(_, t)| *t)
@@ -187,7 +177,7 @@ impl Metrics {
 
     /// Iterate `(kind, sent, received)` over every kind seen, sorted.
     pub fn by_kind(&self) -> Vec<(&'static str, u64, u64)> {
-        let mut rows: Vec<_> = self.kinds.iter().map(|&(k, (s, r))| (k, s, r)).collect();
+        let mut rows: Vec<_> = self.kinds().iter().map(|&(k, (s, r))| (k, s, r)).collect();
         rows.sort_unstable_by_key(|r| r.0);
         rows
     }
@@ -196,8 +186,8 @@ impl Metrics {
     /// histograms merge; the other's trace buffer is left alone — traces
     /// are per-node).
     pub fn merge(&mut self, other: &Metrics) {
-        for &(kind, (sent, received)) in &other.kinds {
-            let traffic = row(&mut self.kinds, kind);
+        for &(kind, (sent, received)) in other.kinds() {
+            let traffic = self.tracer.label_row(kind);
             traffic.0 += sent;
             traffic.1 += received;
         }
@@ -214,10 +204,9 @@ impl Metrics {
 
     /// Reset every counter, histogram and the trace buffer.
     pub fn reset(&mut self) {
-        self.kinds.clear();
         self.counters.clear();
         self.hists.clear();
-        self.tracer.clear();
+        self.tracer.reset();
         self.timeouts = 0;
         self.retransmits = 0;
         self.dropped = 0;
@@ -229,7 +218,7 @@ impl Metrics {
     /// (or only received) exports only that side.
     pub fn export_into(&self, out: &mut Registry, layer: &'static str) {
         let stamped = |name: &'static str| Key::new(name).label("layer", layer);
-        for &(kind, (sent, received)) in &self.kinds {
+        for &(kind, (sent, received)) in self.kinds() {
             for (name, n) in [("sent_total", sent), ("received_total", received)] {
                 if n > 0 {
                     out.counter_add(Key::new(name).label("kind", kind).label("layer", layer), n);
@@ -383,7 +372,7 @@ mod tests {
             }
             assert_eq!(m.hists.capacity(), k, "{k} histogram rows");
             assert_eq!(m.counters.capacity(), k, "{k} counter rows");
-            assert_eq!(m.kinds.capacity(), k, "{k} kind rows");
+            assert_eq!(m.kinds().len(), k, "{k} kind rows");
         }
     }
 

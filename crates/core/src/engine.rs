@@ -589,10 +589,10 @@ impl StackNode {
     /// paired with this node's id — to `EpochTrace::assemble` or
     /// `digest_events`.
     pub fn trace_events(&self) -> Vec<Event> {
-        let mut ev: Vec<Event> = self.chord.metrics().tracer().events().cloned().collect();
+        let mut ev: Vec<Event> = self.chord.metrics().tracer().events().collect();
         for h in &self.handlers {
             if let Some(m) = h.metrics() {
-                ev.extend(m.tracer().events().cloned());
+                ev.extend(m.tracer().events());
             }
         }
         ev

@@ -166,7 +166,10 @@ pub struct AggregationEntry {
     /// failure detector is consulted about, and replica byte order. A
     /// centralized root keeps every node's routed partial here. Each flush
     /// (or centralized root tick) drops the entries older than
-    /// `child_ttl_epochs`, which every reader already ignores.
+    /// `child_ttl_epochs`, which every reader already ignores. Kept at
+    /// exact capacity: a new child grows the table by one slot, a removal
+    /// gives the spare slots back (doubling would leave a node's four
+    /// children in eight slots of 152 B).
     children: Vec<(Id, AggPartial, u64)>,
     /// Last epoch whose partial has been pushed up / reported.
     flushed_epoch: u64,
@@ -238,8 +241,17 @@ impl AggregationEntry {
     fn put_child(&mut self, id: Id, partial: AggPartial, epoch: u64) {
         match self.children.binary_search_by_key(&id, |c| c.0) {
             Ok(i) => self.children[i] = (id, partial, epoch),
-            Err(i) => self.children.insert(i, (id, partial, epoch)),
+            Err(i) => {
+                self.children.reserve_exact(1);
+                self.children.insert(i, (id, partial, epoch));
+            }
         }
+    }
+
+    /// Keep only the children `keep` accepts, at exact capacity.
+    fn retain_children(&mut self, keep: impl FnMut(&(Id, AggPartial, u64)) -> bool) {
+        self.children.retain(keep);
+        self.children.shrink_to_fit();
     }
 
     /// The DAT parent for this entry's key against `table`, recomputed
@@ -288,8 +300,7 @@ impl AggregationEntry {
 
     /// Drop the children older than `ttl`, which no reader counts.
     fn expire_children(&mut self, now_epoch: u64, ttl: u64) {
-        self.children
-            .retain(|(_, _, e)| now_epoch.saturating_sub(*e) <= ttl);
+        self.retain_children(|(_, _, e)| now_epoch.saturating_sub(*e) <= ttl);
     }
 
     /// Merge local value + fresh child partials. `exclude` drops one
@@ -1056,7 +1067,7 @@ impl DatProtocol {
             }
             DatMsg::Prune { key, sender } => {
                 if let Some(e) = self.aggregation_mut(key) {
-                    e.children.retain(|c| c.0 != sender.id);
+                    e.retain_children(|c| c.0 != sender.id);
                 }
             }
             DatMsg::RootState {

@@ -36,4 +36,4 @@ pub mod trace;
 pub use epoch::{EpochTrace, TraceEdge};
 pub use hist::LogHist;
 pub use registry::{validate_prometheus, Key, Registry};
-pub use trace::{digest_events, fnv1a, mix64, trace_id_for, Event, EventKind, Tracer};
+pub use trace::{digest_events, fnv1a, mix64, row_index, trace_id_for, Event, EventKind, Tracer};

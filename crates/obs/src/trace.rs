@@ -184,71 +184,202 @@ pub fn digest_events<'a>(events: impl Iterator<Item = &'a Event>) -> u64 {
     events.fold(0u64, |acc, e| acc.wrapping_add(e.content_hash()))
 }
 
-/// A bounded ring buffer of [`Event`]s with a logical clock.
+/// Index of `name`'s row in a table keyed by static labels, appending
+/// `T::default()` for a new name. A name already seen at this address hits
+/// on pointer + length alone; only a first sighting (or a second copy of
+/// the same text) compares contents, so equal strings always share one
+/// row. Rows grow one at a time: a table holds a handful of names, and
+/// doubling would leave most of every node's rows empty.
+pub fn row_index<T: Default>(rows: &mut Vec<(&'static str, T)>, name: &'static str) -> usize {
+    let same_literal = |r: &(&'static str, T)| {
+        std::ptr::eq(r.0.as_ptr(), name.as_ptr()) && r.0.len() == name.len()
+    };
+    rows.iter()
+        .position(same_literal)
+        .or_else(|| rows.iter().position(|r| r.0 == name))
+        .unwrap_or_else(|| {
+            rows.reserve_exact(1);
+            rows.push((name, T::default()));
+            rows.len() - 1
+        })
+}
+
+/// A bounded ring buffer of [`Event`]s with a logical clock, and the
+/// table of message-kind labels its `Send` / `Recv` events name.
 ///
 /// Recording is O(1); when the ring is full the oldest event is evicted
 /// and counted in [`Tracer::dropped`]. The ring starts without heap and
 /// grows with what is recorded: every layer of every node owns a tracer,
 /// and many of them (quiet handlers, fleets run with tracing off) record
 /// little or nothing.
+///
+/// The ring stores each event as a 32-byte record, not as the 64-byte
+/// [`Event`] it hands back:
+///
+/// * `lts` is not stored: the ring only evicts from the front and empties
+///   as a whole, so it stays gap-free and the newest record's `lts` is the
+///   clock;
+/// * `at_ms` and `trace_id` are stored as they are, 16 bytes;
+/// * the kind takes the other 16: a `Send` / `Recv` label is a `u32` index
+///   into the label table, beside the peer's `u64`; `RouteHop`, `Suspect`
+///   and `Poisoned` fit as they are; `Report`, `Failover` and
+///   `FenceReject` — several 64-bit fields, a handful per run and only at
+///   roots — keep their [`EventKind`] in a `Box`.
+///
+/// [`Tracer::events`] decodes the records back into exactly the events
+/// recorded.
+///
+/// Each label row carries a `T` for the owner: `dat_chord::Metrics` keeps
+/// its per-kind traffic there ([`Tracer::label_row`]), so a node keeps
+/// one table of the kinds it has seen, counted and traced alike, and a
+/// tracer is no larger than a ring and that table.
 #[derive(Clone, Debug)]
-pub struct Tracer {
-    ring: VecDeque<Event>,
+pub struct Tracer<T = ()> {
+    ring: VecDeque<Record>,
+    labels: Vec<(&'static str, T)>,
     cap: usize,
     lts: u64,
     dropped: u64,
 }
 
+/// One buffered event as the ring stores it (see [`Tracer`]).
+#[derive(Clone, Debug)]
+struct Record {
+    at_ms: u64,
+    trace_id: u64,
+    kind: Stored,
+}
+
+/// An [`EventKind`] in 16 bytes.
+#[derive(Clone, Debug)]
+enum Stored {
+    Send { label: u32, to: u64 },
+    Recv { label: u32, from: u64 },
+    RouteHop { key: u64, hops: u32 },
+    Suspect { node: u64 },
+    Poisoned { node: u64 },
+    Wide(Box<EventKind>),
+}
+
 /// Default ring capacity — 16 epochs of a 4-key DAT node, which rings
-/// about one event per key per epoch; a full ring measures 4 KiB (one per
+/// about one event per key per epoch; a full ring measures 2 KiB (one per
 /// layer of every node).
 pub const DEFAULT_TRACE_CAP: usize = 64;
 
-impl Default for Tracer {
+impl<T: Default> Default for Tracer<T> {
     fn default() -> Self {
         Tracer::new(DEFAULT_TRACE_CAP)
     }
 }
 
-impl Tracer {
-    /// A tracer holding at most `cap` events (no heap until the first).
-    pub fn new(cap: usize) -> Self {
-        Tracer {
-            ring: VecDeque::new(),
-            cap: cap.max(1),
-            lts: 0,
-            dropped: 0,
-        }
-    }
-
+impl<T: Default> Tracer<T> {
     /// Record one event.
     pub fn record(&mut self, at_ms: u64, trace_id: u64, kind: EventKind) {
+        let mut label = |name| row_index(&mut self.labels, name) as u32;
+        let kind = match kind {
+            EventKind::Send { kind, to } => Stored::Send {
+                label: label(kind),
+                to,
+            },
+            EventKind::Recv { kind, from } => Stored::Recv {
+                label: label(kind),
+                from,
+            },
+            EventKind::RouteHop { key, hops } => Stored::RouteHop { key, hops },
+            EventKind::Suspect { node } => Stored::Suspect { node },
+            EventKind::Poisoned { node } => Stored::Poisoned { node },
+            wide => Stored::Wide(Box::new(wide)),
+        };
         self.lts += 1;
         if self.ring.len() == self.cap {
             self.ring.pop_front();
             self.dropped += 1;
         }
-        self.ring.push_back(Event {
-            lts: self.lts,
+        self.ring.push_back(Record {
             at_ms,
             trace_id,
             kind,
         });
     }
 
-    /// Iterate buffered events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &Event> {
-        self.ring.iter()
+    /// The owner's data on `label`, its row appended if new.
+    pub fn label_row(&mut self, label: &'static str) -> &mut T {
+        let i = row_index(&mut self.labels, label);
+        &mut self.labels[i].1
+    }
+}
+
+impl<T> Tracer<T> {
+    /// A tracer holding at most `cap` events (no heap until the first).
+    pub fn new(cap: usize) -> Self {
+        Tracer {
+            ring: VecDeque::new(),
+            labels: Vec::new(),
+            cap: cap.max(1),
+            lts: 0,
+            dropped: 0,
+        }
+    }
+
+    /// The label table, in order of first sighting, with the owner's data.
+    pub fn labels(&self) -> &[(&'static str, T)] {
+        &self.labels
+    }
+
+    /// The event `r` stores, stamped with logical time `lts`.
+    fn decode(&self, lts: u64, r: &Record) -> Event {
+        let kind = match &r.kind {
+            Stored::Send { label, to } => EventKind::Send {
+                kind: self.labels[*label as usize].0,
+                to: *to,
+            },
+            Stored::Recv { label, from } => EventKind::Recv {
+                kind: self.labels[*label as usize].0,
+                from: *from,
+            },
+            Stored::RouteHop { key, hops } => EventKind::RouteHop {
+                key: *key,
+                hops: *hops,
+            },
+            Stored::Suspect { node } => EventKind::Suspect { node: *node },
+            Stored::Poisoned { node } => EventKind::Poisoned { node: *node },
+            Stored::Wide(kind) => (**kind).clone(),
+        };
+        Event {
+            lts,
+            at_ms: r.at_ms,
+            trace_id: r.trace_id,
+            kind,
+        }
+    }
+
+    /// The buffered events, oldest first, decoded.
+    pub fn events(&self) -> impl Iterator<Item = Event> + '_ {
+        // Gap-free: the oldest buffered event's clock is the newest's
+        // less the events after it.
+        let first = self.lts + 1 - self.ring.len() as u64;
+        (first..)
+            .zip(&self.ring)
+            .map(|(lts, r)| self.decode(lts, r))
     }
 
     /// Drain and return all buffered events.
     pub fn take(&mut self) -> Vec<Event> {
-        self.ring.drain(..).collect()
+        let events = self.events().collect();
+        self.ring.clear();
+        events
     }
 
     /// Drop all buffered events (logical clock keeps running).
     pub fn clear(&mut self) {
         self.ring.clear();
+    }
+
+    /// Drop all buffered events and the label table with its data
+    /// (logical clock keeps running).
+    pub fn reset(&mut self) {
+        self.ring.clear();
+        self.labels.clear();
     }
 
     /// Events evicted because the ring was full.
@@ -268,7 +399,8 @@ impl Tracer {
 
     /// Order-insensitive digest of the buffered events.
     pub fn digest(&self) -> u64 {
-        digest_events(self.ring.iter())
+        self.events()
+            .fold(0u64, |acc, e| acc.wrapping_add(e.content_hash()))
     }
 }
 
@@ -290,34 +422,149 @@ mod tests {
 
     #[test]
     fn digest_ignores_order_and_timestamps() {
-        let mut a = Tracer::new(16);
+        let mut a: Tracer = Tracer::new(16);
         a.record(10, 1, EventKind::Send { kind: "x", to: 2 });
         a.record(20, 1, EventKind::Recv { kind: "x", from: 1 });
-        let mut b = Tracer::new(16);
+        let mut b: Tracer = Tracer::new(16);
         b.record(99, 1, EventKind::Recv { kind: "x", from: 1 });
         b.record(7, 1, EventKind::Send { kind: "x", to: 2 });
         assert_eq!(a.digest(), b.digest());
-        let mut c = Tracer::new(16);
+        let mut c: Tracer = Tracer::new(16);
         c.record(10, 2, EventKind::Send { kind: "x", to: 2 });
         c.record(20, 1, EventKind::Recv { kind: "x", from: 1 });
         assert_ne!(a.digest(), c.digest(), "trace id is content");
     }
 
+    /// Every kind at its field extremes; `Send` and `Recv` labels with
+    /// the same text at two addresses.
+    fn every_kind() -> Vec<EventKind> {
+        let copy: &'static str = String::from("dat_update").leak();
+        assert!(!std::ptr::eq(copy.as_ptr(), "dat_update".as_ptr()));
+        let mut kinds = Vec::new();
+        for x in [0, u64::MAX] {
+            kinds.extend([
+                EventKind::Send {
+                    kind: "dat_update",
+                    to: x,
+                },
+                EventKind::Send { kind: copy, to: x },
+                EventKind::Recv {
+                    kind: "dat_update",
+                    from: x,
+                },
+                EventKind::Recv {
+                    kind: copy,
+                    from: x,
+                },
+                EventKind::Send { kind: "", to: x },
+                EventKind::Recv {
+                    kind: "ping",
+                    from: x,
+                },
+                EventKind::RouteHop { key: x, hops: 0 },
+                EventKind::RouteHop {
+                    key: x,
+                    hops: u32::MAX,
+                },
+                EventKind::Report {
+                    key: x,
+                    epoch: x,
+                    contributors: x,
+                    seq: x,
+                },
+                EventKind::Report {
+                    key: x,
+                    epoch: !x,
+                    contributors: x,
+                    seq: !x,
+                },
+                EventKind::Failover { key: x, seq: !x },
+                EventKind::FenceReject { key: !x, seq: x },
+                EventKind::Suspect { node: x },
+                EventKind::Poisoned { node: x },
+            ]);
+        }
+        kinds
+    }
+
+    #[test]
+    fn events_read_back_as_recorded() {
+        let kinds = every_kind();
+        let mut want = Vec::new();
+        let mut t: Tracer = Tracer::new(kinds.len());
+        for (i, kind) in kinds.into_iter().enumerate() {
+            let (at_ms, trace_id) = match i % 3 {
+                0 => (0, 0),
+                1 => (u64::MAX, u64::MAX),
+                _ => (i as u64, u64::MAX - i as u64),
+            };
+            want.push(Event {
+                lts: i as u64 + 1,
+                at_ms,
+                trace_id,
+                kind: kind.clone(),
+            });
+            t.record(at_ms, trace_id, kind);
+        }
+        let got: Vec<Event> = t.events().collect();
+        assert_eq!(got, want);
+        assert_eq!(t.digest(), digest_events(want.iter()));
+        let hashes = |evs: &[Event]| evs.iter().map(Event::content_hash).collect::<Vec<_>>();
+        assert_eq!(hashes(&got), hashes(&want));
+        // Labels are kept once per text, whatever their address.
+        assert_eq!(t.labels(), [("dat_update", ()), ("", ()), ("ping", ())]);
+        assert_eq!(t.take(), want);
+        assert!(t.is_empty());
+    }
+
     #[test]
     fn ring_bounds_and_eviction() {
-        let mut t = Tracer::new(3);
-        for i in 0..5 {
-            t.record(i, 0, hop(i));
+        // Oldest evicted and counted, `lts` gap-free across eviction.
+        let kinds = every_kind();
+        let cap = 5;
+        let mut t: Tracer = Tracer::new(cap);
+        let mut want: Vec<Event> = Vec::new();
+        for (i, kind) in kinds.iter().enumerate() {
+            t.record(i as u64, 7, kind.clone());
+            want.push(Event {
+                lts: i as u64 + 1,
+                at_ms: i as u64,
+                trace_id: 7,
+                kind: kind.clone(),
+            });
+            let newest = &want[want.len().saturating_sub(cap)..];
+            assert_eq!(t.len(), newest.len());
+            assert_eq!(t.events().collect::<Vec<_>>(), newest);
+            assert_eq!(t.dropped(), (want.len() - newest.len()) as u64);
         }
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.dropped(), 2);
+        // Emptied, the ring starts again where the clock stands.
+        t.clear();
+        t.record(0, 0, EventKind::Suspect { node: 1 });
         let lts: Vec<u64> = t.events().map(|e| e.lts).collect();
-        assert_eq!(lts, vec![3, 4, 5], "oldest evicted, lts monotone");
+        assert_eq!(lts, vec![kinds.len() as u64 + 1]);
+    }
+
+    #[test]
+    fn rows_grow_one_at_a_time_and_share_text() {
+        let copy: &'static str = String::from("b").leak();
+        let mut rows: Vec<(&'static str, u64)> = Vec::new();
+        for (k, name) in ["a", "b", "c"].into_iter().enumerate() {
+            assert_eq!(row_index(&mut rows, name), k);
+            assert_eq!(row_index(&mut rows, name), k, "a repeat finds its row");
+            assert_eq!(rows.capacity(), k + 1, "{} rows", k + 1);
+        }
+        assert_eq!(row_index(&mut rows, copy), 1, "same text, same row");
+        assert_eq!(rows.len(), 3);
+    }
+
+    #[test]
+    fn a_stored_event_takes_32_bytes() {
+        assert!(std::mem::size_of::<Record>() <= 32);
     }
 
     #[test]
     fn ring_holds_no_heap_until_it_records() {
-        let mut t = Tracer::default();
+        let mut t: Tracer = Tracer::default();
         assert_eq!(t.ring.capacity(), 0, "a fresh tracer holds no heap");
         for i in 0..DEFAULT_TRACE_CAP as u64 {
             t.record(i, 0, hop(i));

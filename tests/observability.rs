@@ -108,33 +108,35 @@ fn epoch_trace_reassembles_512_node_aggregation() {
     assert_eq!(dot.matches(" -> ").count(), 511, "one edge per non-root");
 }
 
+/// A 48-node continuous run's whole event stream: the fleet's events, a
+/// node-aware, order-insensitive digest of them, and the assembled trace
+/// of the newest epoch (its digest and edge count).
+fn fleet_trace(seed: u64) -> (Vec<(u64, libdat::obs::Event)>, u64, u64, usize) {
+    let (mut net, ring, key) = continuous_net(48, seed, 5_000);
+    let book = addr_book(&ring);
+    let epoch = net
+        .node_mut(book[&ring.successor(key)])
+        .unwrap()
+        .take_events()
+        .into_iter()
+        .rev()
+        .find_map(|e| match e {
+            DatEvent::Report { key: k, epoch, .. } if k == key => Some(epoch),
+            _ => None,
+        })
+        .expect("root reports");
+    let fleet = fleet_events(&net);
+    let fleet_digest = fleet.iter().fold(0u64, |acc, (node, e)| {
+        acc.wrapping_add(mix64(*node).wrapping_add(e.content_hash()))
+    });
+    let trace = EpochTrace::assemble(trace_id_for(key.0, epoch), &fleet);
+    (fleet, fleet_digest, trace.digest(), trace.edges.len())
+}
+
 #[test]
 fn trace_digests_are_deterministic_across_runs() {
-    let run = |seed: u64| {
-        let (mut net, ring, key) = continuous_net(48, seed, 5_000);
-        let book = addr_book(&ring);
-        let epoch = net
-            .node_mut(book[&ring.successor(key)])
-            .unwrap()
-            .take_events()
-            .into_iter()
-            .rev()
-            .find_map(|e| match e {
-                DatEvent::Report { key: k, epoch, .. } if k == key => Some(epoch),
-                _ => None,
-            })
-            .expect("root reports");
-        let fleet = fleet_events(&net);
-        // Node-aware, order-insensitive digest of the whole fleet stream,
-        // plus the assembled trace of the newest epoch.
-        let fleet_digest = fleet.iter().fold(0u64, |acc, (node, e)| {
-            acc.wrapping_add(mix64(*node).wrapping_add(e.content_hash()))
-        });
-        let trace = EpochTrace::assemble(trace_id_for(key.0, epoch), &fleet);
-        (fleet, fleet_digest, trace.digest(), trace.edges.len())
-    };
-    let (fleet_a, digest_a, trace_a, edges_a) = run(0xD15);
-    let (fleet_b, digest_b, trace_b, edges_b) = run(0xD15);
+    let (fleet_a, digest_a, trace_a, edges_a) = fleet_trace(0xD15);
+    let (fleet_b, digest_b, trace_b, edges_b) = fleet_trace(0xD15);
     assert_eq!(fleet_a.len(), fleet_b.len());
     // Same seed ⇒ the same causal content, compared as a multiset: the
     // digest (and the per-event hashes it sums) ignores wall clock and
@@ -163,8 +165,28 @@ fn trace_digests_are_deterministic_across_runs() {
         digest_events(fleet_a.iter().map(|(_, e)| e))
     );
     // A different seed produces a different stream.
-    let (_, digest_c, _, _) = run(0xD16);
+    let (_, digest_c, _, _) = fleet_trace(0xD16);
     assert_ne!(digest_a, digest_c, "digest distinguishes different runs");
+}
+
+/// The seed-`0xD15` run of the test above, pinned: its fleet digest,
+/// event count and newest epoch's trace digest. How the tracer stores an
+/// event may change; what it hands back may not.
+const FLEET_TRACE_DIGEST: u64 = 0xc707_3813_42d9_2413;
+const FLEET_TRACE_EVENTS: usize = 225;
+const EPOCH_TRACE_DIGEST: u64 = 0x0aeb_20fc_9703_81cb;
+
+#[test]
+fn trace_content_is_pinned() {
+    let (fleet, digest, trace, _) = fleet_trace(0xD15);
+    println!(
+        "fleet digest {digest:#018x}, {} events, trace digest {trace:#018x}",
+        fleet.len()
+    );
+    assert_eq!(
+        (digest, fleet.len(), trace),
+        (FLEET_TRACE_DIGEST, FLEET_TRACE_EVENTS, EPOCH_TRACE_DIGEST)
+    );
 }
 
 #[test]

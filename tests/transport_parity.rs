@@ -291,7 +291,6 @@ fn run_in_simulator() -> Answers {
                 .metrics_mut()
                 .tracer()
                 .events()
-                .cloned()
                 .collect();
             (me, evs)
         })
@@ -419,7 +418,6 @@ fn run_over_udp<H: UdpHost>() -> Answers {
                     .metrics_mut()
                     .tracer()
                     .events()
-                    .cloned()
                     .collect();
                 ((me, evs), vec![])
             })
