@@ -391,6 +391,13 @@ impl HealthDetector {
             .unwrap_or(SuspicionLevel::Healthy)
     }
 
+    /// Host time `peer` was last heard from, or `None` while the detector
+    /// does not track it. A peer first met through
+    /// [`HealthDetector::miss`] reads the time of that miss.
+    pub fn last_heard(&self, peer: Id) -> Option<u64> {
+        self.peers.get(peer).map(|e| e.last_heard_ms)
+    }
+
     /// Drop all state for `peer` (evicted / departed / replaced).
     pub fn forget(&mut self, peer: Id) {
         self.peers.remove(peer);
@@ -617,6 +624,23 @@ mod tests {
         d.forget(id(5));
         assert_eq!(d.peek(id(5)), SuspicionLevel::Healthy);
         assert_eq!(d.tracked(), 0);
+        assert_eq!(d.last_heard(id(5)), None);
+    }
+
+    #[test]
+    fn last_heard_is_the_latest_beat() {
+        let mut d = HealthDetector::new(cfg());
+        assert_eq!(d.last_heard(id(2)), None);
+        d.heartbeat(id(2), 300);
+        d.heartbeat(id(2), 800);
+        // A beat stamped in the past does not move it back; a miss does
+        // not move it at all.
+        d.heartbeat(id(2), 700);
+        d.miss(id(2), 5_000);
+        assert_eq!(d.last_heard(id(2)), Some(800));
+        d.miss(id(3), 900);
+        assert_eq!(d.last_heard(id(3)), Some(900));
+        assert_eq!(d.suspects, 2);
     }
 
     #[test]

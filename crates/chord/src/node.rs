@@ -268,6 +268,9 @@ pub struct ChordNode {
     /// Phi-accrual failure detector: per-peer suspicion from the cadence
     /// of acks/replies, with flap damping (see [`crate::health`]).
     health: HealthDetector,
+    /// The latest stabilization reply's responder with its predecessor
+    /// and first successor: what a `FoundSuccessor` from it would carry.
+    succ_fof: Option<FingerInfo>,
     metrics: Metrics,
 }
 
@@ -297,6 +300,7 @@ impl ChordNode {
             deadline_timer: u64::MAX,
             fallen: VecDeque::new(),
             health: HealthDetector::default(),
+            succ_fof: None,
             metrics: Metrics::default(),
         }
     }
@@ -934,6 +938,10 @@ impl ChordNode {
             // The finger interval wraps back to ourselves: no such finger.
             return;
         }
+        if let Some(info) = self.resolved_by_stabilization(target) {
+            self.table.set_finger(j, info);
+            return;
+        }
         let req = self.fresh_req();
         let msg = ChordMsg::FindSuccessor {
             req,
@@ -944,6 +952,21 @@ impl ChordNode {
         if let Some(next) = self.next_hop(target) {
             self.send_tracked(out, next, msg, req, Pending::FixFinger(j));
         }
+    }
+
+    /// What a lookup of `key` would bring back, when stabilization already
+    /// holds it (Stoica et al., SIGCOMM 2001, Fig. 6): `key` lies in `(me,
+    /// successor]`, so the successor owns it, and the successor's latest
+    /// stabilization reply carries the FOF detail a `FoundSuccessor` from it
+    /// would. Only while the successor was heard within the last
+    /// `stabilize_ms`: a silent one is sent the lookup, and so still earns
+    /// the timeouts and strikes that evict a dead successor.
+    fn resolved_by_stabilization(&self, key: Id) -> Option<FingerInfo> {
+        let succ = self.table.successor()?;
+        let fof = self.succ_fof.filter(|f| f.node == succ)?;
+        let heard = self.health.last_heard(succ.id)?;
+        let fresh = self.now_ms.saturating_sub(heard) <= self.cfg.stabilize_ms;
+        (fresh && self.cfg.space.in_open_closed(key, self.me().id, succ.id)).then_some(fof)
     }
 
     /// Probe one remembered fallen peer per firing (round-robin). A Pong
@@ -1036,13 +1059,18 @@ impl ChordNode {
         let (kind, to) = (o.kind, o.to);
         // Suspect the node that failed to answer. Two consecutive strikes
         // are required before eviction so a single lost datagram on a lossy
-        // network cannot tear down a live neighbor; finger fixing relearns
-        // genuinely-alive nodes either way.
+        // network cannot tear down a live neighbor; stabilization relearns
+        // a genuinely-alive successor and the arc up to it, finger lookups
+        // relearn the fingers beyond it.
         if kind.suspects_target() {
             let dead = to.id;
             // Hard evidence for the failure detector: the full retry
-            // budget burned with no reply.
-            self.health.miss(dead, self.now_ms);
+            // budget burned with no reply. Not for a peer the detector has
+            // forgotten and nothing holds any more (one that said goodbye
+            // while this request was out): the miss would re-create it.
+            if self.health.last_heard(dead).is_some() || self.holds(dead) {
+                self.health.miss(dead, self.now_ms);
+            }
             let s = self.strikes.entry(dead).or_insert(0);
             *s += 1;
             if *s >= 2 {
@@ -1083,10 +1111,15 @@ impl ChordNode {
     /// nor the fallen queue holds it. Eviction into the fallen queue keeps
     /// it: flap damping and the rejoin path read that history.
     fn forget_if_untracked(&mut self, peer: Id) {
-        let fallen = self.fallen.iter().any(|(n, _)| n.id == peer);
-        if !fallen && !self.table.known_nodes().iter().any(|n| n.id == peer) {
+        if !self.holds(peer) {
             self.health.forget(peer);
         }
+    }
+
+    /// Does the routing table or the fallen queue hold `peer`?
+    fn holds(&self, peer: Id) -> bool {
+        self.fallen.iter().any(|(n, _)| n.id == peer)
+            || self.table.known_nodes().iter().any(|n| n.id == peer)
     }
 
     fn on_message(&mut self, from: NodeAddr, msg: ChordMsg, out: &mut Vec<Output>) {
@@ -1433,6 +1466,11 @@ impl ChordNode {
         };
         match kind {
             Pending::Stabilize => {
+                self.succ_fof = Some(FingerInfo {
+                    node: responder,
+                    pred,
+                    succ: succ_list.first().copied(),
+                });
                 let space = self.cfg.space;
                 let me = self.me();
                 let mut changed = false;
@@ -2974,5 +3012,137 @@ mod tests {
         assert!(total.retransmits > 1_000, "{}", total.retransmits);
         assert!(total.timeouts > 500, "{}", total.timeouts);
         assert!(total.late_replies > 100, "{}", total.late_replies);
+    }
+
+    /// Node 0 with successor `succ`, after one stabilization round that
+    /// `succ` answered at `answered_ms` with its predecessor 0 and its
+    /// successor 12.
+    fn stabilized(mut n: ChordNode, succ: u64, answered_ms: u64) -> ChordNode {
+        let _ = n.start_create();
+        n.table.set_successor(at(Id(succ)));
+        let out = n.handle_at(Input::Timer(TimerKind::Stabilize), answered_ms - 40);
+        let req = match sends(&out)[0].1 {
+            ChordMsg::GetNeighbors { req, .. } => *req,
+            other => panic!("unexpected {other:?}"),
+        };
+        let me = n.me();
+        let _ = n.handle_at(
+            Input::Message {
+                from: NodeAddr(succ),
+                msg: ChordMsg::Neighbors {
+                    req,
+                    me: at(Id(succ)),
+                    pred: Some(me),
+                    succ_list: vec![at(Id(12))],
+                },
+            },
+            answered_ms,
+        );
+        n
+    }
+
+    /// A finger whose start lies in `(me, successor]` is the successor:
+    /// with the successor heard within `stabilize_ms`, the fix sends
+    /// nothing and installs what a `FoundSuccessor` from it would carry.
+    #[test]
+    fn a_fix_inside_the_successors_arc_resolves_from_stabilization() {
+        let mut n = stabilized(node(0), 8, 1_000);
+        let sent = n.metrics().sent_total();
+        // Finger 2 starts at 2 ∈ (0, 8]; 8 was heard 500 ms ago.
+        let out = n.handle_at(Input::Timer(TimerKind::FixFingers), 1_500);
+        assert!(sends(&out).is_empty(), "{out:?}");
+        assert_eq!(n.metrics().sent_total(), sent);
+        assert!(n.outstanding.is_empty());
+        assert_eq!(
+            n.table().finger(2),
+            Some(FingerInfo {
+                node: at(Id(8)),
+                pred: Some(n.me()),
+                succ: Some(at(Id(12))),
+            })
+        );
+    }
+
+    /// The same fix with the successor silent for longer than
+    /// `stabilize_ms` looks the finger up, and the lookups' timeouts strike
+    /// and evict a dead successor as before.
+    #[test]
+    fn a_fix_past_a_silent_successor_goes_remote_and_its_timeouts_evict() {
+        let mut n = stabilized(node_no_retry(0), 8, 1_000);
+        for (j, now) in [(2u8, 1_501), (3, 5_000)] {
+            let out = n.handle_at(Input::Timer(TimerKind::FixFingers), now);
+            let [(to, &ChordMsg::FindSuccessor { req, key, .. })] = sends(&out)[..] else {
+                panic!("finger {j}: one lookup expected, got {out:?}");
+            };
+            assert_eq!((to.id, key), (Id(8), n.space().finger_start(Id(0), j)));
+            assert_eq!(n.outstanding.get(req).unwrap().kind, Pending::FixFinger(j));
+            let out = time_out(&mut n, req);
+            let evicted = j == 3;
+            assert_eq!(n.table().successor() != Some(at(Id(8))), evicted);
+            assert_eq!(
+                upcalls(&out)
+                    .iter()
+                    .any(|u| matches!(u, Upcall::NeighborhoodChanged)),
+                evicted
+            );
+        }
+        assert_eq!(n.table().successor(), Some(at(Id(12))));
+        assert_eq!(n.health().peek(Id(8)), SuspicionLevel::Suspect);
+        assert_eq!(n.metrics().timeouts, 2);
+    }
+
+    /// A finger whose start lies beyond the successor is looked up, fresh
+    /// stabilization or not.
+    #[test]
+    fn a_fix_beyond_the_successor_goes_remote() {
+        let mut n = stabilized(node(0), 3, 1_000);
+        // Finger 2 starts at 2 ∈ (0, 3]: resolved at home.
+        let out = n.handle_at(Input::Timer(TimerKind::FixFingers), 1_100);
+        assert!(sends(&out).is_empty(), "{out:?}");
+        assert_eq!(n.table().finger(2).map(|f| f.node), Some(at(Id(3))));
+        // Finger 3 starts at 4, past the successor.
+        let out = n.handle_at(Input::Timer(TimerKind::FixFingers), 1_200);
+        let [(to, &ChordMsg::FindSuccessor { req, key, .. })] = sends(&out)[..] else {
+            panic!("one lookup expected, got {out:?}");
+        };
+        assert_eq!((to.id, key), (Id(3), Id(4)));
+        assert_eq!(n.outstanding.get(req).unwrap().kind, Pending::FixFinger(3));
+    }
+
+    /// A request still out to a peer that said goodbye times out without
+    /// re-creating the peer in the failure detector: nothing holds it.
+    #[test]
+    fn a_timeout_to_a_forgotten_leaver_leaves_it_forgotten() {
+        let mut n = node_no_retry(0);
+        let _ = n.start_create();
+        let (s4, s8) = (at(Id(4)), at(Id(8)));
+        n.table.set_successor_list(vec![s4, s8]);
+        let _ = n.handle_at(
+            Input::Message {
+                from: s4.addr,
+                msg: ChordMsg::Notify { sender: s4 },
+            },
+            100,
+        );
+        let out = n.handle_at(Input::Timer(TimerKind::Stabilize), 200);
+        let req = match sends(&out)[0].1 {
+            ChordMsg::GetNeighbors { req, .. } => *req,
+            other => panic!("unexpected {other:?}"),
+        };
+        let _ = n.handle_at(
+            Input::Message {
+                from: s4.addr,
+                msg: ChordMsg::LeaveToPred {
+                    leaver: s4,
+                    succ_list: vec![s8],
+                },
+            },
+            300,
+        );
+        assert_eq!(n.health().last_heard(s4.id), None);
+        let _ = time_out(&mut n, req);
+        assert_eq!(n.metrics().timeouts, 1);
+        assert_eq!(n.health().last_heard(s4.id), None, "re-created by the miss");
+        assert_eq!(n.health().suspects, 0);
     }
 }

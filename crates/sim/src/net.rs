@@ -1340,7 +1340,7 @@ mod tests {
         // plan passes; a moved send or delivery draw does not.
         assert_eq!(
             dat_obs::fnv1a(base.as_bytes()),
-            0x602e_be1f_928b_e3d4,
+            0x61e2_c476_3843_f2c2,
             "the 1-shard run moved off its pinned fingerprint"
         );
         for shards in [2, 4, 8] {

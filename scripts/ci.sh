@@ -127,11 +127,7 @@ echo "==> campaign pin: the default seeds' summary lines must hash to the pinned
 # scheduled event passes with this line unedited; one that moves a
 # campaign byte re-pins it in the same diff. A seed override (SOAK_SEEDS,
 # GRAY_SEEDS, CORRUPT_SEEDS) runs other seeds, so it skips the check.
-# With the `over_n_during_faults` / `max_over_n_ratio` pair stripped from
-# each line (sed 's/over_n_during_faults: [0-9]*, max_over_n_ratio:
-# [0-9.]*, //'), the lines hash to 298a14bac1bff3b6, the digest before
-# that pair was measured.
-CAMPAIGN_SCORE_DIGEST=4ce55bb5f2cadf28
+CAMPAIGN_SCORE_DIGEST=d3158ee310f53bdc
 if [ -z "${SOAK_SEEDS:-}${GRAY_SEEDS:-}${CORRUPT_SEEDS:-}" ]; then
   campaign_digest="$(printf '%s' "$campaign_lines" | sed -E 's/digest 0x[0-9a-f]+, //' | sha256sum | cut -c1-16)"
   [ "$campaign_digest" = "$CAMPAIGN_SCORE_DIGEST" ] \
@@ -139,6 +135,17 @@ if [ -z "${SOAK_SEEDS:-}${GRAY_SEEDS:-}${CORRUPT_SEEDS:-}" ]; then
 else
   echo "campaign pin skipped: seed override in effect"
 fi
+
+echo "==> WAN loss sweep: coverage and reports above n at 10 % and 20 % loss, seeds 1-24"
+# The loss campaign at n = 128 over 24 seeds (~8 s in release): mean,
+# lowest and highest coverage while the loss runs, and the reports above
+# n summed over the seeds, one line per loss rate. The test fails on a
+# seed whose coverage passes 1.1; the lines are printed, not gated, as
+# the spread a single-seed `repro wan` row is read against. A change to
+# Chord maintenance moves them.
+sweep_out="$(cargo test --release -q -p dat-bench --lib -- --ignored wan_loss_sweep_over_seeds --nocapture 2>&1)" \
+  || { echo "$sweep_out"; echo "WAN loss sweep failed"; exit 1; }
+grep -E '^loss ' <<<"$sweep_out"
 
 echo "==> scale smoke: 100k-node ring, 1 s virtual, bounded wall clock"
 # The million-node engine's CI-sized proxy: an ignored dat-sim test
@@ -180,18 +187,20 @@ echo "==> maintenance smoke: a seeded sim_maint run must reproduce the pinned di
 # A change that claims "no protocol byte moved" passes with this line
 # unedited; one that does move bytes (message order, timer schedule, RNG
 # draws) re-pins it in the same diff.
-MAINT_SMOKE_DIGEST=07a1c1d522674b2e
+MAINT_SMOKE_DIGEST=8b2f41a63f328214
 maint_out="$(bash benchmark/run.sh --workload sim_maint --quick --seed 1 --seconds 1 --trace 1)" \
   || { echo "maintenance smoke: a gate failed (clamped/dropped event or shard-count digest divergence)"; exit 1; }
 grep -qx "# digest: $MAINT_SMOKE_DIGEST" <<<"$maint_out" \
   || { echo "maintenance smoke: run digest moved off $MAINT_SMOKE_DIGEST (protocol bytes changed: re-pin it here, knowingly)"; exit 1; }
 # Events per virtual second at 512 nodes: 7 periodic timers per node and
 # the traffic they cause. A Chord request times out through its node's
-# own timers; a timer per request coming back adds 8 events per node.
-MAINT_SMOKE_EVENTS=12904
+# own timers; a timer per request coming back adds 8 events per node. A
+# finger fix inside the successor's arc resolves from stabilization; a
+# lookup per fix coming back adds ~4.7 events per node.
+MAINT_SMOKE_EVENTS=10472.3333
 maint_events="$(awk '$1 == "sim.events_per_op" { print $2 }' <<<"$maint_out")"
 [ -n "$maint_events" ] && awk -v e="$maint_events" -v pin="$MAINT_SMOKE_EVENTS" 'BEGIN { exit !(e == pin) }' \
-  || { echo "maintenance smoke: events per op ${maint_events:-missing}, not $MAINT_SMOKE_EVENTS (per-request timers back?)"; exit 1; }
+  || { echo "maintenance smoke: events per op ${maint_events:-missing}, not $MAINT_SMOKE_EVENTS (per-request timers or per-fix lookups back?)"; exit 1; }
 
 echo "==> DAT-path smoke: a seeded sim_epoch run must reproduce the pinned digest and event count"
 # The maintenance smoke above pins Chord maintenance only. This is its

@@ -278,6 +278,8 @@ fn several_keys_pushed_at_once_share_one_frame_per_parent() {
 /// The per-node `(sent, delivered)` fingerprint is pinned: how a node
 /// schedules its request deadlines may change the event count, never a
 /// message. No request is retransmitted or times out on a healthy ring.
+/// Next to the fingerprint, each kind's rate per node-second over the
+/// second half of the run: a change that moves traffic shows which kind.
 #[test]
 fn fault_free_maintenance_traffic_is_pinned() {
     let seed = 1;
@@ -310,7 +312,46 @@ fn fault_free_maintenance_traffic_is_pinned() {
         net.add_node(node);
         net.apply(addr, outs);
     }
-    net.run_for(30_000);
+    // Messages sent per node-second, by kind. Stabilization (2/s) and FOF
+    // refreshes (1/s) ask for neighbors; each stabilization notifies; a
+    // predecessor ping and a keepalive ping to the stalest neighbour go
+    // out once a second each. A finger fix inside the successor's arc
+    // resolves from stabilization, so lookups are the fixes beyond it and
+    // their forwarding hops.
+    let budget = [
+        ("get_neighbors", "3.00"),
+        ("neighbors", "3.00"),
+        ("notify", "2.00"),
+        ("ping", "2.00"),
+        ("pong", "2.00"),
+        ("find_successor", "0.79"),
+        ("found_successor", "0.62"),
+    ];
+    // The window starts once every cursor has started its cycle and the
+    // last starters' lookups have drained.
+    let window_from = cycle * cfg.fix_fingers_ms + 2_000;
+    let sent = |net: &SimNet<ChordNode>| {
+        let mut all = libdat::chord::Metrics::default();
+        for (_, node) in net.iter_nodes() {
+            all.merge(node.metrics());
+        }
+        budget.map(|(kind, _)| all.sent_of(kind))
+    };
+    net.run_for(window_from);
+    let before = sent(&net);
+    net.run_for(30_000 - window_from);
+    let after = sent(&net);
+    let node_seconds = 512.0 * (30_000 - window_from) as f64 / 1_000.0;
+    let rates: Vec<(&str, String)> = budget
+        .iter()
+        .zip(before.iter().zip(&after))
+        .map(|(&(kind, _), (b, a))| (kind, format!("{:.2}", (a - b) as f64 / node_seconds)))
+        .collect();
+    assert_eq!(
+        rates,
+        budget.map(|(kind, rate)| (kind, rate.to_string())),
+        "maintenance messages sent per node-second, by kind"
+    );
     assert_eq!(net.clamped_events(), 0);
     let traffic: Vec<(u64, u64)> = net
         .addrs()
@@ -332,7 +373,7 @@ fn fault_free_maintenance_traffic_is_pinned() {
     );
     assert_eq!(
         libdat::obs::fnv1a(format!("{traffic:?}").as_bytes()),
-        0x34e7_e81b_bf95_fc8c,
+        0x0647_fc3b_7a8b_f22e,
         "fault-free maintenance traffic moved"
     );
 }
@@ -434,7 +475,7 @@ fn dat_traffic_is_pinned() {
     );
     assert_eq!(
         dat_traffic(false),
-        (0x15f0_05a7_3bfb_3bfe, 0x818d_d07a_09ee_aa40),
+        (0x047a_734f_4cc7_aa8f, 0x818d_d07a_09ee_aa40),
         "DAT traffic with default maintenance moved"
     );
 }
