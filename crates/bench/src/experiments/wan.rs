@@ -50,9 +50,20 @@ fn during_loss(o: &Outcome) -> impl Iterator<Item = &Report> {
 }
 
 /// Mean coverage (contributors / n) of the reports published while the
-/// loss ran; 0 if there was none.
+/// loss ran; 0 if there was none. A report above n reads more than full
+/// coverage here; [`capped_coverage`] counts it as full.
 fn coverage(o: &Outcome) -> f64 {
-    let count = |(sum, k), r: &Report| (sum + r.completeness.contributors, k + 1);
+    mean_coverage(o, u64::MAX)
+}
+
+/// [`coverage`] with each report counted at most n, so a double count
+/// cannot make up for a node missing from another report.
+fn capped_coverage(o: &Outcome) -> f64 {
+    mean_coverage(o, o.scenario.population() as u64)
+}
+
+fn mean_coverage(o: &Outcome, cap: u64) -> f64 {
+    let count = |(sum, k), r: &Report| (sum + r.completeness.contributors.min(cap), k + 1);
     let (sum, reports) = during_loss(o).fold((0, 0), count);
     sum as f64 / (reports * o.scenario.population()).max(1) as f64
 }
@@ -80,6 +91,7 @@ impl Wan {
             &[
                 "loss",
                 "coverage",
+                "capped at n",
                 "report rate",
                 "reports above n",
                 "max ratio",
@@ -95,6 +107,7 @@ impl Wan {
             t.row(vec![
                 format!("{:.0}%", rate(o) * 100.0),
                 format!("{:.3}", coverage(o)),
+                format!("{:.3}", capped_coverage(o)),
                 format!("{:.2}", report_rate(o)),
                 o.score.over_n_during_faults.to_string(),
                 format!("{:.3}", o.score.max_over_n_ratio),
@@ -175,10 +188,10 @@ mod tests {
         assert!(coverage(&w.rows[0]) + 0.05 >= coverage(w.rows.last().unwrap()));
     }
 
-    /// Coverage, and the reports above n, at 10 % and 20 % loss over seeds
-    /// 1–24 (n = 128, the recorded run's size): the spread the single-seed
-    /// rows of `repro wan` are read against. Prints one line per loss
-    /// rate; ~10 s in release:
+    /// Coverage (raw and capped at n), and the reports above n, at 10 % and
+    /// 20 % loss over seeds 1–24 (n = 128, the recorded run's size): the
+    /// spread the single-seed rows of `repro wan` are read against. Prints
+    /// one line per loss rate; ~10 s in release:
     /// `cargo test --release -p dat-bench --lib -- --ignored wan_loss_sweep --nocapture`
     #[test]
     #[ignore]
@@ -198,13 +211,15 @@ mod tests {
                 .map(|o| o.score.max_over_n_ratio)
                 .fold(0.0, f64::max);
             let mean = cov.iter().map(|c| c.1).sum::<f64>() / cov.len() as f64;
+            let capped = runs.iter().map(capped_coverage).sum::<f64>() / runs.len() as f64;
             let by_cov = |a: &&(u64, f64), b: &&(u64, f64)| a.1.total_cmp(&b.1);
             let (lo, hi) = (
                 cov.iter().min_by(by_cov).unwrap(),
                 cov.iter().max_by(by_cov).unwrap(),
             );
             println!(
-                "loss {:.0}%: mean coverage {mean:.3}, min {:.3} (seed {}), max {:.3} (seed {}); \
+                "loss {:.0}%: mean coverage {mean:.3} (capped at n {capped:.3}), min {:.3} (seed {}), \
+                 max {:.3} (seed {}); \
                  over_n_during_faults {over_n} of {reports} reports summed over seeds, \
                  largest max_over_n_ratio {ratio:.3}",
                 rate * 100.0,

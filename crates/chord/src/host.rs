@@ -7,15 +7,20 @@
 //! address books, the transport counters and their one snapshot, decode
 //! classification with source attribution, the control-plane message, the
 //! per-node timer heap and the step that interprets an actor's outputs.
-//! `dat_rpc::RpcCluster` (a blocking thread per node) and
-//! `dat_cluster::ClusterHost` (a tokio task per node) are spawn/join glue
+//! `dat_rpc::RpcCluster` (one blocking thread per node) and
+//! `dat_cluster::ClusterHost` (tokio tasks per node) are spawn/join glue
 //! around the same loop:
 //!
 //! ```text
 //!   loop { deadline = node.fire_due(sink);
-//!          ctl = inbox.recv() until deadline (forever when None);
+//!          ctl = next input or closure, waiting until deadline
+//!                (forever when None);
 //!          if !node.step(ctl, sink) { break } }
 //! ```
+//!
+//! The tokio host waits on an inbox its reader task fills; the threads
+//! host waits on the node's socket itself and drains its control channel
+//! at every wake.
 //!
 //! Timers never leave the node that set them, so a timer cannot race
 //! ahead of the input that scheduled it.
@@ -43,8 +48,11 @@ const KINDS: usize = ERROR_KINDS.len();
 /// plane is reliable, so this only expires when a node is wedged.
 pub const CALL_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// How often an idle reader wakes to look at the stop flag — the upper
-/// bound on how long readers outlive `shutdown`.
+/// The longest a node's socket wait lasts. A tokio reader wakes this often
+/// to look at the stop flag, so it bounds how long readers outlive
+/// `shutdown`. A threads-host worker never blocks on its socket longer,
+/// so it also bounds how late a closure runs whose doorbell datagram was
+/// lost to a full socket buffer.
 pub const SOCKET_POLL: Duration = Duration::from_millis(100);
 
 /// Transport counters for the whole cluster, as one snapshot. The shed
@@ -233,10 +241,10 @@ impl Core {
         }
     }
 
-    /// What a reader forwards for one `recv_from` outcome on `buf`: the
-    /// classified datagram, nothing for a poll timeout, and nothing but a
-    /// counted error otherwise — a reader keeps serving until
-    /// [`Core::stopped`].
+    /// The input one `recv_from` outcome on `buf` becomes: the classified
+    /// datagram, nothing for a poll timeout, and nothing but a counted
+    /// error otherwise — a receive error never stops a node's socket
+    /// loop.
     pub fn on_recv(&self, outcome: io::Result<(usize, SocketAddr)>, buf: &[u8]) -> Option<Input> {
         match outcome {
             Ok((len, peer)) => Some(self.classify(&buf[..len], peer)),
@@ -287,7 +295,7 @@ impl Core {
         std::mem::take(&mut *self.upcalls.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Raise the stop flag readers poll.
+    /// Raise the stop flag the tokio host's readers poll.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::Relaxed);
     }
@@ -300,8 +308,10 @@ impl Core {
 
 type WithFn<A> = Box<dyn FnOnce(&mut A) -> Vec<Output> + Send>;
 
-/// One item of a node's inbox: the data plane's inputs and the control
-/// plane's closures and stop marker travel the same queue, in order.
+/// One item a node steps: a classified datagram, or the control plane's
+/// closures and stop marker, which travel one channel per node in order.
+/// On the tokio host the datagrams share that queue; the threads host
+/// steps them straight off the socket.
 pub enum Control<A> {
     /// A classified datagram.
     Input(Input),
@@ -357,7 +367,7 @@ impl<A: Actor> Node<A> {
     }
 
     /// Fire every timer that is due, then return the next deadline:
-    /// how long the caller may wait on the inbox. `None` means forever.
+    /// how long the caller may wait for its next input. `None` means forever.
     pub fn fire_due(&mut self, sink: &mut impl FnMut(Vec<u8>, SocketAddr)) -> Option<Instant> {
         loop {
             let &Reverse((deadline, _, kind)) = self.timers.peek()?;

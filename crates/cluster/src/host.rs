@@ -13,10 +13,10 @@
 //! `dat_rpc::RpcCluster` runs; what is this host's own is the wait (an
 //! async task instead of a thread) and the bounded, shedding data plane.
 //!
-//! Drain contract (identical to `dat_rpc::RpcCluster`): `shutdown`
-//! enqueues a `Stop` marker on the reliable control plane and raises the
-//! stop flag. Each actor finishes everything queued before its marker,
-//! then returns itself; readers observe the flag within one
+//! Drain contract (the actors' half is `dat_rpc::RpcCluster`'s too):
+//! `shutdown` enqueues a `Stop` marker on the reliable control plane and
+//! raises the stop flag. Each actor finishes everything queued before
+//! its marker, then returns itself; readers observe the flag within one
 //! [`SOCKET_POLL`]; writers flush every frame the actors produced and
 //! exit when the outbox closes. No task outlives `shutdown`.
 

@@ -168,6 +168,17 @@ echo "==> cluster smoke: 64 real UDP nodes through the tokio host"
 cargo run --release -p dat-cluster --bin clusterd -- \
   --nodes "${CLUSTER_SMOKE_NODES:-64}" --epochs 6 --epoch-ms 500 --quiet
 
+echo "==> cluster smoke: real UDP nodes through the threads host"
+# The same layers on dat_rpc::RpcCluster, one OS thread per node: the
+# udp_query_threads workload at its quick size (64 nodes, closed-loop
+# on-demand queries, every answer checked exact) for 2 s. Its last line
+# is the run's JSON result; it must say correct with no failed query.
+threads_out="$(bash benchmark/run.sh --workload udp_query_threads --quick --seed 1 --seconds 2 --trace 0)" \
+  || { echo "$threads_out"; echo "threads-host smoke: the run failed"; exit 1; }
+threads_last="$(tail -n 1 <<<"$threads_out")"
+grep -q '"correct":true' <<<"$threads_last" && grep -Eq '"failed":0[,}]' <<<"$threads_last" \
+  || { echo "$threads_out"; echo "threads-host smoke: a query failed or an answer was wrong"; exit 1; }
+
 echo "==> benchmark build: benchmark/ compiles against the workspace, lock and spec exact"
 # benchmark/ is its own workspace with a committed Cargo.lock and path
 # deps on crates/*; the driver builds it --offline from a clean checkout.
