@@ -63,13 +63,54 @@ impl FingerInfo {
     }
 }
 
-/// `FINGER(me, j) = info` for every `j` in `first..=last`: one stored
-/// copy of a finger that fills consecutive slots.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// `FINGER(me, j) = self.info()` for every `j` in `first..=last`: one
+/// stored copy of a finger that fills consecutive slots. The FOF
+/// neighbours are stored without their `Option` tags, a flag byte beside
+/// the slot bounds saying which are known: 56 bytes a run.
+#[derive(Clone, Copy, Debug)]
 struct Run {
     first: u8,
     last: u8,
-    info: FingerInfo,
+    /// [`KNOWN_PRED`] | [`KNOWN_SUCC`]: which neighbours are known.
+    known: u8,
+    node: NodeRef,
+    /// The finger's predecessor; [`UNKNOWN`] unless `known` says so.
+    pred: NodeRef,
+    /// The finger's first successor; [`UNKNOWN`] unless `known` says so.
+    succ: NodeRef,
+}
+
+/// [`Run::known`] bit: `pred` holds the finger's predecessor.
+const KNOWN_PRED: u8 = 1;
+/// [`Run::known`] bit: `succ` holds the finger's first successor.
+const KNOWN_SUCC: u8 = 2;
+/// What an unknown neighbour slot holds.
+const UNKNOWN: NodeRef = NodeRef {
+    id: Id(0),
+    addr: NodeAddr(0),
+};
+
+impl Run {
+    fn new(first: u8, last: u8, info: FingerInfo) -> Self {
+        let known = if info.pred.is_some() { KNOWN_PRED } else { 0 }
+            | if info.succ.is_some() { KNOWN_SUCC } else { 0 };
+        Run {
+            first,
+            last,
+            known,
+            node: info.node,
+            pred: info.pred.unwrap_or(UNKNOWN),
+            succ: info.succ.unwrap_or(UNKNOWN),
+        }
+    }
+
+    fn info(&self) -> FingerInfo {
+        FingerInfo {
+            node: self.node,
+            pred: (self.known & KNOWN_PRED != 0).then_some(self.pred),
+            succ: (self.known & KNOWN_SUCC != 0).then_some(self.succ),
+        }
+    }
 }
 
 /// The per-node routing state: predecessor, successor list and the finger
@@ -228,7 +269,8 @@ impl FingerTable {
         changed |= self.successors.len() != before;
         // A dropped run leaves a gap on both sides: nothing to merge.
         let before = self.runs.len();
-        self.runs.retain(|r| r.info.node.id != dead);
+        self.runs.retain(|r| r.node.id != dead);
+        self.runs.shrink_to_fit();
         changed |= self.runs.len() != before;
         // Keep finger 1 mirroring the successor list head.
         if let Some(&head) = self.successors.first() {
@@ -245,7 +287,7 @@ impl FingerTable {
     pub fn finger(&self, j: u8) -> Option<FingerInfo> {
         assert!((1..=self.space.bits()).contains(&j));
         let i = self.runs.partition_point(|r| r.last < j);
-        self.runs.get(i).filter(|r| r.first <= j).map(|r| r.info)
+        self.runs.get(i).filter(|r| r.first <= j).map(Run::info)
     }
 
     /// Install finger `j`.
@@ -279,13 +321,20 @@ impl FingerTable {
     /// Store `new` in slot `j`: carve `j` out of the run holding it, then
     /// extend a neighbouring equal run over it or start a run of its own.
     /// Installing fingers in ascending `j`, as a table is built, only ever
-    /// extends or appends the last run. Runs are added one at a time: a
-    /// table holds a handful, and every node keeps one.
+    /// extends or appends the last run. Runs are added one at a time and
+    /// given back the same way: a table holds a handful, and every node
+    /// keeps one.
     fn put(&mut self, j: u8, new: Option<FingerInfo>) {
+        self.place(j, new);
+        self.runs.shrink_to_fit();
+    }
+
+    /// [`FingerTable::put`] short of giving spare capacity back.
+    fn place(&mut self, j: u8, new: Option<FingerInfo>) {
         let mut i = self.runs.partition_point(|r| r.last < j);
         match self.runs.get(i).copied() {
             Some(r) if r.first <= j => {
-                if Some(r.info) == new {
+                if Some(r.info()) == new {
                     return;
                 }
                 match (r.first == j, r.last == j) {
@@ -313,11 +362,11 @@ impl FingerTable {
         let Some(info) = new else {
             return;
         };
-        let joins_prev = i > 0 && self.runs[i - 1].last + 1 == j && self.runs[i - 1].info == info;
+        let joins_prev = i > 0 && self.runs[i - 1].last + 1 == j && self.runs[i - 1].info() == info;
         let joins_next = self
             .runs
             .get(i)
-            .is_some_and(|r| r.first == j + 1 && r.info == info);
+            .is_some_and(|r| r.first == j + 1 && r.info() == info);
         match (joins_prev, joins_next) {
             (true, true) => {
                 self.runs[i - 1].last = self.runs[i].last;
@@ -327,14 +376,7 @@ impl FingerTable {
             (false, true) => self.runs[i].first = j,
             (false, false) => {
                 self.runs.reserve_exact(1);
-                self.runs.insert(
-                    i,
-                    Run {
-                        first: j,
-                        last: j,
-                        info,
-                    },
-                );
+                self.runs.insert(i, Run::new(j, j, info));
             }
         }
     }
@@ -343,14 +385,14 @@ impl FingerTable {
     pub fn iter(&self) -> impl Iterator<Item = (u8, FingerInfo)> + '_ {
         self.runs
             .iter()
-            .flat_map(|r| (r.first..=r.last).map(move |j| (j, r.info)))
+            .flat_map(|r| (r.first..=r.last).map(move |j| (j, r.info())))
     }
 
     /// Iterate `(j, FingerInfo)` over runs of equal consecutive fingers,
     /// ascending: each run once, at its lowest `j`. A node that fills
     /// several non-adjacent slots appears once per run.
     pub(crate) fn runs(&self) -> impl Iterator<Item = (u8, FingerInfo)> + '_ {
-        self.runs.iter().map(|r| (r.first, r.info))
+        self.runs.iter().map(|r| (r.first, r.info()))
     }
 
     /// The distinct nodes known to this table (fingers + successors +
@@ -638,8 +680,13 @@ mod tests {
                 assert_eq!(t.populated(), want.len());
                 for w in t.runs.windows(2) {
                     assert!(w[0].first <= w[0].last && w[0].last < w[1].first);
-                    assert!(w[0].last + 1 < w[1].first || w[0].info != w[1].info);
+                    assert!(w[0].last + 1 < w[1].first || w[0].info() != w[1].info());
                 }
+                assert_eq!(
+                    t.runs.capacity(),
+                    t.runs.len(),
+                    "seed {seed}: spare run slots"
+                );
             }
         }
     }
@@ -654,6 +701,25 @@ mod tests {
         let t = ring.table_of(ring.ids()[17], 8);
         assert_eq!(t.populated(), 40);
         assert!(t.runs.len() <= 16, "{} runs", t.runs.len());
+        assert_eq!(t.runs.capacity(), t.runs.len());
+    }
+
+    #[test]
+    fn a_finger_run_takes_56_bytes() {
+        assert!(std::mem::size_of::<Run>() <= 56);
+    }
+
+    #[test]
+    fn evict_gives_capacity_back() {
+        let space = IdSpace::new(6);
+        let mut t = FingerTable::new(space, nr(0), 3);
+        for (j, n) in [(1, 1), (2, 2), (3, 4), (4, 8), (5, 16), (6, 32)] {
+            t.set_finger(j, FingerInfo::bare(nr(n)));
+        }
+        assert_eq!(t.runs.len(), 6);
+        assert!(t.evict(Id(8)));
+        assert!(t.evict(Id(16)));
+        assert_eq!(t.runs.len(), 4);
         assert_eq!(t.runs.capacity(), t.runs.len());
     }
 

@@ -93,19 +93,35 @@ pub enum SuspicionLevel {
 const ZERO_SILENCE_PHI_MAX: f64 = 0.3011;
 const _: () = assert!(ZERO_SILENCE_PHI_MAX < PHI_THRESHOLD);
 
+const _: () = assert!(WINDOW <= u8::MAX as usize);
+
+/// A peer's flap evidence and quarantine deadline: state only a peer that
+/// has left Healthy ever has, out of line so the rest keep a null pointer.
+#[derive(Clone, Debug, Default)]
+struct Flap {
+    /// Timestamps of recent Suspect→Healthy recoveries.
+    recoveries: VecDeque<u64>,
+    /// When a quarantine ends (meaningful only while Quarantined).
+    quarantined_until_ms: u64,
+}
+
 /// Per-peer detector state.
 #[derive(Clone, Debug)]
 struct PeerHealth {
     /// Sliding window of heartbeat inter-arrival times (ms), four bytes a
-    /// sample: a gap past `u32::MAX` ms (49 days) is held at it.
-    intervals: VecDeque<u32>,
+    /// sample: a gap past `u32::MAX` ms (49 days) is held at it. Grown by
+    /// doubling up to `WINDOW` samples, so a peer heard from twice (most
+    /// of what a Chord node tracks) holds 16 bytes and a full window
+    /// exactly 128; from there a ring whose oldest sample is at `head`. A
+    /// `VecDeque` costs every peer a word more, an inline array 128 bytes.
+    intervals: Vec<u32>,
+    head: u8,
     /// Host time of the last heartbeat.
     last_heard_ms: u64,
     level: SuspicionLevel,
-    /// Timestamps of recent Suspect→Healthy recoveries (flap evidence).
-    recoveries: VecDeque<u64>,
-    /// When a quarantine ends (meaningful only while Quarantined).
-    quarantined_until_ms: u64,
+    /// Recoveries and quarantine deadline; `None` until the first
+    /// recovery, and again once a served quarantine clears the history.
+    flap: Option<Box<Flap>>,
     /// `(mean, variance)` of `intervals` while `fitted`: taken by the
     /// first `level()` that needs it, stale from where `record_beat`
     /// changes the window. Between two beats, silence moves phi but not
@@ -127,24 +143,39 @@ enum Moved {
 impl PeerHealth {
     fn new(now_ms: u64) -> Self {
         PeerHealth {
-            intervals: VecDeque::new(),
+            intervals: Vec::new(),
+            head: 0,
             last_heard_ms: now_ms,
             level: SuspicionLevel::Healthy,
-            recoveries: VecDeque::new(),
-            quarantined_until_ms: 0,
+            flap: None,
             fit: (0.0, 0.0),
             fitted: false,
         }
     }
 
+    /// Append an inter-arrival sample, dropping the oldest when full.
+    fn push_interval(&mut self, x: u32) {
+        if self.intervals.len() < WINDOW {
+            self.intervals.push(x);
+        } else {
+            self.intervals[usize::from(self.head)] = x;
+            self.head = ((usize::from(self.head) + 1) % WINDOW) as u8;
+        }
+    }
+
+    /// The window's samples, oldest first.
+    fn window(&self) -> impl Iterator<Item = u32> + '_ {
+        let (newer, older) = self.intervals.split_at(usize::from(self.head));
+        older.iter().chain(newer).copied()
+    }
+
     /// Mean and (population) variance of the window, in two passes.
     fn fit_window(&self) -> (f64, f64) {
         let n = self.intervals.len() as f64;
-        let mean = self.intervals.iter().map(|&x| x as f64).sum::<f64>() / n;
+        let mean = self.window().map(|x| x as f64).sum::<f64>() / n;
         let var = self
-            .intervals
-            .iter()
-            .map(|&x| {
+            .window()
+            .map(|x| {
                 let d = x as f64 - mean;
                 d * d
             })
@@ -174,11 +205,12 @@ impl PeerHealth {
     fn advance(&mut self, cfg: &HealthConfig, now_ms: u64, phi: f64) -> Option<Moved> {
         match self.level {
             SuspicionLevel::Quarantined => {
-                if now_ms >= self.quarantined_until_ms && phi < PHI_THRESHOLD {
+                let until = self.flap.as_ref().map_or(0, |f| f.quarantined_until_ms);
+                if now_ms >= until && phi < PHI_THRESHOLD {
                     // Quarantine served AND the peer is currently talking:
                     // it has stabilized, let it back in with a clean slate.
                     self.level = SuspicionLevel::Healthy;
-                    self.recoveries.clear();
+                    self.flap = None;
                     return Some(Moved::Rejoined);
                 }
             }
@@ -186,18 +218,19 @@ impl PeerHealth {
                 if phi < PHI_THRESHOLD {
                     // Recovery. Count it as flap evidence; too many inside
                     // the window and the peer is quarantined instead.
-                    self.recoveries.push_back(now_ms);
-                    while self
+                    let flap = self.flap.get_or_insert_with(Default::default);
+                    flap.recoveries.push_back(now_ms);
+                    while flap
                         .recoveries
                         .front()
                         .is_some_and(|&t| now_ms.saturating_sub(t) > cfg.flap_window_ms)
                     {
-                        self.recoveries.pop_front();
+                        flap.recoveries.pop_front();
                     }
-                    if self.recoveries.len() >= FLAP_THRESHOLD {
+                    if flap.recoveries.len() >= FLAP_THRESHOLD {
                         self.level = SuspicionLevel::Quarantined;
-                        self.quarantined_until_ms = now_ms + cfg.quarantine_ms;
-                        self.recoveries.clear();
+                        flap.quarantined_until_ms = now_ms + cfg.quarantine_ms;
+                        flap.recoveries.clear();
                         return Some(Moved::Quarantined);
                     }
                     self.level = SuspicionLevel::Healthy;
@@ -253,10 +286,14 @@ impl Peers {
         &mut self.state[i]
     }
 
+    /// Drop `peer`, giving its slot back: the tables grow one peer at a
+    /// time, so they shrink one at a time too.
     fn remove(&mut self, peer: Id) {
         if let Ok(i) = self.ids.binary_search(&peer) {
             self.ids.remove(i);
+            self.ids.shrink_to_fit();
             self.state.remove(i);
+            self.state.shrink_to_fit();
         }
     }
 
@@ -321,13 +358,8 @@ impl HealthDetector {
             // detector to accept ever-worse degradation (and let flappers
             // walk the threshold out from under the flap damper).
             if e.level == SuspicionLevel::Healthy {
-                // Pop first: `window + 1` samples would double the buffer.
-                if e.intervals.len() >= WINDOW {
-                    e.intervals.pop_front();
-                }
                 let gap = now_ms - e.last_heard_ms;
-                e.intervals
-                    .push_back(u32::try_from(gap).unwrap_or(u32::MAX));
+                e.push_interval(u32::try_from(gap).unwrap_or(u32::MAX));
                 e.fitted = false;
             }
             e.last_heard_ms = now_ms;
@@ -467,11 +499,10 @@ impl HealthDetector {
             return 0.0;
         }
         let n = e.intervals.len() as f64;
-        let mean = e.intervals.iter().map(|&x| x as f64).sum::<f64>() / n;
+        let mean = e.window().map(|x| x as f64).sum::<f64>() / n;
         let var = e
-            .intervals
-            .iter()
-            .map(|&x| {
+            .window()
+            .map(|x| {
                 let d = x as f64 - mean;
                 d * d
             })
@@ -646,14 +677,52 @@ mod tests {
     #[test]
     fn full_window_never_grows_its_buffer() {
         let mut d = HealthDetector::new(cfg());
-        warmed(&mut d, id(7), 500, 1_000);
-        let intervals = &d.peers.get(id(7)).expect("peer 7 is tracked").intervals;
-        assert_eq!(intervals.len(), WINDOW);
-        assert!(
-            intervals.capacity() <= WINDOW.next_power_of_two(),
-            "{} slots for a {WINDOW}-sample window",
-            intervals.capacity()
-        );
+        let t = warmed(&mut d, id(7), 500, 1_000);
+        d.heartbeat(id(7), t + 700);
+        let e = d.peers.get(id(7)).expect("peer 7 is tracked");
+        assert_eq!(e.intervals.len(), WINDOW);
+        assert_eq!(e.intervals.capacity(), WINDOW);
+        // Oldest first: the last push evicted one 500 and landed last.
+        let kept: Vec<u32> = e.window().collect();
+        assert_eq!(kept[..WINDOW - 1], [500; WINDOW - 1]);
+        assert_eq!(kept[WINDOW - 1], 700);
+    }
+
+    #[test]
+    fn a_tracked_peer_takes_64_bytes() {
+        // The window's buffer and the flap state behind pointers.
+        assert!(std::mem::size_of::<PeerHealth>() <= 64);
+    }
+
+    #[test]
+    fn forget_gives_capacity_back() {
+        let mut d = HealthDetector::new(cfg());
+        for p in 1..=9 {
+            d.heartbeat(id(p), 100);
+        }
+        for p in [2, 5, 9] {
+            d.forget(id(p));
+        }
+        assert_eq!(d.tracked(), 6);
+        assert_eq!(d.peers.ids.capacity(), d.peers.ids.len());
+        assert_eq!(d.peers.state.capacity(), d.peers.state.len());
+    }
+
+    #[test]
+    fn a_served_quarantine_drops_the_flap_state() {
+        let mut d = HealthDetector::new(cfg());
+        let mut t = warmed(&mut d, id(7), 500, 10);
+        assert!(d.peers.get(id(7)).expect("tracked").flap.is_none());
+        while d.level(id(7), t) != SuspicionLevel::Quarantined {
+            d.miss(id(7), t);
+            t += 100;
+            d.heartbeat(id(7), t);
+            assert!(d.peers.get(id(7)).expect("tracked").flap.is_some());
+        }
+        t += cfg().quarantine_ms;
+        d.heartbeat(id(7), t);
+        assert_eq!(d.level(id(7), t), SuspicionLevel::Healthy);
+        assert!(d.peers.get(id(7)).expect("tracked").flap.is_none());
     }
 
     #[test]
@@ -662,8 +731,8 @@ mod tests {
         let t = warmed(&mut d, id(7), 500, 4);
         let late = t + u64::from(u32::MAX) + 1_000;
         d.heartbeat(id(7), late);
-        let intervals = &d.peers.get(id(7)).expect("peer 7 is tracked").intervals;
-        assert_eq!(intervals.back(), Some(&u32::MAX));
+        let e = d.peers.get(id(7)).expect("peer 7 is tracked");
+        assert_eq!(e.window().last(), Some(u32::MAX));
         assert_eq!(d.level(id(7), late), SuspicionLevel::Healthy);
     }
 

@@ -25,7 +25,7 @@
 //! whole table. Hosts must therefore report time, through
 //! [`ChordNode::handle_at`] or [`ChordNode::set_now`], before every input.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use dat_obs::EventKind as ObsEventKind;
 
@@ -231,6 +231,37 @@ impl Requests {
     }
 }
 
+/// Consecutive timeout strikes per suspected node, unordered. A node holds
+/// strikes against a peer or two at a time, usually none: a scan, and a
+/// table that grows and shrinks one peer at a time, where a hash map
+/// costs every node 48 bytes inline and a bucket array once used.
+#[derive(Debug, Default)]
+struct Strikes(Vec<(Id, u8)>);
+
+impl Strikes {
+    /// One more strike against `peer`; returns its count.
+    fn add(&mut self, peer: Id) -> u8 {
+        let i = match self.0.iter().position(|(p, _)| *p == peer) {
+            Some(i) => i,
+            None => {
+                self.0.reserve_exact(1);
+                self.0.push((peer, 0));
+                self.0.len() - 1
+            }
+        };
+        self.0[i].1 += 1;
+        self.0[i].1
+    }
+
+    /// Clear `peer`'s strikes.
+    fn clear(&mut self, peer: Id) {
+        if let Some(i) = self.0.iter().position(|(p, _)| *p == peer) {
+            self.0.swap_remove(i);
+            self.0.shrink_to_fit();
+        }
+    }
+}
+
 /// The Chord protocol state machine.
 pub struct ChordNode {
     cfg: ChordConfig,
@@ -244,7 +275,7 @@ pub struct ChordNode {
     /// Consecutive timeout strikes per suspected node; eviction needs two,
     /// so one lost datagram on a lossy network does not tear down a live
     /// neighbor. Any reply from the node clears its strikes.
-    strikes: HashMap<Id, u8>,
+    strikes: Strikes,
     /// Host clock (ms) as last reported via `set_now` / `handle_at`.
     now_ms: u64,
     /// Smoothed RTT (ms); `None` until the first sample.
@@ -290,7 +321,7 @@ impl ChordNode {
             next_finger: 2,
             fix_round: 0,
             join_attempts: 0,
-            strikes: HashMap::new(),
+            strikes: Strikes::default(),
             now_ms: 0,
             srtt_ms: None,
             rttvar_ms: 0.0,
@@ -385,7 +416,7 @@ impl ChordNode {
         if target.id == self.me().id {
             return out;
         }
-        self.strikes.remove(&target.id);
+        self.strikes.clear(target.id);
         if self.table.evict(target.id) {
             self.remember_fallen(target);
             out.push(Output::Upcall(Upcall::NeighborhoodChanged));
@@ -1071,10 +1102,8 @@ impl ChordNode {
             if self.health.last_heard(dead).is_some() || self.holds(dead) {
                 self.health.miss(dead, self.now_ms);
             }
-            let s = self.strikes.entry(dead).or_insert(0);
-            *s += 1;
-            if *s >= 2 {
-                self.strikes.remove(&dead);
+            if self.strikes.add(dead) >= 2 {
+                self.strikes.clear(dead);
                 if self.table.evict(dead) {
                     self.remember_fallen(to);
                     out.push(Output::Upcall(Upcall::NeighborhoodChanged));
@@ -1195,7 +1224,7 @@ impl ChordNode {
                 self.send(out, sender, reply);
             }
             ChordMsg::Pong { req, sender } => {
-                self.strikes.remove(&sender.id);
+                self.strikes.clear(sender.id);
                 if self
                     .outstanding
                     .get(req)
@@ -1384,7 +1413,7 @@ impl ChordNode {
         hops: u32,
         out: &mut Vec<Output>,
     ) {
-        self.strikes.remove(&owner.id);
+        self.strikes.clear(owner.id);
         let Some(kind) = self.untrack(req) else {
             return; // late reply, already timed out
         };
@@ -1460,7 +1489,7 @@ impl ChordNode {
         succ_list: Vec<NodeRef>,
         out: &mut Vec<Output>,
     ) {
-        self.strikes.remove(&responder.id);
+        self.strikes.clear(responder.id);
         let Some(kind) = self.untrack(req) else {
             return;
         };
@@ -2406,7 +2435,7 @@ mod tests {
 
     use crate::ring::{IdPolicy, StaticRing};
     use rand::{Rng, SeedableRng};
-    use std::collections::{BTreeMap, HashSet};
+    use std::collections::{BTreeMap, HashMap, HashSet};
 
     /// 32 members of a 16-bit ring; the node under test is the first.
     fn deadline_ring() -> StaticRing {

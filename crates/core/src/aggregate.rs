@@ -125,6 +125,11 @@ impl Histogram {
 }
 
 /// The mergeable partial aggregate shipped through DAT trees.
+///
+/// The optional histogram and distinct sketch share one box: a plain key
+/// carries neither, and every cached child partial of every node would
+/// otherwise hold 72 bytes of two `None`s. Read them through
+/// [`AggPartial::histogram`] and [`AggPartial::distinct`].
 #[derive(Clone, PartialEq, Debug, Default, serde::Serialize, serde::Deserialize)]
 pub struct AggPartial {
     /// Number of contributing local values.
@@ -137,10 +142,9 @@ pub struct AggPartial {
     pub min: f64,
     /// Maximum value (`-inf` when empty).
     pub max: f64,
-    /// Optional distribution digest.
-    pub histogram: Option<Histogram>,
-    /// Optional distinct-count sketch (see [`crate::sketch`]).
-    pub distinct: Option<Hll>,
+    /// The optional distribution digest and distinct-count sketch; `None`
+    /// when the partial carries neither (never a box of two `None`s).
+    sketches: Option<Box<Sketches>>,
     /// Number of distinct grid nodes whose state is folded into this
     /// partial (completeness accounting). Unlike `count` — which tallies
     /// *observations* and can exceed the node count when a node reports
@@ -163,6 +167,15 @@ pub struct AggPartial {
     pub trace_id: u64,
 }
 
+/// The optional parts of an [`AggPartial`], out of line.
+#[derive(Clone, PartialEq, Debug, Default, serde::Serialize, serde::Deserialize)]
+struct Sketches {
+    /// Optional distribution digest.
+    histogram: Option<Histogram>,
+    /// Optional distinct-count sketch (see [`crate::sketch`]).
+    distinct: Option<Hll>,
+}
+
 impl AggPartial {
     /// The identity element: merging it changes nothing.
     pub fn identity() -> Self {
@@ -172,8 +185,7 @@ impl AggPartial {
             sum_sq: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            histogram: None,
-            distinct: None,
+            sketches: None,
             contributors: 0,
             age_epochs: 0,
             trace_id: 0,
@@ -183,30 +195,59 @@ impl AggPartial {
     /// Identity carrying an (empty) distinct-count sketch of precision `p`.
     pub fn identity_with_distinct(p: u8) -> Self {
         let mut out = Self::identity();
-        out.distinct = Some(Hll::new(p));
+        out.set_distinct(Some(Hll::new(p)));
         out
+    }
+
+    /// The distribution digest, if one is attached.
+    pub fn histogram(&self) -> Option<&Histogram> {
+        self.sketches.as_ref()?.histogram.as_ref()
+    }
+
+    /// The distinct-count sketch, if one is attached.
+    pub fn distinct(&self) -> Option<&Hll> {
+        self.sketches.as_ref()?.distinct.as_ref()
+    }
+
+    /// Attach (or with `None`, drop) the distribution digest.
+    pub fn set_histogram(&mut self, h: Option<Histogram>) {
+        let distinct = self.sketches.take().and_then(|s| s.distinct);
+        self.set_sketches(h, distinct);
+    }
+
+    /// Attach (or with `None`, drop) the distinct-count sketch.
+    pub fn set_distinct(&mut self, d: Option<Hll>) {
+        let histogram = self.sketches.take().and_then(|s| s.histogram);
+        self.set_sketches(histogram, d);
+    }
+
+    /// Replace both optional parts at once.
+    pub(crate) fn set_sketches(&mut self, histogram: Option<Histogram>, distinct: Option<Hll>) {
+        self.sketches = (histogram.is_some() || distinct.is_some()).then(|| {
+            Box::new(Sketches {
+                histogram,
+                distinct,
+            })
+        });
     }
 
     /// Record an identity-bearing item (e.g. a site or user name) in the
     /// distinct-count sketch, if one is attached.
     pub fn observe_item(&mut self, item: &[u8]) {
-        if let Some(h) = &mut self.distinct {
+        if let Some(h) = self.sketches.as_mut().and_then(|s| s.distinct.as_mut()) {
             h.insert(item);
         }
     }
 
     /// Estimated number of distinct observed items (NaN without a sketch).
     pub fn distinct_estimate(&self) -> f64 {
-        self.distinct
-            .as_ref()
-            .map(Hll::estimate)
-            .unwrap_or(f64::NAN)
+        self.distinct().map(Hll::estimate).unwrap_or(f64::NAN)
     }
 
     /// Identity carrying an (empty) histogram of the given shape.
     pub fn identity_with_histogram(lo: f64, hi: f64, buckets: usize) -> Self {
         let mut p = Self::identity();
-        p.histogram = Some(Histogram::new(lo, hi, buckets));
+        p.set_histogram(Some(Histogram::new(lo, hi, buckets)));
         p
     }
 
@@ -229,7 +270,7 @@ impl AggPartial {
         self.sum_sq += x * x;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-        if let Some(h) = &mut self.histogram {
+        if let Some(h) = self.sketches.as_mut().and_then(|s| s.histogram.as_mut()) {
             h.add(x);
         }
     }
@@ -271,14 +312,21 @@ impl AggPartial {
             .age_epochs
             .max(other.age_epochs.saturating_add(extra_age));
         self.trace_id = self.trace_id.max(other.trace_id);
-        match (&mut self.histogram, &other.histogram) {
+        let Some(theirs) = &other.sketches else {
+            return;
+        };
+        let Some(ours) = &mut self.sketches else {
+            self.sketches = Some(theirs.clone());
+            return;
+        };
+        match (&mut ours.histogram, &theirs.histogram) {
             (Some(a), Some(b)) => a.merge(b),
-            (None, Some(b)) => self.histogram = Some(b.clone()),
+            (None, Some(b)) => ours.histogram = Some(b.clone()),
             _ => {}
         }
-        match (&mut self.distinct, &other.distinct) {
+        match (&mut ours.distinct, &theirs.distinct) {
             (Some(a), Some(b)) => a.merge(b),
-            (None, Some(b)) => self.distinct = Some(b.clone()),
+            (None, Some(b)) => ours.distinct = Some(b.clone()),
             _ => {}
         }
     }
@@ -316,6 +364,21 @@ impl AggPartial {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_partial_takes_72_bytes() {
+        assert!(std::mem::size_of::<AggPartial>() <= 72);
+    }
+
+    #[test]
+    fn sketches_box_only_what_is_attached() {
+        let mut p = AggPartial::identity_with_histogram(0.0, 1.0, 4);
+        p.set_distinct(Some(Hll::new(4)));
+        p.set_histogram(None);
+        assert!(p.histogram().is_none() && p.distinct().is_some());
+        p.set_distinct(None);
+        assert_eq!(p, AggPartial::identity(), "no box of two Nones");
+    }
 
     #[test]
     fn single_value_readouts() {
@@ -430,13 +493,13 @@ mod tests {
         let mut b = AggPartial::identity_with_histogram(0.0, 10.0, 5);
         b.absorb(9.0);
         a.merge(&b);
-        let h = a.histogram.as_ref().unwrap();
+        let h = a.histogram().unwrap();
         assert_eq!(h.buckets[0], 1);
         assert_eq!(h.buckets[4], 1);
         // Histogram-less partials adopt the other side's digest.
         let mut c = AggPartial::of(2.0);
         c.merge(&a);
-        assert_eq!(c.histogram.as_ref().unwrap().total(), 2);
+        assert_eq!(c.histogram().unwrap().total(), 2);
     }
 
     #[test]

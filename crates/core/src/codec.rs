@@ -64,7 +64,7 @@ impl WritePartial for Writer {
             .u64(p.contributors)
             .u64(p.age_epochs)
             .u64(p.trace_id);
-        match &p.histogram {
+        match p.histogram() {
             Some(h) => {
                 self.u8(1).f64(h.lo).f64(h.hi).u32(h.buckets.len() as u32);
                 for &b in &h.buckets {
@@ -75,7 +75,7 @@ impl WritePartial for Writer {
                 self.u8(0);
             }
         }
-        match &p.distinct {
+        match p.distinct() {
             Some(h) => {
                 self.u8(1).bytes(h.registers());
             }
@@ -129,18 +129,11 @@ impl ReadPartial for Reader<'_> {
                 }
             }
         };
-        Ok(AggPartial {
-            count,
-            sum,
-            sum_sq,
-            min,
-            max,
-            histogram,
-            distinct,
-            contributors,
-            age_epochs,
-            trace_id,
-        })
+        let mut p = AggPartial::identity();
+        (p.count, p.sum, p.sum_sq, p.min, p.max) = (count, sum, sum_sq, min, max);
+        (p.contributors, p.age_epochs, p.trace_id) = (contributors, age_epochs, trace_id);
+        p.set_sketches(histogram, distinct);
+        Ok(p)
     }
 }
 
@@ -467,11 +460,8 @@ const MIN_ROOT_CHILD: usize = 8 + 8 + MIN_PARTIAL;
 
 /// Bytes [`WritePartial::partial`] writes for `p`.
 fn partial_len(p: &AggPartial) -> usize {
-    let histogram = p
-        .histogram
-        .as_ref()
-        .map_or(0, |h| 8 + 8 + 4 + 8 * h.buckets.len());
-    let distinct = p.distinct.as_ref().map_or(0, |h| 4 + h.registers().len());
+    let histogram = p.histogram().map_or(0, |h| 8 + 8 + 4 + 8 * h.buckets.len());
+    let distinct = p.distinct().map_or(0, |h| 4 + h.registers().len());
     MIN_PARTIAL + histogram + distinct
 }
 
@@ -525,7 +515,7 @@ mod tests {
         let mut p = AggPartial::identity_with_histogram(0.0, 100.0, 8);
         p.absorb(42.0);
         p.absorb(7.5);
-        p.distinct = Some(crate::sketch::Hll::new(6));
+        p.set_distinct(Some(crate::sketch::Hll::new(6)));
         p.observe_item(b"site-a");
         p.observe_item(b"site-b");
         p.contributors = 2;
@@ -710,14 +700,14 @@ mod tests {
         use dat_chord::codec::{decode, encode, MAX_FRAME};
         use dat_chord::ChordMsg;
         let mut big = sample_partial();
-        big.distinct = Some(Hll::new(14));
+        big.set_distinct(Some(Hll::new(14)));
         big.observe_item(b"site-a");
         let bigs = [&big, &big, &big, &big];
         assert_eq!(updates_that_fit(bigs), 3);
         assert_eq!(updates_that_fit(bigs[3..].iter().copied()), 1);
         // A partial too large to share a frame still fits it alone.
         let mut huge = AggPartial::identity();
-        huge.distinct = Some(Hll::new(16));
+        huge.set_distinct(Some(Hll::new(16)));
         assert_eq!(updates_that_fit([&huge, &big]), 1);
         let plain = AggPartial::of(1.0);
         assert_eq!(updates_that_fit([&big, &plain, &big, &plain]), 4);

@@ -144,23 +144,24 @@ pub enum DatEvent {
 }
 
 /// One registered aggregation (an entry of the §4 "aggregation table").
+///
+/// Every node keeps one per registered key, so what a plain continuous
+/// key never reads stays out of line: the sketch configuration sits in a
+/// box only a sketch-carrying key allocates, the root-only replica in a
+/// box only a root's successors fill, and the attribute name is not kept
+/// at all (the protocol knows a key by its hash; the registering host
+/// holds the name).
 #[derive(Clone, Debug)]
 pub struct AggregationEntry {
     /// Rendezvous key (SHA-1 of the attribute name).
     pub key: Id,
-    /// Attribute name, e.g. `"cpu-usage"`.
-    pub name: String,
     /// Aggregation mode.
     pub mode: AggregationMode,
     /// Latest local observation, if any.
     pub local: Option<f64>,
-    /// Histogram shape `(lo, hi, buckets)` to attach to partials, if any.
-    pub histogram: Option<(f64, f64, usize)>,
-    /// Distinct-count sketch precision to attach to partials, if any.
-    pub distinct_p: Option<u8>,
-    /// Identity items this node contributes to the distinct sketch
-    /// (e.g. its site name).
-    local_items: Vec<Vec<u8>>,
+    /// Histogram shape, distinct-sketch precision and sketch items, for a
+    /// key registered with either sketch or fed items.
+    sketch: Option<Box<SketchSpec>>,
     /// Freshest partial per child id, with the *local* epoch it arrived in,
     /// sorted by id: walks decide float merge order, which children the
     /// failure detector is consulted about, and replica byte order. A
@@ -188,21 +189,45 @@ pub struct AggregationEntry {
     last_parent: Option<NodeRef>,
     /// Old parent still owed prune notices (sent on consecutive flushes —
     /// prunes travel over the same lossy links as everything else).
-    prune_old: Option<(NodeRef, u8)>,
-    /// Highest report-fence sequence observed for this key, either emitted
-    /// by this node as root or carried by a replicated
-    /// [`DatMsg::RootState`].
-    fence_seq: u64,
-    /// Who set the fence last. `Some(other)` means another node is the
-    /// live root — a sticky ex-root must stand down instead of reporting.
-    fence_root: Option<Id>,
-    /// Warm-failover replica of the acting root's soft state, adopted if
-    /// the key ever remaps here.
-    replica: Option<ReplicaState>,
+    prune_old: Option<NodeRef>,
+    /// How many notices `prune_old` is still owed.
+    prunes_owed: u8,
+    /// The report fence and warm-failover replica: `None` until this node
+    /// reports as root or receives a [`DatMsg::RootState`].
+    fence: Option<Box<Fence>>,
     /// The DAT parent of `key`, with the [`FingerTable::version`] it was
     /// computed under: a pure function of the table (§3.2), so a push
     /// between two table changes has nothing to decide.
     parent: Option<(u64, ParentDecision)>,
+}
+
+/// What a key carries beyond its scalar partial: registration detail a
+/// plain continuous key never reads.
+#[derive(Clone, Debug, Default)]
+struct SketchSpec {
+    /// Histogram shape `(lo, hi, buckets)` to attach to partials, if any.
+    histogram: Option<(f64, f64, usize)>,
+    /// Distinct-count sketch precision to attach to partials, if any.
+    distinct_p: Option<u8>,
+    /// Identity items this node contributes to the distinct sketch
+    /// (e.g. its site name).
+    local_items: Vec<Vec<u8>>,
+}
+
+/// What an entry knows of its key's root. Only a root and the successors
+/// it replicates to ever hold one.
+#[derive(Clone, Debug, Default)]
+struct Fence {
+    /// Highest report-fence sequence observed for this key, either emitted
+    /// by this node as root or carried by a replicated
+    /// [`DatMsg::RootState`].
+    seq: u64,
+    /// Who set the fence last. `Some(other)` means another node is the
+    /// live root — a sticky ex-root must stand down instead of reporting.
+    root: Option<Id>,
+    /// Warm-failover replica of the acting root's soft state, adopted if
+    /// the key ever remaps here.
+    replica: Option<ReplicaState>,
 }
 
 /// The acting root's replicated per-key soft state, as received by one of
@@ -220,6 +245,31 @@ struct ReplicaState {
 }
 
 impl AggregationEntry {
+    /// Histogram shape `(lo, hi, buckets)` attached to partials, if any.
+    pub fn histogram(&self) -> Option<(f64, f64, usize)> {
+        self.sketch.as_ref()?.histogram
+    }
+
+    /// Distinct-count sketch precision attached to partials, if any.
+    pub fn distinct_p(&self) -> Option<u8> {
+        self.sketch.as_ref()?.distinct_p
+    }
+
+    /// The report fence sequence (0 before any).
+    fn fence_seq(&self) -> u64 {
+        self.fence.as_ref().map_or(0, |f| f.seq)
+    }
+
+    /// The fence, allocated on first use.
+    fn fence_mut(&mut self) -> &mut Fence {
+        self.fence.get_or_insert_with(Default::default)
+    }
+
+    /// The sketch configuration, allocated on first use.
+    fn sketch_mut(&mut self) -> &mut SketchSpec {
+        self.sketch.get_or_insert_with(Default::default)
+    }
+
     /// Children that delivered an update this epoch or the previous one —
     /// the set an interior node waits on before cascading its own update —
     /// in id order.
@@ -278,14 +328,16 @@ impl AggregationEntry {
     /// This node's one-node partial: its local value and sketch items,
     /// counted as one contributor.
     fn own_partial(&self) -> AggPartial {
-        let mut p = match self.histogram {
+        let mut p = match self.histogram() {
             Some((lo, hi, n)) => AggPartial::identity_with_histogram(lo, hi, n),
             None => AggPartial::identity(),
         };
-        if let Some(prec) = self.distinct_p {
-            p.distinct = Some(crate::sketch::Hll::new(prec));
-            for item in &self.local_items {
-                p.observe_item(item);
+        if let Some(spec) = &self.sketch {
+            if let Some(prec) = spec.distinct_p {
+                p.set_distinct(Some(crate::sketch::Hll::new(prec)));
+                for item in &spec.local_items {
+                    p.observe_item(item);
+                }
             }
         }
         if let Some(x) = self.local {
@@ -330,12 +382,18 @@ impl AggregationEntry {
     /// counter) let the very first report after a root crash cover the
     /// whole grid instead of rebuilding over `child_ttl_epochs`.
     fn adopt_replica(&mut self, me: Id, epoch: u64) {
-        if self.replica.as_ref().is_none_or(|r| r.root == me) {
-            return;
-        }
-        let Some(rep) = self.replica.take() else {
+        let Some(fence) = self.fence.as_mut() else {
             return;
         };
+        if fence.replica.as_ref().is_none_or(|r| r.root == me) {
+            return;
+        }
+        let Some(rep) = fence.replica.take() else {
+            return;
+        };
+        // Continue the crashed root's fence so our next report supersedes
+        // anything a restarted old root could replay.
+        fence.seq = fence.seq.max(rep.seq);
         let lag = epoch.saturating_sub(rep.received_epoch);
         for (id, p, age) in rep.children {
             if id == me {
@@ -350,9 +408,6 @@ impl AggregationEntry {
                 self.put_child(id, p, stamp);
             }
         }
-        // Continue the crashed root's fence so our next report supersedes
-        // anything a restarted old root could replay.
-        self.fence_seq = self.fence_seq.max(rep.seq);
     }
 }
 
@@ -495,30 +550,31 @@ impl DatProtocol {
     fn register_entry(
         &mut self,
         key: Id,
-        name: &str,
         mode: AggregationMode,
         histogram: Option<(f64, f64, usize)>,
     ) {
         let Err(at) = self.aggs.binary_search_by_key(&key, |e| e.key) else {
             return;
         };
+        let sketch = histogram.map(|h| {
+            Box::new(SketchSpec {
+                histogram: Some(h),
+                ..SketchSpec::default()
+            })
+        });
         let entry = AggregationEntry {
             key,
-            name: name.to_string(),
             mode,
             local: None,
-            histogram,
-            distinct_p: None,
-            local_items: Vec::new(),
+            sketch,
             children: Vec::new(),
             flushed_epoch: 0,
             hold_due_ms: None,
             was_root: false,
             last_parent: None,
             prune_old: None,
-            fence_seq: 0,
-            fence_root: None,
-            replica: None,
+            prunes_owed: 0,
+            fence: None,
             parent: None,
         };
         self.aggs.insert(at, entry);
@@ -535,8 +591,9 @@ impl DatProtocol {
     /// contributes to the aggregation's distinct-count sketch.
     pub fn observe_local_item(&mut self, key: Id, item: &[u8]) {
         if let Some(e) = self.aggregation_mut(key) {
-            if !e.local_items.iter().any(|i| i == item) {
-                e.local_items.push(item.to_vec());
+            let items = &mut e.sketch_mut().local_items;
+            if !items.iter().any(|i| i == item) {
+                items.push(item.to_vec());
             }
         }
     }
@@ -732,10 +789,14 @@ impl DatProtocol {
                 // state here, fold it in before computing this epoch's
                 // partial — the first report after a takeover already
                 // covers the whole grid.
-                let adopting = entry.replica.as_ref().is_some_and(|r| r.root != me.id);
+                let adopting = entry
+                    .fence
+                    .as_ref()
+                    .and_then(|f| f.replica.as_ref())
+                    .is_some_and(|r| r.root != me.id);
                 entry.adopt_replica(me.id, epoch);
                 if adopting {
-                    let seq = entry.fence_seq;
+                    let seq = entry.fence_seq();
                     self.metrics
                         .trace(cx.now_ms(), tid, EventKind::Failover { key: key.0, seq });
                 }
@@ -749,9 +810,13 @@ impl DatProtocol {
                     // sequence at or above its own. Without this, an
                     // evicted ex-root keeps reporting *alongside* the true
                     // root until it learns a predecessor.
-                    let fenced_off = entry.fence_root.is_some_and(|root| root != me.id);
+                    let fenced_off = entry
+                        .fence
+                        .as_ref()
+                        .and_then(|f| f.root)
+                        .is_some_and(|root| root != me.id);
                     if fenced_off {
-                        let seq = entry.fence_seq;
+                        let seq = entry.fence_seq();
                         self.metrics.trace(
                             cx.now_ms(),
                             tid,
@@ -777,15 +842,19 @@ impl DatProtocol {
             .last_parent
             .filter(|old| Some(old.id) != new_parent.map(|p| p.id))
         {
-            entry.prune_old = Some((old, 2));
+            (entry.prune_old, entry.prunes_owed) = (Some(old), 2);
         }
         entry.last_parent = new_parent;
         // Never prune the node we are about to push to.
-        if entry.prune_old.map(|(o, _)| Some(o.id)) == Some(new_parent.map(|p| p.id)) {
+        if entry.prune_old.map(|o| Some(o.id)) == Some(new_parent.map(|p| p.id)) {
             entry.prune_old = None;
         }
-        if let Some((old, n)) = entry.prune_old {
-            entry.prune_old = (n > 1).then_some((old, n - 1));
+        if let Some(old) = entry.prune_old {
+            let n = entry.prunes_owed;
+            entry.prunes_owed = n - 1;
+            if entry.prunes_owed == 0 {
+                entry.prune_old = None;
+            }
             let msg = DatMsg::Prune { key, sender: me };
             let bytes = msg.encode();
             for _ in 0..n {
@@ -864,9 +933,11 @@ impl DatProtocol {
     fn publish(&mut self, cx: &mut Ctx<'_>, slot: usize, partial: AggPartial) {
         let (epoch, me) = (self.epoch, cx.me());
         let entry = &mut self.aggs[slot];
-        entry.fence_seq += 1;
-        entry.fence_root = Some(me.id);
-        let (key, seq) = (entry.key, entry.fence_seq);
+        let key = entry.key;
+        let fence = entry.fence_mut();
+        fence.seq += 1;
+        fence.root = Some(me.id);
+        let seq = fence.seq;
         let completeness = self.completeness_for(cx, &partial, seq);
         self.metrics.trace(
             cx.now_ms(),
@@ -1083,15 +1154,17 @@ impl DatProtocol {
                     // ex-root replaying a stale sequence is ignored, so it
                     // can neither displace the live root's replica nor
                     // un-fence a stood-down node.
-                    if seq >= e.fence_seq {
-                        e.fence_seq = seq;
-                        e.fence_root = Some(root.id);
-                        e.replica = Some(ReplicaState {
-                            root: root.id,
+                    if seq >= e.fence_seq() {
+                        *e.fence_mut() = Fence {
                             seq,
-                            children,
-                            received_epoch: now_epoch,
-                        });
+                            root: Some(root.id),
+                            replica: Some(ReplicaState {
+                                root: root.id,
+                                seq,
+                                children,
+                                received_epoch: now_epoch,
+                            }),
+                        };
                     } else {
                         self.metrics.trace(
                             cx.now_ms(),
@@ -1374,7 +1447,7 @@ impl StackNode {
         histogram: Option<(f64, f64, usize)>,
     ) -> Id {
         let key = hash_to_id(self.space(), name.as_bytes());
-        self.dat_mut().register_entry(key, name, mode, histogram);
+        self.dat_mut().register_entry(key, mode, histogram);
         key
     }
 
@@ -1383,7 +1456,7 @@ impl StackNode {
     pub fn register_with_distinct(&mut self, name: &str, mode: AggregationMode, p: u8) -> Id {
         let key = self.register(name, mode);
         if let Some(e) = self.dat_mut().aggregation_mut(key) {
-            e.distinct_p = Some(p);
+            e.sketch_mut().distinct_p = Some(p);
         }
         key
     }
@@ -1479,7 +1552,28 @@ mod tests {
         let k3 = n.register("memory-size", AggregationMode::Continuous);
         assert_ne!(k1, k3);
         assert_eq!(n.dat().aggregations().count(), 2);
-        assert_eq!(n.aggregation(k1).unwrap().name, "cpu-usage");
+        assert_eq!(
+            n.aggregation(k1).unwrap().key,
+            hash_to_id(n.space(), b"cpu-usage")
+        );
+    }
+
+    #[test]
+    fn an_aggregation_entry_takes_176_bytes() {
+        // Sketch configuration and root fence out of line; a cached child
+        // is an id, a 72-byte partial and an epoch.
+        assert!(std::mem::size_of::<AggregationEntry>() <= 176);
+        assert!(std::mem::size_of::<(Id, AggPartial, u64)>() <= 88);
+    }
+
+    #[test]
+    fn a_plain_key_allocates_no_sketch_or_fence() {
+        let mut n = mk(1);
+        let plain = n.register("cpu-usage", AggregationMode::Continuous);
+        let sketched = n.register_with_distinct("site", AggregationMode::Continuous, 6);
+        let e = n.aggregation(plain).unwrap();
+        assert!(e.sketch.is_none() && e.fence.is_none());
+        assert_eq!(n.aggregation(sketched).unwrap().distinct_p(), Some(6));
     }
 
     #[test]
@@ -1999,7 +2093,6 @@ mod tests {
             for name in ["cpu-usage", "memory-size", "disk-free"] {
                 dat.register_entry(
                     hash_to_id(space, name.as_bytes()),
-                    name,
                     AggregationMode::Continuous,
                     None,
                 );

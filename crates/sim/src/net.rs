@@ -42,7 +42,7 @@ use dat_chord::{ChordMsg, Id, NodeAddr, NodeRef, Output, Upcall};
 
 use crate::fault::{FaultAction, FaultController, FaultPlan};
 use crate::latency::{LatencyModel, LossModel};
-use crate::shard::{key, run_segment, Env, Event, Shard, Slot, ENGINE_IDX};
+use crate::shard::{key, run_segment, Env, Event, Parcel, Shard, Slot, ENGINE_IDX};
 use crate::time::SimTime;
 
 pub use dat_chord::Actor;
@@ -491,13 +491,15 @@ impl<A: Actor> SimNet<A> {
                         seq,
                         Event::Deliver {
                             to: g / s as u32,
-                            to_addr: node,
-                            from: junk.addr,
-                            msg: ChordMsg::App {
-                                proto: 1,
-                                from: junk,
-                                payload: junk_payload.clone(),
-                            },
+                            parcel: Box::new(Parcel {
+                                to_addr: node,
+                                from: junk.addr,
+                                msg: ChordMsg::App {
+                                    proto: 1,
+                                    from: junk,
+                                    payload: junk_payload.clone(),
+                                },
+                            }),
                         },
                     );
                 }

@@ -97,16 +97,14 @@ fn mix64(mut z: u64) -> u64 {
 
 /// Everything the engine schedules. Targets are *local* slot indices of
 /// the shard whose queue holds the event.
+///
+/// A message and its addresses sit behind a `Box`: most pending events
+/// are timers (a DAT node keeps about four armed between epochs), and an
+/// inline 80-byte [`ChordMsg`] would make every one of them pay for a
+/// message it never carries. Boxed, a scheduled event is 40 bytes.
 pub(crate) enum Event {
-    /// Deliver `msg` to local slot `to`, provided `to_addr` still lives
-    /// there: traffic in flight to a crashed node reaches a restarted
-    /// incarnation of the same address and is dropped otherwise.
-    Deliver {
-        to: u32,
-        to_addr: NodeAddr,
-        from: NodeAddr,
-        msg: ChordMsg,
-    },
+    /// Deliver a message to local slot `to`.
+    Deliver { to: u32, parcel: Box<Parcel> },
     /// Fire a protocol timer on incarnation `gen` of local slot `node`;
     /// timers never outlive the incarnation that armed them.
     Timer {
@@ -114,6 +112,16 @@ pub(crate) enum Event {
         gen: u32,
         kind: TimerKind,
     },
+}
+
+/// A message in flight, as [`Event::Deliver`] carries it: delivered
+/// provided `to_addr` still lives at the target slot, so traffic in
+/// flight to a crashed node reaches a restarted incarnation of the same
+/// address and is dropped otherwise.
+pub(crate) struct Parcel {
+    pub(crate) to_addr: NodeAddr,
+    pub(crate) from: NodeAddr,
+    pub(crate) msg: ChordMsg,
 }
 
 impl Event {
@@ -244,13 +252,8 @@ impl<A: Actor> Shard<A> {
             self.events += 1;
             let at = ev.at;
             match ev.event {
-                Event::Deliver {
-                    to,
-                    to_addr,
-                    from,
-                    msg,
-                } => {
-                    self.deliver(to, to_addr, at, from, msg, env, cross);
+                Event::Deliver { to, parcel } => {
+                    self.deliver(to, at, parcel, env, cross);
                     // Batch drain: take the rest of this node's due inbox
                     // (consecutive head-of-queue deliveries at the same
                     // instant) without re-entering the pop machinery per
@@ -261,17 +264,14 @@ impl<A: Actor> Shard<A> {
                             .queue
                             .pop_if(|e| matches!(e, Event::Deliver { to: t2, .. } if *t2 == to));
                         let Some(Scheduled {
-                            event:
-                                Event::Deliver {
-                                    to_addr, from, msg, ..
-                                },
+                            event: Event::Deliver { parcel, .. },
                             ..
                         }) = next
                         else {
                             break;
                         };
                         self.events += 1;
-                        self.deliver(to, to_addr, at, from, msg, env, cross);
+                        self.deliver(to, at, parcel, env, cross);
                     }
                 }
                 Event::Timer { node, gen, kind } => {
@@ -293,17 +293,15 @@ impl<A: Actor> Shard<A> {
     /// Deliver one message to local slot `to`: liveness, gray slowdown,
     /// wire corruption (if an episode covers the link), parity check,
     /// counters, actor input, output processing.
-    #[allow(clippy::too_many_arguments)]
     fn deliver(
         &mut self,
         to: u32,
-        to_addr: NodeAddr,
         at: SimTime,
-        from: NodeAddr,
-        msg: ChordMsg,
+        parcel: Box<Parcel>,
         env: &Env<'_>,
         cross: &mut Outbox,
     ) {
+        let (to_addr, from) = (parcel.to_addr, parcel.from);
         let n = &mut self.nodes[to as usize];
         if n.addr != to_addr || n.actor.is_none() {
             self.dropped += 1; // destination crashed
@@ -321,16 +319,8 @@ impl<A: Actor> Shard<A> {
                 n.busy_until = SimTime::ZERO;
             } else if n.busy_until > at {
                 let (busy, key) = (n.busy_until, n.next_key());
-                self.queue.push_at_keyed(
-                    busy,
-                    key,
-                    Event::Deliver {
-                        to,
-                        to_addr,
-                        from,
-                        msg,
-                    },
-                );
+                self.queue
+                    .push_at_keyed(busy, key, Event::Deliver { to, parcel });
                 return;
             } else {
                 n.busy_until = at + process_ms;
@@ -346,7 +336,7 @@ impl<A: Actor> Shard<A> {
         let input = match damage {
             Some((prob, mode)) if prob > 0.0 && n.rng.random::<f64>() < prob => {
                 self.corruption.injected += 1;
-                let mut bytes = dat_chord::codec::encode(&msg);
+                let mut bytes = dat_chord::codec::encode(&parcel.msg);
                 mode.damage(&mut bytes, &mut n.rng);
                 match dat_chord::codec::decode(&bytes) {
                     Ok(msg) => {
@@ -362,15 +352,22 @@ impl<A: Actor> Shard<A> {
             }
             _ => {
                 if env.codec_parity {
-                    let bytes = dat_chord::codec::encode(&msg);
+                    let msg = &parcel.msg;
+                    let bytes = dat_chord::codec::encode(msg);
                     match dat_chord::codec::decode(&bytes) {
                         Ok(rt) => {
-                            assert_eq!(rt, msg, "codec parity: wire round-trip changed the message")
+                            assert_eq!(
+                                &rt, msg,
+                                "codec parity: wire round-trip changed the message"
+                            )
                         }
                         Err(e) => panic!("codec parity: {e} while round-tripping {:?}", msg.kind()),
                     }
                 }
-                Input::Message { from, msg }
+                Input::Message {
+                    from,
+                    msg: parcel.msg,
+                }
             }
         };
         n.stats.delivered += 1;
@@ -473,12 +470,8 @@ impl<A: Actor> Shard<A> {
             return;
         };
         let (dst, to) = (g as usize % env.shards, g / env.shards as u32);
-        let event = Event::Deliver {
-            to,
-            to_addr,
-            from,
-            msg,
-        };
+        let parcel = Box::new(Parcel { to_addr, from, msg });
+        let event = Event::Deliver { to, parcel };
         if dst == self.id {
             self.queue.push_at_keyed(at, seq, event);
         } else {
@@ -743,6 +736,11 @@ mod tests {
             stats,
             ups,
         )
+    }
+
+    #[test]
+    fn a_scheduled_event_takes_40_bytes() {
+        assert!(std::mem::size_of::<Scheduled<Event>>() <= 40);
     }
 
     #[test]

@@ -300,7 +300,7 @@ fn histogram_digests_flow_through_the_tree() {
     net.run_for(12_000);
     let root = book[&ring.successor(key)];
     let p = last_report(&mut net, root, key).expect("report");
-    let h = p.histogram.as_ref().expect("histogram digest present");
+    let h = p.histogram().expect("histogram digest present");
     assert_eq!(h.total(), 50);
     assert_eq!(h.buckets[1], 25); // 10% bucket
     assert_eq!(h.buckets[9], 25); // 90% bucket
