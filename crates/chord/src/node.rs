@@ -914,7 +914,13 @@ impl ChordNode {
             }
             TimerKind::CheckPredecessor => {
                 if self.status == NodeStatus::Active {
-                    if let Some(p) = self.table.predecessor() {
+                    // A live predecessor's own stabilization reaches us
+                    // every `stabilize_ms`; the ping is for one gone quiet.
+                    if let Some(p) = self
+                        .table
+                        .predecessor()
+                        .filter(|p| !self.heard_within(p.id, self.cfg.check_pred_ms))
+                    {
                         let req = self.fresh_req();
                         let msg = ChordMsg::Ping {
                             req,
@@ -995,9 +1001,15 @@ impl ChordNode {
     fn resolved_by_stabilization(&self, key: Id) -> Option<FingerInfo> {
         let succ = self.table.successor()?;
         let fof = self.succ_fof.filter(|f| f.node == succ)?;
-        let heard = self.health.last_heard(succ.id)?;
-        let fresh = self.now_ms.saturating_sub(heard) <= self.cfg.stabilize_ms;
+        let fresh = self.heard_within(succ.id, self.cfg.stabilize_ms);
         (fresh && self.cfg.space.in_open_closed(key, self.me().id, succ.id)).then_some(fof)
+    }
+
+    /// Has the failure detector heard `peer` within the last `ms`?
+    fn heard_within(&self, peer: Id, ms: u64) -> bool {
+        self.health
+            .last_heard(peer)
+            .is_some_and(|h| self.now_ms.saturating_sub(h) <= ms)
     }
 
     /// Probe one remembered fallen peer per firing (round-robin). A Pong
@@ -1502,6 +1514,7 @@ impl ChordNode {
                 });
                 let space = self.cfg.space;
                 let me = self.me();
+                let settled = pred.is_some_and(|p| p.id == me.id) && !succ_list.is_empty();
                 let mut changed = false;
                 // Rule: if succ.pred ∈ (me, succ) it is a closer successor.
                 if let Some(x) = pred {
@@ -1521,7 +1534,14 @@ impl ChordNode {
                     list.extend(succ_list);
                     self.table.set_successor_list(list);
                 }
-                if let Some(s) = self.table.successor() {
+                // Notify only with news: a successor whose reply already
+                // names us as its predecessor, and has a successor of its
+                // own, would change nothing on it.
+                if let Some(s) = self
+                    .table
+                    .successor()
+                    .filter(|s| s.id != responder.id || !settled)
+                {
                     let notify = ChordMsg::Notify { sender: me };
                     self.send(out, s, notify);
                 }
@@ -1839,6 +1859,128 @@ mod tests {
         assert!(upcalls(&out)
             .iter()
             .any(|u| matches!(u, Upcall::NeighborhoodChanged)));
+    }
+
+    /// One stabilization round of node 0 against successor 8, answered
+    /// with `pred` and `succ_list`; returns who was notified.
+    fn notified_after_stabilize(pred: Option<u64>, succ_list: &[u64]) -> Vec<Id> {
+        let at = |id: u64| NodeRef::new(Id(id), NodeAddr(id));
+        let mut n = node(0);
+        let _ = n.start_create();
+        n.table.set_successor(at(8));
+        let out = n.handle(Input::Timer(TimerKind::Stabilize));
+        let req = match sends(&out)[0].1 {
+            ChordMsg::GetNeighbors { req, .. } => *req,
+            other => panic!("unexpected {other:?}"),
+        };
+        let out = n.handle(Input::Message {
+            from: NodeAddr(8),
+            msg: ChordMsg::Neighbors {
+                req,
+                me: at(8),
+                pred: pred.map(at),
+                succ_list: succ_list.iter().map(|&id| at(id)).collect(),
+            },
+        });
+        sends(&out)
+            .into_iter()
+            .filter(|(_, m)| matches!(m, ChordMsg::Notify { .. }))
+            .map(|(to, _)| to.id)
+            .collect()
+    }
+
+    /// A stabilization notifies only when the notify can change something:
+    /// the successor's reply names another predecessor or none, or the
+    /// successor is one just adopted. A reply that names us already says
+    /// what the notify would.
+    #[test]
+    fn stabilize_notifies_only_with_news() {
+        assert_eq!(notified_after_stabilize(Some(0), &[12]), vec![]);
+        // 12 is not between 0 and 8: 8 keeps it, and learns of us.
+        assert_eq!(notified_after_stabilize(Some(12), &[12]), vec![Id(8)]);
+        assert_eq!(notified_after_stabilize(None, &[12]), vec![Id(8)]);
+        // 3 lies between 0 and 8: it is adopted and told.
+        assert_eq!(notified_after_stabilize(Some(3), &[12]), vec![Id(3)]);
+        // A successor with no successor of its own adopts its notifier.
+        assert_eq!(notified_after_stabilize(Some(0), &[]), vec![Id(8)]);
+    }
+
+    /// The predecessor is pinged only once the detector has not heard it
+    /// for `check_pred_ms`: its own stabilization is the heartbeat.
+    #[test]
+    fn a_predecessor_is_pinged_only_when_it_has_gone_quiet() {
+        let (pred, succ) = (
+            NodeRef::new(Id(12), NodeAddr(12)),
+            NodeRef::new(Id(4), NodeAddr(4)),
+        );
+        let mut n = node(0);
+        let _ = n.start_create();
+        n.table.set_successor(succ);
+        n.table.set_predecessor(Some(pred));
+        let pings_to_pred = |out: &[Output]| {
+            sends(out)
+                .into_iter()
+                .filter(|(to, m)| to.id == pred.id && matches!(m, ChordMsg::Ping { .. }))
+                .count()
+        };
+        // Its stabilization reaches us: no ping for one round.
+        let _ = n.handle_at(
+            Input::Message {
+                from: pred.addr,
+                msg: ChordMsg::GetNeighbors {
+                    req: 1,
+                    sender: pred,
+                },
+            },
+            2_000,
+        );
+        let check_pred_ms = n.cfg.check_pred_ms;
+        let out = n.handle_at(
+            Input::Timer(TimerKind::CheckPredecessor),
+            2_000 + check_pred_ms,
+        );
+        assert_eq!(pings_to_pred(&out), 0, "heard within check_pred_ms");
+        // Silent past it: pinged.
+        let out = n.handle_at(
+            Input::Timer(TimerKind::CheckPredecessor),
+            2_001 + check_pred_ms,
+        );
+        assert_eq!(pings_to_pred(&out), 1, "silent past check_pred_ms");
+    }
+
+    /// A predecessor that stops talking is pinged every round from the
+    /// first one past `check_pred_ms`, and two unanswered pings evict it.
+    #[test]
+    fn a_silent_predecessor_is_evicted_after_two_unanswered_pings() {
+        let pred = NodeRef::new(Id(12), NodeAddr(12));
+        let mut n = node_no_retry(0);
+        let _ = n.start_create();
+        n.table.set_successor(NodeRef::new(Id(4), NodeAddr(4)));
+        n.table.set_predecessor(Some(pred));
+        let _ = n.handle_at(
+            Input::Message {
+                from: pred.addr,
+                msg: ChordMsg::GetNeighbors {
+                    req: 1,
+                    sender: pred,
+                },
+            },
+            1_000,
+        );
+        for round in 1..=2 {
+            assert_eq!(n.table().predecessor(), Some(pred), "round {round}");
+            let now = n.now_ms + n.cfg.check_pred_ms + 1;
+            let out = n.handle_at(Input::Timer(TimerKind::CheckPredecessor), now);
+            let req = sends(&out)
+                .into_iter()
+                .find_map(|(to, m)| match m {
+                    ChordMsg::Ping { req, .. } if to.id == pred.id => Some(*req),
+                    _ => None,
+                })
+                .expect("the silent predecessor is pinged");
+            let _ = time_out(&mut n, req);
+        }
+        assert_eq!(n.table().predecessor(), None);
     }
 
     #[test]

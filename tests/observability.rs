@@ -400,9 +400,8 @@ fn pinned_fleet_exposition(shards: usize) {
             ("found_successor", 451, 451),
             ("get_neighbors", 1984, 1920),
             ("neighbors", 1920, 1920),
-            ("notify", 1280, 1280),
-            ("ping", 1152, 1152),
-            ("pong", 1792, 1792),
+            ("ping", 512, 512),
+            ("pong", 1152, 1152),
             ("route", 36, 36),
         ]
     );
@@ -426,10 +425,10 @@ fn pinned_fleet_exposition(shards: usize) {
             ("maan_register", 7, 7),
         ]
     );
-    assert_eq!(text.lines().count(), 108, "exposition line count:\n{text}");
+    assert_eq!(text.lines().count(), 106, "exposition line count:\n{text}");
     assert!(text.contains("sent_total{kind=\"dat_parent_ping\",layer=\"dat\"} 640"));
     assert!(!text.contains("kind=\"dat_parent_ping\",layer=\"dat\"} 0"));
-    assert!(text.contains("rtt_ms_count{layer=\"chord\"} 4163"));
+    assert!(text.contains("rtt_ms_count{layer=\"chord\"} 3523"));
     // Pending at the end, per node: four timers and the stabilization
     // request in flight. A Chord request times out through its node's own
     // timers, not one of its own. The finger fix due at the end resolves
@@ -443,7 +442,7 @@ fn pinned_fleet_exposition(shards: usize) {
         .collect();
     assert_eq!(
         libdat::obs::fnv1a(rest.as_bytes()),
-        0xb6a3_3a9d_6ef8_7eee,
+        0x0752_c94b_c469_e0af,
         "fleet exposition bytes changed:\n{text}"
     );
 }
