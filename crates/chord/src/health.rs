@@ -116,8 +116,11 @@ struct PeerHealth {
     /// `VecDeque` costs every peer a word more, an inline array 128 bytes.
     intervals: Vec<u32>,
     head: u8,
-    /// Host time of the last heartbeat.
+    /// Host time of the last heartbeat, or of the miss that created the
+    /// entry while `heard` is false.
     last_heard_ms: u64,
+    /// Has any beat come in? Not for a peer first met through a miss.
+    heard: bool,
     level: SuspicionLevel,
     /// Recoveries and quarantine deadline; `None` until the first
     /// recovery, and again once a served quarantine clears the history.
@@ -146,6 +149,7 @@ impl PeerHealth {
             intervals: Vec::new(),
             head: 0,
             last_heard_ms: now_ms,
+            heard: true,
             level: SuspicionLevel::Healthy,
             flap: None,
             fit: (0.0, 0.0),
@@ -351,7 +355,12 @@ impl HealthDetector {
     /// Learn one beat's inter-arrival sample; returns the level it found.
     fn record_beat(&mut self, peer: Id, now_ms: u64) -> SuspicionLevel {
         let e = self.peers.entry(peer, now_ms);
-        if now_ms > e.last_heard_ms {
+        if !e.heard {
+            // The first beat of a peer first met through a miss: the miss
+            // was no beat, so there is no interval to learn yet.
+            e.heard = true;
+            e.last_heard_ms = now_ms;
+        } else if now_ms > e.last_heard_ms {
             // Only a Healthy peer's cadence is learned: the long silence
             // that ends a Suspect episode is exactly the anomaly the
             // detector exists to flag, and absorbing it would train the
@@ -371,7 +380,9 @@ impl HealthDetector {
     /// exhausted its retries. Forces Suspect immediately (quarantine is
     /// never overridden downward).
     pub fn miss(&mut self, peer: Id, now_ms: u64) {
+        let known = self.peers.get(peer).is_some();
         let e = self.peers.entry(peer, now_ms);
+        e.heard &= known;
         if e.level == SuspicionLevel::Healthy {
             e.level = SuspicionLevel::Suspect;
             self.suspects += 1;
@@ -423,11 +434,17 @@ impl HealthDetector {
             .unwrap_or(SuspicionLevel::Healthy)
     }
 
-    /// Host time `peer` was last heard from, or `None` while the detector
-    /// does not track it. A peer first met through
-    /// [`HealthDetector::miss`] reads the time of that miss.
+    /// Host time `peer` was last heard from, or `None` if it never was:
+    /// untracked, or first met through [`HealthDetector::miss`] and silent
+    /// since.
     pub fn last_heard(&self, peer: Id) -> Option<u64> {
-        self.peers.get(peer).map(|e| e.last_heard_ms)
+        let heard = self.peers.get(peer).filter(|e| e.heard);
+        heard.map(|e| e.last_heard_ms)
+    }
+
+    /// Does the detector keep state for `peer` (heard, or missed)?
+    pub fn tracks(&self, peer: Id) -> bool {
+        self.peers.get(peer).is_some()
     }
 
     /// Drop all state for `peer` (evicted / departed / replaced).
@@ -439,7 +456,8 @@ impl HealthDetector {
     /// silence reaches `KEEPALIVE_AFTER_MS` (3 s) — as the target for one
     /// adaptive keepalive ping. A candidate with no history counts as
     /// silent since time zero (never heard), so fresh links get probed and
-    /// a history started, without a ping storm at startup.
+    /// a history started, without a ping storm at startup; one met only
+    /// through a miss, as silent since that miss.
     pub fn stalest(&self, candidates: &[Id], now_ms: u64) -> Option<Id> {
         let mut best: Option<(u64, Id)> = None;
         for &c in candidates {
@@ -669,9 +687,15 @@ mod tests {
         d.heartbeat(id(2), 700);
         d.miss(id(2), 5_000);
         assert_eq!(d.last_heard(id(2)), Some(800));
+        // A peer first met through a miss was never heard, and its first
+        // beat is no interval sample.
         d.miss(id(3), 900);
-        assert_eq!(d.last_heard(id(3)), Some(900));
+        assert_eq!(d.last_heard(id(3)), None);
+        assert!(d.tracks(id(3)));
         assert_eq!(d.suspects, 2);
+        d.heartbeat(id(3), 1_400);
+        assert_eq!(d.last_heard(id(3)), Some(1_400));
+        assert_eq!(d.peers.get(id(3)).map(|e| e.intervals.len()), Some(0));
     }
 
     #[test]

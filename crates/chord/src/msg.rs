@@ -206,7 +206,7 @@ impl ChordMsg {
     }
 
     /// `true` for messages that belong to ring maintenance rather than
-    /// application traffic — used by the churn-overhead experiment.
+    /// application traffic.
     pub fn is_maintenance(&self) -> bool {
         !matches!(
             self,

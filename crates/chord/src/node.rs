@@ -133,9 +133,8 @@ enum Pending {
     FofRefresh(u8),
     /// Application lookup.
     Lookup,
-    /// Predecessor liveness ping.
-    PingPred,
-    /// Generic liveness ping to an arbitrary node (evicted on timeout).
+    /// Liveness ping: the predecessor check, the keepalive and
+    /// [`ChordNode::ping_node`] (the target is suspected on timeout).
     PingNode,
     /// A [`ChordMsg::ProbedApp`]'s liveness probe: retried as a plain
     /// `Ping` and timed out exactly like [`Pending::PingNode`]. Its own
@@ -926,7 +925,7 @@ impl ChordNode {
                             req,
                             sender: self.me(),
                         };
-                        self.send_tracked(out, p, msg, req, Pending::PingPred);
+                        self.send_tracked(out, p, msg, req, Pending::PingNode);
                     }
                     self.probe_fallen(out);
                     self.keepalive_probe(out);
@@ -1111,7 +1110,7 @@ impl ChordNode {
             // budget burned with no reply. Not for a peer the detector has
             // forgotten and nothing holds any more (one that said goodbye
             // while this request was out): the miss would re-create it.
-            if self.health.last_heard(dead).is_some() || self.holds(dead) {
+            if self.health.tracks(dead) || self.holds(dead) {
                 self.health.miss(dead, self.now_ms);
             }
             if self.strikes.add(dead) >= 2 {
@@ -1132,13 +1131,11 @@ impl ChordNode {
                     self.begin_join_attempt(out);
                 }
             }
-            // Stabilize / predecessor-ping targets were already evicted by
-            // the generic suspicion above (`send_tracked` marks both kinds
-            // for it); the successor list/notify machinery re-links.
-            Pending::Stabilize | Pending::PingPred => {}
+            // The generic suspect-eviction above already handled the
+            // target; for a successor or predecessor, the successor
+            // list/notify machinery re-links.
+            Pending::Stabilize | Pending::PingNode | Pending::AppProbe => {}
             Pending::Lookup => out.push(Output::Upcall(Upcall::LookupFailed { req })),
-            // The generic suspect-eviction above already handled the target.
-            Pending::PingNode | Pending::AppProbe => {}
             Pending::FixFinger(_) | Pending::FofRefresh(_) => {}
             // Fallen peers are not table members; silence is the expected
             // outcome until a partition heals. The last probe of a spent
@@ -1485,7 +1482,6 @@ impl ChordNode {
             Pending::ProbeJoin
             | Pending::Stabilize
             | Pending::FofRefresh(_)
-            | Pending::PingPred
             | Pending::PingNode
             | Pending::AppProbe
             | Pending::FallenProbe
@@ -1981,6 +1977,30 @@ mod tests {
             let _ = time_out(&mut n, req);
         }
         assert_eq!(n.table().predecessor(), None);
+    }
+
+    /// A predecessor never heard from is pinged, and once that ping times
+    /// out it is pinged again in the very next round: the miss is no beat.
+    #[test]
+    fn a_never_heard_predecessor_is_pinged_again_after_a_miss() {
+        let pred = NodeRef::new(Id(12), NodeAddr(12));
+        let mut n = node_no_retry(0);
+        let _ = n.start_create();
+        n.table.set_successor(NodeRef::new(Id(4), NodeAddr(4)));
+        n.table.set_predecessor(Some(pred));
+        let first = 1_000;
+        for now in [first, first + n.cfg.check_pred_ms] {
+            let out = n.handle_at(Input::Timer(TimerKind::CheckPredecessor), now);
+            let req = sends(&out)
+                .into_iter()
+                .find_map(|(to, m)| match m {
+                    ChordMsg::Ping { req, .. } if to.id == pred.id => Some(*req),
+                    _ => None,
+                })
+                .unwrap_or_else(|| panic!("the never-heard predecessor is pinged at {now} ms"));
+            let _ = time_out(&mut n, req);
+            assert_eq!(n.health().last_heard(pred.id), None, "at {now} ms");
+        }
     }
 
     #[test]
@@ -3310,10 +3330,10 @@ mod tests {
             },
             300,
         );
-        assert_eq!(n.health().last_heard(s4.id), None);
+        assert!(!n.health().tracks(s4.id));
         let _ = time_out(&mut n, req);
         assert_eq!(n.metrics().timeouts, 1);
-        assert_eq!(n.health().last_heard(s4.id), None, "re-created by the miss");
+        assert!(!n.health().tracks(s4.id), "re-created by the miss");
         assert_eq!(n.health().suspects, 0);
     }
 }

@@ -4,13 +4,15 @@
 //! (§2.3): "explicit tree construction has limited scalability … the
 //! parent-child maintenance overhead increases linearly with the number of
 //! trees \[and\] will be further exaggerated when nodes dynamically join or
-//! leave". To *quantify* that claim (the churn experiment in
-//! `repro churn`), this module implements a classic explicitly-maintained
-//! aggregation tree as an [`AppProtocol`] over the same Chord substrate:
+//! leave". To *quantify* that claim, this module implements a classic
+//! explicitly-maintained aggregation tree as an [`AppProtocol`] over the
+//! same Chord substrate. A fault campaign (`dat_sim::campaign`) hosts it
+//! in place of the DAT under the same seeded plan, and `repro churn` books
+//! both trees' messages from those two runs:
 //!
 //! * a joining node routes a `JoinTree` request to the rendezvous root;
 //!   nodes with spare capacity adopt it, full nodes delegate to their
-//!   lowest-degree child (yielding a bounded-degree tree);
+//!   children in turn (yielding a bounded-degree tree);
 //! * parents and children exchange periodic heartbeats; a missed heartbeat
 //!   dissolves the edge and forces the child to re-join;
 //! * every membership message (`join_tree`, `adopt`, `heartbeat`,
@@ -24,7 +26,7 @@ use dat_chord::{Id, Metrics, NodeRef, NodeStatus};
 
 use crate::aggregate::AggPartial;
 use crate::codec::{CodecError, ReadPartial, Reader, WritePartial, Writer, WIRE_VERSION};
-use crate::engine::{AppProtocol, Ctx, StackNode};
+use crate::engine::{AppProtocol, Ctx};
 
 /// Application-protocol discriminator for explicit-tree messages.
 pub const EXPLICIT_PROTO: u8 = 2;
@@ -91,11 +93,6 @@ impl ExpMsg {
             ExpMsg::LeaveTree { .. } => "exp_leave_tree",
             ExpMsg::Update { .. } => "exp_update",
         }
-    }
-
-    /// `true` for tree-membership maintenance (everything but `Update`).
-    pub fn is_membership(&self) -> bool {
-        !matches!(self, ExpMsg::Update { .. })
     }
 
     /// Encode to wire bytes.
@@ -182,13 +179,13 @@ const MAX_CHILDREN: usize = 4;
 const HEARTBEAT_MS: u64 = 1_000;
 /// Missed-heartbeat threshold before an edge is dissolved.
 const MISS_LIMIT: u32 = 3;
-/// Aggregation epoch, ms (the DAT default, for a fair comparison).
-const EPOCH_MS: u64 = 1_000;
 
 #[derive(Clone, Debug)]
 struct ChildState {
     node: NodeRef,
     missed: u32,
+    /// The child's latest partial, with our own epoch when it arrived:
+    /// epoch counters are per node, and a restarted child's starts over.
     partial: Option<(AggPartial, u64)>,
 }
 
@@ -204,19 +201,26 @@ pub struct ExplicitProtocol {
     children: BTreeMap<Id, ChildState>,
     local: Option<f64>,
     epoch: u64,
+    /// Epoch length, ms.
+    epoch_ms: u64,
     /// Engine time of the next heartbeat round.
     next_heartbeat_ms: u64,
     /// Engine time of the next epoch push.
     next_epoch_ms: u64,
-    joining_tree: bool,
+    /// Heartbeat rounds since our last unanswered `JoinTree`; `None`
+    /// while not joining.
+    join_wait: Option<u32>,
+    /// Joins this node passed on to a child since it filled up.
+    delegated: usize,
     metrics: Metrics,
-    /// Root-side per-epoch reports.
+    /// Root-side per-epoch reports not yet taken.
     reports: Vec<(u64, AggPartial)>,
 }
 
 impl ExplicitProtocol {
-    /// Create an explicit-tree handler for `key`.
-    pub fn new(key: Id) -> Self {
+    /// Create an explicit-tree handler for `key` that pushes every
+    /// `epoch_ms`.
+    pub fn new(key: Id, epoch_ms: u64) -> Self {
         ExplicitProtocol {
             key,
             parent: None,
@@ -224,44 +228,14 @@ impl ExplicitProtocol {
             children: BTreeMap::new(),
             local: None,
             epoch: 0,
+            epoch_ms,
             next_heartbeat_ms: 0,
             next_epoch_ms: 0,
-            joining_tree: false,
+            join_wait: None,
+            delegated: 0,
             metrics: Metrics::default(),
             reports: Vec::new(),
         }
-    }
-
-    /// Tree-layer message counters (membership traffic is every kind except
-    /// `exp_update`).
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// The tree's rendezvous key.
-    pub fn key(&self) -> Id {
-        self.key
-    }
-
-    /// Total membership-maintenance messages sent by this node.
-    pub fn membership_sent(&self) -> u64 {
-        self.metrics.sent_of_kinds(&[
-            "exp_join_tree",
-            "exp_adopt",
-            "exp_heartbeat",
-            "exp_heartbeat_ack",
-            "exp_leave_tree",
-        ])
-    }
-
-    /// Current tree parent.
-    pub fn tree_parent(&self) -> Option<NodeRef> {
-        self.parent
-    }
-
-    /// Current child count.
-    pub fn child_count(&self) -> usize {
-        self.children.len()
     }
 
     /// Update the local observation.
@@ -269,9 +243,10 @@ impl ExplicitProtocol {
         self.local = Some(v);
     }
 
-    /// Root-side per-epoch global partials.
-    pub fn reports(&self) -> &[(u64, AggPartial)] {
-        &self.reports
+    /// Take the per-epoch global partials this node published as root
+    /// since the last call, as `(epoch, partial)`, oldest first.
+    pub fn take_reports(&mut self) -> Vec<(u64, AggPartial)> {
+        std::mem::take(&mut self.reports)
     }
 
     fn is_root(&self, cx: &Ctx<'_>) -> bool {
@@ -279,10 +254,10 @@ impl ExplicitProtocol {
     }
 
     fn send_join_tree(&mut self, cx: &mut Ctx<'_>) {
-        if self.joining_tree || self.is_root(cx) {
+        if self.join_wait.is_some() || self.is_root(cx) {
             return;
         }
-        self.joining_tree = true;
+        self.join_wait = Some(0);
         let m = ExpMsg::JoinTree {
             key: self.key,
             joiner: cx.me(),
@@ -311,13 +286,14 @@ impl ExplicitProtocol {
                     self.metrics.count_sent_kind(adopt.kind());
                     cx.send(joiner, adopt.encode());
                 } else {
-                    // Delegate to the lowest-id child (deterministic,
-                    // keeps the tree bounded-degree and O(log n) deep
-                    // in expectation).
+                    // Delegate to the children in turn (deterministic,
+                    // keeps the tree bounded-degree and O(log n) deep).
+                    let turn = self.delegated % self.children.len();
+                    self.delegated += 1;
                     let target = self
                         .children
                         .values()
-                        .next()
+                        .nth(turn)
                         .map(|c| c.node)
                         .expect("full node has children");
                     let fwd = ExpMsg::JoinTree { key, joiner };
@@ -326,7 +302,7 @@ impl ExplicitProtocol {
                 }
             }
             ExpMsg::Adopt { key: _, parent } => {
-                self.joining_tree = false;
+                self.join_wait = None;
                 self.parent = Some(parent);
                 self.parent_missed = 0;
             }
@@ -352,12 +328,12 @@ impl ExplicitProtocol {
             }
             ExpMsg::Update {
                 key: _,
-                epoch,
+                epoch: _,
                 partial,
                 sender,
             } => {
                 if let Some(c) = self.children.get_mut(&sender.id) {
-                    c.partial = Some((partial, epoch));
+                    c.partial = Some((partial, self.epoch));
                 }
             }
         }
@@ -383,7 +359,15 @@ impl ExplicitProtocol {
                 cx.send(p, hb.encode());
             }
         } else if !self.is_root(cx) {
-            self.send_join_tree(cx);
+            // A join unanswered for `MISS_LIMIT` rounds is sent again: the
+            // request, the adoption or the adopter itself may be lost.
+            match self.join_wait {
+                Some(rounds) if rounds < MISS_LIMIT => self.join_wait = Some(rounds + 1),
+                _ => {
+                    self.join_wait = None;
+                    self.send_join_tree(cx);
+                }
+            }
         }
         // Parent side: age children.
         let dead: Vec<Id> = self
@@ -410,7 +394,7 @@ impl ExplicitProtocol {
         }
         for c in self.children.values() {
             if let Some((p, e)) = &c.partial {
-                if self.epoch.saturating_sub(*e) <= 3 {
+                if self.epoch - *e <= 3 {
                     acc.merge(p);
                 }
             }
@@ -437,7 +421,7 @@ impl AppProtocol for ExplicitProtocol {
 
     fn on_start(&mut self, cx: &mut Ctx<'_>) {
         self.next_heartbeat_ms = cx.now_ms() + HEARTBEAT_MS;
-        self.next_epoch_ms = cx.now_ms() + EPOCH_MS;
+        self.next_epoch_ms = cx.now_ms() + self.epoch_ms;
         cx.wake_at(self.next_heartbeat_ms.min(self.next_epoch_ms));
         if !self.is_root(cx) {
             self.send_join_tree(cx);
@@ -463,7 +447,7 @@ impl AppProtocol for ExplicitProtocol {
         }
         if now >= self.next_epoch_ms {
             self.on_epoch(cx);
-            self.next_epoch_ms = now + EPOCH_MS;
+            self.next_epoch_ms = now + self.epoch_ms;
         }
         cx.wake_at(self.next_heartbeat_ms.min(self.next_epoch_ms));
     }
@@ -511,49 +495,10 @@ impl AppProtocol for ExplicitProtocol {
     }
 }
 
-/// Explicit-tree conveniences on the stack engine, `exp_`-prefixed to stay
-/// clear of the DAT names. All of these panic if no [`ExplicitProtocol`] is
-/// registered.
-impl StackNode {
-    /// The explicit-tree handler (read-only).
-    pub fn explicit(&self) -> &ExplicitProtocol {
-        self.app::<ExplicitProtocol>()
-    }
-
-    /// The explicit-tree handler (mutable).
-    pub fn explicit_mut(&mut self) -> &mut ExplicitProtocol {
-        self.app_mut::<ExplicitProtocol>()
-    }
-
-    /// Update the explicit tree's local observation.
-    pub fn exp_set_local(&mut self, v: f64) {
-        self.explicit_mut().set_local(v);
-    }
-
-    /// Root-side per-epoch global partials of the explicit tree.
-    pub fn exp_reports(&self) -> &[(u64, AggPartial)] {
-        self.explicit().reports()
-    }
-
-    /// Current explicit-tree parent.
-    pub fn tree_parent(&self) -> Option<NodeRef> {
-        self.explicit().tree_parent()
-    }
-
-    /// Current explicit-tree child count.
-    pub fn child_count(&self) -> usize {
-        self.explicit().child_count()
-    }
-
-    /// Total explicit-tree membership messages sent by this node.
-    pub fn membership_sent(&self) -> u64 {
-        self.explicit().membership_sent()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::StackNode;
     use dat_chord::{ChordConfig, IdSpace, NodeAddr, Output};
 
     fn nr(id: u64) -> NodeRef {
@@ -565,7 +510,7 @@ mod tests {
             space: IdSpace::new(8),
             ..ChordConfig::default()
         };
-        StackNode::new(ccfg, Id(id), NodeAddr(id)).with_app(ExplicitProtocol::new(Id(0)))
+        StackNode::new(ccfg, Id(id), NodeAddr(id)).with_app(ExplicitProtocol::new(Id(0), 1_000))
     }
 
     #[test]
@@ -600,7 +545,6 @@ mod tests {
         ];
         for m in msgs {
             assert_eq!(ExpMsg::decode(&m.encode()).unwrap(), m);
-            assert_eq!(m.is_membership(), !matches!(m, ExpMsg::Update { .. }));
         }
     }
 
@@ -617,7 +561,7 @@ mod tests {
                 },
             )
         });
-        assert_eq!(root.child_count(), 1);
+        assert_eq!(root.app::<ExplicitProtocol>().children.len(), 1);
         // The adopt message went out.
         let adopted = outs.iter().any(|o| matches!(o, Output::Send { .. }));
         assert!(adopted);
@@ -638,7 +582,7 @@ mod tests {
                 )
             });
         }
-        assert_eq!(root.child_count(), 4);
+        assert_eq!(root.app::<ExplicitProtocol>().children.len(), 4);
         let ((), outs) = root.drive::<ExplicitProtocol, _>(|e, cx| {
             e.on_msg(
                 cx,
@@ -649,19 +593,24 @@ mod tests {
             )
         });
         // Still 4 children; the join was forwarded to child 10.
-        assert_eq!(root.child_count(), 4);
+        assert_eq!(root.app::<ExplicitProtocol>().children.len(), 4);
         match &outs[0] {
             Output::Send { to, .. } => assert_eq!(to.id, Id(10)),
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(root.explicit().metrics().sent_of("exp_join_tree"), 1);
+        assert_eq!(
+            root.app::<ExplicitProtocol>()
+                .metrics
+                .sent_of("exp_join_tree"),
+            1
+        );
     }
 
     #[test]
     fn adopt_sets_parent() {
         let mut n = mk(50);
         let _ = n.start_create();
-        n.explicit_mut().joining_tree = true;
+        n.app_mut::<ExplicitProtocol>().join_wait = Some(0);
         let _ = n.drive::<ExplicitProtocol, _>(|e, cx| {
             e.on_msg(
                 cx,
@@ -671,8 +620,8 @@ mod tests {
                 },
             )
         });
-        assert_eq!(n.tree_parent().unwrap().id, Id(3));
-        assert!(!n.explicit().joining_tree);
+        assert_eq!(n.app::<ExplicitProtocol>().parent.unwrap().id, Id(3));
+        assert_eq!(n.app::<ExplicitProtocol>().join_wait, None);
     }
 
     #[test]
@@ -680,8 +629,8 @@ mod tests {
         let mut n = mk(50);
         let mut clock = crate::engine::WakeClock::default();
         clock.absorb(&n.start_create());
-        n.explicit_mut().parent = Some(nr(3));
-        n.explicit_mut().children.insert(
+        n.app_mut::<ExplicitProtocol>().parent = Some(nr(3));
+        n.app_mut::<ExplicitProtocol>().children.insert(
             Id(9),
             ChildState {
                 node: nr(9),
@@ -696,9 +645,9 @@ mod tests {
             "one wake per round: heartbeat and epoch share it"
         );
         // Edge to the silent child dissolved...
-        assert_eq!(n.child_count(), 0);
+        assert_eq!(n.app::<ExplicitProtocol>().children.len(), 0);
         // ...and the silent parent was abandoned (rejoin attempted).
-        assert!(n.tree_parent().is_none());
+        assert!(n.app::<ExplicitProtocol>().parent.is_none());
     }
 
     #[test]
@@ -706,18 +655,21 @@ mod tests {
         let mut n = mk(50);
         let _ = n.start_create();
         // A lone created node IS the root (owns everything).
-        n.exp_set_local(42.0);
+        n.app_mut::<ExplicitProtocol>().set_local(42.0);
         let _ = n.drive::<ExplicitProtocol, _>(|e, cx| e.on_epoch(cx));
-        assert_eq!(n.exp_reports().len(), 1);
-        assert_eq!(n.exp_reports()[0].1.sum, 42.0);
+        let reports = n.app_mut::<ExplicitProtocol>().take_reports();
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].1.sum, 42.0);
+        // Taken once: the root keeps no report it handed out.
+        assert!(n.app_mut::<ExplicitProtocol>().take_reports().is_empty());
     }
 
     #[test]
     fn leave_notifies_parent_and_children() {
         let mut n = mk(50);
         let _ = n.start_create();
-        n.explicit_mut().parent = Some(nr(3));
-        n.explicit_mut().children.insert(
+        n.app_mut::<ExplicitProtocol>().parent = Some(nr(3));
+        n.app_mut::<ExplicitProtocol>().children.insert(
             Id(9),
             ChildState {
                 node: nr(9),
@@ -742,6 +694,11 @@ mod tests {
             })
             .count();
         assert_eq!(leave_sends, 2, "parent and child both told");
-        assert_eq!(n.explicit().metrics().sent_of("exp_leave_tree"), 2);
+        assert_eq!(
+            n.app::<ExplicitProtocol>()
+                .metrics
+                .sent_of("exp_leave_tree"),
+            2
+        );
     }
 }

@@ -24,6 +24,12 @@
 //! poison differ only in the [`LinkFault`] they carry. Besides the score,
 //! the drive loop times the successor ring's re-knit after the faults end
 //! ([`Outcome::ring_reunified_ms`]), which the partition plane reads.
+//!
+//! What every node hosts is a [`Tree`]: the implicit DAT
+//! ([`Scenario::run`]) or the explicit-membership tree of
+//! [`dat_core::explicit`] ([`Scenario::run_with`]). Both face the same
+//! seeded plan and the same judge, so the §2.3 trade-off — membership
+//! repair against soft state — is priced under every fault plane.
 
 // Crashes in a campaign must carry context, never a bare unwrap panic.
 #![deny(clippy::unwrap_used)]
@@ -33,18 +39,19 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 
 use dat_chord::{
-    ChordConfig, HealthConfig, Id, IdPolicy, IdSpace, NodeAddr, NodeStatus, Output, RoutingScheme,
-    StaticRing,
+    ChordConfig, HealthConfig, Id, IdPolicy, IdSpace, Metrics, NodeAddr, NodeStatus, Output,
+    RoutingScheme, StaticRing,
 };
 use dat_core::tree::DatTree;
 use dat_core::{
-    AggregationMode, Completeness, DatConfig, DatEvent, DatProtocol, InboxPolicy, StackNode,
+    AggPartial, AggregationMode, AppProtocol, Completeness, DatConfig, DatEvent, DatProtocol,
+    ExplicitProtocol, InboxPolicy, StackNode,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::fault::{CorruptMode, FaultPlan, LinkFault};
-use crate::harness::{addr_book, prestabilized_dat, ring_converged};
+use crate::harness::{addr_book, prestabilized_stack, ring_converged};
 use crate::latency::LatencyModel;
 use crate::net::SimNet;
 
@@ -314,11 +321,10 @@ impl Scenario {
         }
     }
 
-    /// Register the campaign attribute on `node`, feed it [`VALUE`], and
-    /// tune its health plane and inbox to the campaign.
-    fn equip(&self, node: &mut StackNode) {
-        let k = node.register(ATTR, AggregationMode::Continuous);
-        node.set_local(k, VALUE);
+    /// Feed `node`'s tree [`VALUE`], and tune its health plane and inbox
+    /// to the campaign.
+    fn equip<T: Tree>(&self, node: &mut StackNode) {
+        T::feed(node);
         if self.tuned() {
             // Health plane tuned for the campaign's timescales: quarantine
             // short enough that release and rejoin land inside the quiesce
@@ -337,32 +343,65 @@ impl Scenario {
         }
     }
 
-    /// Run the campaign: build a pre-stabilized ring, inject the seeded
-    /// fault schedule, drain reports every half epoch, then score the run.
-    pub fn run(&self) -> Outcome {
-        self.run_on(1)
-    }
-
-    /// [`Scenario::run`] on `shards` engine shards; the outcome does not
-    /// depend on the count.
-    fn run_on(&self, shards: usize) -> Outcome {
-        let ccfg = self.chord_config();
-        let space = ccfg.space;
+    /// The ring, the generators' view of it, and the seeded fault plan with
+    /// what its faults must leave behind. A function of the scenario
+    /// alone: every tree faces the same plan.
+    fn setup(&self) -> (StaticRing, Topology, FaultPlan, Expect) {
+        let space = IdSpace::new(SPACE_BITS);
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let ring = StaticRing::build(space, self.nodes, IdPolicy::Probed, &mut rng);
-        let dcfg = self.dat_config(Some(ring.d0()));
-        let mut net: SimNet<StackNode> = prestabilized_dat(&ring, ccfg, dcfg, self.seed);
+        let topo = Topology::of(&ring, dat_chord::hash_to_id(space, ATTR.as_bytes()));
+        let (plan, expect) = match self.campaign {
+            Campaign::Churn {
+                episodes,
+                crash_root,
+            } => churn_plan(self, &topo, &mut rng, (episodes, crash_root)),
+            Campaign::Gray => gray_plan(self, &topo),
+            Campaign::Corrupt => corrupt_plan(self, &topo),
+            Campaign::Partition => partition_plan(self, &topo),
+            Campaign::Loss { rate } => loss_plan(self, &topo, rate),
+            Campaign::Departures => departures_plan(self, &topo),
+        };
+        (ring, topo, plan, expect)
+    }
+
+    /// The fault plan a run of this scenario injects (its digest is
+    /// [`Outcome::digest`]).
+    pub fn plan(&self) -> FaultPlan {
+        self.setup().2
+    }
+
+    /// Run the campaign over the implicit DAT.
+    pub fn run(&self) -> Outcome {
+        self.run_with::<DatProtocol>()
+    }
+
+    /// Run the campaign with every node hosting `T`: build a pre-stabilized
+    /// ring, inject the seeded fault schedule, drain reports every half
+    /// epoch, then score the run.
+    pub fn run_with<T: Tree>(&self) -> Outcome {
+        self.run_on::<T>(1)
+    }
+
+    /// [`Scenario::run_with`] on `shards` engine shards; the outcome does
+    /// not depend on the count.
+    fn run_on<T: Tree>(&self, shards: usize) -> Outcome {
+        let ccfg = self.chord_config();
+        let space = ccfg.space;
+        let (ring, topo, plan, expect) = self.setup();
+        let (key, d0) = (dat_chord::hash_to_id(space, ATTR.as_bytes()), ring.d0());
+        let mut net = prestabilized_stack(&ring, ccfg, self.seed, |_, id, addr| {
+            StackNode::new(ccfg, id, addr).with_app(T::build(self, key, d0))
+        });
         net.set_shards(shards);
         if let Campaign::Loss { .. } = self.campaign {
             net.set_latency(WAN_LATENCY);
         }
         for addr in net.addrs() {
             if let Some(node) = net.node_mut(addr) {
-                self.equip(node);
+                self.equip::<T>(node);
             }
         }
-        let key = dat_chord::hash_to_id(space, ATTR.as_bytes());
-        let topo = Topology::of(&ring, key);
         let stable = net.node(topo.stable);
         let bootstrap = stable.expect("stable node exists at construction").me();
         // A crash-restart is a new incarnation: it must come back under a
@@ -390,27 +429,16 @@ impl Scenario {
             let fresh = NodeAddr(*next_addr);
             *next_addr += 1;
             lineage.insert(fresh, (base, gen + 1));
-            let mut node = StackNode::new(ccfg, id, fresh).with_app(DatProtocol::new(dcfg));
-            sc.equip(&mut node);
+            let mut node = StackNode::new(ccfg, id, fresh).with_app(T::build(&sc, key, d0));
+            sc.equip::<T>(&mut node);
             let outs = node.start_join(bootstrap);
             Some((node, outs))
         };
         net.set_restart_fn(spawn.clone());
-        let (plan, expect) = match self.campaign {
-            Campaign::Churn {
-                episodes,
-                crash_root,
-            } => churn_plan(self, &topo, &mut rng, (episodes, crash_root)),
-            Campaign::Gray => gray_plan(self, &topo),
-            Campaign::Corrupt => corrupt_plan(self, &topo),
-            Campaign::Partition => partition_plan(self, &topo),
-            Campaign::Loss { rate } => loss_plan(self, &topo, rate),
-            Campaign::Departures => departures_plan(self, &topo),
-        };
         let digest = plan.digest();
         net.set_fault_plan(plan);
 
-        let (log, ring_reunified_ms) = drive(&mut net, self, key, spawn);
+        let (log, ring_reunified_ms) = drive::<T>(&mut net, self, key, spawn);
 
         let victim = net.node(expect.exposition.0);
         let exposition = victim.map(|n| n.render_prometheus()).unwrap_or_default();
@@ -426,7 +454,80 @@ impl Scenario {
             ring_reunified_ms,
             score,
             fleet,
+            traffic: Traffic::of::<T>(&net),
         }
+    }
+}
+
+/// What a campaign hosts on every node: the implicit DAT
+/// ([`DatProtocol`]) or the explicit-membership tree
+/// ([`ExplicitProtocol`]). The campaign builds each node's tree, feeds it
+/// [`VALUE`] on the campaign key, and reads the run back from the reports
+/// the acting root publishes.
+pub trait Tree: AppProtocol + Sized {
+    /// A node's tree for `sc`, aggregating `key` on a ring whose mean id
+    /// gap is `d0`.
+    fn build(sc: &Scenario, key: Id, d0: u64) -> Self;
+
+    /// Give `node`'s tree [`VALUE`] to aggregate.
+    fn feed(node: &mut StackNode);
+
+    /// The reports on `key` that `node` published since the last drain,
+    /// oldest first.
+    fn drain(node: &mut StackNode, sc: &Scenario, key: Id) -> Vec<(Completeness, AggPartial)>;
+}
+
+impl Tree for DatProtocol {
+    fn build(sc: &Scenario, _key: Id, d0: u64) -> Self {
+        DatProtocol::new(sc.dat_config(Some(d0)))
+    }
+
+    fn feed(node: &mut StackNode) {
+        let k = node.register(ATTR, AggregationMode::Continuous);
+        node.set_local(k, VALUE);
+    }
+
+    fn drain(node: &mut StackNode, _sc: &Scenario, key: Id) -> Vec<(Completeness, AggPartial)> {
+        let reports = node.take_events().into_iter().filter_map(|ev| match ev {
+            DatEvent::Report {
+                key: k,
+                partial,
+                completeness,
+                ..
+            } if k == key => Some((completeness, partial)),
+            _ => None,
+        });
+        reports.collect()
+    }
+}
+
+/// The explicit tree reports a bare partial per epoch. Its fence `seq` is
+/// the reporter's epoch index, and its coverage is contributors over
+/// [`Scenario::population`]: the tree keeps no ring-size estimate.
+impl Tree for ExplicitProtocol {
+    fn build(sc: &Scenario, key: Id, _d0: u64) -> Self {
+        ExplicitProtocol::new(key, sc.epoch_ms)
+    }
+
+    fn feed(node: &mut StackNode) {
+        node.app_mut::<ExplicitProtocol>().set_local(VALUE);
+    }
+
+    fn drain(node: &mut StackNode, sc: &Scenario, _key: Id) -> Vec<(Completeness, AggPartial)> {
+        let (root, n) = (node.me().id, sc.population() as u64);
+        let reports = node.app_mut::<ExplicitProtocol>().take_reports();
+        let fenced = |(seq, p): (u64, AggPartial)| {
+            let completeness = Completeness {
+                contributors: p.count,
+                expected: n,
+                ratio: p.count as f64 / n as f64,
+                staleness_ms: 0,
+                seq,
+                root,
+            };
+            (completeness, p)
+        };
+        reports.into_iter().map(fenced).collect()
     }
 }
 
@@ -783,7 +884,7 @@ pub struct Report {
 /// an epoch of when it was emitted. Also returns the first step at or
 /// after the end of the fault window at which the successor ring was
 /// whole again.
-fn drive(
+fn drive<T: Tree>(
     net: &mut SimNet<StackNode>,
     sc: &Scenario,
     key: Id,
@@ -819,24 +920,15 @@ fn drive(
             cached_epoch = net.membership_epoch();
         }
         for &addr in &cached_addrs {
-            let events = net.node_mut(addr).map(|n| n.take_events());
-            for ev in events.unwrap_or_default() {
-                let DatEvent::Report {
-                    key: k,
-                    partial: p,
-                    completeness: c,
-                    ..
-                } = ev
-                else {
-                    continue;
-                };
-                let (value, completeness) = ((p.sum, p.count, p.min, p.max), c);
-                log.extend((k == key).then_some(Report {
+            let reports = net.node_mut(addr).map(|n| T::drain(n, sc, key));
+            for (completeness, p) in reports.unwrap_or_default() {
+                let value = (p.sum, p.count, p.min, p.max);
+                log.push(Report {
                     t_ms,
                     addr,
                     completeness,
                     value,
-                }));
+                });
             }
         }
         for &addr in &cached_addrs {
@@ -903,6 +995,31 @@ fn fleet_counters(net: &SimNet<StackNode>) -> FleetCounters {
     ];
     let sums = sums.map(|name| (name, fleet.counter_sum(name)));
     sums.into_iter().chain(corrupt).collect()
+}
+
+/// The messages the survivors sent and received over the whole run, each
+/// layer's tallies merged over the fleet (a crashed incarnation's die with
+/// it, as in [`FleetCounters`]).
+#[derive(Clone, Debug, Default)]
+pub struct Traffic {
+    /// The Chord layer: ring maintenance, and the `app` and `route` frames
+    /// that carry the tree's messages.
+    pub chord: Metrics,
+    /// The hosted tree's own tallies, by message kind.
+    pub tree: Metrics,
+}
+
+impl Traffic {
+    fn of<T: Tree>(net: &SimNet<StackNode>) -> Traffic {
+        let mut traffic = Traffic::default();
+        for (_, node) in net.iter_nodes() {
+            traffic.chord.merge(node.chord_metrics());
+            if let Some(tree) = node.try_app::<T>().and_then(|t| t.metrics()) {
+                traffic.tree.merge(tree);
+            }
+        }
+        traffic
+    }
 }
 
 /// The invariant score of one report stream. A *slot* is one epoch of
@@ -1039,6 +1156,8 @@ pub struct Outcome {
     pub score: Score,
     /// Fleet-wide tallies over the whole run.
     pub fleet: FleetCounters,
+    /// The survivors' messages over the whole run, by layer and kind.
+    pub traffic: Traffic,
     /// Invariant breaches (empty for a healthy run).
     pub violations: Vec<String>,
 }
@@ -1148,6 +1267,7 @@ fn violations(
 mod tests {
     use super::*;
     use crate::fault::FaultEvent;
+    use crate::harness::prestabilized_dat;
 
     /// The generators' view of a real `n`-node ring.
     fn topology(n: usize) -> Topology {
@@ -1236,20 +1356,24 @@ mod tests {
     /// same log, ring re-knit time, scores and counters (every loss,
     /// latency and mutation coin is drawn from the receiving node's
     /// stream).
-    #[test]
-    fn campaigns_heal_replay_and_are_shard_count_invariant() {
+    /// Every generator at the seeds CI scores.
+    fn ci_scenarios() -> impl Iterator<Item = Scenario> {
         let churn = [1, 2, 3].map(|seed| churn(24, seed, 3, false));
         let (gray, corrupt) = ([1, 2].map(Scenario::gray), [1, 2, 3].map(Scenario::corrupt));
         let partition = [0xda7, 1].map(|seed| Scenario::partition(64, seed));
         let (loss, departures) = (Scenario::loss(48, 1, 0.1), Scenario::departures(48, 1, 3));
-        let all = churn
+        churn
             .into_iter()
             .chain(gray)
             .chain(corrupt)
             .chain(partition)
-            .chain([loss, departures]);
-        for sc in all {
-            let first = sc.run_on(1);
+            .chain([loss, departures])
+    }
+
+    #[test]
+    fn campaigns_heal_replay_and_are_shard_count_invariant() {
+        for sc in ci_scenarios() {
+            let first = sc.run_on::<DatProtocol>(1);
             assert!(first.violations.is_empty(), "{:#?}", first.violations);
             if let Campaign::Partition = sc.campaign {
                 assert_eq!(first.digest, 0xdd7d3409acf1f4a3, "{sc:?}: plan moved");
@@ -1259,9 +1383,30 @@ mod tests {
                 );
             }
             for shards in [1, 4] {
-                let again = format!("{:?}", sc.run_on(shards));
+                let again = format!("{:?}", sc.run_on::<DatProtocol>(shards));
                 assert_eq!(format!("{first:?}"), again, "{sc:?} on {shards} shards");
             }
+        }
+    }
+
+    /// Every generator, run once per tree at the CI seeds: both trees face
+    /// the same plan. The explicit tree's violations are printed with its
+    /// summary, not asserted; the DAT's must stay empty.
+    #[test]
+    fn both_trees_face_the_same_plan_on_every_generator() {
+        for sc in ci_scenarios() {
+            let (dat, explicit) = (sc.run(), sc.run_with::<ExplicitProtocol>());
+            println!("DAT {}", dat.summary());
+            println!(
+                "explicit {}; violations {:?}",
+                explicit.summary(),
+                explicit.violations
+            );
+            assert_eq!(
+                dat.digest, explicit.digest,
+                "{sc:?}: the trees faced different plans"
+            );
+            assert!(dat.violations.is_empty(), "{:#?}", dat.violations);
         }
     }
 

@@ -16,7 +16,7 @@
 //! (DAT + MAAN + gossip…) shares one Chord substrate per node.
 
 use dat_chord::{ChordConfig, ChordNode, Id, NodeAddr, NodeStatus, StaticRing};
-use dat_core::{DatConfig, DatProtocol, ExplicitProtocol, GossipProtocol, StackNode};
+use dat_core::{DatConfig, DatProtocol, GossipProtocol, StackNode};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -111,21 +111,6 @@ pub fn prestabilized_dat(
 ) -> SimNet<StackNode> {
     prestabilized_stack(ring, ccfg, seed, |_, id, addr| {
         StackNode::new(ccfg, id, addr).with_app(DatProtocol::new(dcfg))
-    })
-}
-
-/// Build a pre-stabilized explicit-tree overlay (the churn baseline). Tree
-/// membership still forms via the live `JoinTree` protocol — only the
-/// Chord substrate is pre-converged, matching the DAT side for a fair
-/// comparison.
-pub fn prestabilized_explicit(
-    ring: &StaticRing,
-    ccfg: ChordConfig,
-    key: Id,
-    seed: u64,
-) -> SimNet<StackNode> {
-    prestabilized_stack(ring, ccfg, seed, |_, id, addr| {
-        StackNode::new(ccfg, id, addr).with_app(ExplicitProtocol::new(key))
     })
 }
 

@@ -54,12 +54,12 @@ pub mod shard;
 pub mod stats;
 pub mod time;
 
-pub use campaign::{Campaign, FleetCounters, Outcome, Report, Scenario, Score};
+pub use campaign::{Campaign, FleetCounters, Outcome, Report, Scenario, Score, Traffic, Tree};
 pub use fault::{CorruptMode, FaultEvent, FaultPlan, LinkFault};
 pub use fuzz::{fuzz_codec, FuzzReport, FuzzTarget, ALL_TARGETS};
 pub use harness::{
-    finger_convergence, prestabilized_chord, prestabilized_dat, prestabilized_explicit,
-    prestabilized_gossip, prestabilized_stack, ring_converged, spawn_live_ring, ChordView,
+    finger_convergence, prestabilized_chord, prestabilized_dat, prestabilized_gossip,
+    prestabilized_stack, ring_converged, spawn_live_ring, ChordView,
 };
 pub use latency::{LatencyModel, LossModel};
 pub use net::{Actor, LinkStats, SimNet, UpcallRecord};
